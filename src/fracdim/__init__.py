@@ -4,9 +4,7 @@ Pipeline: B-spline quasi-interpolant collocation of the transfer operator
 (assembly), cone-certified spectral bracketing (spectral), and bisection in
 the dimension parameter s (solver), with all rigor constants in constants.
 """
-from .assembly import (OperatorCache, ScaledPair, TransferMatrix,
-                       TransferOperator, assemble_1d, assemble_2d,
-                       dump_matrix, scale_pair)
+from .assembly import OperatorCache, TransferOperator
 from .bspline import (KnotSequence, TensorGrid, eval_bspline,
                       eval_bspline_derivative, eval_tensor_bspline,
                       local_basis, make_uniform_knots, parameter_interval,
@@ -32,20 +30,18 @@ __all__ = [
     "Alphabet", "CertificationError", "ConeCertificate", "DimensionBracket",
     "InadmissibleMeshError", "KnotSequence", "MonotonicityError",
     "OperatorCache", "PositivityError", "QuasiInterpolant", "RigorProfile",
-    "ScaledPair", "SolveConfig", "SpectralBracket", "TensorGrid",
-    "TransferMatrix", "TransferOperator", "admissible_h", "assemble_1d",
-    "assemble_2d",
-    "bramble_hilbert_constant", "coefficient_1d", "coefficient_tensor",
+    "SolveConfig", "SpectralBracket", "TensorGrid", "TransferOperator",
+    "admissible_h", "bramble_hilbert_constant", "coefficient_1d", "coefficient_tensor",
     "cone_image_parameter", "cone_membership", "convergence_study",
     "deriv_bound_1d", "deriv_bounds_2d", "distortion_K", "dphi_norm_1d",
-    "dphi_norm_2d", "dump_matrix", "err_coefficient_1d", "err_coefficient_2d",
+    "dphi_norm_2d", "err_coefficient_1d", "err_coefficient_2d",
     "eval_bspline", "eval_bspline_derivative", "eval_quasi_interpolant",
     "eval_tensor_bspline", "lambda_bracket", "legendre_projection_constants",
     "local_basis", "make_alphabet_1d", "make_alphabet_2d", "make_geometry",
     "make_profile", "make_quasi_interpolant", "make_uniform_knots",
     "multivariate_error_constant", "parameter_interval", "parse_alphabet",
     "phi_1d", "phi_2d", "positivity_threshold", "power_iteration",
-    "relevant_indices", "scale_pair", "solve_dimension", "spectral_bracket",
+    "relevant_indices", "solve_dimension", "spectral_bracket",
     "two_step_refinement",
 ]
 

@@ -1,42 +1,31 @@
 """Sparse collocation of the transfer operator.
 
-The discrete operator acts on sample vectors v_i = f(x_i) at the (J+n)^d
-collocation midpoints per axis: the J interior midpoints plus n/2 exterior
-ones on each side (degree n even).  It factors as L_h = G(s) W, where W maps
-the samples to the quasi-interpolant coefficients of the J^d splines whose
-dual functionals reference only those midpoints (per axis the splines
-n/2 .. n/2+J-1 of the J+n on the knot vector), and G(s) evaluates
+The discrete operator acts on sample vectors v_i = f(x_i) at all J+2n knot
+interval midpoints per axis (degree n even).  It factors as L_h = G(s) W,
+where W maps the samples to the quasi-interpolant coefficients of all J+n
+splines per axis (spline c's dual functional references midpoints c..c+n),
+and G(s) evaluates
 
     sum_e ||Dphi_e(x_i)||^s  b_col(phi_e(x_i))
 
-for each kept tensor spline.  Contraction maps are evaluated directly at the
-exterior midpoints (they are well defined slightly outside the domain and
-their images stay inside the knot span).  The nonzero spectrum of G W equals
-that of the coefficient-space matrix W G, so eigenvalue brackets transfer
-verbatim.
+for each tensor spline.  Contraction maps are evaluated directly at the
+exterior midpoints (they are well defined slightly outside the domain).  The
+nonzero spectrum of G W equals that of the coefficient-space matrix W G, so
+eigenvalue brackets transfer verbatim.
 
-Two basis modes are supported.  'trim' (default, used for point estimates and
-table reproduction) keeps the J splines per axis whose dual windows reference
-only the J+n carried midpoints, dropping the n/2 outermost splines per side;
-the basis then loses partition of unity on the outermost subintervals, which
-perturbs the leading eigenvalue below measurable levels but distorts the
-eigenvector near the boundary.  'full' (used for certified runs) keeps all
-J+n splines per axis and carries all J+2n midpoints, preserving partition of
-unity across the whole parameter interval; paired with a mesh padded so every
-mapped collocation point lands inside that interval, the eigenvector then
-genuinely satisfies the log-Lipschitz cone bounds that the certification
-lemma requires.
+Keeping all J+n splines preserves partition of unity across the whole
+parameter interval.  The mesh must be padded so every mapped collocation
+point lands inside that interval; the eigenvector then genuinely satisfies the log-Lipschitz cone
+bounds that the certification lemma requires.  A mesh without that padding
+is rejected.
 
 Entries depend on s only through the factor ||Dphi_e(x)||^s, so an
 OperatorCache precomputes all s-independent structure (CSR pattern of G,
 basis-value products, and log derivative norms per contribution) once per
 mesh and rebuilds only the value array per s probe.  W is applied per axis
-(never materialized as a tensor), and G W is materialized as an explicit
-matrix only on demand for small problems.
+(never materialized as a tensor).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -49,66 +38,24 @@ from .quasi import QuasiInterpolant, make_quasi_interpolant
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    matrix: sparse.csr_matrix
-    s: float
-    h: float
-    n: int
-    d: int
-    alphabet: Alphabet
-
-    @property
-    def N(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class ScaledPair:
-    """A = (1-err) L and B = (1+err) L, bracketing the true operator."""
-
-    A: TransferMatrix
-    B: TransferMatrix
-    err: float
-
-
-def scale_pair(L: TransferMatrix, err: float) -> ScaledPair:
-    if not 0 <= err < 1:
-        raise ValueError(f"err = {err} must lie in [0, 1); mesh too coarse for certification")
-    A = TransferMatrix(matrix=L.matrix * (1.0 - err), s=L.s, h=L.h, n=L.n,
-                       d=L.d, alphabet=L.alphabet)
-    B = TransferMatrix(matrix=L.matrix * (1.0 + err), s=L.s, h=L.h, n=L.n,
-                       d=L.d, alphabet=L.alphabet)
-    return ScaledPair(A=A, B=B, err=err)
-
-
 class TransferOperator:
     """L_h(s) = G W as a matrix-free linear operator on sample vectors.
 
     Supports `op @ v` and `.shape`; `.tocsr()` materializes the product for
-    small problems (tests, dumps).
+    small problems (tests).
     """
 
-    def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...],
-                 s: float, h: float, n: int, alphabet: Alphabet):
+    def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...]):
         self.G = G
         self.W1s = W1s
         self.d = len(W1s)
-        self.s = s
-        self.h = h
-        self.n = n
-        self.alphabet = alphabet
         N = 1
         for W1 in W1s:
             N *= W1.shape[1]
         self.shape = (N, N)
 
-    @property
-    def W1(self) -> sparse.csr_matrix:
-        return self.W1s[0]
-
     def coefficients(self, v: Array) -> Array:
-        """Quasi-interpolant coefficients of the kept splines, from samples."""
+        """Quasi-interpolant coefficients of the splines, from samples."""
         if self.d == 1:
             return self.W1s[0] @ v
         W1x, W1y = self.W1s
@@ -131,48 +78,37 @@ class TransferOperator:
 class OperatorCache:
     """s-independent structure of G for one mesh/alphabet; cheap per-s rebuilds."""
 
-    # materialize an explicit matrix from transfer_matrix() only below this
-    MATERIALIZE_LIMIT = 80_000_000
-
     def __init__(self, alphabet: Alphabet, geometry,
-                 q: QuasiInterpolant | None = None, basis: str = "trim"):
+                 q: QuasiInterpolant | None = None):
         if isinstance(geometry, KnotSequence):
             axes = (geometry,)
         elif isinstance(geometry, TensorGrid):
             axes = geometry.axes
         else:
             raise TypeError("geometry must be a KnotSequence or TensorGrid")
-        if basis not in ("trim", "full"):
-            raise ValueError("basis must be 'trim' or 'full'")
         d = len(axes)
         if d != alphabet.d:
             raise ValueError("alphabet / geometry dimension mismatch")
         self.alphabet = alphabet
         self.axes = axes
         self.d = d
-        self.basis = basis
         self.n = axes[0].n
         if self.n % 2 != 0 or self.n < 2:
             raise ValueError("collocation requires an even spline degree >= 2")
-        self.J = axes[0].J
-        self.h = axes[0].h
         self.q = q if q is not None else make_quasi_interpolant(self.n)
         if self.q.n != self.n:
             raise ValueError("quasi-interpolant degree must match the mesh degree")
-        pad = self.n if basis == "full" else self.n // 2
-        # collocation midpoints per axis (J interior plus pad on each side)
-        # and per-axis spline counts
-        self.m1s = tuple(ks.J + 2 * pad for ks in axes)
-        self.ncs = tuple(ks.J + 2 * pad - self.n for ks in axes)
-        self.m1 = self.m1s[0]
+        # collocation midpoints and splines per axis
+        self.m1s = tuple(ks.num_intervals for ks in axes)
+        self.ncs = tuple(ks.num_splines for ks in axes)
         self.N = int(np.prod(self.m1s))      # sample-space dimension
-        self.Ncoef = int(np.prod(self.ncs))  # kept tensor splines
+        self.Ncoef = int(np.prod(self.ncs))  # tensor splines
         self._W1s = tuple(self._build_W1(ax) for ax in range(d))
         self._build_G_structure()
 
     def _build_W1(self, ax: int) -> sparse.csr_matrix:
         """Per-axis coefficient map: row c applies the midpoint weights to
-        samples c..c+n (the dual-functional window of kept spline c)."""
+        samples c..c+n (the dual-functional window of spline c)."""
         n, m1, nc = self.n, self.m1s[ax], self.ncs[ax]
         c = np.arange(nc)
         rows = np.repeat(c, n + 1)
@@ -180,102 +116,75 @@ class OperatorCache:
         vals = np.tile(self.q.weights, nc)
         return sparse.csr_matrix((vals, (rows, cols)), shape=(nc, m1))
 
-    def collocation_axis(self, ax: int) -> Array:
-        """Collocation midpoints along one axis, spacing h: the J interior
-        midpoints plus n/2 (trim) or n (full basis) exterior on each side."""
-        ks = self.axes[ax]
-        pad = self.n if self.basis == "full" else self.n // 2
-        return ks.midpoints[self.n - pad:self.n - pad + self.m1s[ax]]
-
     def collocation_points(self) -> list[Array]:
         """Per-axis coordinates of the flattened sample index (x fastest)."""
-        xs = [self.collocation_axis(ax) for ax in range(self.d)]
+        xs = [ks.midpoints for ks in self.axes]
         if self.d == 1:
             return xs
         X = np.tile(xs[0], self.m1s[1])
         Y = np.repeat(xs[1], self.m1s[0])
         return [X, Y]
 
-    def _letter_block(self, e) -> tuple[Array, Array, Array, Array]:
-        """Candidate contributions of one letter at every collocation point.
-
-        Returns (cols (N, K), base (N, K), keep (N, K), lg (N,)) with
-        K = (n+1)^d; base holds the s-independent spline products and keep
-        marks columns inside the kept window.  With the full basis every
-        window must land inside the spline range (mapped points inside the
-        partition-of-unity region); a violation means the mesh padding does
-        not cover the images and is reported rather than silently dropped.
-        """
+    def _spline_window(self, e, ax: int, y: Array) -> tuple[Array, Array]:
+        """Columns (len(y), n+1) and values of the splines that are nonzero
+        at the mapped points y along one axis.  Every window must lie inside
+        the spline range (mapped points inside the partition-of-unity
+        region); a violation means the mesh padding does not cover the
+        images and is reported rather than silently dropped."""
         n = self.n
-        # kept spline c is global spline c + n/2 (trim) or c (full)
-        shift = n + (n // 2 if self.basis == "trim" else 0)
-        coords = self._coords
-        if self.d == 1:
-            y = phi_1d(e, coords[0])
-            lg = log_dphi_norm_1d(e, coords[0])
-            ell, t = locate_intervals(self.axes[0], y)
-            B = uniform_basis(t, n)
-            cols = (ell - shift)[:, None] + np.arange(n + 1)[None, :]
-            keep = (cols >= 0) & (cols < self.ncs[0])
-            if self.basis == "full" and not keep.all():
-                raise ValueError(
-                    f"mapped points of letter {e} leave the padded spline "
-                    "range; increase the mesh padding")
-            return cols, B, keep, lg
-        p = np.stack(coords, axis=-1)
-        img = phi_2d(e, p)
-        lg = log_dphi_norm_2d(e, p)
-        lx, tx = locate_intervals(self.axes[0], img[:, 0])
-        ly, ty = locate_intervals(self.axes[1], img[:, 1])
-        Bx = uniform_basis(tx, n)
-        By = uniform_basis(ty, n)
-        cx = (lx - shift)[:, None] + np.arange(n + 1)[None, :]
-        cy = (ly - shift)[:, None] + np.arange(n + 1)[None, :]
-        kx = (cx >= 0) & (cx < self.ncs[0])
-        ky = (cy >= 0) & (cy < self.ncs[1])
-        if self.basis == "full" and not (kx.all() and ky.all()):
+        ell, t = locate_intervals(self.axes[ax], y)
+        # the splines nonzero on knot interval ell are ell-n .. ell
+        cols = (ell - n)[:, None] + np.arange(n + 1)[None, :]
+        if cols.min() < 0 or cols.max() >= self.ncs[ax]:
             raise ValueError(
                 f"mapped points of letter {e} leave the padded spline range; "
                 "increase the mesh padding")
-        K1 = n + 1
+        return cols, uniform_basis(t, n)
+
+    def _letter_block(self, e) -> tuple[Array, Array, Array]:
+        """Contributions of one letter at every collocation point.
+
+        Returns (cols (N, K), base (N, K), lg (N,)) with K = (n+1)^d; base
+        holds the s-independent spline products.
+        """
+        coords = self._coords
+        if self.d == 1:
+            cols, B = self._spline_window(e, 0, phi_1d(e, coords[0]))
+            return cols, B, log_dphi_norm_1d(e, coords[0])
+        p = np.stack(coords, axis=-1)
+        img = phi_2d(e, p)
+        cx, Bx = self._spline_window(e, 0, img[:, 0])
+        cy, By = self._spline_window(e, 1, img[:, 1])
+        K = (self.n + 1) ** 2
         N = self.N
-        ncx = self.ncs[0]
         # tensor order (ry outer, rx inner) keeps columns ascending per row
-        cols = (cy[:, :, None] * ncx + cx[:, None, :]).reshape(N, K1 * K1)
-        base = (By[:, :, None] * Bx[:, None, :]).reshape(N, K1 * K1)
-        keep = (ky[:, :, None] & kx[:, None, :]).reshape(N, K1 * K1)
-        return cols, base, keep, lg
+        cols = (cy[:, :, None] * self.ncs[0] + cx[:, None, :]).reshape(N, K)
+        base = (By[:, :, None] * Bx[:, None, :]).reshape(N, K)
+        return cols, base, log_dphi_norm_2d(e, p)
 
     def _build_G_structure(self) -> None:
         self._coords = self.collocation_points()
-        cols_parts, base_parts, keep_parts, lg_parts = [], [], [], []
+        cols_parts, base_parts, lg_parts = [], [], []
         K = (self.n + 1) ** self.d
         for e in self.alphabet.letters:
-            cols, base, keep, lg = self._letter_block(e)
+            cols, base, lg = self._letter_block(e)
             cols_parts.append(cols.astype(np.int32))
             base_parts.append(base)
-            keep_parts.append(keep)
             lg_parts.append(np.repeat(lg[:, None], K, axis=1))
         # row-major concatenation across letters keeps contributions grouped
         # by collocation point, as CSR requires
-        cols = np.concatenate(cols_parts, axis=1)
-        base = np.concatenate(base_parts, axis=1)
-        keep = np.concatenate(keep_parts, axis=1)
-        lg = np.concatenate(lg_parts, axis=1)
-        del cols_parts, base_parts, keep_parts, lg_parts
-        flat = keep.ravel()
-        counts = keep.sum(axis=1)
-        self._indptr = np.zeros(self.N + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._indices = cols.ravel()[flat]
-        self._base = base.ravel()[flat]
-        self._lg = lg.ravel()[flat]
+        self._indices = np.concatenate(cols_parts, axis=1).ravel()
+        self._base = np.concatenate(base_parts, axis=1).ravel()
+        self._lg = np.concatenate(lg_parts, axis=1).ravel()
+        del cols_parts, base_parts, lg_parts
+        row_len = K * len(self.alphabet.letters)
+        self._indptr = np.arange(self.N + 1, dtype=np.int64) * row_len
         self.nnz = int(self._indptr[-1])
         del self._coords
 
     # -- per-probe assembly -------------------------------------------------
     def evaluation_matrix(self, s: float) -> sparse.csr_matrix:
-        """G(s): values of the weighted kept splines at the mapped points.
+        """G(s): values of the weighted splines at the mapped points.
         Rows may hold duplicate column entries (one per letter); sparse
         matrix-vector products sum them."""
         data = self._base * np.exp(s * self._lg)
@@ -283,35 +192,4 @@ class OperatorCache:
                                  shape=(self.N, self.Ncoef))
 
     def matrix(self, s: float) -> TransferOperator:
-        return TransferOperator(self.evaluation_matrix(s), self._W1s,
-                                float(s), self.h, self.n, self.alphabet)
-
-    def transfer_matrix(self, s: float) -> TransferMatrix:
-        if self.N * (self.n + 1) ** self.d * len(self.alphabet.letters) > \
-                self.MATERIALIZE_LIMIT:
-            raise ValueError("problem too large to materialize; use matrix(s)")
-        return TransferMatrix(matrix=self.matrix(s).tocsr(), s=float(s),
-                              h=self.h, n=self.n, d=self.d,
-                              alphabet=self.alphabet)
-
-
-def assemble_1d(alphabet: Alphabet, s: float, ks: KnotSequence,
-                q: QuasiInterpolant | None = None) -> TransferMatrix:
-    """Explicit collocation matrix on the J+n sample midpoints of a 1D mesh."""
-    return OperatorCache(alphabet, ks, q).transfer_matrix(s)
-
-
-def assemble_2d(alphabet: Alphabet, s: float, grid: TensorGrid,
-                q: QuasiInterpolant | None = None) -> TransferMatrix:
-    """2D analogue on the flattened (J+n)^2 midpoint grid (index ix + (J+n)*iy)."""
-    return OperatorCache(alphabet, grid, q).transfer_matrix(s)
-
-
-def dump_matrix(tm: TransferMatrix, fh) -> None:
-    """Write 'row<TAB>col<TAB>value' triplets with a '#' header line."""
-    m = tm.matrix
-    fh.write(f"# N={tm.N} s={tm.s!r} h={tm.h!r} n={tm.n} d={tm.d}\n")
-    indptr, indices, data = m.indptr, m.indices, m.data
-    for j in range(tm.N):
-        for p in range(indptr[j], indptr[j + 1]):
-            fh.write(f"{j}\t{indices[p]}\t{data[p]:.17g}\n")
+        return TransferOperator(self.evaluation_matrix(s), self._W1s)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -106,9 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s-cap", dest="s_cap", type=float, default=None,
                        help="upper bound on s used in the rigor constants")
         p.add_argument("--tol-s", dest="tol_s", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="recorded in output; execution is deterministic "
-                            "regardless of the value")
         p.add_argument("--format", dest="fmt", choices=("table", "json", "tsv"),
                        default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -166,11 +162,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _bracket_output(bracket, fmt: str, threads) -> str:
-    rec = bracket.to_record()
-    rec["threads"] = threads
+def _bracket_output(bracket, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rec, indent=2, default=str) + "\n"
+        return json.dumps(bracket.to_record(), indent=2, default=str) + "\n"
     if fmt == "tsv":
         lines = [f"# alphabet={bracket.alphabet} d={bracket.d} n={bracket.n} "
                  f"h={_fmt(bracket.h)} mode={bracket.mode}",
@@ -251,7 +245,6 @@ def run(argv) -> int:
     try:
         settings = _merge_settings(args)
         subcommand = settings.get("subcommand", args.subcommand)
-        threads = settings.get("threads") or os.environ.get("FRACDIM_THREADS")
         fmt = settings.get("fmt") or ("tsv" if subcommand == "converge" else "json")
         out_path = settings.get("out")
 
@@ -272,7 +265,7 @@ def run(argv) -> int:
             bracket = two_step_refinement(cfg)
         else:
             bracket = solve_dimension(cfg)
-        _emit(_bracket_output(bracket, fmt, threads), out_path)
+        _emit(_bracket_output(bracket, fmt), out_path)
         return EXIT_OK
     except InadmissibleMeshError as exc:
         print(f"inadmissible mesh: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .assembly import OperatorCache
-from .bspline import KnotSequence, TensorGrid, make_uniform_knots
+from .bspline import TensorGrid, make_uniform_knots
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
 from .maps import Alphabet
@@ -39,24 +39,15 @@ class MonotonicityError(RuntimeError):
 
 
 def make_geometry(d: int, J: int, n: int):
-    """Standard domains: [0,1] for 1D, [0,1] x [-1/2,1/2] for 2D."""
-    if d == 1:
-        return make_uniform_knots(0.0, 1.0, J, n)
-    if d == 2:
-        return TensorGrid((make_uniform_knots(0.0, 1.0, J, n),
-                           make_uniform_knots(-0.5, 0.5, J, n)))
-    raise ValueError("only d in {1, 2} supported")
+    """Standard domains ([0,1] for 1D, [0,1] x [-1/2,1/2] for 2D) on J
+    subintervals, padded by n extra subintervals of the same width on every
+    edge that contraction images can spill past (beyond x = 1 in 1D; beyond
+    x = 1 and both y edges in 2D).
 
-
-def make_certified_geometry(d: int, J: int, n: int):
-    """Standard domains padded by n extra subintervals of the same width on
-    every edge that contraction images can spill past (beyond x = 1 in 1D;
-    beyond x = 1 and both y edges in 2D).
-
-    With the padding, every image of every full-basis collocation midpoint
-    lands inside the padded partition-of-unity region, so the hidden
-    positivity and cone-contraction bounds apply at all collocation points
-    and the power iterates genuinely satisfy the certified cone check.
+    With the padding, every image of every collocation midpoint lands inside
+    the padded partition-of-unity region, so the hidden positivity and
+    cone-contraction bounds apply at all collocation points and the power
+    iterates genuinely satisfy the certified cone check.
     """
     h = 1.0 / J
     if d == 1:
@@ -222,79 +213,45 @@ class ProbeEngine:
                     f"({r1['lam']!r}) to s={r2['s']!r} ({r2['lam']!r})")
 
 
-def _bisect_lower(probe, a: float, b: float, tol: float) -> float:
-    """sup{s : lam_lo(s) >= 1}; returns a as the certified lower endpoint."""
-    if probe(a)["lam_lo"] < 1.0:
-        return a  # dimension is at or below the search floor
-    if probe(b)["lam_lo"] >= 1.0:
-        raise ValueError(f"search interval does not straddle: lam_lo >= 1 at s = {b}")
+def _bisect(above, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Shrink [a, b] around the point where the predicate `above` (true
+    below the dimension) turns false, to width tol or adjacent doubles.
+
+    Returns (a, a) when `above(a)` is already false: the dimension is at or
+    below the search floor.  Raises ValueError when `above(b)` still holds.
+    """
+    if not above(a):
+        return a, a
+    if above(b):
+        raise ValueError(f"search interval does not straddle the dimension: "
+                         f"still below it at s = {b}")
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        if probe(mid)["lam_lo"] >= 1.0:
+        if above(mid):
             a = mid
         else:
             b = mid
-    return a
+    return a, b
 
 
-def _bisect_upper(probe, a: float, b: float, tol: float) -> float:
-    """inf{s : lam_hi(s) <= 1}; returns b as the certified upper endpoint."""
-    if probe(a)["lam_hi"] <= 1.0:
-        return a
-    if probe(b)["lam_hi"] > 1.0:
-        raise ValueError(f"search interval does not straddle: lam_hi > 1 at s = {b}")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if probe(mid)["lam_hi"] <= 1.0:
-            b = mid
-        else:
-            a = mid
-    return b
+def _setup(config: SolveConfig):
+    """Mesh, rigor profile and the guards every entry point shares.
 
-
-def _bisect_point(probe, a: float, b: float, tol: float) -> float:
-    """Root of lam(s) = 1 by bisection on the point eigenvalue estimate."""
-    if probe(a)["lam"] < 1.0:
-        return a
-    if probe(b)["lam"] >= 1.0:
-        raise ValueError(f"search interval does not straddle: lam >= 1 at s = {b}")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if probe(mid)["lam"] >= 1.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _prepare(config: SolveConfig):
+    Raises InadmissibleMeshError when h exceeds the admissible bound (only a
+    point estimate may pass unsafe_h to go on), and, in certified mode,
+    CertificationError when M' >= M or err >= 1.
+    Returns (h, profile, geometry, breakdown, constants, err).
+    """
     alphabet = config.alphabet
-    d = alphabet.d
+    certified = config.mode == "certified"
     J = config.resolve_mesh()
+    h = 1.0 / J
     profile = make_profile(alphabet, n=config.n, s_cap=config.s_cap,
                            alpha=config.alpha, beta=config.beta, M=config.M)
-    # certified runs use the padded-domain full-basis scheme so the cone
-    # certificates genuinely hold; point estimates use the nominal domain
-    if config.mode == "certified":
-        geometry = make_certified_geometry(d, J, config.n)
-    else:
-        geometry = make_geometry(d, J, config.n)
-    h = 1.0 / J
+    geometry = make_geometry(alphabet.d, J, config.n)
     breakdown = admissible_h(profile, alphabet)
-    return alphabet, d, J, h, profile, geometry, breakdown
-
-
-def solve_dimension(config: SolveConfig,
-                    cache: OperatorCache | None = None) -> DimensionBracket:
-    t0 = time.perf_counter()
-    alphabet, d, J, h, profile, geometry, breakdown = _prepare(config)
-    certified = config.mode == "certified"
     if h > breakdown["overall"] and (certified or not config.unsafe_h):
         raise InadmissibleMeshError(h, breakdown)
     constants = {
@@ -303,6 +260,7 @@ def solve_dimension(config: SolveConfig,
         "C1": profile.C1, "C2": profile.C2, "s_cap": profile.s_cap,
         "err_coeff": profile.err_coefficient,
     }
+    err = 0.0
     if certified:
         m_prime = cone_image_parameter(profile, h)
         constants["M_prime"] = m_prime
@@ -312,14 +270,26 @@ def solve_dimension(config: SolveConfig,
         err = profile.err(h)
         if err >= 1:
             raise CertificationError(f"err = {err:.6g} >= 1: mesh too coarse")
-    else:
-        err = 0.0
+    return h, profile, geometry, breakdown, constants, err
+
+
+def _engine(config: SolveConfig, cache: OperatorCache | None, profile,
+            geometry, err: float) -> ProbeEngine:
     if cache is None:
-        cache = OperatorCache(alphabet, geometry, profile.q,
-                              basis="full" if certified else "trim")
-    engine = ProbeEngine(cache, geometry, profile, err, check_cone=certified,
-                         power_tol=config.power_tol,
-                         max_iter=config.max_power_iter)
+        cache = OperatorCache(config.alphabet, geometry, profile.q)
+    return ProbeEngine(cache, geometry, profile, err,
+                       check_cone=config.mode == "certified",
+                       power_tol=config.power_tol,
+                       max_iter=config.max_power_iter)
+
+
+def solve_dimension(config: SolveConfig,
+                    cache: OperatorCache | None = None) -> DimensionBracket:
+    t0 = time.perf_counter()
+    h, profile, geometry, breakdown, constants, err = _setup(config)
+    d = config.alphabet.d
+    certified = config.mode == "certified"
+    engine = _engine(config, cache, profile, geometry, err)
     tol = config.resolve_tol()
     s_min = config.s_min
     if config.s_max is not None:
@@ -327,59 +297,54 @@ def solve_dimension(config: SolveConfig,
     else:
         s_max = min(float(d), profile.s_cap) if certified else float(d)
     if certified:
-        s_lo = _bisect_lower(engine.probe, s_min, s_max, tol)
-        s_hi = _bisect_upper(engine.probe, s_min, s_max, tol)
+        s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0,
+                       s_min, s_max, tol)[0]
+        s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0,
+                       s_min, s_max, tol)[1]
     else:
-        s_lo = s_hi = _bisect_point(engine.probe, s_min, s_max, tol)
+        a, b = _bisect(lambda s: engine.probe(s)["lam"] >= 1.0,
+                       s_min, s_max, tol)
+        s_lo = s_hi = 0.5 * (a + b)
     engine.audit_monotonicity()
     probes = [engine.records[k] for k in sorted(engine.records)]
     return DimensionBracket(
         s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=h, n=config.n, d=d,
-        alphabet=alphabet.describe(), err=err, probes=probes,
+        alphabet=config.alphabet.describe(), err=err, probes=probes,
         constants=constants, admissibility=breakdown,
         wall_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def lambda_bracket(config: SolveConfig, s: float,
                    cache: OperatorCache | None = None) -> tuple[float, float]:
-    """One certified probe: (lam_lo, lam_hi) bracketing the eigenvalue of the
-    scaled pair at s."""
-    alphabet, d, J, h, profile, geometry, breakdown = _prepare(config)
-    if h > breakdown["overall"] and not config.unsafe_h:
-        raise InadmissibleMeshError(h, breakdown)
-    err = profile.err(h) if config.mode == "certified" else 0.0
-    if err >= 1:
-        raise CertificationError(f"err = {err:.6g} >= 1: mesh too coarse")
-    if cache is None:
-        cache = OperatorCache(
-            alphabet, geometry, profile.q,
-            basis="full" if config.mode == "certified" else "trim")
-    engine = ProbeEngine(cache, geometry, profile, err,
-                         check_cone=config.mode == "certified",
-                         power_tol=config.power_tol,
-                         max_iter=config.max_power_iter)
-    rec = engine.probe(s)
+    """One probe: (lam_lo, lam_hi) bracketing the eigenvalue of the scaled
+    pair at s, behind the same guards as solve_dimension."""
+    _, profile, geometry, _, _, err = _setup(config)
+    rec = _engine(config, cache, profile, geometry, err).probe(s)
     return rec["lam_lo"], rec["lam_hi"]
 
 
 def two_step_refinement(config: SolveConfig) -> DimensionBracket:
     """Certified 2D solve in two passes: pass 1 bounds err with the default
     s cap; pass 2 reruns with the cap lowered to just above pass 1's upper
-    endpoint, shrinking err (which can only move s_lo up and s_hi down)."""
+    endpoint, shrinking err (which can only move s_lo up and s_hi down).
+    Both passes share one operator: the mesh and degree do not change."""
     if config.alphabet.d != 2:
         raise ValueError("two-step refinement applies to 2D systems")
     if config.mode != "certified":
         raise ValueError("two-step refinement is a certified-mode procedure")
+    t0 = time.perf_counter()
     tol = config.resolve_tol()
     first_cfg = replace(config, tol_s=max(tol, 1e-6))
-    first = solve_dimension(first_cfg)
+    _, profile, geometry, _, _, _ = _setup(first_cfg)
+    cache = OperatorCache(config.alphabet, geometry, profile.q)
+    first = solve_dimension(first_cfg, cache)
     margin = 1e-3
     s_cap_2 = min(first.constants["s_cap"], first.s_hi + margin)
     second_cfg = replace(config, s_cap=s_cap_2, s_min=first.s_lo,
                          s_max=min(first.s_hi + margin, 2.0))
-    second = solve_dimension(second_cfg)
+    second = solve_dimension(second_cfg, cache)
     return replace(second, first_pass=first,
-                   wall_ms=first.wall_ms + second.wall_ms)
+                   wall_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def convergence_study(config: SolveConfig, h_list,

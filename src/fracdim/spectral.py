@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .bspline import KnotSequence, TensorGrid
 
@@ -56,11 +55,7 @@ class SpectralBracket:
     residual: float  # ratio spread at the certified iterate
 
 
-def _as_matrix(Mtx) -> sparse.spmatrix | Array:
-    return Mtx.matrix if hasattr(Mtx, "matrix") else Mtx
-
-
-def power_iteration(Mtx, tol: float = 1e-14, max_iter: int = 100_000,
+def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
                     start: Array | None = None) -> PowerResult:
     """Iterate w -> Lw / max(Lw), stopping when the relative spread of the
     ratios (Lw)_i/w_i falls below tol, stops improving, or max_iter hits.
@@ -69,7 +64,6 @@ def power_iteration(Mtx, tol: float = 1e-14, max_iter: int = 100_000,
     non-convergence is reported via the converged flag, not an exception
     (the cone bracket is valid at any iterate, just looser).
     """
-    m = _as_matrix(Mtx)
     N = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -148,10 +142,9 @@ def cone_membership(w: Array, geometry, M: float,
                            member=bool(ratio <= M))
 
 
-def spectral_bracket(Mtx, w: Array, iterations: int = 0) -> SpectralBracket:
+def spectral_bracket(m, w: Array, iterations: int = 0) -> SpectralBracket:
     """alpha = min_i (Lw)_i/w_i, beta = max_i, widened by a relative slack of
     1e-12 against matvec rounding; alpha <= r(L) <= beta for cone-certified w."""
-    m = _as_matrix(Mtx)
     w = np.asarray(w, dtype=np.float64)
     if np.any(w <= 0):
         raise PositivityError("bracket vector must be strictly positive")

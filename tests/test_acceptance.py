@@ -13,7 +13,7 @@ from fractions import Fraction
 from scipy.interpolate import BSpline
 
 from fracdim.assembly import OperatorCache
-from fracdim.bspline import TensorGrid, local_basis, make_uniform_knots
+from fracdim.bspline import local_basis, make_uniform_knots
 from fracdim.cli import REPRODUCTIONS
 from fracdim.constants import (bramble_hilbert_constant, err_coefficient_1d,
                                legendre_projection_constants,
@@ -21,7 +21,7 @@ from fracdim.constants import (bramble_hilbert_constant, err_coefficient_1d,
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
 from fracdim.quasi import eval_quasi_interpolant, make_quasi_interpolant
 from fracdim.solver import (SolveConfig, convergence_study, lambda_bracket,
-                            make_certified_geometry, solve_dimension)
+                            make_geometry, solve_dimension)
 from fracdim.spectral import cone_membership, power_iteration, spectral_bracket
 
 REF_12 = 0.531280506277205        # two-letter set {1,2}, independently known
@@ -245,26 +245,27 @@ class TestCriterion6Constants:
 
 class TestCriterion7OracleEquivalence:
     """Assembled action vs direct quasi-interpolation of the composed
-    operator, scipy splines supplying the independent basis evaluation."""
+    operator, scipy splines supplying the independent basis evaluation.
+    Samples sit at all J+2n interval midpoints of the padded mesh and spline
+    c (of J+n) reads the samples c..c+n."""
     W = np.array([-0.125, 1.25, -0.125])
 
     @staticmethod
-    def _kept(ks, c):
-        k = c + ks.n // 2
-        return BSpline.basis_element(ks.knots[k:k + ks.n + 2],
+    def _spline(ks, c):
+        return BSpline.basis_element(ks.knots[c:c + ks.n + 2],
                                      extrapolate=False)
 
     def test_1d_direct_evaluation_100_vectors(self):
         alphabet = make_alphabet_1d([1, 2, 3])
-        ks = make_uniform_knots(0.0, 1.0, 16, 2)
+        ks = make_geometry(1, 16, 2)
         op = OperatorCache(alphabet, ks).matrix(0.7)
-        m1 = ks.J + ks.n
-        x = ks.midpoints[ks.n - 1:ks.n - 1 + m1]
-        splines = [self._kept(ks, c) for c in range(ks.J)]
+        m1, nc = ks.J + 4, ks.J + 2
+        x = ks.midpoints
+        splines = [self._spline(ks, c) for c in range(nc)]
         rng = np.random.default_rng(7)
         for _ in range(100):
             v = rng.uniform(0.1, 2.0, m1)
-            coeff = np.array([self.W @ v[c:c + 3] for c in range(ks.J)])
+            coeff = np.array([self.W @ v[c:c + 3] for c in range(nc)])
             expect = np.zeros(m1)
             for e in alphabet.letters:
                 y = 1.0 / (x + e)
@@ -275,17 +276,15 @@ class TestCriterion7OracleEquivalence:
 
     def test_2d_direct_evaluation_100_vectors(self):
         alphabet = make_alphabet_2d([(1, 0), (2, 0)])
-        J, s = 10, 1.3
-        grid = TensorGrid((make_uniform_knots(0.0, 1.0, J, 2),
-                           make_uniform_knots(-0.5, 0.5, J, 2)))
+        s = 1.3
+        grid = make_geometry(2, 10, 2)
         op = OperatorCache(alphabet, grid).matrix(s)
         ksx, ksy = grid.axes
-        m1 = J + 2
-        xs = ksx.midpoints[1:1 + m1]
-        ys = ksy.midpoints[1:1 + m1]
-        X, Y = np.meshgrid(xs, ys)
-        bx = [self._kept(ksx, c) for c in range(J)]
-        by = [self._kept(ksy, c) for c in range(J)]
+        mx, my = ksx.J + 4, ksy.J + 4
+        ncx, ncy = ksx.J + 2, ksy.J + 2
+        X, Y = np.meshgrid(ksx.midpoints, ksy.midpoints)
+        bx = [self._spline(ksx, c) for c in range(ncx)]
+        by = [self._spline(ksy, c) for c in range(ncy)]
         # letter-independent spline tables, reused across vectors
         letter_data = []
         for (e1, e2) in alphabet.letters:
@@ -296,14 +295,14 @@ class TestCriterion7OracleEquivalence:
             letter_data.append((r2 ** (-s), BX, BY))
         rng = np.random.default_rng(11)
         for _ in range(100):
-            v = rng.uniform(0.1, 2.0, m1 * m1)
-            Vs = v.reshape(m1, m1)
-            coeff = np.empty((J, J))
-            for cy in range(J):
-                for cx in range(J):
+            v = rng.uniform(0.1, 2.0, mx * my)
+            Vs = v.reshape(my, mx)
+            coeff = np.empty((ncy, ncx))
+            for cy in range(ncy):
+                for cx in range(ncx):
                     coeff[cy, cx] = \
                         self.W @ Vs[cy:cy + 3, cx:cx + 3] @ self.W
-            expect = np.zeros((m1, m1))
+            expect = np.zeros((my, mx))
             for wgt, BX, BY in letter_data:
                 expect += wgt * np.einsum("yx,ypq,xpq->pq", coeff, BY, BX)
             assert np.abs(op @ v - expect.ravel()).max() <= 1e-12
@@ -313,13 +312,11 @@ class TestCriterion7OracleEquivalence:
         for d, J in ((1, 16), (2, 8)):
             if d == 1:
                 alphabet = make_alphabet_1d([1, 2, 3])
-                geometry = make_uniform_knots(0.0, 1.0, J, 2)
                 s = 0.8
             else:
                 alphabet = make_alphabet_2d([(1, 0), (1, 1), (2, 0)])
-                geometry = TensorGrid((make_uniform_knots(0.0, 1.0, J, 2),
-                                       make_uniform_knots(-0.5, 0.5, J, 2)))
                 s = 1.2
+            geometry = make_geometry(d, J, 2)
             m = OperatorCache(alphabet, geometry).matrix(s).tocsr()
             res = power_iteration(m)
             br = spectral_bracket(m, res.w, res.iterations)
@@ -334,9 +331,8 @@ class TestCriterion8HiddenPositivity:
 
     def test_1d_m36(self):
         J = 64
-        geometry = make_certified_geometry(1, J, 2)
-        cache = OperatorCache(make_alphabet_1d([1, 2]), geometry,
-                              basis="full")
+        geometry = make_geometry(1, J, 2)
+        cache = OperatorCache(make_alphabet_1d([1, 2]), geometry)
         res = power_iteration(cache.matrix(0.5313))
         assert res.w.min() > 0.0
         cert = cone_membership(res.w, geometry, 36.0)
@@ -345,9 +341,8 @@ class TestCriterion8HiddenPositivity:
 
     def test_2d_m787(self):
         J = 2400
-        geometry = make_certified_geometry(2, J, 2)
-        cache = OperatorCache(make_alphabet_2d([(1, 0)]), geometry,
-                              basis="full")
+        geometry = make_geometry(2, J, 2)
+        cache = OperatorCache(make_alphabet_2d([(1, 0)]), geometry)
         res = power_iteration(cache.matrix(1.0), max_iter=400)
         assert res.w.min() > 0.0
         cert = cone_membership(res.w, geometry, 787.0,

@@ -1,39 +1,37 @@
 """Collocation assembly against a from-scratch oracle built on scipy splines."""
-import io
-
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.interpolate import BSpline
 
-from fracdim.assembly import (OperatorCache, TransferMatrix, assemble_1d,
-                              assemble_2d, dump_matrix, scale_pair)
-from fracdim.bspline import TensorGrid, make_uniform_knots
+from fracdim.assembly import OperatorCache
+from fracdim.bspline import make_uniform_knots
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
 from fracdim.quasi import make_quasi_interpolant
+from fracdim.solver import make_geometry
 
 W = np.array([-0.125, 1.25, -0.125])
 
 
-def kept_spline(ks, c):
-    """Kept basis function c (0-based within the operator's column space)."""
-    k = c + ks.n // 2
-    return BSpline.basis_element(ks.knots[k:k + ks.n + 2], extrapolate=False)
+def spline(ks, c):
+    """Spline c of the knot vector: the operator's column c on that axis."""
+    return BSpline.basis_element(ks.knots[c:c + ks.n + 2], extrapolate=False)
 
 
 def oracle_apply_1d(alphabet, s, ks, v):
     """Direct evaluation of the quasi-interpolated transfer operator:
-    coefficients from the midpoint weights, spline values from scipy."""
+    coefficients from the midpoint weights, spline values from scipy.  The
+    samples sit at all J+2n interval midpoints; spline c (of J+n) reads the
+    samples c..c+n."""
     J, n = ks.J, ks.n
-    m1 = J + n
-    coeff = np.array([W @ v[c:c + n + 1] for c in range(J)])
-    half = n // 2
-    x = ks.midpoints[n - half:n - half + m1]
-    out = np.zeros(m1)
-    splines = [kept_spline(ks, c) for c in range(J)]
+    coeff = np.array([W @ v[c:c + n + 1] for c in range(J + n)])
+    x = ks.midpoints
+    out = np.zeros(J + 2 * n)
+    splines = [spline(ks, c) for c in range(J + n)]
     for e in alphabet.letters:
         y = 1.0 / (x + e)
         wgt = (x + e) ** (-2.0 * s)
-        vals = np.zeros(m1)
+        vals = np.zeros(J + 2 * n)
         for c, b in enumerate(splines):
             bv = np.nan_to_num(b(y))
             vals += coeff[c] * bv
@@ -43,22 +41,19 @@ def oracle_apply_1d(alphabet, s, ks, v):
 
 def oracle_apply_2d(alphabet, s, grid, v):
     ksx, ksy = grid.axes
-    J, n = grid.J, grid.n
-    m1 = J + n
-    half = n // 2
-    xs = ksx.midpoints[n - half:n - half + m1]
-    ys = ksy.midpoints[n - half:n - half + m1]
-    X, Y = np.meshgrid(xs, ys)  # rows iy, cols ix
-    Vs = v.reshape(m1, m1)
+    n = grid.n
+    X, Y = np.meshgrid(ksx.midpoints, ksy.midpoints)  # rows iy, cols ix
+    Vs = v.reshape(ksy.J + 2 * n, ksx.J + 2 * n)
     # tensor coefficients
-    coeff = np.empty((J, J))  # [cy, cx]
-    for cy in range(J):
-        for cx in range(J):
+    ncx, ncy = ksx.J + n, ksy.J + n
+    coeff = np.empty((ncy, ncx))
+    for cy in range(ncy):
+        for cx in range(ncx):
             block = Vs[cy:cy + n + 1, cx:cx + n + 1]
             coeff[cy, cx] = W @ block @ W
-    bx = [kept_spline(ksx, c) for c in range(J)]
-    by = [kept_spline(ksy, c) for c in range(J)]
-    out = np.zeros((m1, m1))
+    bx = [spline(ksx, c) for c in range(ncx)]
+    by = [spline(ksy, c) for c in range(ncy)]
+    out = np.zeros(X.shape)
     for (e1, e2) in alphabet.letters:
         px = X + e1
         py = Y + e2
@@ -66,7 +61,7 @@ def oracle_apply_2d(alphabet, s, grid, v):
         qx = px / r2
         qy = py / r2
         wgt = r2 ** (-s)
-        BX = np.array([np.nan_to_num(b(qx)) for b in bx])  # (J, m1, m1)
+        BX = np.array([np.nan_to_num(b(qx)) for b in bx])  # (ncx, my, mx)
         BY = np.array([np.nan_to_num(b(qy)) for b in by])
         vals = np.einsum("yx,ypq,xpq->pq", coeff, BY, BX)
         out += wgt * vals
@@ -74,10 +69,10 @@ def oracle_apply_2d(alphabet, s, grid, v):
 
 
 class TestOracle1D:
-    @pytest.mark.parametrize("J", [6, 11, 16])
+    @pytest.mark.parametrize("J", [8, 11, 16])
     def test_matches_direct_evaluation(self, J):
         alphabet = make_alphabet_1d([1, 2, 3])
-        ks = make_uniform_knots(0.0, 1.0, J, 2)
+        ks = make_geometry(1, J, 2)
         cache = OperatorCache(alphabet, ks)
         rng = np.random.default_rng(J)
         for s in (0.4, 0.531280506277205, 0.9):
@@ -90,8 +85,7 @@ class TestOracle1D:
 
     def test_materialized_matches_operator(self):
         alphabet = make_alphabet_1d([1, 2])
-        ks = make_uniform_knots(0.0, 1.0, 12, 2)
-        cache = OperatorCache(alphabet, ks)
+        cache = OperatorCache(alphabet, make_geometry(1, 12, 2))
         op = cache.matrix(0.6)
         dense = op.tocsr().toarray()
         rng = np.random.default_rng(5)
@@ -100,11 +94,10 @@ class TestOracle1D:
 
 
 class TestOracle2D:
-    @pytest.mark.parametrize("J", [5, 8, 10])
+    @pytest.mark.parametrize("J", [8, 10, 12])
     def test_matches_direct_evaluation(self, J):
         alphabet = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
-        grid = TensorGrid((make_uniform_knots(0.0, 1.0, J, 2),
-                           make_uniform_knots(-0.5, 0.5, J, 2)))
+        grid = make_geometry(2, J, 2)
         cache = OperatorCache(alphabet, grid)
         rng = np.random.default_rng(J)
         for s in (1.0, 1.149577146906169):
@@ -116,12 +109,10 @@ class TestOracle2D:
                 assert np.abs(got - expect).max() <= 1e-12
 
     def test_coefficient_map_matches_kron(self):
-        from scipy import sparse
         alphabet = make_alphabet_2d([(1, 0)])
-        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 6, 2),
-                           make_uniform_knots(-0.5, 0.5, 6, 2)))
-        op = OperatorCache(alphabet, grid).matrix(1.0)
-        Wr = sparse.kron(op.W1, op.W1).toarray()
+        op = OperatorCache(alphabet, make_geometry(2, 6, 2)).matrix(1.0)
+        Wx, Wy = op.W1s
+        Wr = sparse.kron(Wy, Wx).toarray()
         rng = np.random.default_rng(2)
         v = rng.uniform(0.1, 1.0, op.shape[0])
         assert np.abs(op.coefficients(v) - Wr @ v).max() < 1e-14
@@ -132,27 +123,25 @@ class TestStructure:
         # each collocation row of the evaluation factor holds at most
         # |E| (n+1)^d entries
         alphabet = make_alphabet_1d([1, 2, 3, 4])
-        ks = make_uniform_knots(0.0, 1.0, 10, 2)
-        cache = OperatorCache(alphabet, ks)
+        cache = OperatorCache(alphabet, make_geometry(1, 10, 2))
         G = cache.evaluation_matrix(0.7)
         per_row = np.diff(G.indptr)
         assert per_row.max() <= len(alphabet.letters) * 3
 
     def test_shapes(self):
         alphabet = make_alphabet_2d([(1, 0), (2, 0)])
-        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 7, 2),
-                           make_uniform_knots(-0.5, 0.5, 7, 2)))
-        cache = OperatorCache(alphabet, grid)
-        assert cache.N == 81  # (J+n)^2
-        assert cache.Ncoef == 49
+        cache = OperatorCache(alphabet, make_geometry(2, 7, 2))
+        # J+n subintervals along x and J+2n along y, each carrying n
+        # exterior midpoints per side and n more splines than subintervals
+        assert cache.N == 13 * 15
+        assert cache.Ncoef == 11 * 13
         op = cache.matrix(1.0)
-        assert op.shape == (81, 81)
-        assert op.tocsr().shape == (81, 81)
+        assert op.shape == (195, 195)
+        assert op.tocsr().shape == (195, 195)
 
     def test_s_only_enters_through_weights(self):
         alphabet = make_alphabet_1d([1, 2])
-        ks = make_uniform_knots(0.0, 1.0, 9, 2)
-        cache = OperatorCache(alphabet, ks)
+        cache = OperatorCache(alphabet, make_geometry(1, 9, 2))
         G1 = cache.evaluation_matrix(0.5)
         G2 = cache.evaluation_matrix(0.8)
         assert np.array_equal(G1.indices, G2.indices)
@@ -161,99 +150,30 @@ class TestStructure:
 
     def test_entries_positive_at_kept_columns(self):
         alphabet = make_alphabet_1d([1, 2])
-        ks = make_uniform_knots(0.0, 1.0, 9, 2)
-        G = OperatorCache(alphabet, ks).evaluation_matrix(0.6)
+        G = OperatorCache(alphabet, make_geometry(1, 9, 2)).evaluation_matrix(0.6)
         assert G.data.min() >= 0.0
 
     def test_degree_and_dimension_validation(self):
-        with pytest.raises(ValueError):
-            OperatorCache(make_alphabet_1d([1]), make_uniform_knots(0, 1, 8, 3))
-        with pytest.raises(ValueError):
-            OperatorCache(make_alphabet_2d([(1, 0)]),
-                          make_uniform_knots(0, 1, 8, 2))
+        with pytest.raises(ValueError, match="even spline degree"):
+            OperatorCache(make_alphabet_1d([1]), make_geometry(1, 8, 3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            OperatorCache(make_alphabet_2d([(1, 0)]), make_geometry(1, 8, 2))
         q1 = make_quasi_interpolant(4)
-        with pytest.raises(ValueError):
-            OperatorCache(make_alphabet_1d([1]),
-                          make_uniform_knots(0, 1, 8, 2), q1)
+        with pytest.raises(ValueError, match="degree must match"):
+            OperatorCache(make_alphabet_1d([1]), make_geometry(1, 8, 2), q1)
 
 
 class TestFullBasis:
-    def test_1d_padded_eigenvalue_matches_trim(self):
-        from fracdim.solver import make_certified_geometry
-        alphabet = make_alphabet_1d([1, 2])
-        J = 64
-        trim = OperatorCache(alphabet, make_uniform_knots(0.0, 1.0, J, 2))
-        full = OperatorCache(alphabet, make_certified_geometry(1, J, 2),
-                             basis="full")
-        s = 0.53
-        rho_t = np.abs(np.linalg.eigvals(trim.matrix(s).tocsr().toarray())).max()
-        rho_f = np.abs(np.linalg.eigvals(full.matrix(s).tocsr().toarray())).max()
-        assert rho_f == pytest.approx(rho_t, abs=1e-13)
-
-    def test_2d_padded_eigenvalue_matches_trim(self):
-        from fracdim.solver import make_certified_geometry, make_geometry
-        alphabet = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
-        J = 12
-        trim = OperatorCache(alphabet, make_geometry(2, J, 2))
-        full = OperatorCache(alphabet, make_certified_geometry(2, J, 2),
-                             basis="full")
-        s = 1.1496
-        rho_t = np.abs(np.linalg.eigvals(trim.matrix(s).tocsr().toarray())).max()
-        rho_f = np.abs(np.linalg.eigvals(full.matrix(s).tocsr().toarray())).max()
-        assert rho_f == pytest.approx(rho_t, abs=1e-9)
-
     def test_full_windows_stay_in_range(self):
         # every mapped collocation midpoint keeps its whole spline window,
         # i.e. partition of unity holds at all evaluated points
-        from fracdim.solver import make_certified_geometry
         alphabet = make_alphabet_1d([1, 2])
-        cache = OperatorCache(alphabet, make_certified_geometry(1, 32, 2),
-                              basis="full")
+        cache = OperatorCache(alphabet, make_geometry(1, 32, 2))
         per_row = np.diff(cache.evaluation_matrix(0.5).indptr)
         assert (per_row == 2 * 3).all()
 
     def test_unpadded_full_basis_rejected(self):
         # without padding some images spill past the unity region
         alphabet = make_alphabet_1d([1, 2])
-        with pytest.raises(ValueError):
-            OperatorCache(alphabet, make_uniform_knots(0.0, 1.0, 32, 2),
-                          basis="full")
-
-    def test_bad_basis_name(self):
-        with pytest.raises(ValueError):
-            OperatorCache(make_alphabet_1d([1, 2]),
-                          make_uniform_knots(0.0, 1.0, 8, 2), basis="half")
-
-
-class TestHelpers:
-    def test_assemble_wrappers(self):
-        tm = assemble_1d(make_alphabet_1d([1, 2]), 0.5,
-                         make_uniform_knots(0.0, 1.0, 8, 2))
-        assert isinstance(tm, TransferMatrix)
-        assert tm.N == 10
-        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 5, 2),
-                           make_uniform_knots(-0.5, 0.5, 5, 2)))
-        tm2 = assemble_2d(make_alphabet_2d([(1, 0)]), 1.0, grid)
-        assert tm2.N == 49
-
-    def test_scale_pair(self):
-        tm = assemble_1d(make_alphabet_1d([1, 2]), 0.5,
-                         make_uniform_knots(0.0, 1.0, 8, 2))
-        pair = scale_pair(tm, 0.01)
-        assert np.allclose(pair.A.matrix.toarray(), 0.99 * tm.matrix.toarray())
-        assert np.allclose(pair.B.matrix.toarray(), 1.01 * tm.matrix.toarray())
-        with pytest.raises(ValueError):
-            scale_pair(tm, 1.5)
-
-    def test_dump_matrix_roundtrip(self):
-        tm = assemble_1d(make_alphabet_1d([1, 2]), 0.5,
-                         make_uniform_knots(0.0, 1.0, 6, 2))
-        buf = io.StringIO()
-        dump_matrix(tm, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0].startswith("# N=8")
-        dense = np.zeros((tm.N, tm.N))
-        for line in lines[1:]:
-            r, c, v = line.split("\t")
-            dense[int(r), int(c)] = float(v)
-        assert np.abs(dense - tm.matrix.toarray()).max() < 1e-16
+        with pytest.raises(ValueError, match="leave the padded spline range"):
+            OperatorCache(alphabet, make_uniform_knots(0.0, 1.0, 32, 2))

@@ -74,6 +74,14 @@ class TestEstimate:
         assert run(["estimate", "--alphabet", "1,2", "--h", "1/50",
                     "--dim", "2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("alphabet", ["1,2", "(1,0),(1,1),(1,-1),(2,0)"])
+    def test_coarse_mesh_refused(self, alphabet, capsys):
+        # at h = 1/4 the padding of n subintervals no longer covers the
+        # images of the exterior midpoints
+        assert run(["estimate", "--alphabet", alphabet, "--h", "1/4",
+                    "--unsafe-h"]) == EXIT_USAGE
+        assert "leave the padded spline range" in capsys.readouterr().err
+
     def test_inadmissible_exit(self, capsys):
         assert run(["estimate", "--alphabet", "1,2", "--h", "1/25"]) == \
             EXIT_INADMISSIBLE

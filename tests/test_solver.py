@@ -1,5 +1,7 @@
 """Mesh resolution, bisection against dense-eigensolver oracles, certified
 brackets, and convergence studies."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -8,10 +10,10 @@ from fracdim.assembly import OperatorCache
 from fracdim.bspline import KnotSequence, TensorGrid
 from fracdim.constants import make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
-from fracdim.solver import (InadmissibleMeshError, MonotonicityError,
-                            ProbeEngine, SolveConfig, convergence_study,
-                            lambda_bracket, make_geometry, solve_dimension,
-                            two_step_refinement)
+from fracdim.solver import (CertificationError, InadmissibleMeshError,
+                            MonotonicityError, ProbeEngine, SolveConfig,
+                            convergence_study, lambda_bracket, make_geometry,
+                            solve_dimension, two_step_refinement)
 
 A12 = make_alphabet_1d([1, 2])
 A2D = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
@@ -28,12 +30,17 @@ class TestGeometry:
         g = make_geometry(1, 16, 2)
         assert isinstance(g, KnotSequence)
         assert g.h == pytest.approx(1.0 / 16)
+        # [0, 1] padded by n subintervals past x = 1
+        assert (g.domain_lo, g.domain_hi) == (0.0, pytest.approx(1.125))
 
     def test_2d(self):
         g = make_geometry(2, 8, 2)
         assert isinstance(g, TensorGrid)
+        # x padded past 1 only, y padded past both edges of [-1/2, 1/2]
         assert g.axes[0].knots[2] == 0.0
-        assert g.axes[1].knots[2] == -0.5
+        assert g.axes[0].domain_hi == pytest.approx(1.25)
+        assert g.axes[1].knots[2 + 2] == -0.5
+        assert g.axes[1].knots[2 + 2 + 8] == pytest.approx(0.5)
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
@@ -169,6 +176,38 @@ class TestLambdaBracket:
         assert lo <= rho * (1 - err) * (1 + 1e-12)
         assert hi >= rho * (1 + err) * (1 - 1e-12)
 
+    def test_certified_ignores_unsafe_h(self):
+        # unsafe_h lets only point estimates through an inadmissible mesh
+        with pytest.raises(InadmissibleMeshError):
+            lambda_bracket(SolveConfig(A12, J=25, unsafe_h=True), 0.53)
+
+    def test_image_cone_guard(self):
+        # h = 1/64 is admissible, but M = 2 gives M' = 33.2 >= M
+        with pytest.raises(CertificationError, match="M' = 33.1"):
+            lambda_bracket(SolveConfig(A12, J=64, M=2.0), 0.53)
+
+
+class TestBisectionEdges:
+    """Search floor and ceiling of the three bisections: certified s_lo
+    (on lam_lo), certified s_hi (on lam_hi) and the point estimate."""
+    CERTIFIED = SolveConfig(A12, J=64, tol_s=1e-8)
+    POINT = SolveConfig(A12, J=64, mode="point-estimate", tol_s=1e-8)
+
+    @pytest.mark.parametrize("endpoint", ["s_lo", "s_hi", "point"])
+    def test_floor_above_dimension_is_returned(self, endpoint):
+        cfg = self.POINT if endpoint == "point" else self.CERTIFIED
+        b = solve_dimension(replace(cfg, s_min=0.6))
+        assert getattr(b, "s_hi" if endpoint == "s_hi" else "s_lo") == 0.6
+
+    # REF_1D lies inside the certified bracket: lam_lo(REF_1D) < 1, so the
+    # s_lo bisection passes, and lam_hi(REF_1D) > 1 stops the s_hi one
+    @pytest.mark.parametrize("endpoint, s_max",
+                             [("s_lo", 0.5), ("s_hi", REF_1D), ("point", 0.5)])
+    def test_ceiling_below_dimension_raises(self, endpoint, s_max):
+        cfg = self.POINT if endpoint == "point" else self.CERTIFIED
+        with pytest.raises(ValueError, match="does not straddle"):
+            solve_dimension(replace(cfg, s_max=s_max))
+
 
 class TestMonotonicityAudit:
     def test_rising_estimates_raise(self):
@@ -202,6 +241,15 @@ class TestTwoStepRefinement:
 
 
 class TestConvergenceStudy:
+    def test_coarsest_table5_mesh_converged(self):
+        # with partition of unity up to the domain edges, the {1..100}
+        # estimate at 1/25 nodes is already within 1e-6 of the 1/800 one
+        alphabet = make_alphabet_1d(list(range(1, 101)))
+        s_h = [solve_dimension(SolveConfig(
+            alphabet, h=h, mesh="nodes", mode="point-estimate",
+            unsafe_h=True)).s_lo for h in (1.0 / 25, 1.0 / 800)]
+        assert abs(s_h[0] - s_h[1]) <= 1e-6
+
     def test_with_reference(self):
         cfg = SolveConfig(A12, J=25, mode="point-estimate")
         rows = convergence_study(cfg, [1.0 / 25, 1.0 / 50, 1.0 / 100],

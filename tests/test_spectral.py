@@ -7,6 +7,7 @@ from scipy import sparse
 from fracdim.assembly import OperatorCache
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
+from fracdim.solver import make_geometry
 from fracdim.spectral import (FLOAT_SLACK, PositivityError, cone_membership,
                               power_iteration, spectral_bracket)
 
@@ -48,8 +49,7 @@ class TestPowerIteration:
         assert res.lam == pytest.approx(dense_rho(A.toarray()), rel=1e-10)
 
     def test_transfer_operator_input(self):
-        cache = OperatorCache(make_alphabet_1d([1, 2]),
-                              make_uniform_knots(0.0, 1.0, 20, 2))
+        cache = OperatorCache(make_alphabet_1d([1, 2]), make_geometry(1, 20, 2))
         op = cache.matrix(0.5313)
         res = power_iteration(op)
         rho = dense_rho(op.tocsr().toarray())
@@ -148,12 +148,11 @@ class TestSpectralBracket:
         # small instances of both problem families
         cases = []
         cache1 = OperatorCache(make_alphabet_1d([1, 2]),
-                               make_uniform_knots(0.0, 1.0, 16, 2))
+                               make_geometry(1, 16, 2))
         cases.append(cache1.matrix(0.5313))
-        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 8, 2),
-                           make_uniform_knots(-0.5, 0.5, 8, 2)))
         cache2 = OperatorCache(
-            make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)]), grid)
+            make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)]),
+            make_geometry(2, 8, 2))
         cases.append(cache2.matrix(1.1496))
         for op in cases:
             res = power_iteration(op)
