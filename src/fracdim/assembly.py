@@ -129,8 +129,9 @@ class OperatorCache:
         """Columns (len(y), n+1) and values of the splines that are nonzero
         at the mapped points y along one axis.  Every window must lie inside
         the spline range (mapped points inside the partition-of-unity
-        region); a violation means the mesh padding does not cover the
-        images and is reported rather than silently dropped."""
+        region); a violation means the mesh is too coarse for its padding of
+        n subintervals to cover the images, and is reported rather than
+        silently dropped."""
         n = self.n
         ell, t = locate_intervals(self.axes[ax], y)
         # the splines nonzero on knot interval ell are ell-n .. ell
@@ -138,7 +139,7 @@ class OperatorCache:
         if cols.min() < 0 or cols.max() >= self.ncs[ax]:
             raise ValueError(
                 f"mapped points of letter {e} leave the padded spline range; "
-                "increase the mesh padding")
+                "refine the mesh (smaller h)")
         return cols, uniform_basis(t, n)
 
     def _letter_block(self, e) -> tuple[Array, Array, Array]:

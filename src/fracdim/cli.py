@@ -132,11 +132,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'a..b' halving or comma-separated values")
     p_conv.add_argument("--reference", type=float, default=None,
                         help="known dimension for delta/rate columns")
+    # keys a --config file may set: any subcommand's option (by its dest),
+    # or the subcommand itself, as the presets do
+    parser.config_keys = {"subcommand"}.union(
+        *(vars(p.parse_args([])) for p in (p_cert, p_est, p_conv))) - {
+        "config", "reproduce"}
     return parser
 
 
-def _merge_settings(args: argparse.Namespace) -> dict:
-    """Priority: explicit flags > --config file > --reproduce preset."""
+def _merge_settings(args: argparse.Namespace, config_keys: set) -> dict:
+    """Priority: explicit flags > --config file > --reproduce preset.
+    A config key that no subcommand accepts is a usage error."""
     settings: dict = {}
     if getattr(args, "reproduce", None):
         settings.update(REPRODUCTIONS[args.reproduce])
@@ -145,6 +151,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - config_keys)
+        if unknown:
+            raise ValueError(f"unknown key(s) in {args.config}: "
+                             f"{', '.join(unknown)}")
         settings.update(loaded)
     for key, val in vars(args).items():
         if key in ("config", "reproduce"):
@@ -243,7 +253,7 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        settings = _merge_settings(args)
+        settings = _merge_settings(args, parser.config_keys)
         subcommand = settings.get("subcommand", args.subcommand)
         fmt = settings.get("fmt") or ("tsv" if subcommand == "converge" else "json")
         out_path = settings.get("out")

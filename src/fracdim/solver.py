@@ -156,10 +156,16 @@ class ProbeEngine:
     The warm start is pure acceleration: the cone bracket is valid at any
     positive iterate, and the probe sequence is deterministic from the
     config, so results stay reproducible.
+
+    With `decide` set, each probe stops power iteration at the first iterate
+    whose scaled bracket [lam_lo, lam_hi] excludes 1 (a "decided" record).
+    Such a record answers both certified predicates, lam_lo >= 1 and
+    lam_hi > 1, so a cached one serves either bisection as it stands.
     """
 
     def __init__(self, cache: OperatorCache, geometry, profile: RigorProfile,
-                 err: float, check_cone: bool, power_tol: float, max_iter: int):
+                 err: float, check_cone: bool, power_tol: float, max_iter: int,
+                 decide: bool = False):
         self.cache = cache
         self.geometry = geometry
         self.profile = profile
@@ -167,6 +173,7 @@ class ProbeEngine:
         self.check_cone = check_cone
         self.power_tol = power_tol
         self.max_iter = max_iter
+        self.decide = decide
         self.records: dict[float, dict] = {}
         self._warm = None
 
@@ -176,7 +183,8 @@ class ProbeEngine:
             return self.records[s]
         m = self.cache.matrix(s)
         res = power_iteration(m, tol=self.power_tol, max_iter=self.max_iter,
-                              start=self._warm)
+                              start=self._warm,
+                              decide_err=self.err if self.decide else None)
         self._warm = res.w
         sizes = None
         if self.cache.d == 2:
@@ -187,7 +195,7 @@ class ProbeEngine:
             raise CertificationError(
                 f"eigenvector left the cone at s = {s}: adjacent log ratio "
                 f"{cone.adjacent_ratio_max:.6g} > M = {self.profile.M}")
-        br = spectral_bracket(m, res.w, res.iterations)
+        br = spectral_bracket(m, res.w, res.iterations, y=res.y)
         rec = {
             "s": s,
             "alpha": br.alpha,
@@ -199,6 +207,7 @@ class ProbeEngine:
             "spread": br.residual,
             "cone_ratio": cone.adjacent_ratio_max,
             "converged": res.converged,
+            "decided": res.decided,
         }
         self.records[s] = rec
         return rec
@@ -274,13 +283,13 @@ def _setup(config: SolveConfig):
 
 
 def _engine(config: SolveConfig, cache: OperatorCache | None, profile,
-            geometry, err: float) -> ProbeEngine:
+            geometry, err: float, decide: bool = False) -> ProbeEngine:
     if cache is None:
         cache = OperatorCache(config.alphabet, geometry, profile.q)
     return ProbeEngine(cache, geometry, profile, err,
                        check_cone=config.mode == "certified",
                        power_tol=config.power_tol,
-                       max_iter=config.max_power_iter)
+                       max_iter=config.max_power_iter, decide=decide)
 
 
 def solve_dimension(config: SolveConfig,
@@ -289,7 +298,9 @@ def solve_dimension(config: SolveConfig,
     h, profile, geometry, breakdown, constants, err = _setup(config)
     d = config.alphabet.d
     certified = config.mode == "certified"
-    engine = _engine(config, cache, profile, geometry, err)
+    # only the certified bisections ask a yes/no question per probe; a point
+    # estimate bisects on the converged eigenvalue itself
+    engine = _engine(config, cache, profile, geometry, err, decide=certified)
     tol = config.resolve_tol()
     s_min = config.s_min
     if config.s_max is not None:
@@ -317,7 +328,8 @@ def solve_dimension(config: SolveConfig,
 def lambda_bracket(config: SolveConfig, s: float,
                    cache: OperatorCache | None = None) -> tuple[float, float]:
     """One probe: (lam_lo, lam_hi) bracketing the eigenvalue of the scaled
-    pair at s, behind the same guards as solve_dimension."""
+    pair at s, behind the same guards as solve_dimension.  The power
+    iteration runs to convergence, so the bracket is tight."""
     _, profile, geometry, _, _, err = _setup(config)
     rec = _engine(config, cache, profile, geometry, err).probe(s)
     return rec["lam_lo"], rec["lam_hi"]

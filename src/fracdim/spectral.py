@@ -28,10 +28,12 @@ class PositivityError(RuntimeError):
 class PowerResult:
     lam: float          # geometric mean of the final min/max ratios
     w: Array            # final iterate, sup norm 1, strictly positive
+    y: Array            # its image L w
     iterations: int
     ratio_min: float
     ratio_max: float
     converged: bool
+    decided: bool       # stopped by the decision rule before converging
 
     @property
     def spread(self) -> float:
@@ -55,10 +57,22 @@ class SpectralBracket:
     residual: float  # ratio spread at the certified iterate
 
 
+def _widen(rmin: float, rmax: float) -> tuple[float, float]:
+    """Collatz-Wielandt ratios widened by FLOAT_SLACK: (alpha, beta)."""
+    return rmin * (1.0 - FLOAT_SLACK), rmax * (1.0 + FLOAT_SLACK)
+
+
 def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
-                    start: Array | None = None) -> PowerResult:
+                    start: Array | None = None,
+                    decide_err: float | None = None) -> PowerResult:
     """Iterate w -> Lw / max(Lw), stopping when the relative spread of the
     ratios (Lw)_i/w_i falls below tol, stops improving, or max_iter hits.
+
+    With decide_err = err, also stop at the first iterate whose widened
+    bracket scaled by 1 -/+ err excludes 1, i.e. (1-err) alpha >= 1 or
+    (1+err) beta <= 1 in the rounding order of the certified probe's
+    lam_lo and lam_hi: that iterate already decides whether s lies below or
+    above the dimension.
 
     Raises PositivityError if any iterate entry fails to stay positive;
     non-convergence is reported via the converged flag, not an exception
@@ -74,37 +88,35 @@ def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
     best_spread = np.inf
     stale = 0
     it = 0
-    rmin = rmax = np.nan
-    converged = False
-    for it in range(1, max_iter + 1):
+    converged = decided = False
+    while True:
         y = m @ w
         if y.min() <= 0:
             raise PositivityError(
                 "matrix image lost positivity (mesh/cone misconfiguration)")
-        ratios_min = (y / w).min()
-        ratios_max = (y / w).max()
-        rmin, rmax = float(ratios_min), float(ratios_max)
-        spread = (rmax - rmin) / max(abs(rmax), np.finfo(float).tiny)
-        w = y / y.max()
-        if spread < tol:
-            converged = True
+        ratios = y / w
+        rmin, rmax = float(ratios.min()), float(ratios.max())
+        if converged or stale >= 10 or it == max_iter:
             break
+        if decide_err is not None:
+            alpha, beta = _widen(rmin, rmax)
+            if ((1.0 - decide_err) * alpha >= 1.0
+                    or (1.0 + decide_err) * beta <= 1.0):
+                decided = True
+                break
+        spread = (rmax - rmin) / max(abs(rmax), np.finfo(float).tiny)
+        converged = spread < tol
         # floating-point floor: stop once the spread no longer improves
         if spread < best_spread * (1 - 1e-3):
             best_spread = spread
             stale = 0
         else:
             stale += 1
-            if stale >= 10:
-                break
-    # ratios of the final iterate (consistent with the returned w)
-    y = m @ w
-    if y.min() <= 0:
-        raise PositivityError("matrix image lost positivity")
-    rmin = float((y / w).min())
-    rmax = float((y / w).max())
-    return PowerResult(lam=float(np.sqrt(rmin * rmax)), w=w, iterations=it,
-                       ratio_min=rmin, ratio_max=rmax, converged=converged)
+        w = y / y.max()
+        it += 1
+    return PowerResult(lam=float(np.sqrt(rmin * rmax)), w=w, y=y,
+                       iterations=it, ratio_min=rmin, ratio_max=rmax,
+                       converged=converged, decided=decided)
 
 
 def cone_membership(w: Array, geometry, M: float,
@@ -142,17 +154,19 @@ def cone_membership(w: Array, geometry, M: float,
                            member=bool(ratio <= M))
 
 
-def spectral_bracket(m, w: Array, iterations: int = 0) -> SpectralBracket:
+def spectral_bracket(m, w: Array, iterations: int = 0,
+                     y: Array | None = None) -> SpectralBracket:
     """alpha = min_i (Lw)_i/w_i, beta = max_i, widened by a relative slack of
-    1e-12 against matvec rounding; alpha <= r(L) <= beta for cone-certified w."""
+    1e-12 against matvec rounding; alpha <= r(L) <= beta for cone-certified w.
+    Pass the image y = Lw when the caller already has it."""
     w = np.asarray(w, dtype=np.float64)
     if np.any(w <= 0):
         raise PositivityError("bracket vector must be strictly positive")
-    y = m @ w
+    if y is None:
+        y = m @ w
     if y.min() <= 0:
         raise PositivityError("matrix image lost positivity")
     ratios = y / w
-    alpha = float(ratios.min()) * (1.0 - FLOAT_SLACK)
-    beta = float(ratios.max()) * (1.0 + FLOAT_SLACK)
+    alpha, beta = _widen(float(ratios.min()), float(ratios.max()))
     return SpectralBracket(alpha=alpha, beta=beta, iterations=iterations,
                            residual=float(ratios.max() - ratios.min()))

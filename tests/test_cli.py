@@ -80,7 +80,9 @@ class TestEstimate:
         # images of the exterior midpoints
         assert run(["estimate", "--alphabet", alphabet, "--h", "1/4",
                     "--unsafe-h"]) == EXIT_USAGE
-        assert "leave the padded spline range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "leave the padded spline range" in err
+        assert "refine the mesh" in err
 
     def test_inadmissible_exit(self, capsys):
         assert run(["estimate", "--alphabet", "1,2", "--h", "1/25"]) == \
@@ -177,6 +179,24 @@ class TestSettingsMerge:
         assert run(["estimate", "--config", str(cfg)]) == EXIT_USAGE
         cfg.write_text("{not json")
         assert run(["estimate", "--config", str(cfg)]) == EXIT_USAGE
+
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
+        # a removed option and a misspelt one must not be silently ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphabet": "1,2", "h": "1/50",
+                                   "unsafe_h": True, "threads": 4,
+                                   "dump_matrix": "m.txt", "tol": 1e-3}))
+        assert run(["estimate", "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for key in ("threads", "dump_matrix", "tol"):
+            assert key in captured.err
+
+    def test_config_key_of_another_subcommand_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphabet": "1,2", "h": "1/50",
+                                   "unsafe_h": True, "single_step": True}))
+        assert run(["estimate", "--config", str(cfg)]) == EXIT_OK
 
     def test_mesh_flag(self, capsys):
         run(["estimate", "--alphabet", "1,2", "--h", "1/50", "--unsafe-h",

@@ -1,19 +1,22 @@
 """Mesh resolution, bisection against dense-eigensolver oracles, certified
 brackets, and convergence studies."""
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fracdim.assembly import OperatorCache
+from fracdim.assembly import OperatorCache, TransferOperator
 from fracdim.bspline import KnotSequence, TensorGrid
+from fracdim.cli import run
 from fracdim.constants import make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
 from fracdim.solver import (CertificationError, InadmissibleMeshError,
                             MonotonicityError, ProbeEngine, SolveConfig,
                             convergence_study, lambda_bracket, make_geometry,
                             solve_dimension, two_step_refinement)
+from fracdim.spectral import FLOAT_SLACK
 
 A12 = make_alphabet_1d([1, 2])
 A2D = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
@@ -156,6 +159,81 @@ class TestCertified:
         assert rec["constants"]["M"] == 36.0
         assert rec["constants"]["M_prime"] < 36.0
         assert all(p["lam_lo"] <= p["lam"] <= p["lam_hi"] for p in rec["probes"])
+
+
+class TestEarlyDecision:
+    """Certified probes stop power iteration once the scaled bracket
+    excludes 1; lambda_bracket and point mode still run to convergence."""
+
+    @pytest.fixture(scope="class")
+    def table2(self, tmp_path_factory):
+        # the certified {1,2} solve at h = 1e-5 (nodes), through the CLI,
+        # counting operator applications
+        calls = []
+        matmul = TransferOperator.__matmul__
+
+        def counted(op, v):
+            calls.append(1)
+            return matmul(op, v)
+
+        out = tmp_path_factory.mktemp("table2") / "out.json"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TransferOperator, "__matmul__", counted)
+            assert run(["certify", "--reproduce", "table2",
+                        "--out", str(out)]) == 0
+        return json.loads(out.read_text()), len(calls)
+
+    def test_table2_endpoints_unchanged(self, table2):
+        rec, _ = table2
+        assert rec["s_lo"] == 0.5312805062762838
+        assert rec["s_hi"] == 0.5312805062781312
+
+    def test_table2_matvecs(self, table2):
+        # running every probe to convergence, with a second product for the
+        # bracket, took 913; stopping at the decision takes 133
+        _, matvecs = table2
+        assert matvecs < 913 / 2
+
+    def test_records_converged_or_decided(self, table2):
+        rec, _ = table2
+        assert any(p["decided"] for p in rec["probes"])
+        for p in rec["probes"]:
+            assert not (p["converged"] and p["decided"])
+            if p["decided"]:
+                assert p["lam_lo"] >= 1.0 or p["lam_hi"] <= 1.0
+            else:
+                assert p["converged"]
+
+    def test_audit_passes_on_decided_records(self):
+        J = 64
+        cfg = SolveConfig(A12, J=J)
+        profile = make_profile(A12)
+        geometry = make_geometry(1, J, 2)
+        engine = ProbeEngine(OperatorCache(A12, geometry), geometry, profile,
+                             profile.err(1.0 / J), check_cone=True,
+                             power_tol=cfg.power_tol,
+                             max_iter=cfg.max_power_iter, decide=True)
+        for s in np.linspace(0.3, 0.8, 11):
+            engine.probe(s)
+        recs = list(engine.records.values())
+        assert all(r["decided"] and not r["converged"] for r in recs)
+        engine.audit_monotonicity()
+
+    def test_lambda_bracket_converges(self):
+        # far below the dimension even the first iterate decides the probe;
+        # lambda_bracket must still return the converged, tight bracket
+        cfg = SolveConfig(A12, J=64)
+        err = make_profile(A12).err(1.0 / 64)
+        lo, hi = lambda_bracket(cfg, 0.4)
+        alpha = lo / ((1 - err) * (1 - FLOAT_SLACK))
+        beta = hi / ((1 + err) * (1 + FLOAT_SLACK))
+        assert lo > 1.0
+        assert 0.0 <= beta - alpha <= 10 * cfg.power_tol * alpha
+
+    def test_point_mode_converges(self):
+        b = solve_dimension(SolveConfig(A12, J=64, mode="point-estimate",
+                                        tol_s=1e-8))
+        assert all(p["converged"] and not p["decided"] for p in b.probes)
 
 
 class TestLambdaBracket:

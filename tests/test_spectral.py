@@ -87,6 +87,41 @@ class TestPowerIteration:
         assert res.ratio_min - 1e-15 <= rho <= res.ratio_max + 1e-15
 
 
+class TestDecisionStop:
+    """decide_err stops at the first iterate whose bracket, widened by the
+    float slack and scaled by 1 -/+ err, excludes 1."""
+
+    @staticmethod
+    def operator(s):
+        return OperatorCache(make_alphabet_1d([1, 2]),
+                             make_geometry(1, 64, 2)).matrix(s)
+
+    @pytest.mark.parametrize("s", [0.45, 0.6])
+    def test_stops_once_decided(self, s):
+        op, err = self.operator(s), 1e-4
+        full = power_iteration(op)
+        res = power_iteration(op, decide_err=err)
+        assert res.decided and not res.converged
+        assert res.iterations < full.iterations
+        np.testing.assert_array_equal(res.y, op @ res.w)
+        br = spectral_bracket(op, res.w, y=res.y)
+        assert (1 - err) * br.alpha >= 1.0 or (1 + err) * br.beta <= 1.0
+        # the dense radius stays inside the early, looser bracket
+        rho = dense_rho(op.tocsr().toarray())
+        assert br.alpha <= rho <= br.beta
+        assert br.beta - br.alpha > full.spread
+
+    def test_undecidable_runs_to_convergence(self):
+        # err so large that the scaled bracket always straddles 1
+        op = self.operator(0.5313)
+        res = power_iteration(op, decide_err=0.5)
+        full = power_iteration(op)
+        assert res.converged and not res.decided
+        assert res.iterations == full.iterations
+        np.testing.assert_array_equal(res.w, full.w)
+        assert res.lam == full.lam
+
+
 class TestConeMembership:
     def test_1d_member(self):
         ks = make_uniform_knots(0.0, 1.0, 32, 2)
@@ -177,3 +212,10 @@ class TestSpectralBracket:
         A = np.ones((3, 3))
         with pytest.raises(PositivityError):
             spectral_bracket(A, np.array([1.0, -1.0, 1.0]))
+
+    def test_given_image_matches_recomputed(self):
+        rng = np.random.default_rng(4)
+        A = random_positive_matrix(rng, 12)
+        res = power_iteration(A)
+        np.testing.assert_array_equal(res.y, A @ res.w)
+        assert spectral_bracket(A, res.w, y=res.y) == spectral_bracket(A, res.w)
