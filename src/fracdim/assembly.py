@@ -24,15 +24,20 @@ OperatorCache precomputes all s-independent structure (CSR pattern of G,
 basis-value products, and log derivative norms per contribution) once per
 mesh and rebuilds only the value array per s probe.  W is applied per axis
 (never materialized as a tensor).
+
+The geometry is a TensorGrid in every dimension (1D is its one-axis case),
+so each step here is written once, as a loop over the axes.
 """
 from __future__ import annotations
+
+import math
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
 
 from .bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
-from .maps import (Alphabet, log_dphi_norm_1d, log_dphi_norm_2d, phi_1d,
-                   phi_2d)
+from .maps import Alphabet
 from .quasi import QuasiInterpolant, make_quasi_interpolant
 
 Array = np.ndarray
@@ -41,6 +46,7 @@ Array = np.ndarray
 class TransferOperator:
     """L_h(s) = G W as a matrix-free linear operator on sample vectors.
 
+    Sample and coefficient vectors run with the first axis fastest.
     Supports `op @ v` and `.shape`; `.tocsr()` materializes the product for
     small problems (tests).
     """
@@ -48,28 +54,26 @@ class TransferOperator:
     def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...]):
         self.G = G
         self.W1s = W1s
-        self.d = len(W1s)
-        N = 1
-        for W1 in W1s:
-            N *= W1.shape[1]
+        # sample grid as a C-order array: last axis outer, first axis fastest
+        self._grid = tuple(W1.shape[1] for W1 in reversed(W1s))
+        N = math.prod(self._grid)
         self.shape = (N, N)
 
     def coefficients(self, v: Array) -> Array:
-        """Quasi-interpolant coefficients of the splines, from samples."""
-        if self.d == 1:
-            return self.W1s[0] @ v
-        W1x, W1y = self.W1s
-        V = np.asarray(v).reshape(W1y.shape[1], W1x.shape[1])  # (iy, ix)
-        return (W1y @ (W1x @ V.T).T).ravel()  # (cy, cx) -> cy*ncx + cx
+        """Quasi-interpolant coefficients of the splines, from samples:
+        each per-axis W1 applied along its own array axis."""
+        c = np.asarray(v).reshape(self._grid)
+        for k, W1 in enumerate(self.W1s):
+            a = c.ndim - 1 - k
+            c = (W1 @ c.swapaxes(0, a)).swapaxes(0, a)
+        return c.ravel()
 
     def __matmul__(self, v: Array) -> Array:
         return self.G @ self.coefficients(v)
 
     def tocsr(self) -> sparse.csr_matrix:
-        if self.d == 1:
-            W = self.W1s[0]
-        else:
-            W = sparse.kron(self.W1s[1], self.W1s[0], format="csr")
+        W = reduce(lambda inner, outer: sparse.kron(outer, inner, format="csr"),
+                   self.W1s)
         G = self.G.copy()
         G.sum_duplicates()
         return (G @ W).tocsr()
@@ -78,97 +82,84 @@ class TransferOperator:
 class OperatorCache:
     """s-independent structure of G for one mesh/alphabet; cheap per-s rebuilds."""
 
-    def __init__(self, alphabet: Alphabet, geometry,
+    def __init__(self, alphabet: Alphabet, geometry: TensorGrid,
                  q: QuasiInterpolant | None = None):
-        if isinstance(geometry, KnotSequence):
-            axes = (geometry,)
-        elif isinstance(geometry, TensorGrid):
-            axes = geometry.axes
-        else:
-            raise TypeError("geometry must be a KnotSequence or TensorGrid")
-        d = len(axes)
-        if d != alphabet.d:
+        if geometry.d != alphabet.d:
             raise ValueError("alphabet / geometry dimension mismatch")
         self.alphabet = alphabet
-        self.axes = axes
-        self.d = d
-        self.n = axes[0].n
+        self.geometry = geometry
+        self.axes = geometry.axes
+        self.n = geometry.n
         if self.n % 2 != 0 or self.n < 2:
             raise ValueError("collocation requires an even spline degree >= 2")
         self.q = q if q is not None else make_quasi_interpolant(self.n)
         if self.q.n != self.n:
             raise ValueError("quasi-interpolant degree must match the mesh degree")
-        # collocation midpoints and splines per axis
-        self.m1s = tuple(ks.num_intervals for ks in axes)
-        self.ncs = tuple(ks.num_splines for ks in axes)
-        self.N = int(np.prod(self.m1s))      # sample-space dimension
-        self.Ncoef = int(np.prod(self.ncs))  # tensor splines
-        self._W1s = tuple(self._build_W1(ax) for ax in range(d))
+        self.N = math.prod(geometry.sample_shape)  # samples
+        self.Ncoef = math.prod(ax.num_splines for ax in self.axes)  # splines
+        self._W1s = tuple(self._build_W1(ax) for ax in self.axes)
         self._build_G_structure()
 
-    def _build_W1(self, ax: int) -> sparse.csr_matrix:
+    def _build_W1(self, ks: KnotSequence) -> sparse.csr_matrix:
         """Per-axis coefficient map: row c applies the midpoint weights to
         samples c..c+n (the dual-functional window of spline c)."""
-        n, m1, nc = self.n, self.m1s[ax], self.ncs[ax]
+        n, nc = self.n, ks.num_splines
         c = np.arange(nc)
         rows = np.repeat(c, n + 1)
         cols = (c[:, None] + np.arange(n + 1)[None, :]).ravel()
         vals = np.tile(self.q.weights, nc)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(nc, m1))
+        return sparse.csr_matrix((vals, (rows, cols)),
+                                 shape=(nc, ks.num_intervals))
 
-    def collocation_points(self) -> list[Array]:
-        """Per-axis coordinates of the flattened sample index (x fastest)."""
-        xs = [ks.midpoints for ks in self.axes]
-        if self.d == 1:
-            return xs
-        X = np.tile(xs[0], self.m1s[1])
-        Y = np.repeat(xs[1], self.m1s[0])
-        return [X, Y]
+    def collocation_points(self) -> Array:
+        """(N, d) coordinates of the flattened sample index (first axis
+        fastest)."""
+        mids = [ks.midpoints for ks in reversed(self.axes)]
+        grids = np.meshgrid(*mids, indexing="ij")[::-1]
+        return np.stack([g.ravel() for g in grids], axis=-1)
 
-    def _spline_window(self, e, ax: int, y: Array) -> tuple[Array, Array]:
-        """Columns (len(y), n+1) and values of the splines that are nonzero
-        at the mapped points y along one axis.  Every window must lie inside
-        the spline range (mapped points inside the partition-of-unity
+    def _spline_window(self, e, ks: KnotSequence,
+                       y: Array) -> tuple[Array, Array]:
+        """Columns (len(y), n+1) and values of the splines of axis ks that
+        are nonzero at the mapped coordinates y.  Every window must lie
+        inside the spline range (mapped points inside the partition-of-unity
         region); a violation means the mesh is too coarse for its padding of
         n subintervals to cover the images, and is reported rather than
         silently dropped."""
         n = self.n
-        ell, t = locate_intervals(self.axes[ax], y)
+        ell, t = locate_intervals(ks, y)
         # the splines nonzero on knot interval ell are ell-n .. ell
         cols = (ell - n)[:, None] + np.arange(n + 1)[None, :]
-        if cols.min() < 0 or cols.max() >= self.ncs[ax]:
+        if cols.min() < 0 or cols.max() >= ks.num_splines:
             raise ValueError(
                 f"mapped points of letter {e} leave the padded spline range; "
                 "refine the mesh (smaller h)")
         return cols, uniform_basis(t, n)
 
-    def _letter_block(self, e) -> tuple[Array, Array, Array]:
-        """Contributions of one letter at every collocation point.
+    def _letter_block(self, e, p: Array) -> tuple[Array, Array, Array]:
+        """Contributions of one letter at the collocation points p (N, d).
 
         Returns (cols (N, K), base (N, K), lg (N,)) with K = (n+1)^d; base
         holds the s-independent spline products.
         """
-        coords = self._coords
-        if self.d == 1:
-            cols, B = self._spline_window(e, 0, phi_1d(e, coords[0]))
-            return cols, B, log_dphi_norm_1d(e, coords[0])
-        p = np.stack(coords, axis=-1)
-        img = phi_2d(e, p)
-        cx, Bx = self._spline_window(e, 0, img[:, 0])
-        cy, By = self._spline_window(e, 1, img[:, 1])
-        K = (self.n + 1) ** 2
-        N = self.N
-        # tensor order (ry outer, rx inner) keeps columns ascending per row
-        cols = (cy[:, :, None] * self.ncs[0] + cx[:, None, :]).reshape(N, K)
-        base = (By[:, :, None] * Bx[:, None, :]).reshape(N, K)
-        return cols, base, log_dphi_norm_2d(e, p)
+        img = self.alphabet.image(e, p)
+        windows = [self._spline_window(e, ks, img[:, k])
+                   for k, ks in enumerate(self.axes)]
+        # fold the axes in, last axis outer: tensor order (ry outer, rx
+        # inner) keeps columns ascending per row
+        cols, base = windows[-1]
+        for ks, (c, B) in zip(self.axes[-2::-1], windows[-2::-1]):
+            cols = (cols[:, :, None] * ks.num_splines
+                    + c[:, None, :]).reshape(self.N, -1)
+            base = (base[:, :, None] * B[:, None, :]).reshape(self.N, -1)
+        return cols, base, self.alphabet.log_dnorm(e, p)
 
     def _build_G_structure(self) -> None:
-        self._coords = self.collocation_points()
+        p = self.collocation_points()
         cols_parts, base_parts, lg_parts = [], [], []
-        K = (self.n + 1) ** self.d
+        K = (self.n + 1) ** self.geometry.d
         for e in self.alphabet.letters:
-            cols, base, lg = self._letter_block(e)
+            cols, base, lg = self._letter_block(e, p)
             cols_parts.append(cols.astype(np.int32))
             base_parts.append(base)
             lg_parts.append(np.repeat(lg[:, None], K, axis=1))
@@ -177,11 +168,10 @@ class OperatorCache:
         self._indices = np.concatenate(cols_parts, axis=1).ravel()
         self._base = np.concatenate(base_parts, axis=1).ravel()
         self._lg = np.concatenate(lg_parts, axis=1).ravel()
-        del cols_parts, base_parts, lg_parts
+        del cols_parts, base_parts, lg_parts, p
         row_len = K * len(self.alphabet.letters)
         self._indptr = np.arange(self.N + 1, dtype=np.int64) * row_len
         self.nnz = int(self._indptr[-1])
-        del self._coords
 
     # -- per-probe assembly -------------------------------------------------
     def evaluation_matrix(self, s: float) -> sparse.csr_matrix:

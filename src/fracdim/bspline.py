@@ -187,7 +187,7 @@ class TensorGrid:
     """Tensor product of per-axis knot sequences sharing n and h (the number
     of subintervals may differ per axis, e.g. when one axis is padded).
 
-    Flattened index convention (0-based): col = i_x + J_x*i_y for d = 2.
+    The geometry of every solve, in any dimension: 1D is the one-axis grid.
     """
 
     axes: tuple[KnotSequence, ...]
@@ -217,18 +217,11 @@ class TensorGrid:
     def h(self) -> float:
         return self.axes[0].h
 
-    def flatten_index(self, multi: tuple[int, ...]) -> int:
-        idx = 0
-        for ax, i in zip(reversed(self.axes), reversed(multi)):
-            idx = idx * ax.J + i
-        return idx
-
-    def unflatten_index(self, flat: int) -> tuple[int, ...]:
-        multi = []
-        for ax in self.axes:
-            multi.append(flat % ax.J)
-            flat //= ax.J
-        return tuple(multi)
+    @property
+    def sample_shape(self) -> tuple[int, ...]:
+        """Knot intervals per axis as a C-order array shape, last axis
+        outer: vectors over the midpoints run with the first axis fastest."""
+        return tuple(ks.num_intervals for ks in reversed(self.axes))
 
 
 def eval_tensor_bspline(grid: TensorGrid, k: tuple[int, ...], x: tuple[float, ...]) -> float:

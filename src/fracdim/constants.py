@@ -3,8 +3,9 @@ coefficients, Legendre projection and Bramble-Hilbert constants, eigenfunction
 derivative bounds, cone parameters, and the mesh-admissibility conditions.
 
 All closed-form constants are evaluated in exact rational arithmetic where the
-inputs permit and rounded upward (toward the conservative side) at the final
-float conversion, since every one of them multiplies an error term.
+inputs permit and rounded toward the conservative side at the final float
+conversion: upward for the constants that multiply an error term, downward
+for the eigenfunction lower bound A.
 """
 from __future__ import annotations
 
@@ -19,6 +20,10 @@ from .quasi import QuasiInterpolant, make_quasi_interpolant, positivity_threshol
 
 def round_up(x: float) -> float:
     return math.nextafter(x, math.inf)
+
+
+def round_down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
 
 
 def distortion_K(alphabet) -> float:
@@ -225,7 +230,7 @@ def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
         beta = 0.05 if d == 1 else 0.01
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("alpha and beta must lie in (0,1)")
-    A = K ** (-s_cap)
+    A = round_down(K ** (-s_cap))  # a lower bound
     B = round_up(K ** s_cap)
     if d == 1:
         D = deriv_bound_1d(s_cap, 1)  # 2 s_cap

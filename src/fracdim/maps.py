@@ -47,6 +47,18 @@ class Alphabet:
             return ",".join(str(e) for e in self.letters)
         return ",".join(f"({e1},{e2})" for e1, e2 in self.letters)
 
+    def image(self, e, p: Array) -> Array:
+        """phi_e at the points p of shape (N, d), as an (N, d) array."""
+        if self.d == 1:
+            return phi_1d(e, p[:, 0])[:, None]
+        return phi_2d(e, p)
+
+    def log_dnorm(self, e, p: Array) -> Array:
+        """log ||Dphi_e|| at the points p of shape (N, d), as an (N,) array."""
+        if self.d == 1:
+            return log_dphi_norm_1d(e, p[:, 0])
+        return log_dphi_norm_2d(e, p)
+
 
 def make_alphabet_1d(letters) -> Alphabet:
     return Alphabet(d=1, letters=tuple(sorted(set(int(e) for e in letters))))

@@ -38,25 +38,23 @@ class MonotonicityError(RuntimeError):
     """Recorded eigenvalue estimates were not decreasing in s."""
 
 
-def make_geometry(d: int, J: int, n: int):
+def make_geometry(d: int, J: int, n: int) -> TensorGrid:
     """Standard domains ([0,1] for 1D, [0,1] x [-1/2,1/2] for 2D) on J
-    subintervals, padded by n extra subintervals of the same width on every
-    edge that contraction images can spill past (beyond x = 1 in 1D; beyond
-    x = 1 and both y edges in 2D).
+    subintervals per axis, padded by n extra subintervals of the same width
+    on every edge that contraction images can spill past (beyond x = 1, and
+    in 2D both y edges).  1D is the one-axis grid.
 
     With the padding, every image of every collocation midpoint lands inside
     the padded partition-of-unity region, so the hidden positivity and
     cone-contraction bounds apply at all collocation points and the power
     iterates genuinely satisfy the certified cone check.
     """
+    if d not in (1, 2):
+        raise ValueError("only d in {1, 2} supported")
     h = 1.0 / J
-    if d == 1:
-        return make_uniform_knots(0.0, 1.0 + n * h, J + n, n)
-    if d == 2:
-        return TensorGrid((make_uniform_knots(0.0, 1.0 + n * h, J + n, n),
-                           make_uniform_knots(-0.5 - n * h, 0.5 + n * h,
-                                              J + 2 * n, n)))
-    raise ValueError("only d in {1, 2} supported")
+    axes = (make_uniform_knots(0.0, 1.0 + n * h, J + n, n),
+            make_uniform_knots(-0.5 - n * h, 0.5 + n * h, J + 2 * n, n))
+    return TensorGrid(axes[:d])
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,6 @@ class SolveConfig:
     M: float | None = None
     unsafe_h: bool = False
     mesh: str = "intervals"  # intervals | nodes
-    power_tol: float = 1e-14
-    max_power_iter: int = 100_000
 
     def resolve_mesh(self) -> int:
         """Number of subintervals J, from J or an exact-reciprocal h.
@@ -103,10 +99,13 @@ class SolveConfig:
         return J
 
     def resolve_tol(self) -> float:
+        """Bisection width in s.  A point estimate defaults to 0, i.e. it
+        bisects down to adjacent doubles: a midpoint of a wider interval can
+        sit several ulp off the discrete root."""
         if self.tol_s is not None:
             return self.tol_s
         if self.mode == "point-estimate":
-            return 1e-15
+            return 0.0
         return 1e-14 if self.alphabet.d == 1 else 1e-10
 
 
@@ -163,16 +162,12 @@ class ProbeEngine:
     lam_hi > 1, so a cached one serves either bisection as it stands.
     """
 
-    def __init__(self, cache: OperatorCache, geometry, profile: RigorProfile,
-                 err: float, check_cone: bool, power_tol: float, max_iter: int,
-                 decide: bool = False):
+    def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
+                 check_cone: bool, decide: bool = False):
         self.cache = cache
-        self.geometry = geometry
         self.profile = profile
         self.err = err
         self.check_cone = check_cone
-        self.power_tol = power_tol
-        self.max_iter = max_iter
         self.decide = decide
         self.records: dict[float, dict] = {}
         self._warm = None
@@ -182,15 +177,10 @@ class ProbeEngine:
         if s in self.records:
             return self.records[s]
         m = self.cache.matrix(s)
-        res = power_iteration(m, tol=self.power_tol, max_iter=self.max_iter,
-                              start=self._warm,
+        res = power_iteration(m, start=self._warm,
                               decide_err=self.err if self.decide else None)
         self._warm = res.w
-        sizes = None
-        if self.cache.d == 2:
-            sizes = (self.cache.m1s[1], self.cache.m1s[0])
-        cone = cone_membership(res.w, self.geometry, self.profile.M,
-                               sizes=sizes)
+        cone = cone_membership(res.w, self.cache.geometry, self.profile.M)
         if self.check_cone and not cone.member:
             raise CertificationError(
                 f"eigenvector left the cone at s = {s}: adjacent log ratio "
@@ -250,11 +240,15 @@ def _setup(config: SolveConfig):
 
     Raises InadmissibleMeshError when h exceeds the admissible bound (only a
     point estimate may pass unsafe_h to go on), and, in certified mode,
-    CertificationError when M' >= M or err >= 1.
+    ValueError for a 2D degree other than 2 (its error bounds are third
+    order) and CertificationError when M' >= M or err >= 1.
     Returns (h, profile, geometry, breakdown, constants, err).
     """
     alphabet = config.alphabet
     certified = config.mode == "certified"
+    if certified and alphabet.d == 2 and config.n != 2:
+        raise ValueError(f"2D certification needs spline degree n = 2, not "
+                         f"{config.n}: its error bounds are third order")
     J = config.resolve_mesh()
     h = 1.0 / J
     profile = make_profile(alphabet, n=config.n, s_cap=config.s_cap,
@@ -286,10 +280,8 @@ def _engine(config: SolveConfig, cache: OperatorCache | None, profile,
             geometry, err: float, decide: bool = False) -> ProbeEngine:
     if cache is None:
         cache = OperatorCache(config.alphabet, geometry, profile.q)
-    return ProbeEngine(cache, geometry, profile, err,
-                       check_cone=config.mode == "certified",
-                       power_tol=config.power_tol,
-                       max_iter=config.max_power_iter, decide=decide)
+    return ProbeEngine(cache, profile, err,
+                       check_cone=config.mode == "certified", decide=decide)
 
 
 def solve_dimension(config: SolveConfig,
@@ -364,9 +356,8 @@ def convergence_study(config: SolveConfig, h_list,
     """Point-estimate s_h across meshes, with deltas and empirical orders.
 
     Unless config.tol_s is set, each s_h is bisected down to adjacent
-    doubles (tol_s = 0), not to the point-estimate default: at fine meshes
-    the deltas are a few ulp, and a midpoint of a 1e-15 interval would be
-    off by a sizeable share of them.
+    doubles (the point-estimate default): at fine meshes the deltas are a
+    few ulp.
 
     With a reference value: delta_i = |s_i - ref| and rate_i =
     log2(delta_{i-1}/delta_i).  Without: delta_i = |s_i - s_{i-1}| and the
@@ -374,11 +365,10 @@ def convergence_study(config: SolveConfig, h_list,
     h_list = list(h_list)
     if reference is None and len(h_list) < 3:
         raise ValueError("Richardson-style rates need at least 3 meshes")
-    tol_s = 0.0 if config.tol_s is None else config.tol_s
     rows = []
     for h in h_list:
         cfg = replace(config, h=float(h), J=None, mode="point-estimate",
-                      unsafe_h=True, tol_s=tol_s)
+                      unsafe_h=True)
         b = solve_dimension(cfg)
         rows.append({"h": float(h), "s_h": b.s_lo, "delta": None, "rate": None,
                      "wall_ms": b.wall_ms})

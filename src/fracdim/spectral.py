@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import KnotSequence, TensorGrid
+from .bspline import TensorGrid
 
 Array = np.ndarray
 
@@ -119,37 +119,26 @@ def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
                        converged=converged, decided=decided)
 
 
-def cone_membership(w: Array, geometry, M: float,
-                    sizes: tuple[int, int] | None = None) -> ConeCertificate:
+def cone_membership(w: Array, geometry: TensorGrid,
+                    M: float) -> ConeCertificate:
     """Check the log-Lipschitz bound |log w_i - log w_j| <= M dist(x_i, x_j)
     on grid-adjacent collocation midpoints.
 
     Adjacency suffices for all pairs: the log-Lipschitz bound is additive
     along grid paths and the path length dominates the Euclidean distance.
-    For 2D vectors `sizes` gives the (rows, cols) = (y, x) grid shape; when
-    omitted the grid is assumed square.
+    w holds one value per knot-interval midpoint of the grid.
     """
     w = np.asarray(w, dtype=np.float64)
     if np.any(w <= 0):
         raise PositivityError("cone membership requires a strictly positive vector")
-    logw = np.log(w)
-    if isinstance(geometry, KnotSequence):
-        d, h = 1, geometry.h
-        ratio = np.abs(np.diff(logw)).max() / h if len(w) > 1 else 0.0
-    elif isinstance(geometry, TensorGrid):
-        d, h = geometry.d, geometry.h
-        if sizes is None:
-            side = math.isqrt(len(w))  # collocation midpoints per axis
-            sizes = (side, side)
-        if sizes[0] * sizes[1] != len(w):
-            raise ValueError("2D sample vector length does not match the grid")
-        G = logw.reshape(sizes)  # row = y index, col = x index (x fastest)
-        rx = np.abs(np.diff(G, axis=1)).max() if sizes[1] > 1 else 0.0
-        ry = np.abs(np.diff(G, axis=0)).max() if sizes[0] > 1 else 0.0
-        ratio = max(rx, ry) / h
-    else:
-        raise TypeError("geometry must be a KnotSequence or TensorGrid")
-    return ConeCertificate(M=float(M), d=d, h=h,
+    shape = geometry.sample_shape
+    if w.size != math.prod(shape):
+        raise ValueError("sample vector length does not match the grid")
+    logw = np.log(w).reshape(shape)
+    ratio = max((np.abs(np.diff(logw, axis=a)).max()
+                 for a in range(logw.ndim) if shape[a] > 1),
+                default=0.0) / geometry.h
+    return ConeCertificate(M=float(M), d=geometry.d, h=geometry.h,
                            adjacent_ratio_max=float(ratio),
                            member=bool(ratio <= M))
 

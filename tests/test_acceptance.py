@@ -257,8 +257,9 @@ class TestCriterion7OracleEquivalence:
 
     def test_1d_direct_evaluation_100_vectors(self):
         alphabet = make_alphabet_1d([1, 2, 3])
-        ks = make_geometry(1, 16, 2)
-        op = OperatorCache(alphabet, ks).matrix(0.7)
+        grid = make_geometry(1, 16, 2)
+        op = OperatorCache(alphabet, grid).matrix(0.7)
+        ks, = grid.axes
         m1, nc = ks.J + 4, ks.J + 2
         x = ks.midpoints
         splines = [self._spline(ks, c) for c in range(nc)]
@@ -345,8 +346,7 @@ class TestCriterion8HiddenPositivity:
         cache = OperatorCache(make_alphabet_2d([(1, 0)]), geometry)
         res = power_iteration(cache.matrix(1.0), max_iter=400)
         assert res.w.min() > 0.0
-        cert = cone_membership(res.w, geometry, 787.0,
-                               sizes=(cache.m1s[1], cache.m1s[0]))
+        cert = cone_membership(res.w, geometry, 787.0)
         assert cert.member
         assert cert.adjacent_ratio_max < 787.0
 

@@ -5,7 +5,7 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 
 from fracdim.assembly import OperatorCache
-from fracdim.bspline import make_uniform_knots
+from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
 from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import make_geometry
@@ -72,8 +72,9 @@ class TestOracle1D:
     @pytest.mark.parametrize("J", [8, 11, 16])
     def test_matches_direct_evaluation(self, J):
         alphabet = make_alphabet_1d([1, 2, 3])
-        ks = make_geometry(1, J, 2)
-        cache = OperatorCache(alphabet, ks)
+        grid = make_geometry(1, J, 2)
+        cache = OperatorCache(alphabet, grid)
+        ks, = grid.axes
         rng = np.random.default_rng(J)
         for s in (0.4, 0.531280506277205, 0.9):
             op = cache.matrix(s)
@@ -176,4 +177,5 @@ class TestFullBasis:
         # without padding some images spill past the unity region
         alphabet = make_alphabet_1d([1, 2])
         with pytest.raises(ValueError, match="leave the padded spline range"):
-            OperatorCache(alphabet, make_uniform_knots(0.0, 1.0, 32, 2))
+            OperatorCache(alphabet,
+                          TensorGrid((make_uniform_knots(0.0, 1.0, 32, 2),)))

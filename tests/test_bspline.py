@@ -166,15 +166,6 @@ class TestTensor:
                     eval_bspline(grid.axes[0], kx, 0.3)
                     * eval_bspline(grid.axes[1], ky, 0.1), abs=1e-15)
 
-    def test_flatten_roundtrip(self):
-        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 5, 2),
-                           make_uniform_knots(-0.5, 0.5, 5, 2)))
-        for ix in range(5):
-            for iy in range(5):
-                flat = grid.flatten_index((ix, iy))
-                assert flat == ix + 5 * iy
-                assert grid.unflatten_index(flat) == (ix, iy)
-
     def test_mismatched_axes_rejected(self):
         with pytest.raises(ValueError):
             TensorGrid((make_uniform_knots(0.0, 1.0, 5, 2),

@@ -104,6 +104,13 @@ class TestCertify:
         assert run(["certify", "--alphabet", "1,2", "--h", "1/25"]) == \
             EXIT_INADMISSIBLE
 
+    def test_2d_degree_4_refused(self, capsys):
+        # the degree refusal comes before the admissibility check (exit 2)
+        code = run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
+                    "--h", "1/30", "--degree", "4"])
+        assert code == EXIT_USAGE
+        assert "needs spline degree n = 2" in capsys.readouterr().err
+
     def test_tsv_format(self, capsys):
         code = run(["certify", "--alphabet", "1,2", "--h", "1/64",
                     "--tol-s", "1e-6", "--format", "tsv"])

@@ -130,13 +130,30 @@ class TestProfiles:
     def test_1d_default_profile(self):
         p = make_profile(make_alphabet_1d([1, 2]))
         assert p.s_cap == 1.0
-        assert p.K == 4.0 and p.A == 0.25 and p.B == pytest.approx(4.0, rel=1e-15)
+        # A = 4^-1 is exact in binary; rounding down still takes one ulp off
+        assert p.K == 4.0 and p.A == math.nextafter(0.25, 0)
+        assert p.B == pytest.approx(4.0, rel=1e-15)
         assert p.D == 2.0
         assert p.M == 36.0
         assert p.err_coefficient == pytest.approx(162.0, rel=1e-12)
         # worked constants: C1 = 864, C2 = 648
         assert p.C1 == pytest.approx(864.0, rel=1e-9)
         assert p.C2 == pytest.approx(648.0, rel=1e-9)
+
+    @pytest.mark.parametrize("alphabet, s_cap", [
+        (make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)]), None),
+        (make_alphabet_1d([2, 3]), 1.0),
+        (make_alphabet_1d([1, 2]), None),
+    ], ids=["2d-default", "2,3-cap-1", "1,2-default"])
+    def test_A_is_a_lower_bound(self, alphabet, s_cap):
+        # A = K^-s_cap bounds the eigenfunction from below, so the double
+        # must not exceed the exact power of the doubles K and s_cap
+        mpmath = pytest.importorskip("mpmath")
+        p = make_profile(alphabet, s_cap=s_cap)
+        with mpmath.workdps(50):
+            exact = mpmath.power(mpmath.mpf(p.K), -mpmath.mpf(p.s_cap))
+            assert mpmath.mpf(p.A) <= exact
+            assert mpmath.mpf(p.B) >= 1 / exact
 
     def test_2d_default_profile(self):
         p = make_profile(make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)]))

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from fracdim.assembly import OperatorCache, TransferOperator
-from fracdim.bspline import KnotSequence, TensorGrid
+from fracdim.bspline import TensorGrid
 from fracdim.cli import run
 from fracdim.constants import make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
@@ -31,10 +31,11 @@ def dense_rho(cache, s):
 class TestGeometry:
     def test_1d(self):
         g = make_geometry(1, 16, 2)
-        assert isinstance(g, KnotSequence)
+        assert isinstance(g, TensorGrid) and g.d == 1
         assert g.h == pytest.approx(1.0 / 16)
         # [0, 1] padded by n subintervals past x = 1
-        assert (g.domain_lo, g.domain_hi) == (0.0, pytest.approx(1.125))
+        x, = g.axes
+        assert (x.domain_lo, x.domain_hi) == (0.0, pytest.approx(1.125))
 
     def test_2d(self):
         g = make_geometry(2, 8, 2)
@@ -84,7 +85,7 @@ class TestResolveMesh:
 
 class TestResolveTol:
     def test_defaults(self):
-        assert SolveConfig(A12, J=10, mode="point-estimate").resolve_tol() == 1e-15
+        assert SolveConfig(A12, J=10, mode="point-estimate").resolve_tol() == 0.0
         assert SolveConfig(A12, J=10).resolve_tol() == 1e-14
         assert SolveConfig(A2D, J=10).resolve_tol() == 1e-10
 
@@ -111,6 +112,14 @@ class TestPointEstimateOracle:
         s_oracle = brentq(lambda s: dense_rho(cache, s) - 1.0, 0.9, 1.4,
                           xtol=1e-13)
         assert b.s_lo == pytest.approx(s_oracle, abs=1e-9)
+
+    def test_estimate_resolves_to_adjacent_doubles(self):
+        # the discrete root at 1/3200 nodes is 0.53128050627720421 (an 80-bit
+        # rebuild of the same operator); bisecting only to 1e-15 returned the
+        # midpoint 0.5312805062772044, 2 ulp above it
+        b = solve_dimension(SolveConfig(A12, h=1.0 / 3200, mesh="nodes",
+                                        mode="point-estimate"))
+        assert b.s_lo == b.s_hi == 0.5312805062772041
 
     def test_deterministic(self):
         cfg = SolveConfig(A12, J=32, mode="point-estimate", unsafe_h=True)
@@ -141,6 +150,14 @@ class TestCertified:
         # certified mode enforces admissibility even with unsafe_h
         with pytest.raises(InadmissibleMeshError):
             solve_dimension(SolveConfig(A12, J=25, unsafe_h=True))
+
+    def test_2d_degree_other_than_2_refused(self):
+        # the 2D error bounds are third order, i.e. valid for n = 2 only;
+        # the refusal comes before the admissibility check
+        with pytest.raises(ValueError, match="needs spline degree n = 2"):
+            solve_dimension(SolveConfig(A2D, J=30, n=4))
+        with pytest.raises(ValueError, match="needs spline degree n = 2"):
+            lambda_bracket(SolveConfig(A2D, J=30, n=4), 1.1)
 
     def test_point_estimate_needs_unsafe_for_coarse(self):
         with pytest.raises(InadmissibleMeshError):
@@ -206,13 +223,10 @@ class TestEarlyDecision:
 
     def test_audit_passes_on_decided_records(self):
         J = 64
-        cfg = SolveConfig(A12, J=J)
         profile = make_profile(A12)
-        geometry = make_geometry(1, J, 2)
-        engine = ProbeEngine(OperatorCache(A12, geometry), geometry, profile,
-                             profile.err(1.0 / J), check_cone=True,
-                             power_tol=cfg.power_tol,
-                             max_iter=cfg.max_power_iter, decide=True)
+        engine = ProbeEngine(OperatorCache(A12, make_geometry(1, J, 2)),
+                             profile, profile.err(1.0 / J), check_cone=True,
+                             decide=True)
         for s in np.linspace(0.3, 0.8, 11):
             engine.probe(s)
         recs = list(engine.records.values())
@@ -228,7 +242,8 @@ class TestEarlyDecision:
         alpha = lo / ((1 - err) * (1 - FLOAT_SLACK))
         beta = hi / ((1 + err) * (1 + FLOAT_SLACK))
         assert lo > 1.0
-        assert 0.0 <= beta - alpha <= 10 * cfg.power_tol * alpha
+        # power_iteration's default tolerance is 1e-14
+        assert 0.0 <= beta - alpha <= 10 * 1e-14 * alpha
 
     def test_point_mode_converges(self):
         b = solve_dimension(SolveConfig(A12, J=64, mode="point-estimate",
@@ -291,9 +306,7 @@ class TestMonotonicityAudit:
     def test_rising_estimates_raise(self):
         cache = OperatorCache(A12, make_geometry(1, 16, 2))
         profile = make_profile(A12)
-        engine = ProbeEngine(cache, make_geometry(1, 16, 2), profile, 0.0,
-                             check_cone=False, power_tol=1e-14,
-                             max_iter=1000)
+        engine = ProbeEngine(cache, profile, 0.0, check_cone=False)
         engine.records = {
             0.5: {"s": 0.5, "lam": 1.0, "alpha": 1.0, "beta": 1.0},
             0.6: {"s": 0.6, "lam": 1.5, "alpha": 1.5, "beta": 1.5},

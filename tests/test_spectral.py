@@ -124,29 +124,34 @@ class TestDecisionStop:
 
 class TestConeMembership:
     def test_1d_member(self):
-        ks = make_uniform_knots(0.0, 1.0, 32, 2)
-        x = np.linspace(0.0, 1.0, ks.J + ks.n)
+        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 32, 2),))
+        x = np.linspace(0.0, 1.0, grid.axes[0].num_intervals)
         w = np.exp(-2.0 * x)  # log-slope 2 per unit, grid step scaled by h
-        cert = cone_membership(w, ks, M=36.0)
+        cert = cone_membership(w, grid, M=36.0)
         assert cert.member
         assert cert.d == 1
         # adjacent log-increment is 2 * (spacing of x) / h
-        expect = 2.0 * (x[1] - x[0]) / ks.h
+        expect = 2.0 * (x[1] - x[0]) / grid.h
         assert cert.adjacent_ratio_max == pytest.approx(expect, rel=1e-10)
 
     def test_1d_violator(self):
-        ks = make_uniform_knots(0.0, 1.0, 16, 2)
-        w = np.ones(ks.J + ks.n)
+        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 16, 2),))
+        w = np.ones(grid.axes[0].num_intervals)
         w[5] = 100.0  # log-jump of log(100) over one step h
-        cert = cone_membership(w, ks, M=36.0)
+        cert = cone_membership(w, grid, M=36.0)
         assert not cert.member
         assert cert.adjacent_ratio_max == pytest.approx(
-            np.log(100.0) / ks.h, rel=1e-12)
+            np.log(100.0) / grid.h, rel=1e-12)
+
+    def test_1d_bad_length(self):
+        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 16, 2),))
+        with pytest.raises(ValueError, match="does not match the grid"):
+            cone_membership(np.ones(grid.J + grid.n), grid, M=36.0)
 
     def test_2d_grid_inference(self):
         grid = TensorGrid((make_uniform_knots(0.0, 1.0, 8, 2),
                            make_uniform_knots(-0.5, 0.5, 8, 2)))
-        side = grid.J + grid.n
+        side = grid.axes[0].num_intervals  # the grid shape comes from the axes
         ix = np.tile(np.arange(side), side)
         iy = np.repeat(np.arange(side), side)
         w = np.exp(0.5 * grid.h * (ix + 2 * iy))
@@ -163,9 +168,9 @@ class TestConeMembership:
             cone_membership(np.ones(99), grid, M=36.0)
 
     def test_nonpositive_rejected(self):
-        ks = make_uniform_knots(0.0, 1.0, 8, 2)
+        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 8, 2),))
         with pytest.raises(PositivityError):
-            cone_membership(np.zeros(ks.J + ks.n), ks, M=1.0)
+            cone_membership(np.zeros(grid.axes[0].num_intervals), grid, M=1.0)
 
 
 class TestSpectralBracket:

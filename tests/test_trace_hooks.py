@@ -1,0 +1,36 @@
+"""The benchmark's traced runner still finds every name it wraps.
+
+perfbench/child.py puts timing wrappers on public names of fracdim.solver
+and on OperatorCache, TransferOperator and ProbeEngine methods.  A rename or
+a call path that skips one of them breaks the per-layer trace without
+failing any solver test, so this runs the traced child on tiny inputs and
+checks that every span shows up.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+SPANS = {"constants", "assembly.build", "assembly.rebuild", "assembly.matvec",
+         "assembly.W_apply", "spectral.power", "spectral.cone",
+         "spectral.bracket", "solver.probe", "solver.solve"}
+
+
+@pytest.mark.skipif(not CHILD.exists(), reason="no benchmark runner")
+@pytest.mark.parametrize("argv", [
+    ["certify", "--alphabet", "primes<50", "--h", "1/50"],
+    ["estimate", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)", "--h", "1/40",
+     "--unsafe-h"],
+], ids=["1d-certify", "2d-estimate"])
+def test_traced_run_records_every_span(argv, tmp_path):
+    result, spans = tmp_path / "result.json", tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(result), "1", str(spans), "--", *argv],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(result.read_text())["exit_code"] == 0
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert SPANS - names == set()
