@@ -21,9 +21,9 @@ is rejected.
 
 Entries depend on s only through the factor ||Dphi_e(x)||^s, so an
 OperatorCache precomputes all s-independent structure (CSR pattern of G,
-basis-value products, and log derivative norms per contribution) once per
-mesh and rebuilds only the value array per s probe.  W is applied per axis
-(never materialized as a tensor).
+basis-value products, and one log derivative norm per (point, letter)) once
+per mesh and rebuilds only the value array per s probe, with one exp per
+(point, letter).  W is applied per axis (never materialized as a tensor).
 
 The geometry is a TensorGrid in every dimension (1D is its one-axis case),
 so each step here is written once, as a loop over the axes.
@@ -162,12 +162,13 @@ class OperatorCache:
             cols, base, lg = self._letter_block(e, p)
             cols_parts.append(cols.astype(np.int32))
             base_parts.append(base)
-            lg_parts.append(np.repeat(lg[:, None], K, axis=1))
+            lg_parts.append(lg)
         # row-major concatenation across letters keeps contributions grouped
-        # by collocation point, as CSR requires
+        # by collocation point, as CSR requires; _base viewed as (N |E|, K)
+        # has one row per (point, letter), in the order of _lg
         self._indices = np.concatenate(cols_parts, axis=1).ravel()
-        self._base = np.concatenate(base_parts, axis=1).ravel()
-        self._lg = np.concatenate(lg_parts, axis=1).ravel()
+        self._base = np.concatenate(base_parts, axis=1).reshape(-1, K)
+        self._lg = np.stack(lg_parts, axis=1).ravel()
         del cols_parts, base_parts, lg_parts, p
         row_len = K * len(self.alphabet.letters)
         self._indptr = np.arange(self.N + 1, dtype=np.int64) * row_len
@@ -178,7 +179,7 @@ class OperatorCache:
         """G(s): values of the weighted splines at the mapped points.
         Rows may hold duplicate column entries (one per letter); sparse
         matrix-vector products sum them."""
-        data = self._base * np.exp(s * self._lg)
+        data = (self._base * np.exp(s * self._lg)[:, None]).ravel()
         return sparse.csr_matrix((data, self._indices, self._indptr),
                                  shape=(self.N, self.Ncoef))
 

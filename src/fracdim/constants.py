@@ -26,6 +26,12 @@ def round_down(x: float) -> float:
     return math.nextafter(x, -math.inf)
 
 
+def round_up_fraction(x: Fraction) -> float:
+    """The least double >= the exact rational x."""
+    f = float(x)  # correctly rounded
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
 def distortion_K(alphabet) -> float:
     """Bounded-distortion constant of the continued-fraction system."""
     if not alphabet.letters:
@@ -169,14 +175,14 @@ def bramble_hilbert_constant(n_total: int, d: int, j: int) -> float:
 
 def err_coefficient_1d(s: float, n: int) -> float:
     """Coefficient c with |f - Qf| <= c * f * h^{n+1} for the 1D eigenfunction:
-    (n+1)^n ||Q|| / n! * (2s)(2s+1)...(2s+n).  Exact for rational s."""
+    (n+1)^n ||Q|| / n! * (2s)(2s+1)...(2s+n).  Exact in rationals, rounded up."""
     q = make_quasi_interpolant(n)
     sf = Fraction(s)  # exact binary value of the float
     prod = Fraction(1)
     for i in range(n + 1):
         prod *= 2 * sf + i
     coeff = Fraction((n + 1) ** n, math.factorial(n)) * q.q_norm_exact * prod
-    return float(coeff)
+    return round_up_fraction(coeff)
 
 
 def err_coefficient_2d(s: float, n: int) -> float:
@@ -207,7 +213,12 @@ class RigorProfile:
     q: QuasiInterpolant = field(repr=False)
 
     def err(self, h: float) -> float:
-        return self.err_coefficient * h ** (self.n + 1)
+        """err_coefficient * h^{n+1}, rounded up.  An h that is the double
+        nearest 1/J stands for the exact 1/J."""
+        J = round(1.0 / h)
+        exact_h = Fraction(1, J) if J >= 1 and 1.0 / J == h else Fraction(h)
+        return round_up_fraction(Fraction(self.err_coefficient)
+                                 * exact_h ** (self.n + 1))
 
 
 def make_profile(alphabet, n: int = 2, s_cap: float | None = None,

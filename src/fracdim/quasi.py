@@ -151,10 +151,13 @@ def _coefficients_1d_all(q: QuasiInterpolant, ks: KnotSequence, samples: Array) 
 def eval_quasi_interpolant(q: QuasiInterpolant, geometry, samples, x) -> Array:
     """Qf(x) = sum_{k ~ x} (Q_k f) b_k(x).
 
-    geometry: KnotSequence (1D, samples over all J+2n midpoints) or TensorGrid
-    (samples as a (J+2n)^d array, axes x, y, ...).  x: scalar/array (1D) or
-    (..., d) points.  Points must lie in the parameter region.
+    geometry: KnotSequence or one-axis TensorGrid (1D, samples over all J+2n
+    midpoints) or TensorGrid (samples as a (J+2n)^d array, axes x, y, ...).
+    x: scalar/array (1D) or (..., d) points.  Points must lie in the
+    parameter region.
     """
+    if isinstance(geometry, TensorGrid) and geometry.d == 1:
+        geometry, = geometry.axes
     if isinstance(geometry, KnotSequence):
         ks = geometry
         lo, hi = parameter_interval(ks)
@@ -192,10 +195,7 @@ def eval_quasi_interpolant(q: QuasiInterpolant, geometry, samples, x) -> Array:
         Bs.append(B)
     out = np.zeros(pts.shape[0])
     n = grid.n
-    if grid.d == 1:
-        for r in range(n + 1):
-            out += Bs[0][:, r] * coeffs[ells[0] - n + r]
-    elif grid.d == 2:
+    if grid.d == 2:
         for rx in range(n + 1):
             for ry in range(n + 1):
                 out += (Bs[0][:, rx] * Bs[1][:, ry]

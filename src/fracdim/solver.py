@@ -18,7 +18,8 @@ from .bspline import TensorGrid, make_uniform_knots
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
 from .maps import Alphabet
-from .spectral import cone_membership, power_iteration, spectral_bracket
+from .spectral import (cone_membership, power_iteration, scaled_bracket,
+                       spectral_bracket)
 
 
 class InadmissibleMeshError(RuntimeError):
@@ -186,13 +187,14 @@ class ProbeEngine:
                 f"eigenvector left the cone at s = {s}: adjacent log ratio "
                 f"{cone.adjacent_ratio_max:.6g} > M = {self.profile.M}")
         br = spectral_bracket(m, res.w, res.iterations, y=res.y)
+        lam_lo, lam_hi = scaled_bracket(br.alpha, br.beta, self.err)
         rec = {
             "s": s,
             "alpha": br.alpha,
             "beta": br.beta,
             "lam": res.lam,
-            "lam_lo": (1.0 - self.err) * br.alpha,
-            "lam_hi": (1.0 + self.err) * br.beta,
+            "lam_lo": lam_lo,
+            "lam_hi": lam_hi,
             "iterations": res.iterations,
             "spread": br.residual,
             "cone_ratio": cone.adjacent_ratio_max,
@@ -241,7 +243,8 @@ def _setup(config: SolveConfig):
     Raises InadmissibleMeshError when h exceeds the admissible bound (only a
     point estimate may pass unsafe_h to go on), and, in certified mode,
     ValueError for a 2D degree other than 2 (its error bounds are third
-    order) and CertificationError when M' >= M or err >= 1.
+    order) and for s_max above s_cap (the constants hold only up to s_cap),
+    and CertificationError when M' >= M or err >= 1.
     Returns (h, profile, geometry, breakdown, constants, err).
     """
     alphabet = config.alphabet
@@ -253,6 +256,10 @@ def _setup(config: SolveConfig):
     h = 1.0 / J
     profile = make_profile(alphabet, n=config.n, s_cap=config.s_cap,
                            alpha=config.alpha, beta=config.beta, M=config.M)
+    if certified and config.s_max is not None and config.s_max > profile.s_cap:
+        raise ValueError(f"s_max = {config.s_max!r} exceeds s_cap = "
+                         f"{profile.s_cap!r}: the certified constants hold "
+                         "only up to s_cap")
     geometry = make_geometry(alphabet.d, J, config.n)
     breakdown = admissible_h(profile, alphabet)
     if h > breakdown["overall"] and (certified or not config.unsafe_h):
@@ -285,14 +292,25 @@ def _engine(config: SolveConfig, cache: OperatorCache | None, profile,
 
 
 def solve_dimension(config: SolveConfig,
-                    cache: OperatorCache | None = None) -> DimensionBracket:
+                    engine: ProbeEngine | None = None) -> DimensionBracket:
+    """Bisect to the bracket (certified) or point estimate of config.
+
+    A given engine supplies its operator cache and its cached probes; it
+    must have been built for this config's mesh, s cap, err, cone and mode.
+    """
     t0 = time.perf_counter()
     h, profile, geometry, breakdown, constants, err = _setup(config)
     d = config.alphabet.d
     certified = config.mode == "certified"
     # only the certified bisections ask a yes/no question per probe; a point
     # estimate bisects on the converged eigenvalue itself
-    engine = _engine(config, cache, profile, geometry, err, decide=certified)
+    if engine is None:
+        engine = _engine(config, None, profile, geometry, err, decide=certified)
+    elif ((engine.err, engine.profile.s_cap, engine.profile.M, engine.decide,
+           engine.cache.geometry.h)
+          != (err, profile.s_cap, profile.M, certified, geometry.h)):
+        raise ValueError("the probe engine was built for another mesh, "
+                         "s cap, err, cone or mode")
     tol = config.resolve_tol()
     s_min = config.s_min
     if config.s_max is not None:
@@ -320,33 +338,44 @@ def solve_dimension(config: SolveConfig,
 def lambda_bracket(config: SolveConfig, s: float,
                    cache: OperatorCache | None = None) -> tuple[float, float]:
     """One probe: (lam_lo, lam_hi) bracketing the eigenvalue of the scaled
-    pair at s, behind the same guards as solve_dimension.  The power
-    iteration runs to convergence, so the bracket is tight."""
-    _, profile, geometry, _, _, err = _setup(config)
+    pair at s, behind the same guards as solve_dimension (so a certified s
+    may not exceed s_cap).  The power iteration runs to convergence, so the
+    bracket is tight."""
+    _, profile, geometry, _, _, err = _setup(replace(config, s_max=s))
     rec = _engine(config, cache, profile, geometry, err).probe(s)
     return rec["lam_lo"], rec["lam_hi"]
 
 
 def two_step_refinement(config: SolveConfig) -> DimensionBracket:
-    """Certified 2D solve in two passes: pass 1 bounds err with the default
-    s cap; pass 2 reruns with the cap lowered to just above pass 1's upper
-    endpoint, shrinking err (which can only move s_lo up and s_hi down).
-    Both passes share one operator: the mesh and degree do not change."""
+    """Certified 2D solve in two passes.  Pass 1 bisects to 1e-6 under the
+    given s cap; pass 2 bisects to the final tolerance with the cap lowered
+    to just above pass 1's upper endpoint, which shrinks err (so it can only
+    move s_lo up and s_hi down).
+
+    When the cap does not drop, pass 2 has pass 1's err and cone, so it
+    continues pass 1's bisection on pass 1's engine: bisecting the same
+    interval to the finer tolerance first visits pass 1's midpoints, all
+    cached, and ends where a single pass would.  When the cap drops, pass 2
+    probes on a new engine over the same operator cache (the mesh and degree
+    do not change)."""
     if config.alphabet.d != 2:
         raise ValueError("two-step refinement applies to 2D systems")
     if config.mode != "certified":
         raise ValueError("two-step refinement is a certified-mode procedure")
     t0 = time.perf_counter()
-    tol = config.resolve_tol()
-    first_cfg = replace(config, tol_s=max(tol, 1e-6))
-    _, profile, geometry, _, _, _ = _setup(first_cfg)
-    cache = OperatorCache(config.alphabet, geometry, profile.q)
-    first = solve_dimension(first_cfg, cache)
-    margin = 1e-3
-    s_cap_2 = min(first.constants["s_cap"], first.s_hi + margin)
-    second_cfg = replace(config, s_cap=s_cap_2, s_min=first.s_lo,
-                         s_max=min(first.s_hi + margin, 2.0))
-    second = solve_dimension(second_cfg, cache)
+    first_cfg = replace(config, tol_s=max(config.resolve_tol(), 1e-6))
+    _, profile, geometry, _, _, err = _setup(first_cfg)
+    engine = _engine(first_cfg, None, profile, geometry, err, decide=True)
+    first = solve_dimension(first_cfg, engine)
+    s_cap_2 = min(profile.s_cap, first.s_hi + 1e-3)
+    second_cfg = config
+    if s_cap_2 < profile.s_cap:
+        second_cfg = replace(config, s_cap=s_cap_2, s_min=first.s_lo,
+                             s_max=s_cap_2)
+        _, profile, _, _, _, err = _setup(second_cfg)
+        engine = _engine(second_cfg, engine.cache, profile, geometry, err,
+                         decide=True)
+    second = solve_dimension(second_cfg, engine)
     return replace(second, first_pass=first,
                    wall_ms=(time.perf_counter() - t0) * 1000.0)
 

@@ -62,6 +62,16 @@ def _widen(rmin: float, rmax: float) -> tuple[float, float]:
     return rmin * (1.0 - FLOAT_SLACK), rmax * (1.0 + FLOAT_SLACK)
 
 
+def scaled_bracket(alpha: float, beta: float,
+                   err: float) -> tuple[float, float]:
+    """(lam_lo, lam_hi) = ((1-err) alpha, (1+err) beta) for alpha, beta >= 0,
+    each factor and product rounded outward, so the floats enclose the
+    exact products."""
+    down, up = -math.inf, math.inf
+    return (math.nextafter(math.nextafter(1.0 - err, down) * alpha, down),
+            math.nextafter(math.nextafter(1.0 + err, up) * beta, up))
+
+
 def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
                     start: Array | None = None,
                     decide_err: float | None = None) -> PowerResult:
@@ -69,10 +79,9 @@ def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
     ratios (Lw)_i/w_i falls below tol, stops improving, or max_iter hits.
 
     With decide_err = err, also stop at the first iterate whose widened
-    bracket scaled by 1 -/+ err excludes 1, i.e. (1-err) alpha >= 1 or
-    (1+err) beta <= 1 in the rounding order of the certified probe's
-    lam_lo and lam_hi: that iterate already decides whether s lies below or
-    above the dimension.
+    bracket scaled by 1 -/+ err (scaled_bracket, as the certified probe's
+    lam_lo and lam_hi) excludes 1: that iterate already decides whether s
+    lies below or above the dimension.
 
     Raises PositivityError if any iterate entry fails to stay positive;
     non-convergence is reported via the converged flag, not an exception
@@ -99,9 +108,8 @@ def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
         if converged or stale >= 10 or it == max_iter:
             break
         if decide_err is not None:
-            alpha, beta = _widen(rmin, rmax)
-            if ((1.0 - decide_err) * alpha >= 1.0
-                    or (1.0 + decide_err) * beta <= 1.0):
+            lam_lo, lam_hi = scaled_bracket(*_widen(rmin, rmax), decide_err)
+            if lam_lo >= 1.0 or lam_hi <= 1.0:
                 decided = True
                 break
         spread = (rmax - rmin) / max(abs(rmax), np.finfo(float).tiny)

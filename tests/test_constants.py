@@ -1,5 +1,6 @@
 """Rigor constants: exact values, published bounds, and internal consistency."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -203,6 +204,19 @@ class TestProfiles:
         p = make_profile(make_alphabet_1d([1, 2]))
         assert p.err(1e-4) == pytest.approx(162e-12, rel=1e-12)
         assert p.err(2e-4) / p.err(1e-4) == pytest.approx(8.0, rel=1e-12)
+
+    @pytest.mark.parametrize("J", [3, 64, 500, 3000, 10**5])
+    def test_err_is_least_double_above_exact(self, J):
+        # bounds coeff (1/J)^3 for the exact 1/J, not for its nearest double
+        # (at J = 3 and 3000 the double 1/J lies below 1/J)
+        for p in (make_profile(make_alphabet_1d([1, 2])),
+                  make_profile(make_alphabet_2d([(1, 0), (1, 1), (1, -1),
+                                                 (2, 0)]),
+                               s_cap=1.15, alpha=0.2, beta=0.2)):
+            exact = Fraction(p.err_coefficient) * Fraction(1, J) ** 3
+            err = p.err(1.0 / J)
+            assert Fraction(err) >= exact
+            assert Fraction(math.nextafter(err, 0.0)) < exact
 
     def test_profile_is_frozen(self):
         p = make_profile(make_alphabet_1d([1, 2]))

@@ -12,6 +12,7 @@ from fracdim.quasi import (coefficient_1d, coefficient_tensor,
                            eval_quasi_interpolant, make_quasi_interpolant,
                            positivity_threshold, tensor_positive_weight_sum,
                            tensor_q_norm, tensor_weights)
+from fracdim.solver import make_geometry
 
 
 def oracle_weights(n: int) -> list[Fraction]:
@@ -118,6 +119,18 @@ class TestReproduction:
                                np.linspace(-0.45, 0.45, 41)])
         vals = eval_quasi_interpolant(q, grid, samples, pts)
         assert np.abs(vals - p(pts[:, 0], pts[:, 1])).max() <= 1e-12
+
+    def test_one_axis_grid(self):
+        # the 1D geometry the solver builds is a one-axis TensorGrid
+        q = make_quasi_interpolant(2)
+        grid = make_geometry(1, 16, 2)
+        pts = np.array([0.2, 0.5])
+        np.testing.assert_array_equal(
+            eval_quasi_interpolant(q, grid, np.ones(grid.sample_shape), pts),
+            [1.0, 1.0])
+        x = grid.axes[0].midpoints
+        vals = eval_quasi_interpolant(q, grid, x * x, pts)
+        assert np.abs(vals - pts * pts).max() <= 1e-14
 
     @given(st.integers(min_value=2, max_value=4),
            st.floats(min_value=-1, max_value=1),

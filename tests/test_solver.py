@@ -11,7 +11,7 @@ from fracdim.assembly import OperatorCache, TransferOperator
 from fracdim.bspline import TensorGrid
 from fracdim.cli import run
 from fracdim.constants import make_profile
-from fracdim.maps import make_alphabet_1d, make_alphabet_2d
+from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.solver import (CertificationError, InadmissibleMeshError,
                             MonotonicityError, ProbeEngine, SolveConfig,
                             convergence_study, lambda_bracket, make_geometry,
@@ -269,6 +269,13 @@ class TestLambdaBracket:
         assert lo <= rho * (1 - err) * (1 + 1e-12)
         assert hi >= rho * (1 + err) * (1 - 1e-12)
 
+    def test_certified_probe_above_cap_refused(self):
+        with pytest.raises(ValueError, match="exceeds s_cap"):
+            lambda_bracket(SolveConfig(A12, J=64, s_cap=0.7), 0.8)
+        lo, hi = lambda_bracket(SolveConfig(A12, J=64, s_cap=0.7,
+                                            mode="point-estimate"), 0.8)
+        assert lo < 1.0
+
     def test_certified_ignores_unsafe_h(self):
         # unsafe_h lets only point estimates through an inadmissible mesh
         with pytest.raises(InadmissibleMeshError):
@@ -301,6 +308,17 @@ class TestBisectionEdges:
         with pytest.raises(ValueError, match="does not straddle"):
             solve_dimension(replace(cfg, s_max=s_max))
 
+    def test_ceiling_above_cap_refused(self):
+        # the constants hold only up to s_cap = 0.7, below this set's
+        # dimension 0.8368...: probing up to s_max = 1.0 would return a
+        # "certified" bracket that nothing certifies
+        cfg = SolveConfig(make_alphabet_1d(range(1, 6)), J=4000, s_cap=0.7,
+                          s_max=1.0)
+        with pytest.raises(ValueError, match="exceeds s_cap"):
+            solve_dimension(cfg)
+        with pytest.raises(ValueError, match="does not straddle"):
+            solve_dimension(replace(cfg, s_max=None))
+
 
 class TestMonotonicityAudit:
     def test_rising_estimates_raise(self):
@@ -329,6 +347,45 @@ class TestTwoStepRefinement:
     def test_rejects_point_estimate(self):
         with pytest.raises(ValueError):
             two_step_refinement(SolveConfig(A2D, J=10, mode="point-estimate"))
+
+    def test_same_cap_continues_first_pass(self):
+        # the certify-2d case: pass 1 ends within 1e-3 of s_cap = 1.15, so
+        # pass 2 keeps the cap, err and cone and finishes pass 1's bisection
+        # on its engine; every pass-1 probe is reused
+        b = two_step_refinement(SolveConfig(A2D, J=500, s_cap=1.15,
+                                            alpha=0.2, beta=0.2))
+        # the values a single solve_dimension pass returns
+        assert (b.s_lo, b.s_hi) == (1.149529368563135, 1.1496249226942479)
+        final = {p["s"] for p in b.probes}
+        assert {p["s"] for p in b.first_pass.probes} <= final
+        assert len(final) == 57
+        assert max(final) <= 1.15
+        assert b.constants["s_cap"] == b.first_pass.constants["s_cap"]
+
+    def test_lower_cap_probes_below_it(self):
+        # {(2,0),(3,0)} has dimension 0.3374...: pass 2 lowers the cap from
+        # 0.5 to s_hi_1 + 1e-3, which shrinks err and nests the bracket
+        b = two_step_refinement(SolveConfig(parse_alphabet("(2,0),(3,0)"),
+                                            J=230, s_cap=0.5, alpha=0.2,
+                                            beta=0.2))
+        first = b.first_pass
+        s_cap_2 = b.constants["s_cap"]
+        assert s_cap_2 == first.s_hi + 1e-3 < 0.5
+        assert b.err < first.err
+        assert first.s_lo <= b.s_lo < b.s_hi <= first.s_hi
+        assert all(first.s_lo <= p["s"] <= s_cap_2 for p in b.probes)
+
+    def test_solve_refuses_a_mismatched_engine(self):
+        cfg = SolveConfig(A12, J=64, tol_s=1e-6)
+        profile = make_profile(A12)
+        engine = ProbeEngine(OperatorCache(A12, make_geometry(1, 64, 2)),
+                             profile, profile.err(1.0 / 64), check_cone=True,
+                             decide=True)
+        assert solve_dimension(cfg, engine).s_lo < REF_1D
+        for other in (replace(cfg, J=80), replace(cfg, s_cap=0.9),
+                      replace(cfg, mode="point-estimate")):
+            with pytest.raises(ValueError, match="probe engine"):
+                solve_dimension(other, engine)
 
 
 class TestConvergenceStudy:

@@ -1,5 +1,8 @@
 """Power iteration, cone certificates, and spectral-radius brackets against
 dense eigensolver oracles."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -9,7 +12,8 @@ from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
 from fracdim.solver import make_geometry
 from fracdim.spectral import (FLOAT_SLACK, PositivityError, cone_membership,
-                              power_iteration, spectral_bracket)
+                              power_iteration, scaled_bracket,
+                              spectral_bracket)
 
 
 def dense_rho(A):
@@ -224,3 +228,31 @@ class TestSpectralBracket:
         res = power_iteration(A)
         np.testing.assert_array_equal(res.y, A @ res.w)
         assert spectral_bracket(A, res.w, y=res.y) == spectral_bracket(A, res.w)
+
+
+class TestScaledBracket:
+    @pytest.mark.parametrize("alpha, beta, err", [
+        (1.0000557, 1.0000558, 5.560774281469531e-05),
+        (0.9999999999, 1.0000000001, 6.000000000000001e-09),
+        (1 / 3, 2 / 3, 1 / 3),
+        (1.0, 1.0, 0.0),
+    ])
+    def test_encloses_exact_products(self, alpha, beta, err):
+        lo, hi = scaled_bracket(alpha, beta, err)
+        exact_lo = (1 - Fraction(err)) * Fraction(alpha)
+        exact_hi = (1 + Fraction(err)) * Fraction(beta)
+        assert Fraction(lo) <= exact_lo and exact_hi <= Fraction(hi)
+        # outward by a few ulp, not more
+        assert exact_lo - Fraction(lo) <= 4 * Fraction(math.ulp(lo))
+        assert Fraction(hi) - exact_hi <= 4 * Fraction(math.ulp(hi))
+
+    def test_decision_uses_the_probe_bracket(self):
+        # a decided iterate's scaled bracket, recomputed from its ratios,
+        # excludes 1 exactly as the decision rule saw it
+        A = 1.5 * np.eye(3) + 0.01 * np.ones((3, 3))
+        err = 0.1
+        res = power_iteration(A, decide_err=err)
+        assert res.decided
+        br = spectral_bracket(A, res.w, y=res.y)
+        lo, _ = scaled_bracket(br.alpha, br.beta, err)
+        assert lo >= 1.0
