@@ -31,7 +31,6 @@ so each step here is written once, as a loop over the axes.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 from scipy import sparse
@@ -47,8 +46,7 @@ class TransferOperator:
     """L_h(s) = G W as a matrix-free linear operator on sample vectors.
 
     Sample and coefficient vectors run with the first axis fastest.
-    Supports `op @ v` and `.shape`; `.tocsr()` materializes the product for
-    small problems (tests).
+    Supports `op @ v` and `.shape`.
     """
 
     def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...]):
@@ -70,13 +68,6 @@ class TransferOperator:
 
     def __matmul__(self, v: Array) -> Array:
         return self.G @ self.coefficients(v)
-
-    def tocsr(self) -> sparse.csr_matrix:
-        W = reduce(lambda inner, outer: sparse.kron(outer, inner, format="csr"),
-                   self.W1s)
-        G = self.G.copy()
-        G.sum_duplicates()
-        return (G @ W).tocsr()
 
 
 class OperatorCache:

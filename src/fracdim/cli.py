@@ -65,8 +65,8 @@ def parse_h_list(text: str) -> list[float]:
     if ".." in text:
         a_txt, b_txt = text.split("..")
         a, b = Fraction(a_txt), Fraction(b_txt)
-        if b > a:
-            raise ValueError("--h-list a..b needs a >= b (halving downward)")
+        if not 0 < b <= a:
+            raise ValueError("--h-list a..b needs 0 < b <= a (halving downward)")
         seq = [a]
         while seq[-1] > b:
             seq.append(seq[-1] / 2)
@@ -228,9 +228,10 @@ def _make_config(settings: dict, mode: str) -> SolveConfig:
     dim = settings.get("dim")
     if dim is not None and dim != alphabet.d:
         raise ValueError(f"--dim {dim} does not match the alphabet (d={alphabet.d})")
+    degree = settings.get("degree")
     return SolveConfig(
         alphabet=alphabet,
-        n=int(settings.get("degree") or 2),
+        n=2 if degree is None else int(degree),
         h=parse_h(settings["h"]) if settings.get("h") is not None else None,
         mode=mode,
         tol_s=settings.get("tol_s"),

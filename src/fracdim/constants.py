@@ -32,6 +32,13 @@ def round_up_fraction(x: Fraction) -> float:
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
+def exact_h(h: float) -> Fraction:
+    """The mesh width as an exact rational: an h that is the double nearest
+    1/J stands for the exact 1/J."""
+    J = round(1.0 / h)
+    return Fraction(1, J) if J >= 1 and 1.0 / J == h else Fraction(h)
+
+
 def distortion_K(alphabet) -> float:
     """Bounded-distortion constant of the continued-fraction system."""
     if not alphabet.letters:
@@ -213,12 +220,9 @@ class RigorProfile:
     q: QuasiInterpolant = field(repr=False)
 
     def err(self, h: float) -> float:
-        """err_coefficient * h^{n+1}, rounded up.  An h that is the double
-        nearest 1/J stands for the exact 1/J."""
-        J = round(1.0 / h)
-        exact_h = Fraction(1, J) if J >= 1 and 1.0 / J == h else Fraction(h)
+        """err_coefficient * h^{n+1} for the exact_h of h, rounded up."""
         return round_up_fraction(Fraction(self.err_coefficient)
-                                 * exact_h ** (self.n + 1))
+                                 * exact_h(h) ** (self.n + 1))
 
 
 def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
@@ -274,12 +278,16 @@ def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
 
 def cone_image_parameter(profile: RigorProfile, h: float) -> float:
     """M'(n,h) = (D B + C1 h^n) / (A - C2 h^{n+1}); the image of the cone K_M
-    under the discretized operator lies in K_{M'}."""
-    denom = profile.A - profile.C2 * h ** (profile.n + 1)
+    under the discretized operator lies in K_{M'}.  Evaluated in exact
+    rationals at the exact_h of h and rounded up."""
+    n, x = profile.n, exact_h(h)
+    loss = Fraction(profile.C2) * x ** (n + 1)
+    denom = Fraction(profile.A) - loss
     if denom <= 0:
         raise ValueError(f"mesh too coarse: C2 h^(n+1) = "
-                         f"{profile.C2 * h ** (profile.n + 1):.3e} >= A = {profile.A:.3e}")
-    return round_up((profile.D * profile.B + profile.C1 * h ** profile.n) / denom)
+                         f"{float(loss):.3e} >= A = {profile.A:.3e}")
+    return round_up_fraction((Fraction(profile.D) * Fraction(profile.B)
+                              + Fraction(profile.C1) * x ** n) / denom)
 
 
 def admissible_h(profile: RigorProfile, alphabet) -> dict[str, float]:

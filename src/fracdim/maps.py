@@ -72,12 +72,8 @@ def phi_1d(e: int, x):
     return 1.0 / (np.asarray(x, dtype=np.float64) + e)
 
 
-def dphi_norm_1d(e: int, x, s: float):
-    return (np.asarray(x, dtype=np.float64) + e) ** (-2.0 * s)
-
-
 def log_dphi_norm_1d(e: int, x):
-    """log of the unit-exponent derivative norm: dphi_norm = exp(s * this)."""
+    """log of the unit-exponent derivative norm: ||Dphi_e||^s = exp(s * this)."""
     return -2.0 * np.log(np.asarray(x, dtype=np.float64) + e)
 
 
@@ -88,14 +84,8 @@ def phi_2d(e: tuple[int, int], p):
     return q / np.sum(q * q, axis=-1, keepdims=True)
 
 
-def dphi_norm_2d(e: tuple[int, int], p, s: float):
-    p = np.asarray(p, dtype=np.float64)
-    q = p + np.asarray(e, dtype=np.float64)
-    return np.sum(q * q, axis=-1) ** (-s)
-
-
 def log_dphi_norm_2d(e: tuple[int, int], p):
-    """log of the unit-exponent derivative norm: dphi_norm = exp(s * this)."""
+    """log of the unit-exponent derivative norm: ||Dphi_e||^s = exp(s * this)."""
     p = np.asarray(p, dtype=np.float64)
     q = p + np.asarray(e, dtype=np.float64)
     return -np.log(np.sum(q * q, axis=-1))

@@ -90,6 +90,8 @@ class SolveConfig:
             return self.J
         if self.h is None:
             raise ValueError("one of h or J is required")
+        if not self.h > 0:
+            raise ValueError(f"h = {self.h} is not positive")
         J = round(1.0 / self.h)
         if J < 1 or abs(self.h * J - 1.0) > 1e-9:
             raise ValueError(f"h = {self.h} is not the reciprocal of an integer")

@@ -13,16 +13,17 @@ from fractions import Fraction
 from scipy.interpolate import BSpline
 
 from fracdim.assembly import OperatorCache
-from fracdim.bspline import local_basis, make_uniform_knots
+from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.cli import REPRODUCTIONS
 from fracdim.constants import (bramble_hilbert_constant, err_coefficient_1d,
                                legendre_projection_constants,
                                multivariate_error_constant)
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
-from fracdim.quasi import eval_quasi_interpolant, make_quasi_interpolant
+from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import (SolveConfig, convergence_study, lambda_bracket,
                             make_geometry, solve_dimension)
 from fracdim.spectral import cone_membership, power_iteration, spectral_bracket
+from oracles import eval_quasi_interpolant, local_basis, tocsr
 
 REF_12 = 0.531280506277205        # two-letter set {1,2}, independently known
 REF_34 = 0.980419625226979        # {1..34} at the finest published mesh
@@ -214,7 +215,7 @@ class TestCriterion6Constants:
                      lambda t: 3.0 * t - 1.0,
                      lambda t: t * t - 0.25 * t + 2.0):
             samples = poly(ks.midpoints)
-            got = eval_quasi_interpolant(q, ks, samples, xs)
+            got = eval_quasi_interpolant(q, TensorGrid((ks,)), samples, xs)
             assert np.abs(got - poly(xs)).max() <= 1e-12
 
     def test_weight_table_exact_rationals(self):
@@ -318,7 +319,7 @@ class TestCriterion7OracleEquivalence:
                 alphabet = make_alphabet_2d([(1, 0), (1, 1), (2, 0)])
                 s = 1.2
             geometry = make_geometry(d, J, 2)
-            m = OperatorCache(alphabet, geometry).matrix(s).tocsr()
+            m = tocsr(OperatorCache(alphabet, geometry).matrix(s))
             res = power_iteration(m)
             br = spectral_bracket(m, res.w, res.iterations)
             rho = np.abs(np.linalg.eigvals(m.toarray())).max()

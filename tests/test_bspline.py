@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from fracdim.bspline import (KnotSequence, TensorGrid, eval_bspline,
-                             eval_bspline_derivative, eval_tensor_bspline,
-                             local_basis, locate_interval, locate_intervals,
-                             make_uniform_knots, parameter_interval,
-                             relevant_indices, uniform_basis)
+from fracdim.bspline import (KnotSequence, TensorGrid, locate_intervals,
+                             make_uniform_knots, uniform_basis)
+from oracles import (eval_bspline, eval_bspline_derivative, local_basis,
+                     locate_interval, parameter_interval)
 
 
 def scipy_bspline(ks: KnotSequence, k: int):
@@ -30,10 +29,6 @@ class TestKnots:
         lo, hi = parameter_interval(ks)
         assert lo == -0.5 and hi == 0.5
         assert ks.knots[0] == pytest.approx(-0.5 - 2 * ks.h, abs=1e-16)
-
-    def test_interior_midpoints(self):
-        ks = make_uniform_knots(0.0, 1.0, 4, 2)
-        assert np.allclose(ks.interior_midpoints, [0.125, 0.375, 0.625, 0.875])
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -146,26 +141,8 @@ class TestLocation:
         assert B.sum() == pytest.approx(1.0, abs=1e-13)
         assert (B >= -1e-15).all()
 
-    def test_relevant_indices(self):
-        ks = make_uniform_knots(0.0, 1.0, 8, 2)
-        idx = relevant_indices(ks, 0.5)
-        assert len(idx) <= ks.n + 1
-        for k in idx:
-            assert eval_bspline(ks, k, 0.5) > 0
-
 
 class TestTensor:
-    def test_tensor_value(self):
-        grid = TensorGrid((make_uniform_knots(0.0, 1.0, 5, 2),
-                           make_uniform_knots(-0.5, 0.5, 5, 2)))
-        x = (0.3, 0.1)
-        for kx in range(3):
-            for ky in range(3):
-                v = eval_tensor_bspline(grid, (kx, ky), x)
-                assert v == pytest.approx(
-                    eval_bspline(grid.axes[0], kx, 0.3)
-                    * eval_bspline(grid.axes[1], ky, 0.1), abs=1e-15)
-
     def test_mismatched_axes_rejected(self):
         with pytest.raises(ValueError):
             TensorGrid((make_uniform_knots(0.0, 1.0, 5, 2),

@@ -27,6 +27,10 @@ class TestParseH:
             parse_h_list("1/100..1/25")
         with pytest.raises(ValueError):
             parse_h_list("1/25..1/75")
+        # halving never reaches a non-positive end
+        for text in ("1/25..0", "1/25..-1/50", "0..0"):
+            with pytest.raises(ValueError):
+                parse_h_list(text)
 
 
 class TestEstimate:
@@ -66,6 +70,9 @@ class TestEstimate:
 
     def test_missing_h(self, capsys):
         assert run(["estimate", "--alphabet", "1,2"]) == EXIT_USAGE
+        for h in ("0", "0/1"):
+            assert run(["estimate", "--alphabet", "1,2", "--h", h]) == EXIT_USAGE
+            assert "not positive" in capsys.readouterr().err
 
     def test_missing_alphabet(self, capsys):
         assert run(["estimate", "--h", "1/50"]) == EXIT_USAGE
@@ -105,11 +112,13 @@ class TestCertify:
             EXIT_INADMISSIBLE
 
     def test_2d_degree_4_refused(self, capsys):
-        # the degree refusal comes before the admissibility check (exit 2)
-        code = run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
-                    "--h", "1/30", "--degree", "4"])
-        assert code == EXIT_USAGE
-        assert "needs spline degree n = 2" in capsys.readouterr().err
+        # the degree refusal comes before the admissibility check (exit 2);
+        # degree 0 must not fall back to the default 2
+        for degree in ("0", "4"):
+            code = run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
+                        "--h", "1/30", "--degree", degree])
+            assert code == EXIT_USAGE
+            assert "needs spline degree n = 2" in capsys.readouterr().err
 
     def test_tsv_format(self, capsys):
         code = run(["certify", "--alphabet", "1,2", "--h", "1/64",
@@ -139,6 +148,9 @@ class TestConverge:
 
     def test_requires_h_list(self, capsys):
         assert run(["converge", "--alphabet", "1,2"]) == EXIT_USAGE
+        for h_list in ("1/25,0,1/50", "1/25..0"):
+            assert run(["converge", "--alphabet", "1,2", "--unsafe-h",
+                        "--h-list", h_list]) == EXIT_USAGE
 
     def test_json_rows(self, capsys):
         code = run(["converge", "--alphabet", "1,2",

@@ -195,6 +195,17 @@ class TestProfiles:
         assert mprime < p.M
         assert mprime == pytest.approx(109.7, rel=2e-2)
 
+    def test_cone_image_parameter_is_least_double_above_exact(self):
+        # the float formula at the double nearest 1/499 lands 2.2e-17
+        # relative below the exact M' for the exact 1/499
+        p = make_profile(make_alphabet_1d([1, 2]))
+        h = Fraction(1, 499)
+        exact = ((Fraction(p.D) * Fraction(p.B) + Fraction(p.C1) * h ** 2)
+                 / (Fraction(p.A) - Fraction(p.C2) * h ** 3))
+        mprime = cone_image_parameter(p, 1.0 / 499)
+        assert Fraction(mprime) >= exact
+        assert Fraction(math.nextafter(mprime, 0.0)) < exact
+
     def test_cone_image_parameter_coarse_mesh_rejected(self):
         p = make_profile(make_alphabet_1d([1, 2]))
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdim.maps import (Alphabet, dphi_norm_1d, dphi_norm_2d,
-                          log_dphi_norm_1d, log_dphi_norm_2d,
+from fracdim.maps import (Alphabet, log_dphi_norm_1d, log_dphi_norm_2d,
                           make_alphabet_1d, make_alphabet_2d, parse_alphabet,
                           phi_1d, phi_2d, primes_below)
+from oracles import dphi_norm_1d, dphi_norm_2d
 
 
 class TestMaps1D:

@@ -17,6 +17,7 @@ from fracdim.solver import (CertificationError, InadmissibleMeshError,
                             convergence_study, lambda_bracket, make_geometry,
                             solve_dimension, two_step_refinement)
 from fracdim.spectral import FLOAT_SLACK
+from oracles import tocsr
 
 A12 = make_alphabet_1d([1, 2])
 A2D = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
@@ -24,7 +25,7 @@ REF_1D = 0.531280506277205
 
 
 def dense_rho(cache, s):
-    m = cache.matrix(s).tocsr().toarray()
+    m = tocsr(cache.matrix(s)).toarray()
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
