@@ -42,6 +42,12 @@ from .quasi import QuasiInterpolant, make_quasi_interpolant
 Array = np.ndarray
 
 
+def check_degree(n: int) -> None:
+    """Collocation at interval midpoints needs an even degree n >= 2."""
+    if n % 2 != 0 or n < 2:
+        raise ValueError("collocation requires an even spline degree >= 2")
+
+
 class TransferOperator:
     """L_h(s) = G W as a matrix-free linear operator on sample vectors.
 
@@ -81,8 +87,7 @@ class OperatorCache:
         self.geometry = geometry
         self.axes = geometry.axes
         self.n = geometry.n
-        if self.n % 2 != 0 or self.n < 2:
-            raise ValueError("collocation requires an even spline degree >= 2")
+        check_degree(self.n)
         self.q = q if q is not None else make_quasi_interpolant(self.n)
         if self.q.n != self.n:
             raise ValueError("quasi-interpolant degree must match the mesh degree")

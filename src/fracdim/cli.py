@@ -52,11 +52,18 @@ REPRODUCTIONS = {
 }
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text.strip()!r} has a zero denominator") from None
+
+
 def parse_h(text: str) -> float:
     """Exact parse of a mesh size: fraction '1/3200' or literal '1e-4'."""
     text = str(text).strip()
     if "/" in text:
-        return float(Fraction(text))
+        return float(_fraction(text))
     return float(text)
 
 
@@ -64,7 +71,7 @@ def parse_h_list(text: str) -> list[float]:
     text = text.strip()
     if ".." in text:
         a_txt, b_txt = text.split("..")
-        a, b = Fraction(a_txt), Fraction(b_txt)
+        a, b = _fraction(a_txt), _fraction(b_txt)
         if not 0 < b <= a:
             raise ValueError("--h-list a..b needs 0 < b <= a (halving downward)")
         seq = [a]

@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .assembly import OperatorCache
+from .assembly import OperatorCache, check_degree
 from .bspline import TensorGrid, make_uniform_knots
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
@@ -160,9 +160,9 @@ class ProbeEngine:
     config, so results stay reproducible.
 
     With `decide` set, each probe stops power iteration at the first iterate
-    whose scaled bracket [lam_lo, lam_hi] excludes 1 (a "decided" record).
-    Such a record answers both certified predicates, lam_lo >= 1 and
-    lam_hi > 1, so a cached one serves either bisection as it stands.
+    that answers both certified predicates, lam_lo >= 1 and lam_hi > 1, as
+    a converged probe would (a "decided" record; see power_iteration), so a
+    cached one serves either bisection as it stands.
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
@@ -242,11 +242,12 @@ def _bisect(above, a: float, b: float, tol: float) -> tuple[float, float]:
 def _setup(config: SolveConfig):
     """Mesh, rigor profile and the guards every entry point shares.
 
-    Raises InadmissibleMeshError when h exceeds the admissible bound (only a
-    point estimate may pass unsafe_h to go on), and, in certified mode,
-    ValueError for a 2D degree other than 2 (its error bounds are third
-    order) and for s_max above s_cap (the constants hold only up to s_cap),
-    and CertificationError when M' >= M or err >= 1.
+    Raises ValueError for a degree that is odd or below 2, and
+    InadmissibleMeshError when h exceeds the admissible bound (only a point
+    estimate may pass unsafe_h to go on); in certified mode also ValueError
+    for a 2D degree other than 2 (its error bounds are third order) and for
+    s_max above s_cap (the constants hold only up to s_cap), and
+    CertificationError when M' >= M or err >= 1.
     Returns (h, profile, geometry, breakdown, constants, err).
     """
     alphabet = config.alphabet
@@ -254,6 +255,7 @@ def _setup(config: SolveConfig):
     if certified and alphabet.d == 2 and config.n != 2:
         raise ValueError(f"2D certification needs spline degree n = 2, not "
                          f"{config.n}: its error bounds are third order")
+    check_degree(config.n)
     J = config.resolve_mesh()
     h = 1.0 / J
     profile = make_profile(alphabet, n=config.n, s_cap=config.s_cap,

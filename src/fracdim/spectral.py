@@ -78,10 +78,20 @@ def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
     """Iterate w -> Lw / max(Lw), stopping when the relative spread of the
     ratios (Lw)_i/w_i falls below tol, stops improving, or max_iter hits.
 
-    With decide_err = err, also stop at the first iterate whose widened
-    bracket scaled by 1 -/+ err (scaled_bracket, as the certified probe's
-    lam_lo and lam_hi) excludes 1: that iterate already decides whether s
-    lies below or above the dimension.
+    With decide_err = err, also stop at the first iterate that answers both
+    certified bisection predicates, lam_lo >= 1 and lam_hi > 1.  With
+    (alpha, beta) the widened ratios, (lo, hi) = scaled_bracket(alpha, beta)
+    as the certified probe's lam_lo and lam_hi, and (lo_top, hi_bot) =
+    scaled_bracket(beta, alpha) the same products with the ratios swapped,
+    an iterate decides when
+      - lo >= 1: s lies below the dimension;
+      - hi <= 1: s lies above it;
+      - lo_top < 1 < hi_bot: s lies in the zone between the two endpoints.
+        When both are cone-certified, a converged bracket [alpha_c, beta_c]
+        and this one hold the same radius, so alpha_c <= beta and beta_c >=
+        alpha; rounding is monotone, so the converged lam_lo <= lo_top < 1
+        and lam_hi >= hi_bot > 1: it answers both predicates as this
+        iterate does.
 
     Raises PositivityError if any iterate entry fails to stay positive;
     non-convergence is reported via the converged flag, not an exception
@@ -108,8 +118,10 @@ def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
         if converged or stale >= 10 or it == max_iter:
             break
         if decide_err is not None:
-            lam_lo, lam_hi = scaled_bracket(*_widen(rmin, rmax), decide_err)
-            if lam_lo >= 1.0 or lam_hi <= 1.0:
+            alpha, beta = _widen(rmin, rmax)
+            lo, hi = scaled_bracket(alpha, beta, decide_err)
+            lo_top, hi_bot = scaled_bracket(beta, alpha, decide_err)
+            if lo >= 1.0 or hi <= 1.0 or (lo_top < 1.0 and hi_bot > 1.0):
                 decided = True
                 break
         spread = (rmax - rmin) / max(abs(rmax), np.finfo(float).tiny)

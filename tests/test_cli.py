@@ -31,6 +31,10 @@ class TestParseH:
         for text in ("1/25..0", "1/25..-1/50", "0..0"):
             with pytest.raises(ValueError):
                 parse_h_list(text)
+        # a zero denominator is a usage error, not a ZeroDivisionError
+        for text in ("1/0..1/50", "1/25..1/0", "1/25,1/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_h_list(text)
 
 
 class TestEstimate:
@@ -73,6 +77,8 @@ class TestEstimate:
         for h in ("0", "0/1"):
             assert run(["estimate", "--alphabet", "1,2", "--h", h]) == EXIT_USAGE
             assert "not positive" in capsys.readouterr().err
+        assert run(["estimate", "--alphabet", "1,2", "--h", "1/0"]) == EXIT_USAGE
+        assert "zero denominator" in capsys.readouterr().err
 
     def test_missing_alphabet(self, capsys):
         assert run(["estimate", "--h", "1/50"]) == EXIT_USAGE
@@ -119,6 +125,12 @@ class TestCertify:
                         "--h", "1/30", "--degree", degree])
             assert code == EXIT_USAGE
             assert "needs spline degree n = 2" in capsys.readouterr().err
+        # every entry point refuses an odd or too small degree before the
+        # rigor constants are computed
+        code = run(["estimate", "--alphabet", "1,2", "--h", "1/40",
+                    "--degree", "0", "--unsafe-h"])
+        assert code == EXIT_USAGE
+        assert "even spline degree >= 2" in capsys.readouterr().err
 
     def test_tsv_format(self, capsys):
         code = run(["certify", "--alphabet", "1,2", "--h", "1/64",
@@ -148,7 +160,7 @@ class TestConverge:
 
     def test_requires_h_list(self, capsys):
         assert run(["converge", "--alphabet", "1,2"]) == EXIT_USAGE
-        for h_list in ("1/25,0,1/50", "1/25..0"):
+        for h_list in ("1/25,0,1/50", "1/25..0", "1/0..1/50"):
             assert run(["converge", "--alphabet", "1,2", "--unsafe-h",
                         "--h-list", h_list]) == EXIT_USAGE
 

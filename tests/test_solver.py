@@ -1,6 +1,7 @@
 """Mesh resolution, bisection against dense-eigensolver oracles, certified
 brackets, and convergence studies."""
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -14,14 +15,30 @@ from fracdim.constants import make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.solver import (CertificationError, InadmissibleMeshError,
                             MonotonicityError, ProbeEngine, SolveConfig,
-                            convergence_study, lambda_bracket, make_geometry,
-                            solve_dimension, two_step_refinement)
-from fracdim.spectral import FLOAT_SLACK
+                            _bisect, convergence_study, lambda_bracket,
+                            make_geometry, solve_dimension,
+                            two_step_refinement)
+from fracdim.spectral import FLOAT_SLACK, scaled_bracket
 from oracles import tocsr
 
 A12 = make_alphabet_1d([1, 2])
 A2D = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
 REF_1D = 0.531280506277205
+
+
+@contextmanager
+def counting_matvecs():
+    """Count operator applications inside the block into the yielded list."""
+    calls = []
+    matmul = TransferOperator.__matmul__
+
+    def counted(op, v):
+        calls.append(1)
+        return matmul(op, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TransferOperator, "__matmul__", counted)
+        yield calls
 
 
 def dense_rho(cache, s):
@@ -180,23 +197,16 @@ class TestCertified:
 
 
 class TestEarlyDecision:
-    """Certified probes stop power iteration once the scaled bracket
-    excludes 1; lambda_bracket and point mode still run to convergence."""
+    """Certified probes stop power iteration once the scaled bracket answers
+    both bisection predicates; lambda_bracket and point mode still run to
+    convergence."""
 
     @pytest.fixture(scope="class")
     def table2(self, tmp_path_factory):
         # the certified {1,2} solve at h = 1e-5 (nodes), through the CLI,
         # counting operator applications
-        calls = []
-        matmul = TransferOperator.__matmul__
-
-        def counted(op, v):
-            calls.append(1)
-            return matmul(op, v)
-
         out = tmp_path_factory.mktemp("table2") / "out.json"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TransferOperator, "__matmul__", counted)
+        with counting_matvecs() as calls:
             assert run(["certify", "--reproduce", "table2",
                         "--out", str(out)]) == 0
         return json.loads(out.read_text()), len(calls)
@@ -208,7 +218,9 @@ class TestEarlyDecision:
 
     def test_table2_matvecs(self, table2):
         # running every probe to convergence, with a second product for the
-        # bracket, took 913; stopping at the decision takes 133
+        # bracket, took 913; stopping at the decision takes 133.  No probe
+        # lands between s_lo and s_hi (2e-12 apart), so the zone stop leaves
+        # the count as it is
         _, matvecs = table2
         assert matvecs < 913 / 2
 
@@ -218,9 +230,38 @@ class TestEarlyDecision:
         for p in rec["probes"]:
             assert not (p["converged"] and p["decided"])
             if p["decided"]:
-                assert p["lam_lo"] >= 1.0 or p["lam_hi"] <= 1.0
+                lo_top, hi_bot = scaled_bracket(p["beta"], p["alpha"],
+                                                rec["err"])
+                assert (p["lam_lo"] >= 1.0 or p["lam_hi"] <= 1.0
+                        or lo_top < 1.0 < hi_bot)
             else:
                 assert p["converged"]
+
+    def test_zone_stop_matches_converged_bisection(self):
+        # {1,2} at J = 64: both bisections, once with probes that stop at
+        # the decision and once with every probe run to convergence
+        J, tol = 64, 1e-14
+        profile = make_profile(A12)
+        cache = OperatorCache(A12, make_geometry(1, J, 2))
+        ends, matvecs, records = [], [], []
+        for decide in (True, False):
+            engine = ProbeEngine(cache, profile, profile.err(1.0 / J),
+                                 check_cone=True, decide=decide)
+            with counting_matvecs() as calls:
+                s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0,
+                               1e-6, 1.0, tol)[0]
+                s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0,
+                               1e-6, 1.0, tol)[1]
+            ends.append((s_lo, s_hi))
+            matvecs.append(len(calls))
+            records.append(engine.records)
+        assert ends[0] == ends[1]
+        assert records[0].keys() == records[1].keys()
+        assert any(r["decided"] and r["lam_lo"] < 1.0 < r["lam_hi"]
+                   for r in records[0].values())
+        # the zone stop takes 176; stopping only outside [s_lo, s_hi] took
+        # 561, converging took 1425
+        assert matvecs[0] <= 250 < matvecs[1]
 
     def test_audit_passes_on_decided_records(self):
         J = 64

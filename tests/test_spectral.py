@@ -94,7 +94,8 @@ class TestPowerIteration:
 
 class TestDecisionStop:
     """decide_err stops at the first iterate whose bracket, widened by the
-    float slack and scaled by 1 -/+ err, excludes 1."""
+    float slack and scaled by 1 -/+ err, answers both certified predicates:
+    it excludes 1, or (1 - err) beta < 1 < (1 + err) alpha."""
 
     @staticmethod
     def operator(s):
@@ -117,14 +118,29 @@ class TestDecisionStop:
         assert br.beta - br.alpha > full.spread
 
     def test_undecidable_runs_to_convergence(self):
-        # err so large that the scaled bracket always straddles 1
+        # err puts one threshold, (1 - err) lam or (1 + err) lam, on 1, so
+        # every iterate's scaled bracket straddles that threshold
         op = self.operator(0.5313)
-        res = power_iteration(op, decide_err=0.5)
         full = power_iteration(op)
+        res = power_iteration(op, decide_err=abs(1 - 1 / full.lam))
         assert res.converged and not res.decided
         assert res.iterations == full.iterations
         np.testing.assert_array_equal(res.w, full.w)
         assert res.lam == full.lam
+
+    def test_zone_decides(self):
+        # err so large that the first bracket, scaled, straddles 1 by more
+        # than its own width: s lies between the two certified endpoints
+        op, err = self.operator(0.5313), 0.5
+        res = power_iteration(op, decide_err=err)
+        full = power_iteration(op)
+        assert res.decided and not res.converged
+        assert res.iterations < full.iterations
+        br = spectral_bracket(op, res.w, y=res.y)
+        lo_top, hi_bot = scaled_bracket(br.beta, br.alpha, err)
+        assert lo_top < 1.0 < hi_bot
+        # the converged run answers both predicates the same way
+        assert (1 - err) * full.lam < 1.0 < (1 + err) * full.lam
 
 
 class TestConeMembership:
