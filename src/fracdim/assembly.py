@@ -20,10 +20,28 @@ bounds that the certification lemma requires.  A mesh without that padding
 is rejected.
 
 Entries depend on s only through the factor ||Dphi_e(x)||^s, so an
-OperatorCache precomputes all s-independent structure (CSR pattern of G,
-basis-value products, and one log derivative norm per (point, letter)) once
-per mesh and rebuilds only the value array per s probe, with one exp per
-(point, letter).  W is applied per axis (never materialized as a tensor).
+OperatorCache precomputes all s-independent structure once per mesh: the
+stacked matrix Gs, with one row per (point, letter) holding that letter's
+K = (n+1)^d basis-value products, and one log derivative norm lg per
+(point, letter).  A probe at s takes one exp per (point, letter),
+w = exp(s lg), and applies G(s) = sum_e diag(w_e) G_e in one of two forms:
+
+- materialized: write the CSR G(s) (its values base * w, Gs's columns) and
+  take G(s) @ c.  Writing G(s) costs about as much as a product, so this
+  pays when a probe makes many products: point estimates and converged
+  probes, about 14 per probe.
+- stacked: keep Gs and take y_i = sum_e w[i, e] (Gs @ c)[i |E| + e].  Each
+  product costs a little more (its output is |E| times longer), but nothing
+  is written per probe, so this pays when a probe makes few products:
+  certified probes that stop at their decision, about 2 per probe.
+
+Both forms round within the same forward-error bound (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 3.1): every term is the
+product of a base value, a weight and a coefficient (two roundings), and a
+stacked row sums a chain of K + |E| terms (K per letter, then |E| weighted
+letters) where a materialized row sums K |E|; e.g. 433 against 1290 for the
+430 letters of primes<3000.  W is applied per axis (never materialized as a
+tensor).
 
 The geometry is a TensorGrid in every dimension (1D is its one-axis case),
 so each step here is written once, as a loop over the axes.
@@ -51,13 +69,17 @@ def check_degree(n: int) -> None:
 class TransferOperator:
     """L_h(s) = G W as a matrix-free linear operator on sample vectors.
 
-    Sample and coefficient vectors run with the first axis fastest.
-    Supports `op @ v` and `.shape`.
+    G is the materialized G(s), or, with `weights` (the (N, |E|) letter
+    weights exp(s lg)), the s-independent stacked Gs whose (point, letter)
+    rows the weights sum into one row per point.  Sample and coefficient
+    vectors run with the first axis fastest.  Supports `op @ v` and `.shape`.
     """
 
-    def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...]):
+    def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...],
+                 weights: Array | None = None):
         self.G = G
         self.W1s = W1s
+        self.weights = weights
         # sample grid as a C-order array: last axis outer, first axis fastest
         self._grid = tuple(W1.shape[1] for W1 in reversed(W1s))
         N = math.prod(self._grid)
@@ -73,7 +95,11 @@ class TransferOperator:
         return c.ravel()
 
     def __matmul__(self, v: Array) -> Array:
-        return self.G @ self.coefficients(v)
+        y = self.G @ self.coefficients(v)
+        if self.weights is None:
+            return y
+        return np.einsum("ij,ij->i", y.reshape(self.weights.shape),
+                         self.weights)
 
 
 class OperatorCache:
@@ -152,32 +178,44 @@ class OperatorCache:
 
     def _build_G_structure(self) -> None:
         p = self.collocation_points()
-        cols_parts, base_parts, lg_parts = [], [], []
+        E = len(self.alphabet.letters)
         K = (self.n + 1) ** self.geometry.d
-        for e in self.alphabet.letters:
-            cols, base, lg = self._letter_block(e, p)
-            cols_parts.append(cols.astype(np.int32))
-            base_parts.append(base)
-            lg_parts.append(lg)
-        # row-major concatenation across letters keeps contributions grouped
-        # by collocation point, as CSR requires; _base viewed as (N |E|, K)
-        # has one row per (point, letter), in the order of _lg
-        self._indices = np.concatenate(cols_parts, axis=1).ravel()
-        self._base = np.concatenate(base_parts, axis=1).reshape(-1, K)
-        self._lg = np.stack(lg_parts, axis=1).ravel()
-        del cols_parts, base_parts, lg_parts, p
-        row_len = K * len(self.alphabet.letters)
-        self._indptr = np.arange(self.N + 1, dtype=np.int64) * row_len
+        # letter j fills slot j, so the rows of Gs run point-major, one per
+        # (point, letter) in the order of _lg, and a point's K |E| entries
+        # are contiguous, as the CSR G(s) needs
+        cols = np.empty((self.N, E, K), dtype=np.int32)
+        base = np.empty((self.N, E, K))
+        lg = np.empty((self.N, E))
+        for j, e in enumerate(self.alphabet.letters):
+            cols[:, j], base[:, j], lg[:, j] = self._letter_block(e, p)
+        self._Gs = sparse.csr_matrix(
+            (base.ravel(), cols.ravel(),
+             np.arange(self.N * E + 1, dtype=np.int64) * K),
+            shape=(self.N * E, self.Ncoef))
+        self._lg = lg.ravel()
+        self._indptr = np.arange(self.N + 1, dtype=np.int64) * (K * E)
         self.nnz = int(self._indptr[-1])
 
     # -- per-probe assembly -------------------------------------------------
-    def evaluation_matrix(self, s: float) -> sparse.csr_matrix:
+    def evaluation_matrix(self, s: float, stacked: bool = False):
         """G(s): values of the weighted splines at the mapped points.
         Rows may hold duplicate column entries (one per letter); sparse
-        matrix-vector products sum them."""
-        data = (self._base * np.exp(s * self._lg)[:, None]).ravel()
-        return sparse.csr_matrix((data, self._indices, self._indptr),
+        matrix-vector products sum them.
+
+        With `stacked`, (Gs, w) instead: the s-independent stacked matrix
+        (shared, not copied) and the (N, |E|) letter weights exp(s lg), so
+        that G(s) = sum_e diag(w[:, e]) G_e is never written."""
+        w = np.exp(s * self._lg)
+        if stacked:
+            return self._Gs, w.reshape(self.N, -1)
+        data = (self._Gs.data.reshape(w.size, -1) * w[:, None]).ravel()
+        return sparse.csr_matrix((data, self._Gs.indices, self._indptr),
                                  shape=(self.N, self.Ncoef))
 
-    def matrix(self, s: float) -> TransferOperator:
+    def matrix(self, s: float, stacked: bool = False) -> TransferOperator:
+        """L_h(s), with G(s) materialized or, with `stacked`, applied as the
+        weighted stacked Gs (see the module docstring for when each pays)."""
+        if stacked:
+            Gs, w = self.evaluation_matrix(s, stacked=True)
+            return TransferOperator(Gs, self._W1s, w)
         return TransferOperator(self.evaluation_matrix(s), self._W1s)

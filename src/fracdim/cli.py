@@ -149,10 +149,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_settings(args: argparse.Namespace, config_keys: set) -> dict:
     """Priority: explicit flags > --config file > --reproduce preset.
-    A config key that no subcommand accepts is a usage error."""
+    A config key that no subcommand accepts, or a preset or config made for
+    another subcommand than the one typed, is a usage error."""
     settings: dict = {}
+
+    def claim(source: dict, name: str, kind: str) -> None:
+        sub = source.get("subcommand", args.subcommand)
+        if sub != args.subcommand:
+            raise ValueError(f"{name} is a `{sub}` {kind}, "
+                             f"not `{args.subcommand}`")
+        settings.update(source)
+
     if getattr(args, "reproduce", None):
-        settings.update(REPRODUCTIONS[args.reproduce])
+        claim(REPRODUCTIONS[args.reproduce], args.reproduce, "preset")
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -162,7 +171,7 @@ def _merge_settings(args: argparse.Namespace, config_keys: set) -> dict:
         if unknown:
             raise ValueError(f"unknown key(s) in {args.config}: "
                              f"{', '.join(unknown)}")
-        settings.update(loaded)
+        claim(loaded, args.config, "config")
     for key, val in vars(args).items():
         if key in ("config", "reproduce"):
             continue
@@ -262,7 +271,7 @@ def run(argv) -> int:
         return EXIT_USAGE
     try:
         settings = _merge_settings(args, parser.config_keys)
-        subcommand = settings.get("subcommand", args.subcommand)
+        subcommand = args.subcommand
         fmt = settings.get("fmt") or ("tsv" if subcommand == "converge" else "json")
         out_path = settings.get("out")
 

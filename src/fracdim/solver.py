@@ -163,6 +163,11 @@ class ProbeEngine:
     that answers both certified predicates, lam_lo >= 1 and lam_hi > 1, as
     a converged probe would (a "decided" record; see power_iteration), so a
     cached one serves either bisection as it stands.
+
+    The engine picks the operator form from the same flag: a deciding probe
+    makes about two products, too few to repay writing G(s), so it applies
+    the shared stacked Gs weighted by exp(s lg); a converging probe makes
+    about fourteen and writes G(s) once (see the assembly module).
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
@@ -179,7 +184,7 @@ class ProbeEngine:
         s = float(s)
         if s in self.records:
             return self.records[s]
-        m = self.cache.matrix(s)
+        m = self.cache.matrix(s, stacked=self.decide)
         res = power_iteration(m, start=self._warm,
                               decide_err=self.err if self.decide else None)
         self._warm = res.w

@@ -155,9 +155,16 @@ def dphi_norm_2d(e: tuple[int, int], p, s: float):
 
 def tocsr(op: TransferOperator) -> sparse.csr_matrix:
     """The TransferOperator G W materialized as one sparse matrix (the
-    per-axis W1 maps Kronecker-multiplied, first axis innermost)."""
+    per-axis W1 maps Kronecker-multiplied, first axis innermost).  A stacked
+    operator's (point, letter) rows are weighted and summed per point."""
     W = reduce(lambda inner, outer: sparse.kron(outer, inner, format="csr"),
                op.W1s)
     G = op.G.copy()
+    if op.weights is not None:
+        N, E = op.weights.shape
+        rows = np.repeat(np.arange(N), E)
+        G = sparse.csr_matrix((op.weights.ravel(),
+                               (rows, np.arange(N * E))),
+                              shape=(N, N * E)) @ G
     G.sum_duplicates()
     return (G @ W).tocsr()

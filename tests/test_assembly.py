@@ -1,4 +1,6 @@
 """Collocation assembly against a from-scratch oracle built on scipy splines."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,9 +8,10 @@ from scipy.interpolate import BSpline
 
 from fracdim.assembly import OperatorCache
 from fracdim.bspline import TensorGrid, make_uniform_knots
-from fracdim.maps import make_alphabet_1d, make_alphabet_2d
+from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import make_geometry
+from fracdim.spectral import FLOAT_SLACK
 from oracles import tocsr
 
 W = np.array([-0.125, 1.25, -0.125])
@@ -180,3 +183,69 @@ class TestFullBasis:
         with pytest.raises(ValueError, match="leave the padded spline range"):
             OperatorCache(alphabet,
                           TensorGrid((make_uniform_knots(0.0, 1.0, 32, 2),)))
+
+
+SET_2D = "(1,0),(1,1),(1,-1),(2,0)"
+
+
+@pytest.fixture(scope="module", params=[("1,2", 1, 32), ("primes<50", 1, 50),
+                                        (SET_2D, 2, 12)],
+                ids=["12-J32", "primes50-J50", "2d-J12"])
+def cache(request):
+    text, d, J = request.param
+    return OperatorCache(parse_alphabet(text), make_geometry(d, J, 2))
+
+
+def exact_product(op, v) -> list[Fraction]:
+    """op @ v summed exactly from the same float factors the product
+    rounds: the entries of op.G, the letter weights and the coefficients."""
+    c = [Fraction(x) for x in op.coefficients(v).tolist()]
+    G = op.G
+    data, indices = G.data.tolist(), G.indices.tolist()
+    rows = [sum((Fraction(data[k]) * c[indices[k]]
+                 for k in range(G.indptr[i], G.indptr[i + 1])), Fraction(0))
+            for i in range(G.shape[0])]
+    if op.weights is None:
+        return rows
+    E = op.weights.shape[1]
+    return [sum((Fraction(w) * r for w, r in
+                 zip(op.weights[i].tolist(), rows[i * E:(i + 1) * E])),
+                Fraction(0))
+            for i in range(op.shape[0])]
+
+
+class TestStackedForm:
+    """The stacked s-independent G weighted per (point, letter) applies the
+    same operator as the materialized G(s)."""
+
+    def test_products_agree(self, cache):
+        rng = np.random.default_rng(3)
+        v = rng.uniform(0.5, 1.5, cache.N)
+        for s in (0.5, 0.9, 1.2):
+            y = cache.matrix(s) @ v
+            ys = cache.matrix(s, stacked=True) @ v
+            assert np.all(np.abs(ys - y) <= 1e-14 * np.abs(y))
+
+    def test_materializes_to_the_same_matrix(self, cache):
+        a = tocsr(cache.matrix(0.9)).toarray()
+        b = tocsr(cache.matrix(0.9, stacked=True)).toarray()
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
+
+    def test_probes_share_one_G(self, cache):
+        a, b = cache.matrix(0.5, stacked=True), cache.matrix(0.8, stacked=True)
+        assert a.G is b.G
+        assert a.weights.shape == (cache.N, len(cache.alphabet.letters))
+        assert not np.array_equal(a.weights, b.weights)
+        # the materialized G(s) borrows the stacked columns, not a copy
+        assert np.shares_memory(cache.evaluation_matrix(0.5).indices,
+                                a.G.indices)
+
+    def test_rounding_within_slack(self, cache):
+        # both forms round each row within FLOAT_SLACK / 100 of the exact
+        # rational sum of their own float factors
+        v = np.random.default_rng(4).uniform(0.5, 1.5, cache.N)
+        for stacked in (False, True):
+            op = cache.matrix(1.0, stacked=stacked)
+            y = op @ v
+            for yi, ex in zip(y.tolist(), exact_product(op, v)):
+                assert abs(Fraction(yi) - ex) <= Fraction(FLOAT_SLACK / 100) * ex

@@ -229,6 +229,30 @@ class TestSettingsMerge:
                                    "unsafe_h": True, "single_step": True}))
         assert run(["estimate", "--config", str(cfg)]) == EXIT_OK
 
+    def test_preset_of_another_subcommand_refused(self, capsys):
+        # the typed subcommand used to override the preset's, so a converge
+        # preset ran as certify and failed for want of --h
+        assert run(["certify", "--reproduce", "table5"]) == EXIT_USAGE
+        assert "table5 is a `converge` preset" in capsys.readouterr().err
+        assert run(["estimate", "--reproduce", "table2"]) == EXIT_USAGE
+        assert "table2 is a `certify` preset" in capsys.readouterr().err
+
+    def test_config_of_another_subcommand_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subcommand": "converge", "alphabet": "1,2",
+                                   "h_list": "1/25,1/50,1/100"}))
+        assert run(["estimate", "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is a `converge` config" in captured.err
+        assert run(["converge", "--config", str(cfg)]) == EXIT_OK
+
+    def test_config_of_the_typed_subcommand_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subcommand": "estimate", "alphabet": "1,2",
+                                   "h": "1/50", "unsafe_h": True}))
+        assert run(["estimate", "--config", str(cfg)]) == EXIT_OK
+
     def test_mesh_flag(self, capsys):
         run(["estimate", "--alphabet", "1,2", "--h", "1/50", "--unsafe-h",
              "--mesh", "nodes"])

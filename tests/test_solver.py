@@ -41,6 +41,23 @@ def counting_matvecs():
         yield calls
 
 
+@contextmanager
+def recording_forms():
+    """Record, for each G(s) step inside the block, whether it returned the
+    stacked form (True) or wrote G(s) (False)."""
+    forms = []
+    evaluation_matrix = OperatorCache.evaluation_matrix
+
+    def recorded(cache, s, stacked=False):
+        out = evaluation_matrix(cache, s, stacked=stacked)
+        forms.append(isinstance(out, tuple))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OperatorCache, "evaluation_matrix", recorded)
+        yield forms
+
+
 def dense_rho(cache, s):
     m = tocsr(cache.matrix(s)).toarray()
     return float(np.abs(np.linalg.eigvals(m)).max())
@@ -291,6 +308,27 @@ class TestEarlyDecision:
         b = solve_dimension(SolveConfig(A12, J=64, mode="point-estimate",
                                         tol_s=1e-8))
         assert all(p["converged"] and not p["decided"] for p in b.probes)
+
+
+class TestOperatorForm:
+    """Deciding probes apply the shared stacked G; converging probes write
+    G(s) once and reuse it for their many products."""
+
+    def test_certified_solve_never_writes_G(self):
+        with recording_forms() as forms:
+            solve_dimension(SolveConfig(A12, J=64))
+        assert forms and all(forms)
+
+    def test_point_mode_writes_G(self):
+        with recording_forms() as forms:
+            solve_dimension(SolveConfig(A12, J=64, mode="point-estimate",
+                                        tol_s=1e-8))
+        assert forms and not any(forms)
+
+    def test_lambda_bracket_writes_G(self):
+        with recording_forms() as forms:
+            lambda_bracket(SolveConfig(A12, J=64), 0.4)
+        assert forms == [False]
 
 
 class TestLambdaBracket:
