@@ -17,8 +17,7 @@ from .quasi import (QuasiInterpolant, make_quasi_interpolant,
                     positivity_threshold)
 from .solver import (CertificationError, DimensionBracket,
                      InadmissibleMeshError, MonotonicityError, SolveConfig,
-                     convergence_study, lambda_bracket, make_geometry,
-                     solve_dimension, two_step_refinement)
+                     convergence_study, make_geometry, solve_dimension)
 from .spectral import (ConeCertificate, PositivityError, SpectralBracket,
                        cone_membership, power_iteration, spectral_bracket)
 
@@ -30,12 +29,12 @@ __all__ = [
     "admissible_h", "bramble_hilbert_constant", "cone_image_parameter",
     "cone_membership", "convergence_study", "deriv_bound_1d",
     "deriv_bounds_2d", "distortion_K", "err_coefficient_1d",
-    "err_coefficient_2d", "lambda_bracket", "legendre_projection_constants",
+    "err_coefficient_2d", "legendre_projection_constants",
     "make_alphabet_1d", "make_alphabet_2d", "make_geometry", "make_profile",
     "make_quasi_interpolant", "make_uniform_knots",
     "multivariate_error_constant", "parse_alphabet", "phi_1d", "phi_2d",
     "positivity_threshold", "power_iteration", "solve_dimension",
-    "spectral_bracket", "two_step_refinement",
+    "spectral_bracket",
 ]
 
 __version__ = "0.1.0"

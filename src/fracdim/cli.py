@@ -14,7 +14,7 @@ from fractions import Fraction
 from .maps import parse_alphabet
 from .solver import (CertificationError, InadmissibleMeshError,
                      MonotonicityError, SolveConfig, convergence_study,
-                     solve_dimension, two_step_refinement)
+                     solve_dimension)
 from .spectral import PositivityError
 
 EXIT_OK = 0
@@ -126,8 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certified dimension bracket")
     common(p_cert)
     p_cert.add_argument("--h", default=None)
-    p_cert.add_argument("--single-step", action="store_true", default=None,
-                        help="skip the two-pass err refinement (2D)")
 
     p_est = sub.add_parser("estimate", help="point estimate of the dimension")
     common(p_est)
@@ -288,11 +286,7 @@ def run(argv) -> int:
         cfg = _make_config(settings, mode=mode)
         if cfg.h is None:
             raise ValueError("--h is required")
-        if mode == "certified" and cfg.alphabet.d == 2 and not settings.get("single_step"):
-            bracket = two_step_refinement(cfg)
-        else:
-            bracket = solve_dimension(cfg)
-        _emit(_bracket_output(bracket, fmt), out_path)
+        _emit(_bracket_output(solve_dimension(cfg), fmt), out_path)
         return EXIT_OK
     except InadmissibleMeshError as exc:
         print(f"inadmissible mesh: {exc}", file=sys.stderr)

@@ -239,6 +239,8 @@ def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
     K = distortion_K(alphabet)
     if s_cap is None:
         s_cap = 1.0 if d == 1 else 1.8572
+    if not 0 < s_cap < math.inf:
+        raise ValueError(f"s_cap = {s_cap!r} is not a finite number > 0")
     if alpha is None:
         alpha = 0.05 if d == 1 else 0.01
     if beta is None:
@@ -269,8 +271,8 @@ def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
         raise ValueError("only d in {1, 2} supported")
     if M is None:
         M = float(math.ceil((1 + alpha) / (1 - beta) * D * B / A))
-    if M <= 0:
-        raise ValueError("M must be positive")
+    if not 0 < M < math.inf:
+        raise ValueError(f"M = {M!r} is not a finite number > 0")
     return RigorProfile(d=d, n=n, s_cap=float(s_cap), K=K, A=A, B=B, D=D,
                         M=float(M), alpha=float(alpha), beta=float(beta),
                         C1=C1, C2=C2, err_coefficient=err_coeff, q=q)

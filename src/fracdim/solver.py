@@ -22,6 +22,10 @@ from .spectral import (cone_membership, power_iteration, scaled_bracket,
                        spectral_bracket)
 
 
+# search floor of every bisection in s
+S_FLOOR = 1e-6
+
+
 class InadmissibleMeshError(RuntimeError):
     def __init__(self, h: float, breakdown: dict[str, float]):
         self.h = h
@@ -66,8 +70,6 @@ class SolveConfig:
     J: int | None = None
     mode: str = "certified"  # certified | point-estimate
     tol_s: float | None = None
-    s_min: float = 1e-6
-    s_max: float | None = None
     s_cap: float | None = None
     alpha: float | None = None
     beta: float | None = None
@@ -106,6 +108,9 @@ class SolveConfig:
         bisects down to adjacent doubles: a midpoint of a wider interval can
         sit several ulp off the discrete root."""
         if self.tol_s is not None:
+            if not 0.0 <= self.tol_s < math.inf:
+                raise ValueError(f"tol_s = {self.tol_s!r} is not a finite "
+                                 "number >= 0")
             return self.tol_s
         if self.mode == "point-estimate":
             return 0.0
@@ -250,8 +255,7 @@ def _setup(config: SolveConfig):
     Raises ValueError for a degree that is odd or below 2, and
     InadmissibleMeshError when h exceeds the admissible bound (only a point
     estimate may pass unsafe_h to go on); in certified mode also ValueError
-    for a 2D degree other than 2 (its error bounds are third order) and for
-    s_max above s_cap (the constants hold only up to s_cap), and
+    for a 2D degree other than 2 (its error bounds are third order), and
     CertificationError when M' >= M or err >= 1.
     Returns (h, profile, geometry, breakdown, constants, err).
     """
@@ -265,10 +269,6 @@ def _setup(config: SolveConfig):
     h = 1.0 / J
     profile = make_profile(alphabet, n=config.n, s_cap=config.s_cap,
                            alpha=config.alpha, beta=config.beta, M=config.M)
-    if certified and config.s_max is not None and config.s_max > profile.s_cap:
-        raise ValueError(f"s_max = {config.s_max!r} exceeds s_cap = "
-                         f"{profile.s_cap!r}: the certified constants hold "
-                         "only up to s_cap")
     geometry = make_geometry(alphabet.d, J, config.n)
     breakdown = admissible_h(profile, alphabet)
     if h > breakdown["overall"] and (certified or not config.unsafe_h):
@@ -292,101 +292,68 @@ def _setup(config: SolveConfig):
     return h, profile, geometry, breakdown, constants, err
 
 
-def _engine(config: SolveConfig, cache: OperatorCache | None, profile,
-            geometry, err: float, decide: bool = False) -> ProbeEngine:
-    if cache is None:
-        cache = OperatorCache(config.alphabet, geometry, profile.q)
-    return ProbeEngine(cache, profile, err,
-                       check_cone=config.mode == "certified", decide=decide)
+def _solve_pass(config: SolveConfig, setup, engine: ProbeEngine, a: float,
+                b: float, tol: float, t0: float) -> DimensionBracket:
+    """Bisect on [a, b] to width tol with the engine's probes; the record
+    holds every probe the engine has made."""
+    h, _, _, breakdown, constants, err = setup
+    if config.mode == "certified":
+        s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol)[0]
+        s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol)[1]
+    else:
+        lo, hi = _bisect(lambda s: engine.probe(s)["lam"] >= 1.0, a, b, tol)
+        s_lo = s_hi = 0.5 * (lo + hi)
+    engine.audit_monotonicity()
+    probes = [engine.records[k] for k in sorted(engine.records)]
+    return DimensionBracket(
+        s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=h, n=config.n,
+        d=config.alphabet.d, alphabet=config.alphabet.describe(), err=err,
+        probes=probes, constants=constants, admissibility=breakdown,
+        wall_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def solve_dimension(config: SolveConfig,
-                    engine: ProbeEngine | None = None) -> DimensionBracket:
+def solve_dimension(config: SolveConfig) -> DimensionBracket:
     """Bisect to the bracket (certified) or point estimate of config.
 
-    A given engine supplies its operator cache and its cached probes; it
-    must have been built for this config's mesh, s cap, err, cone and mode.
+    The search interval is [S_FLOOR, d], capped at s_cap in certified mode
+    (the rigor constants hold only up to it).
+
+    A certified 2D solve takes two passes.  Pass 1 bisects to 1e-6 (or
+    tol_s, if wider); pass 2 bisects to the final tolerance with the cap
+    lowered to just above pass 1's s_hi, which shrinks err (so it can only
+    move s_lo up and s_hi down).  When the cap does not drop, pass 2 has
+    pass 1's err and cone, so it continues pass 1's bisection on pass 1's
+    engine: bisecting the same interval to the finer tolerance first visits
+    pass 1's midpoints, all cached, and ends where a single pass would.
+    When the cap drops, pass 2 probes [pass 1's s_lo, the lowered cap] on a
+    new engine over the same operator cache (the mesh and degree do not
+    change).  Pass 1's bracket is kept as first_pass.
     """
     t0 = time.perf_counter()
-    h, profile, geometry, breakdown, constants, err = _setup(config)
+    tol = config.resolve_tol()
+    setup = _setup(config)
+    _, profile, geometry, _, _, err = setup
     d = config.alphabet.d
     certified = config.mode == "certified"
     # only the certified bisections ask a yes/no question per probe; a point
     # estimate bisects on the converged eigenvalue itself
-    if engine is None:
-        engine = _engine(config, None, profile, geometry, err, decide=certified)
-    elif ((engine.err, engine.profile.s_cap, engine.profile.M, engine.decide,
-           engine.cache.geometry.h)
-          != (err, profile.s_cap, profile.M, certified, geometry.h)):
-        raise ValueError("the probe engine was built for another mesh, "
-                         "s cap, err, cone or mode")
-    tol = config.resolve_tol()
-    s_min = config.s_min
-    if config.s_max is not None:
-        s_max = config.s_max
-    else:
-        s_max = min(float(d), profile.s_cap) if certified else float(d)
-    if certified:
-        s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0,
-                       s_min, s_max, tol)[0]
-        s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0,
-                       s_min, s_max, tol)[1]
-    else:
-        a, b = _bisect(lambda s: engine.probe(s)["lam"] >= 1.0,
-                       s_min, s_max, tol)
-        s_lo = s_hi = 0.5 * (a + b)
-    engine.audit_monotonicity()
-    probes = [engine.records[k] for k in sorted(engine.records)]
-    return DimensionBracket(
-        s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=h, n=config.n, d=d,
-        alphabet=config.alphabet.describe(), err=err, probes=probes,
-        constants=constants, admissibility=breakdown,
-        wall_ms=(time.perf_counter() - t0) * 1000.0)
-
-
-def lambda_bracket(config: SolveConfig, s: float,
-                   cache: OperatorCache | None = None) -> tuple[float, float]:
-    """One probe: (lam_lo, lam_hi) bracketing the eigenvalue of the scaled
-    pair at s, behind the same guards as solve_dimension (so a certified s
-    may not exceed s_cap).  The power iteration runs to convergence, so the
-    bracket is tight."""
-    _, profile, geometry, _, _, err = _setup(replace(config, s_max=s))
-    rec = _engine(config, cache, profile, geometry, err).probe(s)
-    return rec["lam_lo"], rec["lam_hi"]
-
-
-def two_step_refinement(config: SolveConfig) -> DimensionBracket:
-    """Certified 2D solve in two passes.  Pass 1 bisects to 1e-6 under the
-    given s cap; pass 2 bisects to the final tolerance with the cap lowered
-    to just above pass 1's upper endpoint, which shrinks err (so it can only
-    move s_lo up and s_hi down).
-
-    When the cap does not drop, pass 2 has pass 1's err and cone, so it
-    continues pass 1's bisection on pass 1's engine: bisecting the same
-    interval to the finer tolerance first visits pass 1's midpoints, all
-    cached, and ends where a single pass would.  When the cap drops, pass 2
-    probes on a new engine over the same operator cache (the mesh and degree
-    do not change)."""
-    if config.alphabet.d != 2:
-        raise ValueError("two-step refinement applies to 2D systems")
-    if config.mode != "certified":
-        raise ValueError("two-step refinement is a certified-mode procedure")
-    t0 = time.perf_counter()
-    first_cfg = replace(config, tol_s=max(config.resolve_tol(), 1e-6))
-    _, profile, geometry, _, _, err = _setup(first_cfg)
-    engine = _engine(first_cfg, None, profile, geometry, err, decide=True)
-    first = solve_dimension(first_cfg, engine)
+    engine = ProbeEngine(OperatorCache(config.alphabet, geometry, profile.q),
+                         profile, err, check_cone=certified, decide=certified)
+    s_max = min(float(d), profile.s_cap) if certified else float(d)
+    if not (certified and d == 2):
+        return _solve_pass(config, setup, engine, S_FLOOR, s_max, tol, t0)
+    first = _solve_pass(config, setup, engine, S_FLOOR, s_max,
+                        max(tol, 1e-6), t0)
+    s_min = S_FLOOR
     s_cap_2 = min(profile.s_cap, first.s_hi + 1e-3)
-    second_cfg = config
     if s_cap_2 < profile.s_cap:
-        second_cfg = replace(config, s_cap=s_cap_2, s_min=first.s_lo,
-                             s_max=s_cap_2)
-        _, profile, _, _, _, err = _setup(second_cfg)
-        engine = _engine(second_cfg, engine.cache, profile, geometry, err,
-                         decide=True)
-    second = solve_dimension(second_cfg, engine)
-    return replace(second, first_pass=first,
-                   wall_ms=(time.perf_counter() - t0) * 1000.0)
+        setup = _setup(replace(config, s_cap=s_cap_2))
+        _, profile, _, _, _, err = setup
+        engine = ProbeEngine(engine.cache, profile, err, check_cone=True,
+                             decide=True)
+        s_min, s_max = first.s_lo, s_cap_2
+    second = _solve_pass(config, setup, engine, s_min, s_max, tol, t0)
+    return replace(second, first_pass=first)
 
 
 def convergence_study(config: SolveConfig, h_list,

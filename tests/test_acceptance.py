@@ -16,11 +16,11 @@ from fracdim.assembly import OperatorCache
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.cli import REPRODUCTIONS
 from fracdim.constants import (bramble_hilbert_constant, err_coefficient_1d,
-                               legendre_projection_constants,
+                               legendre_projection_constants, make_profile,
                                multivariate_error_constant)
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
 from fracdim.quasi import make_quasi_interpolant
-from fracdim.solver import (SolveConfig, convergence_study, lambda_bracket,
+from fracdim.solver import (ProbeEngine, SolveConfig, convergence_study,
                             make_geometry, solve_dimension)
 from fracdim.spectral import cone_membership, power_iteration, spectral_bracket
 from oracles import eval_quasi_interpolant, local_basis, tocsr
@@ -353,9 +353,14 @@ class TestCriterion8HiddenPositivity:
 
     def test_2d_certified_probe_brackets(self):
         # the same mesh run through the certified probe path: cone check on,
-        # (1 +- err)-scaled bracket returned
-        cfg = SolveConfig(make_alphabet_2d([(1, 0)]), h=1.0 / 2400,
-                          mode="certified")
-        lam_lo, lam_hi = lambda_bracket(cfg, 1.0)
+        # (1 +- err)-scaled bracket returned, iterated to convergence
+        J = 2400
+        alphabet = make_alphabet_2d([(1, 0)])
+        profile = make_profile(alphabet)
+        engine = ProbeEngine(OperatorCache(alphabet, make_geometry(2, J, 2)),
+                             profile, profile.err(1.0 / J), check_cone=True,
+                             decide=False)
+        rec = engine.probe(1.0)
+        lam_lo, lam_hi = rec["lam_lo"], rec["lam_hi"]
         assert 0.0 < lam_lo <= lam_hi
         assert lam_lo <= 0.381966011250105 <= lam_hi  # 2 - golden ratio

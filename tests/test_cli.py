@@ -1,5 +1,7 @@
 """CLI parsing, subcommands, output formats, exit codes, and setting merges."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -226,7 +228,7 @@ class TestSettingsMerge:
     def test_config_key_of_another_subcommand_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alphabet": "1,2", "h": "1/50",
-                                   "unsafe_h": True, "single_step": True}))
+                                   "unsafe_h": True, "reference": 0.53}))
         assert run(["estimate", "--config", str(cfg)]) == EXIT_OK
 
     def test_preset_of_another_subcommand_refused(self, capsys):
@@ -276,9 +278,50 @@ class TestSettingsMerge:
             assert REPRODUCTIONS[name].get("mesh") is None
 
 
+class TestBadSettings:
+    """Settings outside their domain are usage errors that name the
+    setting, refused before any solve."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--alphabet", "1,2", "--h", "1/50"],
+        ["certify", "--alphabet", "1,2", "--h", "1/64"],
+        ["converge", "--alphabet", "1,2", "--h-list", "1/25..1/100"],
+    ], ids=["estimate", "certify", "converge"])
+    @pytest.mark.parametrize("tol_s", ["nan", "inf", "-1"])
+    def test_tol_s(self, argv, tol_s, capsys):
+        # a NaN width used to end the bisection at once: estimate printed
+        # 0.5000005 and certify [1e-06, 1.0], both with exit 0
+        assert run([*argv, "--tol-s", tol_s]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol_s" in captured.err
+
+    @pytest.mark.parametrize("flag, name", [("--s-cap", "s_cap"),
+                                            ("--M", "M")])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_s_cap_and_M(self, flag, name, value, capsys):
+        # --s-cap inf escaped as an OverflowError traceback, and --M nan ran
+        # the solve to a certification failure (exit 3)
+        assert run(["certify", "--alphabet", "1,2", "--h", "1/64",
+                    flag, value]) == EXIT_USAGE
+        assert f"{name} = " in capsys.readouterr().err
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run([]) == EXIT_USAGE
+
+    def test_readme_flags_exist(self, capsys):
+        # every --flag the README's CLI section shows is an option of some
+        # subcommand
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+        options = set()
+        for subcommand in ("certify", "estimate", "converge"):
+            assert run([subcommand, "--help"]) == EXIT_OK
+            options |= set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        documented = set(re.findall(r"--[\w-]+", section))
+        assert documented and documented <= options
 
     def test_unknown_flag(self, capsys):
         assert run(["estimate", "--bogus"]) == EXIT_USAGE

@@ -240,3 +240,11 @@ class TestProfiles:
             make_profile(make_alphabet_1d([1, 2]), alpha=0.0)
         with pytest.raises(ValueError):
             make_profile(make_alphabet_1d([1, 2]), beta=1.5)
+
+    @pytest.mark.parametrize("name", ["s_cap", "M"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_invalid_s_cap_and_M(self, name, value):
+        # an infinite s_cap overflowed in Fraction(s_cap), a NaN one failed
+        # there with a message that did not name it, and a NaN M passed
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            make_profile(make_alphabet_1d([1, 2]), **{name: value})

@@ -2,7 +2,6 @@
 brackets, and convergence studies."""
 import json
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +12,10 @@ from fracdim.bspline import TensorGrid
 from fracdim.cli import run
 from fracdim.constants import make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
-from fracdim.solver import (CertificationError, InadmissibleMeshError,
-                            MonotonicityError, ProbeEngine, SolveConfig,
-                            _bisect, convergence_study, lambda_bracket,
-                            make_geometry, solve_dimension,
-                            two_step_refinement)
+from fracdim.solver import (S_FLOOR, CertificationError,
+                            InadmissibleMeshError, MonotonicityError,
+                            ProbeEngine, SolveConfig, _bisect,
+                            convergence_study, make_geometry, solve_dimension)
 from fracdim.spectral import FLOAT_SLACK, scaled_bracket
 from oracles import tocsr
 
@@ -56,6 +54,14 @@ def recording_forms():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(OperatorCache, "evaluation_matrix", recorded)
         yield forms
+
+
+def converging_engine(alphabet, J):
+    """A certified probe engine whose probes run to convergence: the cone
+    check on, the (1 -/+ err)-scaled bracket returned, and no early stop."""
+    profile = make_profile(alphabet)
+    cache = OperatorCache(alphabet, make_geometry(alphabet.d, J, 2))
+    return ProbeEngine(cache, profile, profile.err(1.0 / J), check_cone=True)
 
 
 def dense_rho(cache, s):
@@ -127,6 +133,16 @@ class TestResolveTol:
     def test_explicit(self):
         assert SolveConfig(A12, J=10, tol_s=1e-6).resolve_tol() == 1e-6
 
+    @pytest.mark.parametrize("tol_s", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_refused(self, tol_s):
+        # `b - a > nan` is false, so a NaN width ended the bisection at once
+        # and returned the search interval's midpoint or ends
+        cfg = SolveConfig(A12, J=64, tol_s=tol_s)
+        with pytest.raises(ValueError, match="tol_s"):
+            cfg.resolve_tol()
+        with pytest.raises(ValueError, match="tol_s"):
+            solve_dimension(cfg)
+
 
 class TestPointEstimateOracle:
     def test_1d_matches_dense_bisection(self):
@@ -191,8 +207,6 @@ class TestCertified:
         # the refusal comes before the admissibility check
         with pytest.raises(ValueError, match="needs spline degree n = 2"):
             solve_dimension(SolveConfig(A2D, J=30, n=4))
-        with pytest.raises(ValueError, match="needs spline degree n = 2"):
-            lambda_bracket(SolveConfig(A2D, J=30, n=4), 1.1)
 
     def test_point_estimate_needs_unsafe_for_coarse(self):
         with pytest.raises(InadmissibleMeshError):
@@ -215,8 +229,8 @@ class TestCertified:
 
 class TestEarlyDecision:
     """Certified probes stop power iteration once the scaled bracket answers
-    both bisection predicates; lambda_bracket and point mode still run to
-    convergence."""
+    both bisection predicates; an engine that does not decide, and point
+    mode, still run to convergence."""
 
     @pytest.fixture(scope="class")
     def table2(self, tmp_path_factory):
@@ -294,10 +308,10 @@ class TestEarlyDecision:
 
     def test_lambda_bracket_converges(self):
         # far below the dimension even the first iterate decides the probe;
-        # lambda_bracket must still return the converged, tight bracket
-        cfg = SolveConfig(A12, J=64)
+        # a converging engine must still return the converged, tight bracket
         err = make_profile(A12).err(1.0 / 64)
-        lo, hi = lambda_bracket(cfg, 0.4)
+        rec = converging_engine(A12, 64).probe(0.4)
+        lo, hi = rec["lam_lo"], rec["lam_hi"]
         alpha = lo / ((1 - err) * (1 - FLOAT_SLACK))
         beta = hi / ((1 + err) * (1 + FLOAT_SLACK))
         assert lo > 1.0
@@ -327,77 +341,77 @@ class TestOperatorForm:
 
     def test_lambda_bracket_writes_G(self):
         with recording_forms() as forms:
-            lambda_bracket(SolveConfig(A12, J=64), 0.4)
+            converging_engine(A12, 64).probe(0.4)
         assert forms == [False]
 
 
 class TestLambdaBracket:
+    """The scaled eigenvalue bracket (lam_lo, lam_hi) of one converged
+    certified probe, and the guards a certified solve applies first."""
+
     def test_straddles_unity_across_dimension(self):
-        cfg = SolveConfig(A12, J=64)
-        lo, hi = lambda_bracket(cfg, 0.4)
-        assert lo > 1.0
-        lo2, hi2 = lambda_bracket(cfg, 0.65)
-        assert hi2 < 1.0
+        engine = converging_engine(A12, 64)
+        assert engine.probe(0.4)["lam_lo"] > 1.0
+        assert engine.probe(0.65)["lam_hi"] < 1.0
 
     def test_contains_dense_eigenvalue(self):
-        cfg = SolveConfig(A12, J=64)
         s = 0.53
-        lo, hi = lambda_bracket(cfg, s)
-        cache = OperatorCache(A12, make_geometry(1, 64, 2))
-        rho = dense_rho(cache, s)
+        engine = converging_engine(A12, 64)
+        rec = engine.probe(s)
+        rho = dense_rho(engine.cache, s)
         err = 162.0 / 64 ** 3
-        assert lo <= rho * (1 - err) * (1 + 1e-12)
-        assert hi >= rho * (1 + err) * (1 - 1e-12)
-
-    def test_certified_probe_above_cap_refused(self):
-        with pytest.raises(ValueError, match="exceeds s_cap"):
-            lambda_bracket(SolveConfig(A12, J=64, s_cap=0.7), 0.8)
-        lo, hi = lambda_bracket(SolveConfig(A12, J=64, s_cap=0.7,
-                                            mode="point-estimate"), 0.8)
-        assert lo < 1.0
+        assert rec["lam_lo"] <= rho * (1 - err) * (1 + 1e-12)
+        assert rec["lam_hi"] >= rho * (1 + err) * (1 - 1e-12)
 
     def test_certified_ignores_unsafe_h(self):
         # unsafe_h lets only point estimates through an inadmissible mesh
         with pytest.raises(InadmissibleMeshError):
-            lambda_bracket(SolveConfig(A12, J=25, unsafe_h=True), 0.53)
+            solve_dimension(SolveConfig(A12, J=25, unsafe_h=True))
 
     def test_image_cone_guard(self):
         # h = 1/64 is admissible, but M = 2 gives M' = 33.2 >= M
         with pytest.raises(CertificationError, match="M' = 33.1"):
-            lambda_bracket(SolveConfig(A12, J=64, M=2.0), 0.53)
+            solve_dimension(SolveConfig(A12, J=64, M=2.0))
 
 
 class TestBisectionEdges:
     """Search floor and ceiling of the three bisections: certified s_lo
-    (on lam_lo), certified s_hi (on lam_hi) and the point estimate."""
-    CERTIFIED = SolveConfig(A12, J=64, tol_s=1e-8)
-    POINT = SolveConfig(A12, J=64, mode="point-estimate", tol_s=1e-8)
+    (on lam_lo), certified s_hi (on lam_hi) and the point estimate, each
+    asked of the probes as solve_dimension asks it ({1,2} at J = 64)."""
+
+    @staticmethod
+    def above(endpoint):
+        J = 64
+        profile = make_profile(A12)
+        cache = OperatorCache(A12, make_geometry(1, J, 2))
+        if endpoint == "point":
+            engine = ProbeEngine(cache, profile, 0.0, check_cone=False)
+            return lambda s: engine.probe(s)["lam"] >= 1.0
+        engine = ProbeEngine(cache, profile, profile.err(1.0 / J),
+                             check_cone=True, decide=True)
+        if endpoint == "s_lo":
+            return lambda s: engine.probe(s)["lam_lo"] >= 1.0
+        return lambda s: engine.probe(s)["lam_hi"] > 1.0
 
     @pytest.mark.parametrize("endpoint", ["s_lo", "s_hi", "point"])
     def test_floor_above_dimension_is_returned(self, endpoint):
-        cfg = self.POINT if endpoint == "point" else self.CERTIFIED
-        b = solve_dimension(replace(cfg, s_min=0.6))
-        assert getattr(b, "s_hi" if endpoint == "s_hi" else "s_lo") == 0.6
+        assert _bisect(self.above(endpoint), 0.6, 1.0, 1e-8) == (0.6, 0.6)
 
     # REF_1D lies inside the certified bracket: lam_lo(REF_1D) < 1, so the
     # s_lo bisection passes, and lam_hi(REF_1D) > 1 stops the s_hi one
-    @pytest.mark.parametrize("endpoint, s_max",
+    @pytest.mark.parametrize("endpoint, ceiling",
                              [("s_lo", 0.5), ("s_hi", REF_1D), ("point", 0.5)])
-    def test_ceiling_below_dimension_raises(self, endpoint, s_max):
-        cfg = self.POINT if endpoint == "point" else self.CERTIFIED
+    def test_ceiling_below_dimension_raises(self, endpoint, ceiling):
         with pytest.raises(ValueError, match="does not straddle"):
-            solve_dimension(replace(cfg, s_max=s_max))
+            _bisect(self.above(endpoint), S_FLOOR, ceiling, 1e-8)
 
     def test_ceiling_above_cap_refused(self):
         # the constants hold only up to s_cap = 0.7, below this set's
-        # dimension 0.8368...: probing up to s_max = 1.0 would return a
-        # "certified" bracket that nothing certifies
-        cfg = SolveConfig(make_alphabet_1d(range(1, 6)), J=4000, s_cap=0.7,
-                          s_max=1.0)
-        with pytest.raises(ValueError, match="exceeds s_cap"):
-            solve_dimension(cfg)
+        # dimension 0.8368...: the certified search stops at the cap, so
+        # it refuses instead of returning a bracket nothing certifies
+        cfg = SolveConfig(make_alphabet_1d(range(1, 6)), J=4000, s_cap=0.7)
         with pytest.raises(ValueError, match="does not straddle"):
-            solve_dimension(replace(cfg, s_max=None))
+            solve_dimension(cfg)
 
 
 class TestMonotonicityAudit:
@@ -420,20 +434,21 @@ class TestMonotonicityAudit:
 
 
 class TestTwoStepRefinement:
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            two_step_refinement(SolveConfig(A12, J=64))
+    """A certified 2D solve takes two passes; every other solve takes one."""
 
-    def test_rejects_point_estimate(self):
-        with pytest.raises(ValueError):
-            two_step_refinement(SolveConfig(A2D, J=10, mode="point-estimate"))
+    def test_one_pass_otherwise(self):
+        assert solve_dimension(SolveConfig(A12, J=64, tol_s=1e-6)
+                               ).first_pass is None
+        assert solve_dimension(SolveConfig(A2D, J=10, mode="point-estimate",
+                                           unsafe_h=True, tol_s=1e-6)
+                               ).first_pass is None
 
     def test_same_cap_continues_first_pass(self):
         # the certify-2d case: pass 1 ends within 1e-3 of s_cap = 1.15, so
         # pass 2 keeps the cap, err and cone and finishes pass 1's bisection
         # on its engine; every pass-1 probe is reused
-        b = two_step_refinement(SolveConfig(A2D, J=500, s_cap=1.15,
-                                            alpha=0.2, beta=0.2))
+        b = solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15, alpha=0.2,
+                                        beta=0.2))
         # the values a single solve_dimension pass returns
         assert (b.s_lo, b.s_hi) == (1.149529368563135, 1.1496249226942479)
         final = {p["s"] for p in b.probes}
@@ -445,27 +460,14 @@ class TestTwoStepRefinement:
     def test_lower_cap_probes_below_it(self):
         # {(2,0),(3,0)} has dimension 0.3374...: pass 2 lowers the cap from
         # 0.5 to s_hi_1 + 1e-3, which shrinks err and nests the bracket
-        b = two_step_refinement(SolveConfig(parse_alphabet("(2,0),(3,0)"),
-                                            J=230, s_cap=0.5, alpha=0.2,
-                                            beta=0.2))
+        b = solve_dimension(SolveConfig(parse_alphabet("(2,0),(3,0)"), J=230,
+                                        s_cap=0.5, alpha=0.2, beta=0.2))
         first = b.first_pass
         s_cap_2 = b.constants["s_cap"]
         assert s_cap_2 == first.s_hi + 1e-3 < 0.5
         assert b.err < first.err
         assert first.s_lo <= b.s_lo < b.s_hi <= first.s_hi
         assert all(first.s_lo <= p["s"] <= s_cap_2 for p in b.probes)
-
-    def test_solve_refuses_a_mismatched_engine(self):
-        cfg = SolveConfig(A12, J=64, tol_s=1e-6)
-        profile = make_profile(A12)
-        engine = ProbeEngine(OperatorCache(A12, make_geometry(1, 64, 2)),
-                             profile, profile.err(1.0 / 64), check_cone=True,
-                             decide=True)
-        assert solve_dimension(cfg, engine).s_lo < REF_1D
-        for other in (replace(cfg, J=80), replace(cfg, s_cap=0.9),
-                      replace(cfg, mode="point-estimate")):
-            with pytest.raises(ValueError, match="probe engine"):
-                solve_dimension(other, engine)
 
 
 class TestConvergenceStudy:
