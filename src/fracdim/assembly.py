@@ -24,24 +24,17 @@ OperatorCache precomputes all s-independent structure once per mesh: the
 stacked matrix Gs, with one row per (point, letter) holding that letter's
 K = (n+1)^d basis-value products, and one log derivative norm lg per
 (point, letter).  A probe at s takes one exp per (point, letter),
-w = exp(s lg), and applies G(s) = sum_e diag(w_e) G_e in one of two forms:
+w = exp(s lg), and applies G(s) = sum_e diag(w_e) G_e without writing it:
+y_i = sum_e w[i, e] (Gs @ c)[i |E| + e].  Nothing is written per probe
+beyond w, whether the probe stops at its decision after a product or two or
+runs to convergence.
 
-- materialized: write the CSR G(s) (its values base * w, Gs's columns) and
-  take G(s) @ c.  Writing G(s) costs about as much as a product, so this
-  pays when a probe makes many products: point estimates and converged
-  probes, about 14 per probe.
-- stacked: keep Gs and take y_i = sum_e w[i, e] (Gs @ c)[i |E| + e].  Each
-  product costs a little more (its output is |E| times longer), but nothing
-  is written per probe, so this pays when a probe makes few products:
-  certified probes that stop at their decision, about 2 per probe.
-
-Both forms round within the same forward-error bound (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., section 3.1): every term is the
-product of a base value, a weight and a coefficient (two roundings), and a
-stacked row sums a chain of K + |E| terms (K per letter, then |E| weighted
-letters) where a materialized row sums K |E|; e.g. 433 against 1290 for the
-430 letters of primes<3000.  W is applied per axis (never materialized as a
-tensor).
+Every term of a row is the product of a base value, a weight and a
+coefficient (two roundings), and a row sums a chain of K + |E| terms (K per
+letter, then |E| weighted letters), e.g. 433 for the 430 letters of
+primes<3000; its forward error is bounded accordingly (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 3.1).  W is applied per
+axis (never materialized as a tensor).
 
 The geometry is a TensorGrid in every dimension (1D is its one-axis case),
 so each step here is written once, as a loop over the axes.
@@ -67,16 +60,16 @@ def check_degree(n: int) -> None:
 
 
 class TransferOperator:
-    """L_h(s) = G W as a matrix-free linear operator on sample vectors.
+    """L_h(s) = G(s) W as a matrix-free linear operator on sample vectors.
 
-    G is the materialized G(s), or, with `weights` (the (N, |E|) letter
-    weights exp(s lg)), the s-independent stacked Gs whose (point, letter)
-    rows the weights sum into one row per point.  Sample and coefficient
-    vectors run with the first axis fastest.  Supports `op @ v` and `.shape`.
+    G is the s-independent stacked Gs, whose (point, letter) rows the
+    (N, |E|) letter `weights` exp(s lg) sum into one row per point.  Sample
+    and coefficient vectors run with the first axis fastest.  Supports
+    `op @ v` and `.shape`.
     """
 
     def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...],
-                 weights: Array | None = None):
+                 weights: Array):
         self.G = G
         self.W1s = W1s
         self.weights = weights
@@ -96,8 +89,6 @@ class TransferOperator:
 
     def __matmul__(self, v: Array) -> Array:
         y = self.G @ self.coefficients(v)
-        if self.weights is None:
-            return y
         return np.einsum("ij,ij->i", y.reshape(self.weights.shape),
                          self.weights)
 
@@ -181,8 +172,7 @@ class OperatorCache:
         E = len(self.alphabet.letters)
         K = (self.n + 1) ** self.geometry.d
         # letter j fills slot j, so the rows of Gs run point-major, one per
-        # (point, letter) in the order of _lg, and a point's K |E| entries
-        # are contiguous, as the CSR G(s) needs
+        # (point, letter) in the order of _lg
         cols = np.empty((self.N, E, K), dtype=np.int32)
         base = np.empty((self.N, E, K))
         lg = np.empty((self.N, E))
@@ -192,30 +182,15 @@ class OperatorCache:
             (base.ravel(), cols.ravel(),
              np.arange(self.N * E + 1, dtype=np.int64) * K),
             shape=(self.N * E, self.Ncoef))
-        self._lg = lg.ravel()
-        self._indptr = np.arange(self.N + 1, dtype=np.int64) * (K * E)
-        self.nnz = int(self._indptr[-1])
+        self._lg = lg
+        self.nnz = self._Gs.nnz
 
     # -- per-probe assembly -------------------------------------------------
-    def evaluation_matrix(self, s: float, stacked: bool = False):
-        """G(s): values of the weighted splines at the mapped points.
-        Rows may hold duplicate column entries (one per letter); sparse
-        matrix-vector products sum them.
+    def evaluation_matrix(self, s: float) -> Array:
+        """The (N, |E|) letter weights exp(s lg) that turn the shared
+        stacked Gs into G(s) = sum_e diag(w[:, e]) G_e."""
+        return np.exp(s * self._lg)
 
-        With `stacked`, (Gs, w) instead: the s-independent stacked matrix
-        (shared, not copied) and the (N, |E|) letter weights exp(s lg), so
-        that G(s) = sum_e diag(w[:, e]) G_e is never written."""
-        w = np.exp(s * self._lg)
-        if stacked:
-            return self._Gs, w.reshape(self.N, -1)
-        data = (self._Gs.data.reshape(w.size, -1) * w[:, None]).ravel()
-        return sparse.csr_matrix((data, self._Gs.indices, self._indptr),
-                                 shape=(self.N, self.Ncoef))
-
-    def matrix(self, s: float, stacked: bool = False) -> TransferOperator:
-        """L_h(s), with G(s) materialized or, with `stacked`, applied as the
-        weighted stacked Gs (see the module docstring for when each pays)."""
-        if stacked:
-            Gs, w = self.evaluation_matrix(s, stacked=True)
-            return TransferOperator(Gs, self._W1s, w)
-        return TransferOperator(self.evaluation_matrix(s), self._W1s)
+    def matrix(self, s: float) -> TransferOperator:
+        """L_h(s): the shared stacked Gs weighted by exp(s lg)."""
+        return TransferOperator(self._Gs, self._W1s, self.evaluation_matrix(s))

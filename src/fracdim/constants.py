@@ -247,6 +247,15 @@ def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
         beta = 0.05 if d == 1 else 0.01
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("alpha and beta must lie in (0,1)")
+    try:
+        return _profile(d, n, q, K, s_cap, alpha, beta, M)
+    except OverflowError:
+        raise ValueError(f"s_cap = {s_cap!r} is too large: the rigor "
+                         "constants overflow") from None
+
+
+def _profile(d, n, q, K, s_cap, alpha, beta, M) -> RigorProfile:
+    """make_profile's constants, from its checked settings."""
     A = round_down(K ** (-s_cap))  # a lower bound
     B = round_up(K ** s_cap)
     if d == 1:

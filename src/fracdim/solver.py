@@ -6,6 +6,11 @@ pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
 B_h above 1 certifies s <= s*.  Two independent bisections locate the
 endpoints.  Point-estimate mode sets err = 0 and bisects the eigenvalue
 estimate itself (what convergence tables measure).
+
+Every probe follows one rule.  On a certifiable mesh (h admissible and
+M' < M) it stops at its decision and checks its cone; a point probe is the
+same probe with err = 0.  On any other mesh, which only a point estimate
+reaches, it runs to convergence with no cone check.
 """
 from __future__ import annotations
 
@@ -164,24 +169,23 @@ class ProbeEngine:
     positive iterate, and the probe sequence is deterministic from the
     config, so results stay reproducible.
 
-    With `decide` set, each probe stops power iteration at the first iterate
-    that answers both certified predicates, lam_lo >= 1 and lam_hi > 1, as
-    a converged probe would (a "decided" record; see power_iteration), so a
-    cached one serves either bisection as it stands.
-
-    The engine picks the operator form from the same flag: a deciding probe
-    makes about two products, too few to repay writing G(s), so it applies
-    the shared stacked Gs weighted by exp(s lg); a converging probe makes
-    about fourteen and writes G(s) once (see the assembly module).
+    With `certifiable` set (a mesh where hidden positivity holds: h
+    admissible and M' < M), each probe stops power iteration at the first
+    iterate that answers both predicates, lam_lo >= 1 and lam_hi > 1, as a
+    converged probe would (a "decided" record; see power_iteration), so a
+    cached one serves either bisection as it stands.  Its iterate must then
+    pass the cone check, which is what makes the bracket valid.  A point
+    probe (err = 0) decides only when its bracket lies wholly above or below
+    1, so its lam sits on the side of 1 a converged one would.  Without
+    `certifiable` each probe runs to convergence, with no cone check.
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
-                 check_cone: bool, decide: bool = False):
+                 certifiable: bool):
         self.cache = cache
         self.profile = profile
         self.err = err
-        self.check_cone = check_cone
-        self.decide = decide
+        self.certifiable = certifiable
         self.records: dict[float, dict] = {}
         self._warm = None
 
@@ -189,12 +193,12 @@ class ProbeEngine:
         s = float(s)
         if s in self.records:
             return self.records[s]
-        m = self.cache.matrix(s, stacked=self.decide)
+        m = self.cache.matrix(s)
         res = power_iteration(m, start=self._warm,
-                              decide_err=self.err if self.decide else None)
+                              decide_err=self.err if self.certifiable else None)
         self._warm = res.w
         cone = cone_membership(res.w, self.cache.geometry, self.profile.M)
-        if self.check_cone and not cone.member:
+        if self.certifiable and not cone.member:
             raise CertificationError(
                 f"eigenvector left the cone at s = {s}: adjacent log ratio "
                 f"{cone.adjacent_ratio_max:.6g} > M = {self.profile.M}")
@@ -257,7 +261,8 @@ def _setup(config: SolveConfig):
     estimate may pass unsafe_h to go on); in certified mode also ValueError
     for a 2D degree other than 2 (its error bounds are third order), and
     CertificationError when M' >= M or err >= 1.
-    Returns (h, profile, geometry, breakdown, constants, err).
+    Returns (h, profile, geometry, breakdown, constants, err, certifiable),
+    certifiable when h is admissible and M' < M (always, in certified mode).
     """
     alphabet = config.alphabet
     certified = config.mode == "certified"
@@ -271,7 +276,8 @@ def _setup(config: SolveConfig):
                            alpha=config.alpha, beta=config.beta, M=config.M)
     geometry = make_geometry(alphabet.d, J, config.n)
     breakdown = admissible_h(profile, alphabet)
-    if h > breakdown["overall"] and (certified or not config.unsafe_h):
+    admissible = h <= breakdown["overall"]
+    if not admissible and (certified or not config.unsafe_h):
         raise InadmissibleMeshError(h, breakdown)
     constants = {
         "K": profile.K, "A": profile.A, "B": profile.B, "D": profile.D,
@@ -280,23 +286,24 @@ def _setup(config: SolveConfig):
         "err_coeff": profile.err_coefficient,
     }
     err = 0.0
+    m_prime = cone_image_parameter(profile, h) if admissible else math.inf
+    certifiable = m_prime < profile.M
     if certified:
-        m_prime = cone_image_parameter(profile, h)
         constants["M_prime"] = m_prime
-        if m_prime >= profile.M:
+        if not certifiable:
             raise CertificationError(
                 f"image cone parameter M' = {m_prime:.6g} is not below M = {profile.M}")
         err = profile.err(h)
         if err >= 1:
             raise CertificationError(f"err = {err:.6g} >= 1: mesh too coarse")
-    return h, profile, geometry, breakdown, constants, err
+    return h, profile, geometry, breakdown, constants, err, certifiable
 
 
 def _solve_pass(config: SolveConfig, setup, engine: ProbeEngine, a: float,
                 b: float, tol: float, t0: float) -> DimensionBracket:
     """Bisect on [a, b] to width tol with the engine's probes; the record
     holds every probe the engine has made."""
-    h, _, _, breakdown, constants, err = setup
+    h, _, _, breakdown, constants, err, _ = setup
     if config.mode == "certified":
         s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol)[0]
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol)[1]
@@ -332,13 +339,11 @@ def solve_dimension(config: SolveConfig) -> DimensionBracket:
     t0 = time.perf_counter()
     tol = config.resolve_tol()
     setup = _setup(config)
-    _, profile, geometry, _, _, err = setup
+    _, profile, geometry, _, _, err, certifiable = setup
     d = config.alphabet.d
     certified = config.mode == "certified"
-    # only the certified bisections ask a yes/no question per probe; a point
-    # estimate bisects on the converged eigenvalue itself
     engine = ProbeEngine(OperatorCache(config.alphabet, geometry, profile.q),
-                         profile, err, check_cone=certified, decide=certified)
+                         profile, err, certifiable)
     s_max = min(float(d), profile.s_cap) if certified else float(d)
     if not (certified and d == 2):
         return _solve_pass(config, setup, engine, S_FLOOR, s_max, tol, t0)
@@ -348,9 +353,8 @@ def solve_dimension(config: SolveConfig) -> DimensionBracket:
     s_cap_2 = min(profile.s_cap, first.s_hi + 1e-3)
     if s_cap_2 < profile.s_cap:
         setup = _setup(replace(config, s_cap=s_cap_2))
-        _, profile, _, _, _, err = setup
-        engine = ProbeEngine(engine.cache, profile, err, check_cone=True,
-                             decide=True)
+        _, profile, _, _, _, err, certifiable = setup
+        engine = ProbeEngine(engine.cache, profile, err, certifiable)
         s_min, s_max = first.s_lo, s_cap_2
     second = _solve_pass(config, setup, engine, s_min, s_max, tol, t0)
     return replace(second, first_pass=first)

@@ -78,8 +78,9 @@ def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
     """Iterate w -> Lw / max(Lw), stopping when the relative spread of the
     ratios (Lw)_i/w_i falls below tol, stops improving, or max_iter hits.
 
-    With decide_err = err, also stop at the first iterate that answers both
-    certified bisection predicates, lam_lo >= 1 and lam_hi > 1.  With
+    With decide_err = err (0 for a point probe), also stop at the first
+    iterate that answers both bisection predicates, lam_lo >= 1 and
+    lam_hi > 1.  With
     (alpha, beta) the widened ratios, (lo, hi) = scaled_bracket(alpha, beta)
     as the certified probe's lam_lo and lam_hi, and (lo_top, hi_bot) =
     scaled_bracket(beta, alpha) the same products with the ratios swapped,

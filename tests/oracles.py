@@ -2,8 +2,9 @@
 
 Pointwise B-spline values by the Cox-de Boor recurrence, the quasi-interpolant
 Qf evaluated from its spline coefficients, the derivative norms ||Dphi_e||^s
-evaluated directly, and the transfer operator materialized as one sparse
-matrix.  None of it runs in a solve; it stays simple and slow on purpose.
+evaluated directly, the transfer operator materialized as one sparse matrix,
+and probes run to convergence.  None of it runs in a solve; it stays simple
+and slow on purpose.
 """
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ from functools import reduce
 import numpy as np
 from scipy import sparse
 
-from fracdim.assembly import TransferOperator
+from fracdim.assembly import OperatorCache, TransferOperator
 from fracdim.bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
 from fracdim.quasi import QuasiInterpolant
+from fracdim.spectral import (cone_membership, power_iteration, scaled_bracket,
+                              spectral_bracket)
 
 Array = np.ndarray
 
@@ -155,16 +158,40 @@ def dphi_norm_2d(e: tuple[int, int], p, s: float):
 
 def tocsr(op: TransferOperator) -> sparse.csr_matrix:
     """The TransferOperator G W materialized as one sparse matrix (the
-    per-axis W1 maps Kronecker-multiplied, first axis innermost).  A stacked
-    operator's (point, letter) rows are weighted and summed per point."""
+    per-axis W1 maps Kronecker-multiplied, first axis innermost), the
+    stacked (point, letter) rows weighted and summed per point."""
     W = reduce(lambda inner, outer: sparse.kron(outer, inner, format="csr"),
                op.W1s)
-    G = op.G.copy()
-    if op.weights is not None:
-        N, E = op.weights.shape
-        rows = np.repeat(np.arange(N), E)
-        G = sparse.csr_matrix((op.weights.ravel(),
-                               (rows, np.arange(N * E))),
-                              shape=(N, N * E)) @ G
+    N, E = op.weights.shape
+    rows = np.repeat(np.arange(N), E)
+    G = sparse.csr_matrix((op.weights.ravel(), (rows, np.arange(N * E))),
+                          shape=(N, N * E)) @ op.G
     G.sum_duplicates()
     return (G @ W).tocsr()
+
+
+class ConvergedProbes:
+    """Probes at s run to convergence, warm-started from the last one as
+    the solver's probes are: the reference that probes stopping at their
+    decision must agree with.  Each record holds the converged lam, the
+    Collatz-Wielandt bracket scaled by (1 -/+ err), and whether the final
+    iterate lies in the cone K_M."""
+
+    def __init__(self, cache: OperatorCache, M: float, err: float = 0.0):
+        self.cache, self.M, self.err = cache, M, err
+        self.records: dict[float, dict] = {}
+        self._warm = None
+
+    def __call__(self, s: float) -> dict:
+        s = float(s)
+        if s not in self.records:
+            m = self.cache.matrix(s)
+            res = power_iteration(m, start=self._warm)
+            self._warm = res.w
+            br = spectral_bracket(m, res.w, res.iterations, y=res.y)
+            lam_lo, lam_hi = scaled_bracket(br.alpha, br.beta, self.err)
+            member = cone_membership(res.w, self.cache.geometry, self.M).member
+            self.records[s] = {"s": s, "lam": res.lam, "lam_lo": lam_lo,
+                               "lam_hi": lam_hi, "converged": res.converged,
+                               "member": member}
+        return self.records[s]

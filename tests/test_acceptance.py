@@ -20,10 +20,11 @@ from fracdim.constants import (bramble_hilbert_constant, err_coefficient_1d,
                                multivariate_error_constant)
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
 from fracdim.quasi import make_quasi_interpolant
-from fracdim.solver import (ProbeEngine, SolveConfig, convergence_study,
-                            make_geometry, solve_dimension)
+from fracdim.solver import (SolveConfig, convergence_study, make_geometry,
+                            solve_dimension)
 from fracdim.spectral import cone_membership, power_iteration, spectral_bracket
-from oracles import eval_quasi_interpolant, local_basis, tocsr
+from oracles import (ConvergedProbes, eval_quasi_interpolant, local_basis,
+                     tocsr)
 
 REF_12 = 0.531280506277205        # two-letter set {1,2}, independently known
 REF_34 = 0.980419625226979        # {1..34} at the finest published mesh
@@ -352,15 +353,14 @@ class TestCriterion8HiddenPositivity:
         assert cert.adjacent_ratio_max < 787.0
 
     def test_2d_certified_probe_brackets(self):
-        # the same mesh run through the certified probe path: cone check on,
-        # (1 +- err)-scaled bracket returned, iterated to convergence
+        # the same mesh as a certified probe iterated to convergence: its
+        # iterate in the cone, its (1 +- err)-scaled bracket returned
         J = 2400
         alphabet = make_alphabet_2d([(1, 0)])
         profile = make_profile(alphabet)
-        engine = ProbeEngine(OperatorCache(alphabet, make_geometry(2, J, 2)),
-                             profile, profile.err(1.0 / J), check_cone=True,
-                             decide=False)
-        rec = engine.probe(1.0)
+        rec = ConvergedProbes(OperatorCache(alphabet, make_geometry(2, J, 2)),
+                              profile.M, profile.err(1.0 / J))(1.0)
+        assert rec["member"]
         lam_lo, lam_hi = rec["lam_lo"], rec["lam_hi"]
         assert 0.0 < lam_lo <= lam_hi
         assert lam_lo <= 0.381966011250105 <= lam_hi  # 2 - golden ratio

@@ -123,15 +123,21 @@ class TestOracle2D:
         assert np.abs(op.coefficients(v) - Wr @ v).max() < 1e-14
 
 
+def entries_per_point(op):
+    """Entries of G(s) per collocation point: the entries of its |E|
+    stacked (point, letter) rows."""
+    return np.diff(op.G.indptr).reshape(op.weights.shape).sum(axis=1)
+
+
 class TestStructure:
     def test_column_sparsity_invariant(self):
         # each collocation row of the evaluation factor holds at most
         # |E| (n+1)^d entries
         alphabet = make_alphabet_1d([1, 2, 3, 4])
         cache = OperatorCache(alphabet, make_geometry(1, 10, 2))
-        G = cache.evaluation_matrix(0.7)
-        per_row = np.diff(G.indptr)
-        assert per_row.max() <= len(alphabet.letters) * 3
+        op = cache.matrix(0.7)
+        assert op.G.shape[0] == cache.N * len(alphabet.letters)
+        assert entries_per_point(op).max() <= len(alphabet.letters) * 3
 
     def test_shapes(self):
         alphabet = make_alphabet_2d([(1, 0), (2, 0)])
@@ -147,16 +153,21 @@ class TestStructure:
     def test_s_only_enters_through_weights(self):
         alphabet = make_alphabet_1d([1, 2])
         cache = OperatorCache(alphabet, make_geometry(1, 9, 2))
-        G1 = cache.evaluation_matrix(0.5)
-        G2 = cache.evaluation_matrix(0.8)
-        assert np.array_equal(G1.indices, G2.indices)
+        op1, op2 = cache.matrix(0.5), cache.matrix(0.8)
+        assert np.array_equal(op1.G.indices, op2.G.indices)
+        assert np.array_equal(op1.G.indptr, op2.G.indptr)
+        assert np.array_equal(op1.G.data, op2.G.data)
+        assert np.array_equal(op1.weights, cache.evaluation_matrix(0.5))
+        assert not np.allclose(op1.weights, op2.weights)
+        G1, G2 = tocsr(op1), tocsr(op2)
         assert np.array_equal(G1.indptr, G2.indptr)
         assert not np.allclose(G1.data, G2.data)
 
     def test_entries_positive_at_kept_columns(self):
         alphabet = make_alphabet_1d([1, 2])
-        G = OperatorCache(alphabet, make_geometry(1, 9, 2)).evaluation_matrix(0.6)
-        assert G.data.min() >= 0.0
+        op = OperatorCache(alphabet, make_geometry(1, 9, 2)).matrix(0.6)
+        assert op.G.data.min() >= 0.0
+        assert op.weights.min() > 0.0
 
     def test_degree_and_dimension_validation(self):
         with pytest.raises(ValueError, match="even spline degree"):
@@ -174,8 +185,9 @@ class TestFullBasis:
         # i.e. partition of unity holds at all evaluated points
         alphabet = make_alphabet_1d([1, 2])
         cache = OperatorCache(alphabet, make_geometry(1, 32, 2))
-        per_row = np.diff(cache.evaluation_matrix(0.5).indptr)
-        assert (per_row == 2 * 3).all()
+        op = cache.matrix(0.5)
+        assert (np.diff(op.G.indptr) == 3).all()
+        assert (entries_per_point(op) == 2 * 3).all()
 
     def test_unpadded_full_basis_rejected(self):
         # without padding some images spill past the unity region
@@ -205,8 +217,6 @@ def exact_product(op, v) -> list[Fraction]:
     rows = [sum((Fraction(data[k]) * c[indices[k]]
                  for k in range(G.indptr[i], G.indptr[i + 1])), Fraction(0))
             for i in range(G.shape[0])]
-    if op.weights is None:
-        return rows
     E = op.weights.shape[1]
     return [sum((Fraction(w) * r for w, r in
                  zip(op.weights[i].tolist(), rows[i * E:(i + 1) * E])),
@@ -214,38 +224,48 @@ def exact_product(op, v) -> list[Fraction]:
             for i in range(op.shape[0])]
 
 
+def written_G(op) -> sparse.csr_matrix:
+    """G(s) written out the direct way: each stacked row's entries scaled
+    by its letter weight, a point's |E| rows merged into one."""
+    N, E = op.weights.shape
+    G = op.G
+    data = G.data * np.repeat(op.weights.ravel(), np.diff(G.indptr))
+    return sparse.csr_matrix((data, G.indices, G.indptr[::E]),
+                             shape=(N, G.shape[1]))
+
+
 class TestStackedForm:
-    """The stacked s-independent G weighted per (point, letter) applies the
-    same operator as the materialized G(s)."""
+    """The s-independent stacked G weighted per (point, letter) applies the
+    operator G(s) W that it stands for."""
 
     def test_products_agree(self, cache):
         rng = np.random.default_rng(3)
         v = rng.uniform(0.5, 1.5, cache.N)
         for s in (0.5, 0.9, 1.2):
-            y = cache.matrix(s) @ v
-            ys = cache.matrix(s, stacked=True) @ v
+            op = cache.matrix(s)
+            y = written_G(op) @ op.coefficients(v)
+            ys = op @ v
             assert np.all(np.abs(ys - y) <= 1e-14 * np.abs(y))
 
     def test_materializes_to_the_same_matrix(self, cache):
-        a = tocsr(cache.matrix(0.9)).toarray()
-        b = tocsr(cache.matrix(0.9, stacked=True)).toarray()
+        op = cache.matrix(0.9)
+        # the coefficient map, first axis innermost
+        W = op.W1s[0] if len(op.W1s) == 1 else sparse.kron(op.W1s[1], op.W1s[0])
+        a = (written_G(op) @ W).toarray()
+        b = tocsr(op).toarray()
         assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
 
     def test_probes_share_one_G(self, cache):
-        a, b = cache.matrix(0.5, stacked=True), cache.matrix(0.8, stacked=True)
+        a, b = cache.matrix(0.5), cache.matrix(0.8)
         assert a.G is b.G
         assert a.weights.shape == (cache.N, len(cache.alphabet.letters))
         assert not np.array_equal(a.weights, b.weights)
-        # the materialized G(s) borrows the stacked columns, not a copy
-        assert np.shares_memory(cache.evaluation_matrix(0.5).indices,
-                                a.G.indices)
 
     def test_rounding_within_slack(self, cache):
-        # both forms round each row within FLOAT_SLACK / 100 of the exact
-        # rational sum of their own float factors
+        # each row rounds within FLOAT_SLACK / 100 of the exact rational sum
+        # of its own float factors
         v = np.random.default_rng(4).uniform(0.5, 1.5, cache.N)
-        for stacked in (False, True):
-            op = cache.matrix(1.0, stacked=stacked)
-            y = op @ v
-            for yi, ex in zip(y.tolist(), exact_product(op, v)):
-                assert abs(Fraction(yi) - ex) <= Fraction(FLOAT_SLACK / 100) * ex
+        op = cache.matrix(1.0)
+        y = op @ v
+        for yi, ex in zip(y.tolist(), exact_product(op, v)):
+            assert abs(Fraction(yi) - ex) <= Fraction(FLOAT_SLACK / 100) * ex

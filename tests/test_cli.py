@@ -306,6 +306,14 @@ class TestBadSettings:
                     flag, value]) == EXIT_USAGE
         assert f"{name} = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s_cap", ["300", "1000"])
+    def test_s_cap_too_large(self, s_cap, capsys):
+        # K^s_cap (at 1000) and the default M's K^(2 s_cap) (at 300) ended
+        # in OverflowError tracebacks
+        assert run(["certify", "--alphabet", "1,2", "--h", "1/64",
+                    "--s-cap", s_cap]) == EXIT_USAGE
+        assert "s_cap = " in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):

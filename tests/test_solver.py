@@ -16,8 +16,8 @@ from fracdim.solver import (S_FLOOR, CertificationError,
                             InadmissibleMeshError, MonotonicityError,
                             ProbeEngine, SolveConfig, _bisect,
                             convergence_study, make_geometry, solve_dimension)
-from fracdim.spectral import FLOAT_SLACK, scaled_bracket
-from oracles import tocsr
+from fracdim.spectral import ConeCertificate, FLOAT_SLACK, scaled_bracket
+from oracles import ConvergedProbes, tocsr
 
 A12 = make_alphabet_1d([1, 2])
 A2D = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
@@ -40,28 +40,26 @@ def counting_matvecs():
 
 
 @contextmanager
-def recording_forms():
-    """Record, for each G(s) step inside the block, whether it returned the
-    stacked form (True) or wrote G(s) (False)."""
-    forms = []
-    evaluation_matrix = OperatorCache.evaluation_matrix
+def recording_operators():
+    """Collect every operator L_h(s) built inside the block."""
+    ops = []
+    matrix = OperatorCache.matrix
 
-    def recorded(cache, s, stacked=False):
-        out = evaluation_matrix(cache, s, stacked=stacked)
-        forms.append(isinstance(out, tuple))
-        return out
+    def recorded(cache, s):
+        ops.append(matrix(cache, s))
+        return ops[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(OperatorCache, "evaluation_matrix", recorded)
-        yield forms
+        mp.setattr(OperatorCache, "matrix", recorded)
+        yield ops
 
 
-def converging_engine(alphabet, J):
-    """A certified probe engine whose probes run to convergence: the cone
-    check on, the (1 -/+ err)-scaled bracket returned, and no early stop."""
+def converging_probes(alphabet, J):
+    """Certified probes run to convergence: the (1 -/+ err)-scaled bracket
+    of the converged iterate, with no early stop."""
     profile = make_profile(alphabet)
     cache = OperatorCache(alphabet, make_geometry(alphabet.d, J, 2))
-    return ProbeEngine(cache, profile, profile.err(1.0 / J), check_cone=True)
+    return ConvergedProbes(cache, profile.M, profile.err(1.0 / J))
 
 
 def dense_rho(cache, s):
@@ -228,9 +226,9 @@ class TestCertified:
 
 
 class TestEarlyDecision:
-    """Certified probes stop power iteration once the scaled bracket answers
-    both bisection predicates; an engine that does not decide, and point
-    mode, still run to convergence."""
+    """Probes on a certifiable mesh (h admissible, M' < M) stop power
+    iteration once the scaled bracket answers both bisection predicates, in
+    either mode; probes on any other mesh run to convergence."""
 
     @pytest.fixture(scope="class")
     def table2(self, tmp_path_factory):
@@ -274,19 +272,22 @@ class TestEarlyDecision:
         J, tol = 64, 1e-14
         profile = make_profile(A12)
         cache = OperatorCache(A12, make_geometry(1, J, 2))
+        err = profile.err(1.0 / J)
         ends, matvecs, records = [], [], []
-        for decide in (True, False):
-            engine = ProbeEngine(cache, profile, profile.err(1.0 / J),
-                                 check_cone=True, decide=decide)
+        engine = ProbeEngine(cache, profile, err, certifiable=True)
+        converged = ConvergedProbes(cache, profile.M, err)
+        for probe, recs in ((engine.probe, engine.records),
+                            (converged, converged.records)):
             with counting_matvecs() as calls:
-                s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0,
+                s_lo = _bisect(lambda s: probe(s)["lam_lo"] >= 1.0,
                                1e-6, 1.0, tol)[0]
-                s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0,
+                s_hi = _bisect(lambda s: probe(s)["lam_hi"] > 1.0,
                                1e-6, 1.0, tol)[1]
             ends.append((s_lo, s_hi))
             matvecs.append(len(calls))
-            records.append(engine.records)
+            records.append(recs)
         assert ends[0] == ends[1]
+        assert all(r["member"] for r in records[1].values())
         assert records[0].keys() == records[1].keys()
         assert any(r["decided"] and r["lam_lo"] < 1.0 < r["lam_hi"]
                    for r in records[0].values())
@@ -298,8 +299,8 @@ class TestEarlyDecision:
         J = 64
         profile = make_profile(A12)
         engine = ProbeEngine(OperatorCache(A12, make_geometry(1, J, 2)),
-                             profile, profile.err(1.0 / J), check_cone=True,
-                             decide=True)
+                             profile, profile.err(1.0 / J),
+                             certifiable=True)
         for s in np.linspace(0.3, 0.8, 11):
             engine.probe(s)
         recs = list(engine.records.values())
@@ -308,9 +309,9 @@ class TestEarlyDecision:
 
     def test_lambda_bracket_converges(self):
         # far below the dimension even the first iterate decides the probe;
-        # a converging engine must still return the converged, tight bracket
+        # a converging probe must still return the converged, tight bracket
         err = make_profile(A12).err(1.0 / 64)
-        rec = converging_engine(A12, 64).probe(0.4)
+        rec = converging_probes(A12, 64)(0.4)
         lo, hi = rec["lam_lo"], rec["lam_hi"]
         alpha = lo / ((1 - err) * (1 - FLOAT_SLACK))
         beta = hi / ((1 + err) * (1 + FLOAT_SLACK))
@@ -318,31 +319,61 @@ class TestEarlyDecision:
         # power_iteration's default tolerance is 1e-14
         assert 0.0 <= beta - alpha <= 10 * 1e-14 * alpha
 
-    def test_point_mode_converges(self):
-        b = solve_dimension(SolveConfig(A12, J=64, mode="point-estimate",
-                                        tol_s=1e-8))
+    @pytest.mark.parametrize("alphabet, J", [(A12, 64),
+                                             (make_alphabet_1d(range(1, 35)), 100)],
+                             ids=["12-J64", "1..34-J100"])
+    def test_point_estimate_decides_on_admissible_mesh(self, alphabet, J):
+        # a point estimate bisects on lam >= 1 with decided probes, and ends
+        # where the same bisection over converged probes ends.  Bisecting to
+        # adjacent doubles, the last steps read the last bits of converged
+        # eigenvalues, which depend on the warm start ({1,2} moves by 1 ulp)
+        tol = 1e-14
+        b = solve_dimension(SolveConfig(alphabet, J=J, mode="point-estimate",
+                                        tol_s=tol))
+        assert any(p["decided"] for p in b.probes)
+        assert all(p["decided"] != p["converged"] for p in b.probes)
+        probe = ConvergedProbes(OperatorCache(alphabet, make_geometry(1, J, 2)),
+                                make_profile(alphabet).M)
+        lo, hi = _bisect(lambda s: probe(s)["lam"] >= 1.0, S_FLOOR, 1.0, tol)
+        assert b.s_lo == 0.5 * (lo + hi)
+        for p in b.probes:
+            if p["decided"]:
+                assert (p["lam"] >= 1.0) == (probe(p["s"])["lam"] >= 1.0)
+
+    @staticmethod
+    def no_iterate_in_cone(monkeypatch):
+        def outside(w, geometry, M):
+            return ConeCertificate(M=M, d=geometry.d, h=geometry.h,
+                                   adjacent_ratio_max=np.inf, member=False)
+
+        monkeypatch.setattr("fracdim.solver.cone_membership", outside)
+
+    def test_point_estimate_checks_cone_on_admissible_mesh(self, monkeypatch):
+        self.no_iterate_in_cone(monkeypatch)
+        with pytest.raises(CertificationError, match="left the cone"):
+            solve_dimension(SolveConfig(A12, J=64, mode="point-estimate"))
+
+    @pytest.mark.parametrize("cfg", [
+        SolveConfig(A12, J=25, mode="point-estimate", unsafe_h=True),
+        SolveConfig(A12, J=64, mode="point-estimate", M=2.0),
+    ], ids=["unsafe-h", "M-override"])
+    def test_point_estimate_converges_unchecked_otherwise(self, cfg,
+                                                          monkeypatch):
+        # at an inadmissible h, or with M' >= M (M = 2 gives M' = 33.2),
+        # no iterate is held to the cone and every probe converges
+        self.no_iterate_in_cone(monkeypatch)
+        b = solve_dimension(cfg)
         assert all(p["converged"] and not p["decided"] for p in b.probes)
 
 
 class TestOperatorForm:
-    """Deciding probes apply the shared stacked G; converging probes write
-    G(s) once and reuse it for their many products."""
+    """Every probe applies the one stacked G, weighted per probe."""
 
     def test_certified_solve_never_writes_G(self):
-        with recording_forms() as forms:
-            solve_dimension(SolveConfig(A12, J=64))
-        assert forms and all(forms)
-
-    def test_point_mode_writes_G(self):
-        with recording_forms() as forms:
-            solve_dimension(SolveConfig(A12, J=64, mode="point-estimate",
-                                        tol_s=1e-8))
-        assert forms and not any(forms)
-
-    def test_lambda_bracket_writes_G(self):
-        with recording_forms() as forms:
-            converging_engine(A12, 64).probe(0.4)
-        assert forms == [False]
+        for mode in ("certified", "point-estimate"):
+            with recording_operators() as ops:
+                solve_dimension(SolveConfig(A12, J=64, mode=mode))
+            assert ops and all(op.G is ops[0].G for op in ops)
 
 
 class TestLambdaBracket:
@@ -350,15 +381,16 @@ class TestLambdaBracket:
     certified probe, and the guards a certified solve applies first."""
 
     def test_straddles_unity_across_dimension(self):
-        engine = converging_engine(A12, 64)
-        assert engine.probe(0.4)["lam_lo"] > 1.0
-        assert engine.probe(0.65)["lam_hi"] < 1.0
+        probe = converging_probes(A12, 64)
+        assert probe(0.4)["lam_lo"] > 1.0
+        assert probe(0.65)["lam_hi"] < 1.0
 
     def test_contains_dense_eigenvalue(self):
         s = 0.53
-        engine = converging_engine(A12, 64)
-        rec = engine.probe(s)
-        rho = dense_rho(engine.cache, s)
+        probe = converging_probes(A12, 64)
+        rec = probe(s)
+        assert rec["member"]
+        rho = dense_rho(probe.cache, s)
         err = 162.0 / 64 ** 3
         assert rec["lam_lo"] <= rho * (1 - err) * (1 + 1e-12)
         assert rec["lam_hi"] >= rho * (1 + err) * (1 - 1e-12)
@@ -385,10 +417,10 @@ class TestBisectionEdges:
         profile = make_profile(A12)
         cache = OperatorCache(A12, make_geometry(1, J, 2))
         if endpoint == "point":
-            engine = ProbeEngine(cache, profile, 0.0, check_cone=False)
+            engine = ProbeEngine(cache, profile, 0.0, certifiable=True)
             return lambda s: engine.probe(s)["lam"] >= 1.0
         engine = ProbeEngine(cache, profile, profile.err(1.0 / J),
-                             check_cone=True, decide=True)
+                             certifiable=True)
         if endpoint == "s_lo":
             return lambda s: engine.probe(s)["lam_lo"] >= 1.0
         return lambda s: engine.probe(s)["lam_hi"] > 1.0
@@ -418,7 +450,7 @@ class TestMonotonicityAudit:
     def test_rising_estimates_raise(self):
         cache = OperatorCache(A12, make_geometry(1, 16, 2))
         profile = make_profile(A12)
-        engine = ProbeEngine(cache, profile, 0.0, check_cone=False)
+        engine = ProbeEngine(cache, profile, 0.0, certifiable=False)
         engine.records = {
             0.5: {"s": 0.5, "lam": 1.0, "alpha": 1.0, "beta": 1.0},
             0.6: {"s": 0.6, "lam": 1.5, "alpha": 1.5, "beta": 1.5},

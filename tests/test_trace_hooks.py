@@ -24,7 +24,8 @@ SPANS = {"constants", "assembly.build", "assembly.rebuild", "assembly.matvec",
     ["certify", "--alphabet", "primes<50", "--h", "1/50"],
     ["estimate", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)", "--h", "1/40",
      "--unsafe-h"],
-], ids=["1d-certify", "2d-estimate"])
+    ["estimate", "--alphabet", "1,2", "--h", "1/64"],
+], ids=["1d-certify", "2d-estimate", "1d-estimate-decided"])
 def test_traced_run_records_every_span(argv, tmp_path):
     result, spans = tmp_path / "result.json", tmp_path / "spans.json"
     proc = subprocess.run(
