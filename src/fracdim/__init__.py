@@ -10,11 +10,10 @@ from .constants import (RigorProfile, admissible_h, bramble_hilbert_constant,
                         cone_image_parameter, deriv_bound_1d, deriv_bounds_2d,
                         distortion_K, err_coefficient_1d, err_coefficient_2d,
                         legendre_projection_constants, make_profile,
-                        multivariate_error_constant)
+                        multivariate_error_constant, positivity_threshold)
 from .maps import (Alphabet, make_alphabet_1d, make_alphabet_2d,
                    parse_alphabet, phi_1d, phi_2d)
-from .quasi import (QuasiInterpolant, make_quasi_interpolant,
-                    positivity_threshold)
+from .quasi import QuasiInterpolant, make_quasi_interpolant
 from .solver import (CertificationError, DimensionBracket,
                      InadmissibleMeshError, MonotonicityError, SolveConfig,
                      convergence_study, make_geometry, solve_dimension)

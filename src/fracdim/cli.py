@@ -139,16 +139,38 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="known dimension for delta/rate columns")
     # keys a --config file may set: any subcommand's option (by its dest),
     # or the subcommand itself, as the presets do
-    parser.config_keys = {"subcommand"}.union(
-        *(vars(p.parse_args([])) for p in (p_cert, p_est, p_conv))) - {
-        "config", "reproduce"}
+    parser.config_actions = {
+        action.dest: action for p in (parser, p_cert, p_est, p_conv)
+        for action in p._actions
+        if action.dest not in ("help", "config", "reproduce")}
     return parser
 
 
-def _merge_settings(args: argparse.Namespace, config_keys: set) -> dict:
+# the JSON type a --config value must have, by its flag's converter: any
+# number for a float option, true/false for a switch, else a string
+_JSON_KINDS = {float: ("a number", (int, float)), int: ("an integer", int),
+               str: ("a string", str), bool: ("true or false", bool)}
+
+
+def _check_config_value(key: str, val, action: argparse.Action) -> None:
+    """Refuse a --config value that its flag's converter or choices would:
+    argparse checks only what is typed on the command line."""
+    if val is None:
+        return
+    kind = bool if action.nargs == 0 else action.type or str
+    name, types = _JSON_KINDS[kind]
+    if not isinstance(val, types) or isinstance(val, bool) != (kind is bool):
+        raise ValueError(f"{key} must be {name}, not {val!r}")
+    if action.choices is not None and val not in action.choices:
+        raise ValueError(f"{key} must be one of "
+                         f"{', '.join(map(str, action.choices))}, not {val!r}")
+
+
+def _merge_settings(args: argparse.Namespace, config_actions: dict) -> dict:
     """Priority: explicit flags > --config file > --reproduce preset.
-    A config key that no subcommand accepts, or a preset or config made for
-    another subcommand than the one typed, is a usage error."""
+    A config key that no subcommand accepts or whose value has the wrong
+    type, or a preset or config made for another subcommand than the one
+    typed, is a usage error."""
     settings: dict = {}
 
     def claim(source: dict, name: str, kind: str) -> None:
@@ -165,10 +187,12 @@ def _merge_settings(args: argparse.Namespace, config_keys: set) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - config_keys)
+        unknown = sorted(set(loaded) - set(config_actions))
         if unknown:
             raise ValueError(f"unknown key(s) in {args.config}: "
                              f"{', '.join(unknown)}")
+        for key, val in loaded.items():
+            _check_config_value(key, val, config_actions[key])
         claim(loaded, args.config, "config")
     for key, val in vars(args).items():
         if key in ("config", "reproduce"):
@@ -268,7 +292,7 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        settings = _merge_settings(args, parser.config_keys)
+        settings = _merge_settings(args, parser.config_actions)
         subcommand = args.subcommand
         fmt = settings.get("fmt") or ("tsv" if subcommand == "converge" else "json")
         out_path = settings.get("out")

@@ -1,35 +1,62 @@
 """Explicit constants for the certification: quasi-interpolation error
 coefficients, Legendre projection and Bramble-Hilbert constants, eigenfunction
-derivative bounds, cone parameters, and the mesh-admissibility conditions.
+derivative bounds, cone parameters, hidden positivity and the
+mesh-admissibility conditions.
 
-All closed-form constants are evaluated in exact rational arithmetic where the
-inputs permit and rounded toward the conservative side at the final float
-conversion: upward for the constants that multiply an error term, downward
-for the eigenfunction lower bound A.
+Exact rationals, one outward rounding: every algebraic constant is one
+Fraction expression, each square root replaced by a rational bound on its
+conservative side (math.isqrt on a scaled integer), converted to a double
+once, upward for the constants that multiply an error term and downward for
+the mesh bounds.  Only the transcendental K = exp(2/(k^2-1)), A = K^-s_cap
+and B = K^s_cap are float powers, nudged one ulp outward.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
-import numpy as np
-from numpy.polynomial import legendre as npleg
-
-from .quasi import QuasiInterpolant, make_quasi_interpolant, positivity_threshold
-
-def round_up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def round_down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
+from .quasi import QuasiInterpolant, make_quasi_interpolant
 
 
 def round_up_fraction(x: Fraction) -> float:
     """The least double >= the exact rational x."""
     f = float(x)  # correctly rounded
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+def round_down_fraction(x: Fraction) -> float:
+    """The greatest double <= the exact rational x."""
+    f = float(x)
+    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
+
+
+def _sqrt_bound(x, up: bool) -> Fraction:
+    """A rational within 2^-128 relative of sqrt(x), above it when up, else
+    below; exact when x is the square of a rational."""
+    x = Fraction(x)
+    scaled = x.numerator * x.denominator << 256
+    r = math.isqrt(scaled)
+    if up and r * r != scaled:
+        r += 1
+    return Fraction(r, x.denominator << 128)
+
+
+_SQRT3_UP = _sqrt_bound(3, up=True)
+_SQRT5_UP = _sqrt_bound(5, up=True)
+
+# c1(n) = sum_k ||p_k||_1 ||p_k||_inf for the orthonormal shifted Legendre
+# polynomials p_k(x) = sqrt(2k+1) P_k(2x-1) on [0,1].  Closed forms through
+# n = 3 (with sqrt(3) bounded above); at n = 4, whose roots are nested
+# radicals, a decimal upper bound on 9.278810841959933301460434595857...
+_C1_TABLE: dict[int, Fraction] = {
+    0: Fraction(1),
+    1: Fraction(5, 2),
+    2: Fraction(5, 2) + Fraction(10, 9) * _SQRT3_UP,
+    3: Fraction(191, 40) + Fraction(10, 9) * _SQRT3_UP,
+    4: Fraction("9.27881084195993330146043460"),
+}
 
 
 def exact_h(h: float) -> Fraction:
@@ -43,50 +70,41 @@ def distortion_K(alphabet) -> float:
     """Bounded-distortion constant of the continued-fraction system."""
     if not alphabet.letters:
         raise ValueError("empty alphabet")
-    if alphabet.d == 2:
-        return 4.0
-    if 1 in alphabet.letters:
+    if alphabet.d == 2 or 1 in alphabet.letters:
         return 4.0
     k = min(alphabet.letters)
-    return round_up(math.exp(2.0 / (k * k - 1)))
+    return math.nextafter(math.exp(2.0 / (k * k - 1)), math.inf)
 
 
-def deriv_bound_1d(s: float, j: int) -> float:
+def deriv_bound_1d(s, j: int) -> Fraction:
     """Bound on |f^(j)|/f for the 1D eigenfunction: (2s)(2s+1)...(2s+j-1)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    out = 1.0
-    for i in range(j):
-        out *= 2.0 * s + i
-    return out
+    return math.prod(2 * Fraction(s) + i for i in range(j))
 
 
-def deriv_bounds_2d(s: float) -> dict[str, float]:
+def deriv_bounds_2d(s) -> dict[str, Fraction]:
     """Derivative-ratio bounds for the 2D eigenfunction.
 
     Cx, Cy bound the pure third partials in x and y; the mixed third partials
     are two-sided (asymmetric) intervals; grad_ratio bounds |grad f|/f.
     """
+    s = Fraction(s)
     if s <= 0:
         raise ValueError("s must be positive")
-    Cx = 2 * s * (2 * s + 1) * (2 * s + 2)
-    Cy = 2 * s * (2 * s + 2) * max(25 * math.sqrt(5) / 72, (2 * s + 1) / 8)
-    Cxxy_lo = -(4.0 / 3.0) * s * (1 + (s + 2) * (2 * s + 1))
-    Cxxy_hi = s * s / 2 + s
-    Cyyx_lo = -4 * s * (1 + (4.0 / 27.0) * (s + 2) * (2 * s + 1))
-    Cyyx_hi = 4 * s * s + 8 * s
     return {
-        "Cx": Cx,
-        "Cy": Cy,
-        "Cxxy_lo": Cxxy_lo,
-        "Cxxy_hi": Cxxy_hi,
-        "Cyyx_lo": Cyyx_lo,
-        "Cyyx_hi": Cyyx_hi,
-        "grad_ratio": s * math.sqrt(5),
+        "Cx": 2 * s * (2 * s + 1) * (2 * s + 2),
+        "Cy": 2 * s * (2 * s + 2) * max(Fraction(25, 72) * _SQRT5_UP,
+                                        (2 * s + 1) / 8),
+        "Cxxy_lo": -Fraction(4, 3) * s * (1 + (s + 2) * (2 * s + 1)),
+        "Cxxy_hi": s * s / 2 + s,
+        "Cyyx_lo": -4 * s * (1 + Fraction(4, 27) * (s + 2) * (2 * s + 1)),
+        "Cyyx_hi": 4 * s * s + 8 * s,
+        "grad_ratio": s * _SQRT5_UP,
     }
 
 
-def w3_seminorm_bound_2d(s: float) -> float:
+def w3_seminorm_bound_2d(s) -> Fraction:
     """Bound on the third-order seminorm |f|_{W^3_inf}/f of the eigenfunction."""
     b = deriv_bounds_2d(s)
     return (b["Cx"] + b["Cy"]
@@ -94,66 +112,21 @@ def w3_seminorm_bound_2d(s: float) -> float:
             + max(abs(b["Cyyx_lo"]), abs(b["Cyyx_hi"])))
 
 
-def _abs_integral_01(poly_coeffs: np.ndarray) -> float:
-    """Integral of |p| over [0,1] for the polynomial with given power-basis
-    coefficients (lowest order first), by exact antiderivative between roots."""
-    p = np.polynomial.Polynomial(poly_coeffs)
-    roots = [r.real for r in p.roots() if abs(r.imag) < 1e-12 and 0 < r.real < 1]
-    # polish the real roots to full precision
-    dp = p.deriv()
-    polished = []
-    for r in roots:
-        for _ in range(50):
-            step = p(r) / dp(r)
-            r -= step
-            if abs(step) < 1e-16:
-                break
-        if abs(p(r)) > 1e-13:
-            raise ArithmeticError("root refinement failed")
-        polished.append(r)
-    nodes = [0.0] + sorted(polished) + [1.0]
-    F = p.integ()
-    return sum(abs(F(b) - F(a)) for a, b in zip(nodes[:-1], nodes[1:]))
-
-
-def legendre_projection_constants(n: int) -> tuple[float, float]:
-    """(c1, c2) from the shifted-Legendre orthonormal basis on [0,1].
-
-    c1(n) = sum_k (integral_0^1 |p_k|) * sup|p_k| with p_k(x) =
-    sqrt(2k+1) P_k(2x-1); c2(n) = (1 + c1(n)) / (2^{n+1} (n+1)!).
-    """
+def legendre_projection_constants(n: int) -> tuple[Fraction, Fraction]:
+    """(c1, c2) from the shifted-Legendre orthonormal basis on [0,1]:
+    c1(n) from the table above, c2(n) = (1 + c1(n)) / (2^{n+1} (n+1)!)."""
     if not 0 <= n <= 4:
         raise ValueError("n must be in 0..4")
-    c1 = 0.0
-    for k in range(n + 1):
-        # P_k(2x-1) in the power basis on [0,1]
-        leg = np.zeros(k + 1)
-        leg[k] = 1.0
-        poly = npleg.leg2poly(leg)  # coefficients in t = 2x-1
-        # substitute t = 2x - 1
-        pt = np.polynomial.Polynomial([-1.0, 2.0])
-        acc = np.polynomial.Polynomial([0.0])
-        power = np.polynomial.Polynomial([1.0])
-        for c in poly:
-            acc = acc + c * power
-            power = power * pt
-        scale = math.sqrt(2 * k + 1)
-        integral = _abs_integral_01(acc.coef) * scale
-        sup = scale  # |P_k| <= 1 on [-1,1], attained at the endpoints
-        c1 += integral * sup
-    c1 = round_up(c1)
-    c2 = round_up((1.0 + c1) / (2 ** (n + 1) * math.factorial(n + 1)))
-    return c1, c2
+    c1 = _C1_TABLE[n]
+    return c1, (1 + c1) / (2 ** (n + 1) * math.factorial(n + 1))
 
 
-def multivariate_error_constant(n: int, d: int) -> float:
+def multivariate_error_constant(n: int, d: int) -> Fraction:
     """c(n,d) = c2 (1 + c1 + ... + c1^{d-1})."""
     if d < 1:
         raise ValueError("d must be >= 1")
     c1, c2 = legendre_projection_constants(n)
-    if c1 == 1.0:
-        return round_up(c2 * d)
-    return round_up(c2 * (1.0 - c1 ** d) / (1.0 - c1))
+    return c2 * sum(c1 ** i for i in range(d))
 
 
 def _multi_indices(d: int, total: int):
@@ -165,39 +138,31 @@ def _multi_indices(d: int, total: int):
             yield (head,) + rest
 
 
-def bramble_hilbert_constant(n_total: int, d: int, j: int) -> float:
+def bramble_hilbert_constant(n_total: int, d: int, j: int) -> Fraction:
     """Polynomial-approximation constant for the sup-norm estimate of the
     j-th derivatives of the error, on a cell star-shaped about every point."""
     if j >= n_total:
         raise ValueError("j must be < n_total")
     count_j = sum(1 for _ in _multi_indices(d, j))
-    ssum = Fraction(0)
-    for beta in _multi_indices(d, n_total - j):
-        fact = 1
-        for b in beta:
-            fact *= math.factorial(b)
-        ssum += Fraction(1, fact * fact)
-    return round_up(count_j * (n_total - j) * math.sqrt(ssum))
+    ssum = sum(Fraction(1, math.prod(math.factorial(b) for b in beta) ** 2)
+               for beta in _multi_indices(d, n_total - j))
+    return count_j * (n_total - j) * _sqrt_bound(ssum, up=True)
 
 
-def err_coefficient_1d(s: float, n: int) -> float:
+def err_coefficient_1d(s, n: int) -> Fraction:
     """Coefficient c with |f - Qf| <= c * f * h^{n+1} for the 1D eigenfunction:
-    (n+1)^n ||Q|| / n! * (2s)(2s+1)...(2s+n).  Exact in rationals, rounded up."""
+    (n+1)^n ||Q|| / n! * (2s)(2s+1)...(2s+n)."""
     q = make_quasi_interpolant(n)
-    sf = Fraction(s)  # exact binary value of the float
-    prod = Fraction(1)
-    for i in range(n + 1):
-        prod *= 2 * sf + i
-    coeff = Fraction((n + 1) ** n, math.factorial(n)) * q.q_norm_exact * prod
-    return round_up_fraction(coeff)
+    return (Fraction((n + 1) ** n, math.factorial(n)) * q.q_norm_exact
+            * deriv_bound_1d(s, n + 1))
 
 
-def err_coefficient_2d(s: float, n: int) -> float:
+def err_coefficient_2d(s, n: int) -> Fraction:
     """2D analogue: c(n,2) * ||Q||_tensor * (2n+1)^{n+1} * (Cx + Cy)."""
     q = make_quasi_interpolant(n)
-    c = multivariate_error_constant(n, 2)
     b = deriv_bounds_2d(s)
-    return round_up(c * q.q_norm ** 2 * (2 * n + 1) ** (n + 1) * (b["Cx"] + b["Cy"]))
+    return (multivariate_error_constant(n, 2) * q.q_norm_exact ** 2
+            * (2 * n + 1) ** (n + 1) * (b["Cx"] + b["Cy"]))
 
 
 @dataclass(frozen=True)
@@ -256,35 +221,37 @@ def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
 
 def _profile(d, n, q, K, s_cap, alpha, beta, M) -> RigorProfile:
     """make_profile's constants, from its checked settings."""
-    A = round_down(K ** (-s_cap))  # a lower bound
-    B = round_up(K ** s_cap)
+    A = math.nextafter(K ** -s_cap, -math.inf)  # a lower bound
+    B = math.nextafter(K ** s_cap, math.inf)
     if d == 1:
         D = deriv_bound_1d(s_cap, 1)  # 2 s_cap
-        fderiv = round_up(deriv_bound_1d(s_cap, n + 1) * B)
-        C1 = round_up(2 * (n + 1) ** (n - 1) * q.q_norm / math.factorial(n - 1) * fderiv)
-        C2 = round_up((n + 1) ** n * q.q_norm / math.factorial(n) * fderiv)
         err_coeff = err_coefficient_1d(s_cap, n)
+        # the derivative and value errors of Q f, both with |f| <= B
+        C2 = err_coeff * Fraction(B)
+        C1 = Fraction(2 * n, n + 1) * C2
     elif d == 2:
         # gradient cone bound for s < 2, kept fixed so the certified cone is
         # independent of the working s range
-        D = 2 * math.sqrt(5)
-        W3 = round_up(w3_seminorm_bound_2d(s_cap))
+        D = 2 * _SQRT5_UP
         cbh1 = bramble_hilbert_constant(n + 1, 2, 1)
         cbh0 = bramble_hilbert_constant(n + 1, 2, 0)
-        C1 = round_up(math.sqrt(2) * (cbh1 * (2 * n + 1) ** n * 2 ** (n / 2)
-                                      + 2 * q.q_norm ** 2 * cbh0
-                                      * (2 * n + 1) ** (n + 1) * 2 ** ((n + 1) / 2)) * W3)
-        C2 = err_coefficient_2d(s_cap, n)
-        err_coeff = C2
+        C1 = ((cbh1 * (2 * n + 1) ** n * _sqrt_bound(2 ** (n + 1), up=True)
+               + 2 * q.q_norm_exact ** 2 * cbh0 * (2 * n + 1) ** (n + 1)
+               * _sqrt_bound(2 ** (n + 2), up=True))
+              * w3_seminorm_bound_2d(s_cap))
+        C2 = err_coeff = err_coefficient_2d(s_cap, n)
     else:
         raise ValueError("only d in {1, 2} supported")
+    D = round_up_fraction(D)
     if M is None:
-        M = float(math.ceil((1 + alpha) / (1 - beta) * D * B / A))
+        M = float(math.ceil((1 + Fraction(alpha)) / (1 - Fraction(beta))
+                            * Fraction(D) * Fraction(B) / Fraction(A)))
     if not 0 < M < math.inf:
         raise ValueError(f"M = {M!r} is not a finite number > 0")
     return RigorProfile(d=d, n=n, s_cap=float(s_cap), K=K, A=A, B=B, D=D,
                         M=float(M), alpha=float(alpha), beta=float(beta),
-                        C1=C1, C2=C2, err_coefficient=err_coeff, q=q)
+                        C1=round_up_fraction(C1), C2=round_up_fraction(C2),
+                        err_coefficient=round_up_fraction(err_coeff), q=q)
 
 
 def cone_image_parameter(profile: RigorProfile, h: float) -> float:
@@ -301,6 +268,42 @@ def cone_image_parameter(profile: RigorProfile, h: float) -> float:
                               + Fraction(profile.C1) * x ** n) / denom)
 
 
+def positivity_threshold(q: QuasiInterpolant, d: int, M: float) -> float:
+    """Largest h keeping Qf > 0 for every f in the log-Lipschitz cone K_M,
+    rounded down.
+
+    The sufficient condition is exp(M h sqrt(d) n_eff) (1 - 1/S) < 1 with
+    S the positive-weight sum of the (tensor) weights and n_eff = n for even
+    degree, n+1 for odd.  All-positive weights (n <= 1) give +inf.
+    """
+    if M <= 0:
+        raise ValueError("M must be positive")
+    if min(q.weights_exact) >= 0:
+        return math.inf
+    S = sum(w for w in map(math.prod, product(q.weights_exact, repeat=d))
+            if w > 0)
+    # log(S/(S-1)) = 2 atanh(x), x = 1/(2S-1): a series of positive terms,
+    # so each partial sum bounds it from below
+    x = 1 / (2 * S - 1)
+    log_lo, power, k = Fraction(0), x, 1
+    while power > Fraction(1, 1 << 70):
+        log_lo += 2 * power / k
+        power *= x * x
+        k += 2
+    n_eff = q.n if q.n % 2 == 0 else q.n + 1
+    return round_down_fraction(
+        log_lo / (Fraction(M) * n_eff * _sqrt_bound(d, up=True)))
+
+
+def _root_down(rhs: Fraction, coeff: Fraction, k: int) -> float:
+    """A double h with coeff h^k <= rhs: the float k-th root of rhs/coeff,
+    stepped down until the exact inequality holds."""
+    h = float(rhs / coeff) ** (1.0 / k)
+    while coeff * Fraction(h) ** k > rhs:
+        h = math.nextafter(h, 0.0)
+    return h
+
+
 def admissible_h(profile: RigorProfile, alphabet) -> dict[str, float]:
     """Per-condition mesh bounds and their minimum ('overall').
 
@@ -308,11 +311,13 @@ def admissible_h(profile: RigorProfile, alphabet) -> dict[str, float]:
     (1+alpha)/(1-beta) DB/A together with the next); C2 h^{n+1} <= beta A;
     and the resolution requirement h < 1/max letter component.
     """
-    n = profile.n
+    n, p = profile.n, profile
     out = {
-        "positivity": positivity_threshold(profile.q, profile.d, profile.M),
-        "alpha": (profile.alpha * profile.D * profile.B / profile.C1) ** (1.0 / n),
-        "beta": (profile.beta * profile.A / profile.C2) ** (1.0 / (n + 1)),
+        "positivity": positivity_threshold(p.q, p.d, p.M),
+        "alpha": _root_down(Fraction(p.alpha) * Fraction(p.D) * Fraction(p.B),
+                            Fraction(p.C1), n),
+        "beta": _root_down(Fraction(p.beta) * Fraction(p.A), Fraction(p.C2),
+                           n + 1),
         "resolution": 1.0 / alphabet.max_component,
     }
     out["overall"] = min(out.values())

@@ -372,6 +372,8 @@ def convergence_study(config: SolveConfig, h_list,
     log2(delta_{i-1}/delta_i).  Without: delta_i = |s_i - s_{i-1}| and the
     same log-ratio of successive deltas (needs >= 3 meshes)."""
     h_list = list(h_list)
+    if reference is not None and not math.isfinite(reference):
+        raise ValueError(f"reference = {reference!r} is not a finite number")
     if reference is None and len(h_list) < 3:
         raise ValueError("Richardson-style rates need at least 3 meshes")
     rows = []

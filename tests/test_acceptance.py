@@ -4,6 +4,7 @@ brackets, constants, oracle equivalence, and the runtime positivity check.
 Each test pins the tolerance it claims; the slow runs (certified 2D, fine
 meshes) also pin the wall-clock budgets they must meet on a laptop-class box.
 """
+import json
 import math
 import time
 
@@ -14,7 +15,7 @@ from scipy.interpolate import BSpline
 
 from fracdim.assembly import OperatorCache
 from fracdim.bspline import TensorGrid, make_uniform_knots
-from fracdim.cli import REPRODUCTIONS
+from fracdim.cli import REPRODUCTIONS, run
 from fracdim.constants import (bramble_hilbert_constant, err_coefficient_1d,
                                legendre_projection_constants, make_profile,
                                multivariate_error_constant)
@@ -159,6 +160,21 @@ class TestCriterion3CertifiedBracket1D:
         b = solve_dimension(cfg)
         assert b.s_lo <= REF_12 <= b.s_hi
         assert b.width <= 1e-10
+
+
+    def test_degree_4_bracket(self, oracle_12, capsys):
+        # degree 4 certifies through the CLI as degree 2 does, and its
+        # fifth-order err narrows the bracket at the same mesh (3.9e-12
+        # against 3.2e-8 at 1/2000)
+        widths = {}
+        for degree in ("4", "2"):
+            assert run(["certify", "--alphabet", "1,2", "--h", "1/2000",
+                        "--degree", degree]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            assert rec["n"] == int(degree)
+            assert rec["s_lo"] <= oracle_12 <= rec["s_hi"]
+            widths[degree] = rec["s_hi"] - rec["s_lo"]
+        assert widths["4"] < widths["2"] / 1000
 
 
 class TestCriterion4TwoDimensional:

@@ -315,6 +315,38 @@ class TestBadSettings:
         assert "s_cap = " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("s_cap", "0.9"), ("tol_s", "1e-3"), ("reference", "x"),
+        ("alphabet", 12), ("degree", 2.0), ("unsafe_h", 1), ("fmt", "xml")])
+    def test_config_value_of_wrong_type(self, key, value, tmp_path, capsys):
+        # --config values skip argparse's converters: the first four ended
+        # in TypeError tracebacks, and a format outside the choices fell
+        # back to TSV
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["converge", "--alphabet", "1,2", "--h-list",
+                    "1/25..1/100", "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{key} must be" in captured.err
+
+    def test_config_number_for_float_option(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s_cap": 1, "reference": 0.53,
+                                   "tol_s": None}))
+        assert run(["converge", "--alphabet", "1,2", "--h-list",
+                    "1/25..1/100", "--config", str(cfg)]) == EXIT_OK
+
+    @pytest.mark.parametrize("reference", ["nan", "inf"])
+    def test_reference_not_finite(self, reference, capsys):
+        # a NaN reference printed nan deltas with exit 0
+        assert run(["converge", "--alphabet", "1,2", "--h-list",
+                    "1/25..1/100", "--reference", reference]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference = " in captured.err
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run([]) == EXIT_USAGE

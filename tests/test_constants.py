@@ -1,6 +1,8 @@
-"""Rigor constants: exact values, published bounds, and internal consistency."""
+"""Rigor constants: exact values, published bounds, internal consistency,
+and the rounding direction of every constant."""
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from fracdim.constants import (RigorProfile, admissible_h,
                                legendre_projection_constants, make_profile,
                                multivariate_error_constant,
                                w3_seminorm_bound_2d)
-from fracdim.maps import make_alphabet_1d, make_alphabet_2d
+from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
+from fracdim.quasi import make_quasi_interpolant
 
 
 class TestLegendreConstants:
@@ -248,3 +251,157 @@ class TestProfiles:
         # there with a message that did not name it, and a NaN M passed
         with pytest.raises(ValueError, match=f"^{name} = "):
             make_profile(make_alphabet_1d([1, 2]), **{name: value})
+
+
+def _mp(mpmath, x):
+    """The exact value of a double or a Fraction as an mpf."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _mp_c1(mpmath, n):
+    """c1(n) = sum_k ||p_k||_1 ||p_k||_inf, p_k = sqrt(2k+1) P_k(2x-1), by
+    quadrature between the roots of P_k (Gauss nodes, polished)."""
+    total = 0
+    for k in range(n + 1):
+        roots = [mpmath.findroot(lambda t: mpmath.legendre(k, t), r)
+                 for r in np.polynomial.legendre.leggauss(k)[0]] if k else []
+        nodes = [0] + sorted((r + 1) / 2 for r in roots) + [1]
+        norm1 = mpmath.quad(lambda x: abs(mpmath.legendre(k, 2 * x - 1)),
+                            nodes)
+        total += (2 * k + 1) * norm1
+    return total
+
+
+def _mp_bramble_hilbert(mpmath, n_total, j):
+    """The d = 2 Bramble-Hilbert constant: (j+1) (n_total-j) times the root
+    of sum over |beta| = n_total-j of 1/(beta!)^2."""
+    m = n_total - j
+    ssum = sum(mpmath.mpf(1) / (math.factorial(a) * math.factorial(m - a)) ** 2
+               for a in range(m + 1))
+    return (j + 1) * m * mpmath.sqrt(ssum)
+
+
+class TestConservativeDirection:
+    """Every constant against its exact value at 50 digits, from the doubles
+    it is built from: what bounds an error or a cone parameter must lie on or
+    above it, what bounds the eigenfunction from below or the mesh width
+    must lie on or below it."""
+
+    CAPS = (0.5, 0.8, 1.0, 1.15, 1.5, 1.8572)
+    ALPHA_BETA = (0.01, 0.05, 0.2)
+    MS = (None, 7.0, 38.0, 111.0, 163.0, 787.0)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("text", ["1,2", "2,3", "primes<50",
+                                      "(1,0),(1,1),(1,-1),(2,0)"],
+                             ids=["1,2", "2,3", "primes<50", "2d-four"])
+    def test_grid(self, text, n):
+        mpmath = pytest.importorskip("mpmath")
+        alphabet = parse_alphabet(text)
+        d, q = alphabet.d, make_quasi_interpolant(n)
+        with mpmath.workdps(50):
+            mp = lambda x: _mp(mpmath, x)  # noqa: E731
+            qn = mp(q.q_norm_exact)
+            c1 = _mp_c1(mpmath, n)
+            c2 = (1 + c1) / (2 ** (n + 1) * math.factorial(n + 1))
+            cbh0 = _mp_bramble_hilbert(mpmath, n + 1, 0)
+            cbh1 = _mp_bramble_hilbert(mpmath, n + 1, 1)
+            tensor = [math.prod(w) for w in product(q.weights_exact, repeat=d)]
+            S = sum(mp(w) for w in tensor if w > 0)
+            n_eff = n if n % 2 == 0 else n + 1
+            k = min(alphabet.letters) if d == 1 else 1
+            K = 4 if k == 1 else mpmath.exp(mpmath.mpf(2) / (k * k - 1))
+            wrong = {}  # the first case each constant fails at
+            for cap, ab, M in product(self.CAPS, self.ALPHA_BETA, self.MS):
+                p = make_profile(alphabet, n=n, s_cap=cap, alpha=ab, beta=ab,
+                                 M=M)
+                s, A, B = mp(p.s_cap), mp(p.A), mp(p.B)
+                D, C1, C2 = mp(p.D), mp(p.C1), mp(p.C2)
+                rising = mpmath.fprod(2 * s + i for i in range(n + 1))
+                if d == 1:
+                    err_coeff = ((n + 1) ** n * qn / math.factorial(n)
+                                 * rising)
+                    exact_C1 = (2 * (n + 1) ** (n - 1) * qn
+                                / math.factorial(n - 1) * rising * B)
+                    exact_C2 = err_coeff * B
+                    exact_D = 2 * s
+                else:
+                    Cx = 2 * s * (2 * s + 1) * (2 * s + 2)
+                    Cy = 2 * s * (2 * s + 2) * max(25 * mpmath.sqrt(5) / 72,
+                                                   (2 * s + 1) / 8)
+                    W3 = (Cx + Cy
+                          + max(abs(-mpmath.mpf(4) / 3 * s
+                                    * (1 + (s + 2) * (2 * s + 1))),
+                                s * s / 2 + s)
+                          + max(abs(-4 * s * (1 + mpmath.mpf(4) / 27
+                                              * (s + 2) * (2 * s + 1))),
+                                4 * s * s + 8 * s))
+                    err_coeff = (c2 * (1 + c1) * qn ** 2
+                                 * (2 * n + 1) ** (n + 1) * (Cx + Cy))
+                    exact_C1 = (mpmath.sqrt(2)
+                                * (cbh1 * (2 * n + 1) ** n
+                                   * mpmath.sqrt(2) ** n
+                                   + 2 * qn ** 2 * cbh0 * (2 * n + 1) ** (n + 1)
+                                   * mpmath.sqrt(2) ** (n + 1)) * W3)
+                    exact_C2 = err_coeff
+                    exact_D = 2 * mpmath.sqrt(5)
+                cone = (1 + mp(ab)) / (1 - mp(ab)) * D * B / A
+                above = {"K": (p.K, K),
+                         "B": (p.B, mpmath.power(mp(p.K), s)),
+                         "D": (p.D, exact_D), "C1": (p.C1, exact_C1),
+                         "C2": (p.C2, exact_C2),
+                         "err_coefficient": (p.err_coefficient, err_coeff),
+                         "M": (p.M, cone if M is None else mp(M))}
+                below = {"A": (p.A, mpmath.power(mp(p.K), -s))}
+                for J in (499, 3000):
+                    h = mpmath.mpf(1) / J
+                    above[f"err(1/{J})"] = (p.err(1.0 / J),
+                                            mp(p.err_coefficient)
+                                            * h ** (n + 1))
+                    if A - C2 * h ** (n + 1) > 0:
+                        above[f"M'(1/{J})"] = (
+                            cone_image_parameter(p, 1.0 / J),
+                            (D * B + C1 * h ** n) / (A - C2 * h ** (n + 1)))
+                bounds = admissible_h(p, alphabet)
+                below.update({
+                    "positivity": (bounds["positivity"],
+                                   mpmath.log(S / (S - 1))
+                                   / (mp(p.M) * n_eff * mpmath.sqrt(d))),
+                    "alpha": (bounds["alpha"],
+                              mpmath.root(mp(ab) * D * B / C1, n)),
+                    "beta": (bounds["beta"],
+                             mpmath.root(mp(ab) * A / C2, n + 1)),
+                    "resolution": (bounds["resolution"],
+                                   mpmath.mpf(1) / alphabet.max_component)})
+                case = f"cap={cap} alpha=beta={ab} M={M}"
+                for name, (value, exact) in above.items():
+                    if mp(value) < exact:
+                        wrong.setdefault(f"{name} below exact", case)
+                for name, (value, exact) in below.items():
+                    if mp(value) > exact:
+                        wrong.setdefault(f"{name} above exact", case)
+                assert bounds["overall"] == min(
+                    bounds[key] for key in
+                    ("positivity", "alpha", "beta", "resolution"))
+        assert wrong == {}
+
+
+def test_c1_table_against_sympy():
+    """c1(n) rederived exactly: p_k = sqrt(2k+1) P_k(2x-1) integrated in
+    absolute value between its real roots.  Each table entry lies on or
+    above the exact value, and within 1e-25 of it."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    for n in range(5):
+        exact = sp.Integer(0)
+        for k in range(n + 1):
+            poly = sp.legendre(k, 2 * x - 1)
+            roots = [r for r in sp.real_roots(sp.Poly(poly, x)) if 0 < r < 1]
+            F = sp.integrate(poly, x)
+            nodes = [sp.Integer(0), *sorted(roots), sp.Integer(1)]
+            exact += (2 * k + 1) * sum(abs(F.subs(x, b) - F.subs(x, a))
+                                       for a, b in zip(nodes, nodes[1:]))
+        c1, _ = legendre_projection_constants(n)
+        gap = (sp.Rational(c1.numerator, c1.denominator) - exact).evalf(80)
+        assert 0 <= gap <= sp.Float("1e-25"), (n, gap)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdim.bspline import TensorGrid, make_uniform_knots
-from fracdim.quasi import (make_quasi_interpolant, positivity_threshold,
-                           tensor_positive_weight_sum, tensor_weights)
+from fracdim.constants import positivity_threshold
+from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import make_geometry
 from oracles import eval_quasi_interpolant
 
@@ -78,11 +78,10 @@ class TestWeights:
             assert w == tuple(reversed(w))
 
     def test_norms(self):
-        q = make_quasi_interpolant(2)
-        assert q.q_norm_exact == Fraction(3, 2)
-        # (5/4)^2 plus the four positive corner products (1/8)^2 = 13/8,
-        # the sum the 2D positivity threshold uses
-        assert tensor_positive_weight_sum(q, 2) == pytest.approx(13 / 8, abs=1e-15)
+        # ||Q|| = sum |w_v|, the factor of every error coefficient
+        assert make_quasi_interpolant(2).q_norm_exact == Fraction(3, 2)
+        assert make_quasi_interpolant(3).q_norm_exact == Fraction(19, 12)
+        assert make_quasi_interpolant(4).q_norm_exact == Fraction(179, 72)
 
 
 class TestReproduction:
@@ -145,12 +144,6 @@ class TestReproduction:
         approx = eval_quasi_interpolant(q, TensorGrid((ks,)), p(ks.midpoints), xs)
         assert np.abs(approx - p(xs)).max() <= 1e-12
 
-    def test_coefficient_helpers(self):
-        q = make_quasi_interpolant(2)
-        W = tensor_weights(q, 2)
-        assert W.shape == (3, 3)
-        assert W.sum() == pytest.approx(1.0, abs=1e-15)
-
 
 class TestPositivity:
     def test_threshold_formula_1d(self):
@@ -160,6 +153,7 @@ class TestPositivity:
         assert positivity_threshold(q, 1, M) == pytest.approx(expect, rel=1e-14)
 
     def test_threshold_formula_2d(self):
+        # S = (5/4)^2 plus the four positive corner products (1/8)^2 = 13/8
         q = make_quasi_interpolant(2)
         M = 787.0
         expect = -math.log(1.0 - 8.0 / 13.0) / (M * 2 * math.sqrt(2))
