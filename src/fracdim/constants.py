@@ -309,7 +309,8 @@ def admissible_h(profile: RigorProfile, alphabet) -> dict[str, float]:
 
     Conditions: hidden positivity at M; C1 h^n <= alpha D B (keeps M' below
     (1+alpha)/(1-beta) DB/A together with the next); C2 h^{n+1} <= beta A;
-    and the resolution requirement h < 1/max letter component.
+    and the resolution requirement h < 1/max letter component.  Each bound
+    is rounded down; the resolution one is strict.
     """
     n, p = profile.n, profile
     out = {
@@ -318,7 +319,8 @@ def admissible_h(profile: RigorProfile, alphabet) -> dict[str, float]:
                             Fraction(p.C1), n),
         "beta": _root_down(Fraction(p.beta) * Fraction(p.A), Fraction(p.C2),
                            n + 1),
-        "resolution": 1.0 / alphabet.max_component,
+        "resolution": round_down_fraction(Fraction(1,
+                                                   alphabet.max_component)),
     }
     out["overall"] = min(out.values())
     return out

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .assembly import OperatorCache, check_degree
 from .bspline import TensorGrid, make_uniform_knots
@@ -29,6 +30,10 @@ from .spectral import (cone_membership, power_iteration, scaled_bracket,
 
 # search floor of every bisection in s
 S_FLOOR = 1e-6
+
+# subintervals per axis of the point estimate that sets a certified 2D cap:
+# the first mesh of the published 2D sweeps
+COARSE_J = 25
 
 
 class InadmissibleMeshError(RuntimeError):
@@ -136,14 +141,13 @@ class DimensionBracket:
     constants: dict
     admissibility: dict
     wall_ms: float
-    first_pass: "DimensionBracket | None" = field(default=None, repr=False)
 
     @property
     def width(self) -> float:
         return self.s_hi - self.s_lo
 
     def to_record(self) -> dict:
-        rec = {
+        return {
             "alphabet": self.alphabet,
             "d": self.d,
             "n": self.n,
@@ -157,9 +161,6 @@ class DimensionBracket:
             "admissibility": self.admissibility,
             "wall_ms": self.wall_ms,
         }
-        if self.first_pass is not None:
-            rec["first_pass"] = self.first_pass.to_record()
-        return rec
 
 
 class ProbeEngine:
@@ -260,7 +261,10 @@ def _setup(config: SolveConfig):
     InadmissibleMeshError when h exceeds the admissible bound (only a point
     estimate may pass unsafe_h to go on); in certified mode also ValueError
     for a 2D degree other than 2 (its error bounds are third order), and
-    CertificationError when M' >= M or err >= 1.
+    CertificationError when M' >= M or err >= 1.  A certified 2D solve
+    first lowers s_cap to just above a point estimate on the COARSE_J mesh,
+    after the guards that do not need the cap: a lower cap shrinks err and
+    M', and admissibility, M' and err are checked at it.
     Returns (h, profile, geometry, breakdown, constants, err, certifiable),
     certifiable when h is admissible and M' < M (always, in certified mode).
     """
@@ -272,11 +276,23 @@ def _setup(config: SolveConfig):
     check_degree(config.n)
     J = config.resolve_mesh()
     h = 1.0 / J
-    profile = make_profile(alphabet, n=config.n, s_cap=config.s_cap,
-                           alpha=config.alpha, beta=config.beta, M=config.M)
+
+    def profile_at(s_cap):
+        return make_profile(alphabet, n=config.n, s_cap=s_cap,
+                            alpha=config.alpha, beta=config.beta, M=config.M)
+
+    profile = profile_at(config.s_cap)
+    if certified and alphabet.d == 2:
+        s_hat = solve_dimension(replace(
+            config, h=None, J=COARSE_J, mode="point-estimate", tol_s=1e-6,
+            unsafe_h=True)).s_hi
+        profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
     geometry = make_geometry(alphabet.d, J, config.n)
     breakdown = admissible_h(profile, alphabet)
-    admissible = h <= breakdown["overall"]
+    # the exact 1/J against each rounded-down bound, and strictly below the
+    # exact 1/max component
+    admissible = (Fraction(1, J) <= Fraction(breakdown["overall"])
+                  and J > alphabet.max_component)
     if not admissible and (certified or not config.unsafe_h):
         raise InadmissibleMeshError(h, breakdown)
     constants = {
@@ -299,65 +315,37 @@ def _setup(config: SolveConfig):
     return h, profile, geometry, breakdown, constants, err, certifiable
 
 
-def _solve_pass(config: SolveConfig, setup, engine: ProbeEngine, a: float,
-                b: float, tol: float, t0: float) -> DimensionBracket:
-    """Bisect on [a, b] to width tol with the engine's probes; the record
-    holds every probe the engine has made."""
-    h, _, _, breakdown, constants, err, _ = setup
-    if config.mode == "certified":
+def solve_dimension(config: SolveConfig) -> DimensionBracket:
+    """Bisect to the bracket (certified) or point estimate of config.
+
+    The search interval is [S_FLOOR, d], capped at s_cap in certified mode
+    (the rigor constants hold only up to it); a certified 2D solve first
+    lowers s_cap to just above a coarse point estimate (see _setup).  A cap
+    below the dimension fails the certified straddle test at the cap, so
+    it ends in a ValueError, never in a wrong bracket.
+    """
+    t0 = time.perf_counter()
+    tol = config.resolve_tol()
+    h, profile, geometry, breakdown, constants, err, certifiable = (
+        _setup(config))
+    d = config.alphabet.d
+    certified = config.mode == "certified"
+    engine = ProbeEngine(OperatorCache(config.alphabet, geometry, profile.q),
+                         profile, err, certifiable)
+    a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
+    if certified:
         s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol)[0]
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol)[1]
     else:
         lo, hi = _bisect(lambda s: engine.probe(s)["lam"] >= 1.0, a, b, tol)
         s_lo = s_hi = 0.5 * (lo + hi)
     engine.audit_monotonicity()
-    probes = [engine.records[k] for k in sorted(engine.records)]
     return DimensionBracket(
-        s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=h, n=config.n,
-        d=config.alphabet.d, alphabet=config.alphabet.describe(), err=err,
-        probes=probes, constants=constants, admissibility=breakdown,
+        s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=h, n=config.n, d=d,
+        alphabet=config.alphabet.describe(), err=err,
+        probes=[engine.records[k] for k in sorted(engine.records)],
+        constants=constants, admissibility=breakdown,
         wall_ms=(time.perf_counter() - t0) * 1000.0)
-
-
-def solve_dimension(config: SolveConfig) -> DimensionBracket:
-    """Bisect to the bracket (certified) or point estimate of config.
-
-    The search interval is [S_FLOOR, d], capped at s_cap in certified mode
-    (the rigor constants hold only up to it).
-
-    A certified 2D solve takes two passes.  Pass 1 bisects to 1e-6 (or
-    tol_s, if wider); pass 2 bisects to the final tolerance with the cap
-    lowered to just above pass 1's s_hi, which shrinks err (so it can only
-    move s_lo up and s_hi down).  When the cap does not drop, pass 2 has
-    pass 1's err and cone, so it continues pass 1's bisection on pass 1's
-    engine: bisecting the same interval to the finer tolerance first visits
-    pass 1's midpoints, all cached, and ends where a single pass would.
-    When the cap drops, pass 2 probes [pass 1's s_lo, the lowered cap] on a
-    new engine over the same operator cache (the mesh and degree do not
-    change).  Pass 1's bracket is kept as first_pass.
-    """
-    t0 = time.perf_counter()
-    tol = config.resolve_tol()
-    setup = _setup(config)
-    _, profile, geometry, _, _, err, certifiable = setup
-    d = config.alphabet.d
-    certified = config.mode == "certified"
-    engine = ProbeEngine(OperatorCache(config.alphabet, geometry, profile.q),
-                         profile, err, certifiable)
-    s_max = min(float(d), profile.s_cap) if certified else float(d)
-    if not (certified and d == 2):
-        return _solve_pass(config, setup, engine, S_FLOOR, s_max, tol, t0)
-    first = _solve_pass(config, setup, engine, S_FLOOR, s_max,
-                        max(tol, 1e-6), t0)
-    s_min = S_FLOOR
-    s_cap_2 = min(profile.s_cap, first.s_hi + 1e-3)
-    if s_cap_2 < profile.s_cap:
-        setup = _setup(replace(config, s_cap=s_cap_2))
-        _, profile, _, _, _, err, certifiable = setup
-        engine = ProbeEngine(engine.cache, profile, err, certifiable)
-        s_min, s_max = first.s_lo, s_cap_2
-    second = _solve_pass(config, setup, engine, s_min, s_max, tol, t0)
-    return replace(second, first_pass=first)
 
 
 def convergence_study(config: SolveConfig, h_list,

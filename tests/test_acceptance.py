@@ -196,6 +196,24 @@ class TestCriterion4TwoDimensional:
         assert b.s_lo <= 1.1495767
         assert b.s_hi >= 1.1495775
 
+    def test_certified_at_default_cap(self, capsys):
+        # the cap drops from the default 1.8572 to just above a coarse
+        # estimate before admissibility is checked; at 1.8572 this mesh
+        # needs h < 0.000292 (exit 2)
+        assert run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
+                    "--h", "1/500", "--alpha", "0.2", "--beta", "0.2"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["constants"]["s_cap"] < 1.151
+        assert rec["s_lo"] <= 1.1495767 and rec["s_hi"] >= 1.1495775
+
+    def test_certified_two_letters_default_cap(self, capsys):
+        # {(2,0),(3,0)}: admissible at 1/250 only below the default cap;
+        # the bracket holds the 1/400 point estimate 0.33743678...
+        assert run(["certify", "--alphabet", "(2,0),(3,0)", "--h", "1/250",
+                    "--alpha", "0.2", "--beta", "0.2"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["s_lo"] <= 0.33743678 <= rec["s_hi"]
+
 
 class TestCriterion5NineLetterAnomaly:
     """The 9-letter 2D set's published 1/50 row sits ~2.5e-5 above the

@@ -119,6 +119,15 @@ class TestCertify:
         assert run(["certify", "--alphabet", "1,2", "--h", "1/25"]) == \
             EXIT_INADMISSIBLE
 
+    def test_resolution_is_strict(self, capsys):
+        # h < 1/max component: the double 1/100 lies above the exact 1/100,
+        # so comparing it with the double bound 1.0/100 admitted J = 100
+        assert run(["certify", "--alphabet", "1..100", "--h", "1/100"]) == \
+            EXIT_INADMISSIBLE
+        assert "resolution: h < 0.01" in capsys.readouterr().err
+        assert run(["certify", "--alphabet", "1..100", "--h", "1/101",
+                    "--tol-s", "1e-6"]) == EXIT_OK
+
     def test_2d_degree_4_refused(self, capsys):
         # the degree refusal comes before the admissibility check (exit 2);
         # degree 0 must not fall back to the default 2
@@ -305,6 +314,16 @@ class TestBadSettings:
         assert run(["certify", "--alphabet", "1,2", "--h", "1/64",
                     flag, value]) == EXIT_USAGE
         assert f"{name} = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_s_cap_2d(self, value, capsys):
+        # refused at the given cap, before the coarse estimate that lowers
+        # a 2D cap
+        assert run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
+                    "--h", "1/500", "--s-cap", value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "s_cap = " in captured.err
 
     @pytest.mark.parametrize("s_cap", ["300", "1000"])
     def test_s_cap_too_large(self, s_cap, capsys):

@@ -293,9 +293,10 @@ class TestConservativeDirection:
     MS = (None, 7.0, 38.0, 111.0, 163.0, 787.0)
 
     @pytest.mark.parametrize("n", [2, 4])
-    @pytest.mark.parametrize("text", ["1,2", "2,3", "primes<50",
+    @pytest.mark.parametrize("text", ["1,2", "2,3", "1..10", "primes<50",
                                       "(1,0),(1,1),(1,-1),(2,0)"],
-                             ids=["1,2", "2,3", "primes<50", "2d-four"])
+                             ids=["1,2", "2,3", "1..10", "primes<50",
+                                  "2d-four"])
     def test_grid(self, text, n):
         mpmath = pytest.importorskip("mpmath")
         alphabet = parse_alphabet(text)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fracdim import solver
 from fracdim.assembly import OperatorCache, TransferOperator
 from fracdim.bspline import TensorGrid
 from fracdim.cli import run
@@ -466,40 +467,54 @@ class TestMonotonicityAudit:
 
 
 class TestTwoStepRefinement:
-    """A certified 2D solve takes two passes; every other solve takes one."""
+    """A certified 2D solve caps s just above a point estimate on the
+    COARSE_J mesh, then runs one fine bisection; every other solve is one
+    bisection at the config's cap."""
 
-    def test_one_pass_otherwise(self):
-        assert solve_dimension(SolveConfig(A12, J=64, tol_s=1e-6)
-                               ).first_pass is None
-        assert solve_dimension(SolveConfig(A2D, J=10, mode="point-estimate",
-                                           unsafe_h=True, tol_s=1e-6)
-                               ).first_pass is None
+    @pytest.fixture
+    def meshes(self, monkeypatch):
+        """The J of every solve_dimension call, nested ones included."""
+        meshes, solve = [], solver.solve_dimension
+        monkeypatch.setattr(solver, "solve_dimension",
+                            lambda cfg: meshes.append(cfg.J) or solve(cfg))
+        return meshes
 
-    def test_same_cap_continues_first_pass(self):
-        # the certify-2d case: pass 1 ends within 1e-3 of s_cap = 1.15, so
-        # pass 2 keeps the cap, err and cone and finishes pass 1's bisection
-        # on its engine; every pass-1 probe is reused
-        b = solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15, alpha=0.2,
-                                        beta=0.2))
-        # the values a single solve_dimension pass returns
+    def test_one_pass_otherwise(self, meshes):
+        b = solver.solve_dimension(SolveConfig(A12, J=64, tol_s=1e-6,
+                                               s_cap=0.9))
+        assert b.constants["s_cap"] == 0.9
+        solver.solve_dimension(SolveConfig(A2D, J=10, mode="point-estimate",
+                                           unsafe_h=True, tol_s=1e-6))
+        assert meshes == [64, 10]
+
+    def test_same_cap_one_bisection(self, meshes):
+        # the certify-2d case: the coarse estimate plus 1e-3 lies above
+        # s_cap = 1.15, so the cap stays and one fine bisection runs on
+        # [S_FLOOR, 1.15]
+        b = solver.solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15,
+                                               alpha=0.2, beta=0.2))
+        assert meshes == [500, solver.COARSE_J]
         assert (b.s_lo, b.s_hi) == (1.149529368563135, 1.1496249226942479)
-        final = {p["s"] for p in b.probes}
-        assert {p["s"] for p in b.first_pass.probes} <= final
-        assert len(final) == 57
-        assert max(final) <= 1.15
-        assert b.constants["s_cap"] == b.first_pass.constants["s_cap"]
+        assert len(b.probes) == 57
+        assert max(p["s"] for p in b.probes) <= 1.15
+        assert b.constants["s_cap"] == 1.15
+        assert "first_pass" not in b.to_record()
 
     def test_lower_cap_probes_below_it(self):
-        # {(2,0),(3,0)} has dimension 0.3374...: pass 2 lowers the cap from
-        # 0.5 to s_hi_1 + 1e-3, which shrinks err and nests the bracket
-        b = solve_dimension(SolveConfig(parse_alphabet("(2,0),(3,0)"), J=230,
-                                        s_cap=0.5, alpha=0.2, beta=0.2))
-        first = b.first_pass
-        s_cap_2 = b.constants["s_cap"]
-        assert s_cap_2 == first.s_hi + 1e-3 < 0.5
-        assert b.err < first.err
-        assert first.s_lo <= b.s_lo < b.s_hi <= first.s_hi
-        assert all(first.s_lo <= p["s"] <= s_cap_2 for p in b.probes)
+        # {(2,0),(3,0)} has dimension 0.3374...: the cap drops from 0.5 to
+        # just above the coarse estimate, which shrinks err
+        alphabet = parse_alphabet("(2,0),(3,0)")
+        b = solve_dimension(SolveConfig(alphabet, J=230, s_cap=0.5,
+                                        alpha=0.2, beta=0.2))
+        cap = b.constants["s_cap"]
+        assert b.s_hi < cap < 0.5
+        assert all(p["s"] <= cap for p in b.probes)
+        at_half = make_profile(alphabet, s_cap=0.5, alpha=0.2, beta=0.2)
+        assert b.err < at_half.err(1.0 / 230)
+        # inside, and within 1e-8 of, the bracket at the cap 0.33850 that a
+        # fine 1e-6 estimate sets: a lower cap only narrows it
+        assert 0 <= b.s_lo - 0.3374058610806828 < 1e-8
+        assert 0 <= 0.3374676985929428 - b.s_hi < 1e-8
 
 
 class TestConvergenceStudy:

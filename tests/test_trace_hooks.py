@@ -25,7 +25,10 @@ SPANS = {"constants", "assembly.build", "assembly.rebuild", "assembly.matvec",
     ["estimate", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)", "--h", "1/40",
      "--unsafe-h"],
     ["estimate", "--alphabet", "1,2", "--h", "1/64"],
-], ids=["1d-certify", "2d-estimate", "1d-estimate-decided"])
+    # a certified 2D solve nests its coarse point estimate
+    ["certify", "--alphabet", "(2,0),(3,0)", "--h", "1/250", "--alpha", "0.2",
+     "--beta", "0.2"],
+], ids=["1d-certify", "2d-estimate", "1d-estimate-decided", "2d-certify"])
 def test_traced_run_records_every_span(argv, tmp_path):
     result, spans = tmp_path / "result.json", tmp_path / "spans.json"
     proc = subprocess.run(
