@@ -3,9 +3,13 @@ bisection to a certified dimension interval.
 
 Certified mode scales the collocation matrix L_h(s) by (1 -/+ err) into the
 pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
-B_h above 1 certifies s <= s*.  Two independent bisections locate the
-endpoints.  Point-estimate mode sets err = 0 and bisects the eigenvalue
-estimate itself (what convergence tables measure).
+B_h above 1 certifies s <= s*.  Only the two probes that end the search are
+part of the proof, so a certified solve first predicts both endpoints with
+converged point probes on a mesh SEARCH_COARSENING times coarser, then
+probes the fine mesh next to each prediction and bisects only where those
+probes straddle it.  Point-estimate mode sets err = 0 and bisects the
+eigenvalue estimate itself on [S_FLOOR, d] (what convergence tables
+measure).
 
 Every probe follows one rule.  On a certifiable mesh (h admissible and
 M' < M) it stops at its decision and checks its cone; a point probe is the
@@ -19,13 +23,15 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .assembly import OperatorCache, check_degree
 from .bspline import TensorGrid, make_uniform_knots
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
 from .maps import Alphabet
-from .spectral import (cone_membership, power_iteration, scaled_bracket,
-                       spectral_bracket)
+from .spectral import (FLOAT_SLACK, cone_membership, power_iteration,
+                       scaled_bracket, spectral_bracket)
 
 
 # search floor of every bisection in s
@@ -34,6 +40,10 @@ S_FLOOR = 1e-6
 # subintervals per axis of the point estimate that sets a certified 2D cap:
 # the first mesh of the published 2D sweeps
 COARSE_J = 25
+
+# a certified solve on J subintervals predicts its endpoints on J // 4; on
+# meshes where that is below COARSE_J it bisects the fine mesh directly
+SEARCH_COARSENING = 4
 
 
 class InadmissibleMeshError(RuntimeError):
@@ -97,6 +107,9 @@ class SolveConfig:
         if self.mesh not in ("intervals", "nodes"):
             raise ValueError("mesh must be 'intervals' or 'nodes'")
         if self.J is not None:
+            if self.J < 1:
+                raise ValueError(f"J = {self.J} is not a positive number of "
+                                 "subintervals")
             if self.h is not None and abs(self.h * self.J - 1.0) > 1e-9:
                 raise ValueError("h and J disagree")
             return self.J
@@ -140,6 +153,7 @@ class DimensionBracket:
     probes: list
     constants: dict
     admissibility: dict
+    search: dict | None  # the coarse prediction of a certified solve
     wall_ms: float
 
     @property
@@ -159,6 +173,7 @@ class DimensionBracket:
             "probes": self.probes,
             "constants": self.constants,
             "admissibility": self.admissibility,
+            "search": self.search,
             "wall_ms": self.wall_ms,
         }
 
@@ -179,16 +194,19 @@ class ProbeEngine:
     probe (err = 0) decides only when its bracket lies wholly above or below
     1, so its lam sits on the side of 1 a converged one would.  Without
     `certifiable` each probe runs to convergence, with no cone check.
+
+    `start`, a positive vector on the cache's samples, warm-starts the first
+    probe (ones otherwise).
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
-                 certifiable: bool):
+                 certifiable: bool, start: np.ndarray | None = None):
         self.cache = cache
         self.profile = profile
         self.err = err
         self.certifiable = certifiable
         self.records: dict[float, dict] = {}
-        self._warm = None
+        self._warm = start
 
     def probe(self, s: float) -> dict:
         s = float(s)
@@ -231,18 +249,48 @@ class ProbeEngine:
                     f"({r1['lam']!r}) to s={r2['s']!r} ({r2['lam']!r})")
 
 
-def _bisect(above, a: float, b: float, tol: float) -> tuple[float, float]:
+def _bisect(above, a: float, b: float, tol: float,
+            guess: float | None = None) -> tuple[float, float]:
     """Shrink [a, b] around the point where the predicate `above` (true
     below the dimension) turns false, to width tol or adjacent doubles.
 
-    Returns (a, a) when `above(a)` is already false: the dimension is at or
-    below the search floor.  Raises ValueError when `above(b)` still holds.
+    Returns (a, a) when `above(a)` is false: the dimension is at or below
+    the search floor.  Raises ValueError when `above(b)` holds.
+
+    Without a guess the search starts from a and b.  With one it probes
+    guess + tol/2 and, when that answers false, guess - tol/2 (both clamped
+    to [a, b]); a side that answers the wrong way moves outward by tol,
+    2 tol, 4 tol, ... until the two sides straddle the dimension or that
+    side reaches a or b, where the two rules above apply.  `above` is asked
+    once per point, and the returned ends are points it answered for.
     """
-    if not above(a):
-        return a, a
-    if above(b):
-        raise ValueError(f"search interval does not straddle the dimension: "
-                         f"still below it at s = {b}")
+    def straddle_missed(s):
+        return ValueError(f"search interval does not straddle the dimension: "
+                          f"still below it at s = {s}")
+
+    if guess is None:
+        if not above(a):
+            return a, a
+        if above(b):
+            raise straddle_missed(b)
+    else:
+        g = min(max(guess, a), b)
+        half = max(0.5 * tol, math.ulp(g))
+        lo, hi = max(a, g - half), min(b, g + half)
+        step = 2.0 * half
+        lo_known = False  # above(lo) answered true
+        while above(hi):
+            if hi == b:
+                raise straddle_missed(b)
+            lo, hi, lo_known = hi, min(b, hi + step), True
+            step *= 2.0
+        step = 2.0 * half
+        while not lo_known and not above(lo):
+            if lo == a:
+                return a, a
+            lo, hi = max(a, lo - step), lo
+            step *= 2.0
+        a, b = lo, hi
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -252,6 +300,82 @@ def _bisect(above, a: float, b: float, tol: float) -> tuple[float, float]:
         else:
             b = mid
     return a, b
+
+
+def _predict(engine: ProbeEngine, a: float, b: float, target: float,
+             eps: float) -> float:
+    """The s in [a, b] where log lam of the engine's converged probes
+    crosses target, by Illinois regula falsi to a bracket of width eps or
+    adjacent doubles, from the narrowest bracket the engine's records give;
+    a or b when [a, b] holds no crossing."""
+    def f(s):
+        return math.log(engine.probe(s)["lam"]) - target
+
+    if f(a) <= 0.0:
+        return a
+    if f(b) > 0.0:
+        return b
+    known = {s: math.log(r["lam"]) - target for s, r in engine.records.items()}
+    hi = min(s for s, v in known.items() if v <= 0.0)
+    lo = max(s for s, v in known.items() if s < hi and v > 0.0)
+    f_lo, f_hi, moved = known[lo], known[hi], 0
+    while hi - lo > eps:
+        s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        s = min(max(s, lo + 0.5 * eps), hi - 0.5 * eps)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break
+        f_s = f(s)
+        # Illinois: an end that stays for a second step running has its
+        # value halved
+        if f_s > 0.0:
+            lo, f_lo = s, f_s
+            if moved > 0:
+                f_hi *= 0.5
+            moved = 1
+        else:
+            hi, f_hi = s, f_s
+            if moved < 0:
+                f_lo *= 0.5
+            moved = -1
+    return 0.5 * (lo + hi)
+
+
+def _interpolate(w: np.ndarray, coarse: TensorGrid,
+                 fine: TensorGrid) -> np.ndarray:
+    """Samples w on the coarse midpoints, linearly interpolated per axis
+    onto the fine ones (held at the end values beyond the coarse range)."""
+    v = w.reshape(coarse.sample_shape)
+    for k, (c, f) in enumerate(zip(coarse.axes, fine.axes)):
+        xc, xf = c.midpoints, f.midpoints
+        v = np.apply_along_axis(lambda col: np.interp(xf, xc, col),
+                                v.ndim - 1 - k, v)
+    return v.ravel()
+
+
+def _search(alphabet: Alphabet, J: int, geometry: TensorGrid,
+            profile: RigorProfile, err: float, a: float, b: float, tol: float):
+    """Predict the certified endpoints on J // SEARCH_COARSENING
+    subintervals.
+
+    Converged point probes there find where log lam crosses the levels at
+    which a converged fine probe's lam_lo and lam_hi reach 1.  The coarse cache
+    is freed on return, before the fine one is built.  Returns the two
+    predictions, the coarse geometry with the last coarse iterate on it (to
+    warm-start the first fine probe) and the record of the search.
+    """
+    J_c = J // SEARCH_COARSENING
+    coarse = make_geometry(alphabet.d, J_c, geometry.n)
+    engine = ProbeEngine(OperatorCache(alphabet, coarse, profile.q), profile,
+                         0.0, certifiable=False)
+    # (1 - err)(1 - FLOAT_SLACK) lam = 1 and (1 + err)(1 + FLOAT_SLACK) lam = 1
+    levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
+              -math.log1p(err) - math.log1p(FLOAT_SLACK))
+    guesses = tuple(_predict(engine, a, b, level, tol / 4) for level in levels)
+    record = {"J_c": J_c, "s_lo": guesses[0], "s_hi": guesses[1],
+              "probes": len(engine.records)}
+    return guesses, (engine._warm, coarse), record
 
 
 def _setup(config: SolveConfig):
@@ -265,7 +389,7 @@ def _setup(config: SolveConfig):
     first lowers s_cap to just above a point estimate on the COARSE_J mesh,
     after the guards that do not need the cap: a lower cap shrinks err and
     M', and admissibility, M' and err are checked at it.
-    Returns (h, profile, geometry, breakdown, constants, err, certifiable),
+    Returns (J, profile, geometry, breakdown, constants, err, certifiable),
     certifiable when h is admissible and M' < M (always, in certified mode).
     """
     alphabet = config.alphabet
@@ -312,39 +436,51 @@ def _setup(config: SolveConfig):
         err = profile.err(h)
         if err >= 1:
             raise CertificationError(f"err = {err:.6g} >= 1: mesh too coarse")
-    return h, profile, geometry, breakdown, constants, err, certifiable
+    return J, profile, geometry, breakdown, constants, err, certifiable
 
 
 def solve_dimension(config: SolveConfig) -> DimensionBracket:
-    """Bisect to the bracket (certified) or point estimate of config.
+    """The certified bracket, or the point estimate, of config.
 
     The search interval is [S_FLOOR, d], capped at s_cap in certified mode
     (the rigor constants hold only up to it); a certified 2D solve first
-    lowers s_cap to just above a coarse point estimate (see _setup).  A cap
-    below the dimension fails the certified straddle test at the cap, so
-    it ends in a ValueError, never in a wrong bracket.
+    lowers s_cap to just above a coarse point estimate (see _setup).  A
+    certified solve then predicts both endpoints on J // SEARCH_COARSENING
+    subintervals (see _search), unless that is below COARSE_J, before it
+    builds the fine operator, and _bisect proves each one on the fine mesh
+    from its prediction; the first fine probe warm-starts from the last
+    coarse iterate.  A point estimate bisects [S_FLOOR, d] on the fine mesh.
+    A cap below the dimension fails the certified straddle test at the cap,
+    so it ends in a ValueError, never in a wrong bracket.
     """
     t0 = time.perf_counter()
     tol = config.resolve_tol()
-    h, profile, geometry, breakdown, constants, err, certifiable = (
+    J, profile, geometry, breakdown, constants, err, certifiable = (
         _setup(config))
     d = config.alphabet.d
     certified = config.mode == "certified"
-    engine = ProbeEngine(OperatorCache(config.alphabet, geometry, profile.q),
-                         profile, err, certifiable)
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
+    guesses, coarse, search = (None, None), None, None
+    if certified and J // SEARCH_COARSENING >= COARSE_J:
+        guesses, coarse, search = _search(config.alphabet, J, geometry,
+                                          profile, err, a, b, tol)
+    cache = OperatorCache(config.alphabet, geometry, profile.q)
+    start = _interpolate(*coarse, geometry) if coarse else None
+    engine = ProbeEngine(cache, profile, err, certifiable, start)
     if certified:
-        s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol)[0]
-        s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol)[1]
+        s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol,
+                       guesses[0])[0]
+        s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
+                       guesses[1])[1]
     else:
         lo, hi = _bisect(lambda s: engine.probe(s)["lam"] >= 1.0, a, b, tol)
         s_lo = s_hi = 0.5 * (lo + hi)
     engine.audit_monotonicity()
     return DimensionBracket(
-        s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=h, n=config.n, d=d,
+        s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=1.0 / J, n=config.n, d=d,
         alphabet=config.alphabet.describe(), err=err,
         probes=[engine.records[k] for k in sorted(engine.records)],
-        constants=constants, admissibility=breakdown,
+        constants=constants, admissibility=breakdown, search=search,
         wall_ms=(time.perf_counter() - t0) * 1000.0)
 
 

@@ -128,6 +128,15 @@ class TestCertify:
         assert run(["certify", "--alphabet", "1..100", "--h", "1/101",
                     "--tol-s", "1e-6"]) == EXIT_OK
 
+    def test_cap_below_dimension_refused(self, capsys):
+        # the search mesh (J // 4 = 500) finds no root below the cap and
+        # hands the cap itself to the fine straddle test, which refuses
+        assert run(["certify", "--alphabet", "1,2", "--h", "1/2000",
+                    "--s-cap", "0.5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not straddle" in captured.err
+
     def test_2d_degree_4_refused(self, capsys):
         # the degree refusal comes before the admissibility check (exit 2);
         # degree 0 must not fall back to the default 2

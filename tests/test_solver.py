@@ -1,10 +1,13 @@
 """Mesh resolution, bisection against dense-eigensolver oracles, certified
 brackets, and convergence studies."""
 import json
+import math
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from fracdim import solver
@@ -122,6 +125,14 @@ class TestResolveMesh:
         with pytest.raises(ValueError):
             SolveConfig(A12, J=10, mesh="cells").resolve_mesh()
 
+    @pytest.mark.parametrize("J", [0, -3])
+    def test_no_subintervals(self, J):
+        # J = 0 reached h = 1.0 / J in _setup as a ZeroDivisionError
+        with pytest.raises(ValueError, match="positive number of subintervals"):
+            SolveConfig(A12, J=J).resolve_mesh()
+        with pytest.raises(ValueError, match="positive number of subintervals"):
+            solve_dimension(SolveConfig(A12, J=J))
+
 
 class TestResolveTol:
     def test_defaults(self):
@@ -217,9 +228,11 @@ class TestCertified:
     def test_record_shape(self):
         b = solve_dimension(SolveConfig(A12, J=64, tol_s=1e-6))
         rec = b.to_record()
-        for key in ("alphabet", "d", "n", "h", "mode", "s_lo", "s_hi", "err",
-                    "probes", "constants", "admissibility", "wall_ms"):
-            assert key in rec
+        assert list(rec) == ["alphabet", "d", "n", "h", "mode", "s_lo",
+                             "s_hi", "err", "probes", "constants",
+                             "admissibility", "search", "wall_ms"]
+        # J // SEARCH_COARSENING = 16 is below COARSE_J: no coarse search
+        assert rec["search"] is None
         assert rec["alphabet"] == "1,2"
         assert rec["constants"]["M"] == 36.0
         assert rec["constants"]["M_prime"] < 36.0
@@ -242,9 +255,13 @@ class TestEarlyDecision:
         return json.loads(out.read_text()), len(calls)
 
     def test_table2_endpoints_unchanged(self, table2):
+        # within tol_s = 1e-14 of the endpoints a bisection from S_FLOOR
+        # found; the search now places the fine probes, so the last bits
+        # differ (0.5312805062762808, 0.5312805062781295)
         rec, _ = table2
-        assert rec["s_lo"] == 0.5312805062762838
-        assert rec["s_hi"] == 0.5312805062781312
+        assert abs(rec["s_lo"] - 0.5312805062762838) <= 1e-14
+        assert abs(rec["s_hi"] - 0.5312805062781312) <= 1e-14
+        assert rec["search"]["J_c"] == 99999 // solver.SEARCH_COARSENING
 
     def test_table2_matvecs(self, table2):
         # running every probe to convergence, with a second product for the
@@ -371,10 +388,14 @@ class TestOperatorForm:
     """Every probe applies the one stacked G, weighted per probe."""
 
     def test_certified_solve_never_writes_G(self):
+        # at J = 128 a certified solve also probes its J // 4 search mesh,
+        # whose operators share their own G
         for mode in ("certified", "point-estimate"):
             with recording_operators() as ops:
-                solve_dimension(SolveConfig(A12, J=64, mode=mode))
-            assert ops and all(op.G is ops[0].G for op in ops)
+                solve_dimension(SolveConfig(A12, J=128, mode=mode))
+            meshes = {op.shape[0]: op.G for op in ops}
+            assert len(meshes) == (2 if mode == "certified" else 1)
+            assert all(op.G is meshes[op.shape[0]] for op in ops)
 
 
 class TestLambdaBracket:
@@ -438,6 +459,17 @@ class TestBisectionEdges:
         with pytest.raises(ValueError, match="does not straddle"):
             _bisect(self.above(endpoint), S_FLOOR, ceiling, 1e-8)
 
+    @pytest.mark.parametrize("guess", [0.2, 0.55, 0.9])
+    @pytest.mark.parametrize("endpoint, ceiling",
+                             [("s_lo", 0.5), ("s_hi", REF_1D), ("point", 0.5)])
+    def test_guess_keeps_the_edges(self, endpoint, ceiling, guess):
+        # from a guess anywhere (clamped to the interval) the floor and the
+        # ceiling answer as they do without one
+        assert _bisect(self.above(endpoint), 0.6, 1.0, 1e-8, guess) == \
+            (0.6, 0.6)
+        with pytest.raises(ValueError, match="does not straddle"):
+            _bisect(self.above(endpoint), S_FLOOR, ceiling, 1e-8, guess)
+
     def test_ceiling_above_cap_refused(self):
         # the constants hold only up to s_cap = 0.7, below this set's
         # dimension 0.8368...: the certified search stops at the cap, so
@@ -445,6 +477,57 @@ class TestBisectionEdges:
         cfg = SolveConfig(make_alphabet_1d(range(1, 6)), J=4000, s_cap=0.7)
         with pytest.raises(ValueError, match="does not straddle"):
             solve_dimension(cfg)
+
+
+class TestGuessedBisection:
+    """_bisect from a guess on the monotone predicate s < t: it ends where
+    a bisection from the ends does, in about two probes per doubling of the
+    guess's distance from t."""
+
+    A, B = 0.125, 0.875
+
+    @staticmethod
+    def threshold(t):
+        probes = set()
+
+        def above(s):
+            probes.add(s)
+            return s < t
+
+        return above, probes
+
+    def check(self, t, guess, tol, slack):
+        above, probes = self.threshold(t)
+        if t <= self.A:
+            assert _bisect(above, self.A, self.B, tol, guess) == (self.A,
+                                                                  self.A)
+        elif t > self.B:
+            with pytest.raises(ValueError, match="does not straddle the "
+                               "dimension: still below it at s = 0.875$"):
+                _bisect(above, self.A, self.B, tol, guess)
+        else:
+            lo, hi = _bisect(above, self.A, self.B, tol, guess)
+            assert lo in probes and hi in probes
+            assert lo < t <= hi and hi - lo <= tol
+        budget = 2 * math.log2(max(abs(guess - t), tol) / tol) + 4
+        assert len(probes) <= budget + slack
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, 1.0), x=st.floats(0.0, 1.0),
+           p=st.integers(4, 30))
+    def test_dyadic_guess_within_budget(self, t, x, p):
+        # tol = 2^-p and a guess on the 2^-(p+4) grid keep every widened
+        # and bisected point exact, so the count is the algorithm's own
+        tol, grid = 2.0 ** -p, 2.0 ** -(p + 4)
+        guess = self.A + round(x * (self.B - self.A) / grid) * grid
+        self.check(t, guess, tol, slack=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, 1.0), guess=st.floats(A, B),
+           tol=st.sampled_from([1e-3, 1e-7, 1e-10, 1e-14]))
+    def test_any_guess(self, t, guess, tol):
+        # rounding of a widened window can cost one more bisection step
+        self.check(t, guess, tol, slack=1)
 
 
 class TestMonotonicityAudit:
@@ -466,10 +549,56 @@ class TestMonotonicityAudit:
         assert all(l2 <= l1 + 1e-12 for l1, l2 in zip(lams[:-1], lams[1:]))
 
 
+class TestSearch:
+    """A certified solve predicts its endpoints with converged point probes
+    on J // SEARCH_COARSENING subintervals and proves them on J; the
+    prediction places fine probes but never decides an endpoint."""
+
+    def test_search_then_fine_build(self, monkeypatch):
+        # the search is built and probed before the fine cache is built
+        events, init, probe = [], OperatorCache.__init__, ProbeEngine.probe
+
+        def built(cache, alphabet, geometry, q=None):
+            init(cache, alphabet, geometry, q)
+            events.append(("build", cache.N))
+
+        def probed(engine, s):
+            if not events or events[-1] != ("probe", engine.cache.N):
+                events.append(("probe", engine.cache.N))
+            return probe(engine, s)
+
+        monkeypatch.setattr(OperatorCache, "__init__", built)
+        monkeypatch.setattr(ProbeEngine, "probe", probed)
+        b = solve_dimension(SolveConfig(A12, J=128, tol_s=1e-9))
+        coarse, fine = (math.prod(make_geometry(1, J, 2).sample_shape)
+                        for J in (32, 128))
+        assert events == [("build", coarse), ("probe", coarse),
+                          ("build", fine), ("probe", fine)]
+        assert b.search["J_c"] == 32 and b.search["probes"] > 0
+        assert b.search["s_lo"] <= b.search["s_hi"]
+
+    @pytest.mark.parametrize("wrong", ["floor", "cap"])
+    def test_bad_prediction_costs_probes_only(self, wrong, monkeypatch):
+        cfg = SolveConfig(A12, J=128, tol_s=1e-9)
+        good = solve_dimension(cfg)
+        predict = solver._predict
+
+        def wrong_end(engine, a, b, target, eps):
+            predict(engine, a, b, target, eps)
+            return a if wrong == "floor" else b
+
+        monkeypatch.setattr(solver, "_predict", wrong_end)
+        bad = solve_dimension(cfg)
+        assert abs(bad.s_lo - good.s_lo) <= 1e-9
+        assert abs(bad.s_hi - good.s_hi) <= 1e-9
+        assert bad.s_lo <= REF_1D <= bad.s_hi
+        assert len(bad.probes) > len(good.probes)
+
+
 class TestTwoStepRefinement:
     """A certified 2D solve caps s just above a point estimate on the
-    COARSE_J mesh, then runs one fine bisection; every other solve is one
-    bisection at the config's cap."""
+    COARSE_J mesh, then searches and proves once at that cap; every other
+    solve works at the config's cap."""
 
     @pytest.fixture
     def meshes(self, monkeypatch):
@@ -489,16 +618,23 @@ class TestTwoStepRefinement:
 
     def test_same_cap_one_bisection(self, meshes):
         # the certify-2d case: the coarse estimate plus 1e-3 lies above
-        # s_cap = 1.15, so the cap stays and one fine bisection runs on
-        # [S_FLOOR, 1.15]
+        # s_cap = 1.15, so the cap stays.  The search on J // 4 = 125
+        # predicts both endpoints within 1e-9, and the fine mesh is probed
+        # only next to them: 14 probes, where bisecting [S_FLOOR, 1.15] took
+        # 57 and ended at (1.149529368563135, 1.1496249226942479), within
+        # tol_s = 1e-10 of these
         b = solver.solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15,
                                                alpha=0.2, beta=0.2))
         assert meshes == [500, solver.COARSE_J]
-        assert (b.s_lo, b.s_hi) == (1.149529368563135, 1.1496249226942479)
-        assert len(b.probes) == 57
+        assert (b.s_lo, b.s_hi) == (1.1495293686078023, 1.1496249227192226)
+        assert len(b.probes) == 14
         assert max(p["s"] for p in b.probes) <= 1.15
         assert b.constants["s_cap"] == 1.15
         assert "first_pass" not in b.to_record()
+        search = b.to_record()["search"]
+        assert search["J_c"] == 125 and search["probes"] == 10
+        assert abs(search["s_lo"] - b.s_lo) < 1e-9
+        assert abs(search["s_hi"] - b.s_hi) < 1e-9
 
     def test_lower_cap_probes_below_it(self):
         # {(2,0),(3,0)} has dimension 0.3374...: the cap drops from 0.5 to
