@@ -15,16 +15,18 @@ from .maps import (Alphabet, make_alphabet_1d, make_alphabet_2d,
                    parse_alphabet, phi_1d, phi_2d)
 from .quasi import QuasiInterpolant, make_quasi_interpolant
 from .solver import (CertificationError, DimensionBracket,
-                     InadmissibleMeshError, MonotonicityError, SolveConfig,
-                     convergence_study, make_geometry, solve_dimension)
+                     InadmissibleMeshError, MonotonicityError,
+                     OversizedMeshError, SolveConfig, convergence_study,
+                     make_geometry, solve_dimension)
 from .spectral import (ConeCertificate, PositivityError, SpectralBracket,
                        cone_membership, power_iteration, spectral_bracket)
 
 __all__ = [
     "Alphabet", "CertificationError", "ConeCertificate", "DimensionBracket",
     "InadmissibleMeshError", "KnotSequence", "MonotonicityError",
-    "OperatorCache", "PositivityError", "QuasiInterpolant", "RigorProfile",
-    "SolveConfig", "SpectralBracket", "TensorGrid", "TransferOperator",
+    "OperatorCache", "OversizedMeshError", "PositivityError",
+    "QuasiInterpolant", "RigorProfile", "SolveConfig", "SpectralBracket",
+    "TensorGrid", "TransferOperator",
     "admissible_h", "bramble_hilbert_constant", "cone_image_parameter",
     "cone_membership", "convergence_study", "deriv_bound_1d",
     "deriv_bounds_2d", "distortion_K", "err_coefficient_1d",

@@ -15,19 +15,20 @@ eigenvalue brackets transfer verbatim.
 
 Keeping all J+n splines preserves partition of unity across the whole
 parameter interval.  The mesh must be padded so every mapped collocation
-point lands inside that interval; the eigenvector then genuinely satisfies the log-Lipschitz cone
-bounds that the certification lemma requires.  A mesh without that padding
-is rejected.
+point lands inside that interval; the eigenvector then genuinely satisfies
+the log-Lipschitz cone bounds that the certification lemma requires.  A mesh
+without that padding is rejected.
 
 Entries depend on s only through the factor ||Dphi_e(x)||^s, so an
 OperatorCache precomputes all s-independent structure once per mesh: the
 stacked matrix Gs, with one row per (point, letter) holding that letter's
 K = (n+1)^d basis-value products, and one log derivative norm lg per
-(point, letter).  A probe at s takes one exp per (point, letter),
-w = exp(s lg), and applies G(s) = sum_e diag(w_e) G_e without writing it:
-y_i = sum_e w[i, e] (Gs @ c)[i |E| + e].  Nothing is written per probe
-beyond w, whether the probe stops at its decision after a product or two or
-runs to convergence.
+(point, letter).  It builds them in blocks of points, all letters at once,
+straight into the final arrays, so the build holds one block of temporaries
+beside its result (solver.operator_footprint counts both).  A probe at s
+takes one exp per (point, letter), w = exp(s lg), and applies
+G(s) = sum_e diag(w_e) G_e without writing it: y_i = sum_e w[i, e]
+(Gs @ c)[i |E| + e].
 
 Every term of a row is the product of a base value, a weight and a
 coefficient (two roundings), and a row sums a chain of K + |E| terms (K per
@@ -51,6 +52,14 @@ from .maps import Alphabet
 from .quasi import QuasiInterpolant, make_quasi_interpolant
 
 Array = np.ndarray
+
+# (point, letter) rows per block of the structure build
+BLOCK_ROWS = 2 ** 14
+
+
+def index_dtype(nnz: int) -> type:
+    """The index dtype scipy keeps for a CSR matrix with nnz entries."""
+    return np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
 
 
 def check_degree(n: int) -> None:
@@ -124,66 +133,57 @@ class OperatorCache:
         return sparse.csr_matrix((vals, (rows, cols)),
                                  shape=(nc, ks.num_intervals))
 
-    def collocation_points(self) -> Array:
-        """(N, d) coordinates of the flattened sample index (first axis
-        fastest)."""
-        mids = [ks.midpoints for ks in reversed(self.axes)]
-        grids = np.meshgrid(*mids, indexing="ij")[::-1]
-        return np.stack([g.ravel() for g in grids], axis=-1)
-
-    def _spline_window(self, e, ks: KnotSequence,
-                       y: Array) -> tuple[Array, Array]:
-        """Columns (len(y), n+1) and values of the splines of axis ks that
-        are nonzero at the mapped coordinates y.  Every window must lie
-        inside the spline range (mapped points inside the partition-of-unity
-        region); a violation means the mesh is too coarse for its padding of
-        n subintervals to cover the images, and is reported rather than
-        silently dropped."""
-        n = self.n
-        ell, t = locate_intervals(ks, y)
-        # the splines nonzero on knot interval ell are ell-n .. ell
-        cols = (ell - n)[:, None] + np.arange(n + 1)[None, :]
-        if cols.min() < 0 or cols.max() >= ks.num_splines:
-            raise ValueError(
-                f"mapped points of letter {e} leave the padded spline range; "
-                "refine the mesh (smaller h)")
-        return cols, uniform_basis(t, n)
-
-    def _letter_block(self, e, p: Array) -> tuple[Array, Array, Array]:
-        """Contributions of one letter at the collocation points p (N, d).
-
-        Returns (cols (N, K), base (N, K), lg (N,)) with K = (n+1)^d; base
-        holds the s-independent spline products.
-        """
-        img = self.alphabet.image(e, p)
-        windows = [self._spline_window(e, ks, img[:, k])
-                   for k, ks in enumerate(self.axes)]
-        # fold the axes in, last axis outer: tensor order (ry outer, rx
-        # inner) keeps columns ascending per row
-        cols, base = windows[-1]
-        for ks, (c, B) in zip(self.axes[-2::-1], windows[-2::-1]):
-            cols = (cols[:, :, None] * ks.num_splines
-                    + c[:, None, :]).reshape(self.N, -1)
-            base = (base[:, :, None] * B[:, None, :]).reshape(self.N, -1)
-        return cols, base, self.alphabet.log_dnorm(e, p)
-
     def _build_G_structure(self) -> None:
-        p = self.collocation_points()
+        """Gs and lg, in blocks of about BLOCK_ROWS (point, letter) rows
+        that cover every letter of their points."""
         E = len(self.alphabet.letters)
         K = (self.n + 1) ** self.geometry.d
-        # letter j fills slot j, so the rows of Gs run point-major, one per
-        # (point, letter) in the order of _lg
-        cols = np.empty((self.N, E, K), dtype=np.int32)
+        idx = index_dtype(self.N * E * K)
+        # rows of Gs run point-major, in the order of _lg
+        cols = np.empty((self.N, E, K), dtype=idx)
         base = np.empty((self.N, E, K))
         lg = np.empty((self.N, E))
-        for j, e in enumerate(self.alphabet.letters):
-            cols[:, j], base[:, j], lg[:, j] = self._letter_block(e, p)
+        mids = [ks.midpoints for ks in self.axes]
+        step = max(1, BLOCK_ROWS // E)
+        for lo in range(0, self.N, step):
+            hi = min(lo + step, self.N)
+            # flat sample index -> midpoint per axis, first axis fastest
+            at = np.unravel_index(np.arange(lo, hi),
+                                  self.geometry.sample_shape)
+            p = np.stack([m[i] for m, i in zip(mids, at[::-1])], axis=-1)
+            self._block(self.alphabet.image(p), cols[lo:hi], base[lo:hi])
+            lg[lo:hi] = self.alphabet.log_dnorm(p)
         self._Gs = sparse.csr_matrix(
             (base.ravel(), cols.ravel(),
-             np.arange(self.N * E + 1, dtype=np.int64) * K),
+             np.arange(0, self.N * E * K + 1, K, dtype=idx)),
             shape=(self.N * E, self.Ncoef))
         self._lg = lg
         self.nnz = self._Gs.nnz
+
+    def _block(self, img: Array, cols: Array, base: Array) -> None:
+        """Columns and values, into cols and base (m, |E|, K), of the tensor
+        splines nonzero at the images img (m, |E|, d).  An image outside the
+        partition of unity (mesh too coarse) is reported, not dropped."""
+        n = self.n
+        # fold the axes in, last axis outer (ry outer, rx inner keeps the
+        # columns ascending); interval ell holds splines ell-n .. ell
+        first, offsets, prod = 0, np.zeros(1, dtype=np.int64), None
+        for ks, y in zip(self.axes[::-1], np.moveaxis(img, -1, 0)[::-1]):
+            inside = (y >= ks.knots[n]) & (y < ks.knots[ks.num_splines])
+            if not inside.all():
+                e = self.alphabet.letters[inside.all(axis=0).argmin()]
+                raise ValueError(f"mapped points of letter {e} leave the "
+                                 "padded spline range; refine the mesh "
+                                 "(smaller h)")
+            ell, t = locate_intervals(ks, y)
+            first = first * ks.num_splines + (ell - n)
+            offsets = (offsets[:, None] * ks.num_splines
+                       + np.arange(n + 1)).ravel()
+            B = uniform_basis(t, n)
+            prod = B if prod is None else (
+                prod[..., :, None] * B[..., None, :]).reshape(*t.shape, -1)
+        np.add(first[..., None], offsets, out=cols, casting="same_kind")
+        base[...] = prod
 
     # -- per-probe assembly -------------------------------------------------
     def evaluation_matrix(self, s: float) -> Array:

@@ -1,8 +1,9 @@
 """Command-line front end: certify | estimate | converge.
 
-Exit codes: 0 success, 1 usage error, 2 inadmissible mesh, 3 certification
-failure.  h may be a literal ("1e-4") or an exact fraction ("1/3200");
---h-list takes "a..b" (halving from a to b) or a comma-separated list.
+Exit codes: 0 success, 1 usage error, 2 inadmissible mesh or one too large
+for the memory available, 3 certification failure.  h may be a literal
+("1e-4") or an exact fraction ("1/3200"); --h-list takes "a..b" (halving
+from a to b) or a comma-separated list.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from fractions import Fraction
 
 from .maps import parse_alphabet
 from .solver import (CertificationError, InadmissibleMeshError,
-                     MonotonicityError, SolveConfig, convergence_study,
-                     solve_dimension)
+                     MonotonicityError, OversizedMeshError, SolveConfig,
+                     convergence_study, solve_dimension)
 from .spectral import PositivityError
 
 EXIT_OK = 0
@@ -316,6 +317,11 @@ def run(argv) -> int:
         print(f"inadmissible mesh: {exc}", file=sys.stderr)
         for k, v in exc.breakdown.items():
             print(f"  {k:>12}: h < {v:.6g}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    except OversizedMeshError as exc:
+        print(f"mesh too large: {exc}", file=sys.stderr)
+        for k, v in exc.breakdown.items():
+            print(f"  {k:>12}: {v / 2**20:.1f} MiB", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except (CertificationError, PositivityError, MonotonicityError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)

@@ -47,17 +47,20 @@ class Alphabet:
             return ",".join(str(e) for e in self.letters)
         return ",".join(f"({e1},{e2})" for e1, e2 in self.letters)
 
-    def image(self, e, p: Array) -> Array:
-        """phi_e at the points p of shape (N, d), as an (N, d) array."""
+    def image(self, p: Array) -> Array:
+        """phi_e at the points p (m, d) for every letter e: (m, |E|, d)."""
+        e = np.asarray(self.letters, dtype=np.float64)
         if self.d == 1:
-            return phi_1d(e, p[:, 0])[:, None]
-        return phi_2d(e, p)
+            return phi_1d(e, p)[..., None]
+        return phi_2d(e, p[:, None, :])
 
-    def log_dnorm(self, e, p: Array) -> Array:
-        """log ||Dphi_e|| at the points p of shape (N, d), as an (N,) array."""
+    def log_dnorm(self, p: Array) -> Array:
+        """log ||Dphi_e|| at the points p (m, d) for every letter e:
+        (m, |E|)."""
+        e = np.asarray(self.letters, dtype=np.float64)
         if self.d == 1:
-            return log_dphi_norm_1d(e, p[:, 0])
-        return log_dphi_norm_2d(e, p)
+            return log_dphi_norm_1d(e, p)
+        return log_dphi_norm_2d(e, p[:, None, :])
 
 
 def make_alphabet_1d(letters) -> Alphabet:
@@ -68,23 +71,25 @@ def make_alphabet_2d(letters) -> Alphabet:
     return Alphabet(d=2, letters=tuple(sorted({(int(a), int(b)) for a, b in letters})))
 
 
-def phi_1d(e: int, x):
+def phi_1d(e, x):
+    """1/(x+e); the letter (or array of letters) e broadcasts against x."""
     return 1.0 / (np.asarray(x, dtype=np.float64) + e)
 
 
-def log_dphi_norm_1d(e: int, x):
+def log_dphi_norm_1d(e, x):
     """log of the unit-exponent derivative norm: ||Dphi_e||^s = exp(s * this)."""
     return -2.0 * np.log(np.asarray(x, dtype=np.float64) + e)
 
 
-def phi_2d(e: tuple[int, int], p):
-    """Conformal inversion of the translated point; p has shape (..., 2)."""
+def phi_2d(e, p):
+    """Conformal inversion of the translated point; p has shape (..., 2) and
+    the letter (2,) or letters (..., 2) broadcast against it."""
     p = np.asarray(p, dtype=np.float64)
     q = p + np.asarray(e, dtype=np.float64)
     return q / np.sum(q * q, axis=-1, keepdims=True)
 
 
-def log_dphi_norm_2d(e: tuple[int, int], p):
+def log_dphi_norm_2d(e, p):
     """log of the unit-exponent derivative norm: ||Dphi_e||^s = exp(s * this)."""
     p = np.asarray(p, dtype=np.float64)
     q = p + np.asarray(e, dtype=np.float64)

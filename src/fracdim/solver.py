@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assembly import OperatorCache, check_degree
+from .assembly import (BLOCK_ROWS, OperatorCache, check_degree,
+                       index_dtype)
 from .bspline import TensorGrid, make_uniform_knots
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
@@ -53,6 +54,17 @@ class InadmissibleMeshError(RuntimeError):
         msg = ", ".join(f"{k}: {v:.6g}" for k, v in breakdown.items())
         super().__init__(f"h = {h:.6g} exceeds the admissible bound "
                          f"{breakdown['overall']:.6g} ({msg})")
+
+
+class OversizedMeshError(RuntimeError):
+    """The operator of a mesh needs more memory than is available."""
+
+    def __init__(self, h: float, footprint: dict[str, int], available: int):
+        self.breakdown = footprint
+        super().__init__(f"h = {h:.6g} needs about "
+                         f"{footprint['total'] / 2**20:.0f} MiB for its "
+                         f"operator, more than the {available / 2**20:.0f} "
+                         "MiB available")
 
 
 class CertificationError(RuntimeError):
@@ -378,17 +390,49 @@ def _search(alphabet: Alphabet, J: int, geometry: TensorGrid,
     return guesses, (engine._warm, coarse), record
 
 
+def operator_footprint(alphabet: Alphabet, geometry: TensorGrid) -> dict:
+    """Peak bytes of one mesh's operator in a solve, by part and in total,
+    from N, |E| and K = (n+1)^d: the OperatorCache's stacked Gs (values,
+    columns, row pointers) and lg, a probe's weights and G @ c (N |E|
+    doubles each), six sample vectors of the power iteration, and one block
+    of the build (at most 2K + 4(n+1) doubles per row: tensor products,
+    per-axis windows and workspace)."""
+    N = math.prod(geometry.sample_shape)
+    rows = N * len(alphabet.letters)
+    K = (geometry.n + 1) ** geometry.d
+    idx = np.dtype(index_dtype(rows * K)).itemsize
+    parts = {"Gs": rows * K * (8 + idx) + (rows + 1) * idx, "lg": 8 * rows,
+             "probe": 16 * rows, "vectors": 48 * N,
+             "block": 8 * BLOCK_ROWS * (2 * K + 4 * (geometry.n + 1))}
+    return {**parts, "total": sum(parts.values())}
+
+
+def _mem_available(meminfo: str = "/proc/meminfo") -> int | None:
+    """Bytes available for new allocations without swapping (MemAvailable
+    in the kernel's meminfo file), or None where that cannot be read."""
+    try:
+        with open(meminfo) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _setup(config: SolveConfig):
     """Mesh, rigor profile and the guards every entry point shares.
 
-    Raises ValueError for a degree that is odd or below 2, and
-    InadmissibleMeshError when h exceeds the admissible bound (only a point
-    estimate may pass unsafe_h to go on); in certified mode also ValueError
-    for a 2D degree other than 2 (its error bounds are third order), and
-    CertificationError when M' >= M or err >= 1.  A certified 2D solve
-    first lowers s_cap to just above a point estimate on the COARSE_J mesh,
-    after the guards that do not need the cap: a lower cap shrinks err and
-    M', and admissibility, M' and err are checked at it.
+    Raises ValueError for a degree that is odd or below 2,
+    OversizedMeshError, before any build, when the operator's footprint
+    exceeds the memory available, and InadmissibleMeshError when h exceeds
+    the admissible bound (only a point estimate may pass unsafe_h to go
+    on); in certified mode also ValueError for a 2D degree other than 2
+    (its error bounds are third order), and CertificationError when
+    M' >= M or err >= 1.  A certified 2D solve first lowers s_cap to just
+    above a point estimate on the COARSE_J mesh, after the guards that do
+    not need the cap: a lower cap shrinks err and M', and admissibility,
+    M' and err are checked at it.
     Returns (J, profile, geometry, breakdown, constants, err, certifiable),
     certifiable when h is admissible and M' < M (always, in certified mode).
     """
@@ -400,6 +444,11 @@ def _setup(config: SolveConfig):
     check_degree(config.n)
     J = config.resolve_mesh()
     h = 1.0 / J
+    geometry = make_geometry(alphabet.d, J, config.n)
+    footprint = operator_footprint(alphabet, geometry)
+    available = _mem_available()
+    if available is not None and footprint["total"] > available:
+        raise OversizedMeshError(h, footprint, available)
 
     def profile_at(s_cap):
         return make_profile(alphabet, n=config.n, s_cap=s_cap,
@@ -411,7 +460,6 @@ def _setup(config: SolveConfig):
             config, h=None, J=COARSE_J, mode="point-estimate", tol_s=1e-6,
             unsafe_h=True)).s_hi
         profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
-    geometry = make_geometry(alphabet.d, J, config.n)
     breakdown = admissible_h(profile, alphabet)
     # the exact 1/J against each rounded-down bound, and strictly below the
     # exact 1/max component

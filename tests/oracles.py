@@ -2,8 +2,9 @@
 
 Pointwise B-spline values by the Cox-de Boor recurrence, the quasi-interpolant
 Qf evaluated from its spline coefficients, the derivative norms ||Dphi_e||^s
-evaluated directly, the transfer operator materialized as one sparse matrix,
-and probes run to convergence.  None of it runs in a solve; it stays simple
+evaluated directly, the operator structure built one letter at a time over
+the whole mesh, the transfer operator materialized as one sparse matrix, and
+probes run to convergence.  None of it runs in a solve; it stays simple
 and slow on purpose.
 """
 from __future__ import annotations
@@ -16,6 +17,8 @@ from scipy import sparse
 
 from fracdim.assembly import OperatorCache, TransferOperator
 from fracdim.bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
+from fracdim.maps import (Alphabet, log_dphi_norm_1d, log_dphi_norm_2d, phi_1d,
+                          phi_2d)
 from fracdim.quasi import QuasiInterpolant
 from fracdim.spectral import (cone_membership, power_iteration, scaled_bracket,
                               spectral_bracket)
@@ -154,6 +157,39 @@ def dphi_norm_2d(e: tuple[int, int], p, s: float):
     p = np.asarray(p, dtype=np.float64)
     q = p + np.asarray(e, dtype=np.float64)
     return np.sum(q * q, axis=-1) ** (-s)
+
+
+def letter_structure(alphabet: Alphabet, grid: TensorGrid):
+    """The stacked structure of OperatorCache built one letter at a time
+    over all N collocation points, with the same floating-point operations
+    in the same order: (data, indices, indptr, lg) of Gs and its log
+    derivative norms, rows point-major."""
+    mids = [ks.midpoints for ks in reversed(grid.axes)]
+    grids = np.meshgrid(*mids, indexing="ij")[::-1]
+    p = np.stack([g.ravel() for g in grids], axis=-1)
+    N, E, n = len(p), len(alphabet.letters), grid.n
+    K = (n + 1) ** grid.d
+    cols = np.empty((N, E, K), dtype=np.int64)
+    base = np.empty((N, E, K))
+    lg = np.empty((N, E))
+    for j, e in enumerate(alphabet.letters):
+        if alphabet.d == 1:
+            img = phi_1d(e, p[:, 0])[:, None]
+            lg[:, j] = log_dphi_norm_1d(e, p[:, 0])
+        else:
+            img, lg[:, j] = phi_2d(e, p), log_dphi_norm_2d(e, p)
+        windows = []
+        for k, ks in enumerate(grid.axes):
+            ell, t = locate_intervals(ks, img[:, k])
+            c = (ell - n)[:, None] + np.arange(n + 1)[None, :]
+            assert c.min() >= 0 and c.max() < ks.num_splines
+            windows.append((c, uniform_basis(t, n)))
+        c, b = windows[-1]
+        for ks, (c1, B1) in zip(grid.axes[-2::-1], windows[-2::-1]):
+            c = (c[:, :, None] * ks.num_splines + c1[:, None, :]).reshape(N, -1)
+            b = (b[:, :, None] * B1[:, None, :]).reshape(N, -1)
+        cols[:, j], base[:, j] = c, b
+    return (base.ravel(), cols.ravel(), np.arange(N * E + 1) * K, lg)
 
 
 def tocsr(op: TransferOperator) -> sparse.csr_matrix:

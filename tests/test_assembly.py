@@ -1,4 +1,6 @@
 """Collocation assembly against a from-scratch oracle built on scipy splines."""
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +8,14 @@ import pytest
 from scipy import sparse
 from scipy.interpolate import BSpline
 
+from fracdim import assembly
 from fracdim.assembly import OperatorCache
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import make_quasi_interpolant
-from fracdim.solver import make_geometry
+from fracdim.solver import make_geometry, operator_footprint
 from fracdim.spectral import FLOAT_SLACK
-from oracles import tocsr
+from oracles import letter_structure, tocsr
 
 W = np.array([-0.125, 1.25, -0.125])
 
@@ -269,3 +272,63 @@ class TestStackedForm:
         y = op @ v
         for yi, ex in zip(y.tolist(), exact_product(op, v)):
             assert abs(Fraction(yi) - ex) <= Fraction(FLOAT_SLACK / 100) * ex
+
+
+class TestBlockBuild:
+    """The block build computes every entry of Gs and lg by the same
+    floating-point operations, in the same order, as a build one letter at
+    a time over the whole mesh; where the blocks end changes no bit."""
+
+    @pytest.mark.parametrize("text,d,J", [("1,2,3", 1, 16), ("primes<50", 1, 64),
+                                          ("1..100", 1, 200), (SET_2D, 2, 40)])
+    @pytest.mark.parametrize("block", ["default", "one-row", "ragged"])
+    def test_bitwise_equal_to_letter_build(self, text, d, J, block,
+                                           monkeypatch):
+        alphabet, grid = parse_alphabet(text), make_geometry(d, J, 2)
+        E, N = len(alphabet.letters), math.prod(grid.sample_shape)
+        if block == "one-row":
+            monkeypatch.setattr(assembly, "BLOCK_ROWS", 1)
+        elif block == "ragged":
+            # blocks of 13 points: the last one is shorter
+            assert N % 13 != 0
+            monkeypatch.setattr(assembly, "BLOCK_ROWS", 13 * E + 1)
+        cache = OperatorCache(alphabet, grid)
+        G = cache.matrix(1.0).G
+        for got, want in zip((G.data, G.indices, G.indptr, cache._lg),
+                             letter_structure(alphabet, grid)):
+            assert np.array_equal(got, want)
+        assert G.indices.dtype == G.indptr.dtype == np.int32
+
+
+def kept_bytes(cache) -> int:
+    G = cache.matrix(1.0).G
+    return (G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
+            + cache._lg.nbytes + sum(W1.data.nbytes + W1.indices.nbytes
+                                     + W1.indptr.nbytes for W1 in cache._W1s))
+
+
+class TestBuildMemory:
+    @pytest.mark.parametrize("J", [150, 300])
+    def test_transient_is_one_block(self, J):
+        # tracemalloc sees numpy's buffers; N grows about 4x from J = 150
+        # to 300, the build's transient must not
+        alphabet, grid = parse_alphabet(SET_2D), make_geometry(2, J, 2)
+        tracemalloc.start()
+        try:
+            cache = OperatorCache(alphabet, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = operator_footprint(alphabet, grid)["block"]
+        assert peak - kept_bytes(cache) <= budget
+
+    @pytest.mark.parametrize("text,d,J", [("primes<50", 1, 64), (SET_2D, 2, 12)])
+    def test_footprint_counts_what_the_cache_keeps(self, text, d, J):
+        alphabet, grid = parse_alphabet(text), make_geometry(d, J, 2)
+        cache = OperatorCache(alphabet, grid)
+        fp = operator_footprint(alphabet, grid)
+        G = cache.matrix(1.0).G
+        assert fp["Gs"] == G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
+        assert fp["lg"] == cache._lg.nbytes
+        assert fp["probe"] == 2 * cache.matrix(1.0).weights.nbytes
+        assert fp["total"] == sum(v for k, v in fp.items() if k != "total")

@@ -99,6 +99,16 @@ class TestEstimate:
         assert "leave the padded spline range" in err
         assert "refine the mesh" in err
 
+    @pytest.mark.parametrize("h", ["1/2", "1/1"])
+    def test_mesh_too_coarse_for_images(self, h, capsys):
+        # images past the knot span and images inside it but past the
+        # padded spline range get the same error
+        assert run(["estimate", "--alphabet", "1,2", "--h", h,
+                    "--unsafe-h"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "mapped points of letter 1 leave the padded spline range" in err
+        assert "refine the mesh" in err
+
     def test_inadmissible_exit(self, capsys):
         assert run(["estimate", "--alphabet", "1,2", "--h", "1/25"]) == \
             EXIT_INADMISSIBLE

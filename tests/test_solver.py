@@ -13,13 +13,14 @@ from scipy.optimize import brentq
 from fracdim import solver
 from fracdim.assembly import OperatorCache, TransferOperator
 from fracdim.bspline import TensorGrid
-from fracdim.cli import run
+from fracdim.cli import EXIT_INADMISSIBLE, run
 from fracdim.constants import make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.solver import (S_FLOOR, CertificationError,
                             InadmissibleMeshError, MonotonicityError,
                             ProbeEngine, SolveConfig, _bisect,
-                            convergence_study, make_geometry, solve_dimension)
+                            convergence_study, make_geometry,
+                            operator_footprint, solve_dimension)
 from fracdim.spectral import ConeCertificate, FLOAT_SLACK, scaled_bracket
 from oracles import ConvergedProbes, tocsr
 
@@ -477,6 +478,60 @@ class TestBisectionEdges:
         cfg = SolveConfig(make_alphabet_1d(range(1, 6)), J=4000, s_cap=0.7)
         with pytest.raises(ValueError, match="does not straddle"):
             solve_dimension(cfg)
+
+
+class TestFootprint:
+    """A mesh whose operator needs more memory than is available is refused
+    before anything is built."""
+
+    @pytest.fixture
+    def no_builds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an operator was built")
+        monkeypatch.setattr(OperatorCache, "__init__", refuse)
+
+    def test_refused_before_any_build(self, monkeypatch, no_builds):
+        # a certified 2D solve would build its cap estimate first
+        need = operator_footprint(A2D, make_geometry(2, 500, 2))["total"]
+        monkeypatch.setattr(solver, "_mem_available", lambda: need - 1)
+        cfg = SolveConfig(alphabet=A2D, J=500, s_cap=1.15, alpha=0.2,
+                          beta=0.2)
+        with pytest.raises(solver.OversizedMeshError, match="MiB available"):
+            solve_dimension(cfg)
+        monkeypatch.setattr(solver, "_mem_available", lambda: need)
+        with pytest.raises(AssertionError, match="an operator was built"):
+            solve_dimension(cfg)
+
+    def test_2400_estimate_and_refusal(self, monkeypatch, no_builds, capsys):
+        # J = 2400: the bytes its cache would keep, counted here from N,
+        # |E| and K without building it, are most of the estimate
+        fp = operator_footprint(A2D, make_geometry(2, 2400, 2))
+        rows = (2400 + 6) * (2400 + 8) * 4
+        kept = rows * 9 * (8 + 4) + (rows + 1) * 4 + rows * 8
+        assert fp["Gs"] + fp["lg"] == kept
+        assert kept < fp["total"] < 1.3 * kept
+        monkeypatch.setattr(solver, "_mem_available", lambda: 3 * 2**30)
+        assert run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
+                    "--h", "1/2400", "--s-cap", "1.15", "--alpha", "0.2",
+                    "--beta", "0.2"]) == EXIT_INADMISSIBLE
+        err = capsys.readouterr().err
+        assert "mesh too large" in err and "3072 MiB available" in err
+        for part in fp:
+            assert f"{part:>12}: {fp[part] / 2**20:.1f} MiB" in err
+
+    def test_meminfo(self, tmp_path):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:  8000 kB\nMemAvailable:  1024 kB\n")
+        assert solver._mem_available(str(meminfo)) == 2**20
+        meminfo.write_text("MemAvailable:  many kB\n")
+        assert solver._mem_available(str(meminfo)) is None
+        assert solver._mem_available(str(tmp_path / "missing")) is None
+
+    def test_unreadable_meminfo_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(solver, "_mem_available", lambda: None)
+        b = solve_dimension(SolveConfig(alphabet=A12, J=64,
+                                        mode="point-estimate"))
+        assert abs(b.s_lo - REF_1D) < 1e-6
 
 
 class TestGuessedBisection:
