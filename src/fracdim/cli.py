@@ -81,7 +81,10 @@ def parse_h_list(text: str) -> list[float]:
         if seq[-1] != b:
             raise ValueError(f"{b} is not reached from {a} by halving")
         return [float(x) for x in seq]
-    return [parse_h(tok) for tok in text.split(",") if tok.strip()]
+    hs = [parse_h(tok) for tok in text.split(",") if tok.strip()]
+    if not hs:
+        raise ValueError(f"--h-list {text!r} names no mesh width")
+    return hs
 
 
 def _fmt(x) -> str:

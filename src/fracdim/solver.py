@@ -4,12 +4,13 @@ bisection to a certified dimension interval.
 Certified mode scales the collocation matrix L_h(s) by (1 -/+ err) into the
 pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
 B_h above 1 certifies s <= s*.  Only the two probes that end the search are
-part of the proof, so a certified solve first predicts both endpoints with
-converged point probes on a mesh SEARCH_COARSENING times coarser, then
-probes the fine mesh next to each prediction and bisects only where those
-probes straddle it.  Point-estimate mode sets err = 0 and bisects the
-eigenvalue estimate itself on [S_FLOOR, d] (what convergence tables
-measure).
+part of the proof, so a certified solve first predicts both endpoints on a
+mesh SEARCH_COARSENING times coarser, where log lam of converged point
+probes crosses the levels of the two proofs (_crossings, which on the
+COARSE_J mesh also finds the crossing of 0 that caps s in 2D), then probes
+the fine mesh next to each prediction and bisects only where those probes
+straddle it.  Point-estimate mode sets err = 0 and bisects the eigenvalue
+estimate itself on [S_FLOOR, d] (what convergence tables measure).
 
 Every probe follows one rule.  On a certifiable mesh (h admissible and
 M' < M) it stops at its decision and checks its cone; a point probe is the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from .spectral import (FLOAT_SLACK, cone_membership, power_iteration,
 # search floor of every bisection in s
 S_FLOOR = 1e-6
 
-# subintervals per axis of the point estimate that sets a certified 2D cap:
+# subintervals per axis of the coarse crossing that sets a certified 2D cap:
 # the first mesh of the published 2D sweeps
 COARSE_J = 25
 
@@ -154,13 +155,15 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class DimensionBracket:
+    """The result of a solve; the field order is the record's key order."""
+
+    alphabet: str
+    d: int
+    n: int
+    h: float
+    mode: str
     s_lo: float
     s_hi: float
-    mode: str
-    h: float
-    n: int
-    d: int
-    alphabet: str
     err: float
     probes: list
     constants: dict
@@ -173,21 +176,7 @@ class DimensionBracket:
         return self.s_hi - self.s_lo
 
     def to_record(self) -> dict:
-        return {
-            "alphabet": self.alphabet,
-            "d": self.d,
-            "n": self.n,
-            "h": self.h,
-            "mode": self.mode,
-            "s_lo": self.s_lo,
-            "s_hi": self.s_hi,
-            "err": self.err,
-            "probes": self.probes,
-            "constants": self.constants,
-            "admissibility": self.admissibility,
-            "search": self.search,
-            "wall_ms": self.wall_ms,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class ProbeEngine:
@@ -366,28 +355,22 @@ def _interpolate(w: np.ndarray, coarse: TensorGrid,
     return v.ravel()
 
 
-def _search(alphabet: Alphabet, J: int, geometry: TensorGrid,
-            profile: RigorProfile, err: float, a: float, b: float, tol: float):
-    """Predict the certified endpoints on J // SEARCH_COARSENING
-    subintervals.
+def _crossings(alphabet: Alphabet, J_c: int, profile: RigorProfile,
+               levels, a: float, b: float, eps: float):
+    """Where log lam crosses each level in [a, b] (see _predict), from
+    converged point probes on J_c subintervals.
 
-    Converged point probes there find where log lam crosses the levels at
-    which a converged fine probe's lam_lo and lam_hi reach 1.  The coarse cache
-    is freed on return, before the fine one is built.  Returns the two
-    predictions, the coarse geometry with the last coarse iterate on it (to
-    warm-start the first fine probe) and the record of the search.
+    Each level's search starts from the earlier levels' probes, and the
+    probes pass the monotonicity audit.  The coarse cache is freed on
+    return.  Returns the crossings, the last iterate with its coarse
+    geometry (to warm-start a finer mesh) and the number of probes.
     """
-    J_c = J // SEARCH_COARSENING
-    coarse = make_geometry(alphabet.d, J_c, geometry.n)
+    coarse = make_geometry(alphabet.d, J_c, profile.n)
     engine = ProbeEngine(OperatorCache(alphabet, coarse, profile.q), profile,
                          0.0, certifiable=False)
-    # (1 - err)(1 - FLOAT_SLACK) lam = 1 and (1 + err)(1 + FLOAT_SLACK) lam = 1
-    levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
-              -math.log1p(err) - math.log1p(FLOAT_SLACK))
-    guesses = tuple(_predict(engine, a, b, level, tol / 4) for level in levels)
-    record = {"J_c": J_c, "s_lo": guesses[0], "s_hi": guesses[1],
-              "probes": len(engine.records)}
-    return guesses, (engine._warm, coarse), record
+    crossings = tuple(_predict(engine, a, b, level, eps) for level in levels)
+    engine.audit_monotonicity()
+    return crossings, (engine._warm, coarse), len(engine.records)
 
 
 def operator_footprint(alphabet: Alphabet, geometry: TensorGrid) -> dict:
@@ -430,9 +413,9 @@ def _setup(config: SolveConfig):
     on); in certified mode also ValueError for a 2D degree other than 2
     (its error bounds are third order), and CertificationError when
     M' >= M or err >= 1.  A certified 2D solve first lowers s_cap to just
-    above a point estimate on the COARSE_J mesh, after the guards that do
-    not need the cap: a lower cap shrinks err and M', and admissibility,
-    M' and err are checked at it.
+    above s_hat, where log lam crosses 0 on the COARSE_J mesh (_crossings,
+    to 1e-6 in s), after the guards that do not need the cap: a lower cap
+    shrinks err and M', and admissibility, M' and err are checked at it.
     Returns (J, profile, geometry, breakdown, constants, err, certifiable),
     certifiable when h is admissible and M' < M (always, in certified mode).
     """
@@ -456,9 +439,8 @@ def _setup(config: SolveConfig):
 
     profile = profile_at(config.s_cap)
     if certified and alphabet.d == 2:
-        s_hat = solve_dimension(replace(
-            config, h=None, J=COARSE_J, mode="point-estimate", tol_s=1e-6,
-            unsafe_h=True)).s_hi
+        (s_hat,), _, _ = _crossings(alphabet, COARSE_J, profile, (0.0,),
+                                    S_FLOOR, 2.0, 1e-6)
         profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
     breakdown = admissible_h(profile, alphabet)
     # the exact 1/J against each rounded-down bound, and strictly below the
@@ -492,12 +474,14 @@ def solve_dimension(config: SolveConfig) -> DimensionBracket:
 
     The search interval is [S_FLOOR, d], capped at s_cap in certified mode
     (the rigor constants hold only up to it); a certified 2D solve first
-    lowers s_cap to just above a coarse point estimate (see _setup).  A
-    certified solve then predicts both endpoints on J // SEARCH_COARSENING
-    subintervals (see _search), unless that is below COARSE_J, before it
-    builds the fine operator, and _bisect proves each one on the fine mesh
-    from its prediction; the first fine probe warm-starts from the last
-    coarse iterate.  A point estimate bisects [S_FLOOR, d] on the fine mesh.
+    lowers s_cap to just above a coarse crossing (see _setup).  A certified
+    solve then predicts both endpoints on J // SEARCH_COARSENING
+    subintervals, unless that is below COARSE_J, before it builds the fine
+    operator: _crossings finds where log lam crosses the levels at which a
+    converged fine probe's lam_lo and lam_hi reach 1.  _bisect proves each
+    endpoint on the fine mesh from its prediction; the first fine probe
+    warm-starts from the last coarse iterate.  A point estimate bisects
+    [S_FLOOR, d] on the fine mesh.
     A cap below the dimension fails the certified straddle test at the cap,
     so it ends in a ValueError, never in a wrong bracket.
     """
@@ -509,9 +493,15 @@ def solve_dimension(config: SolveConfig) -> DimensionBracket:
     certified = config.mode == "certified"
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
     guesses, coarse, search = (None, None), None, None
-    if certified and J // SEARCH_COARSENING >= COARSE_J:
-        guesses, coarse, search = _search(config.alphabet, J, geometry,
-                                          profile, err, a, b, tol)
+    J_c = J // SEARCH_COARSENING
+    if certified and J_c >= COARSE_J:
+        # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
+        levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
+                  -math.log1p(err) - math.log1p(FLOAT_SLACK))
+        guesses, coarse, probes = _crossings(config.alphabet, J_c, profile,
+                                             levels, a, b, tol / 4)
+        search = {"J_c": J_c, "s_lo": guesses[0], "s_hi": guesses[1],
+                  "probes": probes}
     cache = OperatorCache(config.alphabet, geometry, profile.q)
     start = _interpolate(*coarse, geometry) if coarse else None
     engine = ProbeEngine(cache, profile, err, certifiable, start)

@@ -33,6 +33,9 @@ class TestParseH:
         for text in ("1/25..0", "1/25..-1/50", "0..0"):
             with pytest.raises(ValueError):
                 parse_h_list(text)
+        # a list must name at least one mesh width
+        with pytest.raises(ValueError, match="no mesh width"):
+            parse_h_list(",")
         # a zero denominator is a usage error, not a ZeroDivisionError
         for text in ("1/0..1/50", "1/25..1/0", "1/25,1/0"):
             with pytest.raises(ValueError, match="zero denominator"):

@@ -597,6 +597,20 @@ class TestMonotonicityAudit:
         with pytest.raises(MonotonicityError):
             engine.audit_monotonicity()
 
+    def test_coarse_probes_audited(self, monkeypatch):
+        # a rising record among the search's coarse probes fails the solve
+        predict = solver._predict
+
+        def rising(engine, a, b, target, eps):
+            s = predict(engine, a, b, target, eps)
+            engine.records[2.0] = {"s": 2.0, "lam": 2.0, "alpha": 2.0,
+                                   "beta": 2.0}
+            return s
+
+        monkeypatch.setattr(solver, "_predict", rising)
+        with pytest.raises(MonotonicityError, match="s=2.0"):
+            solve_dimension(SolveConfig(A12, J=128, tol_s=1e-9))
+
     def test_real_probes_pass(self):
         b = solve_dimension(SolveConfig(A12, J=40, mode="point-estimate",
                                         unsafe_h=True))
@@ -651,17 +665,27 @@ class TestSearch:
 
 
 class TestTwoStepRefinement:
-    """A certified 2D solve caps s just above a point estimate on the
-    COARSE_J mesh, then searches and proves once at that cap; every other
-    solve works at the config's cap."""
+    """A certified 2D solve caps s just above s_hat, where log lam crosses 0
+    on the COARSE_J mesh, then searches and proves once at that cap; every
+    other solve works at the config's cap.  No solve nests another."""
 
     @pytest.fixture
     def meshes(self, monkeypatch):
-        """The J of every solve_dimension call, nested ones included."""
-        meshes, solve = [], solver.solve_dimension
-        monkeypatch.setattr(solver, "solve_dimension",
-                            lambda cfg: meshes.append(cfg.J) or solve(cfg))
-        return meshes
+        """("solve", J) for every solve_dimension call and ("build", J) for
+        every OperatorCache built, in call order."""
+        events, solve, init = [], solver.solve_dimension, OperatorCache.__init__
+
+        def solved(cfg):
+            events.append(("solve", cfg.J))
+            return solve(cfg)
+
+        def built(cache, alphabet, geometry, q=None):
+            events.append(("build", round(1.0 / geometry.h)))
+            init(cache, alphabet, geometry, q)
+
+        monkeypatch.setattr(solver, "solve_dimension", solved)
+        monkeypatch.setattr(OperatorCache, "__init__", built)
+        return events
 
     def test_one_pass_otherwise(self, meshes):
         b = solver.solve_dimension(SolveConfig(A12, J=64, tol_s=1e-6,
@@ -669,18 +693,20 @@ class TestTwoStepRefinement:
         assert b.constants["s_cap"] == 0.9
         solver.solve_dimension(SolveConfig(A2D, J=10, mode="point-estimate",
                                            unsafe_h=True, tol_s=1e-6))
-        assert meshes == [64, 10]
+        assert meshes == [("solve", 64), ("build", 64),
+                          ("solve", 10), ("build", 10)]
 
     def test_same_cap_one_bisection(self, meshes):
-        # the certify-2d case: the coarse estimate plus 1e-3 lies above
-        # s_cap = 1.15, so the cap stays.  The search on J // 4 = 125
-        # predicts both endpoints within 1e-9, and the fine mesh is probed
-        # only next to them: 14 probes, where bisecting [S_FLOOR, 1.15] took
-        # 57 and ended at (1.149529368563135, 1.1496249226942479), within
-        # tol_s = 1e-10 of these
+        # the certify-2d case: s_hat plus 1e-3 lies above s_cap = 1.15, so
+        # the cap stays.  The search on J // 4 = 125 predicts both endpoints
+        # within 1e-9, and the fine mesh is probed only next to them: 14
+        # probes, where bisecting [S_FLOOR, 1.15] took 57 and ended at
+        # (1.149529368563135, 1.1496249226942479), within tol_s = 1e-10 of
+        # these
         b = solver.solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15,
                                                alpha=0.2, beta=0.2))
-        assert meshes == [500, solver.COARSE_J]
+        assert meshes == [("solve", 500), ("build", solver.COARSE_J),
+                          ("build", 125), ("build", 500)]
         assert (b.s_lo, b.s_hi) == (1.1495293686078023, 1.1496249227192226)
         assert len(b.probes) == 14
         assert max(p["s"] for p in b.probes) <= 1.15
@@ -690,6 +716,28 @@ class TestTwoStepRefinement:
         assert search["J_c"] == 125 and search["probes"] == 10
         assert abs(search["s_lo"] - b.s_lo) < 1e-9
         assert abs(search["s_hi"] - b.s_hi) < 1e-9
+
+    @pytest.mark.parametrize("spec, J, s_cap", [
+        ("(1,0),(1,1),(1,-1),(2,0)", 500, None), ("(2,0),(3,0)", 230, 0.5)])
+    def test_cap_from_coarse_crossing(self, spec, J, s_cap, monkeypatch):
+        # s_hat and the COARSE_J point estimate each end within 5e-7 of the
+        # same coarse root
+        alphabet, hats, crossings = parse_alphabet(spec), [], solver._crossings
+
+        def spy(*args):
+            out = crossings(*args)
+            hats.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "_crossings", spy)
+        constants = solver._setup(SolveConfig(alphabet, J=J, s_cap=s_cap,
+                                              alpha=0.2, beta=0.2))[4]
+        [(s_hat,)] = hats
+        assert constants["s_cap"] == s_hat + 1e-3
+        estimate = solve_dimension(SolveConfig(
+            alphabet, J=solver.COARSE_J, mode="point-estimate", tol_s=1e-6,
+            unsafe_h=True))
+        assert abs(s_hat - estimate.s_hi) <= 1e-6
 
     def test_lower_cap_probes_below_it(self):
         # {(2,0),(3,0)} has dimension 0.3374...: the cap drops from 0.5 to

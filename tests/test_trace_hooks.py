@@ -25,7 +25,7 @@ SPANS = {"constants", "assembly.build", "assembly.rebuild", "assembly.matvec",
     ["estimate", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)", "--h", "1/40",
      "--unsafe-h"],
     ["estimate", "--alphabet", "1,2", "--h", "1/64"],
-    # a certified 2D solve nests its coarse point estimate
+    # a certified 2D solve probes its cap and search meshes in one solve
     ["certify", "--alphabet", "(2,0),(3,0)", "--h", "1/250", "--alpha", "0.2",
      "--beta", "0.2"],
 ], ids=["1d-certify", "2d-estimate", "1d-estimate-decided", "2d-certify"])
@@ -36,5 +36,7 @@ def test_traced_run_records_every_span(argv, tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(result.read_text())["exit_code"] == 0
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert SPANS - names == set()
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    assert SPANS - set(names) == set()
+    # each run is one solve: none is nested in another
+    assert names.count("solver.solve") == 1
