@@ -12,7 +12,7 @@ from .constants import (RigorProfile, admissible_h, bramble_hilbert_constant,
                         legendre_projection_constants, make_profile,
                         multivariate_error_constant, positivity_threshold)
 from .maps import (Alphabet, make_alphabet_1d, make_alphabet_2d,
-                   parse_alphabet, phi_1d, phi_2d)
+                   parse_alphabet)
 from .quasi import QuasiInterpolant, make_quasi_interpolant
 from .solver import (CertificationError, DimensionBracket,
                      InadmissibleMeshError, MonotonicityError,
@@ -33,9 +33,8 @@ __all__ = [
     "err_coefficient_2d", "legendre_projection_constants",
     "make_alphabet_1d", "make_alphabet_2d", "make_geometry", "make_profile",
     "make_quasi_interpolant", "make_uniform_knots",
-    "multivariate_error_constant", "parse_alphabet", "phi_1d", "phi_2d",
-    "positivity_threshold", "power_iteration", "solve_dimension",
-    "spectral_bracket",
+    "multivariate_error_constant", "parse_alphabet", "positivity_threshold",
+    "power_iteration", "solve_dimension", "spectral_bracket",
 ]
 
 __version__ = "0.1.0"

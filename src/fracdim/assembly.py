@@ -151,8 +151,8 @@ class OperatorCache:
             at = np.unravel_index(np.arange(lo, hi),
                                   self.geometry.sample_shape)
             p = np.stack([m[i] for m, i in zip(mids, at[::-1])], axis=-1)
-            self._block(self.alphabet.image(p), cols[lo:hi], base[lo:hi])
-            lg[lo:hi] = self.alphabet.log_dnorm(p)
+            img, lg[lo:hi] = self.alphabet.maps(p)
+            self._block(img, cols[lo:hi], base[lo:hi])
         self._Gs = sparse.csr_matrix(
             (base.ravel(), cols.ravel(),
              np.arange(0, self.N * E * K + 1, K, dtype=idx)),
@@ -162,13 +162,13 @@ class OperatorCache:
 
     def _block(self, img: Array, cols: Array, base: Array) -> None:
         """Columns and values, into cols and base (m, |E|, K), of the tensor
-        splines nonzero at the images img (m, |E|, d).  An image outside the
+        splines nonzero at the images img (d, m, |E|).  An image outside the
         partition of unity (mesh too coarse) is reported, not dropped."""
         n = self.n
         # fold the axes in, last axis outer (ry outer, rx inner keeps the
         # columns ascending); interval ell holds splines ell-n .. ell
         first, offsets, prod = 0, np.zeros(1, dtype=np.int64), None
-        for ks, y in zip(self.axes[::-1], np.moveaxis(img, -1, 0)[::-1]):
+        for ks, y in zip(self.axes[::-1], img[::-1]):
             inside = (y >= ks.knots[n]) & (y < ks.knots[ks.num_splines])
             if not inside.all():
                 e = self.alphabet.letters[inside.all(axis=0).argmin()]

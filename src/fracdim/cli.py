@@ -71,8 +71,11 @@ def parse_h(text: str) -> float:
 def parse_h_list(text: str) -> list[float]:
     text = text.strip()
     if ".." in text:
-        a_txt, b_txt = text.split("..")
-        a, b = _fraction(a_txt), _fraction(b_txt)
+        ends = [t.strip() for t in text.split("..")]
+        if len(ends) != 2 or not all(ends):
+            raise ValueError(f"--h-list {text!r} is not a range a..b of two "
+                             "mesh widths, e.g. 1/25..1/100")
+        a, b = _fraction(ends[0]), _fraction(ends[1])
         if not 0 < b <= a:
             raise ValueError("--h-list a..b needs 0 < b <= a (halving downward)")
         seq = [a]

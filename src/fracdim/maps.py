@@ -47,20 +47,17 @@ class Alphabet:
             return ",".join(str(e) for e in self.letters)
         return ",".join(f"({e1},{e2})" for e1, e2 in self.letters)
 
-    def image(self, p: Array) -> Array:
-        """phi_e at the points p (m, d) for every letter e: (m, |E|, d)."""
-        e = np.asarray(self.letters, dtype=np.float64)
+    def maps(self, p: Array) -> tuple[Array, Array]:
+        """phi_e and log ||Dphi_e|| at the points p (m, d) for every letter
+        e: the images (d, m, |E|), coordinate axis first, and the log norms
+        (m, |E|).  q = p + e and |q|^2 are formed once, per coordinate."""
+        e = np.asarray(self.letters, dtype=np.float64).reshape(
+            len(self.letters), self.d)
+        q = [p[:, k, None] + e[:, k] for k in range(self.d)]
         if self.d == 1:
-            return phi_1d(e, p)[..., None]
-        return phi_2d(e, p[:, None, :])
-
-    def log_dnorm(self, p: Array) -> Array:
-        """log ||Dphi_e|| at the points p (m, d) for every letter e:
-        (m, |E|)."""
-        e = np.asarray(self.letters, dtype=np.float64)
-        if self.d == 1:
-            return log_dphi_norm_1d(e, p)
-        return log_dphi_norm_2d(e, p[:, None, :])
+            return (1.0 / q[0])[None], -2.0 * np.log(q[0])
+        r2 = q[0] * q[0] + q[1] * q[1]
+        return np.stack(q) / r2, -np.log(r2)
 
 
 def make_alphabet_1d(letters) -> Alphabet:
@@ -69,31 +66,6 @@ def make_alphabet_1d(letters) -> Alphabet:
 
 def make_alphabet_2d(letters) -> Alphabet:
     return Alphabet(d=2, letters=tuple(sorted({(int(a), int(b)) for a, b in letters})))
-
-
-def phi_1d(e, x):
-    """1/(x+e); the letter (or array of letters) e broadcasts against x."""
-    return 1.0 / (np.asarray(x, dtype=np.float64) + e)
-
-
-def log_dphi_norm_1d(e, x):
-    """log of the unit-exponent derivative norm: ||Dphi_e||^s = exp(s * this)."""
-    return -2.0 * np.log(np.asarray(x, dtype=np.float64) + e)
-
-
-def phi_2d(e, p):
-    """Conformal inversion of the translated point; p has shape (..., 2) and
-    the letter (2,) or letters (..., 2) broadcast against it."""
-    p = np.asarray(p, dtype=np.float64)
-    q = p + np.asarray(e, dtype=np.float64)
-    return q / np.sum(q * q, axis=-1, keepdims=True)
-
-
-def log_dphi_norm_2d(e, p):
-    """log of the unit-exponent derivative norm: ||Dphi_e||^s = exp(s * this)."""
-    p = np.asarray(p, dtype=np.float64)
-    q = p + np.asarray(e, dtype=np.float64)
-    return -np.log(np.sum(q * q, axis=-1))
 
 
 def primes_below(N: int) -> list[int]:

@@ -7,8 +7,9 @@ B_h above 1 certifies s <= s*.  Only the two probes that end the search are
 part of the proof, so a certified solve first predicts both endpoints on a
 mesh SEARCH_COARSENING times coarser, where log lam of converged point
 probes crosses the levels of the two proofs (_crossings, which on the
-COARSE_J mesh also finds the crossing of 0 that caps s in 2D), then probes
-the fine mesh next to each prediction and bisects only where those probes
+COARSE_J mesh also finds the crossing of 0 that caps s in 2D), moves both
+predictions by the Newton step of one converged fine probe (_newton), then
+probes the fine mesh next to each and bisects only where those probes
 straddle it.  Point-estimate mode sets err = 0 and bisects the eigenvalue
 estimate itself on [S_FLOOR, d] (what convergence tables measure).
 
@@ -32,8 +33,8 @@ from .bspline import TensorGrid, make_uniform_knots
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
 from .maps import Alphabet
-from .spectral import (FLOAT_SLACK, cone_membership, power_iteration,
-                       scaled_bracket, spectral_bracket)
+from .spectral import (FLOAT_SLACK, POWER_TOL, cone_membership,
+                       power_iteration, scaled_bracket, spectral_bracket)
 
 
 # search floor of every bisection in s
@@ -197,7 +198,9 @@ class ProbeEngine:
     `certifiable` each probe runs to convergence, with no cone check.
 
     `start`, a positive vector on the cache's samples, warm-starts the first
-    probe (ones otherwise).
+    probe (ones otherwise).  A probe given a power tolerance `tol` runs to
+    convergence at it instead of stopping at its decision; on a certifiable
+    mesh its cone is checked all the same.
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
@@ -209,13 +212,15 @@ class ProbeEngine:
         self.records: dict[float, dict] = {}
         self._warm = start
 
-    def probe(self, s: float) -> dict:
+    def probe(self, s: float, tol: float | None = None) -> dict:
         s = float(s)
         if s in self.records:
             return self.records[s]
         m = self.cache.matrix(s)
-        res = power_iteration(m, start=self._warm,
-                              decide_err=self.err if self.certifiable else None)
+        decide = self.certifiable and tol is None
+        res = power_iteration(m, tol=POWER_TOL if tol is None else tol,
+                              start=self._warm,
+                              decide_err=self.err if decide else None)
         self._warm = res.w
         cone = cone_membership(res.w, self.cache.geometry, self.profile.M)
         if self.certifiable and not cone.member:
@@ -259,11 +264,13 @@ def _bisect(above, a: float, b: float, tol: float,
     the search floor.  Raises ValueError when `above(b)` holds.
 
     Without a guess the search starts from a and b.  With one it probes
-    guess + tol/2 and, when that answers false, guess - tol/2 (both clamped
-    to [a, b]); a side that answers the wrong way moves outward by tol,
-    2 tol, 4 tol, ... until the two sides straddle the dimension or that
-    side reaches a or b, where the two rules above apply.  `above` is asked
-    once per point, and the returned ends are points it answered for.
+    guess + half and, when that answers false, guess - half (both clamped
+    to [a, b]), with half 2 ulp short of tol/2, so that the rounded window
+    and every halving of it stay within tol; a side that answers the wrong
+    way moves outward by 2 half, 4 half, ... until the two sides straddle
+    the dimension or that side reaches a or b, where the two rules above
+    apply.  `above` is asked once per point, and the returned ends are
+    points it answered for.
     """
     def straddle_missed(s):
         return ValueError(f"search interval does not straddle the dimension: "
@@ -276,7 +283,7 @@ def _bisect(above, a: float, b: float, tol: float,
             raise straddle_missed(b)
     else:
         g = min(max(guess, a), b)
-        half = max(0.5 * tol, math.ulp(g))
+        half = max(0.5 * tol - 2.0 * math.ulp(g), math.ulp(g))
         lo, hi = max(a, g - half), min(b, g + half)
         step = 2.0 * half
         lo_known = False  # above(lo) answered true
@@ -362,15 +369,41 @@ def _crossings(alphabet: Alphabet, J_c: int, profile: RigorProfile,
 
     Each level's search starts from the earlier levels' probes, and the
     probes pass the monotonicity audit.  The coarse cache is freed on
-    return.  Returns the crossings, the last iterate with its coarse
-    geometry (to warm-start a finer mesh) and the number of probes.
+    return.  Returns the crossings, the iterates that ended each level's
+    search (coarse eigenvectors next to its crossing) with their coarse
+    geometry, to warm-start a finer mesh, and the number of probes.
     """
     coarse = make_geometry(alphabet.d, J_c, profile.n)
     engine = ProbeEngine(OperatorCache(alphabet, coarse, profile.q), profile,
                          0.0, certifiable=False)
-    crossings = tuple(_predict(engine, a, b, level, eps) for level in levels)
+    crossings, iterates = [], []
+    for level in levels:
+        crossings.append(_predict(engine, a, b, level, eps))
+        iterates.append(engine._warm)
     engine.audit_monotonicity()
-    return crossings, (engine._warm, coarse), len(engine.records)
+    return tuple(crossings), (iterates, coarse), len(engine.records)
+
+
+def _newton(engine: ProbeEngine, guesses, levels, a: float, b: float,
+            tol: float):
+    """Both guesses moved by one Newton step of the lower one on the fine
+    mesh, and that step in s (None where it is skipped).
+
+    The coarse predictions share the mesh's discretization shift, so one
+    fine probe at the lower guess, converged until log lam is known to
+    sigma tol / 8, measures it for both: shift = (log lam - levels[0]) /
+    sigma, along the slope sigma of -log lam between the two coarse
+    crossings, which costs no probe.  Skipped, guesses unchanged, when a
+    guess lies on a or b (its level was not crossed inside) or sigma is not
+    finite and positive.
+    """
+    g_lo, g_hi = guesses
+    sigma = (levels[0] - levels[1]) / (g_hi - g_lo) if g_hi > g_lo else 0.0
+    if not (a < g_lo and g_hi < b and 0.0 < sigma < math.inf):
+        return guesses, None
+    lam = engine.probe(g_lo, tol=max(sigma * tol / 8, POWER_TOL))["lam"]
+    shift = (math.log(lam) - levels[0]) / sigma
+    return (g_lo + shift, g_hi + shift), shift
 
 
 def operator_footprint(alphabet: Alphabet, geometry: TensorGrid) -> dict:
@@ -478,10 +511,13 @@ def solve_dimension(config: SolveConfig) -> DimensionBracket:
     solve then predicts both endpoints on J // SEARCH_COARSENING
     subintervals, unless that is below COARSE_J, before it builds the fine
     operator: _crossings finds where log lam crosses the levels at which a
-    converged fine probe's lam_lo and lam_hi reach 1.  _bisect proves each
-    endpoint on the fine mesh from its prediction; the first fine probe
-    warm-starts from the last coarse iterate.  A point estimate bisects
-    [S_FLOOR, d] on the fine mesh.
+    converged fine probe's lam_lo and lam_hi reach 1.  On the fine mesh,
+    one converged probe at the lower prediction moves both predictions by
+    its Newton step (_newton), and _bisect proves each endpoint from its
+    moved prediction.  The first fine probe warm-starts from the coarse
+    iterate at the lower crossing, the first s_hi probe from the last fine
+    iterate times the coarse ratio of the two crossings' iterates.  A point
+    estimate bisects [S_FLOOR, d] on the fine mesh.
     A cap below the dimension fails the certified straddle test at the cap,
     so it ends in a ValueError, never in a wrong bracket.
     """
@@ -498,16 +534,22 @@ def solve_dimension(config: SolveConfig) -> DimensionBracket:
         # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
         levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
                   -math.log1p(err) - math.log1p(FLOAT_SLACK))
-        guesses, coarse, probes = _crossings(config.alphabet, J_c, profile,
-                                             levels, a, b, tol / 4)
+        guesses, (iterates, coarse), probes = _crossings(
+            config.alphabet, J_c, profile, levels, a, b, tol / 4)
         search = {"J_c": J_c, "s_lo": guesses[0], "s_hi": guesses[1],
                   "probes": probes}
     cache = OperatorCache(config.alphabet, geometry, profile.q)
-    start = _interpolate(*coarse, geometry) if coarse else None
+    start = _interpolate(iterates[0], coarse, geometry) if coarse else None
     engine = ProbeEngine(cache, profile, err, certifiable, start)
     if certified:
+        if coarse:
+            guesses, search["shift"] = _newton(engine, guesses, levels, a, b,
+                                               tol)
         s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol,
                        guesses[0])[0]
+        if coarse:
+            engine._warm = engine._warm * _interpolate(
+                iterates[1] / iterates[0], coarse, geometry)
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
                        guesses[1])[1]
     else:

@@ -19,6 +19,9 @@ Array = np.ndarray
 # relative widening of bracket endpoints, absorbing matvec rounding
 FLOAT_SLACK = 1e-12
 
+# default relative spread of the ratios at which power iteration has converged
+POWER_TOL = 1e-14
+
 
 class PositivityError(RuntimeError):
     """An iterate or image vector failed strict positivity."""
@@ -72,7 +75,7 @@ def scaled_bracket(alpha: float, beta: float,
             math.nextafter(math.nextafter(1.0 + err, up) * beta, up))
 
 
-def power_iteration(m, tol: float = 1e-14, max_iter: int = 100_000,
+def power_iteration(m, tol: float = POWER_TOL, max_iter: int = 100_000,
                     start: Array | None = None,
                     decide_err: float | None = None) -> PowerResult:
     """Iterate w -> Lw / max(Lw), stopping when the relative spread of the

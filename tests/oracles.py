@@ -1,11 +1,11 @@
 """Scalar reference code that the tests compare the solve path against.
 
 Pointwise B-spline values by the Cox-de Boor recurrence, the quasi-interpolant
-Qf evaluated from its spline coefficients, the derivative norms ||Dphi_e||^s
-evaluated directly, the operator structure built one letter at a time over
-the whole mesh, the transfer operator materialized as one sparse matrix, and
-probes run to convergence.  None of it runs in a solve; it stays simple
-and slow on purpose.
+Qf evaluated from its spline coefficients, the maps phi_e and their
+derivative norms ||Dphi_e||^s one letter at a time, the operator structure
+built one letter at a time over the whole mesh, the transfer operator
+materialized as one sparse matrix, and probes run to convergence.  None of
+it runs in a solve; it stays simple and slow on purpose.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from scipy import sparse
 
 from fracdim.assembly import OperatorCache, TransferOperator
 from fracdim.bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
-from fracdim.maps import (Alphabet, log_dphi_norm_1d, log_dphi_norm_2d, phi_1d,
-                          phi_2d)
+from fracdim.maps import Alphabet
 from fracdim.quasi import QuasiInterpolant
 from fracdim.spectral import (cone_membership, power_iteration, scaled_bracket,
                               spectral_bracket)
@@ -145,6 +144,31 @@ def eval_quasi_interpolant(q: QuasiInterpolant, grid: TensorGrid, samples,
         basis = np.prod([B[:, r] for B, r in zip(Bs, rs)], axis=0)
         out += basis * coeffs[tuple(ell - n + r for ell, r in zip(ells, rs))]
     return out
+
+
+def phi_1d(e, x):
+    """1/(x+e); the letter (or array of letters) e broadcasts against x."""
+    return 1.0 / (np.asarray(x, dtype=np.float64) + e)
+
+
+def log_dphi_norm_1d(e, x):
+    """log of the unit-exponent derivative norm: ||Dphi_e||^s = exp(s * this)."""
+    return -2.0 * np.log(np.asarray(x, dtype=np.float64) + e)
+
+
+def phi_2d(e, p):
+    """Conformal inversion of the translated point; p has shape (..., 2) and
+    the letter (2,) or letters (..., 2) broadcast against it."""
+    p = np.asarray(p, dtype=np.float64)
+    q = p + np.asarray(e, dtype=np.float64)
+    return q / np.sum(q * q, axis=-1, keepdims=True)
+
+
+def log_dphi_norm_2d(e, p):
+    """log of the unit-exponent derivative norm: ||Dphi_e||^s = exp(s * this)."""
+    p = np.asarray(p, dtype=np.float64)
+    q = p + np.asarray(e, dtype=np.float64)
+    return -np.log(np.sum(q * q, axis=-1))
 
 
 def dphi_norm_1d(e: int, x, s: float):

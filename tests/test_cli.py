@@ -36,6 +36,10 @@ class TestParseH:
         # a list must name at least one mesh width
         with pytest.raises(ValueError, match="no mesh width"):
             parse_h_list(",")
+        # a range names exactly two ends
+        for text in ("1/25..1/50..1/100", "..1/50", "1/25..", " .. "):
+            with pytest.raises(ValueError, match="not a range a..b"):
+                parse_h_list(text)
         # a zero denominator is a usage error, not a ZeroDivisionError
         for text in ("1/0..1/50", "1/25..1/0", "1/25,1/0"):
             with pytest.raises(ValueError, match="zero denominator"):
@@ -196,6 +200,11 @@ class TestConverge:
         for h_list in ("1/25,0,1/50", "1/25..0", "1/0..1/50"):
             assert run(["converge", "--alphabet", "1,2", "--unsafe-h",
                         "--h-list", h_list]) == EXIT_USAGE
+        capsys.readouterr()
+        for h_list in ("1/25..1/50..1/100", "..1/50", "1/25.."):
+            assert run(["converge", "--alphabet", "1,2", "--unsafe-h",
+                        "--h-list", h_list]) == EXIT_USAGE
+            assert "is not a range a..b" in capsys.readouterr().err
 
     def test_json_rows(self, capsys):
         code = run(["converge", "--alphabet", "1,2",

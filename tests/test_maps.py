@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdim.maps import (Alphabet, log_dphi_norm_1d, log_dphi_norm_2d,
-                          make_alphabet_1d, make_alphabet_2d, parse_alphabet,
-                          phi_1d, phi_2d, primes_below)
-from oracles import dphi_norm_1d, dphi_norm_2d
+from fracdim.maps import (Alphabet, make_alphabet_1d, make_alphabet_2d,
+                          parse_alphabet, primes_below)
+from oracles import (dphi_norm_1d, dphi_norm_2d, log_dphi_norm_1d,
+                     log_dphi_norm_2d, phi_1d, phi_2d)
 
 
 class TestMaps1D:
@@ -83,6 +83,33 @@ class TestMaps2D:
         for s in (0.5, 1.149577):
             assert np.abs(dphi_norm_2d((1, 1), p, s)
                           - np.exp(s * log_dphi_norm_2d((1, 1), p))).max() < 1e-14
+
+
+class TestAlphabetMaps:
+    """Alphabet.maps forms p + e and |p + e|^2 once for every letter, with
+    the coordinate axis first; each value is the per-letter map's, bit for
+    bit."""
+
+    @pytest.mark.parametrize("spec", ["1,2,3", "primes<50",
+                                      "(1,0),(1,1),(1,-1),(2,0)",
+                                      "(1..3,-2..2)"])
+    def test_bitwise_per_letter(self, spec):
+        alphabet = parse_alphabet(spec)
+        rng = np.random.default_rng(3)
+        p = np.column_stack([rng.uniform(-0.1, 1.1, 40),
+                             rng.uniform(-0.6, 0.6, 40)])[:, :alphabet.d]
+        img, lg = alphabet.maps(p)
+        E = len(alphabet.letters)
+        assert img.shape == (alphabet.d, 40, E) and lg.shape == (40, E)
+        for j, e in enumerate(alphabet.letters):
+            if alphabet.d == 1:
+                x = p[:, 0]
+                want, want_lg = phi_1d(e, x), log_dphi_norm_1d(e, x)
+                assert np.array_equal(img[0, :, j], want)
+            else:
+                want, want_lg = phi_2d(e, p), log_dphi_norm_2d(e, p)
+                assert np.array_equal(img[:, :, j], want.T)
+            assert np.array_equal(lg[:, j], want_lg)
 
 
 class TestAlphabet:

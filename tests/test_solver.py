@@ -581,8 +581,9 @@ class TestGuessedBisection:
     @given(t=st.floats(0.0, 1.0), guess=st.floats(A, B),
            tol=st.sampled_from([1e-3, 1e-7, 1e-10, 1e-14]))
     def test_any_guess(self, t, guess, tol):
-        # rounding of a widened window can cost one more bisection step
-        self.check(t, guess, tol, slack=1)
+        # the window is 2 ulp short of tol, so its rounding never costs a
+        # bisection step
+        self.check(t, guess, tol, slack=0)
 
 
 class TestMonotonicityAudit:
@@ -631,10 +632,10 @@ class TestSearch:
             init(cache, alphabet, geometry, q)
             events.append(("build", cache.N))
 
-        def probed(engine, s):
+        def probed(engine, s, tol=None):
             if not events or events[-1] != ("probe", engine.cache.N):
                 events.append(("probe", engine.cache.N))
-            return probe(engine, s)
+            return probe(engine, s, tol)
 
         monkeypatch.setattr(OperatorCache, "__init__", built)
         monkeypatch.setattr(ProbeEngine, "probe", probed)
@@ -645,6 +646,13 @@ class TestSearch:
                           ("build", fine), ("probe", fine)]
         assert b.search["J_c"] == 32 and b.search["probes"] > 0
         assert b.search["s_lo"] <= b.search["s_hi"]
+        # one converged fine probe at the lower prediction, whose Newton
+        # step moves both predictions to within tol_s of the endpoints
+        [first] = [p for p in b.probes if p["s"] == b.search["s_lo"]]
+        assert first["converged"] and not first["decided"]
+        for end in ("s_lo", "s_hi"):
+            assert abs(b.search[end] + b.search["shift"]
+                       - getattr(b, end)) <= 1e-9
 
     @pytest.mark.parametrize("wrong", ["floor", "cap"])
     def test_bad_prediction_costs_probes_only(self, wrong, monkeypatch):
@@ -658,6 +666,29 @@ class TestSearch:
 
         monkeypatch.setattr(solver, "_predict", wrong_end)
         bad = solve_dimension(cfg)
+        assert abs(bad.s_lo - good.s_lo) <= 1e-9
+        assert abs(bad.s_hi - good.s_hi) <= 1e-9
+        assert bad.s_lo <= REF_1D <= bad.s_hi
+        assert len(bad.probes) > len(good.probes)
+        # a prediction on the floor or the cap takes no Newton step
+        assert good.search["shift"] is not None
+        assert bad.search["shift"] is None
+
+    def test_wrong_shift_costs_probes_only(self, monkeypatch):
+        # a converged lam 1e-5 too high moves both predictions about 8e-6
+        # (thousands of tol_s) upward; the bisections still prove the same
+        # endpoints with their own decided probes
+        cfg = SolveConfig(A12, J=128, tol_s=1e-9)
+        good = solve_dimension(cfg)
+        probe = ProbeEngine.probe
+
+        def off(engine, s, tol=None):
+            rec = probe(engine, s, tol)
+            return rec if tol is None else {**rec, "lam": rec["lam"] * 1.00001}
+
+        monkeypatch.setattr(ProbeEngine, "probe", off)
+        bad = solve_dimension(cfg)
+        assert bad.search["shift"] - good.search["shift"] > 1000 * 1e-9
         assert abs(bad.s_lo - good.s_lo) <= 1e-9
         assert abs(bad.s_hi - good.s_hi) <= 1e-9
         assert bad.s_lo <= REF_1D <= bad.s_hi
@@ -699,16 +730,18 @@ class TestTwoStepRefinement:
     def test_same_cap_one_bisection(self, meshes):
         # the certify-2d case: s_hat plus 1e-3 lies above s_cap = 1.15, so
         # the cap stays.  The search on J // 4 = 125 predicts both endpoints
-        # within 1e-9, and the fine mesh is probed only next to them: 14
-        # probes, where bisecting [S_FLOOR, 1.15] took 57 and ended at
-        # (1.149529368563135, 1.1496249226942479), within tol_s = 1e-10 of
-        # these
+        # within 1e-9; one converged fine probe at the lower prediction
+        # moves both by its Newton step, and each endpoint then takes two
+        # decided probes: 5 probes, where bisecting [S_FLOOR, 1.15] took 57
+        # and ended at (1.149529368563135, 1.1496249226942479) and the
+        # unshifted predictions took 14 and ended at (1.1495293686078023,
+        # 1.1496249227192226), within tol_s = 1e-10 of these
         b = solver.solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15,
                                                alpha=0.2, beta=0.2))
         assert meshes == [("solve", 500), ("build", solver.COARSE_J),
                           ("build", 125), ("build", 500)]
-        assert (b.s_lo, b.s_hi) == (1.1495293686078023, 1.1496249227192226)
-        assert len(b.probes) == 14
+        assert (b.s_lo, b.s_hi) == (1.1495293685592338, 1.1496249227206532)
+        assert len(b.probes) == 5
         assert max(p["s"] for p in b.probes) <= 1.15
         assert b.constants["s_cap"] == 1.15
         assert "first_pass" not in b.to_record()
@@ -716,6 +749,9 @@ class TestTwoStepRefinement:
         assert search["J_c"] == 125 and search["probes"] == 10
         assert abs(search["s_lo"] - b.s_lo) < 1e-9
         assert abs(search["s_hi"] - b.s_hi) < 1e-9
+        # the moved predictions lie within tol_s of the endpoints
+        assert abs(search["s_lo"] + search["shift"] - b.s_lo) <= 1e-10
+        assert abs(search["s_hi"] + search["shift"] - b.s_hi) <= 1e-10
 
     @pytest.mark.parametrize("spec, J, s_cap", [
         ("(1,0),(1,1),(1,-1),(2,0)", 500, None), ("(2,0),(3,0)", 230, 0.5)])
