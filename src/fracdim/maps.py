@@ -50,12 +50,16 @@ class Alphabet:
     def maps(self, p: Array) -> tuple[Array, Array]:
         """phi_e and log ||Dphi_e|| at the points p (m, d) for every letter
         e: the images (d, m, |E|), coordinate axis first, and the log norms
-        (m, |E|).  q = p + e and |q|^2 are formed once, per coordinate."""
+        (m, |E|).  q = p + e and |q|^2 are formed once, per coordinate.
+        A 1D point with q < 0, an exterior point of a mesh too coarse for
+        its images, gets a nan log norm without a warning: the spline
+        lookup refuses its image."""
         e = np.asarray(self.letters, dtype=np.float64).reshape(
             len(self.letters), self.d)
         q = [p[:, k, None] + e[:, k] for k in range(self.d)]
         if self.d == 1:
-            return (1.0 / q[0])[None], -2.0 * np.log(q[0])
+            with np.errstate(invalid="ignore"):
+                return (1.0 / q[0])[None], -2.0 * np.log(q[0])
         r2 = q[0] * q[0] + q[1] * q[1]
         return np.stack(q) / r2, -np.log(r2)
 

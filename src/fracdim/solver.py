@@ -11,7 +11,9 @@ COARSE_J mesh also finds the crossing of 0 that caps s in 2D), moves both
 predictions by the Newton step of one converged fine probe (_newton), then
 probes the fine mesh next to each and bisects only where those probes
 straddle it.  Point-estimate mode sets err = 0 and bisects the eigenvalue
-estimate itself on [S_FLOOR, d] (what convergence tables measure).
+estimate itself on [S_FLOOR, d] (what convergence tables measure), or,
+within a convergence study, from a window around the previous meshes'
+estimates.
 
 Every probe follows one rule.  On a certifiable mesh (h admissible and
 M' < M) it stops at its decision and checks its cone; a point probe is the
@@ -256,7 +258,8 @@ class ProbeEngine:
 
 
 def _bisect(above, a: float, b: float, tol: float,
-            guess: float | None = None) -> tuple[float, float]:
+            guess: float | None = None,
+            radius: float = 0.0) -> tuple[float, float]:
     """Shrink [a, b] around the point where the predicate `above` (true
     below the dimension) turns false, to width tol or adjacent doubles.
 
@@ -266,11 +269,11 @@ def _bisect(above, a: float, b: float, tol: float,
     Without a guess the search starts from a and b.  With one it probes
     guess + half and, when that answers false, guess - half (both clamped
     to [a, b]), with half 2 ulp short of tol/2, so that the rounded window
-    and every halving of it stay within tol; a side that answers the wrong
-    way moves outward by 2 half, 4 half, ... until the two sides straddle
-    the dimension or that side reaches a or b, where the two rules above
-    apply.  `above` is asked once per point, and the returned ends are
-    points it answered for.
+    and every halving of it stay within tol, or `radius` where that is
+    wider; a side that answers the wrong way moves outward by 2 half,
+    4 half, ... until the two sides straddle the dimension or that side
+    reaches a or b, where the two rules above apply.  `above` is asked once
+    per point, and the returned ends are points it answered for.
     """
     def straddle_missed(s):
         return ValueError(f"search interval does not straddle the dimension: "
@@ -283,7 +286,7 @@ def _bisect(above, a: float, b: float, tol: float,
             raise straddle_missed(b)
     else:
         g = min(max(guess, a), b)
-        half = max(0.5 * tol - 2.0 * math.ulp(g), math.ulp(g))
+        half = max(0.5 * tol - 2.0 * math.ulp(g), math.ulp(g), radius)
         lo, hi = max(a, g - half), min(b, g + half)
         step = 2.0 * half
         lo_known = False  # above(lo) answered true
@@ -502,7 +505,8 @@ def _setup(config: SolveConfig):
     return J, profile, geometry, breakdown, constants, err, certifiable
 
 
-def solve_dimension(config: SolveConfig) -> DimensionBracket:
+def solve_dimension(config: SolveConfig, *, guess: float | None = None,
+                    radius: float = 0.0) -> DimensionBracket:
     """The certified bracket, or the point estimate, of config.
 
     The search interval is [S_FLOOR, d], capped at s_cap in certified mode
@@ -517,16 +521,21 @@ def solve_dimension(config: SolveConfig) -> DimensionBracket:
     moved prediction.  The first fine probe warm-starts from the coarse
     iterate at the lower crossing, the first s_hi probe from the last fine
     iterate times the coarse ratio of the two crossings' iterates.  A point
-    estimate bisects [S_FLOOR, d] on the fine mesh.
+    estimate bisects [S_FLOOR, d] on the fine mesh, or, given a guess,
+    starts from [guess - radius, guess + radius] (see _bisect); either way
+    it ends at the flip of this mesh's own lam >= 1.  Only a point estimate
+    takes a guess.
     A cap below the dimension fails the certified straddle test at the cap,
     so it ends in a ValueError, never in a wrong bracket.
     """
     t0 = time.perf_counter()
     tol = config.resolve_tol()
+    certified = config.mode == "certified"
+    if certified and guess is not None:
+        raise ValueError("only a point estimate takes a guess")
     J, profile, geometry, breakdown, constants, err, certifiable = (
         _setup(config))
     d = config.alphabet.d
-    certified = config.mode == "certified"
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
     guesses, coarse, search = (None, None), None, None
     J_c = J // SEARCH_COARSENING
@@ -553,7 +562,8 @@ def solve_dimension(config: SolveConfig) -> DimensionBracket:
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
                        guesses[1])[1]
     else:
-        lo, hi = _bisect(lambda s: engine.probe(s)["lam"] >= 1.0, a, b, tol)
+        lo, hi = _bisect(lambda s: engine.probe(s)["lam"] >= 1.0, a, b, tol,
+                         guess, radius)
         s_lo = s_hi = 0.5 * (lo + hi)
     engine.audit_monotonicity()
     return DimensionBracket(
@@ -570,7 +580,11 @@ def convergence_study(config: SolveConfig, h_list,
 
     Unless config.tol_s is set, each s_h is bisected down to adjacent
     doubles (the point-estimate default): at fine meshes the deltas are a
-    few ulp.
+    few ulp.  From the third mesh on, each bisection starts from the
+    previous s_h, within the last difference of s_h (see _bisect), rather
+    than from [S_FLOOR, d]; a window that misses widens, so every s_h is
+    still the flip of its own mesh's lam >= 1.  Each row counts its
+    solve's unique probes.
 
     With a reference value: delta_i = |s_i - ref| and rate_i =
     log2(delta_{i-1}/delta_i).  Without: delta_i = |s_i - s_{i-1}| and the
@@ -580,13 +594,16 @@ def convergence_study(config: SolveConfig, h_list,
         raise ValueError(f"reference = {reference!r} is not a finite number")
     if reference is None and len(h_list) < 3:
         raise ValueError("Richardson-style rates need at least 3 meshes")
-    rows = []
+    rows, seed = [], {}
     for h in h_list:
         cfg = replace(config, h=float(h), J=None, mode="point-estimate",
                       unsafe_h=True)
-        b = solve_dimension(cfg)
+        if len(rows) >= 2:
+            s1, s2 = rows[-1]["s_h"], rows[-2]["s_h"]
+            seed = {"guess": s1, "radius": abs(s1 - s2)}
+        b = solve_dimension(cfg, **seed)
         rows.append({"h": float(h), "s_h": b.s_lo, "delta": None, "rate": None,
-                     "wall_ms": b.wall_ms})
+                     "probes": len(b.probes), "wall_ms": b.wall_ms})
     if reference is not None:
         for r in rows:
             r["delta"] = abs(r["s_h"] - reference)

@@ -213,6 +213,11 @@ class TestConverge:
         rows = json.loads(capsys.readouterr().out)
         assert [r["h"] for r in rows] == [0.04, 0.02, 0.01]
         assert rows[0]["delta"] is None
+        # probes is deterministic, so it comes before wall_ms
+        assert list(rows[0]) == ["h", "s_h", "delta", "rate", "probes",
+                                 "wall_ms"]
+        assert all(isinstance(r["probes"], int) and r["probes"] > 0
+                   for r in rows)
 
 
 class TestSettingsMerge:

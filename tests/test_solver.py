@@ -3,6 +3,7 @@ brackets, and convergence studies."""
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -585,6 +586,22 @@ class TestGuessedBisection:
         # bisection step
         self.check(t, guess, tol, slack=0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(A, B, exclude_min=True), guess=st.floats(A, B),
+           radius=st.floats(0.0, 1.0))
+    def test_window_to_adjacent_doubles(self, t, guess, radius):
+        # tol = 0 from a window of any radius: the window's two probes, the
+        # widening steps while it misses, then bisection down to the spacing
+        # of the final pair; one probe over the guessed budget pays for a
+        # window end that rounds past t by less than that spacing
+        above, probes = self.threshold(t)
+        lo, hi = _bisect(above, self.A, self.B, 0.0, guess, radius)
+        assert lo in probes and hi in probes
+        assert lo < t <= hi and hi == math.nextafter(lo, 1.0)
+        ulp = hi - lo
+        budget = 2 * math.log2(max(abs(guess - t), radius, ulp) / ulp) + 5
+        assert len(probes) <= budget
+
 
 class TestMonotonicityAudit:
     def test_rising_estimates_raise(self):
@@ -817,6 +834,27 @@ class TestConvergenceStudy:
         assert rows[0]["delta"] is None and rows[0]["rate"] is None
         assert rows[1]["delta"] > rows[2]["delta"]
         assert rows[2]["rate"] is not None
+
+    @pytest.mark.parametrize("nodes", [
+        [50, 100, 200, 400, 800, 1600],
+        [400, 100, 800, 200, 1600, 50],
+    ], ids=["refining", "out-of-order"])
+    def test_seeded_rows_match_independent_solves(self, nodes):
+        # from the third mesh on a study seeds each bisection with the
+        # previous s_h, yet each row is its own mesh's flip point
+        cfg = SolveConfig(A12, mode="point-estimate", mesh="nodes")
+        rows = convergence_study(cfg, [1.0 / k for k in nodes])
+        for i, r in enumerate(rows):
+            b = solve_dimension(replace(cfg, h=r["h"], unsafe_h=True))
+            assert abs(r["s_h"] - b.s_lo) <= 4 * math.ulp(b.s_lo)
+            if i < 2:
+                assert r["probes"] == len(b.probes)
+            elif nodes == sorted(nodes):
+                assert r["probes"] < len(b.probes)
+
+    def test_guess_only_for_point_estimates(self):
+        with pytest.raises(ValueError, match="only a point estimate"):
+            solve_dimension(SolveConfig(A12, J=64), guess=0.53)
 
     def test_needs_three_meshes_without_reference(self):
         cfg = SolveConfig(A12, J=25, mode="point-estimate")
