@@ -68,6 +68,19 @@ def check_degree(n: int) -> None:
         raise ValueError("collocation requires an even spline degree >= 2")
 
 
+def coefficient_map(ks: KnotSequence,
+                    q: QuasiInterpolant) -> sparse.csr_matrix:
+    """Per-axis coefficient map W1: row c applies the midpoint weights to
+    samples c..c+n (the dual-functional window of spline c)."""
+    n, nc = q.n, ks.num_splines
+    c = np.arange(nc)
+    rows = np.repeat(c, n + 1)
+    cols = (c[:, None] + np.arange(n + 1)[None, :]).ravel()
+    vals = np.tile(q.weights, nc)
+    return sparse.csr_matrix((vals, (rows, cols)),
+                             shape=(nc, ks.num_intervals))
+
+
 class TransferOperator:
     """L_h(s) = G(s) W as a matrix-free linear operator on sample vectors.
 
@@ -119,19 +132,8 @@ class OperatorCache:
             raise ValueError("quasi-interpolant degree must match the mesh degree")
         self.N = math.prod(geometry.sample_shape)  # samples
         self.Ncoef = math.prod(ax.num_splines for ax in self.axes)  # splines
-        self._W1s = tuple(self._build_W1(ax) for ax in self.axes)
+        self._W1s = tuple(coefficient_map(ax, self.q) for ax in self.axes)
         self._build_G_structure()
-
-    def _build_W1(self, ks: KnotSequence) -> sparse.csr_matrix:
-        """Per-axis coefficient map: row c applies the midpoint weights to
-        samples c..c+n (the dual-functional window of spline c)."""
-        n, nc = self.n, ks.num_splines
-        c = np.arange(nc)
-        rows = np.repeat(c, n + 1)
-        cols = (c[:, None] + np.arange(n + 1)[None, :]).ravel()
-        vals = np.tile(self.q.weights, nc)
-        return sparse.csr_matrix((vals, (rows, cols)),
-                                 shape=(nc, ks.num_intervals))
 
     def _build_G_structure(self) -> None:
         """Gs and lg, in blocks of about BLOCK_ROWS (point, letter) rows

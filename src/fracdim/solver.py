@@ -28,13 +28,15 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 from .assembly import (BLOCK_ROWS, OperatorCache, check_degree,
-                       index_dtype)
-from .bspline import TensorGrid, make_uniform_knots
+                       coefficient_map, index_dtype)
+from .bspline import TensorGrid, make_uniform_knots, uniform_basis
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
 from .maps import Alphabet
+from .quasi import QuasiInterpolant
 from .spectral import (FLOAT_SLACK, POWER_TOL, cone_membership,
                        power_iteration, scaled_bracket, spectral_bracket)
 
@@ -199,10 +201,11 @@ class ProbeEngine:
     1, so its lam sits on the side of 1 a converged one would.  Without
     `certifiable` each probe runs to convergence, with no cone check.
 
-    `start`, a positive vector on the cache's samples, warm-starts the first
-    probe (ones otherwise).  A probe given a power tolerance `tol` runs to
-    convergence at it instead of stopping at its decision; on a certifiable
-    mesh its cone is checked all the same.
+    `start`, a strictly positive vector on the cache's samples (as
+    _prolong makes from a coarse iterate; power_iteration refuses any
+    other), warm-starts the first probe (ones otherwise).  A probe given a
+    power tolerance `tol` runs to convergence at it instead of stopping at
+    its decision; on a certifiable mesh its cone is checked all the same.
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
@@ -353,16 +356,36 @@ def _predict(engine: ProbeEngine, a: float, b: float, target: float,
     return 0.5 * (lo + hi)
 
 
-def _interpolate(w: np.ndarray, coarse: TensorGrid,
-                 fine: TensorGrid) -> np.ndarray:
-    """Samples w on the coarse midpoints, linearly interpolated per axis
-    onto the fine ones (held at the end values beyond the coarse range)."""
-    v = w.reshape(coarse.sample_shape)
+def _prolong(v: np.ndarray, coarse: TensorGrid, fine: TensorGrid,
+             q: QuasiInterpolant) -> np.ndarray:
+    """The coarse quasi-interpolant Q_c v = sum_j (W1 v)_j b_j of samples v
+    on the coarse midpoints, evaluated at the fine ones and floored at half
+    the smallest sample, so that a positive v gives a strictly positive
+    start (the -1/8 weights of n = 2 can turn a coefficient negative where
+    neighbours differ by a factor of ten).
+
+    Along its own array axis, each axis applies the coarse W1
+    (coefficient_map, as the operator does), then the n+1 coarse splines
+    nonzero at each fine midpoint; apart, the two hold n+1 entries per fine
+    point, where their product would hold 2n+1.  A fine midpoint outside
+    the coarse partition-of-unity range takes the nearest end piece.
+    """
+    n = coarse.n
+    u = v.reshape(coarse.sample_shape)
     for k, (c, f) in enumerate(zip(coarse.axes, fine.axes)):
-        xc, xf = c.midpoints, f.midpoints
-        v = np.apply_along_axis(lambda col: np.interp(xf, xc, col),
-                                v.ndim - 1 - k, v)
-    return v.ravel()
+        x = f.midpoints
+        ell = np.clip(np.floor((x - c.knots[0]) / c.h).astype(np.int32), n,
+                      c.num_splines - 1)
+        B = uniform_basis((x - c.knots[ell]) / c.h, n)
+        cols = (ell - n)[:, None] + np.arange(n + 1, dtype=np.int32)
+        splines = sparse.csr_matrix(
+            (B.ravel(), cols.ravel(), np.arange(0, B.size + 1, n + 1)),
+            shape=(len(x), c.num_splines))
+        a = u.ndim - 1 - k
+        u = (splines @ (coefficient_map(c, q) @ u.swapaxes(0, a))
+             ).swapaxes(0, a)
+    out = u.ravel()
+    return np.maximum(out, 0.5 * v.min(), out=out)
 
 
 def _crossings(alphabet: Alphabet, J_c: int, profile: RigorProfile,
@@ -374,7 +397,8 @@ def _crossings(alphabet: Alphabet, J_c: int, profile: RigorProfile,
     probes pass the monotonicity audit.  The coarse cache is freed on
     return.  Returns the crossings, the iterates that ended each level's
     search (coarse eigenvectors next to its crossing) with their coarse
-    geometry, to warm-start a finer mesh, and the number of probes.
+    geometry, which _prolong carries to a finer mesh as its start, and the
+    number of probes.
     """
     coarse = make_geometry(alphabet.d, J_c, profile.n)
     engine = ProbeEngine(OperatorCache(alphabet, coarse, profile.q), profile,
@@ -520,7 +544,9 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     its Newton step (_newton), and _bisect proves each endpoint from its
     moved prediction.  The first fine probe warm-starts from the coarse
     iterate at the lower crossing, the first s_hi probe from the last fine
-    iterate times the coarse ratio of the two crossings' iterates.  A point
+    iterate times the ratio of the two crossings' coarse iterates, each
+    carried to the fine midpoints by the coarse quasi-interpolant
+    (_prolong; the first before the fine build).  A point
     estimate bisects [S_FLOOR, d] on the fine mesh, or, given a guess,
     starts from [guess - radius, guess + radius] (see _bisect); either way
     it ends at the flip of this mesh's own lam >= 1.  Only a point estimate
@@ -547,9 +573,12 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
             config.alphabet, J_c, profile, levels, a, b, tol / 4)
         search = {"J_c": J_c, "s_lo": guesses[0], "s_hi": guesses[1],
                   "probes": probes}
-    cache = OperatorCache(config.alphabet, geometry, profile.q)
-    start = _interpolate(iterates[0], coarse, geometry) if coarse else None
-    engine = ProbeEngine(cache, profile, err, certifiable, start)
+    # the start before the fine build, so its temporaries precede the
+    # build's
+    start = (_prolong(iterates[0], coarse, geometry, profile.q) if coarse
+             else None)
+    engine = ProbeEngine(OperatorCache(config.alphabet, geometry, profile.q),
+                         profile, err, certifiable, start)
     if certified:
         if coarse:
             guesses, search["shift"] = _newton(engine, guesses, levels, a, b,
@@ -557,8 +586,8 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
         s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol,
                        guesses[0])[0]
         if coarse:
-            engine._warm = engine._warm * _interpolate(
-                iterates[1] / iterates[0], coarse, geometry)
+            engine._warm = engine._warm * _prolong(
+                iterates[1] / iterates[0], coarse, geometry, profile.q)
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
                        guesses[1])[1]
     else:

@@ -108,6 +108,9 @@ def power_iteration(m, tol: float = POWER_TOL, max_iter: int = 100_000,
     if np.any(w <= 0):
         raise PositivityError("start vector must be strictly positive")
     w /= w.max()
+    # w and the ratios are updated in place, so a probe's heap does not
+    # churn with its iteration count
+    ratios = np.empty(N)
     best_spread = np.inf
     stale = 0
     it = 0
@@ -117,7 +120,7 @@ def power_iteration(m, tol: float = POWER_TOL, max_iter: int = 100_000,
         if y.min() <= 0:
             raise PositivityError(
                 "matrix image lost positivity (mesh/cone misconfiguration)")
-        ratios = y / w
+        np.divide(y, w, out=ratios)
         rmin, rmax = float(ratios.min()), float(ratios.max())
         if converged or stale >= 10 or it == max_iter:
             break
@@ -136,7 +139,7 @@ def power_iteration(m, tol: float = POWER_TOL, max_iter: int = 100_000,
             stale = 0
         else:
             stale += 1
-        w = y / y.max()
+        np.divide(y, y.max(), out=w)
         it += 1
     return PowerResult(lam=float(np.sqrt(rmin * rmax)), w=w, y=y,
                        iterations=it, ratio_min=rmin, ratio_max=rmax,

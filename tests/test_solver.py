@@ -17,13 +17,15 @@ from fracdim.bspline import TensorGrid
 from fracdim.cli import EXIT_INADMISSIBLE, run
 from fracdim.constants import make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
+from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import (S_FLOOR, CertificationError,
                             InadmissibleMeshError, MonotonicityError,
                             ProbeEngine, SolveConfig, _bisect,
                             convergence_study, make_geometry,
                             operator_footprint, solve_dimension)
 from fracdim.spectral import ConeCertificate, FLOAT_SLACK, scaled_bracket
-from oracles import ConvergedProbes, tocsr
+from oracles import (ConvergedProbes, eval_quasi_interpolant,
+                     parameter_interval, tocsr)
 
 A12 = make_alphabet_1d([1, 2])
 A2D = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
@@ -636,6 +638,92 @@ class TestMonotonicityAudit:
         assert all(l2 <= l1 + 1e-12 for l1, l2 in zip(lams[:-1], lams[1:]))
 
 
+class TestProlongation:
+    """_prolong evaluates the coarse quasi-interpolant at the fine
+    midpoints: the oracle's Qf inside the coarse parameter region, exact
+    for polynomials of degree n everywhere, and a strictly positive start
+    for any positive samples."""
+
+    @staticmethod
+    def midpoints(grid):
+        """The grid's midpoints as x-first arrays, one per axis."""
+        return np.meshgrid(*[ks.midpoints for ks in grid.axes],
+                           indexing="ij")
+
+    def prolonged(self, f, coarse, fine):
+        """f on the coarse midpoints, prolonged, as an x-first array; solver
+        vectors run first axis fastest, the transpose of x-first."""
+        v = f(*self.midpoints(coarse)).T.ravel()
+        out = solver._prolong(v, coarse, fine,
+                              make_quasi_interpolant(coarse.n))
+        return out.reshape(fine.sample_shape).T
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_matches_oracle(self, d, n):
+        coarse, fine = make_geometry(d, 7, n), make_geometry(d, 29, n)
+
+        def f(x, y=0.0):
+            return np.exp(np.sin(3.0 * x) + 0.5 * y)
+
+        got, xs = self.prolonged(f, coarse, fine), self.midpoints(fine)
+        inside = np.ones(got.shape, dtype=bool)
+        for x, ks in zip(xs, coarse.axes):
+            lo, hi = parameter_interval(ks)
+            inside &= (lo <= x) & (x <= hi)
+        assert 0 < inside.sum() < inside.size
+        want = eval_quasi_interpolant(
+            make_quasi_interpolant(n), coarse, f(*self.midpoints(coarse)),
+            np.stack([x[inside] for x in xs], axis=-1))
+        np.testing.assert_allclose(got[inside], want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reproduces_quadratics(self, d):
+        # at every fine midpoint, the few outside the coarse parameter
+        # region included: they take the end piece, a quadratic too
+        coarse, fine = make_geometry(d, 7, 2), make_geometry(d, 29, 2)
+
+        def f(x, y=0.0):
+            return 2.0 + x - x * x + 0.25 * x * y + y * y
+
+        np.testing.assert_allclose(self.prolonged(f, coarse, fine),
+                                   f(*self.midpoints(fine)), rtol=1e-13,
+                                   atol=0)
+
+    def test_floor_keeps_steep_samples_positive(self):
+        # one sample 100 times its neighbours: the -1/8 weights turn the
+        # coefficients next to it negative, and Qf with them near the knots;
+        # the start takes half the smallest sample there
+        coarse, fine = make_geometry(1, 7, 2), make_geometry(1, 29, 2)
+        v = np.ones(coarse.sample_shape)
+        v[5] = 100.0
+        x = fine.axes[0].midpoints
+        lo, hi = parameter_interval(coarse.axes[0])
+        inside = (lo <= x) & (x <= hi)
+        raw = eval_quasi_interpolant(make_quasi_interpolant(2), coarse, v,
+                                     x[inside])
+        assert raw.min() < 0
+        out = solver._prolong(v, coarse, fine, make_quasi_interpolant(2))
+        np.testing.assert_allclose(out[inside], np.maximum(raw, 0.5),
+                                   rtol=1e-13, atol=0)
+        assert out.min() == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from([1, 2]), n=st.sampled_from([2, 4]),
+           J_c=st.integers(1, 6), J=st.integers(1, 30), data=st.data())
+    def test_positive_start(self, d, n, J_c, J, data):
+        coarse, fine = make_geometry(d, J_c, n), make_geometry(d, J, n)
+        size = math.prod(coarse.sample_shape)
+        # log samples up to 20 apart: neighbours often differ by far more
+        # than a factor of 10
+        logs = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=size,
+                                  max_size=size))
+        out = solver._prolong(np.exp(logs), coarse, fine,
+                              make_quasi_interpolant(n))
+        assert out.shape == (math.prod(fine.sample_shape),)
+        assert np.isfinite(out).all() and (out > 0).all()
+
+
 class TestSearch:
     """A certified solve predicts its endpoints with converged point probes
     on J // SEARCH_COARSENING subintervals and proves them on J; the
@@ -750,15 +838,23 @@ class TestTwoStepRefinement:
         # within 1e-9; one converged fine probe at the lower prediction
         # moves both by its Newton step, and each endpoint then takes two
         # decided probes: 5 probes, where bisecting [S_FLOOR, 1.15] took 57
-        # and ended at (1.149529368563135, 1.1496249226942479) and the
+        # and ended at (1.149529368563135, 1.1496249226942479), the
         # unshifted predictions took 14 and ended at (1.1495293686078023,
-        # 1.1496249227192226), within tol_s = 1e-10 of these
+        # 1.1496249227192226), and a start linearly interpolated from the
+        # coarse mesh ended at (1.1495293685592338, 1.1496249227206532),
+        # all within tol_s = 1e-10 of these
         b = solver.solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15,
                                                alpha=0.2, beta=0.2))
         assert meshes == [("solve", 500), ("build", solver.COARSE_J),
                           ("build", 125), ("build", 500)]
-        assert (b.s_lo, b.s_hi) == (1.1495293685592338, 1.1496249227206532)
+        assert (b.s_lo, b.s_hi) == (1.1495293685592622, 1.1496249227206816)
         assert len(b.probes) == 5
+        # the quasi-interpolated coarse iterate starts the converged probe
+        # (9 iterations; 14 from the linear start) and the coarse ratio the
+        # first s_hi probe: 11 fine iterations in all (20 before)
+        [newton] = [p for p in b.probes if p["s"] == b.search["s_lo"]]
+        assert newton["iterations"] <= 10
+        assert sum(p["iterations"] for p in b.probes) <= 12
         assert max(p["s"] for p in b.probes) <= 1.15
         assert b.constants["s_cap"] == 1.15
         assert "first_pass" not in b.to_record()
