@@ -190,8 +190,10 @@ class OperatorCache:
     # -- per-probe assembly -------------------------------------------------
     def evaluation_matrix(self, s: float) -> Array:
         """The (N, |E|) letter weights exp(s lg) that turn the shared
-        stacked Gs into G(s) = sum_e diag(w[:, e]) G_e."""
-        return np.exp(s * self._lg)
+        stacked Gs into G(s) = sum_e diag(w[:, e]) G_e, formed in one
+        buffer."""
+        w = np.multiply(self._lg, s)
+        return np.exp(w, out=w)
 
     def matrix(self, s: float) -> TransferOperator:
         """L_h(s): the shared stacked Gs weighted by exp(s lg)."""

@@ -4,12 +4,14 @@ bisection to a certified dimension interval.
 Certified mode scales the collocation matrix L_h(s) by (1 -/+ err) into the
 pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
 B_h above 1 certifies s <= s*.  Only the two probes that end the search are
-part of the proof, so a certified solve first predicts both endpoints on a
-mesh SEARCH_COARSENING times coarser, where log lam of converged point
-probes crosses the levels of the two proofs (_crossings, which on the
-COARSE_J mesh also finds the crossing of 0 that caps s in 2D), moves both
-predictions by the Newton step of one converged fine probe (_newton), then
-probes the fine mesh next to each and bisects only where those probes
+part of the proof, so a certified solve first predicts both endpoints where
+log lam of converged point probes crosses the levels of the two proofs
+(_crossings), on a ladder of two coarse meshes: the seed mesh of about
+COARSE_J subintervals (which in 2D first finds the crossing of 0 that caps
+s), then, inside a window around the seed crossings, a mesh
+SEARCH_COARSENING times coarser than the fine one (_search).  It moves
+both predictions by the Newton step of one converged fine probe (_newton),
+then probes the fine mesh next to each and bisects only where those probes
 straddle it.  Point-estimate mode sets err = 0 and bisects the eigenvalue
 estimate itself on [S_FLOOR, d] (what convergence tables measure), or,
 within a convergence study, from a window around the previous meshes'
@@ -44,8 +46,9 @@ from .spectral import (FLOAT_SLACK, POWER_TOL, cone_membership,
 # search floor of every bisection in s
 S_FLOOR = 1e-6
 
-# subintervals per axis of the coarse crossing that sets a certified 2D cap:
-# the first mesh of the published 2D sweeps
+# subintervals per axis of the seed mesh of a certified solve, whose
+# crossings set the 2D cap and seed the search: the first mesh of the
+# published 2D sweeps
 COARSE_J = 25
 
 # a certified solve on J subintervals predicts its endpoints on J // 4; on
@@ -206,14 +209,18 @@ class ProbeEngine:
     other), warm-starts the first probe (ones otherwise).  A probe given a
     power tolerance `tol` runs to convergence at it instead of stopping at
     its decision; on a certifiable mesh its cone is checked all the same.
+    The engine's `tol` is the power tolerance of a probe that runs to
+    convergence without one of its own.
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
-                 certifiable: bool, start: np.ndarray | None = None):
+                 certifiable: bool, start: np.ndarray | None = None,
+                 tol: float = POWER_TOL):
         self.cache = cache
         self.profile = profile
         self.err = err
         self.certifiable = certifiable
+        self.tol = tol
         self.records: dict[float, dict] = {}
         self._warm = start
 
@@ -223,7 +230,7 @@ class ProbeEngine:
             return self.records[s]
         m = self.cache.matrix(s)
         decide = self.certifiable and tol is None
-        res = power_iteration(m, tol=POWER_TOL if tol is None else tol,
+        res = power_iteration(m, tol=self.tol if tol is None else tol,
                               start=self._warm,
                               decide_err=self.err if decide else None)
         self._warm = res.w
@@ -388,27 +395,84 @@ def _prolong(v: np.ndarray, coarse: TensorGrid, fine: TensorGrid,
     return np.maximum(out, 0.5 * v.min(), out=out)
 
 
-def _crossings(alphabet: Alphabet, J_c: int, profile: RigorProfile,
-               levels, a: float, b: float, eps: float):
-    """Where log lam crosses each level in [a, b] (see _predict), from
-    converged point probes on J_c subintervals.
-
-    Each level's search starts from the earlier levels' probes, and the
-    probes pass the monotonicity audit.  The coarse cache is freed on
-    return.  Returns the crossings, the iterates that ended each level's
-    search (coarse eigenvectors next to its crossing) with their coarse
-    geometry, which _prolong carries to a finer mesh as its start, and the
-    number of probes.
+def _crossings(engine: ProbeEngine, levels, a: float, b: float,
+               eps: float):
+    """Where log lam of the engine's converged point probes crosses each
+    level in [a, b] (see _predict).  Each level's search starts from all of
+    the engine's earlier probes, which then pass the monotonicity audit.
+    Returns the crossings and the iterates that ended each level's search
+    (eigenvectors next to its crossing, which _prolong carries to a finer
+    mesh as its start).
     """
-    coarse = make_geometry(alphabet.d, J_c, profile.n)
-    engine = ProbeEngine(OperatorCache(alphabet, coarse, profile.q), profile,
-                         0.0, certifiable=False)
     crossings, iterates = [], []
     for level in levels:
         crossings.append(_predict(engine, a, b, level, eps))
         iterates.append(engine._warm)
     engine.audit_monotonicity()
-    return tuple(crossings), (iterates, coarse), len(engine.records)
+    return tuple(crossings), iterates
+
+
+def _seed_engine(alphabet: Alphabet, profile: RigorProfile) -> ProbeEngine:
+    """Converged point probes (err = 0, no cone check) on the seed mesh of
+    a certified solve: COARSE_J subintervals per axis, or, at a degree n
+    where letter 1's images need more, the fewest that hold them.  The
+    leftmost collocation midpoint, -(n - 1/2) h, maps to
+    1 / (1 - (n - 1/2) h), which lies below the padded edge 1 + n h only
+    when h < 1 / (2 n^2 - n): 25 subintervals hold it at n = 2, 29 at
+    n = 4."""
+    n = profile.n
+    geometry = make_geometry(alphabet.d, max(COARSE_J, 2 * n * n - n + 1), n)
+    return ProbeEngine(OperatorCache(alphabet, geometry, profile.q), profile,
+                       0.0, certifiable=False)
+
+
+def _search(seed: ProbeEngine, J_c: int, profile: RigorProfile, levels,
+            a: float, b: float, tol: float):
+    """Where log lam crosses both levels (the lower s first) in [a, b] on
+    J_c subintervals, seeded by the same crossings on the seed mesh.
+
+    The seed crossings g_lo <= g_hi (_crossings, to tol / 4) give the slope
+    sigma of -log lam between them.  The J_c engine starts from the seed
+    iterate at g_lo, carried over by _prolong, and its probes converge to
+    max(sigma tol / 4, POWER_TOL), which places a crossing to about tol / 4
+    in s.  Its first probe, at g_lo, measures the shift between the two
+    meshes' crossings as a Newton step, (log lam - levels[0]) / sigma.  The
+    window [g_lo - D, g_hi + D] in [a, b], with D the largest of
+    g_hi - g_lo, twice that step and tol / 4, then straddles both
+    crossings, or a side that answers the wrong way moves outward by 2 D,
+    4 D, ... (as in _bisect) until it does or it reaches a or b; the window
+    is [a, b] when sigma is not positive.  _crossings then finds both
+    crossings inside it, each a or b where [a, b] holds none.  The J_c
+    cache is freed on return.
+
+    Returns the seed crossings, the J_c crossings, the J_c iterates that
+    ended each level's search with their geometry, and the number of J_c
+    probes.
+    """
+    eps = tol / 4
+    (g_lo, g_hi), (w_seed, _) = _crossings(seed, levels, a, b, eps)
+    sigma = (levels[0] - levels[1]) / (g_hi - g_lo) if g_hi > g_lo else 0.0
+    coarse = make_geometry(seed.cache.geometry.d, J_c, profile.n)
+    # the start before the build, so its temporaries precede the build's
+    start = _prolong(w_seed, seed.cache.geometry, coarse, profile.q)
+    engine = ProbeEngine(
+        OperatorCache(seed.cache.alphabet, coarse, profile.q), profile, 0.0,
+        certifiable=False, start=start, tol=max(sigma * tol / 4, POWER_TOL))
+
+    def f(s, level):
+        return math.log(engine.probe(s)["lam"]) - level
+
+    newton = abs(f(g_lo, levels[0])) / sigma if sigma > 0.0 else math.inf
+    D = max(g_hi - g_lo, 2.0 * newton, eps)
+    lo, hi = max(a, g_lo - D), min(b, g_hi + D)
+    step = 2.0 * D
+    while lo > a and f(lo, levels[0]) <= 0.0:
+        lo, step = max(a, lo - step), 2.0 * step
+    step = 2.0 * D
+    while hi < b and f(hi, levels[1]) > 0.0:
+        hi, step = min(b, hi + step), 2.0 * step
+    crossings, iterates = _crossings(engine, levels, lo, hi, eps)
+    return (g_lo, g_hi), crossings, (iterates, coarse), len(engine.records)
 
 
 def _newton(engine: ProbeEngine, guesses, levels, a: float, b: float,
@@ -473,11 +537,13 @@ def _setup(config: SolveConfig):
     on); in certified mode also ValueError for a 2D degree other than 2
     (its error bounds are third order), and CertificationError when
     M' >= M or err >= 1.  A certified 2D solve first lowers s_cap to just
-    above s_hat, where log lam crosses 0 on the COARSE_J mesh (_crossings,
-    to 1e-6 in s), after the guards that do not need the cap: a lower cap
-    shrinks err and M', and admissibility, M' and err are checked at it.
-    Returns (J, profile, geometry, breakdown, constants, err, certifiable),
-    certifiable when h is admissible and M' < M (always, in certified mode).
+    above s_hat, where log lam crosses 0 on the seed mesh (_seed_engine and
+    _crossings, to 1e-6 in s), after the guards that do not need the cap: a
+    lower cap shrinks err and M', and admissibility, M' and err are checked
+    at it.  Returns (J, profile, geometry, breakdown, constants, err,
+    certifiable, seed), certifiable when h is admissible and M' < M (always,
+    in certified mode), and seed the pair (seed engine, s_hat) of a
+    certified 2D solve, which the search goes on probing, else None.
     """
     alphabet = config.alphabet
     certified = config.mode == "certified"
@@ -498,9 +564,11 @@ def _setup(config: SolveConfig):
                             alpha=config.alpha, beta=config.beta, M=config.M)
 
     profile = profile_at(config.s_cap)
+    seed = None
     if certified and alphabet.d == 2:
-        (s_hat,), _, _ = _crossings(alphabet, COARSE_J, profile, (0.0,),
-                                    S_FLOOR, 2.0, 1e-6)
+        engine = _seed_engine(alphabet, profile)
+        (s_hat,), _ = _crossings(engine, (0.0,), S_FLOOR, 2.0, 1e-6)
+        seed = (engine, s_hat)
         profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
     breakdown = admissible_h(profile, alphabet)
     # the exact 1/J against each rounded-down bound, and strictly below the
@@ -526,7 +594,7 @@ def _setup(config: SolveConfig):
         err = profile.err(h)
         if err >= 1:
             raise CertificationError(f"err = {err:.6g} >= 1: mesh too coarse")
-    return J, profile, geometry, breakdown, constants, err, certifiable
+    return J, profile, geometry, breakdown, constants, err, certifiable, seed
 
 
 def solve_dimension(config: SolveConfig, *, guess: float | None = None,
@@ -538,15 +606,17 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     lowers s_cap to just above a coarse crossing (see _setup).  A certified
     solve then predicts both endpoints on J // SEARCH_COARSENING
     subintervals, unless that is below COARSE_J, before it builds the fine
-    operator: _crossings finds where log lam crosses the levels at which a
-    converged fine probe's lam_lo and lam_hi reach 1.  On the fine mesh,
-    one converged probe at the lower prediction moves both predictions by
-    its Newton step (_newton), and _bisect proves each endpoint from its
-    moved prediction.  The first fine probe warm-starts from the coarse
-    iterate at the lower crossing, the first s_hi probe from the last fine
-    iterate times the ratio of the two crossings' coarse iterates, each
-    carried to the fine midpoints by the coarse quasi-interpolant
-    (_prolong; the first before the fine build).  A point
+    operator: _search finds where log lam crosses the levels at which a
+    converged fine probe's lam_lo and lam_hi reach 1, first on the seed
+    mesh (the 2D cap's engine, or a new one in 1D), then on J //
+    SEARCH_COARSENING inside a window around the seed crossings.  On the
+    fine mesh, one converged probe at the lower prediction moves both
+    predictions by its Newton step (_newton), and _bisect proves each
+    endpoint from its moved prediction.  The first fine probe warm-starts
+    from the coarse iterate at the lower crossing, the first s_hi probe
+    from the last fine iterate times the ratio of the two crossings' coarse
+    iterates, each carried to the fine midpoints by the coarse
+    quasi-interpolant (_prolong; the first before the fine build).  A point
     estimate bisects [S_FLOOR, d] on the fine mesh, or, given a guess,
     starts from [guess - radius, guess + radius] (see _bisect); either way
     it ends at the flip of this mesh's own lam >= 1.  Only a point estimate
@@ -559,7 +629,7 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     certified = config.mode == "certified"
     if certified and guess is not None:
         raise ValueError("only a point estimate takes a guess")
-    J, profile, geometry, breakdown, constants, err, certifiable = (
+    J, profile, geometry, breakdown, constants, err, certifiable, seed = (
         _setup(config))
     d = config.alphabet.d
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
@@ -569,10 +639,14 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
         # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
         levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
                   -math.log1p(err) - math.log1p(FLOAT_SLACK))
-        guesses, (iterates, coarse), probes = _crossings(
-            config.alphabet, J_c, profile, levels, a, b, tol / 4)
-        search = {"J_c": J_c, "s_lo": guesses[0], "s_hi": guesses[1],
-                  "probes": probes}
+        seed, s_hat = seed or (_seed_engine(config.alphabet, profile), None)
+        seeds, guesses, (iterates, coarse), probes = _search(
+            seed, J_c, profile, levels, a, b, tol)
+        search = {"J_s": round(1.0 / seed.cache.geometry.h), "s_hat": s_hat,
+                  "seed_lo": seeds[0], "seed_hi": seeds[1],
+                  "seed_probes": len(seed.records), "J_c": J_c,
+                  "s_lo": guesses[0], "s_hi": guesses[1], "probes": probes}
+    seed = None  # the seed cache is freed before the fine build
     # the start before the fine build, so its temporaries precede the
     # build's
     start = (_prolong(iterates[0], coarse, geometry, profile.q) if coarse

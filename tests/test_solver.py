@@ -4,6 +4,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fracdim import solver
 from fracdim.assembly import OperatorCache, TransferOperator
 from fracdim.bspline import TensorGrid
 from fracdim.cli import EXIT_INADMISSIBLE, run
-from fracdim.constants import make_profile
+from fracdim.constants import admissible_h, make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import (S_FLOOR, CertificationError,
@@ -392,13 +393,13 @@ class TestOperatorForm:
     """Every probe applies the one stacked G, weighted per probe."""
 
     def test_certified_solve_never_writes_G(self):
-        # at J = 128 a certified solve also probes its J // 4 search mesh,
-        # whose operators share their own G
+        # at J = 128 a certified solve also probes its seed mesh and its
+        # J // 4 search mesh, whose operators each share their own G
         for mode in ("certified", "point-estimate"):
             with recording_operators() as ops:
                 solve_dimension(SolveConfig(A12, J=128, mode=mode))
             meshes = {op.shape[0]: op.G for op in ops}
-            assert len(meshes) == (2 if mode == "certified" else 1)
+            assert len(meshes) == (3 if mode == "certified" else 1)
             assert all(op.G is meshes[op.shape[0]] for op in ops)
 
 
@@ -725,12 +726,14 @@ class TestProlongation:
 
 
 class TestSearch:
-    """A certified solve predicts its endpoints with converged point probes
-    on J // SEARCH_COARSENING subintervals and proves them on J; the
+    """A certified solve predicts its endpoints with converged point probes,
+    on the seed mesh and then, around the seed crossings, on
+    J // SEARCH_COARSENING subintervals, and proves them on J; the
     prediction places fine probes but never decides an endpoint."""
 
     def test_search_then_fine_build(self, monkeypatch):
-        # the search is built and probed before the fine cache is built
+        # the seed mesh, then the search mesh, are built and probed before
+        # the fine cache is built
         events, init, probe = [], OperatorCache.__init__, ProbeEngine.probe
 
         def built(cache, alphabet, geometry, q=None):
@@ -745,11 +748,15 @@ class TestSearch:
         monkeypatch.setattr(OperatorCache, "__init__", built)
         monkeypatch.setattr(ProbeEngine, "probe", probed)
         b = solve_dimension(SolveConfig(A12, J=128, tol_s=1e-9))
-        coarse, fine = (math.prod(make_geometry(1, J, 2).sample_shape)
-                        for J in (32, 128))
-        assert events == [("build", coarse), ("probe", coarse),
+        seed, coarse, fine = (math.prod(make_geometry(1, J, 2).sample_shape)
+                              for J in (solver.COARSE_J, 32, 128))
+        assert events == [("build", seed), ("probe", seed),
+                          ("build", coarse), ("probe", coarse),
                           ("build", fine), ("probe", fine)]
-        assert b.search["J_c"] == 32 and b.search["probes"] > 0
+        assert b.search["J_s"] == solver.COARSE_J and b.search["J_c"] == 32
+        assert b.search["seed_probes"] > 0 and b.search["probes"] > 0
+        assert b.search["s_hat"] is None
+        assert b.search["seed_lo"] <= b.search["seed_hi"]
         assert b.search["s_lo"] <= b.search["s_hi"]
         # one converged fine probe at the lower prediction, whose Newton
         # step moves both predictions to within tol_s of the endpoints
@@ -778,6 +785,66 @@ class TestSearch:
         # a prediction on the floor or the cap takes no Newton step
         assert good.search["shift"] is not None
         assert bad.search["shift"] is None
+
+    @pytest.mark.parametrize("wrong", ["floor", "cap", "off"])
+    def test_bad_seed_costs_coarse_probes_only(self, wrong, monkeypatch):
+        # seed crossings on the floor, on the cap or 1e-3 high: the search
+        # window widens or spans [S_FLOOR, 1], so the J // 4 predictions,
+        # and with them the fine probes and endpoints, stay as they were
+        cfg = SolveConfig(A12, J=128, tol_s=1e-9)
+        good = solve_dimension(cfg)
+        crossings = solver._crossings
+
+        def wrong_seed(engine, levels, a, b, eps):
+            found, iterates = crossings(engine, levels, a, b, eps)
+            if round(1.0 / engine.cache.geometry.h) == solver.COARSE_J:
+                found = {"floor": (a, a), "cap": (b, b),
+                         "off": tuple(g + 1e-3 for g in found)}[wrong]
+            return found, iterates
+
+        monkeypatch.setattr(solver, "_crossings", wrong_seed)
+        bad = solve_dimension(cfg)
+        assert abs(bad.s_lo - good.s_lo) <= 1e-9
+        assert abs(bad.s_hi - good.s_hi) <= 1e-9
+        assert bad.s_lo <= REF_1D <= bad.s_hi
+        assert len(bad.probes) == len(good.probes)
+        assert bad.search["probes"] > good.search["probes"]
+        for end in ("s_lo", "s_hi"):
+            assert abs(bad.search[end] - good.search[end]) <= 1e-9 / 4
+
+    @pytest.mark.parametrize("J, tol_s, bound", [(128, 1e-9, 80),
+                                                  (4000, None, 95)])
+    def test_search_products_bounded(self, J, tol_s, bound, monkeypatch):
+        # seeded from the seed crossings and converged to sigma tol_s / 4,
+        # the J // 4 = 32 search takes 76 products, where Illinois from
+        # [S_FLOOR, 1] with every probe converged to POWER_TOL took 227.
+        # At J = 4000 the seed crossings lie 4e-9 apart but 2.2e-8 below
+        # the J // 4 ones: with the Newton margin the window straddles both
+        # at once (86 products), without it it widened to 112
+        products, matmul = {}, TransferOperator.__matmul__
+
+        def counted(op, v):
+            products[op.shape[0]] = products.get(op.shape[0], 0) + 1
+            return matmul(op, v)
+
+        monkeypatch.setattr(TransferOperator, "__matmul__", counted)
+        solve_dimension(SolveConfig(A12, J=J, tol_s=tol_s))
+        coarse = make_geometry(1, J // solver.SEARCH_COARSENING, 2)
+        assert products[math.prod(coarse.sample_shape)] <= bound
+
+    def test_degree_4_seed_mesh(self):
+        # at n = 4 the 25-mesh cannot hold letter 1's images, so the seed
+        # mesh has 2 n^2 - n + 1 = 29 subintervals; the smallest admissible
+        # mesh certifies through it
+        profile = make_profile(A12, n=4)
+        J = math.ceil(1 / Fraction(admissible_h(profile, A12)["overall"]))
+        with pytest.raises(InadmissibleMeshError):
+            solve_dimension(SolveConfig(A12, J=J - 1, n=4))
+        b = solve_dimension(SolveConfig(A12, J=J, n=4))
+        assert b.s_lo <= REF_1D <= b.s_hi
+        assert b.search["J_s"] == 29 and b.search["J_c"] == J // 4
+        with pytest.raises(ValueError, match="letter 1"):
+            OperatorCache(A12, make_geometry(1, 28, 4))
 
     def test_wrong_shift_costs_probes_only(self, monkeypatch):
         # a converged lam 1e-5 too high moves both predictions about 8e-6
@@ -834,20 +901,22 @@ class TestTwoStepRefinement:
 
     def test_same_cap_one_bisection(self, meshes):
         # the certify-2d case: s_hat plus 1e-3 lies above s_cap = 1.15, so
-        # the cap stays.  The search on J // 4 = 125 predicts both endpoints
-        # within 1e-9; one converged fine probe at the lower prediction
-        # moves both by its Newton step, and each endpoint then takes two
-        # decided probes: 5 probes, where bisecting [S_FLOOR, 1.15] took 57
-        # and ended at (1.149529368563135, 1.1496249226942479), the
-        # unshifted predictions took 14 and ended at (1.1495293686078023,
-        # 1.1496249227192226), and a start linearly interpolated from the
-        # coarse mesh ended at (1.1495293685592338, 1.1496249227206532),
+        # the cap stays.  The search on J // 4 = 125, seeded by the seed
+        # mesh that set the cap, predicts both endpoints within 1e-9; one
+        # converged fine probe at the lower prediction moves both by its
+        # Newton step, and each endpoint then takes two decided probes: 5
+        # probes, where bisecting [S_FLOOR, 1.15] took 57 and ended at
+        # (1.149529368563135, 1.1496249226942479), the unshifted predictions
+        # took 14 and ended at (1.1495293686078023, 1.1496249227192226), a
+        # start linearly interpolated from the coarse mesh ended at
+        # (1.1495293685592338, 1.1496249227206532), and an unseeded search
+        # converged to POWER_TOL at (1.1495293685592622, 1.1496249227206816),
         # all within tol_s = 1e-10 of these
         b = solver.solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15,
                                                alpha=0.2, beta=0.2))
         assert meshes == [("solve", 500), ("build", solver.COARSE_J),
                           ("build", 125), ("build", 500)]
-        assert (b.s_lo, b.s_hi) == (1.1495293685592622, 1.1496249227206816)
+        assert (b.s_lo, b.s_hi) == (1.1495293685592622, 1.1496249227196633)
         assert len(b.probes) == 5
         # the quasi-interpolated coarse iterate starts the converged probe
         # (9 iterations; 14 from the linear start) and the coarse ratio the
@@ -859,7 +928,9 @@ class TestTwoStepRefinement:
         assert b.constants["s_cap"] == 1.15
         assert "first_pass" not in b.to_record()
         search = b.to_record()["search"]
-        assert search["J_c"] == 125 and search["probes"] == 10
+        assert search["J_c"] == 125 and search["probes"] == 8
+        assert search["J_s"] == solver.COARSE_J
+        assert search["s_hat"] + 1e-3 > 1.15
         assert abs(search["s_lo"] - b.s_lo) < 1e-9
         assert abs(search["s_hi"] - b.s_hi) < 1e-9
         # the moved predictions lie within tol_s of the endpoints
