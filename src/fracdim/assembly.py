@@ -37,6 +37,18 @@ primes<3000; its forward error is bounded accordingly (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., section 3.1).  W is applied per
 axis (never materialized as a tensor).
 
+When a 2D alphabet is closed under (e1, e2) -> (e1, -e2) and the y
+midpoints negate exactly (make_geometry's grids do), phi_(e1,-e2)(x, -y) is
+the mirror image of phi_e(x, y) with the same derivative norm, so L(s)
+commutes with the flip y -> -y.  The cache then builds Gs and lg only for
+the points with y >= 0 (kept_points), one contiguous tail of the samples,
+and a product computes those rows and copies each into its mirror row.  It
+takes only vectors that are exactly symmetric in y (OperatorCache.symmetric
+makes one), whose exact image is symmetric too: each mirrored row is the
+kept row's value, which is within the rounding bound of its exact value.
+Every vector stays full length, and any other alphabet keeps all rows
+through the same code.
+
 The geometry is a TensorGrid in every dimension (1D is its one-axis case),
 so each step here is written once, as a loop over the axes.
 """
@@ -68,6 +80,22 @@ def check_degree(n: int) -> None:
         raise ValueError("collocation requires an even spline degree >= 2")
 
 
+def kept_points(alphabet: Alphabet, geometry: TensorGrid) -> int:
+    """Collocation points whose rows an OperatorCache builds: the last ones,
+    with y >= 0, when the 2D alphabet is closed under (e1, e2) -> (e1, -e2)
+    and the y midpoints negate exactly; all of them otherwise."""
+    N = math.prod(geometry.sample_shape)
+    if alphabet.d != 2:
+        return N
+    letters = set(alphabet.letters)
+    y = geometry.axes[1].midpoints
+    if ({(e1, -e2) for e1, e2 in letters} != letters
+            or not np.array_equal(y, -y[::-1])):
+        return N
+    Ny, Nx = geometry.sample_shape
+    return (Ny - Ny // 2) * Nx
+
+
 def coefficient_map(ks: KnotSequence,
                     q: QuasiInterpolant) -> sparse.csr_matrix:
     """Per-axis coefficient map W1: row c applies the midpoint weights to
@@ -85,9 +113,12 @@ class TransferOperator:
     """L_h(s) = G(s) W as a matrix-free linear operator on sample vectors.
 
     G is the s-independent stacked Gs, whose (point, letter) rows the
-    (N, |E|) letter `weights` exp(s lg) sum into one row per point.  Sample
-    and coefficient vectors run with the first axis fastest.  Supports
-    `op @ v` and `.shape`.
+    letter `weights` exp(s lg) sum into one row per point.  Sample and
+    coefficient vectors run with the first axis fastest.  When `weights`
+    covers fewer than all N points, G holds the kept tail of a folded
+    cache (see kept_points): a product refuses a vector that is not
+    exactly symmetric in y, computes the kept rows and mirrors them into
+    the rest.  Supports `op @ v` and `.shape`.
     """
 
     def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...],
@@ -110,13 +141,33 @@ class TransferOperator:
         return c.ravel()
 
     def __matmul__(self, v: Array) -> Array:
+        N = self.shape[0]
+        r0 = N - len(self.weights)  # the first kept row
+        # folded: row iy of the sample grid mirrors row Ny - 1 - iy
+        half = self._grid[0] // 2
+        if r0:
+            V = np.asarray(v).reshape(self._grid)
+            if not np.array_equal(V[:half], V[::-1][:half]):
+                raise ValueError("a folded operator takes only vectors "
+                                 "symmetric in y")
         y = self.G @ self.coefficients(v)
-        return np.einsum("ij,ij->i", y.reshape(self.weights.shape),
-                         self.weights)
+        out = np.empty(N)
+        np.einsum("ij,ij->i", y.reshape(self.weights.shape), self.weights,
+                  out=out[r0:])
+        if r0:
+            Y = out.reshape(self._grid)
+            Y[:half] = Y[::-1][:half]
+        return out
 
 
 class OperatorCache:
-    """s-independent structure of G for one mesh/alphabet; cheap per-s rebuilds."""
+    """s-independent structure of G for one mesh/alphabet; cheap per-s
+    rebuilds.
+
+    Gs and lg cover the last `kept` of the N collocation points: those with
+    y >= 0 on a folded 2D mesh (kept_points), all N otherwise.  Products
+    then take only vectors symmetric in y; `symmetric` makes one.
+    """
 
     def __init__(self, alphabet: Alphabet, geometry: TensorGrid,
                  q: QuasiInterpolant | None = None):
@@ -132,33 +183,35 @@ class OperatorCache:
             raise ValueError("quasi-interpolant degree must match the mesh degree")
         self.N = math.prod(geometry.sample_shape)  # samples
         self.Ncoef = math.prod(ax.num_splines for ax in self.axes)  # splines
+        self.kept = kept_points(alphabet, geometry)
         self._W1s = tuple(coefficient_map(ax, self.q) for ax in self.axes)
         self._build_G_structure()
 
     def _build_G_structure(self) -> None:
-        """Gs and lg, in blocks of about BLOCK_ROWS (point, letter) rows
-        that cover every letter of their points."""
+        """Gs and lg of the kept points, in blocks of about BLOCK_ROWS
+        (point, letter) rows that cover every letter of their points."""
         E = len(self.alphabet.letters)
         K = (self.n + 1) ** self.geometry.d
-        idx = index_dtype(self.N * E * K)
+        kept, r0 = self.kept, self.N - self.kept
+        idx = index_dtype(kept * E * K)
         # rows of Gs run point-major, in the order of _lg
-        cols = np.empty((self.N, E, K), dtype=idx)
-        base = np.empty((self.N, E, K))
-        lg = np.empty((self.N, E))
+        cols = np.empty((kept, E, K), dtype=idx)
+        base = np.empty((kept, E, K))
+        lg = np.empty((kept, E))
         mids = [ks.midpoints for ks in self.axes]
         step = max(1, BLOCK_ROWS // E)
-        for lo in range(0, self.N, step):
-            hi = min(lo + step, self.N)
+        for lo in range(0, kept, step):
+            hi = min(lo + step, kept)
             # flat sample index -> midpoint per axis, first axis fastest
-            at = np.unravel_index(np.arange(lo, hi),
+            at = np.unravel_index(np.arange(r0 + lo, r0 + hi),
                                   self.geometry.sample_shape)
             p = np.stack([m[i] for m, i in zip(mids, at[::-1])], axis=-1)
             img, lg[lo:hi] = self.alphabet.maps(p)
             self._block(img, cols[lo:hi], base[lo:hi])
         self._Gs = sparse.csr_matrix(
             (base.ravel(), cols.ravel(),
-             np.arange(0, self.N * E * K + 1, K, dtype=idx)),
-            shape=(self.N * E, self.Ncoef))
+             np.arange(0, kept * E * K + 1, K, dtype=idx)),
+            shape=(kept * E, self.Ncoef))
         self._lg = lg
         self.nnz = self._Gs.nnz
 
@@ -187,9 +240,17 @@ class OperatorCache:
         np.add(first[..., None], offsets, out=cols, casting="same_kind")
         base[...] = prod
 
+    def symmetric(self, v: Array) -> Array:
+        """(v + v flipped in y) / 2 on a folded cache, exactly symmetric
+        (a + b == b + a) and positive where v is; v itself otherwise."""
+        if self.kept == self.N:
+            return v
+        V = np.asarray(v).reshape(self.geometry.sample_shape)
+        return (0.5 * (V + V[::-1])).ravel()
+
     # -- per-probe assembly -------------------------------------------------
     def evaluation_matrix(self, s: float) -> Array:
-        """The (N, |E|) letter weights exp(s lg) that turn the shared
+        """The (kept, |E|) letter weights exp(s lg) that turn the shared
         stacked Gs into G(s) = sum_e diag(w[:, e]) G_e, formed in one
         buffer."""
         w = np.multiply(self._lg, s)

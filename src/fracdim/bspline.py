@@ -3,6 +3,9 @@ tensor-product mesh geometry.
 
 The knot vector is xi_j = domain_lo + (j - n)*h, j = 0..J+2n, so that the
 parameter interval [xi_n, xi_{J+n}] equals [domain_lo, domain_hi] exactly.
+On a domain symmetric about 0 it is xi_j = (2(j - n) - J)/(2J) (domain_hi -
+domain_lo) instead: the numerators are exact integers that negate, so the
+knots, and the midpoints formed from them, negate exactly.
 A point is located in a half-open knot interval [xi_l, xi_{l+1}) (the very
 last interval of the span closed), and the n+1 splines that do not vanish
 there are evaluated from its local coordinate (x - xi_l)/h.
@@ -54,7 +57,10 @@ def make_uniform_knots(domain_lo: float, domain_hi: float, J: int, n: int) -> Kn
     h = (domain_hi - domain_lo) / J
     # one multiplication per knot; no cumulative summation drift
     j = np.arange(J + 2 * n + 1, dtype=np.float64)
-    knots = domain_lo + (j - n) * h
+    if domain_lo == -domain_hi:
+        knots = (2.0 * (j - n) - J) / (2 * J) * (domain_hi - domain_lo)
+    else:
+        knots = domain_lo + (j - n) * h
     return KnotSequence(n=n, J=J, domain_lo=float(domain_lo),
                         domain_hi=float(domain_hi), h=h, knots=knots)
 

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from .assembly import (BLOCK_ROWS, OperatorCache, check_degree,
-                       coefficient_map, index_dtype)
+                       coefficient_map, index_dtype, kept_points)
 from .bspline import TensorGrid, make_uniform_knots, uniform_basis
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
@@ -206,7 +206,9 @@ class ProbeEngine:
 
     `start`, a strictly positive vector on the cache's samples (as
     _prolong makes from a coarse iterate; power_iteration refuses any
-    other), warm-starts the first probe (ones otherwise).  A probe given a
+    other), warm-starts the first probe (ones otherwise).  Each warm start
+    passes through cache.symmetric, which a folded cache's products need
+    and which leaves an iterate as it is.  A probe given a
     power tolerance `tol` runs to convergence at it instead of stopping at
     its decision; on a certifiable mesh its cone is checked all the same.
     The engine's `tol` is the power tolerance of a probe that runs to
@@ -230,8 +232,10 @@ class ProbeEngine:
             return self.records[s]
         m = self.cache.matrix(s)
         decide = self.certifiable and tol is None
+        start = None if self._warm is None else self.cache.symmetric(
+            self._warm)
         res = power_iteration(m, tol=self.tol if tol is None else tol,
-                              start=self._warm,
+                              start=start,
                               decide_err=self.err if decide else None)
         self._warm = res.w
         cone = cone_membership(res.w, self.cache.geometry, self.profile.M)
@@ -499,13 +503,14 @@ def _newton(engine: ProbeEngine, guesses, levels, a: float, b: float,
 
 def operator_footprint(alphabet: Alphabet, geometry: TensorGrid) -> dict:
     """Peak bytes of one mesh's operator in a solve, by part and in total,
-    from N, |E| and K = (n+1)^d: the OperatorCache's stacked Gs (values,
-    columns, row pointers) and lg, a probe's weights and G @ c (N |E|
-    doubles each), six sample vectors of the power iteration, and one block
-    of the build (at most 2K + 4(n+1) doubles per row: tensor products,
-    per-axis windows and workspace)."""
+    from N, the kept points (kept_points: about N / 2 on a folded 2D mesh),
+    |E| and K = (n+1)^d: the OperatorCache's stacked Gs (values, columns,
+    row pointers) and lg, a probe's weights and G @ c (kept |E| doubles
+    each), six sample vectors of the power iteration, and one block of the
+    build (at most 2K + 4(n+1) doubles per row: tensor products, per-axis
+    windows and workspace)."""
     N = math.prod(geometry.sample_shape)
-    rows = N * len(alphabet.letters)
+    rows = kept_points(alphabet, geometry) * len(alphabet.letters)
     K = (geometry.n + 1) ** geometry.d
     idx = np.dtype(index_dtype(rows * K)).itemsize
     parts = {"Gs": rows * K * (8 + idx) + (rows + 1) * idx, "lg": 8 * rows,

@@ -172,9 +172,10 @@ def cone_membership(w: Array, geometry: TensorGrid,
 
 def spectral_bracket(m, w: Array, iterations: int = 0,
                      y: Array | None = None) -> SpectralBracket:
-    """alpha = min_i (Lw)_i/w_i, beta = max_i, widened by a relative slack of
-    1e-12 against matvec rounding; alpha <= r(L) <= beta for cone-certified w.
-    Pass the image y = Lw when the caller already has it."""
+    """alpha = min_i (Lw)_i/w_i, beta = max_i, widened by the relative slack
+    FLOAT_SLACK against matvec rounding; alpha <= r(L) <= beta for
+    cone-certified w.  Pass the image y = Lw when the caller already has
+    it."""
     w = np.asarray(w, dtype=np.float64)
     if np.any(w <= 0):
         raise PositivityError("bracket vector must be strictly positive")

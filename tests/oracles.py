@@ -3,19 +3,22 @@
 Pointwise B-spline values by the Cox-de Boor recurrence, the quasi-interpolant
 Qf evaluated from its spline coefficients, the maps phi_e and their
 derivative norms ||Dphi_e||^s one letter at a time, the operator structure
-built one letter at a time over the whole mesh, the transfer operator
-materialized as one sparse matrix, and probes run to convergence.  None of
-it runs in a solve; it stays simple and slow on purpose.
+built one letter at a time over the whole mesh (every collocation point,
+with no use of the y -> -y symmetry that a folded OperatorCache exploits),
+the transfer operator applied from it and materialized as one sparse
+matrix, probes run to convergence, and the 2D dimension by tensor Chebyshev
+collocation, independent of the package.  None of it runs in a solve; it
+stays simple and slow on purpose.
 """
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
 
-from fracdim.assembly import OperatorCache, TransferOperator
+from fracdim.assembly import OperatorCache, coefficient_map
 from fracdim.bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
 from fracdim.maps import Alphabet
 from fracdim.quasi import QuasiInterpolant
@@ -216,18 +219,95 @@ def letter_structure(alphabet: Alphabet, grid: TensorGrid):
     return (base.ravel(), cols.ravel(), np.arange(N * E + 1) * K, lg)
 
 
-def tocsr(op: TransferOperator) -> sparse.csr_matrix:
-    """The TransferOperator G W materialized as one sparse matrix (the
-    per-axis W1 maps Kronecker-multiplied, first axis innermost), the
-    stacked (point, letter) rows weighted and summed per point."""
+def _full_weights(cache: OperatorCache, s: float):
+    """letter_structure over every point of the cache's mesh, and its
+    letter weights exp(s lg) formed as the cache forms them."""
+    data, indices, indptr, lg = letter_structure(cache.alphabet,
+                                                 cache.geometry)
+    G = sparse.csr_matrix((data, indices, indptr),
+                          shape=(len(indptr) - 1, cache.Ncoef))
+    return G, np.exp(np.multiply(lg, s))
+
+
+def full_product(cache: OperatorCache, s: float, v: Array) -> Array:
+    """L_h(s) v at every collocation point, from letter_structure, with the
+    floating-point operations of a product: the coefficients of v, Gs @ c,
+    then each point's |E| rows summed with their letter weights."""
+    G, w = _full_weights(cache, s)
+    y = G @ cache.matrix(s).coefficients(v)
+    return np.einsum("ij,ij->i", y.reshape(w.shape), w)
+
+
+def full_matrix(cache: OperatorCache, s: float) -> sparse.csr_matrix:
+    """L_h(s) = G(s) W at every collocation point materialized as one
+    sparse matrix, from letter_structure: the per-axis W1 maps
+    Kronecker-multiplied (first axis innermost), the stacked (point,
+    letter) rows weighted and summed per point."""
+    G, w = _full_weights(cache, s)
     W = reduce(lambda inner, outer: sparse.kron(outer, inner, format="csr"),
-               op.W1s)
-    N, E = op.weights.shape
+               [coefficient_map(ks, cache.q) for ks in cache.geometry.axes])
+    N, E = w.shape
     rows = np.repeat(np.arange(N), E)
-    G = sparse.csr_matrix((op.weights.ravel(), (rows, np.arange(N * E))),
-                          shape=(N, N * E)) @ op.G
+    G = sparse.csr_matrix((w.ravel(), (rows, np.arange(N * E))),
+                          shape=(N, N * E)) @ G
     G.sum_duplicates()
     return (G @ W).tocsr()
+
+
+@lru_cache
+def chebyshev_dimension_2d(letters: tuple, nodes: int = 24) -> float:
+    """The dimension of a 2D alphabet by tensor Chebyshev collocation of L_s
+    on [0,1] x [-1/2,1/2], independent of the package.
+
+    f is represented by its values at nodes^2 first-kind Chebyshev points
+    and evaluated at the images phi_e(p) = (p + e)/|p + e|^2 by barycentric
+    interpolation along each axis; lambda(s) is the largest eigenvalue of
+    the dense collocation matrix, and the root of log lambda(s) = 0 comes
+    from the secant method.  L_s is analytic on the square (e1 >= 1), so
+    the error falls geometrically with `nodes`.  letters: a tuple of
+    (e1, e2) pairs (an Alphabet's letters); each result is kept.
+    """
+    angles = (2 * np.arange(nodes) + 1) * np.pi / (2 * nodes)
+    t = np.cos(angles)  # on [-1, 1]
+    bary = (-1.0) ** np.arange(nodes) * np.sin(angles)
+
+    def lagrange(u):
+        """Row k: the nodes' Lagrange basis at u[k] in [-1, 1]."""
+        diff = u[:, None] - t[None, :]
+        exact = diff == 0.0
+        diff[exact] = 1.0
+        c = bary / diff
+        c /= c.sum(axis=1, keepdims=True)
+        hit = exact.any(axis=1)
+        c[hit] = exact[hit]
+        return c
+
+    x, y = (1 + t) / 2, t / 2
+    # points with x fastest: p = (x[i], y[j]) at index j * nodes + i
+    px, py = np.tile(x, nodes), np.repeat(y, nodes)
+    terms = []
+    for e1, e2 in letters:
+        qx, qy = px + e1, py + e2
+        r2 = qx * qx + qy * qy
+        Lx, Ly = lagrange(2 * qx / r2 - 1), lagrange(2 * qy / r2)
+        # row p, column (b, a): Ly[p, b] Lx[p, a]
+        terms.append((np.log(r2), (Ly[:, :, None] * Lx[:, None, :]
+                                    ).reshape(len(px), -1)))
+
+    def log_lam(s):
+        m = sum(np.exp(-s * lr)[:, None] * ell for lr, ell in terms)
+        return float(np.log(np.abs(np.linalg.eigvals(m)).max()))
+
+    s0, s1 = 1.0, 1.1
+    f0, f1 = log_lam(s0), log_lam(s1)
+    for _ in range(50):
+        if f1 == f0:
+            break
+        s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
+        f1 = log_lam(s1)
+        if abs(s1 - s0) <= 1e-16 * abs(s1):
+            break
+    return s1
 
 
 class ConvergedProbes:

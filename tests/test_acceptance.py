@@ -24,8 +24,8 @@ from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import (SolveConfig, convergence_study, make_geometry,
                             solve_dimension)
 from fracdim.spectral import cone_membership, power_iteration, spectral_bracket
-from oracles import (ConvergedProbes, eval_quasi_interpolant, local_basis,
-                     tocsr)
+from oracles import (ConvergedProbes, chebyshev_dimension_2d,
+                     eval_quasi_interpolant, full_matrix, local_basis)
 
 REF_12 = 0.531280506277205        # two-letter set {1,2}, independently known
 REF_34 = 0.980419625226979        # {1..34} at the finest published mesh
@@ -180,6 +180,22 @@ class TestCriterion3CertifiedBracket1D:
 class TestCriterion4TwoDimensional:
     ALPHABET = [(1, 0), (1, 1), (1, -1), (2, 0)]
 
+    @staticmethod
+    def assert_holds_oracle(rec, letters):
+        """The bracket contains the dimension from tensor Chebyshev
+        collocation, computed independently of the package."""
+        value = chebyshev_dimension_2d(tuple(sorted(letters)))
+        assert rec["s_lo"] <= value <= rec["s_hi"]
+
+    @pytest.mark.parametrize("letters", [ALPHABET, [(2, 0), (3, 0)]],
+                             ids=["table6", "two-letters"])
+    def test_chebyshev_oracle_converges(self, letters):
+        # 20^2 and 24^2 nodes agree to 1e-13; the 24^2 value is the one
+        # the certified brackets below must hold
+        letters = tuple(sorted(letters))
+        value = chebyshev_dimension_2d(letters)
+        assert abs(chebyshev_dimension_2d(letters, 20) - value) <= 1e-13
+
     def test_point_estimate_1_400(self):
         t0 = time.perf_counter()
         s = point_estimate(make_alphabet_2d(self.ALPHABET), 1.0 / 400)
@@ -195,6 +211,7 @@ class TestCriterion4TwoDimensional:
         b = solve_dimension(cfg)
         assert b.s_lo <= 1.1495767
         assert b.s_hi >= 1.1495775
+        self.assert_holds_oracle(b.to_record(), self.ALPHABET)
 
     def test_certified_at_default_cap(self, capsys):
         # the cap drops from the default 1.8572 to just above a coarse
@@ -205,6 +222,7 @@ class TestCriterion4TwoDimensional:
         rec = json.loads(capsys.readouterr().out)
         assert rec["constants"]["s_cap"] < 1.151
         assert rec["s_lo"] <= 1.1495767 and rec["s_hi"] >= 1.1495775
+        self.assert_holds_oracle(rec, self.ALPHABET)
 
     def test_certified_two_letters_default_cap(self, capsys):
         # {(2,0),(3,0)}: admissible at 1/250 only below the default cap;
@@ -213,6 +231,7 @@ class TestCriterion4TwoDimensional:
                     "--alpha", "0.2", "--beta", "0.2"]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["s_lo"] <= 0.33743678 <= rec["s_hi"]
+        self.assert_holds_oracle(rec, [(2, 0), (3, 0)])
 
 
 class TestCriterion5NineLetterAnomaly:
@@ -315,7 +334,8 @@ class TestCriterion7OracleEquivalence:
         alphabet = make_alphabet_2d([(1, 0), (2, 0)])
         s = 1.3
         grid = make_geometry(2, 10, 2)
-        op = OperatorCache(alphabet, grid).matrix(s)
+        cache = OperatorCache(alphabet, grid)
+        op = cache.matrix(s)
         ksx, ksy = grid.axes
         mx, my = ksx.J + 4, ksy.J + 4
         ncx, ncy = ksx.J + 2, ksy.J + 2
@@ -332,7 +352,8 @@ class TestCriterion7OracleEquivalence:
             letter_data.append((r2 ** (-s), BX, BY))
         rng = np.random.default_rng(11)
         for _ in range(100):
-            v = rng.uniform(0.1, 2.0, mx * my)
+            # the alphabet is closed under e2 -> -e2: a symmetric v
+            v = cache.symmetric(rng.uniform(0.1, 2.0, mx * my))
             Vs = v.reshape(my, mx)
             coeff = np.empty((ncy, ncx))
             for cy in range(ncy):
@@ -354,7 +375,7 @@ class TestCriterion7OracleEquivalence:
                 alphabet = make_alphabet_2d([(1, 0), (1, 1), (2, 0)])
                 s = 1.2
             geometry = make_geometry(d, J, 2)
-            m = tocsr(OperatorCache(alphabet, geometry).matrix(s))
+            m = full_matrix(OperatorCache(alphabet, geometry), s)
             res = power_iteration(m)
             br = spectral_bracket(m, res.w, res.iterations)
             rho = np.abs(np.linalg.eigvals(m.toarray())).max()

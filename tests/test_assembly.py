@@ -9,13 +9,13 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 
 from fracdim import assembly
-from fracdim.assembly import OperatorCache
+from fracdim.assembly import OperatorCache, kept_points
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import make_geometry, operator_footprint
 from fracdim.spectral import FLOAT_SLACK
-from oracles import letter_structure, tocsr
+from oracles import full_matrix, full_product, letter_structure
 
 W = np.array([-0.125, 1.25, -0.125])
 
@@ -95,7 +95,7 @@ class TestOracle1D:
         alphabet = make_alphabet_1d([1, 2])
         cache = OperatorCache(alphabet, make_geometry(1, 12, 2))
         op = cache.matrix(0.6)
-        dense = tocsr(op).toarray()
+        dense = full_matrix(cache, 0.6).toarray()
         rng = np.random.default_rng(5)
         v = rng.uniform(0.5, 1.5, op.shape[0])
         assert np.abs(op @ v - dense @ v).max() < 1e-14
@@ -111,7 +111,8 @@ class TestOracle2D:
         for s in (1.0, 1.149577146906169):
             op = cache.matrix(s)
             for _ in range(17):
-                v = rng.uniform(0.1, 2.0, op.shape[0])
+                # the alphabet is closed under e2 -> -e2: a symmetric v
+                v = cache.symmetric(rng.uniform(0.1, 2.0, op.shape[0]))
                 got = op @ v
                 expect = oracle_apply_2d(alphabet, s, grid, v)
                 assert np.abs(got - expect).max() <= 1e-12
@@ -149,9 +150,13 @@ class TestStructure:
         # exterior midpoints per side and n more splines than subintervals
         assert cache.N == 13 * 15
         assert cache.Ncoef == 11 * 13
+        # the alphabet is closed under e2 -> -e2: only the 8 of 15 y rows
+        # with y >= 0 (one of them at y = 0) are built
+        assert cache.kept == 13 * 8
         op = cache.matrix(1.0)
         assert op.shape == (195, 195)
-        assert tocsr(op).shape == (195, 195)
+        assert op.G.shape == (13 * 8 * 2, 11 * 13)
+        assert full_matrix(cache, 1.0).shape == (195, 195)
 
     def test_s_only_enters_through_weights(self):
         alphabet = make_alphabet_1d([1, 2])
@@ -162,7 +167,7 @@ class TestStructure:
         assert np.array_equal(op1.G.data, op2.G.data)
         assert np.array_equal(op1.weights, cache.evaluation_matrix(0.5))
         assert not np.allclose(op1.weights, op2.weights)
-        G1, G2 = tocsr(op1), tocsr(op2)
+        G1, G2 = full_matrix(cache, 0.5), full_matrix(cache, 0.8)
         assert np.array_equal(G1.indptr, G2.indptr)
         assert not np.allclose(G1.data, G2.data)
 
@@ -212,8 +217,9 @@ def cache(request):
 
 
 def exact_product(op, v) -> list[Fraction]:
-    """op @ v summed exactly from the same float factors the product
-    rounds: the entries of op.G, the letter weights and the coefficients."""
+    """The kept rows of op @ v summed exactly from the same float factors
+    the product rounds: the entries of op.G, the letter weights and the
+    coefficients."""
     c = [Fraction(x) for x in op.coefficients(v).tolist()]
     G = op.G
     data, indices = G.data.tolist(), G.indices.tolist()
@@ -224,7 +230,7 @@ def exact_product(op, v) -> list[Fraction]:
     return [sum((Fraction(w) * r for w, r in
                  zip(op.weights[i].tolist(), rows[i * E:(i + 1) * E])),
                 Fraction(0))
-            for i in range(op.shape[0])]
+            for i in range(len(op.weights))]
 
 
 def written_G(op) -> sparse.csr_matrix:
@@ -243,11 +249,11 @@ class TestStackedForm:
 
     def test_products_agree(self, cache):
         rng = np.random.default_rng(3)
-        v = rng.uniform(0.5, 1.5, cache.N)
+        v = cache.symmetric(rng.uniform(0.5, 1.5, cache.N))
         for s in (0.5, 0.9, 1.2):
             op = cache.matrix(s)
             y = written_G(op) @ op.coefficients(v)
-            ys = op @ v
+            ys = (op @ v)[cache.N - cache.kept:]
             assert np.all(np.abs(ys - y) <= 1e-14 * np.abs(y))
 
     def test_materializes_to_the_same_matrix(self, cache):
@@ -255,21 +261,22 @@ class TestStackedForm:
         # the coefficient map, first axis innermost
         W = op.W1s[0] if len(op.W1s) == 1 else sparse.kron(op.W1s[1], op.W1s[0])
         a = (written_G(op) @ W).toarray()
-        b = tocsr(op).toarray()
+        b = full_matrix(cache, 0.9)[cache.N - cache.kept:].toarray()
         assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
 
     def test_probes_share_one_G(self, cache):
         a, b = cache.matrix(0.5), cache.matrix(0.8)
         assert a.G is b.G
-        assert a.weights.shape == (cache.N, len(cache.alphabet.letters))
+        assert a.weights.shape == (cache.kept, len(cache.alphabet.letters))
         assert not np.array_equal(a.weights, b.weights)
 
     def test_rounding_within_slack(self, cache):
         # each row rounds within FLOAT_SLACK / 100 of the exact rational sum
         # of its own float factors
-        v = np.random.default_rng(4).uniform(0.5, 1.5, cache.N)
+        v = cache.symmetric(np.random.default_rng(4).uniform(0.5, 1.5,
+                                                             cache.N))
         op = cache.matrix(1.0)
-        y = op @ v
+        y = (op @ v)[cache.N - cache.kept:]
         for yi, ex in zip(y.tolist(), exact_product(op, v)):
             assert abs(Fraction(yi) - ex) <= Fraction(FLOAT_SLACK / 100) * ex
 
@@ -277,7 +284,8 @@ class TestStackedForm:
 class TestBlockBuild:
     """The block build computes every entry of Gs and lg by the same
     floating-point operations, in the same order, as a build one letter at
-    a time over the whole mesh; where the blocks end changes no bit."""
+    a time over the whole mesh (its tail of kept points on a folded mesh);
+    where the blocks end changes no bit."""
 
     @pytest.mark.parametrize("text,d,J", [("1,2,3", 1, 16), ("primes<50", 1, 64),
                                           ("1..100", 1, 200), (SET_2D, 2, 40)])
@@ -294,10 +302,80 @@ class TestBlockBuild:
             monkeypatch.setattr(assembly, "BLOCK_ROWS", 13 * E + 1)
         cache = OperatorCache(alphabet, grid)
         G = cache.matrix(1.0).G
+        # the kept rows of the whole-mesh structure
+        r0 = (N - cache.kept) * E
+        data, indices, indptr, lg = letter_structure(alphabet, grid)
+        K = indptr[1]
+        want = (data[r0 * K:], indices[r0 * K:], indptr[r0:] - r0 * K,
+                lg[N - cache.kept:])
+        assert (cache.kept < N) == (d == 2)
         for got, want in zip((G.data, G.indices, G.indptr, cache._lg),
-                             letter_structure(alphabet, grid)):
+                             want):
             assert np.array_equal(got, want)
         assert G.indices.dtype == G.indptr.dtype == np.int32
+
+
+NOT_CLOSED = "(1,0),(1,1),(2,0)"
+
+
+class TestFold:
+    """A 2D alphabet closed under (e1, e2) -> (e1, -e2), on a grid whose y
+    midpoints negate exactly, builds the rows of its points with y >= 0
+    only, and a product copies each into its mirror row.  Checked against
+    the whole-mesh product of the letter-at-a-time structure."""
+
+    # 16 and 29 y midpoints: an odd count puts one row at y = 0
+    @pytest.mark.parametrize("J", [12, 25])
+    def test_kept_rows_bitwise_mirrored_within_slack(self, J):
+        alphabet, grid = parse_alphabet(SET_2D), make_geometry(2, J, 2)
+        cache = OperatorCache(alphabet, grid)
+        Ny, Nx = grid.sample_shape
+        assert cache.kept == kept_points(alphabet, grid) == (Ny - Ny // 2) * Nx
+        r0 = cache.N - cache.kept
+        rng = np.random.default_rng(J)
+        for s in (0.9, 1.15):
+            v = cache.symmetric(rng.uniform(0.5, 1.5, cache.N))
+            got, want = cache.matrix(s) @ v, full_product(cache, s, v)
+            assert np.array_equal(got[r0:], want[r0:])
+            assert np.all(np.abs(got[:r0] - want[:r0])
+                          <= FLOAT_SLACK * want[:r0])
+
+    def test_asymmetric_vector_refused(self):
+        cache = OperatorCache(parse_alphabet(SET_2D), make_geometry(2, 12, 2))
+        v = np.ones(cache.N)
+        cache.matrix(1.0) @ v
+        v[0] = math.nextafter(1.0, 2.0)
+        with pytest.raises(ValueError, match="symmetric in y"):
+            cache.matrix(1.0) @ v
+
+    def test_symmetric(self):
+        folded = OperatorCache(parse_alphabet(SET_2D), make_geometry(2, 12, 2))
+        v = np.random.default_rng(5).uniform(0.5, 1.5, folded.N)
+        w = folded.symmetric(v)
+        W = w.reshape(folded.geometry.sample_shape)
+        assert np.array_equal(W, W[::-1]) and w.min() > 0.0
+        assert np.array_equal(folded.symmetric(w), w)
+        unfolded = OperatorCache(parse_alphabet(NOT_CLOSED),
+                                 make_geometry(2, 12, 2))
+        assert unfolded.symmetric(v) is v
+
+    @pytest.mark.parametrize("grid", ["standard", "offset-y"])
+    def test_unfolded_keeps_every_row(self, grid):
+        # an alphabet not closed under e2 -> -e2, or a y axis that is not
+        # symmetric about 0: every row is built and any vector is taken
+        if grid == "standard":
+            alphabet, grid = (parse_alphabet(NOT_CLOSED),
+                              make_geometry(2, 12, 2))
+        else:
+            alphabet = parse_alphabet(SET_2D)
+            grid = TensorGrid((make_geometry(2, 8, 2).axes[0],
+                               make_uniform_knots(-0.625, 0.875, 12, 2)))
+        cache = OperatorCache(alphabet, grid)
+        assert cache.kept == cache.N == kept_points(alphabet, grid)
+        v = np.random.default_rng(6).uniform(0.5, 1.5, cache.N)
+        for s in (0.9, 1.15):
+            assert np.array_equal(cache.matrix(s) @ v,
+                                  full_product(cache, s, v))
 
 
 def kept_bytes(cache) -> int:

@@ -30,6 +30,27 @@ class TestKnots:
         assert lo == -0.5 and hi == 0.5
         assert ks.knots[0] == pytest.approx(-0.5 - 2 * ks.h, abs=1e-16)
 
+    @pytest.mark.parametrize("J", [7, 25, 125, 500])
+    def test_symmetric_domain_negates_exactly(self, J):
+        # the y axis of make_geometry(2, J, 2): J + 4 subintervals
+        # on [-1/2 - 2h, 1/2 + 2h]; an odd count puts a midpoint at 0
+        h = 1.0 / J
+        ks = make_uniform_knots(-0.5 - 2 * h, 0.5 + 2 * h, J + 4, 2)
+        assert np.array_equal(ks.knots, -ks.knots[::-1])
+        assert np.array_equal(ks.midpoints, -ks.midpoints[::-1])
+        assert (ks.knots[2], ks.knots[J + 6]) == (ks.domain_lo, ks.domain_hi)
+        assert (ks.midpoints == 0.0).sum() == J % 2
+
+    @pytest.mark.parametrize("J", [7, 16, 3200])
+    def test_one_sided_domain_knots(self, J):
+        # a domain not symmetric about 0 (the 1D and 2D x axes) keeps
+        # xi_j = domain_lo + (j - n) h, bit for bit
+        h = 1.0 / J
+        ks = make_uniform_knots(0.0, 1.0 + 2 * h, J + 2, 2)
+        j = np.arange(J + 7, dtype=np.float64)
+        assert np.array_equal(ks.knots, 0.0 + (j - 2) * ((1.0 + 2 * h)
+                                                         / (J + 2)))
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             make_uniform_knots(1.0, 0.0, 4, 2)

@@ -25,8 +25,8 @@ from fracdim.solver import (S_FLOOR, CertificationError,
                             convergence_study, make_geometry,
                             operator_footprint, solve_dimension)
 from fracdim.spectral import ConeCertificate, FLOAT_SLACK, scaled_bracket
-from oracles import (ConvergedProbes, eval_quasi_interpolant,
-                     parameter_interval, tocsr)
+from oracles import (ConvergedProbes, chebyshev_dimension_2d,
+                     eval_quasi_interpolant, full_matrix, parameter_interval)
 
 A12 = make_alphabet_1d([1, 2])
 A2D = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
@@ -72,7 +72,7 @@ def converging_probes(alphabet, J):
 
 
 def dense_rho(cache, s):
-    m = tocsr(cache.matrix(s)).toarray()
+    m = full_matrix(cache, s).toarray()
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
@@ -508,18 +508,24 @@ class TestFootprint:
 
     def test_2400_estimate_and_refusal(self, monkeypatch, no_builds, capsys):
         # J = 2400: the bytes its cache would keep, counted here from N,
-        # |E| and K without building it, are most of the estimate
+        # |E| and K without building it, are most of the estimate less the
+        # sample vectors.  The alphabet is closed under e2 -> -e2, so the
+        # cache keeps the points of 1204 of the 2408 y rows, and the
+        # vectors stay full length
         fp = operator_footprint(A2D, make_geometry(2, 2400, 2))
-        rows = (2400 + 6) * (2400 + 8) * 4
+        N = (2400 + 6) * (2400 + 8)
+        rows = (2400 + 6) * (2400 + 8) // 2 * 4
         kept = rows * 9 * (8 + 4) + (rows + 1) * 4 + rows * 8
         assert fp["Gs"] + fp["lg"] == kept
-        assert kept < fp["total"] < 1.3 * kept
-        monkeypatch.setattr(solver, "_mem_available", lambda: 3 * 2**30)
+        assert fp["vectors"] == 48 * N
+        assert kept < fp["total"] - fp["vectors"] < 1.3 * kept
+        # the estimate is about 1772 MiB
+        monkeypatch.setattr(solver, "_mem_available", lambda: 2**30)
         assert run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
                     "--h", "1/2400", "--s-cap", "1.15", "--alpha", "0.2",
                     "--beta", "0.2"]) == EXIT_INADMISSIBLE
         err = capsys.readouterr().err
-        assert "mesh too large" in err and "3072 MiB available" in err
+        assert "mesh too large" in err and "1024 MiB available" in err
         for part in fp:
             assert f"{part:>12}: {fp[part] / 2**20:.1f} MiB" in err
 
@@ -916,7 +922,8 @@ class TestTwoStepRefinement:
                                                alpha=0.2, beta=0.2))
         assert meshes == [("solve", 500), ("build", solver.COARSE_J),
                           ("build", 125), ("build", 500)]
-        assert (b.s_lo, b.s_hi) == (1.1495293685592622, 1.1496249227196633)
+        assert (b.s_lo, b.s_hi) == (1.1495293685592622, 1.1496249227196629)
+        assert b.s_lo <= chebyshev_dimension_2d(A2D.letters) <= b.s_hi
         assert len(b.probes) == 5
         # the quasi-interpolated coarse iterate starts the converged probe
         # (9 iterations; 14 from the linear start) and the coarse ratio the
@@ -974,6 +981,7 @@ class TestTwoStepRefinement:
         # fine 1e-6 estimate sets: a lower cap only narrows it
         assert 0 <= b.s_lo - 0.3374058610806828 < 1e-8
         assert 0 <= 0.3374676985929428 - b.s_hi < 1e-8
+        assert b.s_lo <= chebyshev_dimension_2d(alphabet.letters) <= b.s_hi
 
 
 class TestConvergenceStudy:

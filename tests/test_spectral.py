@@ -14,7 +14,7 @@ from fracdim.solver import make_geometry
 from fracdim.spectral import (FLOAT_SLACK, PositivityError, cone_membership,
                               power_iteration, scaled_bracket,
                               spectral_bracket)
-from oracles import tocsr
+from oracles import full_matrix
 
 
 def dense_rho(A):
@@ -57,7 +57,7 @@ class TestPowerIteration:
         cache = OperatorCache(make_alphabet_1d([1, 2]), make_geometry(1, 20, 2))
         op = cache.matrix(0.5313)
         res = power_iteration(op)
-        rho = dense_rho(tocsr(op).toarray())
+        rho = dense_rho(full_matrix(cache, 0.5313).toarray())
         assert res.lam == pytest.approx(rho, rel=1e-10)
 
     def test_warm_start(self):
@@ -98,9 +98,11 @@ class TestDecisionStop:
     it excludes 1, or (1 - err) beta < 1 < (1 + err) alpha."""
 
     @staticmethod
-    def operator(s):
-        return OperatorCache(make_alphabet_1d([1, 2]),
-                             make_geometry(1, 64, 2)).matrix(s)
+    def cache():
+        return OperatorCache(make_alphabet_1d([1, 2]), make_geometry(1, 64, 2))
+
+    def operator(self, s):
+        return self.cache().matrix(s)
 
     @pytest.mark.parametrize("s", [0.45, 0.6])
     def test_stops_once_decided(self, s):
@@ -113,7 +115,7 @@ class TestDecisionStop:
         br = spectral_bracket(op, res.w, y=res.y)
         assert (1 - err) * br.alpha >= 1.0 or (1 + err) * br.beta <= 1.0
         # the dense radius stays inside the early, looser bracket
-        rho = dense_rho(tocsr(op).toarray())
+        rho = dense_rho(full_matrix(self.cache(), s).toarray())
         assert br.alpha <= rho <= br.beta
         assert br.beta - br.alpha > full.spread
 
@@ -210,15 +212,16 @@ class TestSpectralBracket:
         cases = []
         cache1 = OperatorCache(make_alphabet_1d([1, 2]),
                                make_geometry(1, 16, 2))
-        cases.append(cache1.matrix(0.5313))
+        cases.append((cache1, 0.5313))
         cache2 = OperatorCache(
             make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)]),
             make_geometry(2, 8, 2))
-        cases.append(cache2.matrix(1.1496))
-        for op in cases:
+        cases.append((cache2, 1.1496))
+        for cache, s in cases:
+            op = cache.matrix(s)
             res = power_iteration(op)
             br = spectral_bracket(op, res.w)
-            rho = dense_rho(tocsr(op).toarray())
+            rho = dense_rho(full_matrix(cache, s).toarray())
             assert br.alpha <= rho <= br.beta
 
     def test_loose_vector_gives_wide_valid_bracket(self):
