@@ -25,7 +25,7 @@ stacked matrix Gs, with one row per (point, letter) holding that letter's
 K = (n+1)^d basis-value products, and one log derivative norm lg per
 (point, letter).  It builds them in blocks of points, all letters at once,
 straight into the final arrays, so the build holds one block of temporaries
-beside its result (solver.operator_footprint counts both).  A probe at s
+beside its result (operator_footprint counts both).  A probe at s
 takes one exp per (point, letter), w = exp(s lg), and applies
 G(s) = sum_e diag(w_e) G_e without writing it: y_i = sum_e w[i, e]
 (Gs @ c)[i |E| + e].
@@ -94,6 +94,24 @@ def kept_points(alphabet: Alphabet, geometry: TensorGrid) -> int:
         return N
     Ny, Nx = geometry.sample_shape
     return (Ny - Ny // 2) * Nx
+
+
+def operator_footprint(alphabet: Alphabet, geometry: TensorGrid) -> dict:
+    """Peak bytes of one mesh's operator in a solve, by part and in total,
+    from N, the kept points (kept_points: about N / 2 on a folded 2D mesh),
+    |E| and K = (n+1)^d: the OperatorCache's stacked Gs (values, columns,
+    row pointers) and lg, a probe's weights and G @ c (kept |E| doubles
+    each), six sample vectors of the power iteration, and one block of the
+    build (at most 2K + 4(n+1) doubles per row: tensor products, per-axis
+    windows and workspace)."""
+    N = math.prod(geometry.sample_shape)
+    rows = kept_points(alphabet, geometry) * len(alphabet.letters)
+    K = (geometry.n + 1) ** geometry.d
+    idx = np.dtype(index_dtype(rows * K)).itemsize
+    parts = {"Gs": rows * K * (8 + idx) + (rows + 1) * idx, "lg": 8 * rows,
+             "probe": 16 * rows, "vectors": 48 * N,
+             "block": 8 * BLOCK_ROWS * (2 * K + 4 * (geometry.n + 1))}
+    return {**parts, "total": sum(parts.values())}
 
 
 def coefficient_map(ks: KnotSequence,

@@ -126,9 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON config file; explicit flags override it")
         p.add_argument("--reproduce", choices=sorted(REPRODUCTIONS),
                        default=None, help="run a published-table preset")
-        p.add_argument("--unsafe-h", dest="unsafe_h", action="store_true",
-                       default=None,
-                       help="allow point estimates at inadmissible h")
 
     p_cert = sub.add_parser("certify", help="certified dimension bracket")
     common(p_cert)
@@ -137,6 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="point estimate of the dimension")
     common(p_est)
     p_est.add_argument("--h", default=None)
+    p_est.add_argument("--unsafe-h", dest="unsafe_h", action="store_true",
+                       default=None, help="allow an inadmissible h")
 
     p_conv = sub.add_parser("converge", help="mesh-refinement convergence study")
     common(p_conv)

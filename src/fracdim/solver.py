@@ -6,16 +6,17 @@ pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
 B_h above 1 certifies s <= s*.  Only the two probes that end the search are
 part of the proof, so a certified solve first predicts both endpoints where
 log lam of converged point probes crosses the levels of the two proofs
-(_crossings), on a ladder of two coarse meshes: the seed mesh of about
-COARSE_J subintervals (which in 2D first finds the crossing of 0 that caps
-s), then, inside a window around the seed crossings, a mesh
-SEARCH_COARSENING times coarser than the fine one (_search).  It moves
-both predictions by the Newton step of one converged fine probe (_newton),
-then probes the fine mesh next to each and bisects only where those probes
-straddle it.  Point-estimate mode sets err = 0 and bisects the eigenvalue
-estimate itself on [S_FLOOR, d] (what convergence tables measure), or,
-within a convergence study, from a window around the previous meshes'
-estimates.
+(_crossings), on one ladder of meshes: the seed mesh of about COARSE_J
+subintervals (which in 2D first finds the crossing of 0 that caps s), a
+mesh SEARCH_COARSENING times coarser than the fine one where that is finer
+than the seed mesh, and the fine mesh.  Each finer mesh starts from the
+coarser one's iterate and moves its predictions by the Newton step of one
+converged probe (_newton); the J // SEARCH_COARSENING mesh then finds its
+crossings in a window around the moved ones, and the fine mesh probes next
+to each moved prediction and bisects only where those probes straddle it.
+Point-estimate mode sets err = 0 and bisects the eigenvalue estimate itself
+on [S_FLOOR, d] (what convergence tables measure), or, within a convergence
+study, from a window around the previous meshes' estimates.
 
 Every probe follows one rule.  On a certifiable mesh (h admissible and
 M' < M) it stops at its decision and checks its cone; a point probe is the
@@ -32,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from .assembly import (BLOCK_ROWS, OperatorCache, check_degree,
-                       coefficient_map, index_dtype, kept_points)
+from .assembly import (OperatorCache, check_degree, coefficient_map,
+                       operator_footprint)
 from .bspline import TensorGrid, make_uniform_knots, uniform_basis
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
@@ -47,12 +48,12 @@ from .spectral import (FLOAT_SLACK, POWER_TOL, cone_membership,
 S_FLOOR = 1e-6
 
 # subintervals per axis of the seed mesh of a certified solve, whose
-# crossings set the 2D cap and seed the search: the first mesh of the
+# crossings set the 2D cap and seed the predictions: the first mesh of the
 # published 2D sweeps
 COARSE_J = 25
 
-# a certified solve on J subintervals predicts its endpoints on J // 4; on
-# meshes where that is below COARSE_J it bisects the fine mesh directly
+# a certified solve on J subintervals refines the seed mesh's predictions
+# on J // 4 where that is finer than the seed mesh
 SEARCH_COARSENING = 4
 
 
@@ -108,7 +109,6 @@ class SolveConfig:
     alphabet: Alphabet
     n: int = 2
     h: float | None = None
-    J: int | None = None
     mode: str = "certified"  # certified | point-estimate
     tol_s: float | None = None
     s_cap: float | None = None
@@ -119,7 +119,7 @@ class SolveConfig:
     mesh: str = "intervals"  # intervals | nodes
 
     def resolve_mesh(self) -> int:
-        """Number of subintervals J, from J or an exact-reciprocal h.
+        """Number of subintervals J, from an exact-reciprocal h.
 
         mesh='intervals' reads h = 1/J exactly; mesh='nodes' reads 1/h as the
         number of mesh NODES, i.e. J = 1/h - 1 subintervals (the convention
@@ -127,15 +127,8 @@ class SolveConfig:
         """
         if self.mesh not in ("intervals", "nodes"):
             raise ValueError("mesh must be 'intervals' or 'nodes'")
-        if self.J is not None:
-            if self.J < 1:
-                raise ValueError(f"J = {self.J} is not a positive number of "
-                                 "subintervals")
-            if self.h is not None and abs(self.h * self.J - 1.0) > 1e-9:
-                raise ValueError("h and J disagree")
-            return self.J
         if self.h is None:
-            raise ValueError("one of h or J is required")
+            raise ValueError("h is required")
         if not self.h > 0:
             raise ValueError(f"h = {self.h} is not positive")
         J = round(1.0 / self.h)
@@ -204,11 +197,13 @@ class ProbeEngine:
     1, so its lam sits on the side of 1 a converged one would.  Without
     `certifiable` each probe runs to convergence, with no cone check.
 
-    `start`, a strictly positive vector on the cache's samples (as
-    _prolong makes from a coarse iterate; power_iteration refuses any
-    other), warm-starts the first probe (ones otherwise).  Each warm start
-    passes through cache.symmetric, which a folded cache's products need
-    and which leaves an iterate as it is.  A probe given a
+    `warm` is the vector the next probe starts from: `start`, a strictly
+    positive vector on the cache's samples (as _prolong makes from a coarse
+    iterate; power_iteration refuses any other), or ones where that is
+    None, then each probe's last iterate.  _crossings reads it, and a
+    caller may replace it with another positive vector between probes.
+    Each warm start passes through cache.symmetric, which a folded cache's
+    products need and which leaves an iterate as it is.  A probe given a
     power tolerance `tol` runs to convergence at it instead of stopping at
     its decision; on a certifiable mesh its cone is checked all the same.
     The engine's `tol` is the power tolerance of a probe that runs to
@@ -224,7 +219,7 @@ class ProbeEngine:
         self.certifiable = certifiable
         self.tol = tol
         self.records: dict[float, dict] = {}
-        self._warm = start
+        self.warm = start
 
     def probe(self, s: float, tol: float | None = None) -> dict:
         s = float(s)
@@ -232,12 +227,11 @@ class ProbeEngine:
             return self.records[s]
         m = self.cache.matrix(s)
         decide = self.certifiable and tol is None
-        start = None if self._warm is None else self.cache.symmetric(
-            self._warm)
+        start = None if self.warm is None else self.cache.symmetric(self.warm)
         res = power_iteration(m, tol=self.tol if tol is None else tol,
                               start=start,
                               decide_err=self.err if decide else None)
-        self._warm = res.w
+        self.warm = res.w
         cone = cone_membership(res.w, self.cache.geometry, self.profile.M)
         if self.certifiable and not cone.member:
             raise CertificationError(
@@ -405,13 +399,13 @@ def _crossings(engine: ProbeEngine, levels, a: float, b: float,
     level in [a, b] (see _predict).  Each level's search starts from all of
     the engine's earlier probes, which then pass the monotonicity audit.
     Returns the crossings and the iterates that ended each level's search
-    (eigenvectors next to its crossing, which _prolong carries to a finer
-    mesh as its start).
+    (the engine's `warm`: eigenvectors next to its crossing, which _prolong
+    carries to a finer mesh as its start).
     """
     crossings, iterates = [], []
     for level in levels:
         crossings.append(_predict(engine, a, b, level, eps))
-        iterates.append(engine._warm)
+        iterates.append(engine.warm)
     engine.audit_monotonicity()
     return tuple(crossings), iterates
 
@@ -430,62 +424,14 @@ def _seed_engine(alphabet: Alphabet, profile: RigorProfile) -> ProbeEngine:
                        0.0, certifiable=False)
 
 
-def _search(seed: ProbeEngine, J_c: int, profile: RigorProfile, levels,
-            a: float, b: float, tol: float):
-    """Where log lam crosses both levels (the lower s first) in [a, b] on
-    J_c subintervals, seeded by the same crossings on the seed mesh.
-
-    The seed crossings g_lo <= g_hi (_crossings, to tol / 4) give the slope
-    sigma of -log lam between them.  The J_c engine starts from the seed
-    iterate at g_lo, carried over by _prolong, and its probes converge to
-    max(sigma tol / 4, POWER_TOL), which places a crossing to about tol / 4
-    in s.  Its first probe, at g_lo, measures the shift between the two
-    meshes' crossings as a Newton step, (log lam - levels[0]) / sigma.  The
-    window [g_lo - D, g_hi + D] in [a, b], with D the largest of
-    g_hi - g_lo, twice that step and tol / 4, then straddles both
-    crossings, or a side that answers the wrong way moves outward by 2 D,
-    4 D, ... (as in _bisect) until it does or it reaches a or b; the window
-    is [a, b] when sigma is not positive.  _crossings then finds both
-    crossings inside it, each a or b where [a, b] holds none.  The J_c
-    cache is freed on return.
-
-    Returns the seed crossings, the J_c crossings, the J_c iterates that
-    ended each level's search with their geometry, and the number of J_c
-    probes.
-    """
-    eps = tol / 4
-    (g_lo, g_hi), (w_seed, _) = _crossings(seed, levels, a, b, eps)
-    sigma = (levels[0] - levels[1]) / (g_hi - g_lo) if g_hi > g_lo else 0.0
-    coarse = make_geometry(seed.cache.geometry.d, J_c, profile.n)
-    # the start before the build, so its temporaries precede the build's
-    start = _prolong(w_seed, seed.cache.geometry, coarse, profile.q)
-    engine = ProbeEngine(
-        OperatorCache(seed.cache.alphabet, coarse, profile.q), profile, 0.0,
-        certifiable=False, start=start, tol=max(sigma * tol / 4, POWER_TOL))
-
-    def f(s, level):
-        return math.log(engine.probe(s)["lam"]) - level
-
-    newton = abs(f(g_lo, levels[0])) / sigma if sigma > 0.0 else math.inf
-    D = max(g_hi - g_lo, 2.0 * newton, eps)
-    lo, hi = max(a, g_lo - D), min(b, g_hi + D)
-    step = 2.0 * D
-    while lo > a and f(lo, levels[0]) <= 0.0:
-        lo, step = max(a, lo - step), 2.0 * step
-    step = 2.0 * D
-    while hi < b and f(hi, levels[1]) > 0.0:
-        hi, step = min(b, hi + step), 2.0 * step
-    crossings, iterates = _crossings(engine, levels, lo, hi, eps)
-    return (g_lo, g_hi), crossings, (iterates, coarse), len(engine.records)
-
-
 def _newton(engine: ProbeEngine, guesses, levels, a: float, b: float,
             tol: float):
-    """Both guesses moved by one Newton step of the lower one on the fine
-    mesh, and that step in s (None where it is skipped).
+    """Both guesses, the crossings of the two levels on a coarser mesh,
+    moved by one Newton step of the lower one on the engine's mesh, and
+    that step in s (None where it is skipped).
 
-    The coarse predictions share the mesh's discretization shift, so one
-    fine probe at the lower guess, converged until log lam is known to
+    The coarse predictions share the two meshes' discretization shift, so
+    one probe at the lower guess, converged until log lam is known to
     sigma tol / 8, measures it for both: shift = (log lam - levels[0]) /
     sigma, along the slope sigma of -log lam between the two coarse
     crossings, which costs no probe.  Skipped, guesses unchanged, when a
@@ -499,24 +445,6 @@ def _newton(engine: ProbeEngine, guesses, levels, a: float, b: float,
     lam = engine.probe(g_lo, tol=max(sigma * tol / 8, POWER_TOL))["lam"]
     shift = (math.log(lam) - levels[0]) / sigma
     return (g_lo + shift, g_hi + shift), shift
-
-
-def operator_footprint(alphabet: Alphabet, geometry: TensorGrid) -> dict:
-    """Peak bytes of one mesh's operator in a solve, by part and in total,
-    from N, the kept points (kept_points: about N / 2 on a folded 2D mesh),
-    |E| and K = (n+1)^d: the OperatorCache's stacked Gs (values, columns,
-    row pointers) and lg, a probe's weights and G @ c (kept |E| doubles
-    each), six sample vectors of the power iteration, and one block of the
-    build (at most 2K + 4(n+1) doubles per row: tensor products, per-axis
-    windows and workspace)."""
-    N = math.prod(geometry.sample_shape)
-    rows = kept_points(alphabet, geometry) * len(alphabet.letters)
-    K = (geometry.n + 1) ** geometry.d
-    idx = np.dtype(index_dtype(rows * K)).itemsize
-    parts = {"Gs": rows * K * (8 + idx) + (rows + 1) * idx, "lg": 8 * rows,
-             "probe": 16 * rows, "vectors": 48 * N,
-             "block": 8 * BLOCK_ROWS * (2 * K + 4 * (geometry.n + 1))}
-    return {**parts, "total": sum(parts.values())}
 
 
 def _mem_available(meminfo: str = "/proc/meminfo") -> int | None:
@@ -541,14 +469,16 @@ def _setup(config: SolveConfig):
     the admissible bound (only a point estimate may pass unsafe_h to go
     on); in certified mode also ValueError for a 2D degree other than 2
     (its error bounds are third order), and CertificationError when
-    M' >= M or err >= 1.  A certified 2D solve first lowers s_cap to just
-    above s_hat, where log lam crosses 0 on the seed mesh (_seed_engine and
-    _crossings, to 1e-6 in s), after the guards that do not need the cap: a
-    lower cap shrinks err and M', and admissibility, M' and err are checked
-    at it.  Returns (J, profile, geometry, breakdown, constants, err,
-    certifiable, seed), certifiable when h is admissible and M' < M (always,
-    in certified mode), and seed the pair (seed engine, s_hat) of a
-    certified 2D solve, which the search goes on probing, else None.
+    M' >= M or err >= 1.  A certified solve builds its seed engine
+    (_seed_engine) after the footprint check.  In 2D that engine first
+    lowers s_cap to just above s_hat, where log lam crosses 0 on the seed
+    mesh (_crossings, to 1e-6 in s), after the guards that do not need the
+    cap: a lower cap shrinks err and M', and admissibility, M' and err are
+    checked at it.  Returns (J, profile, geometry, breakdown, constants,
+    err, certifiable, (seed, s_hat)), certifiable when h is admissible and
+    M' < M (always, in certified mode), seed the seed engine of a certified
+    solve, which the solve goes on probing, and s_hat that of a certified
+    2D solve; each is None otherwise.
     """
     alphabet = config.alphabet
     certified = config.mode == "certified"
@@ -569,11 +499,10 @@ def _setup(config: SolveConfig):
                             alpha=config.alpha, beta=config.beta, M=config.M)
 
     profile = profile_at(config.s_cap)
-    seed = None
+    seed = _seed_engine(alphabet, profile) if certified else None
+    s_hat = None
     if certified and alphabet.d == 2:
-        engine = _seed_engine(alphabet, profile)
-        (s_hat,), _ = _crossings(engine, (0.0,), S_FLOOR, 2.0, 1e-6)
-        seed = (engine, s_hat)
+        (s_hat,), _ = _crossings(seed, (0.0,), S_FLOOR, 2.0, 1e-6)
         profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
     breakdown = admissible_h(profile, alphabet)
     # the exact 1/J against each rounded-down bound, and strictly below the
@@ -599,7 +528,8 @@ def _setup(config: SolveConfig):
         err = profile.err(h)
         if err >= 1:
             raise CertificationError(f"err = {err:.6g} >= 1: mesh too coarse")
-    return J, profile, geometry, breakdown, constants, err, certifiable, seed
+    return (J, profile, geometry, breakdown, constants, err, certifiable,
+            (seed, s_hat))
 
 
 def solve_dimension(config: SolveConfig, *, guess: float | None = None,
@@ -608,24 +538,29 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
 
     The search interval is [S_FLOOR, d], capped at s_cap in certified mode
     (the rigor constants hold only up to it); a certified 2D solve first
-    lowers s_cap to just above a coarse crossing (see _setup).  A certified
-    solve then predicts both endpoints on J // SEARCH_COARSENING
-    subintervals, unless that is below COARSE_J, before it builds the fine
-    operator: _search finds where log lam crosses the levels at which a
-    converged fine probe's lam_lo and lam_hi reach 1, first on the seed
-    mesh (the 2D cap's engine, or a new one in 1D), then on J //
-    SEARCH_COARSENING inside a window around the seed crossings.  On the
-    fine mesh, one converged probe at the lower prediction moves both
-    predictions by its Newton step (_newton), and _bisect proves each
-    endpoint from its moved prediction.  The first fine probe warm-starts
-    from the coarse iterate at the lower crossing, the first s_hi probe
-    from the last fine iterate times the ratio of the two crossings' coarse
-    iterates, each carried to the fine midpoints by the coarse
-    quasi-interpolant (_prolong; the first before the fine build).  A point
-    estimate bisects [S_FLOOR, d] on the fine mesh, or, given a guess,
-    starts from [guess - radius, guess + radius] (see _bisect); either way
-    it ends at the flip of this mesh's own lam >= 1.  Only a point estimate
-    takes a guess.
+    lowers s_cap to just above a seed-mesh crossing (see _setup).  A
+    certified solve then predicts both endpoints, where log lam of converged
+    point probes crosses the levels at which a converged fine probe's lam_lo
+    and lam_hi reach 1, on a ladder of meshes, each started from the
+    iterate of the one before at the lower crossing (_prolong, before its
+    build) and each moving the crossings of the one before by one Newton
+    step (_newton):
+      - the seed mesh (_setup's engine) finds both crossings in [a, b]
+        (_crossings);
+      - J // SEARCH_COARSENING subintervals, only when that is finer than
+        the seed mesh, finds them inside [g_lo - D, g_hi + D] in [a, b],
+        with g the moved seed crossings and D the larger of |shift| and
+        tol / 4 (at least 4 ulp), or in [a, b] when the step is skipped;
+        its probes converge to max(sigma tol / 4, POWER_TOL), sigma the
+        slope of -log lam between the seed crossings;
+      - on the fine mesh, _bisect proves each endpoint from its moved
+        prediction, the first s_hi probe started from the last fine
+        iterate times the ratio of the two crossings' coarse iterates.
+    Each coarse cache is freed before the next build.  A point estimate
+    bisects [S_FLOOR, d] on the fine mesh, or, given a guess, starts from
+    [guess - radius, guess + radius] (see _bisect); either way it ends at
+    the flip of this mesh's own lam >= 1.  Only a point estimate takes a
+    guess.
     A cap below the dimension fails the certified straddle test at the cap,
     so it ends in a ValueError, never in a wrong bracket.
     """
@@ -634,39 +569,53 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     certified = config.mode == "certified"
     if certified and guess is not None:
         raise ValueError("only a point estimate takes a guess")
-    J, profile, geometry, breakdown, constants, err, certifiable, seed = (
-        _setup(config))
+    J, profile, geometry, breakdown, constants, err, certifiable, (
+        seed, s_hat) = _setup(config)
     d = config.alphabet.d
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
-    guesses, coarse, search = (None, None), None, None
-    J_c = J // SEARCH_COARSENING
-    if certified and J_c >= COARSE_J:
+    start, search = None, None
+    if certified:
         # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
         levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
                   -math.log1p(err) - math.log1p(FLOAT_SLACK))
-        seed, s_hat = seed or (_seed_engine(config.alphabet, profile), None)
-        seeds, guesses, (iterates, coarse), probes = _search(
-            seed, J_c, profile, levels, a, b, tol)
-        search = {"J_s": round(1.0 / seed.cache.geometry.h), "s_hat": s_hat,
-                  "seed_lo": seeds[0], "seed_hi": seeds[1],
-                  "seed_probes": len(seed.records), "J_c": J_c,
-                  "s_lo": guesses[0], "s_hi": guesses[1], "probes": probes}
-    seed = None  # the seed cache is freed before the fine build
-    # the start before the fine build, so its temporaries precede the
-    # build's
-    start = (_prolong(iterates[0], coarse, geometry, profile.q) if coarse
-             else None)
+        guesses, iterates = _crossings(seed, levels, a, b, tol / 4)
+        coarse = seed.cache.geometry
+        search = {"J_s": round(1.0 / coarse.h), "s_hat": s_hat,
+                  "seed_lo": guesses[0], "seed_hi": guesses[1],
+                  "seed_probes": len(seed.records), "J_c": None,
+                  "s_lo": None, "s_hi": None, "probes": 0}
+        seed = None  # freed before the finer builds
+        J_c = J // SEARCH_COARSENING
+        if J_c > search["J_s"]:
+            g_lo, g_hi = guesses
+            sigma = ((levels[0] - levels[1]) / (g_hi - g_lo) if g_hi > g_lo
+                     else 0.0)
+            mid = make_geometry(d, J_c, profile.n)
+            # each start before its build, so its temporaries precede the
+            # build's
+            start = _prolong(iterates[0], coarse, mid, profile.q)
+            engine = ProbeEngine(
+                OperatorCache(config.alphabet, mid, profile.q), profile, 0.0,
+                certifiable=False, start=start,
+                tol=max(sigma * tol / 4, POWER_TOL))
+            moved, shift = _newton(engine, guesses, levels, a, b, tol)
+            lo, hi = a, b
+            if shift is not None:
+                D = max(abs(shift), tol / 4, 4.0 * math.ulp(moved[1]))
+                lo, hi = max(a, moved[0] - D), min(b, moved[1] + D)
+            guesses, iterates = _crossings(engine, levels, lo, hi, tol / 4)
+            search.update(J_c=J_c, probes=len(engine.records))
+            coarse, engine = mid, None
+        search["s_lo"], search["s_hi"] = guesses
+        start = _prolong(iterates[0], coarse, geometry, profile.q)
     engine = ProbeEngine(OperatorCache(config.alphabet, geometry, profile.q),
                          profile, err, certifiable, start)
     if certified:
-        if coarse:
-            guesses, search["shift"] = _newton(engine, guesses, levels, a, b,
-                                               tol)
+        guesses, search["shift"] = _newton(engine, guesses, levels, a, b, tol)
         s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol,
                        guesses[0])[0]
-        if coarse:
-            engine._warm = engine._warm * _prolong(
-                iterates[1] / iterates[0], coarse, geometry, profile.q)
+        engine.warm = engine.warm * _prolong(iterates[1] / iterates[0],
+                                             coarse, geometry, profile.q)
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
                        guesses[1])[1]
     else:
@@ -704,8 +653,7 @@ def convergence_study(config: SolveConfig, h_list,
         raise ValueError("Richardson-style rates need at least 3 meshes")
     rows, seed = [], {}
     for h in h_list:
-        cfg = replace(config, h=float(h), J=None, mode="point-estimate",
-                      unsafe_h=True)
+        cfg = replace(config, h=float(h), mode="point-estimate", unsafe_h=True)
         if len(rows) >= 2:
             s1, s2 = rows[-1]["s_h"], rows[-2]["s_h"]
             seed = {"guess": s1, "radius": abs(s1 - s2)}

@@ -6,9 +6,9 @@ derivative norms ||Dphi_e||^s one letter at a time, the operator structure
 built one letter at a time over the whole mesh (every collocation point,
 with no use of the y -> -y symmetry that a folded OperatorCache exploits),
 the transfer operator applied from it and materialized as one sparse
-matrix, probes run to convergence, and the 2D dimension by tensor Chebyshev
-collocation, independent of the package.  None of it runs in a solve; it
-stays simple and slow on purpose.
+matrix, probes run to convergence, and the 1D and 2D dimensions by
+(tensor) Chebyshev collocation, independent of the package.  None of it
+runs in a solve; it stays simple and slow on purpose.
 """
 from __future__ import annotations
 
@@ -254,6 +254,66 @@ def full_matrix(cache: OperatorCache, s: float) -> sparse.csr_matrix:
     return (G @ W).tocsr()
 
 
+def _chebyshev(nodes: int):
+    """The first-kind Chebyshev points t on [-1, 1], and the function whose
+    row k holds their Lagrange basis at u[k] in [-1, 1] (barycentric)."""
+    angles = (2 * np.arange(nodes) + 1) * np.pi / (2 * nodes)
+    t = np.cos(angles)
+    bary = (-1.0) ** np.arange(nodes) * np.sin(angles)
+
+    def lagrange(u):
+        diff = u[:, None] - t[None, :]
+        exact = diff == 0.0
+        diff[exact] = 1.0
+        c = bary / diff
+        c /= c.sum(axis=1, keepdims=True)
+        hit = exact.any(axis=1)
+        c[hit] = exact[hit]
+        return c
+
+    return t, lagrange
+
+
+def _secant_root(f, s0: float, s1: float) -> float:
+    """The root of f by the secant method from s0 and s1."""
+    f0, f1 = f(s0), f(s1)
+    for _ in range(50):
+        if f1 == f0:
+            break
+        s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
+        f1 = f(s1)
+        if abs(s1 - s0) <= 1e-16 * abs(s1):
+            break
+    return s1
+
+
+def _log_lam(terms, s: float) -> float:
+    """log of the spectral radius of sum_e exp(-s lr_e) ell_e, for the
+    (lr_e, ell_e) of `terms`: a dense collocation matrix of L_s."""
+    m = sum(np.exp(-s * lr)[:, None] * ell for lr, ell in terms)
+    return float(np.log(np.abs(np.linalg.eigvals(m)).max()))
+
+
+@lru_cache
+def chebyshev_dimension_1d(letters: tuple, nodes: int = 24) -> float:
+    """The dimension of a 1D alphabet by Chebyshev collocation of L_s on
+    [0, 1], independent of the package: the sibling of
+    chebyshev_dimension_2d.
+
+    f is represented by its values at `nodes` first-kind Chebyshev points
+    and evaluated at the images phi_e(x) = 1/(x + e) by barycentric
+    interpolation, weighted by |phi_e'(x)|^s = (x + e)^(-2s).  L_s is
+    analytic on [0, 1], so the error falls geometrically with `nodes`.
+    letters: a tuple of integers (an Alphabet's letters); each result is
+    kept.
+    """
+    t, lagrange = _chebyshev(nodes)
+    x = (1 + t) / 2
+    terms = [(2 * np.log(x + e), lagrange(2 / (x + e) - 1))
+             for e in letters]
+    return _secant_root(lambda s: _log_lam(terms, s), 0.5, 0.6)
+
+
 @lru_cache
 def chebyshev_dimension_2d(letters: tuple, nodes: int = 24) -> float:
     """The dimension of a 2D alphabet by tensor Chebyshev collocation of L_s
@@ -267,21 +327,7 @@ def chebyshev_dimension_2d(letters: tuple, nodes: int = 24) -> float:
     the error falls geometrically with `nodes`.  letters: a tuple of
     (e1, e2) pairs (an Alphabet's letters); each result is kept.
     """
-    angles = (2 * np.arange(nodes) + 1) * np.pi / (2 * nodes)
-    t = np.cos(angles)  # on [-1, 1]
-    bary = (-1.0) ** np.arange(nodes) * np.sin(angles)
-
-    def lagrange(u):
-        """Row k: the nodes' Lagrange basis at u[k] in [-1, 1]."""
-        diff = u[:, None] - t[None, :]
-        exact = diff == 0.0
-        diff[exact] = 1.0
-        c = bary / diff
-        c /= c.sum(axis=1, keepdims=True)
-        hit = exact.any(axis=1)
-        c[hit] = exact[hit]
-        return c
-
+    t, lagrange = _chebyshev(nodes)
     x, y = (1 + t) / 2, t / 2
     # points with x fastest: p = (x[i], y[j]) at index j * nodes + i
     px, py = np.tile(x, nodes), np.repeat(y, nodes)
@@ -293,21 +339,7 @@ def chebyshev_dimension_2d(letters: tuple, nodes: int = 24) -> float:
         # row p, column (b, a): Ly[p, b] Lx[p, a]
         terms.append((np.log(r2), (Ly[:, :, None] * Lx[:, None, :]
                                     ).reshape(len(px), -1)))
-
-    def log_lam(s):
-        m = sum(np.exp(-s * lr)[:, None] * ell for lr, ell in terms)
-        return float(np.log(np.abs(np.linalg.eigvals(m)).max()))
-
-    s0, s1 = 1.0, 1.1
-    f0, f1 = log_lam(s0), log_lam(s1)
-    for _ in range(50):
-        if f1 == f0:
-            break
-        s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
-        f1 = log_lam(s1)
-        if abs(s1 - s0) <= 1e-16 * abs(s1):
-            break
-    return s1
+    return _secant_root(lambda s: _log_lam(terms, s), 1.0, 1.1)
 
 
 class ConvergedProbes:

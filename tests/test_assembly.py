@@ -9,11 +9,11 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 
 from fracdim import assembly
-from fracdim.assembly import OperatorCache, kept_points
+from fracdim.assembly import OperatorCache, kept_points, operator_footprint
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import make_quasi_interpolant
-from fracdim.solver import make_geometry, operator_footprint
+from fracdim.solver import make_geometry
 from fracdim.spectral import FLOAT_SLACK
 from oracles import full_matrix, full_product, letter_structure
 

@@ -198,11 +198,11 @@ class TestConverge:
     def test_requires_h_list(self, capsys):
         assert run(["converge", "--alphabet", "1,2"]) == EXIT_USAGE
         for h_list in ("1/25,0,1/50", "1/25..0", "1/0..1/50"):
-            assert run(["converge", "--alphabet", "1,2", "--unsafe-h",
+            assert run(["converge", "--alphabet", "1,2",
                         "--h-list", h_list]) == EXIT_USAGE
         capsys.readouterr()
         for h_list in ("1/25..1/50..1/100", "..1/50", "1/25.."):
-            assert run(["converge", "--alphabet", "1,2", "--unsafe-h",
+            assert run(["converge", "--alphabet", "1,2",
                         "--h-list", h_list]) == EXIT_USAGE
             assert "is not a range a..b" in capsys.readouterr().err
 
@@ -420,6 +420,15 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert run(["estimate", "--bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--alphabet", "1,2", "--h", "1/64"],
+        ["converge", "--alphabet", "1,2", "--h-list", "1/25..1/100"]])
+    def test_unsafe_h_only_on_estimate(self, argv, capsys):
+        # certify refuses an inadmissible mesh whatever the flag says, and
+        # converge lets every mesh through: the flag would do nothing there
+        assert run(argv + ["--unsafe-h"]) == EXIT_USAGE
+        assert "unrecognized arguments: --unsafe-h" in capsys.readouterr().err
 
     def test_help_ok(self, capsys):
         assert run(["--help"]) == EXIT_OK

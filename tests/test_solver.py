@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from fracdim import solver
-from fracdim.assembly import OperatorCache, TransferOperator
+from fracdim.assembly import (OperatorCache, TransferOperator,
+                              operator_footprint)
 from fracdim.bspline import TensorGrid
 from fracdim.cli import EXIT_INADMISSIBLE, run
 from fracdim.constants import admissible_h, make_profile
@@ -23,10 +24,11 @@ from fracdim.solver import (S_FLOOR, CertificationError,
                             InadmissibleMeshError, MonotonicityError,
                             ProbeEngine, SolveConfig, _bisect,
                             convergence_study, make_geometry,
-                            operator_footprint, solve_dimension)
+                            solve_dimension)
 from fracdim.spectral import ConeCertificate, FLOAT_SLACK, scaled_bracket
-from oracles import (ConvergedProbes, chebyshev_dimension_2d,
-                     eval_quasi_interpolant, full_matrix, parameter_interval)
+from oracles import (ConvergedProbes, chebyshev_dimension_1d,
+                     chebyshev_dimension_2d, eval_quasi_interpolant,
+                     full_matrix, parameter_interval)
 
 A12 = make_alphabet_1d([1, 2])
 A2D = make_alphabet_2d([(1, 0), (1, 1), (1, -1), (2, 0)])
@@ -100,19 +102,11 @@ class TestGeometry:
 
 
 class TestResolveMesh:
-    def test_from_J(self):
-        assert SolveConfig(A12, J=50).resolve_mesh() == 50
-
     def test_from_h_intervals(self):
         assert SolveConfig(A12, h=1.0 / 50).resolve_mesh() == 50
 
     def test_from_h_nodes(self):
         assert SolveConfig(A12, h=1.0 / 50, mesh="nodes").resolve_mesh() == 49
-
-    def test_h_J_consistency(self):
-        assert SolveConfig(A12, h=0.02, J=50).resolve_mesh() == 50
-        with pytest.raises(ValueError):
-            SolveConfig(A12, h=0.02, J=51).resolve_mesh()
 
     def test_non_reciprocal_h(self):
         with pytest.raises(ValueError):
@@ -128,31 +122,32 @@ class TestResolveMesh:
 
     def test_bad_mesh_name(self):
         with pytest.raises(ValueError):
-            SolveConfig(A12, J=10, mesh="cells").resolve_mesh()
+            SolveConfig(A12, h=1 / 10, mesh="cells").resolve_mesh()
 
-    @pytest.mark.parametrize("J", [0, -3])
-    def test_no_subintervals(self, J):
-        # J = 0 reached h = 1.0 / J in _setup as a ZeroDivisionError
-        with pytest.raises(ValueError, match="positive number of subintervals"):
-            SolveConfig(A12, J=J).resolve_mesh()
-        with pytest.raises(ValueError, match="positive number of subintervals"):
-            solve_dimension(SolveConfig(A12, J=J))
+    @pytest.mark.parametrize("h", [0, -3])
+    def test_no_subintervals(self, h):
+        # a mesh width that is not positive is refused before 1 / h
+        with pytest.raises(ValueError, match="is not positive"):
+            SolveConfig(A12, h=h).resolve_mesh()
+        with pytest.raises(ValueError, match="is not positive"):
+            solve_dimension(SolveConfig(A12, h=h))
 
 
 class TestResolveTol:
     def test_defaults(self):
-        assert SolveConfig(A12, J=10, mode="point-estimate").resolve_tol() == 0.0
-        assert SolveConfig(A12, J=10).resolve_tol() == 1e-14
-        assert SolveConfig(A2D, J=10).resolve_tol() == 1e-10
+        assert SolveConfig(A12, h=1 / 10,
+                           mode="point-estimate").resolve_tol() == 0.0
+        assert SolveConfig(A12, h=1 / 10).resolve_tol() == 1e-14
+        assert SolveConfig(A2D, h=1 / 10).resolve_tol() == 1e-10
 
     def test_explicit(self):
-        assert SolveConfig(A12, J=10, tol_s=1e-6).resolve_tol() == 1e-6
+        assert SolveConfig(A12, h=1 / 10, tol_s=1e-6).resolve_tol() == 1e-6
 
     @pytest.mark.parametrize("tol_s", [float("nan"), float("inf"), -1.0])
     def test_non_finite_or_negative_refused(self, tol_s):
         # `b - a > nan` is false, so a NaN width ended the bisection at once
         # and returned the search interval's midpoint or ends
-        cfg = SolveConfig(A12, J=64, tol_s=tol_s)
+        cfg = SolveConfig(A12, h=1 / 64, tol_s=tol_s)
         with pytest.raises(ValueError, match="tol_s"):
             cfg.resolve_tol()
         with pytest.raises(ValueError, match="tol_s"):
@@ -162,7 +157,7 @@ class TestResolveTol:
 class TestPointEstimateOracle:
     def test_1d_matches_dense_bisection(self):
         J = 16
-        cfg = SolveConfig(A12, J=J, mode="point-estimate", unsafe_h=True)
+        cfg = SolveConfig(A12, h=1 / J, mode="point-estimate", unsafe_h=True)
         b = solve_dimension(cfg)
         cache = OperatorCache(A12, make_geometry(1, J, 2))
         s_oracle = brentq(lambda s: dense_rho(cache, s) - 1.0, 0.3, 0.8,
@@ -172,7 +167,7 @@ class TestPointEstimateOracle:
 
     def test_2d_matches_dense_bisection(self):
         J = 8
-        cfg = SolveConfig(A2D, J=J, mode="point-estimate", unsafe_h=True)
+        cfg = SolveConfig(A2D, h=1 / J, mode="point-estimate", unsafe_h=True)
         b = solve_dimension(cfg)
         cache = OperatorCache(A2D, make_geometry(2, J, 2))
         s_oracle = brentq(lambda s: dense_rho(cache, s) - 1.0, 0.9, 1.4,
@@ -188,14 +183,14 @@ class TestPointEstimateOracle:
         assert b.s_lo == b.s_hi == 0.5312805062772041
 
     def test_deterministic(self):
-        cfg = SolveConfig(A12, J=32, mode="point-estimate", unsafe_h=True)
+        cfg = SolveConfig(A12, h=1 / 32, mode="point-estimate", unsafe_h=True)
         assert solve_dimension(cfg).s_lo == solve_dimension(cfg).s_lo
 
 
 class TestCertified:
     def test_bracket_contains_reference(self):
         # h = 1/64 is admissible for this alphabet (bound ~0.0215)
-        cfg = SolveConfig(A12, J=64, tol_s=1e-8)
+        cfg = SolveConfig(A12, h=1 / 64, tol_s=1e-8)
         b = solve_dimension(cfg)
         assert b.mode == "certified"
         assert b.err == pytest.approx(162.0 / 64 ** 3, rel=1e-12)
@@ -205,39 +200,62 @@ class TestCertified:
     def test_bracket_tightens_with_mesh(self):
         w = []
         for J in (64, 128):
-            b = solve_dimension(SolveConfig(A12, J=J, tol_s=1e-9))
+            b = solve_dimension(SolveConfig(A12, h=1 / J, tol_s=1e-9))
             assert b.s_lo <= REF_1D <= b.s_hi
             w.append(b.width)
         assert w[1] < w[0] / 4  # err shrinks cubically
 
     def test_inadmissible_mesh_rejected(self):
         with pytest.raises(InadmissibleMeshError):
-            solve_dimension(SolveConfig(A12, J=25))
+            solve_dimension(SolveConfig(A12, h=1 / 25))
         # certified mode enforces admissibility even with unsafe_h
         with pytest.raises(InadmissibleMeshError):
-            solve_dimension(SolveConfig(A12, J=25, unsafe_h=True))
+            solve_dimension(SolveConfig(A12, h=1 / 25, unsafe_h=True))
 
     def test_2d_degree_other_than_2_refused(self):
         # the 2D error bounds are third order, i.e. valid for n = 2 only;
         # the refusal comes before the admissibility check
         with pytest.raises(ValueError, match="needs spline degree n = 2"):
-            solve_dimension(SolveConfig(A2D, J=30, n=4))
+            solve_dimension(SolveConfig(A2D, h=1 / 30, n=4))
 
     def test_point_estimate_needs_unsafe_for_coarse(self):
         with pytest.raises(InadmissibleMeshError):
-            solve_dimension(SolveConfig(A12, J=25, mode="point-estimate"))
-        b = solve_dimension(SolveConfig(A12, J=25, mode="point-estimate",
+            solve_dimension(SolveConfig(A12, h=1 / 25, mode="point-estimate"))
+        b = solve_dimension(SolveConfig(A12, h=1 / 25, mode="point-estimate",
                                         unsafe_h=True))
         assert 0.5 < b.s_lo < 0.56
 
+    @settings(max_examples=60, deadline=None)
+    @given(letters=st.lists(st.integers(1, 10), min_size=2, max_size=5,
+                            unique=True))
+    def test_coarsest_admissible_bracket_holds_oracle(self, letters):
+        # each alphabet, certified at its coarsest admissible h (J <= 47,
+        # so the fine mesh starts from the seed mesh's predictions), holds
+        # the dimension from Chebyshev collocation, which 24 and 32 nodes
+        # agree on
+        letters = tuple(sorted(letters))
+        alphabet = make_alphabet_1d(letters)
+        bound = admissible_h(make_profile(alphabet), alphabet)["overall"]
+        J = max(math.ceil(1 / Fraction(bound)), alphabet.max_component + 1)
+        value = chebyshev_dimension_1d(letters)
+        assert abs(chebyshev_dimension_1d(letters, 32) - value) <= 1e-13
+        b = solve_dimension(SolveConfig(alphabet, h=1 / J))
+        assert b.s_lo <= value <= b.s_hi
+
     def test_record_shape(self):
-        b = solve_dimension(SolveConfig(A12, J=64, tol_s=1e-6))
+        b = solve_dimension(SolveConfig(A12, h=1 / 64, tol_s=1e-6))
         rec = b.to_record()
         assert list(rec) == ["alphabet", "d", "n", "h", "mode", "s_lo",
                              "s_hi", "err", "probes", "constants",
                              "admissibility", "search", "wall_ms"]
-        # J // SEARCH_COARSENING = 16 is below COARSE_J: no coarse search
-        assert rec["search"] is None
+        # every certified solve predicts from the seed mesh; J //
+        # SEARCH_COARSENING = 16 is not finer than it, so no J // 4 level
+        assert list(rec["search"]) == ["J_s", "s_hat", "seed_lo", "seed_hi",
+                                       "seed_probes", "J_c", "s_lo", "s_hi",
+                                       "probes", "shift"]
+        assert rec["search"]["J_c"] is None and rec["search"]["probes"] == 0
+        assert (rec["search"]["s_lo"], rec["search"]["s_hi"]) == (
+            rec["search"]["seed_lo"], rec["search"]["seed_hi"])
         assert rec["alphabet"] == "1,2"
         assert rec["constants"]["M"] == 36.0
         assert rec["constants"]["M_prime"] < 36.0
@@ -351,8 +369,8 @@ class TestEarlyDecision:
         # adjacent doubles, the last steps read the last bits of converged
         # eigenvalues, which depend on the warm start ({1,2} moves by 1 ulp)
         tol = 1e-14
-        b = solve_dimension(SolveConfig(alphabet, J=J, mode="point-estimate",
-                                        tol_s=tol))
+        b = solve_dimension(SolveConfig(alphabet, h=1 / J,
+                                        mode="point-estimate", tol_s=tol))
         assert any(p["decided"] for p in b.probes)
         assert all(p["decided"] != p["converged"] for p in b.probes)
         probe = ConvergedProbes(OperatorCache(alphabet, make_geometry(1, J, 2)),
@@ -374,11 +392,11 @@ class TestEarlyDecision:
     def test_point_estimate_checks_cone_on_admissible_mesh(self, monkeypatch):
         self.no_iterate_in_cone(monkeypatch)
         with pytest.raises(CertificationError, match="left the cone"):
-            solve_dimension(SolveConfig(A12, J=64, mode="point-estimate"))
+            solve_dimension(SolveConfig(A12, h=1 / 64, mode="point-estimate"))
 
     @pytest.mark.parametrize("cfg", [
-        SolveConfig(A12, J=25, mode="point-estimate", unsafe_h=True),
-        SolveConfig(A12, J=64, mode="point-estimate", M=2.0),
+        SolveConfig(A12, h=1 / 25, mode="point-estimate", unsafe_h=True),
+        SolveConfig(A12, h=1 / 64, mode="point-estimate", M=2.0),
     ], ids=["unsafe-h", "M-override"])
     def test_point_estimate_converges_unchecked_otherwise(self, cfg,
                                                           monkeypatch):
@@ -397,7 +415,7 @@ class TestOperatorForm:
         # J // 4 search mesh, whose operators each share their own G
         for mode in ("certified", "point-estimate"):
             with recording_operators() as ops:
-                solve_dimension(SolveConfig(A12, J=128, mode=mode))
+                solve_dimension(SolveConfig(A12, h=1 / 128, mode=mode))
             meshes = {op.shape[0]: op.G for op in ops}
             assert len(meshes) == (3 if mode == "certified" else 1)
             assert all(op.G is meshes[op.shape[0]] for op in ops)
@@ -425,12 +443,12 @@ class TestLambdaBracket:
     def test_certified_ignores_unsafe_h(self):
         # unsafe_h lets only point estimates through an inadmissible mesh
         with pytest.raises(InadmissibleMeshError):
-            solve_dimension(SolveConfig(A12, J=25, unsafe_h=True))
+            solve_dimension(SolveConfig(A12, h=1 / 25, unsafe_h=True))
 
     def test_image_cone_guard(self):
         # h = 1/64 is admissible, but M = 2 gives M' = 33.2 >= M
         with pytest.raises(CertificationError, match="M' = 33.1"):
-            solve_dimension(SolveConfig(A12, J=64, M=2.0))
+            solve_dimension(SolveConfig(A12, h=1 / 64, M=2.0))
 
 
 class TestBisectionEdges:
@@ -479,7 +497,7 @@ class TestBisectionEdges:
         # the constants hold only up to s_cap = 0.7, below this set's
         # dimension 0.8368...: the certified search stops at the cap, so
         # it refuses instead of returning a bracket nothing certifies
-        cfg = SolveConfig(make_alphabet_1d(range(1, 6)), J=4000, s_cap=0.7)
+        cfg = SolveConfig(make_alphabet_1d(range(1, 6)), h=1 / 4000, s_cap=0.7)
         with pytest.raises(ValueError, match="does not straddle"):
             solve_dimension(cfg)
 
@@ -498,7 +516,7 @@ class TestFootprint:
         # a certified 2D solve would build its cap estimate first
         need = operator_footprint(A2D, make_geometry(2, 500, 2))["total"]
         monkeypatch.setattr(solver, "_mem_available", lambda: need - 1)
-        cfg = SolveConfig(alphabet=A2D, J=500, s_cap=1.15, alpha=0.2,
+        cfg = SolveConfig(alphabet=A2D, h=1 / 500, s_cap=1.15, alpha=0.2,
                           beta=0.2)
         with pytest.raises(solver.OversizedMeshError, match="MiB available"):
             solve_dimension(cfg)
@@ -539,7 +557,7 @@ class TestFootprint:
 
     def test_unreadable_meminfo_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(solver, "_mem_available", lambda: None)
-        b = solve_dimension(SolveConfig(alphabet=A12, J=64,
+        b = solve_dimension(SolveConfig(alphabet=A12, h=1 / 64,
                                         mode="point-estimate"))
         assert abs(b.s_lo - REF_1D) < 1e-6
 
@@ -636,10 +654,10 @@ class TestMonotonicityAudit:
 
         monkeypatch.setattr(solver, "_predict", rising)
         with pytest.raises(MonotonicityError, match="s=2.0"):
-            solve_dimension(SolveConfig(A12, J=128, tol_s=1e-9))
+            solve_dimension(SolveConfig(A12, h=1 / 128, tol_s=1e-9))
 
     def test_real_probes_pass(self):
-        b = solve_dimension(SolveConfig(A12, J=40, mode="point-estimate",
+        b = solve_dimension(SolveConfig(A12, h=1 / 40, mode="point-estimate",
                                         unsafe_h=True))
         lams = [p["lam"] for p in sorted(b.probes, key=lambda p: p["s"])]
         assert all(l2 <= l1 + 1e-12 for l1, l2 in zip(lams[:-1], lams[1:]))
@@ -733,7 +751,7 @@ class TestProlongation:
 
 class TestSearch:
     """A certified solve predicts its endpoints with converged point probes,
-    on the seed mesh and then, around the seed crossings, on
+    on the seed mesh and then, around the Newton-moved seed crossings, on
     J // SEARCH_COARSENING subintervals, and proves them on J; the
     prediction places fine probes but never decides an endpoint."""
 
@@ -753,7 +771,7 @@ class TestSearch:
 
         monkeypatch.setattr(OperatorCache, "__init__", built)
         monkeypatch.setattr(ProbeEngine, "probe", probed)
-        b = solve_dimension(SolveConfig(A12, J=128, tol_s=1e-9))
+        b = solve_dimension(SolveConfig(A12, h=1 / 128, tol_s=1e-9))
         seed, coarse, fine = (math.prod(make_geometry(1, J, 2).sample_shape)
                               for J in (solver.COARSE_J, 32, 128))
         assert events == [("build", seed), ("probe", seed),
@@ -774,7 +792,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("wrong", ["floor", "cap"])
     def test_bad_prediction_costs_probes_only(self, wrong, monkeypatch):
-        cfg = SolveConfig(A12, J=128, tol_s=1e-9)
+        cfg = SolveConfig(A12, h=1 / 128, tol_s=1e-9)
         good = solve_dimension(cfg)
         predict = solver._predict
 
@@ -794,10 +812,11 @@ class TestSearch:
 
     @pytest.mark.parametrize("wrong", ["floor", "cap", "off"])
     def test_bad_seed_costs_coarse_probes_only(self, wrong, monkeypatch):
-        # seed crossings on the floor, on the cap or 1e-3 high: the search
-        # window widens or spans [S_FLOOR, 1], so the J // 4 predictions,
-        # and with them the fine probes and endpoints, stay as they were
-        cfg = SolveConfig(A12, J=128, tol_s=1e-9)
+        # seed crossings on the floor, on the cap or 1e-3 high: the J // 4
+        # window spans [S_FLOOR, 1] or follows the Newton step of its first
+        # probe back, so the J // 4 predictions, and with them the fine
+        # probes and endpoints, stay as they were
+        cfg = SolveConfig(A12, h=1 / 128, tol_s=1e-9)
         good = solve_dimension(cfg)
         crossings = solver._crossings
 
@@ -821,12 +840,14 @@ class TestSearch:
     @pytest.mark.parametrize("J, tol_s, bound", [(128, 1e-9, 80),
                                                   (4000, None, 95)])
     def test_search_products_bounded(self, J, tol_s, bound, monkeypatch):
-        # seeded from the seed crossings and converged to sigma tol_s / 4,
-        # the J // 4 = 32 search takes 76 products, where Illinois from
-        # [S_FLOOR, 1] with every probe converged to POWER_TOL took 227.
-        # At J = 4000 the seed crossings lie 4e-9 apart but 2.2e-8 below
-        # the J // 4 ones: with the Newton margin the window straddles both
-        # at once (86 products), without it it widened to 112
+        # started from the seed mesh, moved by the Newton step of its first
+        # probe and converged to sigma tol_s / 4, J // 4 = 32 takes 57
+        # products (76 from a window widened around the unmoved seed
+        # crossings), where Illinois from [S_FLOOR, 1] with every probe
+        # converged to POWER_TOL took 227.  At J = 4000 the seed crossings
+        # lie 4e-9 apart but 2.2e-8 below the J // 4 ones: the window around
+        # the moved ones straddles both at once (70 products; 86 around the
+        # unmoved ones with a Newton margin, 112 without it)
         products, matmul = {}, TransferOperator.__matmul__
 
         def counted(op, v):
@@ -834,7 +855,7 @@ class TestSearch:
             return matmul(op, v)
 
         monkeypatch.setattr(TransferOperator, "__matmul__", counted)
-        solve_dimension(SolveConfig(A12, J=J, tol_s=tol_s))
+        solve_dimension(SolveConfig(A12, h=1 / J, tol_s=tol_s))
         coarse = make_geometry(1, J // solver.SEARCH_COARSENING, 2)
         assert products[math.prod(coarse.sample_shape)] <= bound
 
@@ -845,8 +866,8 @@ class TestSearch:
         profile = make_profile(A12, n=4)
         J = math.ceil(1 / Fraction(admissible_h(profile, A12)["overall"]))
         with pytest.raises(InadmissibleMeshError):
-            solve_dimension(SolveConfig(A12, J=J - 1, n=4))
-        b = solve_dimension(SolveConfig(A12, J=J, n=4))
+            solve_dimension(SolveConfig(A12, h=1 / (J - 1), n=4))
+        b = solve_dimension(SolveConfig(A12, h=1 / J, n=4))
         assert b.s_lo <= REF_1D <= b.s_hi
         assert b.search["J_s"] == 29 and b.search["J_c"] == J // 4
         with pytest.raises(ValueError, match="letter 1"):
@@ -856,7 +877,7 @@ class TestSearch:
         # a converged lam 1e-5 too high moves both predictions about 8e-6
         # (thousands of tol_s) upward; the bisections still prove the same
         # endpoints with their own decided probes
-        cfg = SolveConfig(A12, J=128, tol_s=1e-9)
+        cfg = SolveConfig(A12, h=1 / 128, tol_s=1e-9)
         good = solve_dimension(cfg)
         probe = ProbeEngine.probe
 
@@ -885,7 +906,7 @@ class TestTwoStepRefinement:
         events, solve, init = [], solver.solve_dimension, OperatorCache.__init__
 
         def solved(cfg):
-            events.append(("solve", cfg.J))
+            events.append(("solve", round(1 / cfg.h)))
             return solve(cfg)
 
         def built(cache, alphabet, geometry, q=None):
@@ -897,32 +918,38 @@ class TestTwoStepRefinement:
         return events
 
     def test_one_pass_otherwise(self, meshes):
-        b = solver.solve_dimension(SolveConfig(A12, J=64, tol_s=1e-6,
+        b = solver.solve_dimension(SolveConfig(A12, h=1 / 64, tol_s=1e-6,
                                                s_cap=0.9))
         assert b.constants["s_cap"] == 0.9
-        solver.solve_dimension(SolveConfig(A2D, J=10, mode="point-estimate",
+        solver.solve_dimension(SolveConfig(A2D, h=1 / 10,
+                                           mode="point-estimate",
                                            unsafe_h=True, tol_s=1e-6))
-        assert meshes == [("solve", 64), ("build", 64),
-                          ("solve", 10), ("build", 10)]
+        # the certified 1D solve predicts on the seed mesh, J // 4 = 16
+        # being no finer; the point estimate builds its own mesh only
+        assert meshes == [("solve", 64), ("build", solver.COARSE_J),
+                          ("build", 64), ("solve", 10), ("build", 10)]
 
     def test_same_cap_one_bisection(self, meshes):
         # the certify-2d case: s_hat plus 1e-3 lies above s_cap = 1.15, so
-        # the cap stays.  The search on J // 4 = 125, seeded by the seed
-        # mesh that set the cap, predicts both endpoints within 1e-9; one
-        # converged fine probe at the lower prediction moves both by its
-        # Newton step, and each endpoint then takes two decided probes: 5
-        # probes, where bisecting [S_FLOOR, 1.15] took 57 and ended at
+        # the cap stays.  J // 4 = 125, started from the seed mesh that set
+        # the cap and moved by the Newton step of one probe at its lower
+        # crossing, predicts both endpoints within 1e-9; one converged fine
+        # probe at the lower prediction moves both by its Newton step, and
+        # each endpoint then takes two decided probes: 5 probes, where
+        # bisecting [S_FLOOR, 1.15] took 57 and ended at
         # (1.149529368563135, 1.1496249226942479), the unshifted predictions
         # took 14 and ended at (1.1495293686078023, 1.1496249227192226), a
         # start linearly interpolated from the coarse mesh ended at
-        # (1.1495293685592338, 1.1496249227206532), and an unseeded search
-        # converged to POWER_TOL at (1.1495293685592622, 1.1496249227206816),
-        # all within tol_s = 1e-10 of these
-        b = solver.solve_dimension(SolveConfig(A2D, J=500, s_cap=1.15,
+        # (1.1495293685592338, 1.1496249227206532), an unseeded search
+        # converged to POWER_TOL at (1.1495293685592622, 1.1496249227206816)
+        # and a J // 4 window widened from the seed crossings at
+        # (1.1495293685592622, 1.1496249227196629), all within tol_s = 1e-10
+        # of these
+        b = solver.solve_dimension(SolveConfig(A2D, h=1 / 500, s_cap=1.15,
                                                alpha=0.2, beta=0.2))
         assert meshes == [("solve", 500), ("build", solver.COARSE_J),
                           ("build", 125), ("build", 500)]
-        assert (b.s_lo, b.s_hi) == (1.1495293685592622, 1.1496249227196629)
+        assert (b.s_lo, b.s_hi) == (1.149529368559262, 1.1496249227211934)
         assert b.s_lo <= chebyshev_dimension_2d(A2D.letters) <= b.s_hi
         assert len(b.probes) == 5
         # the quasi-interpolated coarse iterate starts the converged probe
@@ -935,7 +962,7 @@ class TestTwoStepRefinement:
         assert b.constants["s_cap"] == 1.15
         assert "first_pass" not in b.to_record()
         search = b.to_record()["search"]
-        assert search["J_c"] == 125 and search["probes"] == 8
+        assert search["J_c"] == 125 and search["probes"] == 6
         assert search["J_s"] == solver.COARSE_J
         assert search["s_hat"] + 1e-3 > 1.15
         assert abs(search["s_lo"] - b.s_lo) < 1e-9
@@ -957,12 +984,12 @@ class TestTwoStepRefinement:
             return out
 
         monkeypatch.setattr(solver, "_crossings", spy)
-        constants = solver._setup(SolveConfig(alphabet, J=J, s_cap=s_cap,
+        constants = solver._setup(SolveConfig(alphabet, h=1 / J, s_cap=s_cap,
                                               alpha=0.2, beta=0.2))[4]
         [(s_hat,)] = hats
         assert constants["s_cap"] == s_hat + 1e-3
         estimate = solve_dimension(SolveConfig(
-            alphabet, J=solver.COARSE_J, mode="point-estimate", tol_s=1e-6,
+            alphabet, h=1 / solver.COARSE_J, mode="point-estimate", tol_s=1e-6,
             unsafe_h=True))
         assert abs(s_hat - estimate.s_hi) <= 1e-6
 
@@ -970,7 +997,7 @@ class TestTwoStepRefinement:
         # {(2,0),(3,0)} has dimension 0.3374...: the cap drops from 0.5 to
         # just above the coarse estimate, which shrinks err
         alphabet = parse_alphabet("(2,0),(3,0)")
-        b = solve_dimension(SolveConfig(alphabet, J=230, s_cap=0.5,
+        b = solve_dimension(SolveConfig(alphabet, h=1 / 230, s_cap=0.5,
                                         alpha=0.2, beta=0.2))
         cap = b.constants["s_cap"]
         assert b.s_hi < cap < 0.5
@@ -995,7 +1022,7 @@ class TestConvergenceStudy:
         assert abs(s_h[0] - s_h[1]) <= 1e-6
 
     def test_with_reference(self):
-        cfg = SolveConfig(A12, J=25, mode="point-estimate")
+        cfg = SolveConfig(A12, h=1 / 25, mode="point-estimate")
         rows = convergence_study(cfg, [1.0 / 25, 1.0 / 50, 1.0 / 100],
                                  reference=REF_1D)
         assert [r["h"] for r in rows] == [0.04, 0.02, 0.01]
@@ -1004,7 +1031,7 @@ class TestConvergenceStudy:
         assert rows[1]["rate"] > 2.0 and rows[2]["rate"] > 2.0
 
     def test_without_reference(self):
-        cfg = SolveConfig(A12, J=25, mode="point-estimate")
+        cfg = SolveConfig(A12, h=1 / 25, mode="point-estimate")
         rows = convergence_study(cfg, [1.0 / 25, 1.0 / 50, 1.0 / 100])
         assert rows[0]["delta"] is None and rows[0]["rate"] is None
         assert rows[1]["delta"] > rows[2]["delta"]
@@ -1029,10 +1056,10 @@ class TestConvergenceStudy:
 
     def test_guess_only_for_point_estimates(self):
         with pytest.raises(ValueError, match="only a point estimate"):
-            solve_dimension(SolveConfig(A12, J=64), guess=0.53)
+            solve_dimension(SolveConfig(A12, h=1 / 64), guess=0.53)
 
     def test_needs_three_meshes_without_reference(self):
-        cfg = SolveConfig(A12, J=25, mode="point-estimate")
+        cfg = SolveConfig(A12, h=1 / 25, mode="point-estimate")
         with pytest.raises(ValueError):
             convergence_study(cfg, [1.0 / 25, 1.0 / 50])
 
@@ -1043,6 +1070,6 @@ class TestConvergenceStudy:
         rn = convergence_study(cfg_n, [1.0 / 50], reference=REF_1D)
         assert ri[0]["s_h"] != rn[0]["s_h"]
         # nodes convention at nominal 1/50 equals intervals at J = 49
-        r49 = solve_dimension(SolveConfig(A12, J=49, mode="point-estimate",
+        r49 = solve_dimension(SolveConfig(A12, h=1 / 49, mode="point-estimate",
                                           unsafe_h=True))
         assert rn[0]["s_h"] == pytest.approx(r49.s_lo, abs=1e-14)
