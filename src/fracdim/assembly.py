@@ -75,9 +75,11 @@ def index_dtype(nnz: int) -> type:
 
 
 def check_degree(n: int) -> None:
-    """Collocation at interval midpoints needs an even degree n >= 2."""
-    if n % 2 != 0 or n < 2:
-        raise ValueError("collocation requires an even spline degree >= 2")
+    """Collocation at interval midpoints needs an even degree n >= 2, and
+    the quasi-interpolant's weight table stops at 4."""
+    if n not in (2, 4):
+        raise ValueError("collocation requires an even spline degree >= 2 "
+                         f"with a weight table, 2 or 4, not {n}")
 
 
 def kept_points(alphabet: Alphabet, geometry: TensorGrid) -> int:

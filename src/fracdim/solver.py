@@ -7,7 +7,7 @@ B_h above 1 certifies s <= s*.  Only the two probes that end the search are
 part of the proof, so a certified solve first predicts both endpoints where
 log lam of converged point probes crosses the levels of the two proofs
 (_crossings), on one ladder of meshes: the seed mesh of about COARSE_J
-subintervals (which in 2D first finds the crossing of 0 that caps s), a
+subintervals (which first finds the crossing of 0 that caps s), a
 mesh SEARCH_COARSENING times coarser than the fine one where that is finer
 than the seed mesh, and the fine mesh.  Each finer mesh starts from the
 coarser one's iterate and moves its predictions by the Newton step of one
@@ -48,7 +48,7 @@ from .spectral import (FLOAT_SLACK, POWER_TOL, cone_membership,
 S_FLOOR = 1e-6
 
 # subintervals per axis of the seed mesh of a certified solve, whose
-# crossings set the 2D cap and seed the predictions: the first mesh of the
+# crossings set the cap and seed the predictions: the first mesh of the
 # published 2D sweeps
 COARSE_J = 25
 
@@ -463,23 +463,25 @@ def _mem_available(meminfo: str = "/proc/meminfo") -> int | None:
 def _setup(config: SolveConfig):
     """Mesh, rigor profile and the guards every entry point shares.
 
-    Raises ValueError for a degree that is odd or below 2,
+    Raises ValueError for an unknown mode or a degree other than 2 and 4,
     OversizedMeshError, before any build, when the operator's footprint
     exceeds the memory available, and InadmissibleMeshError when h exceeds
     the admissible bound (only a point estimate may pass unsafe_h to go
     on); in certified mode also ValueError for a 2D degree other than 2
     (its error bounds are third order), and CertificationError when
     M' >= M or err >= 1.  A certified solve builds its seed engine
-    (_seed_engine) after the footprint check.  In 2D that engine first
-    lowers s_cap to just above s_hat, where log lam crosses 0 on the seed
-    mesh (_crossings, to 1e-6 in s), after the guards that do not need the
-    cap: a lower cap shrinks err and M', and admissibility, M' and err are
-    checked at it.  Returns (J, profile, geometry, breakdown, constants,
-    err, certifiable, (seed, s_hat)), certifiable when h is admissible and
-    M' < M (always, in certified mode), seed the seed engine of a certified
-    solve, which the solve goes on probing, and s_hat that of a certified
-    2D solve; each is None otherwise.
+    (_seed_engine) after the footprint check.  That engine first lowers
+    s_cap to just above s_hat, where log lam crosses 0 on the seed mesh
+    (_crossings on [S_FLOOR, d], to 1e-6 in s), after the guards that do
+    not need the cap: a lower cap shrinks err and M', and admissibility,
+    M' and err are checked at it.  Returns (J, profile, geometry,
+    breakdown, constants, err, certifiable, (seed, s_hat)), certifiable
+    when h is admissible and M' < M (always, in certified mode), seed and
+    s_hat the seed engine, which the solve goes on probing, and the
+    crossing of a certified solve; both are None for a point estimate.
     """
+    if config.mode not in ("certified", "point-estimate"):
+        raise ValueError("mode must be 'certified' or 'point-estimate'")
     alphabet = config.alphabet
     certified = config.mode == "certified"
     if certified and alphabet.d == 2 and config.n != 2:
@@ -499,10 +501,10 @@ def _setup(config: SolveConfig):
                             alpha=config.alpha, beta=config.beta, M=config.M)
 
     profile = profile_at(config.s_cap)
-    seed = _seed_engine(alphabet, profile) if certified else None
-    s_hat = None
-    if certified and alphabet.d == 2:
-        (s_hat,), _ = _crossings(seed, (0.0,), S_FLOOR, 2.0, 1e-6)
+    seed = s_hat = None
+    if certified:
+        seed = _seed_engine(alphabet, profile)
+        (s_hat,), _ = _crossings(seed, (0.0,), S_FLOOR, float(alphabet.d), 1e-6)
         profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
     breakdown = admissible_h(profile, alphabet)
     # the exact 1/J against each rounded-down bound, and strictly below the
@@ -537,7 +539,7 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     """The certified bracket, or the point estimate, of config.
 
     The search interval is [S_FLOOR, d], capped at s_cap in certified mode
-    (the rigor constants hold only up to it); a certified 2D solve first
+    (the rigor constants hold only up to it); a certified solve first
     lowers s_cap to just above a seed-mesh crossing (see _setup).  A
     certified solve then predicts both endpoints, where log lam of converged
     point probes crosses the levels at which a converged fine probe's lam_lo
@@ -562,7 +564,8 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     the flip of this mesh's own lam >= 1.  Only a point estimate takes a
     guess.
     A cap below the dimension fails the certified straddle test at the cap,
-    so it ends in a ValueError, never in a wrong bracket.
+    so it ends in a ValueError, never in a wrong bracket.  Where lam_lo < 1
+    already at S_FLOOR, s_lo is 0, the only lower bound proved.
     """
     t0 = time.perf_counter()
     tol = config.resolve_tol()
@@ -614,6 +617,8 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
         guesses, search["shift"] = _newton(engine, guesses, levels, a, b, tol)
         s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol,
                        guesses[0])[0]
+        if engine.records[s_lo]["lam_lo"] < 1.0:
+            s_lo = 0.0  # not even the floor lies provably below the dimension
         engine.warm = engine.warm * _prolong(iterates[1] / iterates[0],
                                              coarse, geometry, profile.q)
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,

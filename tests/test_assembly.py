@@ -9,7 +9,8 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 
 from fracdim import assembly
-from fracdim.assembly import OperatorCache, kept_points, operator_footprint
+from fracdim.assembly import (OperatorCache, check_degree, kept_points,
+                              operator_footprint)
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import make_quasi_interpolant
@@ -180,6 +181,13 @@ class TestStructure:
     def test_degree_and_dimension_validation(self):
         with pytest.raises(ValueError, match="even spline degree"):
             OperatorCache(make_alphabet_1d([1]), make_geometry(1, 8, 3))
+        # one guard names the degrees with a weight table; 6 passed it and
+        # failed later, in make_uniform_knots
+        for n in (0, 1, 3, 5, 6):
+            with pytest.raises(ValueError, match="2 or 4, not"):
+                check_degree(n)
+        for n in (2, 4):
+            check_degree(n)
         with pytest.raises(ValueError, match="dimension mismatch"):
             OperatorCache(make_alphabet_2d([(1, 0)]), make_geometry(1, 8, 2))
         q1 = make_quasi_interpolant(4)

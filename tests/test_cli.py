@@ -162,12 +162,13 @@ class TestCertify:
                         "--h", "1/30", "--degree", degree])
             assert code == EXIT_USAGE
             assert "needs spline degree n = 2" in capsys.readouterr().err
-        # every entry point refuses an odd or too small degree before the
-        # rigor constants are computed
-        code = run(["estimate", "--alphabet", "1,2", "--h", "1/40",
-                    "--degree", "0", "--unsafe-h"])
-        assert code == EXIT_USAGE
-        assert "even spline degree >= 2" in capsys.readouterr().err
+        # every entry point refuses an odd, too small or too large degree
+        # (6 has no weight table) before the rigor constants are computed
+        for degree in ("0", "6"):
+            code = run(["estimate", "--alphabet", "1,2", "--h", "1/40",
+                        "--degree", degree, "--unsafe-h"])
+            assert code == EXIT_USAGE
+            assert "even spline degree >= 2" in capsys.readouterr().err
 
     def test_tsv_format(self, capsys):
         code = run(["certify", "--alphabet", "1,2", "--h", "1/64",

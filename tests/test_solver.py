@@ -193,7 +193,11 @@ class TestCertified:
         cfg = SolveConfig(A12, h=1 / 64, tol_s=1e-8)
         b = solve_dimension(cfg)
         assert b.mode == "certified"
-        assert b.err == pytest.approx(162.0 / 64 ** 3, rel=1e-12)
+        # err is taken at the record's cap, just above s_hat; at the
+        # default cap 1 it would be 162 / 64^3
+        cap = b.constants["s_cap"]
+        assert b.err == make_profile(A12, s_cap=cap).err(1 / 64)
+        assert b.err < 162.0 / 64 ** 3
         assert b.s_lo <= REF_1D <= b.s_hi
         assert b.width < 5e-3
 
@@ -218,6 +222,12 @@ class TestCertified:
         with pytest.raises(ValueError, match="needs spline degree n = 2"):
             solve_dimension(SolveConfig(A2D, h=1 / 30, n=4))
 
+    def test_unknown_mode_refused(self):
+        # "certify", the subcommand's name, ran a point estimate labelled
+        # "certify"
+        with pytest.raises(ValueError, match="mode must be"):
+            solve_dimension(SolveConfig(A12, h=1e-4, mode="certify"))
+
     def test_point_estimate_needs_unsafe_for_coarse(self):
         with pytest.raises(InadmissibleMeshError):
             solve_dimension(SolveConfig(A12, h=1 / 25, mode="point-estimate"))
@@ -235,11 +245,24 @@ class TestCertified:
         # agree on
         letters = tuple(sorted(letters))
         alphabet = make_alphabet_1d(letters)
-        bound = admissible_h(make_profile(alphabet), alphabet)["overall"]
-        J = max(math.ceil(1 / Fraction(bound)), alphabet.max_component + 1)
+
+        def coarsest(cap):
+            bound = admissible_h(make_profile(alphabet, s_cap=cap),
+                                 alphabet)["overall"]
+            return max(math.ceil(1 / Fraction(bound)),
+                       alphabet.max_component + 1)
+
         value = chebyshev_dimension_1d(letters)
         assert abs(chebyshev_dimension_1d(letters, 32) - value) <= 1e-13
-        b = solve_dimension(SolveConfig(alphabet, h=1 / J))
+        b = solve_dimension(SolveConfig(alphabet, h=1 / coarsest(1.0)))
+        assert b.s_lo <= value <= b.s_hi
+        # the seed mesh, and with it the cap, does not depend on h: the
+        # coarsest mesh admissible at the cap the solve lowers to also
+        # certifies, and holds the dimension ({1,2}: 34 subintervals, 47
+        # at the cap 1)
+        cap = b.constants["s_cap"]
+        b = solve_dimension(SolveConfig(alphabet, h=1 / coarsest(cap)))
+        assert b.constants["s_cap"] == cap
         assert b.s_lo <= value <= b.s_hi
 
     def test_record_shape(self):
@@ -257,8 +280,9 @@ class TestCertified:
         assert (rec["search"]["s_lo"], rec["search"]["s_hi"]) == (
             rec["search"]["seed_lo"], rec["search"]["seed_hi"])
         assert rec["alphabet"] == "1,2"
-        assert rec["constants"]["M"] == 36.0
-        assert rec["constants"]["M_prime"] < 36.0
+        # K^(2 s_cap) at the cap just above s_hat (36 at the cap 1)
+        assert rec["constants"]["M"] == 6.0
+        assert rec["constants"]["M_prime"] < 6.0
         assert all(p["lam_lo"] <= p["lam"] <= p["lam_hi"] for p in rec["probes"])
 
 
@@ -278,12 +302,15 @@ class TestEarlyDecision:
         return json.loads(out.read_text()), len(calls)
 
     def test_table2_endpoints_unchanged(self, table2):
-        # within tol_s = 1e-14 of the endpoints a bisection from S_FLOOR
-        # found; the search now places the fine probes, so the last bits
-        # differ (0.5312805062762808, 0.5312805062781295)
+        # the rigor constants at the cap s_hat + 1e-3 narrow err, and with
+        # it the bracket, from (0.5312805062762814, 0.5312805062781297) at
+        # the cap 1, which lay within tol_s = 1e-14 of the endpoints a
+        # bisection from S_FLOOR found (0.5312805062762838,
+        # 0.5312805062781312)
         rec, _ = table2
-        assert abs(rec["s_lo"] - 0.5312805062762838) <= 1e-14
-        assert abs(rec["s_hi"] - 0.5312805062781312) <= 1e-14
+        assert (rec["s_lo"], rec["s_hi"]) == (0.5312805062763736,
+                                              0.5312805062780376)
+        assert rec["constants"]["s_cap"] == rec["search"]["s_hat"] + 1e-3
         assert rec["search"]["J_c"] == 99999 // solver.SEARCH_COARSENING
 
     def test_table2_matvecs(self, table2):
@@ -446,8 +473,9 @@ class TestLambdaBracket:
             solve_dimension(SolveConfig(A12, h=1 / 25, unsafe_h=True))
 
     def test_image_cone_guard(self):
-        # h = 1/64 is admissible, but M = 2 gives M' = 33.2 >= M
-        with pytest.raises(CertificationError, match="M' = 33.1"):
+        # h = 1/64 is admissible, but M = 2 gives M' = 4.73 >= M at the
+        # cap just above s_hat (33.1 at the cap 1)
+        with pytest.raises(CertificationError, match="M' = 4.72"):
             solve_dimension(SolveConfig(A12, h=1 / 64, M=2.0))
 
 
@@ -492,6 +520,32 @@ class TestBisectionEdges:
             (0.6, 0.6)
         with pytest.raises(ValueError, match="does not straddle"):
             _bisect(self.above(endpoint), S_FLOOR, ceiling, 1e-8, guess)
+
+    @pytest.mark.parametrize("capped", [True, False],
+                             ids=["capped", "given-cap"])
+    @pytest.mark.parametrize("spec, J, s_cap", [("5", 64, None),
+                                                ("(2,0)", 500, 0.5)])
+    def test_floor_proves_no_lower_bound(self, spec, J, s_cap, capped,
+                                         monkeypatch):
+        # a one-letter limit set is a point, of dimension 0: lam_lo < 1 at
+        # S_FLOOR, so 0 is the only lower bound proved (s_lo read S_FLOOR),
+        # at the cap just above s_hat and at the given cap alike
+        if not capped:  # s_hat on the ceiling, so the given cap stays
+            crossings = solver._crossings
+
+            def at_ceiling(engine, levels, a, b, eps):
+                found, iterates = crossings(engine, levels, a, b, eps)
+                return ((b,) if levels == (0.0,) else found), iterates
+
+            monkeypatch.setattr(solver, "_crossings", at_ceiling)
+        alphabet = parse_alphabet(spec)
+        ab = 0.2 if alphabet.d == 2 else None
+        b = solve_dimension(SolveConfig(alphabet, h=1 / J, s_cap=s_cap,
+                                        alpha=ab, beta=ab))
+        assert (b.constants["s_cap"] < 0.01) == capped
+        floor = b.probes[0]
+        assert floor["s"] == S_FLOOR and floor["lam_lo"] < 1.0
+        assert b.s_lo == 0.0 and b.s_hi >= S_FLOOR
 
     def test_ceiling_above_cap_refused(self):
         # the constants hold only up to s_cap = 0.7, below this set's
@@ -779,7 +833,7 @@ class TestSearch:
                           ("build", fine), ("probe", fine)]
         assert b.search["J_s"] == solver.COARSE_J and b.search["J_c"] == 32
         assert b.search["seed_probes"] > 0 and b.search["probes"] > 0
-        assert b.search["s_hat"] is None
+        assert b.constants["s_cap"] == b.search["s_hat"] + 1e-3
         assert b.search["seed_lo"] <= b.search["seed_hi"]
         assert b.search["s_lo"] <= b.search["s_hi"]
         # one converged fine probe at the lower prediction, whose Newton
@@ -797,7 +851,9 @@ class TestSearch:
         predict = solver._predict
 
         def wrong_end(engine, a, b, target, eps):
-            predict(engine, a, b, target, eps)
+            found = predict(engine, a, b, target, eps)
+            if target == 0.0:  # s_hat, which sets the cap
+                return found
             return a if wrong == "floor" else b
 
         monkeypatch.setattr(solver, "_predict", wrong_end)
@@ -822,7 +878,8 @@ class TestSearch:
 
         def wrong_seed(engine, levels, a, b, eps):
             found, iterates = crossings(engine, levels, a, b, eps)
-            if round(1.0 / engine.cache.geometry.h) == solver.COARSE_J:
+            if (round(1.0 / engine.cache.geometry.h) == solver.COARSE_J
+                    and levels != (0.0,)):  # not s_hat, which sets the cap
                 found = {"floor": (a, a), "cap": (b, b),
                          "off": tuple(g + 1e-3 for g in found)}[wrong]
             return found, iterates
@@ -861,15 +918,19 @@ class TestSearch:
 
     def test_degree_4_seed_mesh(self):
         # at n = 4 the 25-mesh cannot hold letter 1's images, so the seed
-        # mesh has 2 n^2 - n + 1 = 29 subintervals; the smallest admissible
-        # mesh certifies through it
-        profile = make_profile(A12, n=4)
+        # mesh has 2 n^2 - n + 1 = 29 subintervals; the smallest mesh
+        # admissible at the cap that mesh sets (29 too; 169 at the cap 1)
+        # certifies through it
+        seed = solver._seed_engine(A12, make_profile(A12, n=4))
+        (s_hat,), _ = solver._crossings(seed, (0.0,), S_FLOOR, 1.0, 1e-6)
+        profile = make_profile(A12, n=4, s_cap=s_hat + 1e-3)
         J = math.ceil(1 / Fraction(admissible_h(profile, A12)["overall"]))
         with pytest.raises(InadmissibleMeshError):
             solve_dimension(SolveConfig(A12, h=1 / (J - 1), n=4))
         b = solve_dimension(SolveConfig(A12, h=1 / J, n=4))
         assert b.s_lo <= REF_1D <= b.s_hi
-        assert b.search["J_s"] == 29 and b.search["J_c"] == J // 4
+        assert b.constants["s_cap"] == s_hat + 1e-3
+        assert J == b.search["J_s"] == 29 and b.search["J_c"] is None
         with pytest.raises(ValueError, match="letter 1"):
             OperatorCache(A12, make_geometry(1, 28, 4))
 
@@ -895,9 +956,9 @@ class TestSearch:
 
 
 class TestTwoStepRefinement:
-    """A certified 2D solve caps s just above s_hat, where log lam crosses 0
-    on the COARSE_J mesh, then searches and proves once at that cap; every
-    other solve works at the config's cap.  No solve nests another."""
+    """A certified solve, 1D or 2D, caps s just above s_hat, where log lam
+    crosses 0 on the seed mesh, then searches and proves once at that cap;
+    a point estimate works at the config's cap.  No solve nests another."""
 
     @pytest.fixture
     def meshes(self, monkeypatch):
@@ -918,16 +979,37 @@ class TestTwoStepRefinement:
         return events
 
     def test_one_pass_otherwise(self, meshes):
+        # the certified 1D solve lowers the cap 0.9 to just above s_hat, on
+        # the seed mesh it then predicts on (J // 4 = 16 being no finer);
+        # the point estimate keeps its cap and builds its own mesh only
         b = solver.solve_dimension(SolveConfig(A12, h=1 / 64, tol_s=1e-6,
                                                s_cap=0.9))
-        assert b.constants["s_cap"] == 0.9
-        solver.solve_dimension(SolveConfig(A2D, h=1 / 10,
-                                           mode="point-estimate",
-                                           unsafe_h=True, tol_s=1e-6))
-        # the certified 1D solve predicts on the seed mesh, J // 4 = 16
-        # being no finer; the point estimate builds its own mesh only
+        assert b.constants["s_cap"] == b.search["s_hat"] + 1e-3 < 0.9
+        p = solver.solve_dimension(SolveConfig(A2D, h=1 / 10,
+                                               mode="point-estimate",
+                                               unsafe_h=True, tol_s=1e-6))
+        assert p.constants["s_cap"] == make_profile(A2D).s_cap
+        assert p.search is None
         assert meshes == [("solve", 64), ("build", solver.COARSE_J),
                           ("build", 64), ("solve", 10), ("build", 10)]
+
+    @pytest.mark.parametrize("spec, J, s_cap", [
+        ("1,2", 64, None), ("1,2", 64, 0.532), ("1,3,5", 50, 0.9),
+        ("(2,0),(3,0)", 230, 0.5), ("(2,0),(3,0)", 230, 0.3378)])
+    def test_cap_rule_in_every_dimension(self, spec, J, s_cap):
+        # one rule in 1D and 2D: the rigor constants hold up to the given
+        # cap or just above s_hat, whichever is lower (0.532 and 0.3378 lie
+        # between the dimension and s_hat + 1e-3)
+        alphabet = parse_alphabet(spec)
+        ab = 0.2 if alphabet.d == 2 else None
+        b = solve_dimension(SolveConfig(alphabet, h=1 / J, s_cap=s_cap,
+                                        alpha=ab, beta=ab, tol_s=1e-8))
+        s_hat = b.search["s_hat"]
+        assert isinstance(s_hat, float)
+        given = make_profile(alphabet, s_cap=s_cap, alpha=ab, beta=ab).s_cap
+        assert b.constants["s_cap"] == min(given, s_hat + 1e-3)
+        assert (b.constants["s_cap"] == given) == (s_cap in (0.532, 0.3378))
+        assert b.s_hi <= b.constants["s_cap"]
 
     def test_same_cap_one_bisection(self, meshes):
         # the certify-2d case: s_hat plus 1e-3 lies above s_cap = 1.15, so
