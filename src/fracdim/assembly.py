@@ -61,7 +61,7 @@ from scipy import sparse
 
 from .bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
 from .maps import Alphabet
-from .quasi import QuasiInterpolant, make_quasi_interpolant
+from .quasi import make_quasi_interpolant
 
 Array = np.ndarray
 
@@ -72,14 +72,6 @@ BLOCK_ROWS = 2 ** 14
 def index_dtype(nnz: int) -> type:
     """The index dtype scipy keeps for a CSR matrix with nnz entries."""
     return np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-
-
-def check_degree(n: int) -> None:
-    """Collocation at interval midpoints needs an even degree n >= 2, and
-    the quasi-interpolant's weight table stops at 4."""
-    if n not in (2, 4):
-        raise ValueError("collocation requires an even spline degree >= 2 "
-                         f"with a weight table, 2 or 4, not {n}")
 
 
 def kept_points(alphabet: Alphabet, geometry: TensorGrid) -> int:
@@ -116,15 +108,14 @@ def operator_footprint(alphabet: Alphabet, geometry: TensorGrid) -> dict:
     return {**parts, "total": sum(parts.values())}
 
 
-def coefficient_map(ks: KnotSequence,
-                    q: QuasiInterpolant) -> sparse.csr_matrix:
-    """Per-axis coefficient map W1: row c applies the midpoint weights to
-    samples c..c+n (the dual-functional window of spline c)."""
-    n, nc = q.n, ks.num_splines
+def coefficient_map(ks: KnotSequence) -> sparse.csr_matrix:
+    """Per-axis coefficient map W1: row c applies the degree-ks.n midpoint
+    weights to samples c..c+n (the dual-functional window of spline c)."""
+    n, nc = ks.n, ks.num_splines
     c = np.arange(nc)
     rows = np.repeat(c, n + 1)
     cols = (c[:, None] + np.arange(n + 1)[None, :]).ravel()
-    vals = np.tile(q.weights, nc)
+    vals = np.tile(make_quasi_interpolant(n).weights, nc)
     return sparse.csr_matrix((vals, (rows, cols)),
                              shape=(nc, ks.num_intervals))
 
@@ -184,27 +175,24 @@ class OperatorCache:
     """s-independent structure of G for one mesh/alphabet; cheap per-s
     rebuilds.
 
+    The spline degree is the geometry's: the per-axis coefficient maps W1
+    take its quasi-interpolant weights (coefficient_map), once per cache.
     Gs and lg cover the last `kept` of the N collocation points: those with
     y >= 0 on a folded 2D mesh (kept_points), all N otherwise.  Products
     then take only vectors symmetric in y; `symmetric` makes one.
     """
 
-    def __init__(self, alphabet: Alphabet, geometry: TensorGrid,
-                 q: QuasiInterpolant | None = None):
+    def __init__(self, alphabet: Alphabet, geometry: TensorGrid):
         if geometry.d != alphabet.d:
             raise ValueError("alphabet / geometry dimension mismatch")
         self.alphabet = alphabet
         self.geometry = geometry
         self.axes = geometry.axes
         self.n = geometry.n
-        check_degree(self.n)
-        self.q = q if q is not None else make_quasi_interpolant(self.n)
-        if self.q.n != self.n:
-            raise ValueError("quasi-interpolant degree must match the mesh degree")
         self.N = math.prod(geometry.sample_shape)  # samples
         self.Ncoef = math.prod(ax.num_splines for ax in self.axes)  # splines
         self.kept = kept_points(alphabet, geometry)
-        self._W1s = tuple(coefficient_map(ax, self.q) for ax in self.axes)
+        self._W1s = tuple(coefficient_map(ax) for ax in self.axes)
         self._build_G_structure()
 
     def _build_G_structure(self) -> None:

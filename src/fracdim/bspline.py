@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_DEGREE = 4
-
 Array = np.ndarray
 
 
@@ -52,8 +50,8 @@ def make_uniform_knots(domain_lo: float, domain_hi: float, J: int, n: int) -> Kn
         raise ValueError("domain_hi must exceed domain_lo")
     if J < 1:
         raise ValueError("J must be a positive integer")
-    if not 0 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 0..{MAX_DEGREE} (weight table stops at 4)")
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, not {n}")
     h = (domain_hi - domain_lo) / J
     # one multiplication per knot; no cumulative summation drift
     j = np.arange(J + 2 * n + 1, dtype=np.float64)

@@ -3,6 +3,10 @@ coefficients, Legendre projection and Bramble-Hilbert constants, eigenfunction
 derivative bounds, cone parameters, hidden positivity and the
 mesh-admissibility conditions.
 
+Every constant is a function of the spline degree n, which quasi.check_degree
+limits to 2 and 4; the quasi-interpolant's weights and ||Q|| are derived from
+n where they are needed, never passed.
+
 Exact rationals, one outward rounding: every algebraic constant is one
 Fraction expression, each square root replaced by a rational bound on its
 conservative side (math.isqrt on a scaled integer), converted to a double
@@ -13,11 +17,11 @@ and B = K^s_cap are float powers, nudged one ulp outward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .quasi import QuasiInterpolant, make_quasi_interpolant
+from .quasi import check_degree, make_quasi_interpolant
 
 
 def round_up_fraction(x: Fraction) -> float:
@@ -47,14 +51,12 @@ _SQRT3_UP = _sqrt_bound(3, up=True)
 _SQRT5_UP = _sqrt_bound(5, up=True)
 
 # c1(n) = sum_k ||p_k||_1 ||p_k||_inf for the orthonormal shifted Legendre
-# polynomials p_k(x) = sqrt(2k+1) P_k(2x-1) on [0,1].  Closed forms through
-# n = 3 (with sqrt(3) bounded above); at n = 4, whose roots are nested
-# radicals, a decimal upper bound on 9.278810841959933301460434595857...
+# polynomials p_k(x) = sqrt(2k+1) P_k(2x-1) on [0,1], k = 0..n, at the
+# degrees quasi.check_degree allows.  A closed form at n = 2 (with sqrt(3)
+# bounded above); at n = 4, whose roots are nested radicals, a decimal upper
+# bound on 9.278810841959933301460434595857...
 _C1_TABLE: dict[int, Fraction] = {
-    0: Fraction(1),
-    1: Fraction(5, 2),
     2: Fraction(5, 2) + Fraction(10, 9) * _SQRT3_UP,
-    3: Fraction(191, 40) + Fraction(10, 9) * _SQRT3_UP,
     4: Fraction("9.27881084195993330146043460"),
 }
 
@@ -115,8 +117,7 @@ def w3_seminorm_bound_2d(s) -> Fraction:
 def legendre_projection_constants(n: int) -> tuple[Fraction, Fraction]:
     """(c1, c2) from the shifted-Legendre orthonormal basis on [0,1]:
     c1(n) from the table above, c2(n) = (1 + c1(n)) / (2^{n+1} (n+1)!)."""
-    if not 0 <= n <= 4:
-        raise ValueError("n must be in 0..4")
+    check_degree(n)
     c1 = _C1_TABLE[n]
     return c1, (1 + c1) / (2 ** (n + 1) * math.factorial(n + 1))
 
@@ -182,7 +183,6 @@ class RigorProfile:
     C1: float          # derivative-error constant in M'
     C2: float          # value-error constant in M'
     err_coefficient: float  # err = err_coefficient * h^{n+1}
-    q: QuasiInterpolant = field(repr=False)
 
     def err(self, h: float) -> float:
         """err_coefficient * h^{n+1} for the exact_h of h, rounded up."""
@@ -200,7 +200,7 @@ def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
     cone parameter the image-cone condition can certify as h -> 0.
     """
     d = alphabet.d
-    q = make_quasi_interpolant(n)
+    check_degree(n)
     K = distortion_K(alphabet)
     if s_cap is None:
         s_cap = 1.0 if d == 1 else 1.8572
@@ -213,13 +213,13 @@ def make_profile(alphabet, n: int = 2, s_cap: float | None = None,
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise ValueError("alpha and beta must lie in (0,1)")
     try:
-        return _profile(d, n, q, K, s_cap, alpha, beta, M)
+        return _profile(d, n, K, s_cap, alpha, beta, M)
     except OverflowError:
         raise ValueError(f"s_cap = {s_cap!r} is too large: the rigor "
                          "constants overflow") from None
 
 
-def _profile(d, n, q, K, s_cap, alpha, beta, M) -> RigorProfile:
+def _profile(d, n, K, s_cap, alpha, beta, M) -> RigorProfile:
     """make_profile's constants, from its checked settings."""
     A = math.nextafter(K ** -s_cap, -math.inf)  # a lower bound
     B = math.nextafter(K ** s_cap, math.inf)
@@ -235,8 +235,9 @@ def _profile(d, n, q, K, s_cap, alpha, beta, M) -> RigorProfile:
         D = 2 * _SQRT5_UP
         cbh1 = bramble_hilbert_constant(n + 1, 2, 1)
         cbh0 = bramble_hilbert_constant(n + 1, 2, 0)
+        q_norm = make_quasi_interpolant(n).q_norm_exact
         C1 = ((cbh1 * (2 * n + 1) ** n * _sqrt_bound(2 ** (n + 1), up=True)
-               + 2 * q.q_norm_exact ** 2 * cbh0 * (2 * n + 1) ** (n + 1)
+               + 2 * q_norm ** 2 * cbh0 * (2 * n + 1) ** (n + 1)
                * _sqrt_bound(2 ** (n + 2), up=True))
               * w3_seminorm_bound_2d(s_cap))
         C2 = err_coeff = err_coefficient_2d(s_cap, n)
@@ -251,7 +252,7 @@ def _profile(d, n, q, K, s_cap, alpha, beta, M) -> RigorProfile:
     return RigorProfile(d=d, n=n, s_cap=float(s_cap), K=K, A=A, B=B, D=D,
                         M=float(M), alpha=float(alpha), beta=float(beta),
                         C1=round_up_fraction(C1), C2=round_up_fraction(C2),
-                        err_coefficient=round_up_fraction(err_coeff), q=q)
+                        err_coefficient=round_up_fraction(err_coeff))
 
 
 def cone_image_parameter(profile: RigorProfile, h: float) -> float:
@@ -268,18 +269,16 @@ def cone_image_parameter(profile: RigorProfile, h: float) -> float:
                               + Fraction(profile.C1) * x ** n) / denom)
 
 
-def positivity_threshold(q: QuasiInterpolant, d: int, M: float) -> float:
+def positivity_threshold(n: int, d: int, M: float) -> float:
     """Largest h keeping Qf > 0 for every f in the log-Lipschitz cone K_M,
-    rounded down.
+    rounded down, for the degree-n quasi-interpolant Q in d dimensions.
 
-    The sufficient condition is exp(M h sqrt(d) n_eff) (1 - 1/S) < 1 with
-    S the positive-weight sum of the (tensor) weights and n_eff = n for even
-    degree, n+1 for odd.  All-positive weights (n <= 1) give +inf.
+    The sufficient condition is exp(M h sqrt(d) n) (1 - 1/S) < 1 with S the
+    positive-weight sum of the (tensor) weights.
     """
     if M <= 0:
         raise ValueError("M must be positive")
-    if min(q.weights_exact) >= 0:
-        return math.inf
+    q = make_quasi_interpolant(n)
     S = sum(w for w in map(math.prod, product(q.weights_exact, repeat=d))
             if w > 0)
     # log(S/(S-1)) = 2 atanh(x), x = 1/(2S-1): a series of positive terms,
@@ -290,9 +289,8 @@ def positivity_threshold(q: QuasiInterpolant, d: int, M: float) -> float:
         log_lo += 2 * power / k
         power *= x * x
         k += 2
-    n_eff = q.n if q.n % 2 == 0 else q.n + 1
     return round_down_fraction(
-        log_lo / (Fraction(M) * n_eff * _sqrt_bound(d, up=True)))
+        log_lo / (Fraction(M) * n * _sqrt_bound(d, up=True)))
 
 
 def _root_down(rhs: Fraction, coeff: Fraction, k: int) -> float:
@@ -314,7 +312,7 @@ def admissible_h(profile: RigorProfile, alphabet) -> dict[str, float]:
     """
     n, p = profile.n, profile
     out = {
-        "positivity": positivity_threshold(p.q, p.d, p.M),
+        "positivity": positivity_threshold(n, p.d, p.M),
         "alpha": _root_down(Fraction(p.alpha) * Fraction(p.D) * Fraction(p.B),
                             Fraction(p.C1), n),
         "beta": _root_down(Fraction(p.beta) * Fraction(p.A), Fraction(p.C2),

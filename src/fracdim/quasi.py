@@ -1,4 +1,5 @@
-"""Midpoint quasi-interpolant: the exact weight table.
+"""Midpoint quasi-interpolant: the exact weight table, and the one rule on
+which spline degrees exist.
 
 The degree-n weights (w_0..w_n) are the unique solution of
 
@@ -6,7 +7,8 @@ The degree-n weights (w_0..w_n) are the unique solution of
 
 which makes Q_k f = sum_v w_v f(xibar_{k+v}) reproduce polynomials of
 degree <= n when paired with the spline expansion.  They are tabulated as
-exact rationals and converted to floats once.
+exact rationals, for the degrees the method uses (collocation at interval
+midpoints needs an even n >= 2), and converted to floats once.
 """
 from __future__ import annotations
 
@@ -18,13 +20,17 @@ import numpy as np
 Array = np.ndarray
 
 _WEIGHT_TABLE: dict[int, tuple[Fraction, ...]] = {
-    0: (Fraction(1),),
-    1: (Fraction(1, 2), Fraction(1, 2)),
     2: (Fraction(-1, 8), Fraction(5, 4), Fraction(-1, 8)),
-    3: (Fraction(-7, 48), Fraction(31, 48), Fraction(31, 48), Fraction(-7, 48)),
     4: (Fraction(47, 1152), Fraction(-107, 288), Fraction(319, 192),
         Fraction(-107, 288), Fraction(47, 1152)),
 }
+
+
+def check_degree(n: int) -> None:
+    """The spline degrees the method has: the keys of the weight table."""
+    if n not in _WEIGHT_TABLE:
+        raise ValueError("collocation requires an even spline degree >= 2 "
+                         f"with a weight table, 2 or 4, not {n}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +46,7 @@ class QuasiInterpolant:
 
 
 def make_quasi_interpolant(n: int) -> QuasiInterpolant:
-    if not 0 <= n <= 4:
-        raise ValueError("degree must be in 0..4 (no weight table beyond 4)")
+    check_degree(n)
     table = _WEIGHT_TABLE[n]
     w = np.array([float(x) for x in table], dtype=np.float64)
     return QuasiInterpolant(n=n, weights_exact=table, weights=w)
-

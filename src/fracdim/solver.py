@@ -33,13 +33,12 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from .assembly import (OperatorCache, check_degree, coefficient_map,
-                       operator_footprint)
+from .assembly import OperatorCache, coefficient_map, operator_footprint
 from .bspline import TensorGrid, make_uniform_knots, uniform_basis
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
 from .maps import Alphabet
-from .quasi import QuasiInterpolant
+from .quasi import check_degree
 from .spectral import (FLOAT_SLACK, POWER_TOL, cone_membership,
                        power_iteration, scaled_bracket, spectral_bracket)
 
@@ -237,7 +236,7 @@ class ProbeEngine:
             raise CertificationError(
                 f"eigenvector left the cone at s = {s}: adjacent log ratio "
                 f"{cone.adjacent_ratio_max:.6g} > M = {self.profile.M}")
-        br = spectral_bracket(m, res.w, res.iterations, y=res.y)
+        br = spectral_bracket(m, res.w, y=res.y)
         lam_lo, lam_hi = scaled_bracket(br.alpha, br.beta, self.err)
         rec = {
             "s": s,
@@ -361,8 +360,8 @@ def _predict(engine: ProbeEngine, a: float, b: float, target: float,
     return 0.5 * (lo + hi)
 
 
-def _prolong(v: np.ndarray, coarse: TensorGrid, fine: TensorGrid,
-             q: QuasiInterpolant) -> np.ndarray:
+def _prolong(v: np.ndarray, coarse: TensorGrid,
+             fine: TensorGrid) -> np.ndarray:
     """The coarse quasi-interpolant Q_c v = sum_j (W1 v)_j b_j of samples v
     on the coarse midpoints, evaluated at the fine ones and floored at half
     the smallest sample, so that a positive v gives a strictly positive
@@ -387,7 +386,7 @@ def _prolong(v: np.ndarray, coarse: TensorGrid, fine: TensorGrid,
             (B.ravel(), cols.ravel(), np.arange(0, B.size + 1, n + 1)),
             shape=(len(x), c.num_splines))
         a = u.ndim - 1 - k
-        u = (splines @ (coefficient_map(c, q) @ u.swapaxes(0, a))
+        u = (splines @ (coefficient_map(c) @ u.swapaxes(0, a))
              ).swapaxes(0, a)
     out = u.ravel()
     return np.maximum(out, 0.5 * v.min(), out=out)
@@ -420,8 +419,8 @@ def _seed_engine(alphabet: Alphabet, profile: RigorProfile) -> ProbeEngine:
     n = 4."""
     n = profile.n
     geometry = make_geometry(alphabet.d, max(COARSE_J, 2 * n * n - n + 1), n)
-    return ProbeEngine(OperatorCache(alphabet, geometry, profile.q), profile,
-                       0.0, certifiable=False)
+    return ProbeEngine(OperatorCache(alphabet, geometry), profile, 0.0,
+                       certifiable=False)
 
 
 def _newton(engine: ProbeEngine, guesses, levels, a: float, b: float,
@@ -565,7 +564,8 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     guess.
     A cap below the dimension fails the certified straddle test at the cap,
     so it ends in a ValueError, never in a wrong bracket.  Where lam_lo < 1
-    already at S_FLOOR, s_lo is 0, the only lower bound proved.
+    (lam < 1 for a point estimate) already at S_FLOOR, s_lo is 0, the only
+    lower bound proved, and so is a point estimate.
     """
     t0 = time.perf_counter()
     tol = config.resolve_tol()
@@ -596,9 +596,9 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
             mid = make_geometry(d, J_c, profile.n)
             # each start before its build, so its temporaries precede the
             # build's
-            start = _prolong(iterates[0], coarse, mid, profile.q)
+            start = _prolong(iterates[0], coarse, mid)
             engine = ProbeEngine(
-                OperatorCache(config.alphabet, mid, profile.q), profile, 0.0,
+                OperatorCache(config.alphabet, mid), profile, 0.0,
                 certifiable=False, start=start,
                 tol=max(sigma * tol / 4, POWER_TOL))
             moved, shift = _newton(engine, guesses, levels, a, b, tol)
@@ -610,22 +610,24 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
             search.update(J_c=J_c, probes=len(engine.records))
             coarse, engine = mid, None
         search["s_lo"], search["s_hi"] = guesses
-        start = _prolong(iterates[0], coarse, geometry, profile.q)
-    engine = ProbeEngine(OperatorCache(config.alphabet, geometry, profile.q),
-                         profile, err, certifiable, start)
+        start = _prolong(iterates[0], coarse, geometry)
+    engine = ProbeEngine(OperatorCache(config.alphabet, geometry), profile,
+                         err, certifiable, start)
+    key = "lam_lo" if certified else "lam"  # of the lower end's predicate
     if certified:
         guesses, search["shift"] = _newton(engine, guesses, levels, a, b, tol)
-        s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol,
-                       guesses[0])[0]
-        if engine.records[s_lo]["lam_lo"] < 1.0:
-            s_lo = 0.0  # not even the floor lies provably below the dimension
+        guess, radius = guesses[0], 0.0
+    lo, hi = _bisect(lambda s: engine.probe(s)[key] >= 1.0, a, b, tol, guess,
+                     radius)
+    if engine.records[lo][key] < 1.0:
+        lo = hi = 0.0  # not even the floor lies below the dimension
+    if certified:
+        s_lo = lo
         engine.warm = engine.warm * _prolong(iterates[1] / iterates[0],
-                                             coarse, geometry, profile.q)
+                                             coarse, geometry)
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
                        guesses[1])[1]
     else:
-        lo, hi = _bisect(lambda s: engine.probe(s)["lam"] >= 1.0, a, b, tol,
-                         guess, radius)
         s_lo = s_hi = 0.5 * (lo + hi)
     engine.audit_monotonicity()
     return DimensionBracket(

@@ -38,16 +38,9 @@ class PowerResult:
     converged: bool
     decided: bool       # stopped by the decision rule before converging
 
-    @property
-    def spread(self) -> float:
-        return self.ratio_max - self.ratio_min
-
 
 @dataclass(frozen=True)
 class ConeCertificate:
-    M: float
-    d: int
-    h: float
     adjacent_ratio_max: float
     member: bool
 
@@ -56,7 +49,6 @@ class ConeCertificate:
 class SpectralBracket:
     alpha: float
     beta: float
-    iterations: int
     residual: float  # ratio spread at the certified iterate
 
 
@@ -165,13 +157,11 @@ def cone_membership(w: Array, geometry: TensorGrid,
     ratio = max((np.abs(np.diff(logw, axis=a)).max()
                  for a in range(logw.ndim) if shape[a] > 1),
                 default=0.0) / geometry.h
-    return ConeCertificate(M=float(M), d=geometry.d, h=geometry.h,
-                           adjacent_ratio_max=float(ratio),
+    return ConeCertificate(adjacent_ratio_max=float(ratio),
                            member=bool(ratio <= M))
 
 
-def spectral_bracket(m, w: Array, iterations: int = 0,
-                     y: Array | None = None) -> SpectralBracket:
+def spectral_bracket(m, w: Array, y: Array | None = None) -> SpectralBracket:
     """alpha = min_i (Lw)_i/w_i, beta = max_i, widened by the relative slack
     FLOAT_SLACK against matvec rounding; alpha <= r(L) <= beta for
     cone-certified w.  Pass the image y = Lw when the caller already has
@@ -185,5 +175,5 @@ def spectral_bracket(m, w: Array, iterations: int = 0,
         raise PositivityError("matrix image lost positivity")
     ratios = y / w
     alpha, beta = _widen(float(ratios.min()), float(ratios.max()))
-    return SpectralBracket(alpha=alpha, beta=beta, iterations=iterations,
+    return SpectralBracket(alpha=alpha, beta=beta,
                            residual=float(ratios.max() - ratios.min()))

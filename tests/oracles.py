@@ -245,7 +245,7 @@ def full_matrix(cache: OperatorCache, s: float) -> sparse.csr_matrix:
     letter) rows weighted and summed per point."""
     G, w = _full_weights(cache, s)
     W = reduce(lambda inner, outer: sparse.kron(outer, inner, format="csr"),
-               [coefficient_map(ks, cache.q) for ks in cache.geometry.axes])
+               [coefficient_map(ks) for ks in cache.geometry.axes])
     N, E = w.shape
     rows = np.repeat(np.arange(N), E)
     G = sparse.csr_matrix((w.ravel(), (rows, np.arange(N * E))),
@@ -360,7 +360,7 @@ class ConvergedProbes:
             m = self.cache.matrix(s)
             res = power_iteration(m, start=self._warm)
             self._warm = res.w
-            br = spectral_bracket(m, res.w, res.iterations, y=res.y)
+            br = spectral_bracket(m, res.w, y=res.y)
             lam_lo, lam_hi = scaled_bracket(br.alpha, br.beta, self.err)
             member = cone_membership(res.w, self.cache.geometry, self.M).member
             self.records[s] = {"s": s, "lam": res.lam, "lam_lo": lam_lo,

@@ -9,12 +9,12 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 
 from fracdim import assembly
-from fracdim.assembly import (OperatorCache, check_degree, kept_points,
-                              operator_footprint)
+from fracdim.assembly import OperatorCache, kept_points, operator_footprint
 from fracdim.bspline import TensorGrid, make_uniform_knots
+from fracdim.constants import legendre_projection_constants, make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
-from fracdim.quasi import make_quasi_interpolant
-from fracdim.solver import make_geometry
+from fracdim.quasi import check_degree, make_quasi_interpolant
+from fracdim.solver import SolveConfig, make_geometry, solve_dimension
 from fracdim.spectral import FLOAT_SLACK
 from oracles import full_matrix, full_product, letter_structure
 
@@ -179,20 +179,27 @@ class TestStructure:
         assert op.weights.min() > 0.0
 
     def test_degree_and_dimension_validation(self):
-        with pytest.raises(ValueError, match="even spline degree"):
-            OperatorCache(make_alphabet_1d([1]), make_geometry(1, 8, 3))
-        # one guard names the degrees with a weight table; 6 passed it and
-        # failed later, in make_uniform_knots
+        # one guard, quasi.check_degree, names the degrees with a weight
+        # table (6 once passed a guard and failed later, in
+        # make_uniform_knots), and every entry point refuses the others
+        # through it, with its message
         for n in (0, 1, 3, 5, 6):
             with pytest.raises(ValueError, match="2 or 4, not"):
                 check_degree(n)
         for n in (2, 4):
             check_degree(n)
+        A1 = make_alphabet_1d([1])
+        for refused in (
+                lambda: make_quasi_interpolant(3),
+                lambda: OperatorCache(A1, make_geometry(1, 8, 3)),
+                lambda: make_profile(A1, n=3),
+                lambda: legendre_projection_constants(3),
+                lambda: solve_dimension(SolveConfig(A1, n=3, h=1 / 8))):
+            with pytest.raises(ValueError, match="even spline degree >= 2 "
+                               "with a weight table, 2 or 4, not 3$"):
+                refused()
         with pytest.raises(ValueError, match="dimension mismatch"):
             OperatorCache(make_alphabet_2d([(1, 0)]), make_geometry(1, 8, 2))
-        q1 = make_quasi_interpolant(4)
-        with pytest.raises(ValueError, match="degree must match"):
-            OperatorCache(make_alphabet_1d([1]), make_geometry(1, 8, 2), q1)
 
 
 class TestFullBasis:

@@ -57,7 +57,7 @@ class TestKnots:
         with pytest.raises(ValueError):
             make_uniform_knots(0.0, 1.0, 0, 2)
         with pytest.raises(ValueError):
-            make_uniform_knots(0.0, 1.0, 4, 7)
+            make_uniform_knots(0.0, 1.0, 4, -1)
 
 
 class TestEvaluation:

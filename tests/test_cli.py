@@ -164,11 +164,13 @@ class TestCertify:
             assert "needs spline degree n = 2" in capsys.readouterr().err
         # every entry point refuses an odd, too small or too large degree
         # (6 has no weight table) before the rigor constants are computed
-        for degree in ("0", "6"):
+        for degree in ("0", "3", "6"):
             code = run(["estimate", "--alphabet", "1,2", "--h", "1/40",
                         "--degree", degree, "--unsafe-h"])
             assert code == EXIT_USAGE
-            assert "even spline degree >= 2" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "even spline degree >= 2" in err
+            assert f"2 or 4, not {degree}" in err
 
     def test_tsv_format(self, capsys):
         code = run(["certify", "--alphabet", "1,2", "--h", "1/64",

@@ -411,8 +411,7 @@ class TestEarlyDecision:
     @staticmethod
     def no_iterate_in_cone(monkeypatch):
         def outside(w, geometry, M):
-            return ConeCertificate(M=M, d=geometry.d, h=geometry.h,
-                                   adjacent_ratio_max=np.inf, member=False)
+            return ConeCertificate(adjacent_ratio_max=np.inf, member=False)
 
         monkeypatch.setattr("fracdim.solver.cone_membership", outside)
 
@@ -529,7 +528,9 @@ class TestBisectionEdges:
                                          monkeypatch):
         # a one-letter limit set is a point, of dimension 0: lam_lo < 1 at
         # S_FLOOR, so 0 is the only lower bound proved (s_lo read S_FLOOR),
-        # at the cap just above s_hat and at the given cap alike
+        # at the cap just above s_hat and at the given cap alike; a point
+        # estimate, whose lam < 1 there, reports 0 by the same rule (it read
+        # S_FLOOR)
         if not capped:  # s_hat on the ceiling, so the given cap stays
             crossings = solver._crossings
 
@@ -546,6 +547,11 @@ class TestBisectionEdges:
         floor = b.probes[0]
         assert floor["s"] == S_FLOOR and floor["lam_lo"] < 1.0
         assert b.s_lo == 0.0 and b.s_hi >= S_FLOOR
+        p = solve_dimension(SolveConfig(alphabet, h=1 / J, s_cap=s_cap,
+                                        alpha=ab, beta=ab,
+                                        mode="point-estimate"))
+        assert [r["s"] for r in p.probes] == [S_FLOOR]
+        assert p.probes[0]["lam"] < 1.0 and p.s_lo == p.s_hi == 0.0
 
     def test_ceiling_above_cap_refused(self):
         # the constants hold only up to s_cap = 0.7, below this set's
@@ -733,8 +739,7 @@ class TestProlongation:
         """f on the coarse midpoints, prolonged, as an x-first array; solver
         vectors run first axis fastest, the transpose of x-first."""
         v = f(*self.midpoints(coarse)).T.ravel()
-        out = solver._prolong(v, coarse, fine,
-                              make_quasi_interpolant(coarse.n))
+        out = solver._prolong(v, coarse, fine)
         return out.reshape(fine.sample_shape).T
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -782,7 +787,7 @@ class TestProlongation:
         raw = eval_quasi_interpolant(make_quasi_interpolant(2), coarse, v,
                                      x[inside])
         assert raw.min() < 0
-        out = solver._prolong(v, coarse, fine, make_quasi_interpolant(2))
+        out = solver._prolong(v, coarse, fine)
         np.testing.assert_allclose(out[inside], np.maximum(raw, 0.5),
                                    rtol=1e-13, atol=0)
         assert out.min() == 0.5
@@ -797,8 +802,7 @@ class TestProlongation:
         # than a factor of 10
         logs = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=size,
                                   max_size=size))
-        out = solver._prolong(np.exp(logs), coarse, fine,
-                              make_quasi_interpolant(n))
+        out = solver._prolong(np.exp(logs), coarse, fine)
         assert out.shape == (math.prod(fine.sample_shape),)
         assert np.isfinite(out).all() and (out > 0).all()
 
@@ -814,8 +818,8 @@ class TestSearch:
         # the fine cache is built
         events, init, probe = [], OperatorCache.__init__, ProbeEngine.probe
 
-        def built(cache, alphabet, geometry, q=None):
-            init(cache, alphabet, geometry, q)
+        def built(cache, alphabet, geometry):
+            init(cache, alphabet, geometry)
             events.append(("build", cache.N))
 
         def probed(engine, s, tol=None):
@@ -970,9 +974,9 @@ class TestTwoStepRefinement:
             events.append(("solve", round(1 / cfg.h)))
             return solve(cfg)
 
-        def built(cache, alphabet, geometry, q=None):
+        def built(cache, alphabet, geometry):
             events.append(("build", round(1.0 / geometry.h)))
-            init(cache, alphabet, geometry, q)
+            init(cache, alphabet, geometry)
 
         monkeypatch.setattr(solver, "solve_dimension", solved)
         monkeypatch.setattr(OperatorCache, "__init__", built)
