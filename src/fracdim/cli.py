@@ -114,11 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="how 1/h counts the mesh: subintervals (default) "
                             "or nodes (J = 1/h - 1, as in the published tables)")
         p.add_argument("--M", type=float, default=None, help="cone parameter override")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--alpha", type=float, default=None,
+                       help="slack alpha in (0,1) of the cone parameter "
+                            "M = ceil((1+alpha)/(1-beta) DB/A) and of the "
+                            "admissible h (default 0.05 in 1D, 0.01 in 2D)")
+        p.add_argument("--beta", type=float, default=None,
+                       help="slack beta in (0,1) of the cone parameter "
+                            "M = ceil((1+alpha)/(1-beta) DB/A) and of the "
+                            "admissible h (default 0.05 in 1D, 0.01 in 2D)")
         p.add_argument("--s-cap", dest="s_cap", type=float, default=None,
                        help="upper bound on s used in the rigor constants")
-        p.add_argument("--tol-s", dest="tol_s", type=float, default=None)
+        p.add_argument("--tol-s", dest="tol_s", type=float, default=None,
+                       help="width in s to solve to (default: adjacent "
+                            "doubles for a point estimate, 1e-14 in 1D and "
+                            "1e-10 in 2D for a certified solve)")
         p.add_argument("--format", dest="fmt", choices=("table", "json", "tsv"),
                        default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -14,14 +14,20 @@ coarser one's iterate and moves its predictions by the Newton step of one
 converged probe (_newton); the J // SEARCH_COARSENING mesh then finds its
 crossings in a window around the moved ones, and the fine mesh probes next
 to each moved prediction and bisects only where those probes straddle it.
-Point-estimate mode sets err = 0 and bisects the eigenvalue estimate itself
-on [S_FLOOR, d] (what convergence tables measure), or, within a convergence
-study, from a window around the previous meshes' estimates.
+Point-estimate mode sets err = 0 and ends at the flip of the eigenvalue
+estimate's own lam >= 1 (what convergence tables measure).  Where its
+probes would converge anyway (on a mesh that is not certifiable, or in a
+convergence study's window around the previous meshes' estimates), regula
+falsi on log lam (_predict) first narrows [S_FLOOR, d], or the window, to
+about 1e-15, and the bisection finishes from there; an unseeded estimate
+on a certifiable mesh bisects [S_FLOOR, d] with probes that stop at their
+decision.
 
 Every probe follows one rule.  On a certifiable mesh (h admissible and
-M' < M) it stops at its decision and checks its cone; a point probe is the
-same probe with err = 0.  On any other mesh, which only a point estimate
-reaches, it runs to convergence with no cone check.
+M' < M) it stops at its decision, unless it is given a power tolerance to
+converge to, and checks its cone; a point probe is the same probe with
+err = 0.  On any other mesh, which only a point estimate reaches, it runs
+to convergence with no cone check.
 """
 from __future__ import annotations
 
@@ -321,13 +327,16 @@ def _bisect(above, a: float, b: float, tol: float,
 
 
 def _predict(engine: ProbeEngine, a: float, b: float, target: float,
-             eps: float) -> float:
+             eps: float, tol: float | None = None) -> float:
     """The s in [a, b] where log lam of the engine's converged probes
     crosses target, by Illinois regula falsi to a bracket of width eps or
-    adjacent doubles, from the narrowest bracket the engine's records give;
-    a or b when [a, b] holds no crossing."""
+    adjacent doubles, from the narrowest bracket the engine's records give:
+    the midpoint of the last bracket, whose ends are the records next to
+    it; a or b when [a, b] holds no crossing.  Each probe runs at the
+    power tolerance `tol` where one is given (converged, and cone-checked
+    on a certifiable mesh: see ProbeEngine)."""
     def f(s):
-        return math.log(engine.probe(s)["lam"]) - target
+        return math.log(engine.probe(s, tol)["lam"]) - target
 
     if f(a) <= 0.0:
         return a
@@ -557,11 +566,18 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
       - on the fine mesh, _bisect proves each endpoint from its moved
         prediction, the first s_hi probe started from the last fine
         iterate times the ratio of the two crossings' coarse iterates.
-    Each coarse cache is freed before the next build.  A point estimate
-    bisects [S_FLOOR, d] on the fine mesh, or, given a guess, starts from
-    [guess - radius, guess + radius] (see _bisect); either way it ends at
-    the flip of this mesh's own lam >= 1.  Only a point estimate takes a
-    guess.
+    Each coarse cache is freed before the next build, and a fine mesh
+    equal to the seed mesh takes the seed's cache.  A point estimate
+    searches [S_FLOOR, d] on the fine mesh, or, given a guess, the window
+    [guess - radius, guess + radius] in it.  With a guess, or on a mesh
+    that is not certifiable, _predict first finds where log lam of
+    converged probes crosses 0 in that interval, to max(tol, 1e-15 max(1,
+    hi)), and _bisect starts from the prediction with the half-width of
+    _predict's last bracket as its radius; a prediction on an end of the
+    interval (a window that misses, or lam < 1 already at S_FLOOR) leaves
+    _bisect as it is.  Unseeded on a certifiable mesh it bisects [S_FLOOR,
+    d] with decided probes.  Either way it ends at the flip of this mesh's
+    own lam >= 1.  Only a point estimate takes a guess.
     A cap below the dimension fails the certified straddle test at the cap,
     so it ends in a ValueError, never in a wrong bracket.  Where lam_lo < 1
     (lam < 1 for a point estimate) already at S_FLOOR, s_lo is 0, the only
@@ -576,7 +592,7 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
         seed, s_hat) = _setup(config)
     d = config.alphabet.d
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
-    start, search = None, None
+    start, search, cache = None, None, None
     if certified:
         # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
         levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
@@ -587,6 +603,8 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
                   "seed_lo": guesses[0], "seed_hi": guesses[1],
                   "seed_probes": len(seed.records), "J_c": None,
                   "s_lo": None, "s_hi": None, "probes": 0}
+        if J == search["J_s"]:
+            cache = seed.cache  # the fine mesh is the seed mesh
         seed = None  # freed before the finer builds
         J_c = J // SEARCH_COARSENING
         if J_c > search["J_s"]:
@@ -611,12 +629,23 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
             coarse, engine = mid, None
         search["s_lo"], search["s_hi"] = guesses
         start = _prolong(iterates[0], coarse, geometry)
-    engine = ProbeEngine(OperatorCache(config.alphabet, geometry), profile,
-                         err, certifiable, start)
+    if cache is None:
+        cache = OperatorCache(config.alphabet, geometry)
+    engine = ProbeEngine(cache, profile, err, certifiable, start)
     key = "lam_lo" if certified else "lam"  # of the lower end's predicate
     if certified:
         guesses, search["shift"] = _newton(engine, guesses, levels, a, b, tol)
         guess, radius = guesses[0], 0.0
+    elif guess is not None or not certifiable:
+        # probes that would converge anyway locate the flip superlinearly
+        lo, hi = (a, b) if guess is None else (max(a, guess - radius),
+                                               min(b, guess + radius))
+        p = _predict(engine, lo, hi, 0.0, max(tol, 1e-15 * max(1.0, hi)),
+                     tol=POWER_TOL)
+        if lo < p < hi:  # start from the ends of _predict's last bracket
+            below = max(s for s in engine.records if s < p)
+            above = min(s for s in engine.records if s > p)
+            guess, radius = p, max(p - below, above - p)
     lo, hi = _bisect(lambda s: engine.probe(s)[key] >= 1.0, a, b, tol, guess,
                      radius)
     if engine.records[lo][key] < 1.0:
@@ -644,11 +673,12 @@ def convergence_study(config: SolveConfig, h_list,
 
     Unless config.tol_s is set, each s_h is bisected down to adjacent
     doubles (the point-estimate default): at fine meshes the deltas are a
-    few ulp.  From the third mesh on, each bisection starts from the
-    previous s_h, within the last difference of s_h (see _bisect), rather
-    than from [S_FLOOR, d]; a window that misses widens, so every s_h is
-    still the flip of its own mesh's lam >= 1.  Each row counts its
-    solve's unique probes.
+    few ulp.  From the third mesh on, each solve searches the window of
+    the last difference of s_h around the previous s_h, rather than
+    [S_FLOOR, d]: regula falsi on its converged probes places the
+    bisection there (see solve_dimension), and a window that misses
+    widens (see _bisect), so every s_h is still the flip of its own mesh's
+    lam >= 1.  Each row counts its solve's unique probes.
 
     With a reference value: delta_i = |s_i - ref| and rate_i =
     log2(delta_{i-1}/delta_i).  Without: delta_i = |s_i - s_{i-1}| and the

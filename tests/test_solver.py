@@ -186,6 +186,19 @@ class TestPointEstimateOracle:
         cfg = SolveConfig(A12, h=1 / 32, mode="point-estimate", unsafe_h=True)
         assert solve_dimension(cfg).s_lo == solve_dimension(cfg).s_lo
 
+    @pytest.mark.parametrize("alphabet, J", [(A12, 16), (A2D, 8)],
+                             ids=["1d-J16", "2d-J8"])
+    def test_uncertifiable_estimate_predicts(self, alphabet, J):
+        # on a mesh that cannot be certified every probe converges, so
+        # regula falsi on log lam places the bisection's window: the two
+        # tests above hold these estimates to the dense oracle, in at most
+        # 20 probes where bisecting [S_FLOOR, d] took 55
+        b = solve_dimension(SolveConfig(alphabet, h=1 / J,
+                                        mode="point-estimate", unsafe_h=True))
+        assert b.s_lo == b.s_hi
+        assert len(b.probes) <= 20
+        assert all(p["converged"] for p in b.probes)
+
 
 class TestCertified:
     def test_bracket_contains_reference(self):
@@ -938,6 +951,25 @@ class TestSearch:
         with pytest.raises(ValueError, match="letter 1"):
             OperatorCache(A12, make_geometry(1, 28, 4))
 
+    @pytest.mark.parametrize("letters, n, J", [([1, 2], 4, 29),
+                                               ([5, 10], 2, 25)])
+    def test_fine_mesh_on_seed_mesh_built_once(self, letters, n, J,
+                                               monkeypatch):
+        # where the fine mesh is the seed mesh, its probes take the seed
+        # engine's operator instead of building it again
+        builds, init = [], OperatorCache.__init__
+
+        def built(cache, alphabet, geometry):
+            init(cache, alphabet, geometry)
+            builds.append(cache.N)
+
+        monkeypatch.setattr(OperatorCache, "__init__", built)
+        b = solve_dimension(SolveConfig(make_alphabet_1d(letters), h=1 / J,
+                                        n=n))
+        assert b.search["J_s"] == J and b.search["J_c"] is None
+        assert len(builds) == 1
+        assert b.s_lo <= b.s_hi
+
     def test_wrong_shift_costs_probes_only(self, monkeypatch):
         # a converged lam 1e-5 too high moves both predictions about 8e-6
         # (thousands of tol_s) upward; the bisections still prove the same
@@ -1139,6 +1171,31 @@ class TestConvergenceStudy:
                 assert r["probes"] == len(b.probes)
             elif nodes == sorted(nodes):
                 assert r["probes"] < len(b.probes)
+
+    def test_window_that_misses(self):
+        # a window far above the flip: both its ends answer lam < 1, so
+        # _predict returns its lower end and _bisect walks down from it
+        cfg = SolveConfig(A12, h=1 / 64, mode="point-estimate")
+        unseeded = solve_dimension(cfg).s_lo
+        missed = solve_dimension(cfg, guess=0.6, radius=1e-12).s_lo
+        assert abs(missed - unseeded) <= 4 * math.ulp(unseeded)
+
+    def test_window_checks_cone_on_admissible_mesh(self, monkeypatch):
+        # the window's converged probes are held to the cone where the
+        # mesh is certifiable, as every probe there is
+        TestEarlyDecision.no_iterate_in_cone(monkeypatch)
+        with pytest.raises(CertificationError, match="left the cone"):
+            solve_dimension(SolveConfig(A12, h=1 / 64, mode="point-estimate"),
+                            guess=0.5313, radius=1e-6)
+
+    def test_study_probe_budget(self):
+        # {1..10} over 25, 50 and 100 nodes: 13 probes on the uncertifiable
+        # 24-mesh, 55 decided ones on the unseeded 49-mesh and 8 in the
+        # window of the 99-mesh (143 when every estimate bisected)
+        cfg = SolveConfig(make_alphabet_1d(range(1, 11)),
+                          mode="point-estimate", mesh="nodes")
+        rows = convergence_study(cfg, [1 / 25, 1 / 50, 1 / 100])
+        assert sum(r["probes"] for r in rows) <= 76
 
     def test_guess_only_for_point_estimates(self):
         with pytest.raises(ValueError, match="only a point estimate"):
