@@ -74,37 +74,35 @@ def index_dtype(nnz: int) -> type:
     return np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
 
 
-def kept_points(alphabet: Alphabet, geometry: TensorGrid) -> int:
-    """Collocation points whose rows an OperatorCache builds: the last ones,
-    with y >= 0, when the 2D alphabet is closed under (e1, e2) -> (e1, -e2)
-    and the y midpoints negate exactly; all of them otherwise."""
-    N = math.prod(geometry.sample_shape)
-    if alphabet.d != 2:
-        return N
+def kept_points(alphabet: Alphabet, shape: tuple[int, ...],
+                y_symmetric: bool = True) -> int:
+    """Collocation points, of a sample grid of this shape, whose rows an
+    OperatorCache builds: the last ones, with y >= 0, when the 2D alphabet
+    is closed under (e1, e2) -> (e1, -e2) and the y midpoints negate exactly
+    (y_symmetric, as make_geometry makes them); all of them otherwise."""
+    N = math.prod(shape)
     letters = set(alphabet.letters)
-    y = geometry.axes[1].midpoints
-    if ({(e1, -e2) for e1, e2 in letters} != letters
-            or not np.array_equal(y, -y[::-1])):
+    if (alphabet.d != 2 or not y_symmetric
+            or {(e1, -e2) for e1, e2 in letters} != letters):
         return N
-    Ny, Nx = geometry.sample_shape
-    return (Ny - Ny // 2) * Nx
+    return (shape[0] - shape[0] // 2) * shape[1]
 
 
-def operator_footprint(alphabet: Alphabet, geometry: TensorGrid) -> dict:
+def operator_footprint(alphabet: Alphabet, shape: tuple[int, ...],
+                       n: int) -> dict:
     """Peak bytes of one mesh's operator in a solve, by part and in total,
-    from N, the kept points (kept_points: about N / 2 on a folded 2D mesh),
-    |E| and K = (n+1)^d: the OperatorCache's stacked Gs (values, columns,
-    row pointers) and lg, a probe's weights and G @ c (kept |E| doubles
-    each), six sample vectors of the power iteration, and one block of the
-    build (at most 2K + 4(n+1) doubles per row: tensor products, per-axis
-    windows and workspace)."""
-    N = math.prod(geometry.sample_shape)
-    rows = kept_points(alphabet, geometry) * len(alphabet.letters)
-    K = (geometry.n + 1) ** geometry.d
+    from its sample shape (y midpoints negating), the kept points
+    (kept_points), |E| and K = (n+1)^d: the OperatorCache's stacked Gs
+    (values, columns, row pointers) and lg, a probe's weights and G @ c
+    (kept |E| doubles each), six sample vectors of the power iteration, and
+    one block of the build (at most 2K + 4(n+1) doubles per row)."""
+    N = math.prod(shape)
+    rows = kept_points(alphabet, shape) * len(alphabet.letters)
+    K = (n + 1) ** len(shape)
     idx = np.dtype(index_dtype(rows * K)).itemsize
     parts = {"Gs": rows * K * (8 + idx) + (rows + 1) * idx, "lg": 8 * rows,
              "probe": 16 * rows, "vectors": 48 * N,
-             "block": 8 * BLOCK_ROWS * (2 * K + 4 * (geometry.n + 1))}
+             "block": 8 * BLOCK_ROWS * (2 * K + 4 * (n + 1))}
     return {**parts, "total": sum(parts.values())}
 
 
@@ -191,7 +189,9 @@ class OperatorCache:
         self.n = geometry.n
         self.N = math.prod(geometry.sample_shape)  # samples
         self.Ncoef = math.prod(ax.num_splines for ax in self.axes)  # splines
-        self.kept = kept_points(alphabet, geometry)
+        y = self.axes[-1].midpoints
+        self.kept = kept_points(alphabet, geometry.sample_shape,
+                                np.array_equal(y, -y[::-1]))
         self._W1s = tuple(coefficient_map(ax) for ax in self.axes)
         self._build_G_structure()
 

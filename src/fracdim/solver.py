@@ -6,22 +6,18 @@ pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
 B_h above 1 certifies s <= s*.  Only the two probes that end the search are
 part of the proof, so a certified solve first predicts both endpoints where
 log lam of converged point probes crosses the levels of the two proofs
-(_crossings), on one ladder of meshes: the seed mesh of about COARSE_J
-subintervals (which first finds the crossing of 0 that caps s), a
-mesh SEARCH_COARSENING times coarser than the fine one where that is finer
-than the seed mesh, and the fine mesh.  Each finer mesh starts from the
-coarser one's iterate and moves its predictions by the Newton step of one
-converged probe (_newton); the J // SEARCH_COARSENING mesh then finds its
-crossings in a window around the moved ones, and the fine mesh probes next
-to each moved prediction and bisects only where those probes straddle it.
-Point-estimate mode sets err = 0 and ends at the flip of the eigenvalue
-estimate's own lam >= 1 (what convergence tables measure).  Where its
-probes would converge anyway (on a mesh that is not certifiable, or in a
-convergence study's window around the previous meshes' estimates), regula
-falsi on log lam (_predict) first narrows [S_FLOOR, d], or the window, to
-about 1e-15, and the bisection finishes from there; an unseeded estimate
-on a certifiable mesh bisects [S_FLOOR, d] with probes that stop at their
-decision.
+(_crossings), on one ladder: the seed mesh of about COARSE_J subintervals
+(whose crossing of 0 caps s), J // SEARCH_COARSENING where that is finer,
+and the fine mesh J.  Point-estimate mode sets err = 0 and ends at the flip
+of the estimate's own lam >= 1 (what convergence tables measure); a
+convergence study's meshes form a ladder too.  Each step up a ladder is one
+routine (_step): the rung below (mesh, iterate, crossings, slope) starts
+the new mesh's power iteration, and the Newton step of one converged probe
+moves the crossings, next to which the fine certified mesh probes and
+around which every other mesh searches a window.  Where a point estimate's
+probes converge anyway (in a window, or on a mesh that is not
+certifiable), regula falsi (_predict) first narrows its interval to about
+1e-15, and the bisection finishes from there.
 
 Every probe follows one rule.  On a certifiable mesh (h admissible and
 M' < M) it stops at its decision, unless it is given a power tolerance to
@@ -33,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -92,21 +88,24 @@ class MonotonicityError(RuntimeError):
 
 def make_geometry(d: int, J: int, n: int) -> TensorGrid:
     """Standard domains ([0,1] for 1D, [0,1] x [-1/2,1/2] for 2D) on J
-    subintervals per axis, padded by n extra subintervals of the same width
-    on every edge that contraction images can spill past (beyond x = 1, and
-    in 2D both y edges).  1D is the one-axis grid.
-
-    With the padding, every image of every collocation midpoint lands inside
-    the padded partition-of-unity region, so the hidden positivity and
-    cone-contraction bounds apply at all collocation points and the power
-    iterates genuinely satisfy the certified cone check.
-    """
+    subintervals per axis, padded by n more on every edge that contraction
+    images can spill past (beyond x = 1, and in 2D both y edges), so that
+    every image of a collocation midpoint lands where partition of unity
+    holds, and the hidden positivity and cone bounds apply at every point.
+    1D is the one-axis grid."""
     if d not in (1, 2):
         raise ValueError("only d in {1, 2} supported")
     h = 1.0 / J
     axes = (make_uniform_knots(0.0, 1.0 + n * h, J + n, n),
             make_uniform_knots(-0.5 - n * h, 0.5 + n * h, J + 2 * n, n))
     return TensorGrid(axes[:d])
+
+
+def _footprint(alphabet: Alphabet, J: int, n: int) -> dict:
+    """operator_footprint of make_geometry(alphabet.d, J, n) before any of
+    its O(J) arrays exists: J + 3n x and J + 4n y midpoints, which negate."""
+    shape = (J + 4 * n, J + 3 * n)[2 - alphabet.d:]
+    return operator_footprint(alphabet, shape, n)
 
 
 @dataclass(frozen=True)
@@ -124,12 +123,9 @@ class SolveConfig:
     mesh: str = "intervals"  # intervals | nodes
 
     def resolve_mesh(self) -> int:
-        """Number of subintervals J, from an exact-reciprocal h.
-
-        mesh='intervals' reads h = 1/J exactly; mesh='nodes' reads 1/h as the
-        number of mesh NODES, i.e. J = 1/h - 1 subintervals (the convention
-        of linspace-style grids, used by the published-table reproductions).
-        """
+        """Number of subintervals J, from an exact-reciprocal h: h = 1/J
+        for mesh='intervals', and 1/h mesh NODES, J = 1/h - 1, for
+        mesh='nodes' (linspace-style grids, as the published tables use)."""
         if self.mesh not in ("intervals", "nodes"):
             raise ValueError("mesh must be 'intervals' or 'nodes'")
         if self.h is None:
@@ -176,13 +172,16 @@ class DimensionBracket:
     admissibility: dict
     search: dict | None  # the coarse prediction of a certified solve
     wall_ms: float
+    # a point estimate's, for a study's next mesh; not in the record
+    rung: Rung | None = field(default=None, repr=False, compare=False)
 
     @property
     def width(self) -> float:
         return self.s_hi - self.s_lo
 
     def to_record(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "rung"}
 
 
 class ProbeEngine:
@@ -203,16 +202,13 @@ class ProbeEngine:
     `certifiable` each probe runs to convergence, with no cone check.
 
     `warm` is the vector the next probe starts from: `start`, a strictly
-    positive vector on the cache's samples (as _prolong makes from a coarse
-    iterate; power_iteration refuses any other), or ones where that is
-    None, then each probe's last iterate.  _crossings reads it, and a
-    caller may replace it with another positive vector between probes.
-    Each warm start passes through cache.symmetric, which a folded cache's
-    products need and which leaves an iterate as it is.  A probe given a
+    positive vector on the cache's samples (as _prolong makes), or ones
+    where that is None, then each probe's last iterate; a caller may
+    replace it between probes.  Each warm start passes through
+    cache.symmetric, which a folded cache's products need.  A probe given a
     power tolerance `tol` runs to convergence at it instead of stopping at
-    its decision; on a certifiable mesh its cone is checked all the same.
-    The engine's `tol` is the power tolerance of a probe that runs to
-    convergence without one of its own.
+    its decision (its cone still checked on a certifiable mesh); the
+    engine's `tol` serves a probe that runs to convergence without one.
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
@@ -244,20 +240,11 @@ class ProbeEngine:
                 f"{cone.adjacent_ratio_max:.6g} > M = {self.profile.M}")
         br = spectral_bracket(m, res.w, y=res.y)
         lam_lo, lam_hi = scaled_bracket(br.alpha, br.beta, self.err)
-        rec = {
-            "s": s,
-            "alpha": br.alpha,
-            "beta": br.beta,
-            "lam": res.lam,
-            "lam_lo": lam_lo,
-            "lam_hi": lam_hi,
-            "iterations": res.iterations,
-            "spread": br.residual,
-            "cone_ratio": cone.adjacent_ratio_max,
-            "converged": res.converged,
-            "decided": res.decided,
-        }
-        self.records[s] = rec
+        rec = self.records[s] = {
+            "s": s, "alpha": br.alpha, "beta": br.beta, "lam": res.lam,
+            "lam_lo": lam_lo, "lam_hi": lam_hi, "iterations": res.iterations,
+            "spread": br.residual, "cone_ratio": cone.adjacent_ratio_max,
+            "converged": res.converged, "decided": res.decided}
         return rec
 
     def audit_monotonicity(self) -> None:
@@ -281,13 +268,12 @@ def _bisect(above, a: float, b: float, tol: float,
 
     Without a guess the search starts from a and b.  With one it probes
     guess + half and, when that answers false, guess - half (both clamped
-    to [a, b]), with half 2 ulp short of tol/2, so that the rounded window
-    and every halving of it stay within tol, or `radius` where that is
-    wider; a side that answers the wrong way moves outward by 2 half,
-    4 half, ... until the two sides straddle the dimension or that side
-    reaches a or b, where the two rules above apply.  `above` is asked once
-    per point, and the returned ends are points it answered for.
-    """
+    to [a, b]), with half 2 ulp short of tol/2 (so that the window and its
+    halvings stay within tol), or `radius` where that is wider; a side that
+    answers the wrong way moves outward by 2 half, 4 half, ... until the
+    sides straddle the dimension or reach a or b, where the rules above
+    apply.  `above` is asked once per point, and the returned ends are
+    points it answered for."""
     def straddle_missed(s):
         return ValueError(f"search interval does not straddle the dimension: "
                           f"still below it at s = {s}")
@@ -374,15 +360,12 @@ def _prolong(v: np.ndarray, coarse: TensorGrid,
     """The coarse quasi-interpolant Q_c v = sum_j (W1 v)_j b_j of samples v
     on the coarse midpoints, evaluated at the fine ones and floored at half
     the smallest sample, so that a positive v gives a strictly positive
-    start (the -1/8 weights of n = 2 can turn a coefficient negative where
-    neighbours differ by a factor of ten).
-
-    Along its own array axis, each axis applies the coarse W1
-    (coefficient_map, as the operator does), then the n+1 coarse splines
-    nonzero at each fine midpoint; apart, the two hold n+1 entries per fine
-    point, where their product would hold 2n+1.  A fine midpoint outside
-    the coarse partition-of-unity range takes the nearest end piece.
-    """
+    start (the -1/8 weights of n = 2 can turn a coefficient negative).
+    Either mesh may be the finer.  Along its own array axis, each axis
+    applies the coarse W1 (coefficient_map), then the n+1 coarse splines
+    nonzero at each fine midpoint (n+1 entries per point each, where their
+    product would hold 2n+1); a midpoint outside the coarse partition-of-
+    unity range takes the nearest end piece."""
     n = coarse.n
     u = v.reshape(coarse.sample_shape)
     for k, (c, f) in enumerate(zip(coarse.axes, fine.axes)):
@@ -420,39 +403,65 @@ def _crossings(engine: ProbeEngine, levels, a: float, b: float,
 
 def _seed_engine(alphabet: Alphabet, profile: RigorProfile) -> ProbeEngine:
     """Converged point probes (err = 0, no cone check) on the seed mesh of
-    a certified solve: COARSE_J subintervals per axis, or, at a degree n
-    where letter 1's images need more, the fewest that hold them.  The
-    leftmost collocation midpoint, -(n - 1/2) h, maps to
-    1 / (1 - (n - 1/2) h), which lies below the padded edge 1 + n h only
-    when h < 1 / (2 n^2 - n): 25 subintervals hold it at n = 2, 29 at
-    n = 4."""
+    a certified solve: COARSE_J subintervals per axis, or the fewest that
+    hold letter 1's images: the leftmost midpoint -(n - 1/2) h maps to
+    1 / (1 - (n - 1/2) h), below the padded edge 1 + n h only when
+    h < 1 / (2 n^2 - n) (25 subintervals at n = 2, 29 at n = 4)."""
     n = profile.n
     geometry = make_geometry(alphabet.d, max(COARSE_J, 2 * n * n - n + 1), n)
     return ProbeEngine(OperatorCache(alphabet, geometry), profile, 0.0,
                        certifiable=False)
 
 
-def _newton(engine: ProbeEngine, guesses, levels, a: float, b: float,
-            tol: float):
-    """Both guesses, the crossings of the two levels on a coarser mesh,
-    moved by one Newton step of the lower one on the engine's mesh, and
-    that step in s (None where it is skipped).
+@dataclass
+class Rung:
+    """A mesh as the next one starts from it: its geometry, its iterate at
+    the lower crossing (None once _step has prolonged it), its crossings,
+    lowest first, and sigma, the slope of -log lam in s there."""
 
-    The coarse predictions share the two meshes' discretization shift, so
-    one probe at the lower guess, converged until log lam is known to
-    sigma tol / 8, measures it for both: shift = (log lam - levels[0]) /
-    sigma, along the slope sigma of -log lam between the two coarse
-    crossings, which costs no probe.  Skipped, guesses unchanged, when a
-    guess lies on a or b (its level was not crossed inside) or sigma is not
-    finite and positive.
-    """
-    g_lo, g_hi = guesses
-    sigma = (levels[0] - levels[1]) / (g_hi - g_lo) if g_hi > g_lo else 0.0
-    if not (a < g_lo and g_hi < b and 0.0 < sigma < math.inf):
-        return guesses, None
-    lam = engine.probe(g_lo, tol=max(sigma * tol / 8, POWER_TOL))["lam"]
-    shift = (math.log(lam) - levels[0]) / sigma
-    return (g_lo + shift, g_hi + shift), shift
+    geometry: TensorGrid
+    iterate: np.ndarray | None
+    crossings: tuple
+    sigma: float
+
+
+def _step(rung: Rung, geometry: TensorGrid, build, level: float, a: float,
+          b: float, tol: float):
+    """One step up a ladder onto geometry.  The rung's iterate is prolonged
+    (_prolong) and dropped before build(start) builds the engine it starts.
+    Both meshes' crossings share one discretization shift, so one probe at
+    the lowest, converged until log lam is known to sigma tol / 8, measures
+    it for all: the Newton step shift = (log lam - level) / sigma.  Returns
+    the engine, the moved crossings, the shift and the window [g_lo - D,
+    g_hi + D] in [a, b], D the larger of |shift| and tol / 4 (at least 4
+    ulp); or the crossings, None and [a, b] where one lies on a or b (its
+    level not crossed inside) or sigma is not finite and positive."""
+    start = _prolong(rung.iterate, rung.geometry, geometry)
+    rung.iterate = None  # the build's peak then holds only the start
+    engine, g, sigma = build(start), rung.crossings, rung.sigma
+    if not (a < g[0] and g[-1] < b and 0.0 < sigma < math.inf):
+        return engine, g, None, (a, b)
+    lam = engine.probe(g[0], tol=max(sigma * tol / 8, POWER_TOL))["lam"]
+    shift = (math.log(lam) - level) / sigma
+    g = tuple(x + shift for x in g)
+    D = max(abs(shift), tol / 4, 4.0 * math.ulp(g[-1]))
+    return engine, g, shift, (max(a, g[0] - D), min(b, g[-1] + D))
+
+
+def _secant(p, q) -> float:
+    """-d log lam / ds between points (s, log lam), 0 unless s rises."""
+    (s1, l1), (s2, l2) = p, q
+    return (l1 - l2) / (s2 - s1) if s2 > s1 else 0.0
+
+
+def _slope(engine: ProbeEngine, s: float, prior: float) -> float:
+    """sigma at s: the _secant through the engine's nearest undecided
+    records below and above s whose log lam lies over 1e-12 from 0 (known
+    to about 1e-16, so sigma to about 1e-4), else prior."""
+    far = [(r["s"], math.log(r["lam"])) for r in engine.records.values()
+           if not r["decided"] and abs(math.log(r["lam"])) > 1e-12]
+    below, above = [p for p in far if p[0] < s], [p for p in far if p[0] > s]
+    return _secant(max(below), min(above)) if below and above else prior
 
 
 def _mem_available(meminfo: str = "/proc/meminfo") -> int | None:
@@ -472,21 +481,20 @@ def _setup(config: SolveConfig):
     """Mesh, rigor profile and the guards every entry point shares.
 
     Raises ValueError for an unknown mode or a degree other than 2 and 4,
-    OversizedMeshError, before any build, when the operator's footprint
-    exceeds the memory available, and InadmissibleMeshError when h exceeds
-    the admissible bound (only a point estimate may pass unsafe_h to go
-    on); in certified mode also ValueError for a 2D degree other than 2
-    (its error bounds are third order), and CertificationError when
-    M' >= M or err >= 1.  A certified solve builds its seed engine
-    (_seed_engine) after the footprint check.  That engine first lowers
-    s_cap to just above s_hat, where log lam crosses 0 on the seed mesh
-    (_crossings on [S_FLOOR, d], to 1e-6 in s), after the guards that do
-    not need the cap: a lower cap shrinks err and M', and admissibility,
-    M' and err are checked at it.  Returns (J, profile, geometry,
+    OversizedMeshError, before anything of the mesh is allocated, when the
+    operator's footprint exceeds the memory available, and
+    InadmissibleMeshError when h exceeds the admissible bound (only a point
+    estimate may pass unsafe_h to go on); in certified mode also ValueError
+    for a 2D degree other than 2 (its error bounds are third order), and
+    CertificationError when M' >= M or err >= 1.  A certified solve then
+    builds its seed engine (_seed_engine), which lowers s_cap to just above
+    s_hat, where log lam crosses 0 on the seed mesh (_crossings on
+    [S_FLOOR, d], to 1e-6 in s), before the guards that need the cap: a
+    lower cap shrinks err and M'.  Returns (J, profile, geometry,
     breakdown, constants, err, certifiable, (seed, s_hat)), certifiable
-    when h is admissible and M' < M (always, in certified mode), seed and
-    s_hat the seed engine, which the solve goes on probing, and the
-    crossing of a certified solve; both are None for a point estimate.
+    when h is admissible and M' < M, seed and s_hat the seed engine, which
+    the solve goes on probing, and its crossing (None for a point
+    estimate).
     """
     if config.mode not in ("certified", "point-estimate"):
         raise ValueError("mode must be 'certified' or 'point-estimate'")
@@ -498,11 +506,11 @@ def _setup(config: SolveConfig):
     check_degree(config.n)
     J = config.resolve_mesh()
     h = 1.0 / J
-    geometry = make_geometry(alphabet.d, J, config.n)
-    footprint = operator_footprint(alphabet, geometry)
+    footprint = _footprint(alphabet, J, config.n)
     available = _mem_available()
     if available is not None and footprint["total"] > available:
         raise OversizedMeshError(h, footprint, available)
+    geometry = make_geometry(alphabet.d, J, config.n)
 
     def profile_at(s_cap):
         return make_profile(alphabet, n=config.n, s_cap=s_cap,
@@ -542,42 +550,32 @@ def _setup(config: SolveConfig):
             (seed, s_hat))
 
 
-def solve_dimension(config: SolveConfig, *, guess: float | None = None,
-                    radius: float = 0.0) -> DimensionBracket:
+def solve_dimension(config: SolveConfig, *,
+                    rung: Rung | None = None) -> DimensionBracket:
     """The certified bracket, or the point estimate, of config.
 
     The search interval is [S_FLOOR, d], capped at s_cap in certified mode
     (the rigor constants hold only up to it); a certified solve first
-    lowers s_cap to just above a seed-mesh crossing (see _setup).  A
-    certified solve then predicts both endpoints, where log lam of converged
-    point probes crosses the levels at which a converged fine probe's lam_lo
-    and lam_hi reach 1, on a ladder of meshes, each started from the
-    iterate of the one before at the lower crossing (_prolong, before its
-    build) and each moving the crossings of the one before by one Newton
-    step (_newton):
-      - the seed mesh (_setup's engine) finds both crossings in [a, b]
-        (_crossings);
-      - J // SEARCH_COARSENING subintervals, only when that is finer than
-        the seed mesh, finds them inside [g_lo - D, g_hi + D] in [a, b],
-        with g the moved seed crossings and D the larger of |shift| and
-        tol / 4 (at least 4 ulp), or in [a, b] when the step is skipped;
-        its probes converge to max(sigma tol / 4, POWER_TOL), sigma the
-        slope of -log lam between the seed crossings;
-      - on the fine mesh, _bisect proves each endpoint from its moved
-        prediction, the first s_hi probe started from the last fine
-        iterate times the ratio of the two crossings' coarse iterates.
-    Each coarse cache is freed before the next build, and a fine mesh
-    equal to the seed mesh takes the seed's cache.  A point estimate
-    searches [S_FLOOR, d] on the fine mesh, or, given a guess, the window
-    [guess - radius, guess + radius] in it.  With a guess, or on a mesh
-    that is not certifiable, _predict first finds where log lam of
-    converged probes crosses 0 in that interval, to max(tol, 1e-15 max(1,
-    hi)), and _bisect starts from the prediction with the half-width of
-    _predict's last bracket as its radius; a prediction on an end of the
-    interval (a window that misses, or lam < 1 already at S_FLOOR) leaves
-    _bisect as it is.  Unseeded on a certifiable mesh it bisects [S_FLOOR,
-    d] with decided probes.  Either way it ends at the flip of this mesh's
-    own lam >= 1.  Only a point estimate takes a guess.
+    lowers s_cap to just above a seed-mesh crossing (see _setup).  It then
+    predicts both endpoints, where log lam of converged point probes crosses
+    the levels at which a converged fine probe's lam_lo and lam_hi reach 1:
+    the seed mesh finds both (_crossings) in [a, b], and each finer mesh
+    takes one _step from the rung below, sigma the slope between its two
+    crossings.  J // SEARCH_COARSENING subintervals, only when that is finer
+    than the seed mesh, finds both in the step's window, its probes
+    converged to max(sigma tol / 4, POWER_TOL).  On the fine mesh, _bisect
+    proves each endpoint from its moved prediction, the first s_hi probe
+    started from the last fine iterate times the ratio of the two
+    crossings' coarse iterates.  Each coarse cache is freed before the next
+    build, and a fine mesh equal to the seed mesh takes the seed's cache.
+    A point estimate searches [S_FLOOR, d], or, given the rung of another
+    mesh (a study's previous one), the window of a _step from it.  There,
+    or on a mesh that is not certifiable, _predict first finds where log
+    lam of converged probes crosses 0, to max(tol, 1e-15 max(1, hi)), and
+    _bisect starts from the prediction with the half-width of _predict's
+    last bracket, or widens a missed window from its end; elsewhere it
+    bisects [S_FLOOR, d] with decided probes.  It ends at the flip of this
+    mesh's own lam >= 1; its rung (last iterate, s_h, _slope) goes with it.
     A cap below the dimension fails the certified straddle test at the cap,
     so it ends in a ValueError, never in a wrong bracket.  Where lam_lo < 1
     (lam < 1 for a point estimate) already at S_FLOOR, s_lo is 0, the only
@@ -586,20 +584,21 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     t0 = time.perf_counter()
     tol = config.resolve_tol()
     certified = config.mode == "certified"
-    if certified and guess is not None:
-        raise ValueError("only a point estimate takes a guess")
+    if certified and rung is not None:
+        raise ValueError("only a point estimate takes a rung")
     J, profile, geometry, breakdown, constants, err, certifiable, (
         seed, s_hat) = _setup(config)
     d = config.alphabet.d
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
-    start, search, cache = None, None, None
+    search, cache, levels, prior = None, None, (0.0,), rung
     if certified:
         # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
         levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
                   -math.log1p(err) - math.log1p(FLOAT_SLACK))
         guesses, iterates = _crossings(seed, levels, a, b, tol / 4)
-        coarse = seed.cache.geometry
-        search = {"J_s": round(1.0 / coarse.h), "s_hat": s_hat,
+        rung = Rung(seed.cache.geometry, iterates[0], guesses,
+                    _secant(*zip(guesses, levels)))
+        search = {"J_s": round(1.0 / rung.geometry.h), "s_hat": s_hat,
                   "seed_lo": guesses[0], "seed_hi": guesses[1],
                   "seed_probes": len(seed.records), "J_c": None,
                   "s_lo": None, "s_hi": None, "probes": 0}
@@ -608,44 +607,43 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
         seed = None  # freed before the finer builds
         J_c = J // SEARCH_COARSENING
         if J_c > search["J_s"]:
-            g_lo, g_hi = guesses
-            sigma = ((levels[0] - levels[1]) / (g_hi - g_lo) if g_hi > g_lo
-                     else 0.0)
             mid = make_geometry(d, J_c, profile.n)
-            # each start before its build, so its temporaries precede the
-            # build's
-            start = _prolong(iterates[0], coarse, mid)
-            engine = ProbeEngine(
-                OperatorCache(config.alphabet, mid), profile, 0.0,
-                certifiable=False, start=start,
-                tol=max(sigma * tol / 4, POWER_TOL))
-            moved, shift = _newton(engine, guesses, levels, a, b, tol)
-            lo, hi = a, b
-            if shift is not None:
-                D = max(abs(shift), tol / 4, 4.0 * math.ulp(moved[1]))
-                lo, hi = max(a, moved[0] - D), min(b, moved[1] + D)
+            engine, _, _, (lo, hi) = _step(
+                rung, mid, lambda start: ProbeEngine(
+                    OperatorCache(config.alphabet, mid), profile, 0.0,
+                    certifiable=False, start=start,
+                    tol=max(rung.sigma * tol / 4, POWER_TOL)),
+                levels[0], a, b, tol)
             guesses, iterates = _crossings(engine, levels, lo, hi, tol / 4)
             search.update(J_c=J_c, probes=len(engine.records))
-            coarse, engine = mid, None
+            rung = Rung(mid, iterates[0], guesses,
+                        _secant(*zip(guesses, levels)))
+            engine = None  # freed before the fine build
         search["s_lo"], search["s_hi"] = guesses
-        start = _prolong(iterates[0], coarse, geometry)
-    if cache is None:
-        cache = OperatorCache(config.alphabet, geometry)
-    engine = ProbeEngine(cache, profile, err, certifiable, start)
+
+    def build(start=None):
+        return ProbeEngine(cache or OperatorCache(config.alphabet, geometry),
+                           profile, err, certifiable, start)
+
+    window, guess, radius = (a, b), None, 0.0
+    if rung is None:
+        engine = build()
+    else:
+        engine, guesses, shift, window = _step(rung, geometry, build,
+                                               levels[0], a, b, tol)
     key = "lam_lo" if certified else "lam"  # of the lower end's predicate
     if certified:
-        guesses, search["shift"] = _newton(engine, guesses, levels, a, b, tol)
-        guess, radius = guesses[0], 0.0
-    elif guess is not None or not certifiable:
+        search["shift"], guess = shift, guesses[0]
+    elif prior is not None or not certifiable:
         # probes that would converge anyway locate the flip superlinearly
-        lo, hi = (a, b) if guess is None else (max(a, guess - radius),
-                                               min(b, guess + radius))
+        lo, hi = window
         p = _predict(engine, lo, hi, 0.0, max(tol, 1e-15 * max(1.0, hi)),
                      tol=POWER_TOL)
-        if lo < p < hi:  # start from the ends of _predict's last bracket
-            below = max(s for s in engine.records if s < p)
-            above = min(s for s in engine.records if s > p)
-            guess, radius = p, max(p - below, above - p)
+        # from the records next to p: the ends of _predict's last bracket,
+        # or, where p is an end (no crossing inside), the nearest one
+        below = max((s for s in engine.records if s < p), default=p)
+        above = min((s for s in engine.records if s > p), default=p)
+        guess, radius = p, max(p - below, above - p)
     lo, hi = _bisect(lambda s: engine.probe(s)[key] >= 1.0, a, b, tol, guess,
                      radius)
     if engine.records[lo][key] < 1.0:
@@ -653,18 +651,21 @@ def solve_dimension(config: SolveConfig, *, guess: float | None = None,
     if certified:
         s_lo = lo
         engine.warm = engine.warm * _prolong(iterates[1] / iterates[0],
-                                             coarse, geometry)
+                                             rung.geometry, geometry)
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
                        guesses[1])[1]
+        rung = None
     else:
         s_lo = s_hi = 0.5 * (lo + hi)
+        rung = Rung(geometry, engine.warm, (s_lo,),
+                    _slope(engine, s_lo, prior.sigma if prior else 0.0))
     engine.audit_monotonicity()
     return DimensionBracket(
         s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=1.0 / J, n=config.n, d=d,
         alphabet=config.alphabet.describe(), err=err,
         probes=[engine.records[k] for k in sorted(engine.records)],
         constants=constants, admissibility=breakdown, search=search,
-        wall_ms=(time.perf_counter() - t0) * 1000.0)
+        wall_ms=(time.perf_counter() - t0) * 1000.0, rung=rung)
 
 
 def convergence_study(config: SolveConfig, h_list,
@@ -673,11 +674,11 @@ def convergence_study(config: SolveConfig, h_list,
 
     Unless config.tol_s is set, each s_h is bisected down to adjacent
     doubles (the point-estimate default): at fine meshes the deltas are a
-    few ulp.  From the third mesh on, each solve searches the window of
-    the last difference of s_h around the previous s_h, rather than
-    [S_FLOOR, d]: regula falsi on its converged probes places the
-    bisection there (see solve_dimension), and a window that misses
-    widens (see _bisect), so every s_h is still the flip of its own mesh's
+    few ulp.  Each mesh is one solve_dimension, and from the second on it
+    takes one _step from the previous mesh's rung: that iterate starts its
+    power iteration, and the previous s_h, moved by the Newton step of a
+    converged probe there, centres the window its search starts in (see
+    solve_dimension), so every s_h is still the flip of its own mesh's
     lam >= 1.  Each row counts its solve's unique probes.
 
     With a reference value: delta_i = |s_i - ref| and rate_i =
@@ -688,13 +689,11 @@ def convergence_study(config: SolveConfig, h_list,
         raise ValueError(f"reference = {reference!r} is not a finite number")
     if reference is None and len(h_list) < 3:
         raise ValueError("Richardson-style rates need at least 3 meshes")
-    rows, seed = [], {}
+    rows, rung = [], None
     for h in h_list:
         cfg = replace(config, h=float(h), mode="point-estimate", unsafe_h=True)
-        if len(rows) >= 2:
-            s1, s2 = rows[-1]["s_h"], rows[-2]["s_h"]
-            seed = {"guess": s1, "radius": abs(s1 - s2)}
-        b = solve_dimension(cfg, **seed)
+        b = solve_dimension(cfg, rung=rung)
+        rung = b.rung
         rows.append({"h": float(h), "s_h": b.s_lo, "delta": None, "rate": None,
                      "probes": len(b.probes), "wall_ms": b.wall_ms})
     if reference is not None:

@@ -233,6 +233,23 @@ class TestCriterion4TwoDimensional:
         assert rec["s_lo"] <= 0.33743678 <= rec["s_hi"]
         self.assert_holds_oracle(rec, [(2, 0), (3, 0)])
 
+    @pytest.mark.parametrize("letters, J", [
+        ([(1, 0), (1, 1), (2, 0)], 300),
+        ([(1, 0), (2, 1)], 250),
+        ([(1, 1), (2, 0), (3, -1)], 300),
+    ], ids=["three-letters", "two-letters", "three-letters-negative"])
+    def test_unfolded_certified_holds_oracle(self, letters, J):
+        # none of these alphabets is closed under e2 -> -e2, so every row of
+        # the certified ladder's meshes is built (no fold); each bracket
+        # holds the Chebyshev value, whose 20^2 and 24^2 nodes agree
+        letters = tuple(sorted(letters))
+        assert {(e1, -e2) for e1, e2 in letters} != set(letters)
+        value = chebyshev_dimension_2d(letters)
+        assert abs(chebyshev_dimension_2d(letters, 20) - value) <= 1e-13
+        b = solve_dimension(SolveConfig(make_alphabet_2d(letters), h=1 / J,
+                                        alpha=0.2, beta=0.2))
+        assert b.s_lo <= value <= b.s_hi
+
 
 class TestCriterion5NineLetterAnomaly:
     """The 9-letter 2D set's published 1/50 row sits ~2.5e-5 above the

@@ -345,7 +345,8 @@ class TestFold:
         alphabet, grid = parse_alphabet(SET_2D), make_geometry(2, J, 2)
         cache = OperatorCache(alphabet, grid)
         Ny, Nx = grid.sample_shape
-        assert cache.kept == kept_points(alphabet, grid) == (Ny - Ny // 2) * Nx
+        assert (cache.kept == kept_points(alphabet, grid.sample_shape)
+                == (Ny - Ny // 2) * Nx)
         r0 = cache.N - cache.kept
         rng = np.random.default_rng(J)
         for s in (0.9, 1.15):
@@ -378,7 +379,8 @@ class TestFold:
     def test_unfolded_keeps_every_row(self, grid):
         # an alphabet not closed under e2 -> -e2, or a y axis that is not
         # symmetric about 0: every row is built and any vector is taken
-        if grid == "standard":
+        y_symmetric = grid == "standard"
+        if y_symmetric:
             alphabet, grid = (parse_alphabet(NOT_CLOSED),
                               make_geometry(2, 12, 2))
         else:
@@ -386,7 +388,8 @@ class TestFold:
             grid = TensorGrid((make_geometry(2, 8, 2).axes[0],
                                make_uniform_knots(-0.625, 0.875, 12, 2)))
         cache = OperatorCache(alphabet, grid)
-        assert cache.kept == cache.N == kept_points(alphabet, grid)
+        assert cache.kept == cache.N == kept_points(
+            alphabet, grid.sample_shape, y_symmetric)
         v = np.random.default_rng(6).uniform(0.5, 1.5, cache.N)
         for s in (0.9, 1.15):
             assert np.array_equal(cache.matrix(s) @ v,
@@ -412,14 +415,14 @@ class TestBuildMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        budget = operator_footprint(alphabet, grid)["block"]
+        budget = operator_footprint(alphabet, grid.sample_shape, 2)["block"]
         assert peak - kept_bytes(cache) <= budget
 
     @pytest.mark.parametrize("text,d,J", [("primes<50", 1, 64), (SET_2D, 2, 12)])
     def test_footprint_counts_what_the_cache_keeps(self, text, d, J):
         alphabet, grid = parse_alphabet(text), make_geometry(d, J, 2)
         cache = OperatorCache(alphabet, grid)
-        fp = operator_footprint(alphabet, grid)
+        fp = operator_footprint(alphabet, grid.sample_shape, 2)
         G = cache.matrix(1.0).G
         assert fp["Gs"] == G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
         assert fp["lg"] == cache._lg.nbytes

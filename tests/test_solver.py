@@ -2,9 +2,14 @@
 brackets, and convergence studies."""
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from fracdim import solver
-from fracdim.assembly import (OperatorCache, TransferOperator,
+from fracdim.assembly import (OperatorCache, TransferOperator, kept_points,
                               operator_footprint)
 from fracdim.bspline import TensorGrid
 from fracdim.cli import EXIT_INADMISSIBLE, run
@@ -22,7 +27,7 @@ from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import make_quasi_interpolant
 from fracdim.solver import (S_FLOOR, CertificationError,
                             InadmissibleMeshError, MonotonicityError,
-                            ProbeEngine, SolveConfig, _bisect,
+                            ProbeEngine, Rung, SolveConfig, _bisect,
                             convergence_study, make_geometry,
                             solve_dimension)
 from fracdim.spectral import ConeCertificate, FLOAT_SLACK, scaled_bracket
@@ -587,7 +592,7 @@ class TestFootprint:
 
     def test_refused_before_any_build(self, monkeypatch, no_builds):
         # a certified 2D solve would build its cap estimate first
-        need = operator_footprint(A2D, make_geometry(2, 500, 2))["total"]
+        need = solver._footprint(A2D, 500, 2)["total"]
         monkeypatch.setattr(solver, "_mem_available", lambda: need - 1)
         cfg = SolveConfig(alphabet=A2D, h=1 / 500, s_cap=1.15, alpha=0.2,
                           beta=0.2)
@@ -603,7 +608,7 @@ class TestFootprint:
         # sample vectors.  The alphabet is closed under e2 -> -e2, so the
         # cache keeps the points of 1204 of the 2408 y rows, and the
         # vectors stay full length
-        fp = operator_footprint(A2D, make_geometry(2, 2400, 2))
+        fp = solver._footprint(A2D, 2400, 2)
         N = (2400 + 6) * (2400 + 8)
         rows = (2400 + 6) * (2400 + 8) // 2 * 4
         kept = rows * 9 * (8 + 4) + (rows + 1) * 4 + rows * 8
@@ -619,6 +624,39 @@ class TestFootprint:
         assert "mesh too large" in err and "1024 MiB available" in err
         for part in fp:
             assert f"{part:>12}: {fp[part] / 2**20:.1f} MiB" in err
+
+    @pytest.mark.parametrize("spec", ["primes<50", "(1,0),(1,1),(1,-1),(2,0)",
+                                      "(1,0),(1,1),(2,0)"],
+                             ids=["1d", "2d-folded", "2d-unfolded"])
+    def test_footprint_from_J_is_the_built_meshs(self, spec):
+        # the footprint a solve checks before building anything, from J
+        # alone, is that of the geometry and cache it would build
+        alphabet = parse_alphabet(spec)
+        # 20 and 21 y midpoints at n = 2: the odd count keeps a row at y = 0
+        for J, n in [(12, 2), (13, 2)] + [(30, 4)] * (alphabet.d == 1):
+            grid = make_geometry(alphabet.d, J, n)
+            fp = solver._footprint(alphabet, J, n)
+            assert fp == operator_footprint(alphabet, grid.sample_shape, n)
+            assert (kept_points(alphabet, grid.sample_shape)
+                    == OperatorCache(alphabet, grid).kept)
+
+    def test_oversized_mesh_refused_before_its_geometry(self):
+        # at h = 1e-9 the geometry alone would take 7.45 GiB, the operator
+        # about 190 GiB: the refusal comes first (exit 2).  The run is a
+        # child process under a 3 GiB address-space limit, so a regression
+        # ends there in a MemoryError (exit 1) and allocates nothing here
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fracdim.cli import run; "
+             "sys.exit(run(sys.argv[1:]))",
+             "certify", "--alphabet", "1,2", "--h", "1e-9"],
+            preexec_fn=limit, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": str(Path(solver.__file__).parents[1])})
+        assert proc.returncode == EXIT_INADMISSIBLE, proc.stderr
+        assert "mesh too large" in proc.stderr
 
     def test_meminfo(self, tmp_path):
         meminfo = tmp_path / "meminfo"
@@ -1155,29 +1193,44 @@ class TestConvergenceStudy:
         assert rows[1]["delta"] > rows[2]["delta"]
         assert rows[2]["rate"] is not None
 
-    @pytest.mark.parametrize("nodes", [
-        [50, 100, 200, 400, 800, 1600],
-        [400, 100, 800, 200, 1600, 50],
-    ], ids=["refining", "out-of-order"])
-    def test_seeded_rows_match_independent_solves(self, nodes):
-        # from the third mesh on a study seeds each bisection with the
-        # previous s_h, yet each row is its own mesh's flip point
-        cfg = SolveConfig(A12, mode="point-estimate", mesh="nodes")
+    @pytest.mark.parametrize("alphabet, mesh, nodes", [
+        (A12, "nodes", [50, 100, 200, 400, 800, 1600]),
+        (A12, "nodes", [400, 100, 800, 200, 1600, 50]),
+        (A2D, "intervals", [25, 50, 100]),
+        (A2D, "intervals", [100, 25, 50]),
+    ], ids=["refining", "out-of-order", "2d-folded-refining",
+            "2d-folded-out-of-order"])
+    def test_seeded_rows_match_independent_solves(self, alphabet, mesh,
+                                                  nodes):
+        # from the second mesh on a study starts from the previous mesh's
+        # rung (its iterate prolonged, coarser or finer, through
+        # cache.symmetric on the folded 2D meshes, and its s_h moved by a
+        # Newton step), yet each row is its own mesh's flip point
+        cfg = SolveConfig(alphabet, mode="point-estimate", mesh=mesh)
         rows = convergence_study(cfg, [1.0 / k for k in nodes])
         for i, r in enumerate(rows):
             b = solve_dimension(replace(cfg, h=r["h"], unsafe_h=True))
             assert abs(r["s_h"] - b.s_lo) <= 4 * math.ulp(b.s_lo)
-            if i < 2:
+            if i == 0:
                 assert r["probes"] == len(b.probes)
             elif nodes == sorted(nodes):
                 assert r["probes"] < len(b.probes)
 
+    @staticmethod
+    def rung(s, sigma, J=64):
+        """A rung of the {1,2} mesh on J subintervals at s, started from
+        ones."""
+        geometry = make_geometry(1, J, 2)
+        return Rung(geometry, np.ones(math.prod(geometry.sample_shape)),
+                    (s,), sigma)
+
     def test_window_that_misses(self):
-        # a window far above the flip: both its ends answer lam < 1, so
+        # a rung at 0.6 whose slope is far too steep: the Newton step
+        # barely moves it, so both ends of the window answer lam < 1,
         # _predict returns its lower end and _bisect walks down from it
         cfg = SolveConfig(A12, h=1 / 64, mode="point-estimate")
         unseeded = solve_dimension(cfg).s_lo
-        missed = solve_dimension(cfg, guess=0.6, radius=1e-12).s_lo
+        missed = solve_dimension(cfg, rung=self.rung(0.6, 1e12)).s_lo
         assert abs(missed - unseeded) <= 4 * math.ulp(unseeded)
 
     def test_window_checks_cone_on_admissible_mesh(self, monkeypatch):
@@ -1186,20 +1239,24 @@ class TestConvergenceStudy:
         TestEarlyDecision.no_iterate_in_cone(monkeypatch)
         with pytest.raises(CertificationError, match="left the cone"):
             solve_dimension(SolveConfig(A12, h=1 / 64, mode="point-estimate"),
-                            guess=0.5313, radius=1e-6)
+                            rung=self.rung(0.5313, 1.26))
 
     def test_study_probe_budget(self):
         # {1..10} over 25, 50 and 100 nodes: 13 probes on the uncertifiable
-        # 24-mesh, 55 decided ones on the unseeded 49-mesh and 8 in the
-        # window of the 99-mesh (143 when every estimate bisected)
+        # 24-mesh, then 8 on the 49-mesh and 7 on the 99-mesh, each the
+        # Newton probe at the previous s_h and its window (76 when the
+        # 49-mesh bisected [S_FLOOR, 1] with 55 decided probes, 143 when
+        # every estimate bisected)
         cfg = SolveConfig(make_alphabet_1d(range(1, 11)),
                           mode="point-estimate", mesh="nodes")
         rows = convergence_study(cfg, [1 / 25, 1 / 50, 1 / 100])
-        assert sum(r["probes"] for r in rows) <= 76
+        assert max(r["probes"] for r in rows[1:]) <= 8
+        assert sum(r["probes"] for r in rows) <= 28
 
     def test_guess_only_for_point_estimates(self):
         with pytest.raises(ValueError, match="only a point estimate"):
-            solve_dimension(SolveConfig(A12, h=1 / 64), guess=0.53)
+            solve_dimension(SolveConfig(A12, h=1 / 64),
+                            rung=self.rung(0.53, 1.26))
 
     def test_needs_three_meshes_without_reference(self):
         cfg = SolveConfig(A12, h=1 / 25, mode="point-estimate")
