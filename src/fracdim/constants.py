@@ -295,8 +295,11 @@ def positivity_threshold(n: int, d: int, M: float) -> float:
 
 def _root_down(rhs: Fraction, coeff: Fraction, k: int) -> float:
     """A double h with coeff h^k <= rhs: the float k-th root of rhs/coeff,
-    stepped down until the exact inequality holds."""
-    h = float(rhs / coeff) ** (1.0 / k)
+    stepped down until the exact inequality holds; in logs where the ratio
+    is no normal double (alpha, beta or s_cap near 1e-308)."""
+    r = rhs / coeff
+    h = (float(r) ** (1.0 / k) if 2.0 ** -1022 <= r < 2.0 ** 1023 else
+         math.exp((math.log(r.numerator) - math.log(r.denominator)) / k))
     while coeff * Fraction(h) ** k > rhs:
         h = math.nextafter(h, 0.0)
     return h

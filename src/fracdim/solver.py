@@ -3,27 +3,15 @@ bisection to a certified dimension interval.
 
 Certified mode scales the collocation matrix L_h(s) by (1 -/+ err) into the
 pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
-B_h above 1 certifies s <= s*.  Only the two probes that end the search are
-part of the proof, so a certified solve first predicts both endpoints where
-log lam of converged point probes crosses the levels of the two proofs
-(_crossings), on one ladder: the seed mesh of about COARSE_J subintervals
-(whose crossing of 0 caps s), J // SEARCH_COARSENING where that is finer,
-and the fine mesh J.  Point-estimate mode sets err = 0 and ends at the flip
-of the estimate's own lam >= 1 (what convergence tables measure); a
-convergence study's meshes form a ladder too.  Each step up a ladder is one
-routine (_step): the rung below (mesh, iterate, crossings, slope) starts
-the new mesh's power iteration, and the Newton step of one converged probe
-moves the crossings, next to which the fine certified mesh probes and
-around which every other mesh searches a window.  Where a point estimate's
-probes converge anyway (in a window, or on a mesh that is not
-certifiable), regula falsi (_predict) first narrows its interval to about
-1e-15, and the bisection finishes from there.
+B_h above 1 certifies s <= s*.  Point-estimate mode sets err = 0 and ends at
+the flip of the estimate's own lam >= 1 (what convergence tables measure).
+Only the probes that end a search matter, so every solve first predicts
+where log lam of converged point probes crosses its levels on coarser
+meshes, one ladder that solve_dimension climbs by one routine (_step).
 
-Every probe follows one rule.  On a certifiable mesh (h admissible and
-M' < M) it stops at its decision, unless it is given a power tolerance to
-converge to, and checks its cone; a point probe is the same probe with
-err = 0.  On any other mesh, which only a point estimate reaches, it runs
-to convergence with no cone check.
+Every probe follows one rule (ProbeEngine): at s <= s_cap on a certifiable
+mesh (h admissible and M' < M) it stops at its decision and checks its
+cone, with err = 0 for a point probe; anywhere else it converges unchecked.
 """
 from __future__ import annotations
 
@@ -170,7 +158,7 @@ class DimensionBracket:
     probes: list
     constants: dict
     admissibility: dict
-    search: dict | None  # the coarse prediction of a certified solve
+    search: dict | None  # the prediction of a solve from the seed mesh
     wall_ms: float
     # a point estimate's, for a study's next mesh; not in the record
     rung: Rung | None = field(default=None, repr=False, compare=False)
@@ -192,14 +180,15 @@ class ProbeEngine:
     config, so results stay reproducible.
 
     With `certifiable` set (a mesh where hidden positivity holds: h
-    admissible and M' < M), each probe stops power iteration at the first
-    iterate that answers both predicates, lam_lo >= 1 and lam_hi > 1, as a
-    converged probe would (a "decided" record; see power_iteration), so a
-    cached one serves either bisection as it stands.  Its iterate must then
-    pass the cone check, which is what makes the bracket valid.  A point
-    probe (err = 0) decides only when its bracket lies wholly above or below
-    1, so its lam sits on the side of 1 a converged one would.  Without
-    `certifiable` each probe runs to convergence, with no cone check.
+    admissible and M' < M), each probe at s <= s_cap (M holds only up to
+    it) stops power iteration at the first iterate that answers both
+    predicates, lam_lo >= 1 and lam_hi > 1, as a converged probe would (a
+    "decided" record; see power_iteration), so a cached one serves either
+    bisection as it stands.  Its iterate must then pass the cone check,
+    which is what makes the bracket valid.  A point probe (err = 0) decides
+    only when its bracket lies wholly above or below 1, so its lam sits on
+    the side of 1 a converged one would.  Any other probe runs to
+    convergence, with no cone check.
 
     `warm` is the vector the next probe starts from: `start`, a strictly
     positive vector on the cache's samples (as _prolong makes), or ones
@@ -227,14 +216,15 @@ class ProbeEngine:
         if s in self.records:
             return self.records[s]
         m = self.cache.matrix(s)
-        decide = self.certifiable and tol is None
+        checked = self.certifiable and s <= self.profile.s_cap
+        decide = checked and tol is None
         start = None if self.warm is None else self.cache.symmetric(self.warm)
         res = power_iteration(m, tol=self.tol if tol is None else tol,
                               start=start,
                               decide_err=self.err if decide else None)
         self.warm = res.w
         cone = cone_membership(res.w, self.cache.geometry, self.profile.M)
-        if self.certifiable and not cone.member:
+        if checked and not cone.member:
             raise CertificationError(
                 f"eigenvector left the cone at s = {s}: adjacent log ratio "
                 f"{cone.adjacent_ratio_max:.6g} > M = {self.profile.M}")
@@ -401,16 +391,19 @@ def _crossings(engine: ProbeEngine, levels, a: float, b: float,
     return tuple(crossings), iterates
 
 
-def _seed_engine(alphabet: Alphabet, profile: RigorProfile) -> ProbeEngine:
-    """Converged point probes (err = 0, no cone check) on the seed mesh of
-    a certified solve: COARSE_J subintervals per axis, or the fewest that
-    hold letter 1's images: the leftmost midpoint -(n - 1/2) h maps to
-    1 / (1 - (n - 1/2) h), below the padded edge 1 + n h only when
-    h < 1 / (2 n^2 - n) (25 subintervals at n = 2, 29 at n = 4)."""
+def _seed_engine(alphabet: Alphabet, profile: RigorProfile,
+                 J: float = math.inf) -> ProbeEngine | None:
+    """Converged point probes (err = 0, no cone check) on the seed mesh, or
+    None where that is not coarser than J: COARSE_J subintervals per axis,
+    or the fewest that hold letter 1's images (the leftmost midpoint
+    -(n - 1/2) h maps below the padded edge 1 + n h only when
+    h < 1 / (2 n^2 - n): 25 subintervals at n = 2, 29 at n = 4)."""
     n = profile.n
-    geometry = make_geometry(alphabet.d, max(COARSE_J, 2 * n * n - n + 1), n)
-    return ProbeEngine(OperatorCache(alphabet, geometry), profile, 0.0,
-                       certifiable=False)
+    J_s = max(COARSE_J, 2 * n * n - n + 1)
+    if J_s >= J:
+        return None
+    cache = OperatorCache(alphabet, make_geometry(alphabet.d, J_s, n))
+    return ProbeEngine(cache, profile, 0.0, certifiable=False)
 
 
 @dataclass
@@ -554,32 +547,26 @@ def solve_dimension(config: SolveConfig, *,
                     rung: Rung | None = None) -> DimensionBracket:
     """The certified bracket, or the point estimate, of config.
 
-    The search interval is [S_FLOOR, d], capped at s_cap in certified mode
-    (the rigor constants hold only up to it); a certified solve first
-    lowers s_cap to just above a seed-mesh crossing (see _setup).  It then
-    predicts both endpoints, where log lam of converged point probes crosses
-    the levels at which a converged fine probe's lam_lo and lam_hi reach 1:
-    the seed mesh finds both (_crossings) in [a, b], and each finer mesh
-    takes one _step from the rung below, sigma the slope between its two
-    crossings.  J // SEARCH_COARSENING subintervals, only when that is finer
-    than the seed mesh, finds both in the step's window, its probes
-    converged to max(sigma tol / 4, POWER_TOL).  On the fine mesh, _bisect
-    proves each endpoint from its moved prediction, the first s_hi probe
-    started from the last fine iterate times the ratio of the two
-    crossings' coarse iterates.  Each coarse cache is freed before the next
-    build, and a fine mesh equal to the seed mesh takes the seed's cache.
-    A point estimate searches [S_FLOOR, d], or, given the rung of another
-    mesh (a study's previous one), the window of a _step from it.  There,
-    or on a mesh that is not certifiable, _predict first finds where log
-    lam of converged probes crosses 0, to max(tol, 1e-15 max(1, hi)), and
-    _bisect starts from the prediction with the half-width of _predict's
-    last bracket, or widens a missed window from its end; elsewhere it
-    bisects [S_FLOOR, d] with decided probes.  It ends at the flip of this
-    mesh's own lam >= 1; its rung (last iterate, s_h, _slope) goes with it.
-    A cap below the dimension fails the certified straddle test at the cap,
-    so it ends in a ValueError, never in a wrong bracket.  Where lam_lo < 1
-    (lam < 1 for a point estimate) already at S_FLOOR, s_lo is 0, the only
-    lower bound proved, and so is a point estimate.
+    The search interval is [S_FLOOR, d], capped at s_cap in certified mode,
+    where _setup first lowers the cap to just above the seed mesh's crossing
+    of 0.  Every solve climbs one ladder to its fine mesh: a rung holds the
+    crossings of the solve's levels (where a converged fine probe's lam_lo
+    and lam_hi reach 1, or 0 for a point estimate) by converged point probes
+    to max(tol / 4, 1e-15 max(1, b)), and sigma, their slope (_secant of two
+    crossings, _slope at one).  The bottom rung is the one given (a study's
+    previous mesh), else the seed mesh, which a point estimate builds only
+    when its mesh is finer; J // SEARCH_COARSENING follows where it is
+    finer, its probes converged to max(sigma tol / 4, POWER_TOL), and the
+    fine mesh takes one _step from the last rung.  There a certified solve
+    proves each endpoint by _bisect from its moved prediction, the first
+    s_hi probe started from the last iterate times the ratio of the coarse
+    ones.  A point estimate first runs _predict in the step's window, or in
+    [a, b] without a ladder, then _bisect from there to the flip of its own
+    lam >= 1; its rung (last iterate, s_h, _slope) goes with it.  The
+    record's search block is filled exactly when the solve climbed from the
+    seed mesh.  A cap below the dimension ends in the certified straddle
+    test's ValueError, never in a wrong bracket.  Where lam_lo < 1 (lam < 1)
+    already at S_FLOOR, s_lo, or the point estimate, is 0.
     """
     t0 = time.perf_counter()
     tol = config.resolve_tol()
@@ -588,62 +575,72 @@ def solve_dimension(config: SolveConfig, *,
         raise ValueError("only a point estimate takes a rung")
     J, profile, geometry, breakdown, constants, err, certifiable, (
         seed, s_hat) = _setup(config)
-    d = config.alphabet.d
+    alphabet, d = config.alphabet, config.alphabet.d
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
-    search, cache, levels, prior = None, None, (0.0,), rung
-    if certified:
-        # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
-        levels = (-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
-                  -math.log1p(err) - math.log1p(FLOAT_SLACK))
-        guesses, iterates = _crossings(seed, levels, a, b, tol / 4)
-        rung = Rung(seed.cache.geometry, iterates[0], guesses,
-                    _secant(*zip(guesses, levels)))
-        search = {"J_s": round(1.0 / rung.geometry.h), "s_hat": s_hat,
-                  "seed_lo": guesses[0], "seed_hi": guesses[1],
+    # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
+    levels = ((-math.log1p(-err) - math.log1p(-FLOAT_SLACK),
+               -math.log1p(err) - math.log1p(FLOAT_SLACK)) if certified
+              else (0.0,))
+    if not certified and rung is None:
+        seed = _seed_engine(alphabet, profile, J)
+
+    def climb(engine, lo, hi, prior):
+        """The rung of engine's mesh, from its crossings in [lo, hi]."""
+        found, iterates = _crossings(engine, levels, lo, hi,
+                                     max(tol / 4, 1e-15 * max(1.0, b)))
+        sigma = (_secant(*zip(found, levels)) if certified
+                 else _slope(engine, found[0], prior))
+        return Rung(engine.cache.geometry, iterates[0], found, sigma), iterates
+
+    search, cache = None, None
+    if seed is not None:
+        rung, iterates = climb(seed, a, b, 0.0)
+        search = {"J_s": round(1.0 / rung.geometry.h),
+                  "s_hat": rung.crossings[0] if s_hat is None else s_hat,
+                  "seed_lo": rung.crossings[0], "seed_hi": rung.crossings[-1],
                   "seed_probes": len(seed.records), "J_c": None,
                   "s_lo": None, "s_hi": None, "probes": 0}
         if J == search["J_s"]:
             cache = seed.cache  # the fine mesh is the seed mesh
         seed = None  # freed before the finer builds
-        J_c = J // SEARCH_COARSENING
-        if J_c > search["J_s"]:
-            mid = make_geometry(d, J_c, profile.n)
-            engine, _, _, (lo, hi) = _step(
-                rung, mid, lambda start: ProbeEngine(
-                    OperatorCache(config.alphabet, mid), profile, 0.0,
-                    certifiable=False, start=start,
-                    tol=max(rung.sigma * tol / 4, POWER_TOL)),
-                levels[0], a, b, tol)
-            guesses, iterates = _crossings(engine, levels, lo, hi, tol / 4)
+    J_c = J // SEARCH_COARSENING
+    if rung is not None and J_c > round(1.0 / rung.geometry.h):
+        mid = make_geometry(d, J_c, profile.n)
+        engine, _, _, (lo, hi) = _step(
+            rung, mid, lambda start: ProbeEngine(
+                OperatorCache(alphabet, mid), profile, 0.0,
+                certifiable=False, start=start,
+                tol=max(rung.sigma * tol / 4, POWER_TOL)),
+            levels[0], a, b, tol)
+        rung, iterates = climb(engine, lo, hi, rung.sigma)
+        if search is not None:
             search.update(J_c=J_c, probes=len(engine.records))
-            rung = Rung(mid, iterates[0], guesses,
-                        _secant(*zip(guesses, levels)))
-            engine = None  # freed before the fine build
-        search["s_lo"], search["s_hi"] = guesses
+        engine = None  # freed before the fine build
 
     def build(start=None):
-        return ProbeEngine(cache or OperatorCache(config.alphabet, geometry),
+        return ProbeEngine(cache or OperatorCache(alphabet, geometry),
                            profile, err, certifiable, start)
 
-    window, guess, radius = (a, b), None, 0.0
-    if rung is None:
-        engine = build()
-    else:
-        engine, guesses, shift, window = _step(rung, geometry, build,
-                                               levels[0], a, b, tol)
+    engine, guesses, shift, window = (
+        (build(), None, None, (a, b)) if rung is None
+        else _step(rung, geometry, build, levels[0], a, b, tol))
+    if search is not None:
+        search.update(s_lo=rung.crossings[0], s_hi=rung.crossings[-1],
+                      shift=shift)
     key = "lam_lo" if certified else "lam"  # of the lower end's predicate
     if certified:
-        search["shift"], guess = shift, guesses[0]
-    elif prior is not None or not certifiable:
-        # probes that would converge anyway locate the flip superlinearly
+        guess, radius = guesses[0], 0.0
+    else:
+        # converged probes locate the flip superlinearly
         lo, hi = window
         p = _predict(engine, lo, hi, 0.0, max(tol, 1e-15 * max(1.0, hi)),
                      tol=POWER_TOL)
         # from the records next to p: the ends of _predict's last bracket,
-        # or, where p is an end (no crossing inside), the nearest one
+        # or, where p is an end (no crossing inside), the nearest one; at
+        # the floor lam < 1 is on record, and _bisect returns (a, a)
         below = max((s for s in engine.records if s < p), default=p)
         above = min((s for s in engine.records if s > p), default=p)
-        guess, radius = p, max(p - below, above - p)
+        guess, radius = (p if p > a else None), max(p - below, above - p)
     lo, hi = _bisect(lambda s: engine.probe(s)[key] >= 1.0, a, b, tol, guess,
                      radius)
     if engine.records[lo][key] < 1.0:
@@ -658,11 +655,11 @@ def solve_dimension(config: SolveConfig, *,
     else:
         s_lo = s_hi = 0.5 * (lo + hi)
         rung = Rung(geometry, engine.warm, (s_lo,),
-                    _slope(engine, s_lo, prior.sigma if prior else 0.0))
+                    _slope(engine, s_lo, rung.sigma if rung else 0.0))
     engine.audit_monotonicity()
     return DimensionBracket(
         s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=1.0 / J, n=config.n, d=d,
-        alphabet=config.alphabet.describe(), err=err,
+        alphabet=alphabet.describe(), err=err,
         probes=[engine.records[k] for k in sorted(engine.records)],
         constants=constants, admissibility=breakdown, search=search,
         wall_ms=(time.perf_counter() - t0) * 1000.0, rung=rung)
@@ -674,12 +671,10 @@ def convergence_study(config: SolveConfig, h_list,
 
     Unless config.tol_s is set, each s_h is bisected down to adjacent
     doubles (the point-estimate default): at fine meshes the deltas are a
-    few ulp.  Each mesh is one solve_dimension, and from the second on it
-    takes one _step from the previous mesh's rung: that iterate starts its
-    power iteration, and the previous s_h, moved by the Newton step of a
-    converged probe there, centres the window its search starts in (see
-    solve_dimension), so every s_h is still the flip of its own mesh's
-    lam >= 1.  Each row counts its solve's unique probes.
+    few ulp.  Each mesh is one solve_dimension, and from the second on its
+    ladder starts from the previous mesh's rung (see solve_dimension); every
+    s_h is still the flip of its own mesh's lam >= 1.  Each row counts its
+    solve's unique probes.
 
     With a reference value: delta_i = |s_i - ref| and rate_i =
     log2(delta_{i-1}/delta_i).  Without: delta_i = |s_i - s_{i-1}| and the

@@ -4,7 +4,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracdim import solver
 from fracdim.cli import (EXIT_CERTIFICATION, EXIT_INADMISSIBLE, EXIT_OK,
                          EXIT_USAGE, REPRODUCTIONS, parse_h, parse_h_list, run)
 
@@ -435,3 +438,82 @@ class TestUsage:
 
     def test_help_ok(self, capsys):
         assert run(["--help"]) == EXIT_OK
+
+
+def ascending(lo, hi, most):
+    """a..b with lo <= a <= hi and b up to `most` letters further."""
+    return st.tuples(st.integers(lo, hi), st.integers(0, most)).map(
+        lambda ak: f"{ak[0]}..{ak[0] + ak[1]}")
+
+
+ALPHABET_1D = st.lists(st.one_of(
+    st.integers(1, 40).map(str), ascending(1, 40, 300),
+    st.integers(0, 3000).map(lambda N: f"primes<{N}")),
+    min_size=1, max_size=3).map(",".join)
+ALPHABET_2D = st.lists(st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(-3, 3)).map(
+        lambda p: f"({p[0]},{p[1]})"),
+    st.tuples(ascending(1, 3, 1), ascending(-2, 1, 2)).map(
+        lambda p: f"({p[0]},{p[1]})")), min_size=1, max_size=4).map(",".join)
+# 1/J with J from 1 to 1e7, log-uniform, or a literal
+MESH_WIDTH = st.one_of(
+    st.integers(0, 70).map(lambda k: f"1/{round(10 ** (k / 10))}"),
+    st.sampled_from(["1e-7", "1e-3", "0.04", "1/3"]))
+# the flags that take a number, each with values inside its domain
+SLACK = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+NUMBERS = {"--s-cap": st.floats(0.0, 2.5, exclude_min=True),
+           "--alpha": SLACK, "--beta": SLACK, "--M": st.floats(0.5, 100.0),
+           "--tol-s": st.floats(1e-16, 1e-2)}
+# values outside each setting's domain, as the command line spells them
+ODD = {"--alphabet": st.sampled_from(["0", "-1", "3..2", "1,(1,0)", "(0,1)",
+                                      "primes<2", "1..", "()"]),
+       "--h": st.sampled_from(["1/0", "-1/50", "nan", "inf", "0", "1/0.5"]),
+       "--degree": st.sampled_from(["0", "3"]),
+       **dict.fromkeys(NUMBERS, st.sampled_from(
+           ["nan", "inf", "-inf", "0", "-0", "-1", "-0.5", "1"]))}
+
+
+@st.composite
+def cli_args(draw):
+    """A command line, most of whose settings lie in their domain: at most
+    one setting takes an odd value."""
+    odd = draw(st.one_of(st.none(), st.sampled_from(sorted(ODD))))
+
+    def value(flag, strategy):
+        return draw(ODD[flag] if flag == odd else strategy)
+
+    subcommand = draw(st.sampled_from(["certify", "estimate", "converge"]))
+    argv = [subcommand, "--alphabet",
+            value("--alphabet", st.one_of(ALPHABET_1D, ALPHABET_2D))]
+    if subcommand == "converge":
+        widths = draw(st.lists(MESH_WIDTH, min_size=1, max_size=3))
+        if odd == "--h":
+            widths.append(draw(ODD["--h"]))
+        argv += ["--h-list", ",".join(widths)]
+        if len(widths) < 3 or draw(st.booleans()):
+            argv.append("--reference=0.5")
+    else:
+        argv += ["--h", value("--h", MESH_WIDTH)]
+    if subcommand == "estimate" and draw(st.booleans()):
+        argv.append("--unsafe-h")
+    argv.append(f"--mesh={draw(st.sampled_from(['intervals', 'nodes']))}")
+    for flag, values in {"--degree": st.sampled_from(["2", "4"]),
+                         **NUMBERS}.items():
+        if flag == odd or draw(st.booleans()):
+            argv.append(f"{flag}={value(flag, values.map(str))}")
+    return argv
+
+
+class TestFuzz:
+    """Every setting the CLI parses, in and out of its domain, ends in an
+    exit code 0-3 with no exception escaping run.  A RuntimeWarning is an
+    error under this suite's pytest configuration, so it escapes too.
+    MemAvailable reads 64 MiB, so that a large mesh is refused at once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=cli_args())
+    def test_exit_codes(self, argv):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_mem_available", lambda: 64 * 2**20)
+            assert run(argv) in (EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE,
+                                 EXIT_CERTIFICATION)

@@ -185,6 +185,29 @@ class TestProfiles:
         bounds = admissible_h(p, alphabet)
         assert bounds["resolution"] == pytest.approx(0.01, rel=1e-15)
 
+    @pytest.mark.parametrize("cap, slack", [(5e-324, None), (1e-300, None),
+                                            (None, 2.225073858507203e-309)])
+    def test_admissible_outside_normal_doubles(self, cap, slack):
+        # at the cap 5e-324 the ratio under the beta root overflows a double
+        # (an OverflowError escaped), and a subnormal one kept so few bits
+        # that stepping down to the root took 2 s; both are rooted in logs
+        alphabet = make_alphabet_2d([(1, 0), (2, 0)])
+        p = make_profile(alphabet, s_cap=cap, alpha=slack, beta=slack)
+        bounds = admissible_h(p, alphabet)
+        n = p.n
+        for name, rhs, coeff, k in (
+                ("alpha", Fraction(p.alpha) * Fraction(p.D) * Fraction(p.B),
+                 Fraction(p.C1), n),
+                ("beta", Fraction(p.beta) * Fraction(p.A), Fraction(p.C2),
+                 n + 1)):
+            h = bounds[name]
+            root = math.exp((math.log(rhs.numerator)
+                             - math.log(rhs.denominator)
+                             - math.log(coeff.numerator)
+                             + math.log(coeff.denominator)) / k)
+            assert coeff * Fraction(h) ** k <= rhs
+            assert h == pytest.approx(root, rel=1e-12)
+
     def test_cone_image_parameter_1d(self):
         p = make_profile(make_alphabet_1d([1, 2]))
         mprime = cone_image_parameter(p, 1e-4)

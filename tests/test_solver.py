@@ -78,6 +78,25 @@ def converging_probes(alphabet, J):
     return ConvergedProbes(cache, profile.M, profile.err(1.0 / J))
 
 
+@pytest.fixture
+def meshes(monkeypatch):
+    """("solve", J) for every solver.solve_dimension call and ("build", J)
+    for every OperatorCache built, in call order."""
+    events, solve, init = [], solver.solve_dimension, OperatorCache.__init__
+
+    def solved(cfg):
+        events.append(("solve", round(1 / cfg.h)))
+        return solve(cfg)
+
+    def built(cache, alphabet, geometry):
+        events.append(("build", round(1.0 / geometry.h)))
+        init(cache, alphabet, geometry)
+
+    monkeypatch.setattr(solver, "solve_dimension", solved)
+    monkeypatch.setattr(OperatorCache, "__init__", built)
+    return events
+
+
 def dense_rho(cache, s):
     m = full_matrix(cache, s).toarray()
     return float(np.abs(np.linalg.eigvals(m)).max())
@@ -182,10 +201,16 @@ class TestPointEstimateOracle:
     def test_estimate_resolves_to_adjacent_doubles(self):
         # the discrete root at 1/3200 nodes is 0.53128050627720421 (an 80-bit
         # rebuild of the same operator); bisecting only to 1e-15 returned the
-        # midpoint 0.5312805062772044, 2 ulp above it
+        # midpoint 0.5312805062772044, 2 ulp above it.  The estimate ends
+        # between adjacent doubles where its own lam >= 1 flips (the last
+        # bits of a converged lam near 1 depend on the start vector, so the
+        # ladder reads 0.5312805062772039)
         b = solve_dimension(SolveConfig(A12, h=1.0 / 3200, mesh="nodes",
                                         mode="point-estimate"))
-        assert b.s_lo == b.s_hi == 0.5312805062772041
+        lo = max(p["s"] for p in b.probes if p["lam"] >= 1.0)
+        hi = min(p["s"] for p in b.probes if p["lam"] < 1.0)
+        assert lo < hi == math.nextafter(lo, 1.0)
+        assert b.s_lo == b.s_hi == 0.5 * (lo + hi)
 
     def test_deterministic(self):
         cfg = SolveConfig(A12, h=1 / 32, mode="point-estimate", unsafe_h=True)
@@ -405,23 +430,30 @@ class TestEarlyDecision:
         # power_iteration's default tolerance is 1e-14
         assert 0.0 <= beta - alpha <= 10 * 1e-14 * alpha
 
-    @pytest.mark.parametrize("alphabet, J", [(A12, 64),
-                                             (make_alphabet_1d(range(1, 35)), 100)],
-                             ids=["12-J64", "1..34-J100"])
-    def test_point_estimate_decides_on_admissible_mesh(self, alphabet, J):
-        # a point estimate bisects on lam >= 1 with decided probes, and ends
-        # where the same bisection over converged probes ends.  Bisecting to
-        # adjacent doubles, the last steps read the last bits of converged
-        # eigenvalues, which depend on the warm start ({1,2} moves by 1 ulp)
-        tol = 1e-14
-        b = solve_dimension(SolveConfig(alphabet, h=1 / J,
-                                        mode="point-estimate", tol_s=tol))
-        assert any(p["decided"] for p in b.probes)
+    @pytest.mark.parametrize("alphabet, J", [
+        (A12, 64), (make_alphabet_1d(range(1, 35)), 100), (A12, 128)],
+        ids=["12-J64", "1..34-J100", "12-J128"])
+    def test_point_estimate_climbs_the_ladder(self, alphabet, J, meshes):
+        # above the seed mesh a point estimate climbs the certified ladder:
+        # the seed crossing of log lam = 0, J // 4 where that is finer, and
+        # one Newton step onto the fine mesh, whose window regula falsi and
+        # the bisection finish (55 decided probes bisected [S_FLOOR, 1]).
+        # It ends where the bisection over converged probes ends, within
+        # the few ulp the warm start moves a converged lam near 1
+        b = solver.solve_dimension(SolveConfig(alphabet, h=1 / J,
+                                               mode="point-estimate"))
+        ladder = [solver.COARSE_J] + [J // 4] * (J // 4 > solver.COARSE_J)
+        assert meshes == [("solve", J)] + [("build", k) for k in ladder + [J]]
+        assert b.search["J_s"] == solver.COARSE_J
+        seed = b.search["seed_lo"]
+        assert b.search["s_hat"] == seed == b.search["seed_hi"]
+        assert len(b.probes) <= 8
+        cache = OperatorCache(alphabet, make_geometry(1, J, 2))
+        probe = ConvergedProbes(cache, make_profile(alphabet).M)
+        lo, hi = _bisect(lambda s: probe(s)["lam"] >= 1.0, S_FLOOR, 1.0, 0.0)
+        assert abs(b.s_lo - 0.5 * (lo + hi)) <= 4 * math.ulp(b.s_lo)
+        # a decided probe sits on the side of 1 a converged one does
         assert all(p["decided"] != p["converged"] for p in b.probes)
-        probe = ConvergedProbes(OperatorCache(alphabet, make_geometry(1, J, 2)),
-                                make_profile(alphabet).M)
-        lo, hi = _bisect(lambda s: probe(s)["lam"] >= 1.0, S_FLOOR, 1.0, tol)
-        assert b.s_lo == 0.5 * (lo + hi)
         for p in b.probes:
             if p["decided"]:
                 assert (p["lam"] >= 1.0) == (probe(p["s"])["lam"] >= 1.0)
@@ -437,6 +469,19 @@ class TestEarlyDecision:
         self.no_iterate_in_cone(monkeypatch)
         with pytest.raises(CertificationError, match="left the cone"):
             solve_dimension(SolveConfig(A12, h=1 / 64, mode="point-estimate"))
+
+    def test_point_probe_above_cap_unchecked(self, monkeypatch):
+        # M is derived for s <= s_cap only, so a probe above the cap runs as
+        # on a mesh that is not certifiable: converged, and not held to the
+        # cone.  At the cap 1e-300 that is every probe (the estimate exited
+        # 3, "eigenvector left the cone at s = 1.0", when each was held)
+        cfg = SolveConfig(A12, h=1 / 64, mode="point-estimate", s_cap=1e-300)
+        assert solver._setup(cfg)[6]  # certifiable: h admissible, M' < M
+        s_h = solve_dimension(replace(cfg, s_cap=None)).s_lo
+        self.no_iterate_in_cone(monkeypatch)
+        b = solve_dimension(cfg)
+        assert all(p["converged"] and not p["decided"] for p in b.probes)
+        assert abs(b.s_lo - s_h) <= 4 * math.ulp(s_h)
 
     @pytest.mark.parametrize("cfg", [
         SolveConfig(A12, h=1 / 25, mode="point-estimate", unsafe_h=True),
@@ -455,13 +500,13 @@ class TestOperatorForm:
     """Every probe applies the one stacked G, weighted per probe."""
 
     def test_certified_solve_never_writes_G(self):
-        # at J = 128 a certified solve also probes its seed mesh and its
-        # J // 4 search mesh, whose operators each share their own G
+        # at J = 128 a solve in either mode also probes its seed mesh and
+        # its J // 4 search mesh, whose operators each share their own G
         for mode in ("certified", "point-estimate"):
             with recording_operators() as ops:
                 solve_dimension(SolveConfig(A12, h=1 / 128, mode=mode))
             meshes = {op.shape[0]: op.G for op in ops}
-            assert len(meshes) == (3 if mode == "certified" else 1)
+            assert len(meshes) == 3
             assert all(op.G is meshes[op.shape[0]] for op in ops)
 
 
@@ -1034,28 +1079,11 @@ class TestTwoStepRefinement:
     crosses 0 on the seed mesh, then searches and proves once at that cap;
     a point estimate works at the config's cap.  No solve nests another."""
 
-    @pytest.fixture
-    def meshes(self, monkeypatch):
-        """("solve", J) for every solve_dimension call and ("build", J) for
-        every OperatorCache built, in call order."""
-        events, solve, init = [], solver.solve_dimension, OperatorCache.__init__
-
-        def solved(cfg):
-            events.append(("solve", round(1 / cfg.h)))
-            return solve(cfg)
-
-        def built(cache, alphabet, geometry):
-            events.append(("build", round(1.0 / geometry.h)))
-            init(cache, alphabet, geometry)
-
-        monkeypatch.setattr(solver, "solve_dimension", solved)
-        monkeypatch.setattr(OperatorCache, "__init__", built)
-        return events
-
     def test_one_pass_otherwise(self, meshes):
         # the certified 1D solve lowers the cap 0.9 to just above s_hat, on
         # the seed mesh it then predicts on (J // 4 = 16 being no finer);
-        # the point estimate keeps its cap and builds its own mesh only
+        # the point estimate keeps its cap and, its mesh being no finer than
+        # the seed mesh, builds its own mesh only
         b = solver.solve_dimension(SolveConfig(A12, h=1 / 64, tol_s=1e-6,
                                                s_cap=0.9))
         assert b.constants["s_cap"] == b.search["s_hat"] + 1e-3 < 0.9
@@ -1213,8 +1241,10 @@ class TestConvergenceStudy:
             assert abs(r["s_h"] - b.s_lo) <= 4 * math.ulp(b.s_lo)
             if i == 0:
                 assert r["probes"] == len(b.probes)
-            elif nodes == sorted(nodes):
-                assert r["probes"] < len(b.probes)
+            else:
+                # a lone solve climbs from the seed mesh, a row from the
+                # row before: each takes one Newton probe and a window
+                assert r["probes"] <= 8
 
     @staticmethod
     def rung(s, sigma, J=64):
@@ -1252,6 +1282,14 @@ class TestConvergenceStudy:
         rows = convergence_study(cfg, [1 / 25, 1 / 50, 1 / 100])
         assert max(r["probes"] for r in rows[1:]) <= 8
         assert sum(r["probes"] for r in rows) <= 28
+        # {1,2} from 50 nodes: the certifiable 49-mesh climbs from the seed
+        # mesh, so its probes converge and give the 99-mesh a slope for its
+        # Newton step: 9, 7, 7, 7, 7 probes (55, 13, 7, 6, 7 when the
+        # 49-mesh bisected [S_FLOOR, 1] with decided probes)
+        rows = convergence_study(replace(cfg, alphabet=A12),
+                                 [1 / 50, 1 / 100, 1 / 200, 1 / 400, 1 / 800])
+        assert rows[0]["probes"] <= 9
+        assert max(r["probes"] for r in rows[1:]) <= 8
 
     def test_guess_only_for_point_estimates(self):
         with pytest.raises(ValueError, match="only a point estimate"):

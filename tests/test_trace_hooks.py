@@ -32,7 +32,7 @@ SPANS = {"constants", "assembly.build", "assembly.rebuild", "assembly.matvec",
     # times each mesh's build up to its first probe
     (["converge", "--alphabet", "1..10", "--mesh", "nodes", "--h-list",
       "1/25..1/100"], 3),
-], ids=["1d-certify", "2d-estimate", "1d-estimate-decided", "2d-certify",
+], ids=["1d-certify", "2d-estimate", "1d-estimate-ladder", "2d-certify",
         "converge"])
 def test_traced_run_records_every_span(argv, solves, tmp_path):
     result, spans = tmp_path / "result.json", tmp_path / "spans.json"
