@@ -1,7 +1,8 @@
 """Command-line front end: certify | estimate | converge.
 
-Exit codes: 0 success, 1 usage error, 2 inadmissible mesh or one too large
-for the memory available, 3 certification failure.  h may be a literal
+Exit codes: 0 success, 1 usage error, 2 inadmissible mesh, one too large
+for the memory available, or (estimate, converge) one too coarse to keep
+power iteration positive, 3 certification failure.  h may be a literal
 ("1e-4") or an exact fraction ("1/3200"); --h-list takes "a..b" (halving
 from a to b) or a comma-separated list.
 """
@@ -338,6 +339,9 @@ def run(argv) -> int:
             print(f"  {k:>12}: {v / 2**20:.1f} MiB", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except (CertificationError, PositivityError, MonotonicityError) as exc:
+        if isinstance(exc, PositivityError) and args.subcommand != "certify":
+            print(f"mesh too coarse: {exc}", file=sys.stderr)
+            return EXIT_INADMISSIBLE
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except (ValueError, OSError, json.JSONDecodeError) as exc:

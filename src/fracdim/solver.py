@@ -9,9 +9,10 @@ Only the probes that end a search matter, so every solve first predicts
 where log lam of converged point probes crosses its levels on coarser
 meshes, one ladder that solve_dimension climbs by one routine (_step).
 
-Every probe follows one rule (ProbeEngine): at s <= s_cap on a certifiable
-mesh (h admissible and M' < M) it stops at its decision and checks its
-cone, with err = 0 for a point probe; anywhere else it converges unchecked.
+Every probe follows one rule (ProbeEngine): on a certified solve's fine
+mesh (err > 0) it stops at its decision and checks its cone; anywhere else
+(err = 0: a point estimate, the seed and J // 4 meshes) it converges
+unchecked, since a point estimate claims nothing the cone would prove.
 """
 from __future__ import annotations
 
@@ -179,16 +180,14 @@ class ProbeEngine:
     positive iterate, and the probe sequence is deterministic from the
     config, so results stay reproducible.
 
-    With `certifiable` set (a mesh where hidden positivity holds: h
-    admissible and M' < M), each probe at s <= s_cap (M holds only up to
-    it) stops power iteration at the first iterate that answers both
+    With err > 0 (a certified solve's fine mesh, where _setup has checked
+    that hidden positivity holds and the solve probes only up to s_cap),
+    each probe stops power iteration at the first iterate that answers both
     predicates, lam_lo >= 1 and lam_hi > 1, as a converged probe would (a
     "decided" record; see power_iteration), so a cached one serves either
     bisection as it stands.  Its iterate must then pass the cone check,
-    which is what makes the bracket valid.  A point probe (err = 0) decides
-    only when its bracket lies wholly above or below 1, so its lam sits on
-    the side of 1 a converged one would.  Any other probe runs to
-    convergence, with no cone check.
+    which is what makes the bracket valid.  With err = 0 every probe runs
+    to convergence, with no cone check.
 
     `warm` is the vector the next probe starts from: `start`, a strictly
     positive vector on the cache's samples (as _prolong makes), or ones
@@ -196,17 +195,15 @@ class ProbeEngine:
     replace it between probes.  Each warm start passes through
     cache.symmetric, which a folded cache's products need.  A probe given a
     power tolerance `tol` runs to convergence at it instead of stopping at
-    its decision (its cone still checked on a certifiable mesh); the
-    engine's `tol` serves a probe that runs to convergence without one.
+    its decision (its cone still checked where err > 0); the engine's `tol`
+    serves a probe that runs to convergence without one.
     """
 
     def __init__(self, cache: OperatorCache, profile: RigorProfile, err: float,
-                 certifiable: bool, start: np.ndarray | None = None,
-                 tol: float = POWER_TOL):
+                 start: np.ndarray | None = None, tol: float = POWER_TOL):
         self.cache = cache
         self.profile = profile
         self.err = err
-        self.certifiable = certifiable
         self.tol = tol
         self.records: dict[float, dict] = {}
         self.warm = start
@@ -216,7 +213,7 @@ class ProbeEngine:
         if s in self.records:
             return self.records[s]
         m = self.cache.matrix(s)
-        checked = self.certifiable and s <= self.profile.s_cap
+        checked = self.err > 0.0
         decide = checked and tol is None
         start = None if self.warm is None else self.cache.symmetric(self.warm)
         res = power_iteration(m, tol=self.tol if tol is None else tol,
@@ -303,16 +300,14 @@ def _bisect(above, a: float, b: float, tol: float,
 
 
 def _predict(engine: ProbeEngine, a: float, b: float, target: float,
-             eps: float, tol: float | None = None) -> float:
-    """The s in [a, b] where log lam of the engine's converged probes
-    crosses target, by Illinois regula falsi to a bracket of width eps or
-    adjacent doubles, from the narrowest bracket the engine's records give:
-    the midpoint of the last bracket, whose ends are the records next to
-    it; a or b when [a, b] holds no crossing.  Each probe runs at the
-    power tolerance `tol` where one is given (converged, and cone-checked
-    on a certifiable mesh: see ProbeEngine)."""
+             eps: float) -> float:
+    """The s in [a, b] where log lam of the engine's converged point probes
+    (err = 0) crosses target, by Illinois regula falsi to a bracket of
+    width eps or adjacent doubles, from the narrowest bracket the engine's
+    records give: the midpoint of the last bracket, whose ends are the
+    records next to it; a or b when [a, b] holds no crossing."""
     def f(s):
-        return math.log(engine.probe(s, tol)["lam"]) - target
+        return math.log(engine.probe(s)["lam"]) - target
 
     if f(a) <= 0.0:
         return a
@@ -403,7 +398,7 @@ def _seed_engine(alphabet: Alphabet, profile: RigorProfile,
     if J_s >= J:
         return None
     cache = OperatorCache(alphabet, make_geometry(alphabet.d, J_s, n))
-    return ProbeEngine(cache, profile, 0.0, certifiable=False)
+    return ProbeEngine(cache, profile, 0.0)
 
 
 @dataclass
@@ -448,11 +443,11 @@ def _secant(p, q) -> float:
 
 
 def _slope(engine: ProbeEngine, s: float, prior: float) -> float:
-    """sigma at s: the _secant through the engine's nearest undecided
-    records below and above s whose log lam lies over 1e-12 from 0 (known
-    to about 1e-16, so sigma to about 1e-4), else prior."""
+    """sigma at s: the _secant through the point engine's nearest records
+    below and above s whose log lam lies over 1e-12 from 0 (known to about
+    1e-16, so sigma to about 1e-4), else prior."""
     far = [(r["s"], math.log(r["lam"])) for r in engine.records.values()
-           if not r["decided"] and abs(math.log(r["lam"])) > 1e-12]
+           if abs(math.log(r["lam"])) > 1e-12]
     below, above = [p for p in far if p[0] < s], [p for p in far if p[0] > s]
     return _secant(max(below), min(above)) if below and above else prior
 
@@ -484,10 +479,9 @@ def _setup(config: SolveConfig):
     s_hat, where log lam crosses 0 on the seed mesh (_crossings on
     [S_FLOOR, d], to 1e-6 in s), before the guards that need the cap: a
     lower cap shrinks err and M'.  Returns (J, profile, geometry,
-    breakdown, constants, err, certifiable, (seed, s_hat)), certifiable
-    when h is admissible and M' < M, seed and s_hat the seed engine, which
-    the solve goes on probing, and its crossing (None for a point
-    estimate).
+    breakdown, constants, err, (seed, s_hat)), err 0 for a point estimate,
+    seed and s_hat the seed engine, which the solve goes on probing, and
+    its crossing (None for a point estimate).
     """
     if config.mode not in ("certified", "point-estimate"):
         raise ValueError("mode must be 'certified' or 'point-estimate'")
@@ -529,27 +523,25 @@ def _setup(config: SolveConfig):
         "err_coeff": profile.err_coefficient,
     }
     err = 0.0
-    m_prime = cone_image_parameter(profile, h) if admissible else math.inf
-    certifiable = m_prime < profile.M
     if certified:
-        constants["M_prime"] = m_prime
-        if not certifiable:
+        m_prime = constants["M_prime"] = cone_image_parameter(profile, h)
+        if not m_prime < profile.M:
             raise CertificationError(
                 f"image cone parameter M' = {m_prime:.6g} is not below M = {profile.M}")
         err = profile.err(h)
         if err >= 1:
             raise CertificationError(f"err = {err:.6g} >= 1: mesh too coarse")
-    return (J, profile, geometry, breakdown, constants, err, certifiable,
-            (seed, s_hat))
+    return J, profile, geometry, breakdown, constants, err, (seed, s_hat)
 
 
 def solve_dimension(config: SolveConfig, *,
                     rung: Rung | None = None) -> DimensionBracket:
     """The certified bracket, or the point estimate, of config.
 
-    The search interval is [S_FLOOR, d], capped at s_cap in certified mode,
-    where _setup first lowers the cap to just above the seed mesh's crossing
-    of 0.  Every solve climbs one ladder to its fine mesh: a rung holds the
+    The search interval is [S_FLOOR, d], capped at s_cap in certified mode
+    (no certified probe lies above the cap, up to which M holds), where
+    _setup first lowers the cap to just above the seed mesh's crossing of
+    0.  Every solve climbs one ladder to its fine mesh: a rung holds the
     crossings of the solve's levels (where a converged fine probe's lam_lo
     and lam_hi reach 1, or 0 for a point estimate) by converged point probes
     to max(tol / 4, 1e-15 max(1, b)), and sigma, their slope (_secant of two
@@ -573,8 +565,8 @@ def solve_dimension(config: SolveConfig, *,
     certified = config.mode == "certified"
     if certified and rung is not None:
         raise ValueError("only a point estimate takes a rung")
-    J, profile, geometry, breakdown, constants, err, certifiable, (
-        seed, s_hat) = _setup(config)
+    J, profile, geometry, breakdown, constants, err, (seed, s_hat) = \
+        _setup(config)
     alphabet, d = config.alphabet, config.alphabet.d
     a, b = S_FLOOR, (min(float(d), profile.s_cap) if certified else float(d))
     # where (1 -/+ err)(1 -/+ FLOAT_SLACK) lam = 1
@@ -608,8 +600,7 @@ def solve_dimension(config: SolveConfig, *,
         mid = make_geometry(d, J_c, profile.n)
         engine, _, _, (lo, hi) = _step(
             rung, mid, lambda start: ProbeEngine(
-                OperatorCache(alphabet, mid), profile, 0.0,
-                certifiable=False, start=start,
+                OperatorCache(alphabet, mid), profile, 0.0, start=start,
                 tol=max(rung.sigma * tol / 4, POWER_TOL)),
             levels[0], a, b, tol)
         rung, iterates = climb(engine, lo, hi, rung.sigma)
@@ -619,7 +610,7 @@ def solve_dimension(config: SolveConfig, *,
 
     def build(start=None):
         return ProbeEngine(cache or OperatorCache(alphabet, geometry),
-                           profile, err, certifiable, start)
+                           profile, err, start)
 
     engine, guesses, shift, window = (
         (build(), None, None, (a, b)) if rung is None
@@ -633,8 +624,7 @@ def solve_dimension(config: SolveConfig, *,
     else:
         # converged probes locate the flip superlinearly
         lo, hi = window
-        p = _predict(engine, lo, hi, 0.0, max(tol, 1e-15 * max(1.0, hi)),
-                     tol=POWER_TOL)
+        p = _predict(engine, lo, hi, 0.0, max(tol, 1e-15 * max(1.0, hi)))
         # from the records next to p: the ends of _predict's last bracket,
         # or, where p is an end (no crossing inside), the nearest one; at
         # the floor lam < 1 is on record, and _bisect returns (a, a)

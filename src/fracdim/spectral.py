@@ -73,8 +73,8 @@ def power_iteration(m, tol: float = POWER_TOL, max_iter: int = 100_000,
     """Iterate w -> Lw / max(Lw), stopping when the relative spread of the
     ratios (Lw)_i/w_i falls below tol, stops improving, or max_iter hits.
 
-    With decide_err = err (0 for a point probe), also stop at the first
-    iterate that answers both bisection predicates, lam_lo >= 1 and
+    With decide_err = err (a certified probe's, err > 0), also stop at the
+    first iterate that answers both bisection predicates, lam_lo >= 1 and
     lam_hi > 1.  With
     (alpha, beta) the widened ratios, (lo, hi) = scaled_bracket(alpha, beta)
     as the certified probe's lam_lo and lam_hi, and (lo_top, hi_bot) =

@@ -124,6 +124,19 @@ class TestEstimate:
             EXIT_INADMISSIBLE
         assert "inadmissible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--alphabet", "(2,0),(3,0)", "--h", "1/1", "--unsafe-h"],
+        ["converge", "--alphabet", "(2..3,0..0)", "--h-list", "1/1",
+         "--reference", "0.5"],
+    ], ids=["estimate", "converge"])
+    def test_positivity_loss_is_a_coarse_mesh(self, argv, capsys):
+        # on one subinterval power iteration loses positivity; a point
+        # estimate claims nothing to certify, so this is a mesh too coarse
+        # (exit 2), not a certification failure (it exited 3)
+        assert run(argv) == EXIT_INADMISSIBLE
+        assert "mesh too coarse: matrix image lost positivity" in \
+            capsys.readouterr().err
+
 
 class TestCertify:
     def test_certified_bracket(self, capsys):
@@ -506,8 +519,9 @@ def cli_args(draw):
 
 class TestFuzz:
     """Every setting the CLI parses, in and out of its domain, ends in an
-    exit code 0-3 with no exception escaping run.  A RuntimeWarning is an
-    error under this suite's pytest configuration, so it escapes too.
+    exit code 0-3 (3 from certify only) with no exception escaping run.  A
+    RuntimeWarning is an error under this suite's pytest configuration, so
+    it escapes too.
     MemAvailable reads 64 MiB, so that a large mesh is refused at once."""
 
     @settings(max_examples=300, deadline=None)
@@ -515,5 +529,8 @@ class TestFuzz:
     def test_exit_codes(self, argv):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_mem_available", lambda: 64 * 2**20)
-            assert run(argv) in (EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE,
-                                 EXIT_CERTIFICATION)
+            code = run(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE,
+                        EXIT_CERTIFICATION)
+        # only certify certifies anything
+        assert code != EXIT_CERTIFICATION or argv[0] == "certify"

@@ -219,8 +219,8 @@ class TestPointEstimateOracle:
     @pytest.mark.parametrize("alphabet, J", [(A12, 16), (A2D, 8)],
                              ids=["1d-J16", "2d-J8"])
     def test_uncertifiable_estimate_predicts(self, alphabet, J):
-        # on a mesh that cannot be certified every probe converges, so
-        # regula falsi on log lam places the bisection's window: the two
+        # every point probe converges, so regula falsi on log lam places
+        # the bisection's window at these meshes below the seed's: the two
         # tests above hold these estimates to the dense oracle, in at most
         # 20 probes where bisecting [S_FLOOR, d] took 55
         b = solve_dimension(SolveConfig(alphabet, h=1 / J,
@@ -330,9 +330,9 @@ class TestCertified:
 
 
 class TestEarlyDecision:
-    """Probes on a certifiable mesh (h admissible, M' < M) stop power
-    iteration once the scaled bracket answers both bisection predicates, in
-    either mode; probes on any other mesh run to convergence."""
+    """Probes on a certified solve's fine mesh (err > 0) stop power
+    iteration once the scaled bracket answers both bisection predicates;
+    every point probe (err = 0) runs to convergence."""
 
     @pytest.fixture(scope="class")
     def table2(self, tmp_path_factory):
@@ -367,6 +367,9 @@ class TestEarlyDecision:
     def test_records_converged_or_decided(self, table2):
         rec, _ = table2
         assert any(p["decided"] for p in rec["probes"])
+        # a certified solve searches up to its cap only, so every probe it
+        # holds to the cone lies where M holds
+        assert max(p["s"] for p in rec["probes"]) <= rec["constants"]["s_cap"]
         for p in rec["probes"]:
             assert not (p["converged"] and p["decided"])
             if p["decided"]:
@@ -385,7 +388,7 @@ class TestEarlyDecision:
         cache = OperatorCache(A12, make_geometry(1, J, 2))
         err = profile.err(1.0 / J)
         ends, matvecs, records = [], [], []
-        engine = ProbeEngine(cache, profile, err, certifiable=True)
+        engine = ProbeEngine(cache, profile, err)
         converged = ConvergedProbes(cache, profile.M, err)
         for probe, recs in ((engine.probe, engine.records),
                             (converged, converged.records)):
@@ -410,8 +413,7 @@ class TestEarlyDecision:
         J = 64
         profile = make_profile(A12)
         engine = ProbeEngine(OperatorCache(A12, make_geometry(1, J, 2)),
-                             profile, profile.err(1.0 / J),
-                             certifiable=True)
+                             profile, profile.err(1.0 / J))
         for s in np.linspace(0.3, 0.8, 11):
             engine.probe(s)
         recs = list(engine.records.values())
@@ -437,9 +439,10 @@ class TestEarlyDecision:
         # above the seed mesh a point estimate climbs the certified ladder:
         # the seed crossing of log lam = 0, J // 4 where that is finer, and
         # one Newton step onto the fine mesh, whose window regula falsi and
-        # the bisection finish (55 decided probes bisected [S_FLOOR, 1]).
-        # It ends where the bisection over converged probes ends, within
-        # the few ulp the warm start moves a converged lam near 1
+        # the bisection finish (55 decided probes bisected [S_FLOOR, 1]),
+        # every probe converged.  It ends where the bisection over
+        # converged probes ends, within the few ulp the warm start moves a
+        # converged lam near 1
         b = solver.solve_dimension(SolveConfig(alphabet, h=1 / J,
                                                mode="point-estimate"))
         ladder = [solver.COARSE_J] + [J // 4] * (J // 4 > solver.COARSE_J)
@@ -452,11 +455,7 @@ class TestEarlyDecision:
         probe = ConvergedProbes(cache, make_profile(alphabet).M)
         lo, hi = _bisect(lambda s: probe(s)["lam"] >= 1.0, S_FLOOR, 1.0, 0.0)
         assert abs(b.s_lo - 0.5 * (lo + hi)) <= 4 * math.ulp(b.s_lo)
-        # a decided probe sits on the side of 1 a converged one does
-        assert all(p["decided"] != p["converged"] for p in b.probes)
-        for p in b.probes:
-            if p["decided"]:
-                assert (p["lam"] >= 1.0) == (probe(p["s"])["lam"] >= 1.0)
+        assert all(p["converged"] and not p["decided"] for p in b.probes)
 
     @staticmethod
     def no_iterate_in_cone(monkeypatch):
@@ -465,35 +464,31 @@ class TestEarlyDecision:
 
         monkeypatch.setattr("fracdim.solver.cone_membership", outside)
 
-    def test_point_estimate_checks_cone_on_admissible_mesh(self, monkeypatch):
-        self.no_iterate_in_cone(monkeypatch)
-        with pytest.raises(CertificationError, match="left the cone"):
-            solve_dimension(SolveConfig(A12, h=1 / 64, mode="point-estimate"))
-
-    def test_point_probe_above_cap_unchecked(self, monkeypatch):
-        # M is derived for s <= s_cap only, so a probe above the cap runs as
-        # on a mesh that is not certifiable: converged, and not held to the
-        # cone.  At the cap 1e-300 that is every probe (the estimate exited
-        # 3, "eigenvector left the cone at s = 1.0", when each was held)
-        cfg = SolveConfig(A12, h=1 / 64, mode="point-estimate", s_cap=1e-300)
-        assert solver._setup(cfg)[6]  # certifiable: h admissible, M' < M
+    @pytest.mark.parametrize("cfg, window", [
+        (SolveConfig(A12, h=1 / 25, mode="point-estimate", unsafe_h=True),
+         None),
+        (SolveConfig(A12, h=1 / 64, mode="point-estimate", M=2.0), None),
+        (SolveConfig(A12, h=1 / 64, mode="point-estimate"), None),
+        (SolveConfig(A12, h=1 / 64, mode="point-estimate", s_cap=1e-300),
+         None),
+        (SolveConfig(A12, h=1 / 64, mode="point-estimate"), (0.5313, 1.26)),
+    ], ids=["unsafe-h", "M-override", "admissible", "cap-1e-300",
+            "study-rung"])
+    def test_point_estimate_converges_unchecked_otherwise(self, cfg, window,
+                                                          monkeypatch):
+        # a point estimate proves nothing, so no iterate is held to the cone
+        # and every probe converges: at an inadmissible h, with M' >= M (M =
+        # 2 gives M' = 33.2), on an admissible mesh, at a cap below every
+        # probe (M is derived only up to it; the estimate exited 3, "left
+        # the cone at s = 1.0", when each probe was held), and in a study's
+        # window.  Each ends where the estimate at the default cap, with no
+        # window, ends
         s_h = solve_dimension(replace(cfg, s_cap=None)).s_lo
         self.no_iterate_in_cone(monkeypatch)
-        b = solve_dimension(cfg)
+        rung = None if window is None else TestConvergenceStudy.rung(*window)
+        b = solve_dimension(cfg, rung=rung)
         assert all(p["converged"] and not p["decided"] for p in b.probes)
         assert abs(b.s_lo - s_h) <= 4 * math.ulp(s_h)
-
-    @pytest.mark.parametrize("cfg", [
-        SolveConfig(A12, h=1 / 25, mode="point-estimate", unsafe_h=True),
-        SolveConfig(A12, h=1 / 64, mode="point-estimate", M=2.0),
-    ], ids=["unsafe-h", "M-override"])
-    def test_point_estimate_converges_unchecked_otherwise(self, cfg,
-                                                          monkeypatch):
-        # at an inadmissible h, or with M' >= M (M = 2 gives M' = 33.2),
-        # no iterate is held to the cone and every probe converges
-        self.no_iterate_in_cone(monkeypatch)
-        b = solve_dimension(cfg)
-        assert all(p["converged"] and not p["decided"] for p in b.probes)
 
 
 class TestOperatorForm:
@@ -552,10 +547,9 @@ class TestBisectionEdges:
         profile = make_profile(A12)
         cache = OperatorCache(A12, make_geometry(1, J, 2))
         if endpoint == "point":
-            engine = ProbeEngine(cache, profile, 0.0, certifiable=True)
+            engine = ProbeEngine(cache, profile, 0.0)
             return lambda s: engine.probe(s)["lam"] >= 1.0
-        engine = ProbeEngine(cache, profile, profile.err(1.0 / J),
-                             certifiable=True)
+        engine = ProbeEngine(cache, profile, profile.err(1.0 / J))
         if endpoint == "s_lo":
             return lambda s: engine.probe(s)["lam_lo"] >= 1.0
         return lambda s: engine.probe(s)["lam_hi"] > 1.0
@@ -790,7 +784,7 @@ class TestMonotonicityAudit:
     def test_rising_estimates_raise(self):
         cache = OperatorCache(A12, make_geometry(1, 16, 2))
         profile = make_profile(A12)
-        engine = ProbeEngine(cache, profile, 0.0, certifiable=False)
+        engine = ProbeEngine(cache, profile, 0.0)
         engine.records = {
             0.5: {"s": 0.5, "lam": 1.0, "alpha": 1.0, "beta": 1.0},
             0.6: {"s": 0.6, "lam": 1.5, "alpha": 1.5, "beta": 1.5},
@@ -1185,7 +1179,8 @@ class TestTwoStepRefinement:
                                         alpha=0.2, beta=0.2))
         cap = b.constants["s_cap"]
         assert b.s_hi < cap < 0.5
-        assert all(p["s"] <= cap for p in b.probes)
+        # no probe above the cap, where M is not derived
+        assert max(p["s"] for p in b.probes) <= cap
         at_half = make_profile(alphabet, s_cap=0.5, alpha=0.2, beta=0.2)
         assert b.err < at_half.err(1.0 / 230)
         # inside, and within 1e-8 of, the bracket at the cap 0.33850 that a
@@ -1263,27 +1258,19 @@ class TestConvergenceStudy:
         missed = solve_dimension(cfg, rung=self.rung(0.6, 1e12)).s_lo
         assert abs(missed - unseeded) <= 4 * math.ulp(unseeded)
 
-    def test_window_checks_cone_on_admissible_mesh(self, monkeypatch):
-        # the window's converged probes are held to the cone where the
-        # mesh is certifiable, as every probe there is
-        TestEarlyDecision.no_iterate_in_cone(monkeypatch)
-        with pytest.raises(CertificationError, match="left the cone"):
-            solve_dimension(SolveConfig(A12, h=1 / 64, mode="point-estimate"),
-                            rung=self.rung(0.5313, 1.26))
-
     def test_study_probe_budget(self):
-        # {1..10} over 25, 50 and 100 nodes: 13 probes on the uncertifiable
-        # 24-mesh, then 8 on the 49-mesh and 7 on the 99-mesh, each the
-        # Newton probe at the previous s_h and its window (76 when the
-        # 49-mesh bisected [S_FLOOR, 1] with 55 decided probes, 143 when
-        # every estimate bisected)
+        # {1..10} over 25, 50 and 100 nodes: 13 probes on the 24-mesh, no
+        # finer than the seed mesh, then 8 on the 49-mesh and 7 on the
+        # 99-mesh, each the Newton probe at the previous s_h and its window
+        # (76 when the 49-mesh bisected [S_FLOOR, 1] with 55 decided
+        # probes, 143 when every estimate bisected)
         cfg = SolveConfig(make_alphabet_1d(range(1, 11)),
                           mode="point-estimate", mesh="nodes")
         rows = convergence_study(cfg, [1 / 25, 1 / 50, 1 / 100])
         assert max(r["probes"] for r in rows[1:]) <= 8
         assert sum(r["probes"] for r in rows) <= 28
-        # {1,2} from 50 nodes: the certifiable 49-mesh climbs from the seed
-        # mesh, so its probes converge and give the 99-mesh a slope for its
+        # {1,2} from 50 nodes: the 49-mesh climbs from the seed mesh, and
+        # its probes converge and give the 99-mesh a slope for its
         # Newton step: 9, 7, 7, 7, 7 probes (55, 13, 7, 6, 7 when the
         # 49-mesh bisected [S_FLOOR, 1] with decided probes)
         rows = convergence_study(replace(cfg, alphabet=A12),
