@@ -23,10 +23,12 @@ Entries depend on s only through the factor ||Dphi_e(x)||^s, so an
 OperatorCache precomputes all s-independent structure once per mesh: the
 stacked matrix Gs, with one row per (point, letter) holding that letter's
 K = (n+1)^d basis-value products, and one log derivative norm lg per
-(point, letter).  It builds them in blocks of points, all letters at once,
-straight into the final arrays, so the build holds one block of temporaries
-beside its result (operator_footprint counts both).  A probe at s
-takes one exp per (point, letter), w = exp(s lg), and applies
+(point, letter).  It allocates them first, then fills them in blocks of
+points, all letters at once: per axis each image's first spline column and
+n+1 basis values (basis_terms), then per tensor index k one product and one
+column sum written straight into their slices of Gs.  The build holds one
+block of temporaries beside its result (operator_footprint counts both).
+A probe at s takes one exp per (point, letter), w = exp(s lg), and applies
 G(s) = sum_e diag(w_e) G_e without writing it: y_i = sum_e w[i, e]
 (Gs @ c)[i |E| + e].
 
@@ -35,7 +37,8 @@ coefficient (two roundings), and a row sums a chain of K + |E| terms (K per
 letter, then |E| weighted letters), e.g. 433 for the 430 letters of
 primes<3000; its forward error is bounded accordingly (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., section 3.1).  W is applied per
-axis (never materialized as a tensor).
+axis (never materialized as a tensor), as W1 or its taps
+(coefficients_along).
 
 When a 2D alphabet is closed under (e1, e2) -> (e1, -e2) and the y
 midpoints negate exactly (make_geometry's grids do), phi_(e1,-e2)(x, -y) is
@@ -59,7 +62,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from .bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
+from .bspline import KnotSequence, TensorGrid, basis_terms, locate_intervals
 from .maps import Alphabet
 from .quasi import make_quasi_interpolant
 
@@ -118,6 +121,21 @@ def coefficient_map(ks: KnotSequence) -> sparse.csr_matrix:
                              shape=(nc, ks.num_intervals))
 
 
+def coefficients_along(W1: sparse.csr_matrix, u: Array, a: int) -> Array:
+    """W1 (a coefficient_map) along array axis a of u, 0 or the last: W1 @ u
+    on axis 0, else W1's taps on slices, w_0 u_0 + w_1 u_1 + ..., which is
+    W1's row sum bit for bit and needs no copy of a strided view."""
+    if a == 0:
+        return W1 @ u
+    # row c holds the taps of row 0 shifted by c, in W1's storage order
+    nc, row0 = W1.shape[0], slice(0, W1.indptr[1])
+    (w, j), *rest = zip(W1.data[row0], W1.indices[row0])
+    c = w * u[..., j:j + nc]
+    for w, j in rest:
+        c += w * u[..., j:j + nc]
+    return c
+
+
 class TransferOperator:
     """L_h(s) = G(s) W as a matrix-free linear operator on sample vectors.
 
@@ -142,11 +160,11 @@ class TransferOperator:
 
     def coefficients(self, v: Array) -> Array:
         """Quasi-interpolant coefficients of the splines, from samples:
-        each per-axis W1 applied along its own array axis."""
+        each per-axis W1 applied along its own array axis
+        (coefficients_along), innermost first."""
         c = np.asarray(v).reshape(self._grid)
         for k, W1 in enumerate(self.W1s):
-            a = c.ndim - 1 - k
-            c = (W1 @ c.swapaxes(0, a)).swapaxes(0, a)
+            c = coefficients_along(W1, c, c.ndim - 1 - k)
         return c.ravel()
 
     def __matmul__(self, v: Array) -> Array:
@@ -230,7 +248,7 @@ class OperatorCache:
         n = self.n
         # fold the axes in, last axis outer (ry outer, rx inner keeps the
         # columns ascending); interval ell holds splines ell-n .. ell
-        first, offsets, prod = 0, np.zeros(1, dtype=np.int64), None
+        first, terms = 0, []
         for ks, y in zip(self.axes[::-1], img[::-1]):
             inside = (y >= ks.knots[n]) & (y < ks.knots[ks.num_splines])
             if not inside.all():
@@ -239,14 +257,16 @@ class OperatorCache:
                                  "padded spline range; refine the mesh "
                                  "(smaller h)")
             ell, t = locate_intervals(ks, y)
-            first = first * ks.num_splines + (ell - n)
-            offsets = (offsets[:, None] * ks.num_splines
-                       + np.arange(n + 1)).ravel()
-            B = uniform_basis(t, n)
-            prod = B if prod is None else (
-                prod[..., :, None] * B[..., None, :]).reshape(*t.shape, -1)
-        np.add(first[..., None], offsets, out=cols, casting="same_kind")
-        base[...] = prod
+            first = first * ks.num_splines + (ell - n).astype(cols.dtype)
+            terms.append(basis_terms(t, n))
+        # tensor index k runs over (r per axis), outer axis slowest
+        shape = [ks.num_splines for ks in self.axes[::-1]]
+        for k, rs in enumerate(np.ndindex(*(n + 1,) * len(terms))):
+            values = [B[r] for B, r in zip(terms, rs)]
+            np.multiply(values[0], values[-1] if len(values) > 1 else 1.0,
+                        out=base[..., k])  # d is 1 or 2; x * 1.0 is x
+            np.add(first, int(np.ravel_multi_index(rs, shape)),
+                   out=cols[..., k])
 
     def symmetric(self, v: Array) -> Array:
         """(v + v flipped in y) / 2 on a folded cache, exactly symmetric

@@ -68,10 +68,13 @@ def locate_intervals(ks: KnotSequence, x: Array) -> tuple[Array, Array]:
     interval of each point and t = (x - xi_ell)/h the local coordinate."""
     x = np.asarray(x, dtype=np.float64)
     knots = ks.knots
-    if np.any(x < knots[0]) or np.any(x > knots[-1]):
+    lo, hi = knots[0], knots[-1]
+    if x.min(initial=lo) < lo or x.max(initial=hi) > hi:
         raise ValueError("points outside knot span")
     last = ks.num_intervals - 1
-    ell = np.floor((x - knots[0]) / ks.h).astype(np.int64)
+    u = x - lo
+    u /= ks.h
+    ell = np.floor(u, out=u).astype(np.int64)
     np.clip(ell, 0, last, out=ell)
     ell -= (x < knots[ell])
     ell += (ell < last) & (x >= knots[ell + 1])
@@ -79,23 +82,27 @@ def locate_intervals(ks: KnotSequence, x: Array) -> tuple[Array, Array]:
     return ell, t
 
 
-def uniform_basis(t: Array, n: int) -> Array:
+def basis_terms(t: Array, n: int) -> list[Array]:
     """Nonzero degree-n spline values on a uniform mesh, from the local
-    coordinate t = (x - xi_ell)/h in [0, 1).
+    coordinate t = (x - xi_ell)/h in [0, 1), as n+1 separate arrays: term r
+    holds b_{ell-n+r}(x).  Term r of degree p is (t + p - r)/p times term
+    r-1 plus (r + 1 - t)/p times term r of degree p-1, rounded as when both
+    are added to a zero-filled array (adding to 0.0 is exact)."""
+    def part(num, p, b):  # num / p * b, in num's buffer
+        return np.multiply(np.divide(num, p, out=num), b, out=num)
 
-    Returns B with B[..., r] = b_{ell-n+r}(x), r = 0..n.
-    """
     t = np.asarray(t, dtype=np.float64)
-    B = np.ones(t.shape + (1,), dtype=np.float64)
+    B = [np.ones_like(t)]
     for p in range(1, n + 1):
-        Bp = np.zeros(t.shape + (p + 1,), dtype=np.float64)
-        for r in range(p + 1):
-            if r > 0:
-                Bp[..., r] += (t + (p - r)) / p * B[..., r - 1]
-            if r < p:
-                Bp[..., r] += (r + 1 - t) / p * B[..., r]
-        B = Bp
+        up = [part(t + (p - r), p, B[r - 1]) for r in range(1, p + 1)]
+        down = [part(r + 1 - t, p, B[r]) for r in range(p)]
+        B = [down[0], *map(np.add, up[:-1], down[1:], up[:-1]), up[-1]]
     return B
+
+
+def uniform_basis(t: Array, n: int) -> Array:
+    """basis_terms stacked: B[..., r] = b_{ell-n+r}(x), r = 0..n."""
+    return np.stack(basis_terms(t, n), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ unchecked, since a point estimate claims nothing the cone would prove.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -24,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from .assembly import OperatorCache, coefficient_map, operator_footprint
+from .assembly import (OperatorCache, coefficient_map, coefficients_along,
+                       operator_footprint)
 from .bspline import TensorGrid, make_uniform_knots, uniform_basis
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
@@ -363,8 +365,8 @@ def _prolong(v: np.ndarray, coarse: TensorGrid,
             (B.ravel(), cols.ravel(), np.arange(0, B.size + 1, n + 1)),
             shape=(len(x), c.num_splines))
         a = u.ndim - 1 - k
-        u = (splines @ (coefficient_map(c) @ u.swapaxes(0, a))
-             ).swapaxes(0, a)
+        u = coefficients_along(coefficient_map(c), u, a)
+        u = (splines @ u.swapaxes(0, a)).swapaxes(0, a)
     out = u.ravel()
     return np.maximum(out, 0.5 * v.min(), out=out)
 
@@ -465,6 +467,13 @@ def _mem_available(meminfo: str = "/proc/meminfo") -> int | None:
     return None
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _once(fn, *args):
+    """fn(*args), kept: a profile and its admissible mesh bounds do not
+    depend on h, so a study derives them once.  Copy a mutable result."""
+    return fn(*args)
+
+
 def _setup(config: SolveConfig):
     """Mesh, rigor profile and the guards every entry point shares.
 
@@ -500,8 +509,8 @@ def _setup(config: SolveConfig):
     geometry = make_geometry(alphabet.d, J, config.n)
 
     def profile_at(s_cap):
-        return make_profile(alphabet, n=config.n, s_cap=s_cap,
-                            alpha=config.alpha, beta=config.beta, M=config.M)
+        return _once(make_profile, alphabet, config.n, s_cap, config.alpha,
+                     config.beta, config.M)
 
     profile = profile_at(config.s_cap)
     seed = s_hat = None
@@ -509,7 +518,7 @@ def _setup(config: SolveConfig):
         seed = _seed_engine(alphabet, profile)
         (s_hat,), _ = _crossings(seed, (0.0,), S_FLOOR, float(alphabet.d), 1e-6)
         profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
-    breakdown = admissible_h(profile, alphabet)
+    breakdown = dict(_once(admissible_h, profile, alphabet))
     # the exact 1/J against each rounded-down bound, and strictly below the
     # exact 1/max component
     admissible = (Fraction(1, J) <= Fraction(breakdown["overall"])

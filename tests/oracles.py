@@ -4,7 +4,9 @@ Pointwise B-spline values by the Cox-de Boor recurrence, the quasi-interpolant
 Qf evaluated from its spline coefficients, the maps phi_e and their
 derivative norms ||Dphi_e||^s one letter at a time, the operator structure
 built one letter at a time over the whole mesh (every collocation point,
-with no use of the y -> -y symmetry that a folded OperatorCache exploits),
+with no use of the y -> -y symmetry that a folded OperatorCache exploits,
+and with frozen copies of the first interval location and spline
+recurrence),
 the transfer operator applied from it and materialized as one sparse
 matrix, probes run to convergence, and the 1D and 2D dimensions by
 (tensor) Chebyshev collocation, independent of the package.  None of it
@@ -186,6 +188,40 @@ def dphi_norm_2d(e: tuple[int, int], p, s: float):
     return np.sum(q * q, axis=-1) ** (-s)
 
 
+def zero_filled_intervals(ks: KnotSequence, x: Array) -> tuple[Array, Array]:
+    """(ell, t) as fracdim.bspline.locate_intervals returns them, by the
+    form it first had: two range tests, a floor of the scaled offset, one
+    step down and one step up.  Frozen here so that the structure build is
+    checked against code it does not share."""
+    x = np.asarray(x, dtype=np.float64)
+    knots = ks.knots
+    if np.any(x < knots[0]) or np.any(x > knots[-1]):
+        raise ValueError("points outside knot span")
+    last = ks.num_intervals - 1
+    ell = np.floor((x - knots[0]) / ks.h).astype(np.int64)
+    np.clip(ell, 0, last, out=ell)
+    ell -= (x < knots[ell])
+    ell += (ell < last) & (x >= knots[ell + 1])
+    return ell, (x - knots[ell]) / ks.h
+
+
+def zero_filled_basis(t: Array, n: int) -> Array:
+    """B[..., r] = b_{ell-n+r}(x) from the local coordinate t, by the
+    recurrence accumulated into a zero-filled array per degree, as
+    fracdim.bspline first computed it (frozen for the same reason)."""
+    t = np.asarray(t, dtype=np.float64)
+    B = np.ones(t.shape + (1,), dtype=np.float64)
+    for p in range(1, n + 1):
+        Bp = np.zeros(t.shape + (p + 1,), dtype=np.float64)
+        for r in range(p + 1):
+            if r > 0:
+                Bp[..., r] += (t + (p - r)) / p * B[..., r - 1]
+            if r < p:
+                Bp[..., r] += (r + 1 - t) / p * B[..., r]
+        B = Bp
+    return B
+
+
 def letter_structure(alphabet: Alphabet, grid: TensorGrid):
     """The stacked structure of OperatorCache built one letter at a time
     over all N collocation points, with the same floating-point operations
@@ -207,10 +243,10 @@ def letter_structure(alphabet: Alphabet, grid: TensorGrid):
             img, lg[:, j] = phi_2d(e, p), log_dphi_norm_2d(e, p)
         windows = []
         for k, ks in enumerate(grid.axes):
-            ell, t = locate_intervals(ks, img[:, k])
+            ell, t = zero_filled_intervals(ks, img[:, k])
             c = (ell - n)[:, None] + np.arange(n + 1)[None, :]
             assert c.min() >= 0 and c.max() < ks.num_splines
-            windows.append((c, uniform_basis(t, n)))
+            windows.append((c, zero_filled_basis(t, n)))
         c, b = windows[-1]
         for ks, (c1, B1) in zip(grid.axes[-2::-1], windows[-2::-1]):
             c = (c[:, :, None] * ks.num_splines + c1[:, None, :]).reshape(N, -1)

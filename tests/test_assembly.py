@@ -127,6 +127,16 @@ class TestOracle2D:
         v = rng.uniform(0.1, 1.0, op.shape[0])
         assert np.abs(op.coefficients(v) - Wr @ v).max() < 1e-14
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_coefficients_bitwise_per_axis_w1(self, n):
+        # the x taps on slices sum the sparse W1's products in its order
+        grid = make_geometry(2, 32, n)
+        op = OperatorCache(parse_alphabet(SET_2D), grid).matrix(1.0)
+        Wx, Wy = op.W1s
+        V = np.random.default_rng(n).uniform(0.1, 1.0, grid.sample_shape)
+        want = Wy @ np.ascontiguousarray((Wx @ np.ascontiguousarray(V.T)).T)
+        assert op.coefficients(V.ravel()).tobytes() == want.tobytes()
+
 
 def entries_per_point(op):
     """Entries of G(s) per collocation point: the entries of its |E|
@@ -302,12 +312,16 @@ class TestBlockBuild:
     a time over the whole mesh (its tail of kept points on a folded mesh);
     where the blocks end changes no bit."""
 
-    @pytest.mark.parametrize("text,d,J", [("1,2,3", 1, 16), ("primes<50", 1, 64),
-                                          ("1..100", 1, 200), (SET_2D, 2, 40)])
+    @pytest.mark.parametrize("text,d,J,n", [
+        pytest.param(text, d, J, n, id=f"{text}-{d}-{J}" + tag)
+        for text, d, J, n, tag in [
+            ("1,2,3", 1, 16, 2, ""), ("primes<50", 1, 64, 2, ""),
+            ("primes<50", 1, 64, 4, "-degree4"), ("1..100", 1, 200, 2, ""),
+            (SET_2D, 2, 40, 2, ""), ("(1,0),(2,1)", 2, 40, 2, "")]])
     @pytest.mark.parametrize("block", ["default", "one-row", "ragged"])
-    def test_bitwise_equal_to_letter_build(self, text, d, J, block,
+    def test_bitwise_equal_to_letter_build(self, text, d, J, n, block,
                                            monkeypatch):
-        alphabet, grid = parse_alphabet(text), make_geometry(d, J, 2)
+        alphabet, grid = parse_alphabet(text), make_geometry(d, J, n)
         E, N = len(alphabet.letters), math.prod(grid.sample_shape)
         if block == "one-row":
             monkeypatch.setattr(assembly, "BLOCK_ROWS", 1)
@@ -323,10 +337,10 @@ class TestBlockBuild:
         K = indptr[1]
         want = (data[r0 * K:], indices[r0 * K:], indptr[r0:] - r0 * K,
                 lg[N - cache.kept:])
-        assert (cache.kept < N) == (d == 2)
+        assert (cache.kept < N) == (text == SET_2D)  # folded
         for got, want in zip((G.data, G.indices, G.indptr, cache._lg),
                              want):
-            assert np.array_equal(got, want)
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
         assert G.indices.dtype == G.indptr.dtype == np.int32
 
 
@@ -417,6 +431,35 @@ class TestBuildMemory:
             tracemalloc.stop()
         budget = operator_footprint(alphabet, grid.sample_shape, 2)["block"]
         assert peak - kept_bytes(cache) <= budget
+
+    @pytest.mark.parametrize("text,d,J,n", [
+        (SET_2D, 2, 500, 2), ("primes<3000", 1, 3000, 2),
+        ("primes<3000", 1, 3000, 4), ("(1,0),(2,1)", 2, 250, 2)],
+        ids=["certify-2d", "primes-n2", "primes-n4", "unfolded-2d"])
+    def test_build_temporaries_within_block_term(self, text, d, J, n,
+                                                  monkeypatch):
+        # tracemalloc sees numpy's buffers: the peak above what is held
+        # after each block (the row pointers, allocated last, would hide
+        # the blocks' peak behind the whole build's) and after the build
+        alphabet, grid = parse_alphabet(text), make_geometry(d, J, n)
+        over, block = [], OperatorCache._block
+
+        def measured(cache, *args):
+            block(cache, *args)
+            retained, peak = tracemalloc.get_traced_memory()
+            over.append(peak - retained)
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(OperatorCache, "_block", measured)
+        tracemalloc.start()
+        try:
+            cache = OperatorCache(alphabet, grid)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(over) > 2 and cache.nnz > 0
+        budget = operator_footprint(alphabet, grid.sample_shape, n)["block"]
+        assert max(over + [peak - retained]) <= budget
 
     @pytest.mark.parametrize("text,d,J", [("primes<50", 1, 64), (SET_2D, 2, 12)])
     def test_footprint_counts_what_the_cache_keeps(self, text, d, J):

@@ -8,7 +8,8 @@ from scipy.interpolate import BSpline
 from fracdim.bspline import (KnotSequence, TensorGrid, locate_intervals,
                              make_uniform_knots, uniform_basis)
 from oracles import (eval_bspline, eval_bspline_derivative, local_basis,
-                     locate_interval, parameter_interval)
+                     locate_interval, parameter_interval, zero_filled_basis,
+                     zero_filled_intervals)
 
 
 def scipy_bspline(ks: KnotSequence, k: int):
@@ -161,6 +162,34 @@ class TestLocation:
         B = uniform_basis(np.array([t]), n)
         assert B.sum() == pytest.approx(1.0, abs=1e-13)
         assert (B >= -1e-15).all()
+
+
+class TestBitwiseBuildingBlocks:
+    """The structure build's recurrence and interval location give the
+    frozen first forms' values bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_basis_equals_zero_filled_recurrence(self, n):
+        t = np.concatenate([[0.0, np.nextafter(1.0, 0.0), 0.5],
+                            np.random.default_rng(n).uniform(0, 1, 4000)])
+        got, want = uniform_basis(t, n), zero_filled_basis(t, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lo,hi,J,n", [(0.0, 1.0 + 2 / 300, 302, 2),
+                                           (-0.5 - 4 / 70, 0.5 + 4 / 70, 78, 4)])
+    def test_location_equals_frozen_form(self, lo, hi, J, n):
+        # every knot and its two neighbouring doubles, inside the span
+        ks = make_uniform_knots(lo, hi, J, n)
+        k = ks.knots
+        x = np.concatenate([k, np.nextafter(k[1:], -np.inf),
+                            np.nextafter(k[:-1], np.inf)])
+        (ell, t), (want_ell, want_t) = (locate_intervals(ks, x),
+                                        zero_filled_intervals(ks, x))
+        assert ell.tobytes() == want_ell.tobytes()
+        assert t.tobytes() == want_t.tobytes()
+        for outside in (np.nextafter(k[0], -np.inf), np.nextafter(k[-1], np.inf)):
+            with pytest.raises(ValueError, match="outside knot span"):
+                locate_intervals(ks, np.array([0.0, outside]))
 
 
 class TestTensor:

@@ -1190,6 +1190,51 @@ class TestTwoStepRefinement:
         assert b.s_lo <= chebyshev_dimension_2d(alphabet.letters) <= b.s_hi
 
 
+class TestConstantsOnce:
+    """A profile and its admissible mesh bounds do not depend on h, so
+    _setup derives them once per function and inputs; each record still
+    gets its own admissibility dict."""
+
+    CFG = SolveConfig(A12, h=1 / 64, mode="point-estimate", unsafe_h=True)
+
+    def test_study_derives_once_and_rows_share_no_dict(self, monkeypatch):
+        brackets, calls = [], []
+        solve = solver.solve_dimension
+
+        def kept(cfg, **kwargs):
+            brackets.append(solve(cfg, **kwargs))
+            return brackets[-1]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(solver, "solve_dimension", kept)
+        # fresh wrappers are fresh keys: a patched function is called, never
+        # served another's entry
+        for name in ("make_profile", "admissible_h"):
+            monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+        convergence_study(replace(self.CFG, mesh="nodes"),
+                          [1 / 25, 1 / 50, 1 / 100])
+        assert calls == ["make_profile", "admissible_h"]
+        first = brackets[0].admissibility
+        assert first == admissible_h(make_profile(A12), A12)
+        assert all(b.admissibility == first for b in brackets)
+        assert len({id(b.admissibility) for b in brackets}) == len(brackets)
+        first["overall"] = -1.0
+        assert solver._setup(self.CFG)[3] == brackets[1].admissibility
+
+    @pytest.mark.parametrize("change", [
+        {"n": 4}, {"s_cap": 0.9}, {"alpha": 0.1}, {"beta": 0.1}, {"M": 50.0}])
+    def test_any_setting_gives_a_fresh_profile(self, change):
+        profile = solver._setup(self.CFG)[1]
+        assert solver._setup(self.CFG)[1] is profile  # kept
+        other = solver._setup(replace(self.CFG, **change))[1]
+        assert other != profile and other == make_profile(A12, **change)
+
+
 class TestConvergenceStudy:
     def test_coarsest_table5_mesh_converged(self):
         # with partition of unity up to the domain edges, the {1..100}
