@@ -126,9 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s-cap", dest="s_cap", type=float, default=None,
                        help="upper bound on s used in the rigor constants")
         p.add_argument("--tol-s", dest="tol_s", type=float, default=None,
-                       help="width in s to solve to (default: adjacent "
-                            "doubles for a point estimate, 1e-14 in 1D and "
-                            "1e-10 in 2D for a certified solve)")
+                       help="width in s to solve to (default: 4 ulp for "
+                            "a point estimate, 1e-14 in 1D and 1e-10 in 2D "
+                            "for a certified solve)")
         p.add_argument("--format", dest="fmt", choices=("table", "json", "tsv"),
                        default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -4,7 +4,7 @@ bisection to a certified dimension interval.
 Certified mode scales the collocation matrix L_h(s) by (1 -/+ err) into the
 pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
 B_h above 1 certifies s <= s*.  Point-estimate mode sets err = 0 and ends at
-the flip of the estimate's own lam >= 1 (what convergence tables measure).
+a 4-ulp bracket of its own log lam = 0 (what convergence tables measure).
 Only the probes that end a search matter, so every solve first predicts
 where log lam of converged point probes crosses its levels on coarser
 meshes, one ladder that solve_dimension climbs by one routine (_step).
@@ -133,9 +133,9 @@ class SolveConfig:
         return J
 
     def resolve_tol(self) -> float:
-        """Bisection width in s.  A point estimate defaults to 0, i.e. it
-        bisects down to adjacent doubles: a midpoint of a wider interval can
-        sit several ulp off the discrete root."""
+        """Width in s to solve to.  A point estimate defaults to 0, i.e. it
+        stops at a 4-ulp bracket: a midpoint of a wider one can sit several
+        ulp off the discrete root."""
         if self.tol_s is not None:
             if not 0.0 <= self.tol_s < math.inf:
                 raise ValueError(f"tol_s = {self.tol_s!r} is not a finite "
@@ -246,50 +246,39 @@ class ProbeEngine:
                     f"({r1['lam']!r}) to s={r2['s']!r} ({r2['lam']!r})")
 
 
+def _straddle_missed(s: float) -> ValueError:
+    return ValueError(f"search interval does not straddle the dimension: "
+                      f"still below it at s = {s}")
+
+
 def _bisect(above, a: float, b: float, tol: float,
-            guess: float | None = None,
-            radius: float = 0.0) -> tuple[float, float]:
+            guess: float) -> tuple[float, float]:
     """Shrink [a, b] around the point where the predicate `above` (true
-    below the dimension) turns false, to width tol or adjacent doubles.
-
-    Returns (a, a) when `above(a)` is false: the dimension is at or below
-    the search floor.  Raises ValueError when `above(b)` holds.
-
-    Without a guess the search starts from a and b.  With one it probes
-    guess + half and, when that answers false, guess - half (both clamped
-    to [a, b]), with half 2 ulp short of tol/2 (so that the window and its
-    halvings stay within tol), or `radius` where that is wider; a side that
-    answers the wrong way moves outward by 2 half, 4 half, ... until the
-    sides straddle the dimension or reach a or b, where the rules above
-    apply.  `above` is asked once per point, and the returned ends are
-    points it answered for."""
-    def straddle_missed(s):
-        return ValueError(f"search interval does not straddle the dimension: "
-                          f"still below it at s = {s}")
-
-    if guess is None:
-        if not above(a):
+    below the dimension) turns false, to width tol or adjacent doubles,
+    from a guess: it probes guess + half, then guess - half (clamped to [a,
+    b]; half 2 ulp short of tol/2, so the window and its halvings stay
+    within tol), and moves a side that answers the wrong way outward by 2
+    half, 4 half, ... until the sides straddle or reach a or b.  Returns
+    (a, a) when `above(a)` is false (the dimension is at or below the
+    search floor); raises ValueError when `above(b)` holds.  `above` is
+    asked once per point, and the returned ends are points it answered."""
+    g = min(max(guess, a), b)
+    half = max(0.5 * tol - 2.0 * math.ulp(g), math.ulp(g))
+    lo, hi = max(a, g - half), min(b, g + half)
+    step = 2.0 * half
+    lo_known = False  # above(lo) answered true
+    while above(hi):
+        if hi == b:
+            raise _straddle_missed(b)
+        lo, hi, lo_known = hi, min(b, hi + step), True
+        step *= 2.0
+    step = 2.0 * half
+    while not lo_known and not above(lo):
+        if lo == a:
             return a, a
-        if above(b):
-            raise straddle_missed(b)
-    else:
-        g = min(max(guess, a), b)
-        half = max(0.5 * tol - 2.0 * math.ulp(g), math.ulp(g), radius)
-        lo, hi = max(a, g - half), min(b, g + half)
-        step = 2.0 * half
-        lo_known = False  # above(lo) answered true
-        while above(hi):
-            if hi == b:
-                raise straddle_missed(b)
-            lo, hi, lo_known = hi, min(b, hi + step), True
-            step *= 2.0
-        step = 2.0 * half
-        while not lo_known and not above(lo):
-            if lo == a:
-                return a, a
-            lo, hi = max(a, lo - step), lo
-            step *= 2.0
-        a, b = lo, hi
+        lo, hi = max(a, lo - step), lo
+        step *= 2.0
+    a, b = lo, hi
     while b - a > tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -519,11 +508,18 @@ def _setup(config: SolveConfig):
         (s_hat,), _ = _crossings(seed, (0.0,), S_FLOOR, float(alphabet.d), 1e-6)
         profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
     breakdown = dict(_once(admissible_h, profile, alphabet))
+    # letter 1 maps every midpoint of a 1D mesh into its padded range only
+    # on more than 2 n^2 - n subintervals (see _seed_engine)
+    padded = (2 * config.n ** 2 - config.n
+              if alphabet.d == 1 and 1 in alphabet.letters else 0)
     # the exact 1/J against each rounded-down bound, and strictly below the
-    # exact 1/max component
+    # exact 1/max component and 1/padded
     admissible = (Fraction(1, J) <= Fraction(breakdown["overall"])
-                  and J > alphabet.max_component)
+                  and J > max(alphabet.max_component, padded))
     if not admissible and (certified or not config.unsafe_h):
+        if J <= padded:
+            breakdown = dict(breakdown, padding=1.0 / padded,
+                             overall=min(breakdown["overall"], 1.0 / padded))
         raise InadmissibleMeshError(h, breakdown)
     constants = {
         "K": profile.K, "A": profile.A, "B": profile.B, "D": profile.D,
@@ -561,12 +557,13 @@ def solve_dimension(config: SolveConfig, *,
     fine mesh takes one _step from the last rung.  There a certified solve
     proves each endpoint by _bisect from its moved prediction, the first
     s_hi probe started from the last iterate times the ratio of the coarse
-    ones.  A point estimate first runs _predict in the step's window, or in
-    [a, b] without a ladder, then _bisect from there to the flip of its own
-    lam >= 1; its rung (last iterate, s_h, _slope) goes with it.  The
-    record's search block is filled exactly when the solve climbed from the
-    seed mesh.  A cap below the dimension ends in the certified straddle
-    test's ValueError, never in a wrong bracket.  Where lam_lo < 1 (lam < 1)
+    ones.  A point estimate runs _predict in the step's window to max(tol,
+    4 ulp of its top), then, where no end straddles the crossing, in [a,
+    b]: s_h is the midpoint of the last bracket; its rung (last iterate,
+    s_h, _slope) goes with it.  The record's search block is filled exactly
+    when the solve climbed from the seed mesh.  A cap below the dimension,
+    or a point estimate's lam > 1 at d, ends in the straddle test's
+    ValueError, never in a wrong bracket.  Where lam_lo < 1 (lam <= 1)
     already at S_FLOOR, s_lo, or the point estimate, is 0.
     """
     t0 = time.perf_counter()
@@ -627,32 +624,30 @@ def solve_dimension(config: SolveConfig, *,
     if search is not None:
         search.update(s_lo=rung.crossings[0], s_hi=rung.crossings[-1],
                       shift=shift)
-    key = "lam_lo" if certified else "lam"  # of the lower end's predicate
     if certified:
-        guess, radius = guesses[0], 0.0
-    else:
-        # converged probes locate the flip superlinearly
-        lo, hi = window
-        p = _predict(engine, lo, hi, 0.0, max(tol, 1e-15 * max(1.0, hi)))
-        # from the records next to p: the ends of _predict's last bracket,
-        # or, where p is an end (no crossing inside), the nearest one; at
-        # the floor lam < 1 is on record, and _bisect returns (a, a)
-        below = max((s for s in engine.records if s < p), default=p)
-        above = min((s for s in engine.records if s > p), default=p)
-        guess, radius = (p if p > a else None), max(p - below, above - p)
-    lo, hi = _bisect(lambda s: engine.probe(s)[key] >= 1.0, a, b, tol, guess,
-                     radius)
-    if engine.records[lo][key] < 1.0:
-        lo = hi = 0.0  # not even the floor lies below the dimension
-    if certified:
-        s_lo = lo
+        s_lo = _bisect(lambda s: engine.probe(s)["lam_lo"] >= 1.0, a, b, tol,
+                       guesses[0])[0]
+        if engine.records[s_lo]["lam_lo"] < 1.0:
+            s_lo = 0.0  # not even the floor lies below the dimension
         engine.warm = engine.warm * _prolong(iterates[1] / iterates[0],
                                              rung.geometry, geometry)
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
                        guesses[1])[1]
         rung = None
     else:
-        s_lo = s_hi = 0.5 * (lo + hi)
+        def lam(s):  # a probe on record is not run again
+            return engine.probe(s)["lam"]
+
+        lo, hi = window
+        eps = max(tol, 4.0 * math.ulp(hi))
+        s_lo = _predict(engine, lo, hi, 0.0, eps)
+        if lam(lo) <= 1.0 or lam(hi) > 1.0:  # no crossing inside the window
+            s_lo = _predict(engine, a, b, 0.0, eps)
+            if lam(a) <= 1.0:
+                s_lo = 0.0  # not even the floor lies below the dimension
+            elif lam(b) > 1.0:
+                raise _straddle_missed(b)
+        s_hi = s_lo
         rung = Rung(geometry, engine.warm, (s_lo,),
                     _slope(engine, s_lo, rung.sigma if rung else 0.0))
     engine.audit_monotonicity()
@@ -668,12 +663,12 @@ def convergence_study(config: SolveConfig, h_list,
                       reference: float | None = None) -> list[dict]:
     """Point-estimate s_h across meshes, with deltas and empirical orders.
 
-    Unless config.tol_s is set, each s_h is bisected down to adjacent
-    doubles (the point-estimate default): at fine meshes the deltas are a
-    few ulp.  Each mesh is one solve_dimension, and from the second on its
-    ladder starts from the previous mesh's rung (see solve_dimension); every
-    s_h is still the flip of its own mesh's lam >= 1.  Each row counts its
-    solve's unique probes.
+    Unless config.tol_s is set, each s_h is the midpoint of a 4-ulp bracket
+    of its mesh's log lam = 0 (the point-estimate default): at fine meshes
+    the deltas are a few ulp.  Each mesh is one solve_dimension, and from
+    the second on its ladder starts from the previous mesh's rung (see
+    solve_dimension); every s_h still brackets its own mesh's crossing.
+    Each row counts the unique probes of its solve's own (fine) mesh.
 
     With a reference value: delta_i = |s_i - ref| and rate_i =
     log2(delta_{i-1}/delta_i).  Without: delta_i = |s_i - s_{i-1}| and the

@@ -125,13 +125,14 @@ class TestCriterion1TwoLetterSweep:
         # The published rate 3.655 at row 1/3200 divides by a delta of
         # 9.4e-16, about 8 ulp of s_h, so an error of one or two ulp in
         # either term moves the rate by tenths.  Two such errors read 4.44:
-        # (1) s_h: bisecting to a 1e-15 tolerance returns the midpoint of
-        #     the last interval, 2 ulp (2e-16) above the discrete root, so
-        #     convergence_study bisects to adjacent doubles, 1 ulp from it.
+        # (1) s_h: regula falsi on log lam stopped at a 1e-15 bracket
+        #     (about 9 ulp) returns its midpoint 2 ulp (2e-16) above the
+        #     discrete root and reads 4.16, so convergence_study stops at a
+        #     4-ulp bracket, whose midpoint is the root rounded to double.
         # (2) the reference: the 15-digit REF_12 is 1.4e-16 below the
         #     dimension, so even the exact discrete root reads a rate of 4.17
         #     against it; the sweep measures against oracle_12 instead.
-        # With neither error the rate reads 3.84 (about 3.93 for the exact
+        # With neither error the rate reads 3.98 (about 3.93 for the exact
         # discrete root).
         rows, _ = sweep
         assert abs(rows[-1]["rate"] - 3.655) <= 0.5

@@ -198,19 +198,59 @@ class TestPointEstimateOracle:
                           xtol=1e-13)
         assert b.s_lo == pytest.approx(s_oracle, abs=1e-9)
 
-    def test_estimate_resolves_to_adjacent_doubles(self):
+    def test_estimate_ends_at_a_4_ulp_bracket(self):
         # the discrete root at 1/3200 nodes is 0.53128050627720421 (an 80-bit
-        # rebuild of the same operator); bisecting only to 1e-15 returned the
-        # midpoint 0.5312805062772044, 2 ulp above it.  The estimate ends
-        # between adjacent doubles where its own lam >= 1 flips (the last
-        # bits of a converged lam near 1 depend on the start vector, so the
-        # ladder reads 0.5312805062772039)
+        # rebuild of the same operator).  Where a converged lam >= 1 flips
+        # between adjacent doubles depends on the start vector by up to 14
+        # ulp, so the estimate ends where regula falsi on log lam has
+        # bracketed its root to 4 ulp: the midpoint of the last bracket,
+        # whose ends are the probes next to it.  It reads
+        # 0.5312805062772039, 3 ulp below the root, as the flip did
         b = solve_dimension(SolveConfig(A12, h=1.0 / 3200, mesh="nodes",
                                         mode="point-estimate"))
-        lo = max(p["s"] for p in b.probes if p["lam"] >= 1.0)
-        hi = min(p["s"] for p in b.probes if p["lam"] < 1.0)
-        assert lo < hi == math.nextafter(lo, 1.0)
+        lo = max(p["s"] for p in b.probes if p["lam"] > 1.0)
+        hi = min(p["s"] for p in b.probes if p["lam"] <= 1.0)
+        assert lo < hi and hi - lo <= 4 * math.ulp(hi)
         assert b.s_lo == b.s_hi == 0.5 * (lo + hi)
+        root = 0.53128050627720421
+        assert abs(b.s_lo - root) <= 4 * math.ulp(root)
+
+    @settings(max_examples=40, deadline=None)
+    @given(letters=st.lists(st.integers(1, 10), min_size=1, max_size=5,
+                            unique=True),
+           data=st.data())
+    def test_drawn_estimates_hold_dense_root(self, letters, data):
+        # J on both sides of the seed mesh: up to 25 the estimate runs
+        # regula falsi on [S_FLOOR, 1], above it the ladder's window; a
+        # one-letter set (a point) has rho < 1 already at S_FLOOR, and the
+        # estimate is 0.  Sixty seeded draws lay within 1e-15
+        alphabet = make_alphabet_1d(sorted(letters))
+        J = data.draw(st.integers(max(8, alphabet.max_component + 1), 80))
+        b = solve_dimension(SolveConfig(alphabet, h=1 / J,
+                                        mode="point-estimate", unsafe_h=True))
+        cache = OperatorCache(alphabet, make_geometry(1, J, 2))
+        if dense_rho(cache, S_FLOOR) <= 1.0:
+            root = 0.0
+        else:
+            root = brentq(lambda s: dense_rho(cache, s) - 1.0, S_FLOOR, 1.0,
+                          xtol=1e-16)
+        assert b.s_lo == b.s_hi
+        assert abs(b.s_lo - root) <= 1e-14
+
+    @pytest.mark.parametrize("J", [16, 128])
+    def test_ceiling_below_root_raises(self, J):
+        # every product scaled by 4 lifts lam above 1 at s = d (lam(1) is
+        # about 0.55 for {1,2}): no window holds the root, nor does
+        # [S_FLOOR, d], with or without a ladder below the fine mesh
+        matmul = TransferOperator.__matmul__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TransferOperator, "__matmul__",
+                       lambda op, v: 4.0 * matmul(op, v))
+            with pytest.raises(ValueError, match="does not straddle the "
+                               "dimension: still below it at s = 1.0$"):
+                solve_dimension(SolveConfig(A12, h=1 / J,
+                                            mode="point-estimate",
+                                            unsafe_h=True))
 
     def test_deterministic(self):
         cfg = SolveConfig(A12, h=1 / 32, mode="point-estimate", unsafe_h=True)
@@ -280,33 +320,49 @@ class TestCertified:
 
     @settings(max_examples=60, deadline=None)
     @given(letters=st.lists(st.integers(1, 10), min_size=2, max_size=5,
-                            unique=True))
-    def test_coarsest_admissible_bracket_holds_oracle(self, letters):
-        # each alphabet, certified at its coarsest admissible h (J <= 47,
-        # so the fine mesh starts from the seed mesh's predictions), holds
-        # the dimension from Chebyshev collocation, which 24 and 32 nodes
-        # agree on
+                            unique=True),
+           n=st.sampled_from([2, 4]))
+    def test_coarsest_admissible_bracket_holds_oracle(self, letters, n):
+        # each alphabet, certified at degree n at its coarsest admissible h
+        # (J <= 47 at n = 2, so the fine mesh starts from the seed mesh's
+        # predictions; 30-169 at n = 4, where J // 4 may climb above the
+        # seed mesh), holds the dimension from Chebyshev collocation, which
+        # 24 and 32 nodes agree on
         letters = tuple(sorted(letters))
         alphabet = make_alphabet_1d(letters)
 
         def coarsest(cap):
-            bound = admissible_h(make_profile(alphabet, s_cap=cap),
+            bound = admissible_h(make_profile(alphabet, n, s_cap=cap),
                                  alphabet)["overall"]
+            # and more than 2 n^2 - n subintervals to hold letter 1's images
             return max(math.ceil(1 / Fraction(bound)),
-                       alphabet.max_component + 1)
+                       alphabet.max_component + 1,
+                       (2 * n * n - n + 1) * (1 in letters))
 
         value = chebyshev_dimension_1d(letters)
         assert abs(chebyshev_dimension_1d(letters, 32) - value) <= 1e-13
-        b = solve_dimension(SolveConfig(alphabet, h=1 / coarsest(1.0)))
+        b = solve_dimension(SolveConfig(alphabet, n=n, h=1 / coarsest(1.0)))
         assert b.s_lo <= value <= b.s_hi
         # the seed mesh, and with it the cap, does not depend on h: the
         # coarsest mesh admissible at the cap the solve lowers to also
         # certifies, and holds the dimension ({1,2}: 34 subintervals, 47
         # at the cap 1)
         cap = b.constants["s_cap"]
-        b = solve_dimension(SolveConfig(alphabet, h=1 / coarsest(cap)))
+        b = solve_dimension(SolveConfig(alphabet, n=n, h=1 / coarsest(cap)))
         assert b.constants["s_cap"] == cap
         assert b.s_lo <= value <= b.s_hi
+
+    def test_unpadded_mesh_refused(self):
+        # {1,3} at degree 4 is admissible at 1/22 by every bound of
+        # admissible_h at the cap it lowers to, but letter 1 maps the
+        # leftmost midpoint past the padded edge below 29 subintervals: the
+        # mesh is refused as inadmissible, not by a failed build
+        cfg = SolveConfig(make_alphabet_1d([1, 3]), n=4, h=1 / 22)
+        with pytest.raises(InadmissibleMeshError) as exc:
+            solve_dimension(cfg)
+        assert exc.value.breakdown["padding"] == 1 / 28
+        assert exc.value.breakdown["alpha"] > 1 / 22
+        assert solve_dimension(replace(cfg, h=1 / 29)).s_lo > 0.45
 
     def test_record_shape(self):
         b = solve_dimension(SolveConfig(A12, h=1 / 64, tol_s=1e-6))
@@ -381,9 +437,10 @@ class TestEarlyDecision:
                 assert p["converged"]
 
     def test_zone_stop_matches_converged_bisection(self):
-        # {1,2} at J = 64: both bisections, once with probes that stop at
-        # the decision and once with every probe run to convergence
-        J, tol = 64, 1e-14
+        # {1,2} at J = 64: both bisections, from the midpoint of [1e-6, 1],
+        # once with probes that stop at the decision and once with every
+        # probe run to convergence
+        J, tol, guess = 64, 1e-14, 0.5 * (1e-6 + 1.0)
         profile = make_profile(A12)
         cache = OperatorCache(A12, make_geometry(1, J, 2))
         err = profile.err(1.0 / J)
@@ -394,9 +451,9 @@ class TestEarlyDecision:
                             (converged, converged.records)):
             with counting_matvecs() as calls:
                 s_lo = _bisect(lambda s: probe(s)["lam_lo"] >= 1.0,
-                               1e-6, 1.0, tol)[0]
+                               1e-6, 1.0, tol, guess)[0]
                 s_hi = _bisect(lambda s: probe(s)["lam_hi"] > 1.0,
-                               1e-6, 1.0, tol)[1]
+                               1e-6, 1.0, tol, guess)[1]
             ends.append((s_lo, s_hi))
             matvecs.append(len(calls))
             records.append(recs)
@@ -405,8 +462,9 @@ class TestEarlyDecision:
         assert records[0].keys() == records[1].keys()
         assert any(r["decided"] and r["lam_lo"] < 1.0 < r["lam_hi"]
                    for r in records[0].values())
-        # the zone stop takes 176; stopping only outside [s_lo, s_hi] took
-        # 561, converging took 1425
+        # the zone stop takes 225 and converging 1825 (176 and 1425 when
+        # both bisected from the ends, where stopping only outside [s_lo,
+        # s_hi] took 561)
         assert matvecs[0] <= 250 < matvecs[1]
 
     def test_audit_passes_on_decided_records(self):
@@ -438,10 +496,10 @@ class TestEarlyDecision:
     def test_point_estimate_climbs_the_ladder(self, alphabet, J, meshes):
         # above the seed mesh a point estimate climbs the certified ladder:
         # the seed crossing of log lam = 0, J // 4 where that is finer, and
-        # one Newton step onto the fine mesh, whose window regula falsi and
-        # the bisection finish (55 decided probes bisected [S_FLOOR, 1]),
-        # every probe converged.  It ends where the bisection over
-        # converged probes ends, within the few ulp the warm start moves a
+        # one Newton step onto the fine mesh, whose window regula falsi
+        # finishes (55 decided probes bisected [S_FLOOR, 1]), every probe
+        # converged.  It ends where a bisection over converged probes from
+        # the estimate ends, within the few ulp the warm start moves a
         # converged lam near 1
         b = solver.solve_dimension(SolveConfig(alphabet, h=1 / J,
                                                mode="point-estimate"))
@@ -453,7 +511,8 @@ class TestEarlyDecision:
         assert len(b.probes) <= 8
         cache = OperatorCache(alphabet, make_geometry(1, J, 2))
         probe = ConvergedProbes(cache, make_profile(alphabet).M)
-        lo, hi = _bisect(lambda s: probe(s)["lam"] >= 1.0, S_FLOOR, 1.0, 0.0)
+        lo, hi = _bisect(lambda s: probe(s)["lam"] >= 1.0, S_FLOOR, 1.0, 0.0,
+                         b.s_lo)
         assert abs(b.s_lo - 0.5 * (lo + hi)) <= 4 * math.ulp(b.s_lo)
         assert all(p["converged"] and not p["decided"] for p in b.probes)
 
@@ -537,9 +596,10 @@ class TestLambdaBracket:
 
 
 class TestBisectionEdges:
-    """Search floor and ceiling of the three bisections: certified s_lo
-    (on lam_lo), certified s_hi (on lam_hi) and the point estimate, each
-    asked of the probes as solve_dimension asks it ({1,2} at J = 64)."""
+    """Search floor and ceiling of _bisect on the predicates of certified
+    s_lo (lam_lo), certified s_hi (lam_hi) and a converged point probe
+    (lam), each asked of the probes as an engine answers it ({1,2} at J =
+    64), and of the solves that end there."""
 
     @staticmethod
     def above(endpoint):
@@ -554,24 +614,14 @@ class TestBisectionEdges:
             return lambda s: engine.probe(s)["lam_lo"] >= 1.0
         return lambda s: engine.probe(s)["lam_hi"] > 1.0
 
-    @pytest.mark.parametrize("endpoint", ["s_lo", "s_hi", "point"])
-    def test_floor_above_dimension_is_returned(self, endpoint):
-        assert _bisect(self.above(endpoint), 0.6, 1.0, 1e-8) == (0.6, 0.6)
-
     # REF_1D lies inside the certified bracket: lam_lo(REF_1D) < 1, so the
     # s_lo bisection passes, and lam_hi(REF_1D) > 1 stops the s_hi one
-    @pytest.mark.parametrize("endpoint, ceiling",
-                             [("s_lo", 0.5), ("s_hi", REF_1D), ("point", 0.5)])
-    def test_ceiling_below_dimension_raises(self, endpoint, ceiling):
-        with pytest.raises(ValueError, match="does not straddle"):
-            _bisect(self.above(endpoint), S_FLOOR, ceiling, 1e-8)
-
     @pytest.mark.parametrize("guess", [0.2, 0.55, 0.9])
     @pytest.mark.parametrize("endpoint, ceiling",
                              [("s_lo", 0.5), ("s_hi", REF_1D), ("point", 0.5)])
     def test_guess_keeps_the_edges(self, endpoint, ceiling, guess):
-        # from a guess anywhere (clamped to the interval) the floor and the
-        # ceiling answer as they do without one
+        # from a guess anywhere (clamped to the interval) a floor above the
+        # dimension is returned, and a ceiling below it raises
         assert _bisect(self.above(endpoint), 0.6, 1.0, 1e-8, guess) == \
             (0.6, 0.6)
         with pytest.raises(ValueError, match="does not straddle"):
@@ -764,19 +814,18 @@ class TestGuessedBisection:
         self.check(t, guess, tol, slack=0)
 
     @settings(max_examples=300, deadline=None)
-    @given(t=st.floats(A, B, exclude_min=True), guess=st.floats(A, B),
-           radius=st.floats(0.0, 1.0))
-    def test_window_to_adjacent_doubles(self, t, guess, radius):
-        # tol = 0 from a window of any radius: the window's two probes, the
-        # widening steps while it misses, then bisection down to the spacing
-        # of the final pair; one probe over the guessed budget pays for a
-        # window end that rounds past t by less than that spacing
+    @given(t=st.floats(A, B, exclude_min=True), guess=st.floats(A, B))
+    def test_window_to_adjacent_doubles(self, t, guess):
+        # tol = 0: the window's two probes, the widening steps while it
+        # misses, then bisection down to the spacing of the final pair; one
+        # probe over the guessed budget pays for a window end that rounds
+        # past t by less than that spacing
         above, probes = self.threshold(t)
-        lo, hi = _bisect(above, self.A, self.B, 0.0, guess, radius)
+        lo, hi = _bisect(above, self.A, self.B, 0.0, guess)
         assert lo in probes and hi in probes
         assert lo < t <= hi and hi == math.nextafter(lo, 1.0)
         ulp = hi - lo
-        budget = 2 * math.log2(max(abs(guess - t), radius, ulp) / ulp) + 5
+        budget = 2 * math.log2(max(abs(guess - t), ulp) / ulp) + 5
         assert len(probes) <= budget
 
 
