@@ -24,11 +24,13 @@ OperatorCache precomputes all s-independent structure once per mesh: the
 stacked matrix Gs, with one row per (point, letter) holding that letter's
 K = (n+1)^d basis-value products, and one log derivative norm lg per
 (point, letter).  It allocates them first, then fills them in blocks of
-points, all letters at once: per axis each image's first spline column and
-n+1 basis values (basis_terms), then per tensor index k one product and one
-column sum written straight into their slices of Gs.  The build holds one
-block of temporaries beside its result (operator_footprint counts both).
-A probe at s takes one exp per (point, letter), w = exp(s lg), and applies
+points, all letters at once: per axis each image's knot interval (the floor
+of its scaled coordinate, checked against its two knots and corrected only
+where rounding put it one off: locate_intervals), first spline column and
+n+1 basis values (basis_terms), then per tensor index k one product (a copy
+in 1D) and one column sum written straight into their slices of Gs, with
+one block of temporaries beside them (operator_footprint counts both).  A
+probe at s takes one exp per (point, letter), w = exp(s lg), and applies
 G(s) = sum_e diag(w_e) G_e without writing it: y_i = sum_e w[i, e]
 (Gs @ c)[i |E| + e].
 
@@ -72,6 +74,10 @@ Array = np.ndarray
 BLOCK_ROWS = 2 ** 14
 
 
+class PaddedRangeError(ValueError):
+    """Mapped points leave the padded spline range: the mesh is too coarse."""
+
+
 def index_dtype(nnz: int) -> type:
     """The index dtype scipy keeps for a CSR matrix with nnz entries."""
     return np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
@@ -113,12 +119,10 @@ def coefficient_map(ks: KnotSequence) -> sparse.csr_matrix:
     """Per-axis coefficient map W1: row c applies the degree-ks.n midpoint
     weights to samples c..c+n (the dual-functional window of spline c)."""
     n, nc = ks.n, ks.num_splines
-    c = np.arange(nc)
-    rows = np.repeat(c, n + 1)
-    cols = (c[:, None] + np.arange(n + 1)[None, :]).ravel()
-    vals = np.tile(make_quasi_interpolant(n).weights, nc)
-    return sparse.csr_matrix((vals, (rows, cols)),
-                             shape=(nc, ks.num_intervals))
+    cols = np.arange(nc)[:, None] + np.arange(n + 1)  # scipy keeps int32
+    return sparse.csr_matrix(
+        (np.tile(make_quasi_interpolant(n).weights, nc), cols.ravel(),
+         np.arange(0, cols.size + 1, n + 1)), shape=(nc, ks.num_intervals))
 
 
 def coefficients_along(W1: sparse.csr_matrix, u: Array, a: int) -> Array:
@@ -244,27 +248,30 @@ class OperatorCache:
     def _block(self, img: Array, cols: Array, base: Array) -> None:
         """Columns and values, into cols and base (m, |E|, K), of the tensor
         splines nonzero at the images img (d, m, |E|).  An image outside the
-        partition of unity (mesh too coarse) is reported, not dropped."""
+        partition of unity (mesh too coarse) raises PaddedRangeError."""
         n = self.n
         # fold the axes in, last axis outer (ry outer, rx inner keeps the
         # columns ascending); interval ell holds splines ell-n .. ell
         first, terms = 0, []
         for ks, y in zip(self.axes[::-1], img[::-1]):
-            inside = (y >= ks.knots[n]) & (y < ks.knots[ks.num_splines])
-            if not inside.all():
-                e = self.alphabet.letters[inside.all(axis=0).argmin()]
-                raise ValueError(f"mapped points of letter {e} leave the "
-                                 "padded spline range; refine the mesh "
-                                 "(smaller h)")
+            lo, hi = ks.knots[n], ks.knots[ks.num_splines]
+            if not (y.min() >= lo and y.max() < hi):
+                e = self.alphabet.letters[((y >= lo) & (y < hi)).all(0).argmin()]
+                raise PaddedRangeError(f"mapped points of letter {e} leave "
+                                       "the padded spline range; refine the "
+                                       "mesh (smaller h)")
             ell, t = locate_intervals(ks, y)
-            first = first * ks.num_splines + (ell - n).astype(cols.dtype)
+            first = (first * ks.num_splines
+                     + np.subtract(ell, n, dtype=cols.dtype))
             terms.append(basis_terms(t, n))
         # tensor index k runs over (r per axis), outer axis slowest
         shape = [ks.num_splines for ks in self.axes[::-1]]
         for k, rs in enumerate(np.ndindex(*(n + 1,) * len(terms))):
             values = [B[r] for B, r in zip(terms, rs)]
-            np.multiply(values[0], values[-1] if len(values) > 1 else 1.0,
-                        out=base[..., k])  # d is 1 or 2; x * 1.0 is x
+            if len(values) == 2:  # d is 1 or 2
+                np.multiply(*values, out=base[..., k])
+            else:
+                base[..., k] = values[0]
             np.add(first, int(np.ravel_multi_index(rs, shape)),
                    out=cols[..., k])
 

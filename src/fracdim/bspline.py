@@ -65,21 +65,27 @@ def make_uniform_knots(domain_lo: float, domain_hi: float, J: int, n: int) -> Kn
 
 def locate_intervals(ks: KnotSequence, x: Array) -> tuple[Array, Array]:
     """Vectorized interval location: returns (ell, t) with ell the knot
-    interval of each point and t = (x - xi_ell)/h the local coordinate."""
+    interval of each point (the floor of (x - xi_0)/h capped at the closed
+    last interval, checked against its two knots and stepped down, then up,
+    only where rounding put it one off) and t = (x - xi_ell)/h."""
     x = np.asarray(x, dtype=np.float64)
     knots = ks.knots
     lo, hi = knots[0], knots[-1]
-    if x.min(initial=lo) < lo or x.max(initial=hi) > hi:
+    if not (x.min(initial=lo) >= lo and x.max(initial=hi) <= hi):  # or NaN
         raise ValueError("points outside knot span")
     last = ks.num_intervals - 1
     u = x - lo
     u /= ks.h
     ell = np.floor(u, out=u).astype(np.int64)
-    np.clip(ell, 0, last, out=ell)
-    ell -= (x < knots[ell])
-    ell += (ell < last) & (x >= knots[ell + 1])
-    t = (x - knots[ell]) / ks.h
-    return ell, t
+    np.minimum(ell, last, out=ell)  # x >= xi_0 floors to ell >= 0
+    left = knots[ell]
+    bad = (x < left) | (x >= np.append(knots[1:-1], np.inf)[ell])
+    if bad.any():
+        i = bad.nonzero()
+        e = ell[i] - (x[i] < left[i])
+        e += (e < last) & (x[i] >= knots[e + 1])
+        ell[i], left[i] = e, knots[e]
+    return ell, np.divide(np.subtract(x, left, out=left), ks.h, out=left)
 
 
 def basis_terms(t: Array, n: int) -> list[Array]:
@@ -87,13 +93,15 @@ def basis_terms(t: Array, n: int) -> list[Array]:
     coordinate t = (x - xi_ell)/h in [0, 1), as n+1 separate arrays: term r
     holds b_{ell-n+r}(x).  Term r of degree p is (t + p - r)/p times term
     r-1 plus (r + 1 - t)/p times term r of degree p-1, rounded as when both
-    are added to a zero-filled array (adding to 0.0 is exact)."""
+    are added to a zero-filled array: adding to 0.0, degree 1's skipped
+    + 0, / 1 and * 1, and * 2**-k in place of / 2**k are all exact."""
     def part(num, p, b):  # num / p * b, in num's buffer
-        return np.multiply(np.divide(num, p, out=num), b, out=num)
+        op, q = (np.divide, p) if p & (p - 1) else (np.multiply, 1.0 / p)
+        return np.multiply(op(num, q, out=num), b, out=num)
 
     t = np.asarray(t, dtype=np.float64)
-    B = [np.ones_like(t)]
-    for p in range(1, n + 1):
+    B = [1.0 - t, t] if n else [np.ones_like(t)]
+    for p in range(2, n + 1):
         up = [part(t + (p - r), p, B[r - 1]) for r in range(1, p + 1)]
         down = [part(r + 1 - t, p, B[r]) for r in range(p)]
         B = [down[0], *map(np.add, up[:-1], down[1:], up[:-1]), up[-1]]

@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .assembly import PaddedRangeError
 from .maps import parse_alphabet
 from .solver import (CertificationError, InadmissibleMeshError,
                      MonotonicityError, OversizedMeshError, SolveConfig,
@@ -337,6 +338,9 @@ def run(argv) -> int:
         print(f"mesh too large: {exc}", file=sys.stderr)
         for k, v in exc.breakdown.items():
             print(f"  {k:>12}: {v / 2**20:.1f} MiB", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    except PaddedRangeError as exc:
+        print(f"mesh too coarse: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except (CertificationError, PositivityError, MonotonicityError) as exc:
         if isinstance(exc, PositivityError) and args.subcommand != "certify":

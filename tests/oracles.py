@@ -5,8 +5,8 @@ Qf evaluated from its spline coefficients, the maps phi_e and their
 derivative norms ||Dphi_e||^s one letter at a time, the operator structure
 built one letter at a time over the whole mesh (every collocation point,
 with no use of the y -> -y symmetry that a folded OperatorCache exploits,
-and with frozen copies of the first interval location and spline
-recurrence),
+and with frozen copies of the first interval location, spline recurrence
+and coefficient map),
 the transfer operator applied from it and materialized as one sparse
 matrix, probes run to convergence, and the 1D and 2D dimensions by
 (tensor) Chebyshev collocation, independent of the package.  None of it
@@ -23,7 +23,7 @@ from scipy import sparse
 from fracdim.assembly import OperatorCache, coefficient_map
 from fracdim.bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
 from fracdim.maps import Alphabet
-from fracdim.quasi import QuasiInterpolant
+from fracdim.quasi import QuasiInterpolant, make_quasi_interpolant
 from fracdim.spectral import (cone_membership, power_iteration, scaled_bracket,
                               spectral_bracket)
 
@@ -220,6 +220,19 @@ def zero_filled_basis(t: Array, n: int) -> Array:
                 Bp[..., r] += (r + 1 - t) / p * B[..., r]
         B = Bp
     return B
+
+
+def coo_coefficient_map(ks: KnotSequence) -> sparse.csr_matrix:
+    """fracdim.assembly.coefficient_map as it was first built, from COO
+    triplets (row, column, weight) converted to CSR (frozen for the same
+    reason)."""
+    n, nc = ks.n, ks.num_splines
+    c = np.arange(nc)
+    rows = np.repeat(c, n + 1)
+    cols = (c[:, None] + np.arange(n + 1)[None, :]).ravel()
+    vals = np.tile(make_quasi_interpolant(n).weights, nc)
+    return sparse.csr_matrix((vals, (rows, cols)),
+                             shape=(nc, ks.num_intervals))
 
 
 def letter_structure(alphabet: Alphabet, grid: TensorGrid):

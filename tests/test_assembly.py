@@ -9,14 +9,16 @@ from scipy import sparse
 from scipy.interpolate import BSpline
 
 from fracdim import assembly
-from fracdim.assembly import OperatorCache, kept_points, operator_footprint
+from fracdim.assembly import (OperatorCache, coefficient_map, kept_points,
+                              operator_footprint)
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.constants import legendre_projection_constants, make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import check_degree, make_quasi_interpolant
 from fracdim.solver import SolveConfig, make_geometry, solve_dimension
 from fracdim.spectral import FLOAT_SLACK
-from oracles import full_matrix, full_product, letter_structure
+from oracles import (coo_coefficient_map, full_matrix, full_product,
+                     letter_structure)
 
 W = np.array([-0.125, 1.25, -0.125])
 
@@ -136,6 +138,18 @@ class TestOracle2D:
         V = np.random.default_rng(n).uniform(0.1, 1.0, grid.sample_shape)
         want = Wy @ np.ascontiguousarray((Wx @ np.ascontiguousarray(V.T)).T)
         assert op.coefficients(V.ravel()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_coefficient_map_equals_coo_build(self, n):
+        # the closed-form CSR holds the frozen COO build's arrays, bit
+        # for bit and in the same dtypes, on the padded x axis and on the
+        # symmetric y axis
+        for ks in make_geometry(2, 30, n).axes:
+            got, want = coefficient_map(ks), coo_coefficient_map(ks)
+            assert got.shape == want.shape
+            for a, b in [(got.data, want.data), (got.indices, want.indices),
+                         (got.indptr, want.indptr)]:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def entries_per_point(op):

@@ -185,6 +185,14 @@ class TestBitwiseBuildingBlocks:
                             np.nextafter(k[:-1], np.inf)])
         (ell, t), (want_ell, want_t) = (locate_intervals(ks, x),
                                         zero_filled_intervals(ks, x))
+        # the inputs reach every branch of the verified floor: scaled
+        # floors (capped at the last interval) one interval too high (81
+        # and 33 of them) and one too low (33 and 20), which the fix-up
+        # corrects, and x at the top knot, in the closed last interval
+        floor = np.minimum(np.floor((x - k[0]) / ks.h).astype(np.int64),
+                           ks.num_intervals - 1)
+        assert np.any(floor == want_ell + 1) and np.any(floor == want_ell - 1)
+        assert np.any(x == k[-1])
         assert ell.tobytes() == want_ell.tobytes()
         assert t.tobytes() == want_t.tobytes()
         for outside in (np.nextafter(k[0], -np.inf), np.nextafter(k[-1], np.inf)):

@@ -99,12 +99,18 @@ class TestEstimate:
         assert run(["estimate", "--alphabet", "1,2", "--h", "1/50",
                     "--dim", "2"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("alphabet", ["1,2", "(1,0),(1,1),(1,-1),(2,0)"])
-    def test_coarse_mesh_refused(self, alphabet, capsys):
-        # at h = 1/4 the padding of n subintervals no longer covers the
-        # images of the exterior midpoints
-        assert run(["estimate", "--alphabet", alphabet, "--h", "1/4",
-                    "--unsafe-h"]) == EXIT_USAGE
+    @pytest.mark.parametrize("alphabet, mesh", [
+        ("1,2", ["--h", "1/4"]),
+        ("(1,0),(1,1),(1,-1),(2,0)", ["--h", "1/4"]),
+        ("1,3", ["--degree", "4", "--h", "1/27"]),
+        ("(1,0),(2,0)", ["--h", "1/4"]),
+    ], ids=["1,2", "(1,0),(1,1),(1,-1),(2,0)", "1,3-degree4", "(1,0),(2,0)"])
+    def test_coarse_mesh_refused(self, alphabet, mesh, capsys):
+        # on these meshes the padding of n subintervals no longer covers
+        # the images of the exterior midpoints (in 1D with letter 1, when
+        # J <= 2n^2 - n): a mesh too coarse, like every other (exit 2)
+        assert run(["estimate", "--alphabet", alphabet, *mesh,
+                    "--unsafe-h"]) == EXIT_INADMISSIBLE
         err = capsys.readouterr().err
         assert "leave the padded spline range" in err
         assert "refine the mesh" in err
@@ -114,7 +120,7 @@ class TestEstimate:
         # images past the knot span and images inside it but past the
         # padded spline range get the same error
         assert run(["estimate", "--alphabet", "1,2", "--h", h,
-                    "--unsafe-h"]) == EXIT_USAGE
+                    "--unsafe-h"]) == EXIT_INADMISSIBLE
         err = capsys.readouterr().err
         assert "mapped points of letter 1 leave the padded spline range" in err
         assert "refine the mesh" in err

@@ -1322,7 +1322,9 @@ class TestConvergenceStudy:
         # from the second mesh on a study starts from the previous mesh's
         # rung (its iterate prolonged, coarser or finer, through
         # cache.symmetric on the folded 2D meshes, and its s_h moved by a
-        # Newton step), yet each row is its own mesh's flip point
+        # Newton step), yet each row ends, as a lone solve of its mesh
+        # does, at the midpoint of a regula-falsi bracket of log lam at
+        # most 4 ulp wide around the same crossing
         cfg = SolveConfig(alphabet, mode="point-estimate", mesh=mesh)
         rows = convergence_study(cfg, [1.0 / k for k in nodes])
         for i, r in enumerate(rows):
@@ -1345,8 +1347,10 @@ class TestConvergenceStudy:
 
     def test_window_that_misses(self):
         # a rung at 0.6 whose slope is far too steep: the Newton step
-        # barely moves it, so both ends of the window answer lam < 1,
-        # _predict returns its lower end and _bisect walks down from it
+        # barely moves it, so both ends of the window answer lam < 1 and
+        # _predict returns its lower end; the estimate then runs _predict
+        # on all of [S_FLOOR, d] and ends at the midpoint of its 4-ulp
+        # regula-falsi bracket, as the unseeded solve does
         cfg = SolveConfig(A12, h=1 / 64, mode="point-estimate")
         unseeded = solve_dimension(cfg).s_lo
         missed = solve_dimension(cfg, rung=self.rung(0.6, 1e12)).s_lo
