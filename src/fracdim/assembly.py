@@ -32,7 +32,10 @@ in 1D) and one column sum written straight into their slices of Gs, with
 one block of temporaries beside them (operator_footprint counts both).  A
 probe at s takes one exp per (point, letter), w = exp(s lg), and applies
 G(s) = sum_e diag(w_e) G_e without writing it: y_i = sum_e w[i, e]
-(Gs @ c)[i |E| + e].
+(Gs @ c)[i |E| + e].  A product forms Gs @ c one block of whole points at
+a time, in one buffer of the cache, and sums each block over its letters
+straight into the output (TransferOperator), so it holds no
+(point, letter)-sized vector.
 
 Every term of a row is the product of a base value, a weight and a
 coefficient (two roundings), and a row sums a chain of K + |E| terms (K per
@@ -63,6 +66,7 @@ import math
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .bspline import KnotSequence, TensorGrid, basis_terms, locate_intervals
 from .maps import Alphabet
@@ -72,6 +76,8 @@ Array = np.ndarray
 
 # (point, letter) rows per block of the structure build
 BLOCK_ROWS = 2 ** 14
+# (point, letter) rows per block of a product
+PRODUCT_ROWS = 2 ** 16
 
 
 class PaddedRangeError(ValueError):
@@ -97,20 +103,37 @@ def kept_points(alphabet: Alphabet, shape: tuple[int, ...],
     return (shape[0] - shape[0] // 2) * shape[1]
 
 
+def product_points(letters: int, kept: int) -> int:
+    """Points per block of a product: whole points, of at most PRODUCT_ROWS
+    (point, letter) rows unless one point has more letters, and at most the
+    kept points."""
+    return min(kept, max(1, PRODUCT_ROWS // letters))
+
+
 def operator_footprint(alphabet: Alphabet, shape: tuple[int, ...],
                        n: int) -> dict:
     """Peak bytes of one mesh's operator in a solve, by part and in total,
     from its sample shape (y midpoints negating), the kept points
-    (kept_points), |E| and K = (n+1)^d: the OperatorCache's stacked Gs
-    (values, columns, row pointers) and lg, a probe's weights and G @ c
-    (kept |E| doubles each), six sample vectors of the power iteration, and
-    one block of the build (at most 2K + 4(n+1) doubles per row)."""
+    (kept_points), |E| and K = (n+1)^d (rows_footprint)."""
+    E = len(alphabet.letters)
+    return rows_footprint(shape, n, E, kept_points(alphabet, shape))
+
+
+def rows_footprint(shape: tuple[int, ...], n: int, letters: int,
+                   kept: int) -> dict:
+    """operator_footprint of `kept` points with `letters` rows each: the
+    OperatorCache's stacked Gs (values, columns, row pointers) and lg, a
+    probe's weights (kept |E| doubles) and one product block
+    (product_points |E| doubles), six sample vectors of the power
+    iteration, and one block of the build (at most 2K + 4(n+1) doubles per
+    row)."""
     N = math.prod(shape)
-    rows = kept_points(alphabet, shape) * len(alphabet.letters)
+    rows = kept * letters
     K = (n + 1) ** len(shape)
     idx = np.dtype(index_dtype(rows * K)).itemsize
     parts = {"Gs": rows * K * (8 + idx) + (rows + 1) * idx, "lg": 8 * rows,
-             "probe": 16 * rows, "vectors": 48 * N,
+             "probe": 8 * rows + 8 * letters * product_points(letters, kept),
+             "vectors": 48 * N,
              "block": 8 * BLOCK_ROWS * (2 * K + 4 * (n + 1))}
     return {**parts, "total": sum(parts.values())}
 
@@ -144,19 +167,29 @@ class TransferOperator:
     """L_h(s) = G(s) W as a matrix-free linear operator on sample vectors.
 
     G is the s-independent stacked Gs, whose (point, letter) rows the
-    letter `weights` exp(s lg) sum into one row per point.  Sample and
-    coefficient vectors run with the first axis fastest.  When `weights`
-    covers fewer than all N points, G holds the kept tail of a folded
-    cache (see kept_points): a product refuses a vector that is not
+    letter `weights` exp(s lg) sum into one row per point.  A product runs
+    over blocks of whole points (product_points) through the cache's one
+    `buffer`: zeroed, then scipy's CSR kernel csr_matvec, the one `G @ c`
+    calls, on views of G's values and columns at the block's offset with
+    G's leading row pointers (every row holds K entries, so they fit every
+    block), then the letter einsum into the block's slice of the output.
+    Each row sums its terms in the order of the whole G @ c, which no
+    product forms, so a product is bit for bit the unblocked one.  The
+    kernel is called directly because scipy copies a row slice of G, and a
+    csr_matrix built on a view much shorter than its base.
+    Sample and coefficient vectors run with the first axis fastest.  When
+    `weights` covers fewer than all N points, G holds the kept tail of a
+    folded cache (see kept_points): a product refuses a vector that is not
     exactly symmetric in y, computes the kept rows and mirrors them into
     the rest.  Supports `op @ v` and `.shape`.
     """
 
     def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...],
-                 weights: Array):
+                 weights: Array, buffer: Array):
         self.G = G
         self.W1s = W1s
         self.weights = weights
+        self.buffer = buffer
         # sample grid as a C-order array: last axis outer, first axis fastest
         self._grid = tuple(W1.shape[1] for W1 in reversed(W1s))
         N = math.prod(self._grid)
@@ -173,7 +206,8 @@ class TransferOperator:
 
     def __matmul__(self, v: Array) -> Array:
         N = self.shape[0]
-        r0 = N - len(self.weights)  # the first kept row
+        G, w = self.G, self.weights
+        (kept, E), r0 = w.shape, N - len(w)  # r0: the first kept row
         # folded: row iy of the sample grid mirrors row Ny - 1 - iy
         half = self._grid[0] // 2
         if r0:
@@ -181,10 +215,18 @@ class TransferOperator:
             if not np.array_equal(V[:half], V[::-1][:half]):
                 raise ValueError("a folded operator takes only vectors "
                                  "symmetric in y")
-        y = self.G @ self.coefficients(v)
+        c = self.coefficients(v)
         out = np.empty(N)
-        np.einsum("ij,ij->i", y.reshape(self.weights.shape), self.weights,
-                  out=out[r0:])
+        K, step = int(G.indptr[1]), len(self.buffer) // E
+        for lo in range(0, kept, step):
+            hi = min(lo + step, kept)
+            y = self.buffer[:(hi - lo) * E]
+            y.fill(0.0)
+            a, b = lo * E * K, hi * E * K  # the block's entries
+            csr_matvec(len(y), G.shape[1], G.indptr[:len(y) + 1],
+                       G.indices[a:b], G.data[a:b], c, y)
+            np.einsum("ij,ij->i", y.reshape(hi - lo, E), w[lo:hi],
+                      out=out[r0 + lo:r0 + hi])
         if r0:
             Y = out.reshape(self._grid)
             Y[:half] = Y[::-1][:half]
@@ -216,6 +258,8 @@ class OperatorCache:
                                 np.array_equal(y, -y[::-1]))
         self._W1s = tuple(coefficient_map(ax) for ax in self.axes)
         self._build_G_structure()
+        E = len(alphabet.letters)
+        self._buffer = np.empty(product_points(E, self.kept) * E)
 
     def _build_G_structure(self) -> None:
         """Gs and lg of the kept points, in blocks of about BLOCK_ROWS
@@ -293,4 +337,5 @@ class OperatorCache:
 
     def matrix(self, s: float) -> TransferOperator:
         """L_h(s): the shared stacked Gs weighted by exp(s lg)."""
-        return TransferOperator(self._Gs, self._W1s, self.evaluation_matrix(s))
+        return TransferOperator(self._Gs, self._W1s, self.evaluation_matrix(s),
+                                self._buffer)

@@ -17,7 +17,8 @@ from .assembly import PaddedRangeError
 from .maps import parse_alphabet
 from .solver import (CertificationError, InadmissibleMeshError,
                      MonotonicityError, OversizedMeshError, SolveConfig,
-                     convergence_study, solve_dimension)
+                     check_spec_size, convergence_study, mesh_intervals,
+                     solve_dimension)
 from .spectral import PositivityError
 
 EXIT_OK = 0
@@ -276,17 +277,24 @@ def _study_output(rows, fmt: str, alphabet_desc: str) -> str:
     return emit_plot_data(rows, header_extra=f"alphabet={alphabet_desc}")
 
 
-def _make_config(settings: dict, mode: str) -> SolveConfig:
+def _make_config(settings: dict, mode: str, hs: list[float]) -> SolveConfig:
+    """The solve's config at the mesh widths hs (its own h first, if any).
+    An alphabet whose largest item alone is too large for the finest mesh
+    is refused before it is expanded (check_spec_size)."""
     if not settings.get("alphabet"):
         raise ValueError("--alphabet is required (or supply --reproduce/--config)")
+    degree = settings.get("degree")
+    n = 2 if degree is None else int(degree)
+    mesh = settings.get("mesh") or "intervals"
+    check_spec_size(settings["alphabet"], mode, n,
+                    [mesh_intervals(h, mesh) for h in hs])
     alphabet = parse_alphabet(settings["alphabet"])
     dim = settings.get("dim")
     if dim is not None and dim != alphabet.d:
         raise ValueError(f"--dim {dim} does not match the alphabet (d={alphabet.d})")
-    degree = settings.get("degree")
     return SolveConfig(
         alphabet=alphabet,
-        n=2 if degree is None else int(degree),
+        n=n,
         h=parse_h(settings["h"]) if settings.get("h") is not None else None,
         mode=mode,
         tol_s=settings.get("tol_s"),
@@ -295,7 +303,7 @@ def _make_config(settings: dict, mode: str) -> SolveConfig:
         beta=settings.get("beta"),
         M=settings.get("M"),
         unsafe_h=bool(settings.get("unsafe_h")),
-        mesh=settings.get("mesh") or "intervals",
+        mesh=mesh,
     )
 
 
@@ -317,16 +325,17 @@ def run(argv) -> int:
         if subcommand == "converge":
             if not settings.get("h_list"):
                 raise ValueError("--h-list is required for converge")
-            cfg = _make_config(settings, mode="point-estimate")
-            rows = convergence_study(cfg, parse_h_list(settings["h_list"]),
+            hs = parse_h_list(settings["h_list"])
+            cfg = _make_config(settings, "point-estimate", hs)
+            rows = convergence_study(cfg, hs,
                                      reference=settings.get("reference"))
             _emit(_study_output(rows, fmt, cfg.alphabet.describe()), out_path)
             return EXIT_OK
 
         mode = "certified" if subcommand == "certify" else "point-estimate"
-        cfg = _make_config(settings, mode=mode)
-        if cfg.h is None:
+        if settings.get("h") is None:
             raise ValueError("--h is required")
+        cfg = _make_config(settings, mode, [parse_h(settings["h"])])
         _emit(_bracket_output(solve_dimension(cfg), fmt), out_path)
         return EXIT_OK
     except InadmissibleMeshError as exc:

@@ -6,6 +6,8 @@ with e1 >= 1; the conformal derivative norm is |p+e|^{-2}.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -89,14 +91,12 @@ _RANGE = rf"{_INT}\.\.{_INT}"
 _ITEM = rf"(?:{_RANGE}|{_INT})"
 
 
-def _expand_axis(token: str) -> list[int]:
-    if ".." in token:
-        a, b = token.split("..")
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ValueError(f"empty range '{token}'")
-        return list(range(lo, hi + 1))
-    return [int(token)]
+def _axis_range(token: str) -> range:
+    lo, _, hi = token.partition("..")
+    r = range(int(lo), int(hi or lo) + 1)
+    if not r:
+        raise ValueError(f"empty range '{token}'")
+    return r
 
 
 def _split_items(spec: str) -> list[str]:
@@ -119,30 +119,55 @@ def _split_items(spec: str) -> list[str]:
     return [it for it in items if it]
 
 
+def _items(spec: str) -> list:
+    """The DSL items of spec, none expanded: N for 'primes<N', else a tuple
+    of one range (scalar items) or two (pairs)."""
+    compact = re.sub(r"\s+", "", spec)
+    if not compact:
+        raise ValueError("empty alphabet spec")
+    items = []
+    for item in _split_items(compact):
+        m = re.fullmatch(r"primes<(\d+)", item)
+        if m:
+            items.append(int(m.group(1)))
+            continue
+        m = (re.fullmatch(rf"\(({_ITEM}),({_ITEM})\)", item)
+             or re.fullmatch(rf"({_ITEM})", item))
+        if not m:
+            raise ValueError(f"malformed alphabet item '{item}'")
+        items.append(tuple(map(_axis_range, m.groups())))
+    return items
+
+
+def largest_item(spec: str) -> tuple[int, int]:
+    """(d, m) of the spec's largest item, expanding none: its dimension and
+    its letter count, exact for a range or a pair range, a lower bound for
+    'primes<N' from pi(x) > x / ln x for x >= 17 (Rosser and Schoenfeld,
+    Illinois J. Math. 6, 1962).  Items may share letters, so only a
+    single item bounds the alphabet's count from below."""
+    def size(item) -> tuple[int, int]:
+        if not isinstance(item, int):
+            return len(item), math.prod(r.stop - r.start for r in item)
+        if item <= 17:
+            return 1, len(primes_below(item))
+        x = min(item - 1, 2 ** 62)  # the primes below N are pi(N - 1)
+        return 1, int(x / math.log(x))
+    return max(map(size, _items(spec)), key=lambda dm: dm[1])
+
+
 def parse_alphabet(spec: str) -> Alphabet:
     """Alphabet DSL: comma-separated items; item = integer | 'a..b' inclusive
     range | 'primes<N' | '(a,b)' pair | '(a..b,c..d)' pair ranges (cartesian).
     Whitespace ignored.  Pairs and scalars cannot be mixed."""
-    compact = re.sub(r"\s+", "", spec)
-    if not compact:
-        raise ValueError("empty alphabet spec")
     letters_1d: list[int] = []
     letters_2d: list[tuple[int, int]] = []
-    for item in _split_items(compact):
-        m = re.fullmatch(r"primes<(\d+)", item)
-        if m:
-            letters_1d.extend(primes_below(int(m.group(1))))
-            continue
-        m = re.fullmatch(rf"\(({_ITEM}),({_ITEM})\)", item)
-        if m:
-            for a in _expand_axis(m.group(1)):
-                for b in _expand_axis(m.group(2)):
-                    letters_2d.append((a, b))
-            continue
-        if re.fullmatch(_ITEM, item):
-            letters_1d.extend(_expand_axis(item))
-            continue
-        raise ValueError(f"malformed alphabet item '{item}'")
+    for item in _items(spec):
+        if isinstance(item, int):
+            letters_1d.extend(primes_below(item))
+        elif len(item) == 2:
+            letters_2d.extend(itertools.product(*item))
+        else:
+            letters_1d.extend(item[0])
     if letters_1d and letters_2d:
         raise ValueError("cannot mix scalar and pair letters")
     if letters_2d:

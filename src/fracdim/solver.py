@@ -26,11 +26,11 @@ import numpy as np
 from scipy import sparse
 
 from .assembly import (OperatorCache, coefficient_map, coefficients_along,
-                       operator_footprint)
+                       operator_footprint, rows_footprint)
 from .bspline import TensorGrid, make_uniform_knots, uniform_basis
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
-from .maps import Alphabet
+from .maps import Alphabet, largest_item
 from .quasi import check_degree
 from .spectral import (FLOAT_SLACK, POWER_TOL, cone_membership,
                        power_iteration, scaled_bracket, spectral_bracket)
@@ -92,11 +92,35 @@ def make_geometry(d: int, J: int, n: int) -> TensorGrid:
     return TensorGrid(axes[:d])
 
 
+def _sample_shape(d: int, J: int, n: int) -> tuple[int, ...]:
+    """The sample shape of make_geometry(d, J, n) before any of its O(J)
+    arrays exists: J + 3n x and J + 4n y midpoints, which negate."""
+    return (J + 4 * n, J + 3 * n)[2 - d:]
+
+
 def _footprint(alphabet: Alphabet, J: int, n: int) -> dict:
-    """operator_footprint of make_geometry(alphabet.d, J, n) before any of
-    its O(J) arrays exists: J + 3n x and J + 4n y midpoints, which negate."""
-    shape = (J + 4 * n, J + 3 * n)[2 - alphabet.d:]
-    return operator_footprint(alphabet, shape, n)
+    """operator_footprint of make_geometry(alphabet.d, J, n)."""
+    return operator_footprint(alphabet, _sample_shape(alphabet.d, J, n), n)
+
+
+def mesh_intervals(h: float | None, mesh: str) -> int:
+    """Number of subintervals J, from an exact-reciprocal h: h = 1/J
+    for mesh 'intervals', and 1/h mesh NODES, J = 1/h - 1, for
+    mesh 'nodes' (linspace-style grids, as the published tables use)."""
+    if mesh not in ("intervals", "nodes"):
+        raise ValueError("mesh must be 'intervals' or 'nodes'")
+    if h is None:
+        raise ValueError("h is required")
+    if not h > 0:
+        raise ValueError(f"h = {h} is not positive")
+    J = round(1.0 / h)
+    if J < 1 or abs(h * J - 1.0) > 1e-9:
+        raise ValueError(f"h = {h} is not the reciprocal of an integer")
+    if mesh == "nodes":
+        J -= 1
+    if J < 1:
+        raise ValueError("mesh has no subintervals")
+    return J
 
 
 @dataclass(frozen=True)
@@ -114,23 +138,8 @@ class SolveConfig:
     mesh: str = "intervals"  # intervals | nodes
 
     def resolve_mesh(self) -> int:
-        """Number of subintervals J, from an exact-reciprocal h: h = 1/J
-        for mesh='intervals', and 1/h mesh NODES, J = 1/h - 1, for
-        mesh='nodes' (linspace-style grids, as the published tables use)."""
-        if self.mesh not in ("intervals", "nodes"):
-            raise ValueError("mesh must be 'intervals' or 'nodes'")
-        if self.h is None:
-            raise ValueError("h is required")
-        if not self.h > 0:
-            raise ValueError(f"h = {self.h} is not positive")
-        J = round(1.0 / self.h)
-        if J < 1 or abs(self.h * J - 1.0) > 1e-9:
-            raise ValueError(f"h = {self.h} is not the reciprocal of an integer")
-        if self.mesh == "nodes":
-            J -= 1
-        if J < 1:
-            raise ValueError("mesh has no subintervals")
-        return J
+        """mesh_intervals of the config's h and mesh."""
+        return mesh_intervals(self.h, self.mesh)
 
     def resolve_tol(self) -> float:
         """Width in s to solve to.  A point estimate defaults to 0, i.e. it
@@ -463,6 +472,40 @@ def _once(fn, *args):
     return fn(*args)
 
 
+def _check_method(mode: str, d: int, n: int) -> None:
+    """The mode and the spline degree, as _setup checks them first."""
+    if mode not in ("certified", "point-estimate"):
+        raise ValueError("mode must be 'certified' or 'point-estimate'")
+    if mode == "certified" and d == 2 and n != 2:
+        raise ValueError(f"2D certification needs spline degree n = 2, not "
+                         f"{n}: its error bounds are third order")
+    check_degree(n)
+
+
+def _check_memory(h: float, footprint: dict) -> None:
+    """OversizedMeshError where a footprint exceeds the memory available."""
+    available = _mem_available()
+    if available is not None and footprint["total"] > available:
+        raise OversizedMeshError(h, footprint, available)
+
+
+def check_spec_size(spec: str, mode: str, n: int, Js: list[int]) -> None:
+    """_setup's first refusals of a solve of an alphabet spec on the finest
+    of the meshes Js (J subintervals each), before the spec is expanded.
+    Its largest item (maps.largest_item, a lower bound on its letter
+    count) stands for the alphabet, and half the points for the kept ones
+    (a folded 2D mesh keeps at least half): a footprint no larger than the
+    alphabet's, so a mesh refused here would be refused in _setup."""
+    d, letters = largest_item(spec)
+    _check_method(mode, d, n)
+    J = max(Js)
+    shape = _sample_shape(d, J, n)
+    N = math.prod(shape)
+    if letters:  # else the parse refuses the empty alphabet
+        _check_memory(1.0 / J, rows_footprint(shape, n, letters,
+                                              N if d == 1 else N // 2))
+
+
 def _setup(config: SolveConfig):
     """Mesh, rigor profile and the guards every entry point shares.
 
@@ -481,20 +524,12 @@ def _setup(config: SolveConfig):
     seed and s_hat the seed engine, which the solve goes on probing, and
     its crossing (None for a point estimate).
     """
-    if config.mode not in ("certified", "point-estimate"):
-        raise ValueError("mode must be 'certified' or 'point-estimate'")
     alphabet = config.alphabet
     certified = config.mode == "certified"
-    if certified and alphabet.d == 2 and config.n != 2:
-        raise ValueError(f"2D certification needs spline degree n = 2, not "
-                         f"{config.n}: its error bounds are third order")
-    check_degree(config.n)
+    _check_method(config.mode, alphabet.d, config.n)
     J = config.resolve_mesh()
     h = 1.0 / J
-    footprint = _footprint(alphabet, J, config.n)
-    available = _mem_available()
-    if available is not None and footprint["total"] > available:
-        raise OversizedMeshError(h, footprint, available)
+    _check_memory(h, _footprint(alphabet, J, config.n))
     geometry = make_geometry(alphabet.d, J, config.n)
 
     def profile_at(s_cap):

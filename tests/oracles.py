@@ -6,7 +6,7 @@ derivative norms ||Dphi_e||^s one letter at a time, the operator structure
 built one letter at a time over the whole mesh (every collocation point,
 with no use of the y -> -y symmetry that a folded OperatorCache exploits,
 and with frozen copies of the first interval location, spline recurrence
-and coefficient map),
+and coefficient map, and the unblocked product),
 the transfer operator applied from it and materialized as one sparse
 matrix, probes run to convergence, and the 1D and 2D dimensions by
 (tensor) Chebyshev collocation, independent of the package.  None of it
@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy import sparse
 
-from fracdim.assembly import OperatorCache, coefficient_map
+from fracdim.assembly import OperatorCache, TransferOperator, coefficient_map
 from fracdim.bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
 from fracdim.maps import Alphabet
 from fracdim.quasi import QuasiInterpolant, make_quasi_interpolant
@@ -285,6 +285,22 @@ def full_product(cache: OperatorCache, s: float, v: Array) -> Array:
     G, w = _full_weights(cache, s)
     y = G @ cache.matrix(s).coefficients(v)
     return np.einsum("ij,ij->i", y.reshape(w.shape), w)
+
+
+def unblocked_product(op: TransferOperator, v: Array) -> Array:
+    """op @ v as one whole product: the kept rows' G @ c (scipy's fresh
+    kept |E| vector), one einsum over the letters, and on a folded
+    operator each kept row copied into its mirror row."""
+    N, w = op.shape[0], op.weights
+    r0 = N - len(w)
+    y = op.G @ op.coefficients(v)
+    out = np.empty(N)
+    np.einsum("ij,ij->i", y.reshape(w.shape), w, out=out[r0:])
+    if r0:
+        Y = out.reshape(-1, op.W1s[0].shape[1])
+        half = len(Y) // 2
+        Y[:half] = Y[::-1][:half]
+    return out
 
 
 def full_matrix(cache: OperatorCache, s: float) -> sparse.csr_matrix:

@@ -10,7 +10,7 @@ from scipy.interpolate import BSpline
 
 from fracdim import assembly
 from fracdim.assembly import (OperatorCache, coefficient_map, kept_points,
-                              operator_footprint)
+                              operator_footprint, product_points)
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.constants import legendre_projection_constants, make_profile
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
@@ -18,7 +18,7 @@ from fracdim.quasi import check_degree, make_quasi_interpolant
 from fracdim.solver import SolveConfig, make_geometry, solve_dimension
 from fracdim.spectral import FLOAT_SLACK
 from oracles import (coo_coefficient_map, full_matrix, full_product,
-                     letter_structure)
+                     letter_structure, unblocked_product)
 
 W = np.array([-0.125, 1.25, -0.125])
 
@@ -427,8 +427,9 @@ class TestFold:
 def kept_bytes(cache) -> int:
     G = cache.matrix(1.0).G
     return (G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
-            + cache._lg.nbytes + sum(W1.data.nbytes + W1.indices.nbytes
-                                     + W1.indptr.nbytes for W1 in cache._W1s))
+            + cache._lg.nbytes + cache._buffer.nbytes
+            + sum(W1.data.nbytes + W1.indices.nbytes + W1.indptr.nbytes
+                  for W1 in cache._W1s))
 
 
 class TestBuildMemory:
@@ -483,5 +484,81 @@ class TestBuildMemory:
         G = cache.matrix(1.0).G
         assert fp["Gs"] == G.data.nbytes + G.indices.nbytes + G.indptr.nbytes
         assert fp["lg"] == cache._lg.nbytes
-        assert fp["probe"] == 2 * cache.matrix(1.0).weights.nbytes
+        op = cache.matrix(1.0)
+        assert fp["probe"] == op.weights.nbytes + op.buffer.nbytes
         assert fp["total"] == sum(v for k, v in fp.items() if k != "total")
+
+
+class TestBlockedProduct:
+    """A product runs scipy's CSR kernel over blocks of whole points into
+    the cache's one buffer and sums each block over its letters: bit for
+    bit the whole G @ c and one einsum (oracles.unblocked_product), at any
+    block size."""
+
+    @pytest.mark.parametrize("text,d,J,n", [
+        ("1..100", 1, 700, 2), ("primes<50", 1, 64, 4), (SET_2D, 2, 25, 2),
+        ("(1,0),(2,1)", 2, 25, 2)],
+        ids=["1d-n2", "1d-n4", "folded-2d", "unfolded-2d"])
+    @pytest.mark.parametrize("block", ["default", "one-point", "ragged"])
+    def test_bitwise_equal_to_unblocked(self, text, d, J, n, block,
+                                        monkeypatch):
+        alphabet, grid = parse_alphabet(text), make_geometry(d, J, n)
+        E = len(alphabet.letters)
+        if block == "one-point":
+            monkeypatch.setattr(assembly, "PRODUCT_ROWS", 1)
+        elif block == "ragged":
+            # blocks of 13 points: the last one is shorter
+            monkeypatch.setattr(assembly, "PRODUCT_ROWS", 13 * E + 1)
+        cache = OperatorCache(alphabet, grid)
+        points = {"default": product_points(E, cache.kept), "one-point": 1,
+                  "ragged": 13}[block]
+        assert cache._buffer.size == points * E
+        if block == "ragged":  # the last block is shorter
+            assert cache.kept % 13 != 0
+        elif block == "default":  # only 1d-n2 is wider than one block
+            assert (cache.kept > points) == (text == "1..100")
+        rng = np.random.default_rng(J)
+        for s in (0.9, 1.15):
+            op = cache.matrix(s)
+            v = cache.symmetric(rng.uniform(0.5, 1.5, cache.N))
+            assert np.array_equal(op @ v, unblocked_product(op, v))
+
+    @pytest.mark.parametrize("text,d", [("primes<50", 1), (SET_2D, 2)])
+    def test_kernel_is_scipys_product(self, text, d):
+        # the private kernel the product calls, on G's whole arrays, is
+        # `G @ c` bit for bit: a scipy that moves or changes it fails here
+        cache = OperatorCache(parse_alphabet(text), make_geometry(d, 30, 2))
+        op = cache.matrix(1.0)
+        c = op.coefficients(cache.symmetric(
+            np.random.default_rng(3).uniform(0.5, 1.5, cache.N)))
+        G, y = op.G, np.zeros(op.G.shape[0])
+        assembly.csr_matvec(*G.shape, G.indptr, G.indices, G.data, c, y)
+        assert np.array_equal(y, G @ c)
+
+
+class TestProductMemory:
+    """A product forms no (point, letter)-sized vector: above what is held
+    before it, its peak is the coefficients and the output (two sample
+    vectors) and at most one product block of temporaries beside them."""
+
+    @pytest.mark.parametrize("text,d,J", [
+        ("primes<3000", 1, 3000), (SET_2D, 2, 500), ("(1,0),(2,1)", 2, 250)],
+        ids=["certify-1d-primes", "certify-2d", "unfolded-2d"])
+    def test_peak_is_two_vectors_and_one_block(self, text, d, J):
+        # tracemalloc sees numpy's buffers
+        alphabet, grid = parse_alphabet(text), make_geometry(d, J, 2)
+        cache = OperatorCache(alphabet, grid)
+        op = cache.matrix(1.1)
+        v = cache.symmetric(np.random.default_rng(J).uniform(0.5, 1.5,
+                                                             cache.N))
+        op @ v  # warm-up
+        tracemalloc.start()
+        try:
+            retained = tracemalloc.get_traced_memory()[0]
+            op @ v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        E = len(alphabet.letters)
+        block = 8 * E * product_points(E, cache.kept)
+        assert peak - retained <= block + 2 * 8 * cache.N

@@ -465,15 +465,23 @@ def ascending(lo, hi, most):
         lambda ak: f"{ak[0]}..{ak[0] + ak[1]}")
 
 
+# items of 10**6 letters and more, which no mesh of 64 MiB holds: refused
+# before they are expanded
+HUGE_1D = st.one_of(
+    st.tuples(st.integers(1, 40), st.integers(10 ** 6, 10 ** 15)).map(
+        lambda ak: f"{ak[0]}..{ak[0] + ak[1]}"),
+    st.integers(10 ** 8, 10 ** 18).map(lambda N: f"primes<{N}"))
+HUGE_2D = st.integers(10 ** 3, 10 ** 6).map(lambda k: f"(1..{k},-{k}..{k})")
 ALPHABET_1D = st.lists(st.one_of(
     st.integers(1, 40).map(str), ascending(1, 40, 300),
-    st.integers(0, 3000).map(lambda N: f"primes<{N}")),
+    st.integers(0, 3000).map(lambda N: f"primes<{N}"), HUGE_1D),
     min_size=1, max_size=3).map(",".join)
 ALPHABET_2D = st.lists(st.one_of(
     st.tuples(st.integers(1, 4), st.integers(-3, 3)).map(
         lambda p: f"({p[0]},{p[1]})"),
     st.tuples(ascending(1, 3, 1), ascending(-2, 1, 2)).map(
-        lambda p: f"({p[0]},{p[1]})")), min_size=1, max_size=4).map(",".join)
+        lambda p: f"({p[0]},{p[1]})"), HUGE_2D),
+    min_size=1, max_size=4).map(",".join)
 # 1/J with J from 1 to 1e7, log-uniform, or a literal
 MESH_WIDTH = st.one_of(
     st.integers(0, 70).map(lambda k: f"1/{round(10 ** (k / 10))}"),

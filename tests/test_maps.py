@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdim.maps import (Alphabet, make_alphabet_1d, make_alphabet_2d,
-                          parse_alphabet, primes_below)
+from fracdim.maps import (Alphabet, largest_item, make_alphabet_1d,
+                          make_alphabet_2d, parse_alphabet, primes_below)
 from oracles import (dphi_norm_1d, dphi_norm_2d, log_dphi_norm_1d,
                      log_dphi_norm_2d, phi_1d, phi_2d)
 
@@ -190,3 +190,28 @@ class TestDSL:
         for bad in ("", "a", "(1,2", "1..", "(1,2,3)", "4..2"):
             with pytest.raises(ValueError):
                 parse_alphabet(bad)
+
+
+class TestLargestItem:
+    """The size of an alphabet spec's largest item, with no letter made."""
+
+    @pytest.mark.parametrize("spec,d,m", [
+        ("1,2", 1, 1), ("2..4,7", 1, 3), ("5,1..10,primes<30", 1, 10),
+        ("(1,0),(1,-4..4)", 2, 9), ("(1..3,-2..2),(1..5,0)", 2, 15),
+        ("primes<17", 1, 6), ("(1..100000,-100000..100000)", 2, 20000100000),
+        ("1..10000000000000000000000", 1, 10 ** 22)])
+    def test_exact_for_ranges(self, spec, d, m):
+        assert largest_item(spec) == (d, m)
+
+    def test_primes_bound_from_below(self):
+        counts = np.cumsum(np.isin(np.arange(20001), primes_below(20001)))
+        for N in range(18, 20001):
+            assert largest_item(f"primes<{N}")[1] <= counts[N - 1]
+        # pi(10**10) = 455,052,511
+        assert 4e8 < largest_item("primes<10000000000")[1] <= 455052511
+        assert largest_item("primes<" + "9" * 400)[1] > 10 ** 17
+
+    def test_malformed_as_the_parse(self):
+        for bad in ("", "a", "(1,2", "1..", "(1,2,3)", "4..2"):
+            with pytest.raises(ValueError):
+                largest_item(bad)

@@ -1,5 +1,6 @@
 """The package's public surface."""
 import ast
+import sys
 from pathlib import Path
 
 import fracdim
@@ -20,3 +21,25 @@ def test_every_export_is_used_by_the_package():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(fracdim.__all__) - used) == []
+
+
+def test_imports_are_stdlib_numpy_scipy_or_fracdim():
+    # scipy.sparse._sparsetools, whose csr_matvec a product calls block by
+    # block, is the one private third-party module the package may use
+    private = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert (top in sys.stdlib_module_names
+                        or top in ("numpy", "scipy", "fracdim")), name
+                if top in ("numpy", "scipy") and any(
+                        part.startswith("_") for part in name.split(".")):
+                    private.add(name)
+    assert private == {"scipy.sparse._sparsetools"}

@@ -704,7 +704,7 @@ class TestFootprint:
         assert fp["Gs"] + fp["lg"] == kept
         assert fp["vectors"] == 48 * N
         assert kept < fp["total"] - fp["vectors"] < 1.3 * kept
-        # the estimate is about 1772 MiB
+        # the estimate is about 1684 MiB
         monkeypatch.setattr(solver, "_mem_available", lambda: 2**30)
         assert run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
                     "--h", "1/2400", "--s-cap", "1.15", "--alpha", "0.2",
@@ -729,23 +729,40 @@ class TestFootprint:
             assert (kept_points(alphabet, grid.sample_shape)
                     == OperatorCache(alphabet, grid).kept)
 
-    def test_oversized_mesh_refused_before_its_geometry(self):
-        # at h = 1e-9 the geometry alone would take 7.45 GiB, the operator
-        # about 190 GiB: the refusal comes first (exit 2).  The run is a
-        # child process under a 3 GiB address-space limit, so a regression
-        # ends there in a MemoryError (exit 1) and allocates nothing here
+    @staticmethod
+    def run_limited(*argv):
+        """cli.run(argv) in a child process under a 3 GiB address-space
+        limit, so that a regression ends there in a MemoryError (exit 1)
+        and allocates nothing here.  The child prints run's seconds."""
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from fracdim.cli import run; "
-             "sys.exit(run(sys.argv[1:]))",
-             "certify", "--alphabet", "1,2", "--h", "1e-9"],
+        return subprocess.run(
+            [sys.executable, "-c", "import sys, time; "
+             "from fracdim.cli import run; t = time.perf_counter(); "
+             "code = run(sys.argv[1:]); print(time.perf_counter() - t); "
+             "sys.exit(code)", *argv],
             preexec_fn=limit, capture_output=True, text=True, timeout=120,
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
                  "PYTHONPATH": str(Path(solver.__file__).parents[1])})
+
+    def test_oversized_mesh_refused_before_its_geometry(self):
+        # at h = 1e-9 the geometry alone would take 7.45 GiB, the operator
+        # about 190 GiB: the refusal comes first (exit 2)
+        proc = self.run_limited("certify", "--alphabet", "1,2", "--h", "1e-9")
         assert proc.returncode == EXIT_INADMISSIBLE, proc.stderr
         assert "mesh too large" in proc.stderr
+
+    @pytest.mark.parametrize("spec", ["primes<10000000000",
+                                      "(1..100000,-100000..100000)"])
+    def test_oversized_alphabet_refused_before_its_letters(self, spec):
+        # over 4e8 and 2e10 letters: the sieve or the pairs alone would
+        # outgrow the limit, the largest item's count is refused first
+        proc = self.run_limited("estimate", "--alphabet", spec,
+                                "--h", "1/100", "--unsafe-h")
+        assert proc.returncode == EXIT_INADMISSIBLE, proc.stderr
+        assert "mesh too large" in proc.stderr
+        assert float(proc.stdout) < 1.0
 
     def test_meminfo(self, tmp_path):
         meminfo = tmp_path / "meminfo"
