@@ -57,16 +57,25 @@ kept row's value, which is within the rounding bound of its exact value.
 Every vector stays full length, and any other alphabet keeps all rows
 through the same code.
 
+Gs and each W1 are CSR tuples in scipy's storage, and every product with
+one runs scipy's compiled CSR kernels (csr_matvec, csr_matvecs), which this
+module loads from their file without importing scipy.sparse: that import
+wakes numpy.f2py and numpy.testing through scipy's array-API layer and
+takes longer than a small solve.
+
 The geometry is a TensorGrid in every dimension (1D is its one-axis case),
 so each step here is written once, as a loop over the axes.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec
 
 from .bspline import KnotSequence, TensorGrid, basis_terms, locate_intervals
 from .maps import Alphabet
@@ -84,9 +93,54 @@ class PaddedRangeError(ValueError):
     """Mapped points leave the padded spline range: the mesh is too coarse."""
 
 
+def _load_sparsetools():
+    """scipy's compiled CSR kernels (scipy.sparse._sparsetools), loaded
+    from their file in scipy's package directory without importing
+    scipy.sparse, and not registered in sys.modules: a later
+    `import scipy.sparse` loads its own copy."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    where = os.path.join(root, "sparse")
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", [where])
+    if spec is None:
+        raise ImportError(f"scipy's compiled _sparsetools is not in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython files a single-phase extension module under its bare name
+    if sys.modules.get(spec.name) is module:
+        del sys.modules[spec.name]
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+class CSR(NamedTuple):
+    """A compressed sparse row matrix in scipy's storage: row i holds the
+    values data[indptr[i]:indptr[i+1]] at the columns indices[...]."""
+    data: Array
+    indices: Array
+    indptr: Array
+    shape: tuple[int, int]
+
+
 def index_dtype(nnz: int) -> type:
-    """The index dtype scipy keeps for a CSR matrix with nnz entries."""
+    """The index dtype of a CSR with nnz entries, the one scipy keeps."""
     return np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+
+
+def csr_apply(A: CSR, u: Array) -> Array:
+    """A @ u for a dense 1D or 2D u, as scipy's csr_matrix computes it:
+    a zeroed output, then csr_matvec (1D) or csr_matvecs (2D, one
+    column per column of u) on u made C-contiguous."""
+    u = np.ascontiguousarray(u)
+    m, n = A.shape
+    out = np.zeros((m,) + u.shape[1:], dtype=np.result_type(A.data, u))
+    if u.ndim == 1:
+        _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data, u, out)
+    else:
+        _sparsetools.csr_matvecs(m, n, u.shape[1], A.indptr, A.indices,
+                                 A.data, u.ravel(), out.ravel())
+    return out
 
 
 def kept_points(alphabet: Alphabet, shape: tuple[int, ...],
@@ -138,22 +192,24 @@ def rows_footprint(shape: tuple[int, ...], n: int, letters: int,
     return {**parts, "total": sum(parts.values())}
 
 
-def coefficient_map(ks: KnotSequence) -> sparse.csr_matrix:
+def coefficient_map(ks: KnotSequence) -> CSR:
     """Per-axis coefficient map W1: row c applies the degree-ks.n midpoint
     weights to samples c..c+n (the dual-functional window of spline c)."""
     n, nc = ks.n, ks.num_splines
-    cols = np.arange(nc)[:, None] + np.arange(n + 1)  # scipy keeps int32
-    return sparse.csr_matrix(
-        (np.tile(make_quasi_interpolant(n).weights, nc), cols.ravel(),
-         np.arange(0, cols.size + 1, n + 1)), shape=(nc, ks.num_intervals))
+    idx = index_dtype(nc * (n + 1))
+    cols = np.arange(nc, dtype=idx)[:, None] + np.arange(n + 1, dtype=idx)
+    return CSR(np.tile(make_quasi_interpolant(n).weights, nc), cols.ravel(),
+               np.arange(0, cols.size + 1, n + 1, dtype=idx),
+               (nc, ks.num_intervals))
 
 
-def coefficients_along(W1: sparse.csr_matrix, u: Array, a: int) -> Array:
-    """W1 (a coefficient_map) along array axis a of u, 0 or the last: W1 @ u
-    on axis 0, else W1's taps on slices, w_0 u_0 + w_1 u_1 + ..., which is
-    W1's row sum bit for bit and needs no copy of a strided view."""
+def coefficients_along(W1: CSR, u: Array, a: int) -> Array:
+    """W1 (a coefficient_map) along array axis a of u, 0 or the last:
+    csr_apply on axis 0, else W1's taps on slices, w_0 u_0 + w_1 u_1 + ...,
+    which is W1's row sum bit for bit and needs no copy of a strided
+    view."""
     if a == 0:
-        return W1 @ u
+        return csr_apply(W1, u)
     # row c holds the taps of row 0 shifted by c, in W1's storage order
     nc, row0 = W1.shape[0], slice(0, W1.indptr[1])
     (w, j), *rest = zip(W1.data[row0], W1.indices[row0])
@@ -169,14 +225,13 @@ class TransferOperator:
     G is the s-independent stacked Gs, whose (point, letter) rows the
     letter `weights` exp(s lg) sum into one row per point.  A product runs
     over blocks of whole points (product_points) through the cache's one
-    `buffer`: zeroed, then scipy's CSR kernel csr_matvec, the one `G @ c`
-    calls, on views of G's values and columns at the block's offset with
-    G's leading row pointers (every row holds K entries, so they fit every
-    block), then the letter einsum into the block's slice of the output.
-    Each row sums its terms in the order of the whole G @ c, which no
-    product forms, so a product is bit for bit the unblocked one.  The
-    kernel is called directly because scipy copies a row slice of G, and a
-    csr_matrix built on a view much shorter than its base.
+    `buffer`: zeroed, then scipy's compiled CSR kernel csr_matvec (the one
+    csr_apply and scipy's own `G @ c` call) on views of G's values and
+    columns at the block's offset with G's leading row pointers (every row
+    holds K entries, so they fit every block), then the letter einsum into
+    the block's slice of the output.  Each row sums its terms in the order
+    of the whole G @ c, which no product forms, so a product is bit for bit
+    the unblocked one, and no block copies any part of G.
     Sample and coefficient vectors run with the first axis fastest.  When
     `weights` covers fewer than all N points, G holds the kept tail of a
     folded cache (see kept_points): a product refuses a vector that is not
@@ -184,8 +239,8 @@ class TransferOperator:
     the rest.  Supports `op @ v` and `.shape`.
     """
 
-    def __init__(self, G: sparse.csr_matrix, W1s: tuple[sparse.csr_matrix, ...],
-                 weights: Array, buffer: Array):
+    def __init__(self, G: CSR, W1s: tuple[CSR, ...], weights: Array,
+                 buffer: Array):
         self.G = G
         self.W1s = W1s
         self.weights = weights
@@ -223,8 +278,9 @@ class TransferOperator:
             y = self.buffer[:(hi - lo) * E]
             y.fill(0.0)
             a, b = lo * E * K, hi * E * K  # the block's entries
-            csr_matvec(len(y), G.shape[1], G.indptr[:len(y) + 1],
-                       G.indices[a:b], G.data[a:b], c, y)
+            _sparsetools.csr_matvec(len(y), G.shape[1],
+                                    G.indptr[:len(y) + 1], G.indices[a:b],
+                                    G.data[a:b], c, y)
             np.einsum("ij,ij->i", y.reshape(hi - lo, E), w[lo:hi],
                       out=out[r0 + lo:r0 + hi])
         if r0:
@@ -282,12 +338,11 @@ class OperatorCache:
             p = np.stack([m[i] for m, i in zip(mids, at[::-1])], axis=-1)
             img, lg[lo:hi] = self.alphabet.maps(p)
             self._block(img, cols[lo:hi], base[lo:hi])
-        self._Gs = sparse.csr_matrix(
-            (base.ravel(), cols.ravel(),
-             np.arange(0, kept * E * K + 1, K, dtype=idx)),
-            shape=(kept * E, self.Ncoef))
+        self._Gs = CSR(base.ravel(), cols.ravel(),
+                       np.arange(0, kept * E * K + 1, K, dtype=idx),
+                       (kept * E, self.Ncoef))
         self._lg = lg
-        self.nnz = self._Gs.nnz
+        self.nnz = base.size
 
     def _block(self, img: Array, cols: Array, base: Array) -> None:
         """Columns and values, into cols and base (m, |E|, K), of the tensor

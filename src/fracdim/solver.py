@@ -23,10 +23,10 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
 
-from .assembly import (OperatorCache, coefficient_map, coefficients_along,
-                       operator_footprint, rows_footprint)
+from .assembly import (CSR, OperatorCache, coefficient_map,
+                       coefficients_along, csr_apply, operator_footprint,
+                       rows_footprint)
 from .bspline import TensorGrid, make_uniform_knots, uniform_basis
 from .constants import (RigorProfile, admissible_h, cone_image_parameter,
                         make_profile)
@@ -359,12 +359,12 @@ def _prolong(v: np.ndarray, coarse: TensorGrid,
                       c.num_splines - 1)
         B = uniform_basis((x - c.knots[ell]) / c.h, n)
         cols = (ell - n)[:, None] + np.arange(n + 1, dtype=np.int32)
-        splines = sparse.csr_matrix(
-            (B.ravel(), cols.ravel(), np.arange(0, B.size + 1, n + 1)),
-            shape=(len(x), c.num_splines))
+        splines = CSR(B.ravel(), cols.ravel(),
+                      np.arange(0, B.size + 1, n + 1, dtype=np.int32),
+                      (len(x), c.num_splines))
         a = u.ndim - 1 - k
         u = coefficients_along(coefficient_map(c), u, a)
-        u = (splines @ u.swapaxes(0, a)).swapaxes(0, a)
+        u = csr_apply(splines, u.swapaxes(0, a)).swapaxes(0, a)
     out = u.ravel()
     return np.maximum(out, 0.5 * v.min(), out=out)
 

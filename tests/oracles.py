@@ -20,7 +20,8 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy import sparse
 
-from fracdim.assembly import OperatorCache, TransferOperator, coefficient_map
+from fracdim.assembly import (CSR, OperatorCache, TransferOperator,
+                              coefficient_map)
 from fracdim.bspline import KnotSequence, TensorGrid, locate_intervals, uniform_basis
 from fracdim.maps import Alphabet
 from fracdim.quasi import QuasiInterpolant, make_quasi_interpolant
@@ -28,6 +29,11 @@ from fracdim.spectral import (cone_membership, power_iteration, scaled_bracket,
                               spectral_bracket)
 
 Array = np.ndarray
+
+
+def as_scipy(A: CSR) -> sparse.csr_matrix:
+    """The package's CSR tuple as scipy's csr_matrix, on the same arrays."""
+    return sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
 
 
 def parameter_interval(ks: KnotSequence) -> tuple[float, float]:
@@ -293,7 +299,7 @@ def unblocked_product(op: TransferOperator, v: Array) -> Array:
     operator each kept row copied into its mirror row."""
     N, w = op.shape[0], op.weights
     r0 = N - len(w)
-    y = op.G @ op.coefficients(v)
+    y = as_scipy(op.G) @ op.coefficients(v)
     out = np.empty(N)
     np.einsum("ij,ij->i", y.reshape(w.shape), w, out=out[r0:])
     if r0:
@@ -310,7 +316,8 @@ def full_matrix(cache: OperatorCache, s: float) -> sparse.csr_matrix:
     letter) rows weighted and summed per point."""
     G, w = _full_weights(cache, s)
     W = reduce(lambda inner, outer: sparse.kron(outer, inner, format="csr"),
-               [coefficient_map(ks) for ks in cache.geometry.axes])
+               [as_scipy(coefficient_map(ks))
+                for ks in cache.geometry.axes])
     N, E = w.shape
     rows = np.repeat(np.arange(N), E)
     G = sparse.csr_matrix((w.ravel(), (rows, np.arange(N * E))),

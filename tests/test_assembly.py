@@ -17,8 +17,8 @@ from fracdim.maps import make_alphabet_1d, make_alphabet_2d, parse_alphabet
 from fracdim.quasi import check_degree, make_quasi_interpolant
 from fracdim.solver import SolveConfig, make_geometry, solve_dimension
 from fracdim.spectral import FLOAT_SLACK
-from oracles import (coo_coefficient_map, full_matrix, full_product,
-                     letter_structure, unblocked_product)
+from oracles import (as_scipy, coo_coefficient_map, full_matrix,
+                     full_product, letter_structure, unblocked_product)
 
 W = np.array([-0.125, 1.25, -0.125])
 
@@ -123,7 +123,7 @@ class TestOracle2D:
     def test_coefficient_map_matches_kron(self):
         alphabet = make_alphabet_2d([(1, 0)])
         op = OperatorCache(alphabet, make_geometry(2, 6, 2)).matrix(1.0)
-        Wx, Wy = op.W1s
+        Wx, Wy = map(as_scipy, op.W1s)
         Wr = sparse.kron(Wy, Wx).toarray()
         rng = np.random.default_rng(2)
         v = rng.uniform(0.1, 1.0, op.shape[0])
@@ -134,7 +134,7 @@ class TestOracle2D:
         # the x taps on slices sum the sparse W1's products in its order
         grid = make_geometry(2, 32, n)
         op = OperatorCache(parse_alphabet(SET_2D), grid).matrix(1.0)
-        Wx, Wy = op.W1s
+        Wx, Wy = map(as_scipy, op.W1s)
         V = np.random.default_rng(n).uniform(0.1, 1.0, grid.sample_shape)
         want = Wy @ np.ascontiguousarray((Wx @ np.ascontiguousarray(V.T)).T)
         assert op.coefficients(V.ravel()).tobytes() == want.tobytes()
@@ -298,7 +298,8 @@ class TestStackedForm:
     def test_materializes_to_the_same_matrix(self, cache):
         op = cache.matrix(0.9)
         # the coefficient map, first axis innermost
-        W = op.W1s[0] if len(op.W1s) == 1 else sparse.kron(op.W1s[1], op.W1s[0])
+        Ws = [as_scipy(W1) for W1 in op.W1s]
+        W = Ws[0] if len(Ws) == 1 else sparse.kron(Ws[1], Ws[0])
         a = (written_G(op) @ W).toarray()
         b = full_matrix(cache, 0.9)[cache.N - cache.kept:].toarray()
         assert np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
@@ -532,8 +533,41 @@ class TestBlockedProduct:
         c = op.coefficients(cache.symmetric(
             np.random.default_rng(3).uniform(0.5, 1.5, cache.N)))
         G, y = op.G, np.zeros(op.G.shape[0])
-        assembly.csr_matvec(*G.shape, G.indptr, G.indices, G.data, c, y)
-        assert np.array_equal(y, G @ c)
+        assembly._sparsetools.csr_matvec(*G.shape, G.indptr, G.indices,
+                                         G.data, c, y)
+        assert np.array_equal(y, as_scipy(G) @ c)
+
+
+class TestCSRKernels:
+    """csr_apply, which calls the csr_matvec (1D u) and csr_matvecs (2D u)
+    that assembly loads from scipy's file, is scipy's own `A @ u` bit for
+    bit, on each kind of CSR the package holds: a coefficient map W1
+    (n = 2, 4) and the Gs of a folded 2D cache."""
+
+    @pytest.fixture(params=["W1-n2", "W1-n4", "Gs-folded-2d"])
+    def A(self, request):
+        if request.param == "Gs-folded-2d":
+            cache = OperatorCache(parse_alphabet(SET_2D),
+                                  make_geometry(2, 20, 2))
+            assert cache.kept < cache.N
+            return cache.matrix(1.0).G
+        return coefficient_map(make_geometry(1, 40, int(request.param[-1]))
+                               .axes[0])
+
+    def test_csr_apply_is_scipys_product(self, A):
+        rng = np.random.default_rng(7)
+        m = A.shape[1]
+        for u in (rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, (m, 3)),
+                  rng.uniform(0.5, 1.5, (3, m)).swapaxes(0, 1)):
+            got, want = assembly.csr_apply(A, u), as_scipy(A) @ u
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_missing_kernel_file_is_named(self, monkeypatch):
+        monkeypatch.setattr(assembly.importlib.machinery.PathFinder,
+                            "find_spec", lambda name, path: None)
+        with pytest.raises(ImportError, match="_sparsetools is not in .*sparse"):
+            assembly._load_sparsetools()
 
 
 class TestProductMemory:

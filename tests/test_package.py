@@ -1,9 +1,13 @@
-"""The package's public surface."""
+"""The package's public surface and what it imports."""
 import ast
+import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import fracdim
+from fracdim import assembly
 
 SRC = Path(fracdim.__file__).resolve().parent
 
@@ -24,8 +28,9 @@ def test_every_export_is_used_by_the_package():
 
 
 def test_imports_are_stdlib_numpy_scipy_or_fracdim():
-    # scipy.sparse._sparsetools, whose csr_matvec a product calls block by
-    # block, is the one private third-party module the package may use
+    # no import names a private third-party module; the one private piece
+    # the package uses is the file of scipy's compiled CSR kernels, which
+    # assembly loads without importing scipy.sparse
     private = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -42,4 +47,26 @@ def test_imports_are_stdlib_numpy_scipy_or_fracdim():
                 if top in ("numpy", "scipy") and any(
                         part.startswith("_") for part in name.split(".")):
                     private.add(name)
-    assert private == {"scipy.sparse._sparsetools"}
+    assert private == set()
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    kernels = Path(assembly._sparsetools.__file__)
+    assert kernels.parent == Path(scipy_dir) / "sparse"
+    assert kernels.name.split(".")[0] == "_sparsetools"
+    assert "_sparsetools" not in sys.modules
+
+
+def test_a_solve_imports_no_scipy_sparse():
+    # importing scipy.sparse wakes numpy.f2py and numpy.testing through
+    # scipy's array-API layer and takes longer than a small solve; a fresh
+    # process that imports the CLI and runs one solve must not load them
+    code = ("import sys, fracdim.cli\n"
+            "fracdim.cli.run(['certify', '--alphabet', '1,2', '--h', '1/64',"
+            " '--out', sys.argv[1]])\n"
+            "print(sorted({'scipy.sparse', 'numpy.f2py', 'numpy.testing'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
