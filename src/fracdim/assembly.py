@@ -30,20 +30,39 @@ where rounding put it one off: locate_intervals), first spline column and
 n+1 basis values (basis_terms), then per tensor index k one product (a copy
 in 1D) and one column sum written straight into their slices of Gs, with
 one block of temporaries beside them (operator_footprint counts both).  A
-probe at s takes one exp per (point, letter), w = exp(s lg), and applies
-G(s) = sum_e diag(w_e) G_e without writing it: y_i = sum_e w[i, e]
-(Gs @ c)[i |E| + e].  A product forms Gs @ c one block of whole points at
-a time, in one buffer of the cache, and sums each block over its letters
-straight into the output (TransferOperator), so it holds no
-(point, letter)-sized vector.
+probe at s takes one exp per (point, letter), w = exp(s lg).  Gs then takes
+one of two forms, fixed by the build:
+
+- Stacked rows.  A probe applies G(s) = sum_e diag(w_e) G_e without writing
+  it: y_i = sum_e w[i, e] (Gs @ c)[i |E| + e].  A product forms Gs @ c one
+  block of whole points at a time, in one buffer of the cache, and sums
+  each block over its letters straight into the output (TransferOperator),
+  so it holds no (point, letter)-sized vector.  A row sums a chain of
+  K + |E| terms (K per letter, then |E| weighted letters).
+- Merged rows.  On a 1D mesh a wide alphabet's letters crowd onto a few
+  columns (the images 1/(p + x) of the large primes all lie near 0): at
+  h = 1/3000 the 1,290 entries of a point of primes<3000 fall on at most
+  99 distinct columns.  The build labels each entry with its column's slot
+  among its point's distinct columns (_Slots, while it writes the block)
+  and keeps the slots' columns Mind and the points' row pointers.  A probe
+  sums each slot's weighted entries, in ascending letter order, into one
+  merged value (scipy's csc_matvec over Gs, the weights formed a block at
+  a time), and a product is one csr_matvec over the merged rows.  A row
+  sums a chain of at most |E| + its row length terms: 430 + 99 there, and
+  430 + 133 at degree 4.
+
+The rule: a 1D cache is merged exactly when its slots number at most
+kept |E|, so the merged values never take more memory than the weights
+they come from.  primes<3000 merges on every mesh of a solve, and 1..100
+on the meshes of table5 up to J = 799; {1, 2} (a point's one window
+already outnumbers its two letters), 1..100 from J = 1599 and every 2D mesh
+stay stacked.
 
 Every term of a row is the product of a base value, a weight and a
-coefficient (two roundings), and a row sums a chain of K + |E| terms (K per
-letter, then |E| weighted letters), e.g. 433 for the 430 letters of
-primes<3000; its forward error is bounded accordingly (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., section 3.1).  W is applied per
-axis (never materialized as a tensor), as W1 or its taps
-(coefficients_along).
+coefficient (two roundings), so its forward error is bounded by the chain
+length (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+section 3.1), far inside FLOAT_SLACK.  W is applied per axis (never
+materialized as a tensor), as W1 or its taps (coefficients_along).
 
 When a 2D alphabet is closed under (e1, e2) -> (e1, -e2) and the y
 midpoints negate exactly (make_geometry's grids do), phi_(e1,-e2)(x, -y) is
@@ -58,8 +77,9 @@ Every vector stays full length, and any other alphabet keeps all rows
 through the same code.
 
 Gs and each W1 are CSR tuples in scipy's storage, and every product with
-one runs scipy's compiled CSR kernels (csr_matvec, csr_matvecs), which this
-module loads from their file without importing scipy.sparse: that import
+one runs scipy's compiled kernels (csr_matvec, csr_matvecs, and csc_matvec
+for a merged probe), which this module loads from their file without
+importing scipy.sparse: that import
 wakes numpy.f2py and numpy.testing through scipy's array-API layer and
 takes longer than a small solve.
 
@@ -176,11 +196,12 @@ def operator_footprint(alphabet: Alphabet, shape: tuple[int, ...],
 def rows_footprint(shape: tuple[int, ...], n: int, letters: int,
                    kept: int) -> dict:
     """operator_footprint of `kept` points with `letters` rows each: the
-    OperatorCache's stacked Gs (values, columns, row pointers) and lg, a
-    probe's weights (kept |E| doubles) and one product block
-    (product_points |E| doubles), six sample vectors of the power
-    iteration, and one block of the build (at most 2K + 4(n+1) doubles per
-    row)."""
+    OperatorCache's stacked Gs (values, columns or slots, row pointers) and
+    lg, a probe's weights or merged values (at most kept |E| doubles) and
+    one product block (product_points |E| doubles), six sample vectors of
+    the power iteration, and one block of the build (at most 2K + 4(n+1)
+    doubles per row); on a 1D mesh that may merge (K <= |E|) also the
+    merged rows' columns, at most kept |E|, and row pointers."""
     N = math.prod(shape)
     rows = kept * letters
     K = (n + 1) ** len(shape)
@@ -189,6 +210,8 @@ def rows_footprint(shape: tuple[int, ...], n: int, letters: int,
              "probe": 8 * rows + 8 * letters * product_points(letters, kept),
              "vectors": 48 * N,
              "block": 8 * BLOCK_ROWS * (2 * K + 4 * (n + 1))}
+    if len(shape) == 1 and K <= letters:
+        parts["merged"] = (rows + kept + 1) * idx
     return {**parts, "total": sum(parts.values())}
 
 
@@ -222,25 +245,28 @@ def coefficients_along(W1: CSR, u: Array, a: int) -> Array:
 class TransferOperator:
     """L_h(s) = G(s) W as a matrix-free linear operator on sample vectors.
 
-    G is the s-independent stacked Gs, whose (point, letter) rows the
-    letter `weights` exp(s lg) sum into one row per point.  A product runs
-    over blocks of whole points (product_points) through the cache's one
-    `buffer`: zeroed, then scipy's compiled CSR kernel csr_matvec (the one
-    csr_apply and scipy's own `G @ c` call) on views of G's values and
-    columns at the block's offset with G's leading row pointers (every row
-    holds K entries, so they fit every block), then the letter einsum into
-    the block's slice of the output.  Each row sums its terms in the order
-    of the whole G @ c, which no product forms, so a product is bit for bit
-    the unblocked one, and no block copies any part of G.
-    Sample and coefficient vectors run with the first axis fastest.  When
-    `weights` covers fewer than all N points, G holds the kept tail of a
-    folded cache (see kept_points): a product refuses a vector that is not
-    exactly symmetric in y, computes the kept rows and mirrors them into
-    the rest.  Supports `op @ v` and `.shape`.
+    G is either the s-independent stacked Gs, whose (point, letter) rows
+    the letter `weights` exp(s lg) sum into one row per point, or, with no
+    `weights`, one merged row per point whose values already hold them
+    (see OperatorCache).  A merged product is one csr_matvec over G.  A
+    stacked one runs over blocks of whole points (product_points) through
+    the cache's one `buffer`: zeroed, then scipy's compiled CSR kernel
+    csr_matvec (the one csr_apply and scipy's own `G @ c` call) on views of
+    G's values and columns at the block's offset with G's leading row
+    pointers (every row holds K entries, so they fit every block), then the
+    letter einsum into the block's slice of the output.  Each row sums its
+    terms in the order of the whole G @ c, which no product forms, so a
+    product is bit for bit the unblocked one, and no block copies any part
+    of G.
+    Sample and coefficient vectors run with the first axis fastest.  When G
+    covers fewer than all N points, it holds the kept tail of a folded
+    cache (see kept_points): a product refuses a vector that is not exactly
+    symmetric in y, computes the kept rows and mirrors them into the rest.
+    Supports `op @ v` and `.shape`.
     """
 
-    def __init__(self, G: CSR, W1s: tuple[CSR, ...], weights: Array,
-                 buffer: Array):
+    def __init__(self, G: CSR, W1s: tuple[CSR, ...],
+                 weights: Array | None = None, buffer: Array | None = None):
         self.G = G
         self.W1s = W1s
         self.weights = weights
@@ -262,7 +288,8 @@ class TransferOperator:
     def __matmul__(self, v: Array) -> Array:
         N = self.shape[0]
         G, w = self.G, self.weights
-        (kept, E), r0 = w.shape, N - len(w)  # r0: the first kept row
+        kept = G.shape[0] if w is None else len(w)
+        r0 = N - kept  # the first kept row
         # folded: row iy of the sample grid mirrors row Ny - 1 - iy
         half = self._grid[0] // 2
         if r0:
@@ -271,7 +298,13 @@ class TransferOperator:
                 raise ValueError("a folded operator takes only vectors "
                                  "symmetric in y")
         c = self.coefficients(v)
+        if w is None:
+            out = np.zeros(N)
+            _sparsetools.csr_matvec(kept, G.shape[1], G.indptr, G.indices,
+                                    G.data, c, out[r0:])
+            return out
         out = np.empty(N)
+        E = w.shape[1]
         K, step = int(G.indptr[1]), len(self.buffer) // E
         for lo in range(0, kept, step):
             hi = min(lo + step, kept)
@@ -289,6 +322,99 @@ class TransferOperator:
         return out
 
 
+class _Slots:
+    """Slot labels of a 1D build's stacked entries, written block by block.
+
+    Letter e maps x to 1/(e + x), which falls as e rises, so with the
+    letters sorted each point's first columns do not increase with the
+    letter, f_0 >= f_1 >= ... (starts checks this), and its distinct
+    columns, ascending, are its slots.  The windows f_j .. f_j + K - 1
+    cover f_last .. f_0 + K - 1 but for the columns that a gap
+    f_{j-1} - f_j over K leaves between two windows; H_j of them lie above
+    f_j, so it takes slot D - (f_0 + K - f_j - H_j) of the point's D =
+    f_0 + K - f_last - H_last.  Such gaps part the first letters, whose
+    images lie far apart: H is summed up to window h, the last one below
+    such a gap in the block, and is H_h below it.  A label adds ptr[i], the
+    point's first slot, and Mind[label] is its column.
+
+    The rule: a cache merges exactly when its slots number at most
+    kept |E| (fits), so the merged values never outgrow the weights they
+    come from.  `label` says whether the build writes labels (else
+    columns); None lets the first block's own count decide.  Counting stops
+    once the rule fails.  While the build writes columns it counts only
+    the slots of each point's first `prefix` windows, a lower bound (the
+    fewest windows whose slots outnumber the first block's letters by a
+    tenth): where that does not show the rule to fail, the build runs
+    again, labelling."""
+
+    def __init__(self, kept: int, letters: int, K: int, idx: type,
+                 label: bool | None):
+        self.budget, self.K, self.label = kept * letters, K, label
+        self.total, self.points, self.fits = 0, 0, True
+        self.ptr = np.zeros(kept + 1, dtype=idx)
+        self.Mind = None
+
+    def starts(self, first: Array) -> Array:
+        """The labels of the block's first columns first (m, |E|), where
+        labelling and the rule holds, else first itself; counts the
+        block's slots."""
+        if not self.fits:
+            return first
+        (m, E), K = first.shape, self.K
+        if self.label is False:
+            # the slots of a point's first windows are fewer than its own
+            # and suffice to show that the rule fails
+            gap = np.subtract(first[:, :self.prefix - 1],
+                              first[:, 1:self.prefix])
+            self.total += m * K + int(np.minimum(gap, K, out=gap).sum())
+            self.fits = self.total <= self.budget
+            return first
+        gap = np.subtract(first[:, :-1], first[:, 1:])
+        self.fits = bool(gap.min() >= 0)
+        wide = np.flatnonzero(gap.max(axis=0) > K)
+        h = int(wide[-1]) + 1 if len(wide) else 0  # no hole from gap h on
+        holes = np.maximum(gap[:, :h] - K, 0)
+        top = first[:, 0] + K - holes.sum(axis=1, dtype=first.dtype)
+        D = top - first[:, -1]
+        count = int(D.sum())
+        if self.label is None:
+            self.label = count <= m * E
+        if not self.label:
+            # the fewest first windows with a tenth more slots than letters
+            part = m * K + np.cumsum(np.minimum(gap, K).sum(axis=0))
+            self.prefix = min(E, int(np.searchsorted(part, 1.1 * m * E)) + 2)
+        lo = self.total
+        self.total += count
+        self.fits = self.fits and self.total <= self.budget
+        if not (self.label and self.fits):
+            return first
+        if self.Mind is None:
+            self.Mind = np.empty(self.budget, dtype=first.dtype)
+        i = self.points
+        ptr = self.ptr[i:i + m + 1]
+        np.cumsum(D, out=ptr[1:])
+        ptr[1:] += lo
+        shift = ptr[1:] - top
+        H = np.zeros((m, h + 1), dtype=first.dtype)
+        np.cumsum(holes, axis=1, out=H[:, 1:])
+        T = np.add(first, shift[:, None])
+        T[:, :h + 1] -= H[:, -1:] - H
+        # Mind in runs of consecutive columns, slot - shift + c: the slots
+        # below window h's own, then windows h .. 0, each the L_j lowest of
+        # its columns (L_0 = K) at c = H_h - H_j
+        L = np.empty((m, h + 2), dtype=first.dtype)
+        L[:, -1] = K
+        np.minimum(gap[:, :h][:, ::-1], K, out=L[:, 1:-1])
+        L[:, 0] = D - L[:, 1:].sum(axis=1)
+        c = np.zeros_like(L)
+        np.subtract(H[:, -1:], H[:, ::-1], out=c[:, 1:])
+        c -= shift[:, None]
+        np.add(np.arange(lo, self.total, dtype=first.dtype),
+               np.repeat(c.ravel(), L.ravel()), out=self.Mind[lo:self.total])
+        self.points += m
+        return T
+
+
 class OperatorCache:
     """s-independent structure of G for one mesh/alphabet; cheap per-s
     rebuilds.
@@ -297,7 +423,10 @@ class OperatorCache:
     take its quasi-interpolant weights (coefficient_map), once per cache.
     Gs and lg cover the last `kept` of the N collocation points: those with
     y >= 0 on a folded 2D mesh (kept_points), all N otherwise.  Products
-    then take only vectors symmetric in y; `symmetric` makes one.
+    then take only vectors symmetric in y; `symmetric` makes one.  A 1D
+    cache whose slots fit the rule (_Slots) is merged: Gs then holds slot
+    labels where it held columns, and `_merged` the slots' columns Mind and
+    the points' row pointers.
     """
 
     def __init__(self, alphabet: Alphabet, geometry: TensorGrid):
@@ -319,7 +448,9 @@ class OperatorCache:
 
     def _build_G_structure(self) -> None:
         """Gs and lg of the kept points, in blocks of about BLOCK_ROWS
-        (point, letter) rows that cover every letter of their points."""
+        (point, letter) rows that cover every letter of their points.  A
+        1D point holds at least K slots, so only K <= |E| may merge; the
+        first block guesses the form, and a wrong guess builds again."""
         E = len(self.alphabet.letters)
         K = (self.n + 1) ** self.geometry.d
         kept, r0 = self.kept, self.N - self.kept
@@ -330,28 +461,44 @@ class OperatorCache:
         lg = np.empty((kept, E))
         mids = [ks.midpoints for ks in self.axes]
         step = max(1, BLOCK_ROWS // E)
-        for lo in range(0, kept, step):
-            hi = min(lo + step, kept)
-            # flat sample index -> midpoint per axis, first axis fastest
-            at = np.unravel_index(np.arange(r0 + lo, r0 + hi),
-                                  self.geometry.sample_shape)
-            p = np.stack([m[i] for m, i in zip(mids, at[::-1])], axis=-1)
-            img, lg[lo:hi] = self.alphabet.maps(p)
-            self._block(img, cols[lo:hi], base[lo:hi])
+        label = None if self.geometry.d == 1 and K <= E else False
+        while True:
+            slots = None if label is False else _Slots(kept, E, K, idx, label)
+            for lo in range(0, kept, step):
+                hi = min(lo + step, kept)
+                # flat sample index -> midpoint per axis, first axis fastest
+                if len(mids) == 1:
+                    p = mids[0][r0 + lo:r0 + hi, None]
+                else:
+                    at = np.unravel_index(np.arange(r0 + lo, r0 + hi),
+                                          self.geometry.sample_shape)
+                    p = np.stack([m[i] for m, i in zip(mids, at[::-1])],
+                                 axis=-1)
+                img, _ = self.alphabet.maps(p, lg[lo:hi])
+                self._block(img, cols[lo:hi], base[lo:hi], slots)
+                if slots is not None and slots.label and not slots.fits:
+                    break
+            if slots is None or slots.label == slots.fits:
+                break
+            label = slots.fits
+        merged = slots is not None and slots.fits
         self._Gs = CSR(base.ravel(), cols.ravel(),
                        np.arange(0, kept * E * K + 1, K, dtype=idx),
-                       (kept * E, self.Ncoef))
+                       (kept * E, slots.total if merged else self.Ncoef))
+        self._merged = (slots.Mind[:slots.total], slots.ptr) if merged else None
         self._lg = lg
         self.nnz = base.size
 
-    def _block(self, img: Array, cols: Array, base: Array) -> None:
-        """Columns and values, into cols and base (m, |E|, K), of the tensor
-        splines nonzero at the images img (d, m, |E|).  An image outside the
-        partition of unity (mesh too coarse) raises PaddedRangeError."""
+    def _block(self, img: Array, cols: Array, base: Array,
+               slots: _Slots | None = None) -> None:
+        """Columns, or slot labels (slots.starts), and values, into cols
+        and base (m, |E|, K), of the tensor splines nonzero at the images
+        img (d, m, |E|).  An image outside the partition of unity (mesh too
+        coarse) raises PaddedRangeError."""
         n = self.n
         # fold the axes in, last axis outer (ry outer, rx inner keeps the
         # columns ascending); interval ell holds splines ell-n .. ell
-        first, terms = 0, []
+        first, terms = None, []
         for ks, y in zip(self.axes[::-1], img[::-1]):
             lo, hi = ks.knots[n], ks.knots[ks.num_splines]
             if not (y.min() >= lo and y.max() < hi):
@@ -360,9 +507,13 @@ class OperatorCache:
                                        "the padded spline range; refine the "
                                        "mesh (smaller h)")
             ell, t = locate_intervals(ks, y)
-            first = (first * ks.num_splines
-                     + np.subtract(ell, n, dtype=cols.dtype))
+            col = np.subtract(ell, n, dtype=cols.dtype)
+            if first is not None:
+                col += first * ks.num_splines
+            first = col
             terms.append(basis_terms(t, n))
+        if slots is not None:
+            first = slots.starts(first)
         # tensor index k runs over (r per axis), outer axis slowest
         shape = [ks.num_splines for ks in self.axes[::-1]]
         for k, rs in enumerate(np.ndindex(*(n + 1,) * len(terms))):
@@ -386,11 +537,32 @@ class OperatorCache:
     def evaluation_matrix(self, s: float) -> Array:
         """The (kept, |E|) letter weights exp(s lg) that turn the shared
         stacked Gs into G(s) = sum_e diag(w[:, e]) G_e, formed in one
+        buffer; on a merged cache the merged values instead: each slot's
+        stacked entries times their weights, summed in ascending letter
+        order by scipy's csc_matvec over Gs (its transpose's product with
+        w), the weights formed a product block at a time in the cache's
         buffer."""
-        w = np.multiply(self._lg, s)
-        return np.exp(w, out=w)
+        if self._merged is None:
+            w = np.multiply(self._lg, s)
+            return np.exp(w, out=w)
+        P, E = self._Gs, self._lg.shape[1]
+        K, step = int(P.indptr[1]), len(self._buffer) // E
+        values = np.zeros(P.shape[1])
+        for lo in range(0, self.kept, step):
+            hi = min(lo + step, self.kept)
+            w = self._buffer[:(hi - lo) * E]
+            np.exp(np.multiply(self._lg[lo:hi].ravel(), s, out=w), out=w)
+            a, b = lo * E * K, hi * E * K  # the block's entries
+            _sparsetools.csc_matvec(P.shape[1], len(w), P.indptr[:len(w) + 1],
+                                    P.indices[a:b], P.data[a:b], w, values)
+        return values
 
     def matrix(self, s: float) -> TransferOperator:
-        """L_h(s): the shared stacked Gs weighted by exp(s lg)."""
-        return TransferOperator(self._Gs, self._W1s, self.evaluation_matrix(s),
-                                self._buffer)
+        """L_h(s): the shared stacked Gs weighted by exp(s lg), or the
+        merged rows."""
+        w = self.evaluation_matrix(s)
+        if self._merged is None:
+            return TransferOperator(self._Gs, self._W1s, w, self._buffer)
+        Mind, ptr = self._merged
+        return TransferOperator(CSR(w, Mind, ptr, (self.kept, self.Ncoef)),
+                                self._W1s)

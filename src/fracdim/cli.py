@@ -9,7 +9,9 @@ from a to b) or a comma-separated list.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from fractions import Fraction
 
@@ -102,8 +104,12 @@ def _fmt(x) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter for each option it adds, and each
+    # asks the terminal for its width: ask once
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="fracdim",
+        prog="fracdim", formatter_class=formatter,
         description="Certified Hausdorff dimension bounds for continued-fraction limit sets")
     sub = parser.add_subparsers(dest="subcommand")
 
@@ -139,17 +145,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reproduce", choices=sorted(REPRODUCTIONS),
                        default=None, help="run a published-table preset")
 
-    p_cert = sub.add_parser("certify", help="certified dimension bracket")
+    p_cert = sub.add_parser("certify", help="certified dimension bracket",
+                            formatter_class=formatter)
     common(p_cert)
     p_cert.add_argument("--h", default=None)
 
-    p_est = sub.add_parser("estimate", help="point estimate of the dimension")
+    p_est = sub.add_parser("estimate", help="point estimate of the dimension",
+                           formatter_class=formatter)
     common(p_est)
     p_est.add_argument("--h", default=None)
     p_est.add_argument("--unsafe-h", dest="unsafe_h", action="store_true",
                        default=None, help="allow an inadmissible h")
 
-    p_conv = sub.add_parser("converge", help="mesh-refinement convergence study")
+    p_conv = sub.add_parser("converge", help="mesh-refinement convergence study",
+                            formatter_class=formatter)
     common(p_conv)
     p_conv.add_argument("--h-list", dest="h_list", default=None,
                         help="'a..b' halving or comma-separated values")

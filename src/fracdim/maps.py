@@ -6,6 +6,7 @@ with e1 >= 1; the conformal derivative norm is |p+e|^{-2}.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -49,21 +50,29 @@ class Alphabet:
             return ",".join(str(e) for e in self.letters)
         return ",".join(f"({e1},{e2})" for e1, e2 in self.letters)
 
-    def maps(self, p: Array) -> tuple[Array, Array]:
+    @functools.cached_property
+    def _array(self) -> Array:
+        """The letters as a (|E|, d) float array, formed once."""
+        return np.asarray(self.letters, dtype=np.float64).reshape(
+            len(self.letters), self.d)
+
+    def maps(self, p: Array, lg: Array | None = None
+             ) -> tuple[Array, Array]:
         """phi_e and log ||Dphi_e|| at the points p (m, d) for every letter
         e: the images (d, m, |E|), coordinate axis first, and the log norms
-        (m, |E|).  q = p + e and |q|^2 are formed once, per coordinate.
-        A 1D point with q < 0, an exterior point of a mesh too coarse for
-        its images, gets a nan log norm without a warning: the spline
-        lookup refuses its image."""
-        e = np.asarray(self.letters, dtype=np.float64).reshape(
-            len(self.letters), self.d)
+        (m, |E|), written into lg where given.  q = p + e and |q|^2 are
+        formed once, per coordinate.  A 1D point with q < 0, an exterior
+        point of a mesh too coarse for its images, gets a nan log norm
+        without a warning: the spline lookup refuses its image."""
+        e = self._array
         q = [p[:, k, None] + e[:, k] for k in range(self.d)]
         if self.d == 1:
             with np.errstate(invalid="ignore"):
-                return (1.0 / q[0])[None], -2.0 * np.log(q[0])
+                lg = np.log(q[0], out=lg)
+            return (1.0 / q[0])[None], np.multiply(lg, -2.0, out=lg)
         r2 = q[0] * q[0] + q[1] * q[1]
-        return np.stack(q) / r2, -np.log(r2)
+        lg = np.log(r2, out=lg)
+        return np.stack(q) / r2, np.negative(lg, out=lg)
 
 
 def make_alphabet_1d(letters) -> Alphabet:

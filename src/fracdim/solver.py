@@ -48,6 +48,12 @@ COARSE_J = 25
 # on J // 4 where that is finer than the seed mesh
 SEARCH_COARSENING = 4
 
+# _slope's secants use only points whose log lam lies this far from 0: a
+# converged point probe knows log lam to about 1e-16, so such a secant has
+# sigma to about 1e-4.  It filters noise in a point probe, where no
+# rounding bound is claimed, so it is not FLOAT_SLACK and need not follow it
+SLOPE_NOISE = 1e-12
+
 
 class InadmissibleMeshError(RuntimeError):
     def __init__(self, h: float, breakdown: dict[str, float]):
@@ -249,7 +255,8 @@ class ProbeEngine:
         recs = sorted(self.records.values(), key=lambda r: r["s"])
         for r1, r2 in zip(recs[:-1], recs[1:]):
             allowance = (r2["beta"] - r2["alpha"]) + (r1["beta"] - r1["alpha"])
-            if r2["lam"] > r1["lam"] + allowance + 1e-12 * abs(r1["lam"]):
+            if (r2["lam"] > r1["lam"] + allowance
+                    + FLOAT_SLACK * abs(r1["lam"])):
                 raise MonotonicityError(
                     f"eigenvalue estimate rose from s={r1['s']!r} "
                     f"({r1['lam']!r}) to s={r2['s']!r} ({r2['lam']!r})")
@@ -386,15 +393,22 @@ def _crossings(engine: ProbeEngine, levels, a: float, b: float,
     return tuple(crossings), iterates
 
 
+def _padding(n: int) -> int:
+    """2 n^2 - n, the most subintervals on which letter 1 maps a midpoint
+    of a 1D mesh out of its padded range: the leftmost midpoint
+    -(n - 1/2) h maps below the padded edge 1 + n h only when
+    h < 1 / (2 n^2 - n)."""
+    return 2 * n * n - n
+
+
 def _seed_engine(alphabet: Alphabet, profile: RigorProfile,
                  J: float = math.inf) -> ProbeEngine | None:
     """Converged point probes (err = 0, no cone check) on the seed mesh, or
     None where that is not coarser than J: COARSE_J subintervals per axis,
-    or the fewest that hold letter 1's images (the leftmost midpoint
-    -(n - 1/2) h maps below the padded edge 1 + n h only when
-    h < 1 / (2 n^2 - n): 25 subintervals at n = 2, 29 at n = 4)."""
+    or the fewest that hold letter 1's images (more than _padding(n): 25
+    subintervals at n = 2, 29 at n = 4)."""
     n = profile.n
-    J_s = max(COARSE_J, 2 * n * n - n + 1)
+    J_s = max(COARSE_J, _padding(n) + 1)
     if J_s >= J:
         return None
     cache = OperatorCache(alphabet, make_geometry(alphabet.d, J_s, n))
@@ -444,10 +458,10 @@ def _secant(p, q) -> float:
 
 def _slope(engine: ProbeEngine, s: float, prior: float) -> float:
     """sigma at s: the _secant through the point engine's nearest records
-    below and above s whose log lam lies over 1e-12 from 0 (known to about
-    1e-16, so sigma to about 1e-4), else prior."""
+    below and above s whose log lam lies over SLOPE_NOISE from 0, else
+    prior."""
     far = [(r["s"], math.log(r["lam"])) for r in engine.records.values()
-           if abs(math.log(r["lam"])) > 1e-12]
+           if abs(math.log(r["lam"])) > SLOPE_NOISE]
     below, above = [p for p in far if p[0] < s], [p for p in far if p[0] > s]
     return _secant(max(below), min(above)) if below and above else prior
 
@@ -543,9 +557,7 @@ def _setup(config: SolveConfig):
         (s_hat,), _ = _crossings(seed, (0.0,), S_FLOOR, float(alphabet.d), 1e-6)
         profile = profile_at(min(profile.s_cap, s_hat + 1e-3))
     breakdown = dict(_once(admissible_h, profile, alphabet))
-    # letter 1 maps every midpoint of a 1D mesh into its padded range only
-    # on more than 2 n^2 - n subintervals (see _seed_engine)
-    padded = (2 * config.n ** 2 - config.n
+    padded = (_padding(config.n)
               if alphabet.d == 1 and 1 in alphabet.letters else 0)
     # the exact 1/J against each rounded-down bound, and strictly below the
     # exact 1/max component and 1/padded
