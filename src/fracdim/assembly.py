@@ -23,22 +23,31 @@ Entries depend on s only through the factor ||Dphi_e(x)||^s, so an
 OperatorCache precomputes all s-independent structure once per mesh: the
 stacked matrix Gs, with one row per (point, letter) holding that letter's
 K = (n+1)^d basis-value products, and one log derivative norm lg per
-(point, letter).  It allocates them first, then fills them in blocks of
-points, all letters at once: per axis each image's knot interval (the floor
-of its scaled coordinate, checked against its two knots and corrected only
-where rounding put it one off: locate_intervals), first spline column and
-n+1 basis values (basis_terms), then per tensor index k one product (a copy
-in 1D) and one column sum written straight into their slices of Gs, with
-one block of temporaries beside them (operator_footprint counts both).  A
-probe at s takes one exp per (point, letter), w = exp(s lg).  Gs then takes
-one of two forms, fixed by the build:
+(point, letter).  A 2D row's columns are its image's tensor window,
+first + ry nsx + rx for the n+1 splines ry in y and rx in x (nsx x-splines
+in all), so Gs keeps only the n+1 x-columns first + rx per row, and its
+values pass-major: pass ry holds B_y[ry] B_x[rx] for rx = 0..n, the row's
+entries at those columns shifted by ry nsx.  1D is the one-pass case, K =
+n+1 columns and values per row.  The cache allocates Gs and lg first, then
+fills them in blocks of points, all letters at once: per axis each image's
+knot interval (the floor of its scaled coordinate, checked against its two
+knots and corrected only where rounding put it one off: locate_intervals),
+first spline column and n+1 basis values (basis_terms), then n+1 column
+sums and per tensor index k one product (a copy in 1D), written straight
+into their slices of Gs, with one block of temporaries beside them
+(operator_footprint counts both).  A probe at s takes one exp per (point,
+letter), w = exp(s lg).  Gs then takes one of two forms, fixed by the
+build:
 
 - Stacked rows.  A probe applies G(s) = sum_e diag(w_e) G_e without writing
   it: y_i = sum_e w[i, e] (Gs @ c)[i |E| + e].  A product forms Gs @ c one
-  block of whole points at a time, in one buffer of the cache, and sums
-  each block over its letters straight into the output (TransferOperator),
-  so it holds no (point, letter)-sized vector.  A row sums a chain of
-  K + |E| terms (K per letter, then |E| weighted letters).
+  block of whole points at a time, in one buffer of the cache, one
+  csr_matvec pass per pass of values over the shared columns and the
+  coefficients from ry nsx on, and sums each block over its letters
+  straight into the output (TransferOperator), so it holds no (point,
+  letter)-sized vector.  A row sums a chain of K + |E| terms (K per
+  letter, in the order of the plain K-column row, then |E| weighted
+  letters).
 - Merged rows.  On a 1D mesh a wide alphabet's letters crowd onto a few
   columns (the images 1/(p + x) of the large primes all lie near 0): at
   h = 1/3000 the 1,290 entries of a point of primes<3000 fall on at most
@@ -76,10 +85,10 @@ kept row's value, which is within the rounding bound of its exact value.
 Every vector stays full length, and any other alphabet keeps all rows
 through the same code.
 
-Gs and each W1 are CSR tuples in scipy's storage, and every product with
-one runs scipy's compiled kernels (csr_matvec, csr_matvecs, and csc_matvec
-for a merged probe), which this module loads from their file without
-importing scipy.sparse: that import
+Gs and each W1 are CSR tuples in scipy's storage (a 2D Gs with one row of
+values per pass), and every product with one runs scipy's compiled kernels
+(csr_matvec, csr_matvecs, and csc_matvec for a merged probe), which this
+module loads from their file without importing scipy.sparse: that import
 wakes numpy.f2py and numpy.testing through scipy's array-API layer and
 takes longer than a small solve.
 
@@ -143,9 +152,10 @@ class CSR(NamedTuple):
     shape: tuple[int, int]
 
 
-def index_dtype(nnz: int) -> type:
-    """The index dtype of a CSR with nnz entries, the one scipy keeps."""
-    return np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+def index_dtype(top: int) -> type:
+    """The index dtype of a CSR whose largest column index or row pointer
+    is at most top: int32 where it fits, as scipy keeps it."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
 
 
 def csr_apply(A: CSR, u: Array) -> Array:
@@ -196,17 +206,19 @@ def operator_footprint(alphabet: Alphabet, shape: tuple[int, ...],
 def rows_footprint(shape: tuple[int, ...], n: int, letters: int,
                    kept: int) -> dict:
     """operator_footprint of `kept` points with `letters` rows each: the
-    OperatorCache's stacked Gs (values, columns or slots, row pointers) and
-    lg, a probe's weights or merged values (at most kept |E| doubles) and
-    one product block (product_points |E| doubles), six sample vectors of
-    the power iteration, and one block of the build (at most 2K + 4(n+1)
+    OperatorCache's stacked Gs (K values, n+1 columns or slots and a row
+    pointer per row, in the index dtype of its last row pointer) and lg, a
+    probe's weights or merged values (at most kept |E| doubles) and one
+    product block (product_points |E| doubles), six sample vectors of the
+    power iteration, and one block of the build (at most 2K + 4(n+1)
     doubles per row); on a 1D mesh that may merge (K <= |E|) also the
     merged rows' columns, at most kept |E|, and row pointers."""
     N = math.prod(shape)
     rows = kept * letters
     K = (n + 1) ** len(shape)
-    idx = np.dtype(index_dtype(rows * K)).itemsize
-    parts = {"Gs": rows * K * (8 + idx) + (rows + 1) * idx, "lg": 8 * rows,
+    idx = np.dtype(index_dtype(rows * (n + 1))).itemsize
+    parts = {"Gs": rows * K * 8 + rows * (n + 1) * idx + (rows + 1) * idx,
+             "lg": 8 * rows,
              "probe": 8 * rows + 8 * letters * product_points(letters, kept),
              "vectors": 48 * N,
              "block": 8 * BLOCK_ROWS * (2 * K + 4 * (n + 1))}
@@ -250,14 +262,18 @@ class TransferOperator:
     `weights`, one merged row per point whose values already hold them
     (see OperatorCache).  A merged product is one csr_matvec over G.  A
     stacked one runs over blocks of whole points (product_points) through
-    the cache's one `buffer`: zeroed, then scipy's compiled CSR kernel
-    csr_matvec (the one csr_apply and scipy's own `G @ c` call) on views of
-    G's values and columns at the block's offset with G's leading row
-    pointers (every row holds K entries, so they fit every block), then the
-    letter einsum into the block's slice of the output.  Each row sums its
-    terms in the order of the whole G @ c, which no product forms, so a
-    product is bit for bit the unblocked one, and no block copies any part
-    of G.
+    the cache's one `buffer`: zeroed, then one pass of scipy's compiled CSR
+    kernel csr_matvec (the one csr_apply and scipy's own `G @ c` call) per
+    row of G's values, the n+1 passes of a 2D G in turn, on views of that
+    row's values and of G's n+1 columns per stacked row at the block's
+    offset, with G's leading row pointers (every row holds n+1 columns, so
+    they fit every block); pass ry reads c from ry nsx on, the splines ry
+    rows further up in y.  Then the letter einsum sums the block into its
+    slice of the output.  csr_matvec starts each row's sum from its value
+    in the buffer, so the passes add the row's K terms in the order of one
+    pass over its K columns, and blocks take them in the order of the whole
+    G @ c, which no product forms: a product is bit for bit the unblocked
+    one over the plain K-column rows, and no block copies any part of G.
     Sample and coefficient vectors run with the first axis fastest.  When G
     covers fewer than all N points, it holds the kept tail of a folded
     cache (see kept_points): a product refuses a vector that is not exactly
@@ -305,15 +321,20 @@ class TransferOperator:
             return out
         out = np.empty(N)
         E = w.shape[1]
-        K, step = int(G.indptr[1]), len(self.buffer) // E
+        width, step = int(G.indptr[1]), len(self.buffer) // E
+        # one row of values per pass; pass ry shifts the columns ry nsx up
+        passes = G.data.reshape(-1, len(G.indices))
+        nsx = self.W1s[0].shape[0]
         for lo in range(0, kept, step):
             hi = min(lo + step, kept)
             y = self.buffer[:(hi - lo) * E]
             y.fill(0.0)
-            a, b = lo * E * K, hi * E * K  # the block's entries
-            _sparsetools.csr_matvec(len(y), G.shape[1],
-                                    G.indptr[:len(y) + 1], G.indices[a:b],
-                                    G.data[a:b], c, y)
+            a, b = lo * E * width, hi * E * width  # the block's entries
+            for ry, data in enumerate(passes):
+                _sparsetools.csr_matvec(len(y), G.shape[1] - ry * nsx,
+                                        G.indptr[:len(y) + 1],
+                                        G.indices[a:b], data[a:b],
+                                        c[ry * nsx:], y)
             np.einsum("ij,ij->i", y.reshape(hi - lo, E), w[lo:hi],
                       out=out[r0 + lo:r0 + hi])
         if r0:
@@ -451,13 +472,14 @@ class OperatorCache:
         (point, letter) rows that cover every letter of their points.  A
         1D point holds at least K slots, so only K <= |E| may merge; the
         first block guesses the form, and a wrong guess builds again."""
-        E = len(self.alphabet.letters)
-        K = (self.n + 1) ** self.geometry.d
+        E, width = len(self.alphabet.letters), self.n + 1
+        K = width ** self.geometry.d
         kept, r0 = self.kept, self.N - self.kept
-        idx = index_dtype(kept * E * K)
-        # rows of Gs run point-major, in the order of _lg
-        cols = np.empty((kept, E, K), dtype=idx)
-        base = np.empty((kept, E, K))
+        idx = index_dtype(kept * E * width)
+        # rows of Gs run point-major, in the order of _lg; the values of
+        # each pass (K // width of them) follow one another
+        cols = np.empty((kept, E, width), dtype=idx)
+        base = np.empty((K // width, kept, E, width))
         lg = np.empty((kept, E))
         mids = [ks.midpoints for ks in self.axes]
         step = max(1, BLOCK_ROWS // E)
@@ -475,15 +497,16 @@ class OperatorCache:
                     p = np.stack([m[i] for m, i in zip(mids, at[::-1])],
                                  axis=-1)
                 img, _ = self.alphabet.maps(p, lg[lo:hi])
-                self._block(img, cols[lo:hi], base[lo:hi], slots)
+                self._block(img, cols[lo:hi], base[:, lo:hi], slots)
                 if slots is not None and slots.label and not slots.fits:
                     break
             if slots is None or slots.label == slots.fits:
                 break
             label = slots.fits
         merged = slots is not None and slots.fits
-        self._Gs = CSR(base.ravel(), cols.ravel(),
-                       np.arange(0, kept * E * K + 1, K, dtype=idx),
+        self._Gs = CSR(base.reshape(-1, cols.size) if K > width
+                       else base.ravel(), cols.ravel(),
+                       np.arange(0, cols.size + 1, width, dtype=idx),
                        (kept * E, slots.total if merged else self.Ncoef))
         self._merged = (slots.Mind[:slots.total], slots.ptr) if merged else None
         self._lg = lg
@@ -491,10 +514,12 @@ class OperatorCache:
 
     def _block(self, img: Array, cols: Array, base: Array,
                slots: _Slots | None = None) -> None:
-        """Columns, or slot labels (slots.starts), and values, into cols
-        and base (m, |E|, K), of the tensor splines nonzero at the images
-        img (d, m, |E|).  An image outside the partition of unity (mesh too
-        coarse) raises PaddedRangeError."""
+        """Columns, or slot labels (slots.starts), into cols (m, |E|, n+1)
+        and values into base (K // (n+1), m, |E|, n+1), of the tensor
+        splines nonzero at the images img (d, m, |E|): x-spline rx of the
+        window at column first + rx, and the product of y-spline ry and
+        x-spline rx at base[ry, ..., rx].  An image outside the partition
+        of unity (mesh too coarse) raises PaddedRangeError."""
         n = self.n
         # fold the axes in, last axis outer (ry outer, rx inner keeps the
         # columns ascending); interval ell holds splines ell-n .. ell
@@ -514,16 +539,14 @@ class OperatorCache:
             terms.append(basis_terms(t, n))
         if slots is not None:
             first = slots.starts(first)
-        # tensor index k runs over (r per axis), outer axis slowest
-        shape = [ks.num_splines for ks in self.axes[::-1]]
-        for k, rs in enumerate(np.ndindex(*(n + 1,) * len(terms))):
-            values = [B[r] for B, r in zip(terms, rs)]
-            if len(values) == 2:  # d is 1 or 2
-                np.multiply(*values, out=base[..., k])
+        *outer, inner = terms  # d is 1 or 2: the y splines are outer
+        for rx, Bx in enumerate(inner):
+            np.add(first, rx, out=cols[..., rx])
+            if outer:
+                for ry, By in enumerate(outer[0]):
+                    np.multiply(By, Bx, out=base[ry, ..., rx])
             else:
-                base[..., k] = values[0]
-            np.add(first, int(np.ravel_multi_index(rs, shape)),
-                   out=cols[..., k])
+                base[0, ..., rx] = Bx
 
     def symmetric(self, v: Array) -> Array:
         """(v + v flipped in y) / 2 on a folded cache, exactly symmetric

@@ -6,7 +6,8 @@ derivative norms ||Dphi_e||^s one letter at a time, the operator structure
 built one letter at a time over the whole mesh (every collocation point,
 with no use of the y -> -y symmetry that a folded OperatorCache exploits,
 and with frozen copies of the first interval location, spline recurrence
-and coefficient map, and the unblocked product),
+and coefficient map, the unblocked product, and the plain rows that a
+2D Gs's n+1 columns per row stand for),
 the transfer operator applied from it and materialized as one sparse
 matrix, probes run to convergence, and the 1D and 2D dimensions by
 (tensor) Chebyshev collocation, independent of the package.  None of it
@@ -34,6 +35,23 @@ Array = np.ndarray
 def as_scipy(A: CSR) -> sparse.csr_matrix:
     """The package's CSR tuple as scipy's csr_matrix, on the same arrays."""
     return sparse.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def plain_rows(G: CSR, W1s) -> CSR:
+    """The plain CSR that a stacked Gs stands for: each row's K = (n+1)^d
+    columns and values in the order a product sums them.  A 2D Gs keeps
+    n+1 x-columns per row and one row of values per pass ry, whose columns
+    lie ry nsx further on (nsx, the x splines, is W1s[0]'s row count); a
+    1D Gs, the one-pass case, is already plain."""
+    if G.data.ndim == 1:
+        return G
+    passes, rows, width = len(G.data), G.shape[0], int(G.indptr[1])
+    shift = np.arange(passes, dtype=G.indices.dtype) * W1s[0].shape[0]
+    cols = G.indices.reshape(rows, 1, width) + shift[:, None]
+    data = G.data.reshape(passes, rows, width).swapaxes(0, 1)
+    return CSR(data.ravel(), cols.ravel(),
+               np.arange(0, cols.size + 1, passes * width,
+                         dtype=G.indptr.dtype), G.shape)
 
 
 def parameter_interval(ks: KnotSequence) -> tuple[float, float]:
@@ -294,12 +312,12 @@ def full_product(cache: OperatorCache, s: float, v: Array) -> Array:
 
 
 def unblocked_product(op: TransferOperator, v: Array) -> Array:
-    """op @ v as one whole product: the kept rows' G @ c (scipy's fresh
-    kept |E| vector), one einsum over the letters, and on a folded
-    operator each kept row copied into its mirror row."""
+    """op @ v as one whole product: the kept rows' G @ c over G's plain
+    rows (scipy's fresh kept |E| vector), one einsum over the letters, and
+    on a folded operator each kept row copied into its mirror row."""
     N, w = op.shape[0], op.weights
     r0 = N - len(w)
-    y = as_scipy(op.G) @ op.coefficients(v)
+    y = as_scipy(plain_rows(op.G, op.W1s)) @ op.coefficients(v)
     out = np.empty(N)
     np.einsum("ij,ij->i", y.reshape(w.shape), w, out=out[r0:])
     if r0:

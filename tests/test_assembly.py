@@ -14,7 +14,8 @@ from scipy.interpolate import BSpline
 from fracdim import assembly
 from fracdim.assembly import (CSR, OperatorCache, TransferOperator,
                               coefficient_map, kept_points,
-                              operator_footprint, product_points)
+                              operator_footprint, product_points,
+                              rows_footprint)
 from fracdim.bspline import TensorGrid, make_uniform_knots
 from fracdim.constants import legendre_projection_constants, make_profile
 from fracdim.maps import (Alphabet, make_alphabet_1d, make_alphabet_2d,
@@ -23,7 +24,8 @@ from fracdim.quasi import check_degree, make_quasi_interpolant
 from fracdim.solver import SolveConfig, make_geometry, solve_dimension
 from fracdim.spectral import FLOAT_SLACK
 from oracles import (as_scipy, coo_coefficient_map, full_matrix,
-                     full_product, letter_structure, unblocked_product)
+                     full_product, letter_structure, plain_rows,
+                     unblocked_product)
 
 W = np.array([-0.125, 1.25, -0.125])
 
@@ -262,10 +264,10 @@ def cache(request):
 
 def exact_product(op, v) -> list[Fraction]:
     """The kept rows of op @ v summed exactly from the same float factors
-    the product rounds: the entries of op.G, the letter weights and the
-    coefficients."""
+    the product rounds: the entries of op.G (its plain rows), the letter
+    weights and the coefficients."""
     c = [Fraction(x) for x in op.coefficients(v).tolist()]
-    G = op.G
+    G = plain_rows(op.G, op.W1s)
     data, indices = G.data.tolist(), G.indices.tolist()
     rows = [sum((Fraction(data[k]) * c[indices[k]]
                  for k in range(G.indptr[i], G.indptr[i + 1])), Fraction(0))
@@ -281,7 +283,7 @@ def written_G(op) -> sparse.csr_matrix:
     """G(s) written out the direct way: each stacked row's entries scaled
     by its letter weight, a point's |E| rows merged into one."""
     N, E = op.weights.shape
-    G = op.G
+    G = plain_rows(op.G, op.W1s)
     data = G.data * np.repeat(op.weights.ravel(), np.diff(G.indptr))
     return sparse.csr_matrix((data, G.indices, G.indptr[::E]),
                              shape=(N, G.shape[1]))
@@ -536,14 +538,18 @@ class TestBlockBuild:
     """The block build computes every entry of Gs and lg by the same
     floating-point operations, in the same order, as a build one letter at
     a time over the whole mesh (its tail of kept points on a folded mesh);
-    where the blocks end changes no bit."""
+    where the blocks end changes no bit.  A row keeps n+1 columns (or slot
+    labels); a 2D row, whose K = (n+1)^2 columns are those n+1 shifted by
+    ry nsx, keeps its values in n+1 passes (oracles.plain_rows)."""
 
     @pytest.mark.parametrize("text,d,J,n", [
         pytest.param(text, d, J, n, id=f"{text}-{d}-{J}" + tag)
         for text, d, J, n, tag in [
             ("1,2,3", 1, 16, 2, ""), ("primes<50", 1, 64, 2, ""),
             ("primes<50", 1, 64, 4, "-degree4"), ("1..100", 1, 200, 2, ""),
-            (SET_2D, 2, 40, 2, ""), ("(1,0),(2,1)", 2, 40, 2, "")]])
+            (SET_2D, 2, 40, 2, ""), ("(1,0),(2,1)", 2, 40, 2, ""),
+            (SET_2D, 2, 30, 4, "-degree4"),
+            ("(1,0),(2,1)", 2, 30, 4, "-degree4")]])
     @pytest.mark.parametrize("block", ["default", "one-row", "ragged"])
     def test_bitwise_equal_to_letter_build(self, text, d, J, n, block,
                                            monkeypatch):
@@ -556,11 +562,16 @@ class TestBlockBuild:
             assert N % 13 != 0
             monkeypatch.setattr(assembly, "BLOCK_ROWS", 13 * E + 1)
         cache = OperatorCache(alphabet, grid)
-        G = cache._Gs
+        rows, K = cache.kept * E, (n + 1) ** d
+        assert cache._Gs.indices.shape == (rows * (n + 1),)
+        assert np.array_equal(cache._Gs.indptr, np.arange(rows + 1) * (n + 1))
+        assert cache._Gs.data.shape == ((rows * K,) if d == 1
+                                        else (n + 1, rows * (n + 1)))
+        assert cache.nnz == rows * K
+        G = plain_rows(cache._Gs, cache._W1s)
         # the kept rows of the whole-mesh structure
         r0 = (N - cache.kept) * E
         data, indices, indptr, lg = letter_structure(alphabet, grid)
-        K = indptr[1]
         want = (data[r0 * K:], indices[r0 * K:], indptr[r0:] - r0 * K,
                 lg[N - cache.kept:])
         assert (cache.kept < N) == (text == SET_2D)  # folded
@@ -572,7 +583,7 @@ class TestBlockBuild:
         for got, want in zip((G.data, columns, G.indptr, cache._lg),
                              want):
             assert got.tobytes() == want.astype(got.dtype).tobytes()
-        assert G.indices.dtype == G.indptr.dtype == np.int32
+        assert cache._Gs.indices.dtype == cache._Gs.indptr.dtype == np.int32
 
 
 NOT_CLOSED = "(1,0),(1,1),(2,0)"
@@ -718,6 +729,16 @@ class TestBuildMemory:
             assert fp["merged"] == Mind.base.nbytes + ptr.nbytes
         assert fp["total"] == sum(v for k, v in fp.items() if k != "total")
 
+    def test_index_dtype_follows_the_last_row_pointer(self):
+        # a 2D Gs's largest index is its last row pointer, rows (n+1), so
+        # its indices stay int32 up to 2^31 - 1 of them although rows K is
+        # past 2^31; counted without building
+        assert assembly.index_dtype(2**31 - 1) is np.int32
+        assert assembly.index_dtype(2**31) is np.int64
+        for rows, idx in [(715_827_882, 4), (715_827_883, 8)]:
+            fp = rows_footprint((30000, 30000), 2, 1, rows)
+            assert fp["Gs"] == rows * 9 * 8 + rows * 3 * idx + (rows + 1) * idx
+
 
 class TestBlockedProduct:
     """A stacked product runs scipy's CSR kernel over blocks of whole
@@ -727,8 +748,8 @@ class TestBlockedProduct:
 
     @pytest.mark.parametrize("text,d,J,n", [
         ("1..100", 1, 1600, 2), ("primes<50", 1, 64, 4), (SET_2D, 2, 25, 2),
-        ("(1,0),(2,1)", 2, 25, 2)],
-        ids=["1d-n2", "1d-n4", "folded-2d", "unfolded-2d"])
+        ("(1,0),(2,1)", 2, 25, 2), ("(1,0),(2,1)", 2, 30, 4)],
+        ids=["1d-n2", "1d-n4", "folded-2d", "unfolded-2d", "unfolded-2d-n4"])
     @pytest.mark.parametrize("block", ["default", "one-point", "ragged"])
     def test_bitwise_equal_to_unblocked(self, text, d, J, n, block,
                                         monkeypatch):
@@ -754,15 +775,44 @@ class TestBlockedProduct:
             v = cache.symmetric(rng.uniform(0.5, 1.5, cache.N))
             assert np.array_equal(op @ v, unblocked_product(op, v))
 
+    def test_passes_continue_the_row_sum(self):
+        # csr_matvec starts each row's sum from its value in y, so two
+        # passes over the halves of each row add its terms in the order of
+        # one pass over the whole row, bit for bit, from a zero or a
+        # nonzero y.  A 2D product's passes rest on this: a scipy that
+        # changes it fails here.  Terms spread over 16 decades, so an
+        # order that differs shows
+        rng = np.random.default_rng(8)
+        rows, width, m = 500, 6, 40
+        data = (rng.uniform(0.5, 1.5, (rows, width))
+                * 10.0 ** rng.integers(-8, 9, (rows, width)))
+        cols = rng.integers(0, m, (rows, width), dtype=np.int32)
+        c = rng.uniform(0.5, 1.5, m)
+
+        def passes(y, *parts):
+            for part in parts:
+                w = part.stop - part.start
+                assembly._sparsetools.csr_matvec(
+                    rows, m, np.arange(0, rows * w + 1, w, dtype=np.int32),
+                    cols[:, part].ravel(), data[:, part].ravel(), c, y)
+            return y.tobytes()
+
+        whole, first, second = slice(0, 6), slice(0, 3), slice(3, 6)
+        for y in (np.zeros(rows), rng.uniform(0.5, 1.5, rows)):
+            want = passes(y.copy(), whole)
+            assert passes(y.copy(), first, second) == want
+            assert passes(y.copy(), second, first) != want
+
     @pytest.mark.parametrize("text,d", [("primes<50", 1), (SET_2D, 2)])
     def test_kernel_is_scipys_product(self, text, d):
-        # the private kernel the product calls, on G's whole arrays, is
-        # `G @ c` bit for bit: a scipy that moves or changes it fails here
+        # the private kernel the product calls, on the whole arrays of G's
+        # plain rows, is `G @ c` bit for bit: a scipy that moves or changes
+        # it fails here
         cache = OperatorCache(parse_alphabet(text), make_geometry(d, 30, 2))
         op = cache.matrix(1.0)
         c = op.coefficients(cache.symmetric(
             np.random.default_rng(3).uniform(0.5, 1.5, cache.N)))
-        G, y = op.G, np.zeros(op.G.shape[0])
+        G, y = plain_rows(op.G, op.W1s), np.zeros(op.G.shape[0])
         assembly._sparsetools.csr_matvec(*G.shape, G.indptr, G.indices,
                                          G.data, c, y)
         assert np.array_equal(y, as_scipy(G) @ c)
@@ -784,7 +834,7 @@ class TestCSRKernels:
     """csr_apply, which calls the csr_matvec (1D u) and csr_matvecs (2D u)
     that assembly loads from scipy's file, is scipy's own `A @ u` bit for
     bit, on each kind of CSR the package holds: a coefficient map W1
-    (n = 2, 4) and the Gs of a folded 2D cache."""
+    (n = 2, 4) and the plain rows of a folded 2D cache's Gs."""
 
     @pytest.fixture(params=["W1-n2", "W1-n4", "Gs-folded-2d"])
     def A(self, request):
@@ -792,7 +842,7 @@ class TestCSRKernels:
             cache = OperatorCache(parse_alphabet(SET_2D),
                                   make_geometry(2, 20, 2))
             assert cache.kept < cache.N
-            return cache.matrix(1.0).G
+            return plain_rows(cache._Gs, cache._W1s)
         return coefficient_map(make_geometry(1, 40, int(request.param[-1]))
                                .axes[0])
 

@@ -696,15 +696,16 @@ class TestFootprint:
         # |E| and K without building it, are most of the estimate less the
         # sample vectors.  The alphabet is closed under e2 -> -e2, so the
         # cache keeps the points of 1204 of the 2408 y rows, and the
-        # vectors stay full length
+        # vectors stay full length.  Each row keeps K = 9 values and n+1 =
+        # 3 int32 columns
         fp = solver._footprint(A2D, 2400, 2)
         N = (2400 + 6) * (2400 + 8)
         rows = (2400 + 6) * (2400 + 8) // 2 * 4
-        kept = rows * 9 * (8 + 4) + (rows + 1) * 4 + rows * 8
+        kept = rows * 9 * 8 + rows * 3 * 4 + (rows + 1) * 4 + rows * 8
         assert fp["Gs"] + fp["lg"] == kept
         assert fp["vectors"] == 48 * N
         assert kept < fp["total"] - fp["vectors"] < 1.3 * kept
-        # the estimate is about 1684 MiB
+        # the estimate is about 1419 MiB
         monkeypatch.setattr(solver, "_mem_available", lambda: 2**30)
         assert run(["certify", "--alphabet", "(1,0),(1,1),(1,-1),(2,0)",
                     "--h", "1/2400", "--s-cap", "1.15", "--alpha", "0.2",
