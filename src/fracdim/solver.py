@@ -5,9 +5,9 @@ Certified mode scales the collocation matrix L_h(s) by (1 -/+ err) into the
 pair (A_h, B_h); the cone bracket of A_h below 1 certifies s >= s*, that of
 B_h above 1 certifies s <= s*.  Point-estimate mode sets err = 0 and ends at
 a 4-ulp bracket of its own log lam = 0 (what convergence tables measure).
-Only the probes that end a search matter, so every solve first predicts
-where log lam of converged point probes crosses its levels on coarser
-meshes, one ladder that solve_dimension climbs by one routine (_step).
+Only the probes that end a search matter, so every solve first locates where
+log lam of converged point probes crosses its levels on coarser meshes
+(_crossings), one ladder that solve_dimension climbs by one routine (_step).
 
 Every probe follows one rule (ProbeEngine): on a certified solve's fine
 mesh (err > 0) it stops at its decision and checks its cone; anywhere else
@@ -119,6 +119,8 @@ def mesh_intervals(h: float | None, mesh: str) -> int:
         raise ValueError("h is required")
     if not h > 0:
         raise ValueError(f"h = {h} is not positive")
+    if not 1.0 / h < math.inf:
+        raise ValueError(f"h = {h} has no finite reciprocal")
     J = round(1.0 / h)
     if J < 1 or abs(h * J - 1.0) > 1e-9:
         raise ValueError(f"h = {h} is not the reciprocal of an integer")
@@ -377,17 +379,24 @@ def _prolong(v: np.ndarray, coarse: TensorGrid,
 
 
 def _crossings(engine: ProbeEngine, levels, a: float, b: float,
-               eps: float):
+               eps: float, window=None):
     """Where log lam of the engine's converged point probes crosses each
-    level in [a, b] (see _predict).  Each level's search starts from all of
-    the engine's earlier probes, which then pass the monotonicity audit.
-    Returns the crossings and the iterates that ended each level's search
-    (the engine's `warm`: eigenvectors next to its crossing, which _prolong
-    carries to a finer mesh as its start).
-    """
+    level (_predict) in window (lo, hi), or in [a, b] where there is none or
+    log lam at lo and hi (probed already) does not straddle the level, each
+    search from all of the engine's probes, which then pass the monotonicity
+    audit.  Returns the crossings and the iterates that ended each level's
+    search (the engine's `warm`, which _prolong carries to a finer mesh)."""
+    lo, hi = window or (a, b)
+
+    def log_lam(s):  # a probe on record is not run again
+        return math.log(engine.probe(s)["lam"])
+
     crossings, iterates = [], []
     for level in levels:
-        crossings.append(_predict(engine, a, b, level, eps))
+        s = _predict(engine, lo, hi, level, eps)
+        if log_lam(lo) <= level or log_lam(hi) > level:
+            s = _predict(engine, a, b, level, eps)
+        crossings.append(s)
         iterates.append(engine.warm)
     engine.audit_monotonicity()
     return tuple(crossings), iterates
@@ -593,25 +602,23 @@ def solve_dimension(config: SolveConfig, *,
     The search interval is [S_FLOOR, d], capped at s_cap in certified mode
     (no certified probe lies above the cap, up to which M holds), where
     _setup first lowers the cap to just above the seed mesh's crossing of
-    0.  Every solve climbs one ladder to its fine mesh: a rung holds the
-    crossings of the solve's levels (where a converged fine probe's lam_lo
-    and lam_hi reach 1, or 0 for a point estimate) by converged point probes
-    to max(tol / 4, 1e-15 max(1, b)), and sigma, their slope (_secant of two
-    crossings, _slope at one).  The bottom rung is the one given (a study's
-    previous mesh), else the seed mesh, which a point estimate builds only
-    when its mesh is finer; J // SEARCH_COARSENING follows where it is
-    finer, its probes converged to max(sigma tol / 4, POWER_TOL), and the
-    fine mesh takes one _step from the last rung.  There a certified solve
-    proves each endpoint by _bisect from its moved prediction, the first
-    s_hi probe started from the last iterate times the ratio of the coarse
-    ones.  A point estimate runs _predict in the step's window to max(tol,
-    4 ulp of its top), then, where no end straddles the crossing, in [a,
-    b]: s_h is the midpoint of the last bracket; its rung (last iterate,
-    s_h, _slope) goes with it.  The record's search block is filled exactly
-    when the solve climbed from the seed mesh.  A cap below the dimension,
-    or a point estimate's lam > 1 at d, ends in the straddle test's
-    ValueError, never in a wrong bracket.  Where lam_lo < 1 (lam <= 1)
-    already at S_FLOOR, s_lo, or the point estimate, is 0.
+    0.  Every solve climbs one ladder: a rung holds the crossings of the
+    solve's levels (where a converged fine probe's lam_lo and lam_hi reach
+    1, or 0 for a point estimate), which _crossings finds in its _step's
+    window to max(tol / 4, 1e-15 max(1, b)), and sigma, their slope
+    (_secant of two crossings, _slope at one).  The bottom rung is the one
+    given (a study's previous mesh), else the seed mesh, which a point
+    estimate builds only when its mesh is finer; J // SEARCH_COARSENING
+    follows where it is finer, its probes converged to max(sigma tol / 4,
+    POWER_TOL), then the fine mesh.  There a certified solve proves each
+    endpoint by _bisect from its moved prediction, the first s_hi probe
+    started from the last iterate times the ratio of the coarse ones; a
+    point estimate's fine mesh is one more rung, to max(tol, 4 ulp of its
+    window's top), whose crossing is s_h.  The record's search block is
+    filled exactly when the solve climbed from the seed mesh.  A cap below
+    the dimension, or a point estimate's lam > 1 at d, ends in the straddle
+    test's ValueError, never in a wrong bracket.  Where lam_lo < 1 (lam <=
+    1) already at S_FLOOR, s_lo, or the point estimate, is 0.
     """
     t0 = time.perf_counter()
     tol = config.resolve_tol()
@@ -629,17 +636,16 @@ def solve_dimension(config: SolveConfig, *,
     if not certified and rung is None:
         seed = _seed_engine(alphabet, profile, J)
 
-    def climb(engine, lo, hi, prior):
-        """The rung of engine's mesh, from its crossings in [lo, hi]."""
-        found, iterates = _crossings(engine, levels, lo, hi,
-                                     max(tol / 4, 1e-15 * max(1.0, b)))
+    def climb(engine, window, prior, eps=max(tol / 4, 1e-15 * max(1.0, b))):
+        """The rung of engine's mesh, from its crossings (_crossings)."""
+        found, iterates = _crossings(engine, levels, a, b, eps, window)
         sigma = (_secant(*zip(found, levels)) if certified
                  else _slope(engine, found[0], prior))
         return Rung(engine.cache.geometry, iterates[0], found, sigma), iterates
 
     search, cache = None, None
     if seed is not None:
-        rung, iterates = climb(seed, a, b, 0.0)
+        rung, iterates = climb(seed, None, 0.0)
         search = {"J_s": round(1.0 / rung.geometry.h),
                   "s_hat": rung.crossings[0] if s_hat is None else s_hat,
                   "seed_lo": rung.crossings[0], "seed_hi": rung.crossings[-1],
@@ -651,12 +657,12 @@ def solve_dimension(config: SolveConfig, *,
     J_c = J // SEARCH_COARSENING
     if rung is not None and J_c > round(1.0 / rung.geometry.h):
         mid = make_geometry(d, J_c, profile.n)
-        engine, _, _, (lo, hi) = _step(
+        engine, _, _, window = _step(
             rung, mid, lambda start: ProbeEngine(
                 OperatorCache(alphabet, mid), profile, 0.0, start=start,
                 tol=max(rung.sigma * tol / 4, POWER_TOL)),
             levels[0], a, b, tol)
-        rung, iterates = climb(engine, lo, hi, rung.sigma)
+        rung, iterates = climb(engine, window, rung.sigma)
         if search is not None:
             search.update(J_c=J_c, probes=len(engine.records))
         engine = None  # freed before the fine build
@@ -681,23 +687,15 @@ def solve_dimension(config: SolveConfig, *,
         s_hi = _bisect(lambda s: engine.probe(s)["lam_hi"] > 1.0, a, b, tol,
                        guesses[1])[1]
         rung = None
+        engine.audit_monotonicity()
     else:
-        def lam(s):  # a probe on record is not run again
-            return engine.probe(s)["lam"]
-
-        lo, hi = window
-        eps = max(tol, 4.0 * math.ulp(hi))
-        s_lo = _predict(engine, lo, hi, 0.0, eps)
-        if lam(lo) <= 1.0 or lam(hi) > 1.0:  # no crossing inside the window
-            s_lo = _predict(engine, a, b, 0.0, eps)
-            if lam(a) <= 1.0:
-                s_lo = 0.0  # not even the floor lies below the dimension
-            elif lam(b) > 1.0:
-                raise _straddle_missed(b)
-        s_hi = s_lo
-        rung = Rung(geometry, engine.warm, (s_lo,),
-                    _slope(engine, s_lo, rung.sigma if rung else 0.0))
-    engine.audit_monotonicity()
+        rung, _ = climb(engine, window, rung.sigma if rung else 0.0,
+                        max(tol, 4.0 * math.ulp(window[1])))
+        s_lo = s_hi = rung.crossings[0]
+        if s_lo == a and engine.probe(a)["lam"] <= 1.0:
+            s_lo = s_hi = 0.0  # not even the floor lies below the dimension
+        elif s_lo == b and engine.probe(b)["lam"] > 1.0:
+            raise _straddle_missed(b)
     return DimensionBracket(
         s_lo=s_lo, s_hi=s_hi, mode=config.mode, h=1.0 / J, n=config.n, d=d,
         alphabet=alphabet.describe(), err=err,

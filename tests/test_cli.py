@@ -494,7 +494,8 @@ NUMBERS = {"--s-cap": st.floats(0.0, 2.5, exclude_min=True),
 # values outside each setting's domain, as the command line spells them
 ODD = {"--alphabet": st.sampled_from(["0", "-1", "3..2", "1,(1,0)", "(0,1)",
                                       "primes<2", "1..", "()"]),
-       "--h": st.sampled_from(["1/0", "-1/50", "nan", "inf", "0", "1/0.5"]),
+       "--h": st.sampled_from(["1/0", "-1/50", "nan", "inf", "0", "1/0.5",
+                                "5e-324"]),
        "--degree": st.sampled_from(["0", "3"]),
        **dict.fromkeys(NUMBERS, st.sampled_from(
            ["nan", "inf", "-inf", "0", "-0", "-1", "-0.5", "1"]))}

@@ -148,12 +148,14 @@ class TestResolveMesh:
         with pytest.raises(ValueError):
             SolveConfig(A12, h=1 / 10, mesh="cells").resolve_mesh()
 
-    @pytest.mark.parametrize("h", [0, -3])
+    @pytest.mark.parametrize("h", [0, -3, 5e-324])
     def test_no_subintervals(self, h):
-        # a mesh width that is not positive is refused before 1 / h
-        with pytest.raises(ValueError, match="is not positive"):
+        # a mesh width that is not positive, or whose reciprocal overflows,
+        # is refused before round(1 / h)
+        message = "is not positive" if h <= 0 else "no finite reciprocal"
+        with pytest.raises(ValueError, match=message):
             SolveConfig(A12, h=h).resolve_mesh()
-        with pytest.raises(ValueError, match="is not positive"):
+        with pytest.raises(ValueError, match=message):
             solve_dimension(SolveConfig(A12, h=h))
 
 
@@ -493,18 +495,33 @@ class TestEarlyDecision:
     @pytest.mark.parametrize("alphabet, J", [
         (A12, 64), (make_alphabet_1d(range(1, 35)), 100), (A12, 128)],
         ids=["12-J64", "1..34-J100", "12-J128"])
-    def test_point_estimate_climbs_the_ladder(self, alphabet, J, meshes):
+    def test_point_estimate_climbs_the_ladder(self, alphabet, J, meshes,
+                                              monkeypatch):
         # above the seed mesh a point estimate climbs the certified ladder:
         # the seed crossing of log lam = 0, J // 4 where that is finer, and
         # one Newton step onto the fine mesh, whose window regula falsi
         # finishes (55 decided probes bisected [S_FLOOR, 1]), every probe
-        # converged.  It ends where a bisection over converged probes from
-        # the estimate ends, within the few ulp the warm start moves a
-        # converged lam near 1
+        # converged.  Each mesh runs one search (_crossings), the only
+        # caller of _predict.  It ends where a bisection over converged
+        # probes from the estimate ends, within the few ulp the warm start
+        # moves a converged lam near 1
+        searched, crossings, predict = [], solver._crossings, solver._predict
+
+        def spy(engine, *args):
+            searched.append(round(1.0 / engine.cache.geometry.h))
+            return crossings(engine, *args)
+
+        def predicted(*args):
+            assert sys._getframe(1).f_code is crossings.__code__
+            return predict(*args)
+
+        monkeypatch.setattr(solver, "_crossings", spy)
+        monkeypatch.setattr(solver, "_predict", predicted)
         b = solver.solve_dimension(SolveConfig(alphabet, h=1 / J,
                                                mode="point-estimate"))
         ladder = [solver.COARSE_J] + [J // 4] * (J // 4 > solver.COARSE_J)
         assert meshes == [("solve", J)] + [("build", k) for k in ladder + [J]]
+        assert searched == ladder + [J]
         assert b.search["J_s"] == solver.COARSE_J
         seed = b.search["seed_lo"]
         assert b.search["s_hat"] == seed == b.search["seed_hi"]
@@ -641,9 +658,10 @@ class TestBisectionEdges:
         if not capped:  # s_hat on the ceiling, so the given cap stays
             crossings = solver._crossings
 
-            def at_ceiling(engine, levels, a, b, eps):
-                found, iterates = crossings(engine, levels, a, b, eps)
-                return ((b,) if levels == (0.0,) else found), iterates
+            def at_ceiling(engine, levels, a, b, eps, window=None):
+                found, iterates = crossings(engine, levels, a, b, eps, window)
+                cap = levels == (0.0,) and eps == 1e-6  # _setup's search
+                return ((b,) if cap else found), iterates
 
             monkeypatch.setattr(solver, "_crossings", at_ceiling)
         alphabet = parse_alphabet(spec)
@@ -1037,8 +1055,8 @@ class TestSearch:
         good = solve_dimension(cfg)
         crossings = solver._crossings
 
-        def wrong_seed(engine, levels, a, b, eps):
-            found, iterates = crossings(engine, levels, a, b, eps)
+        def wrong_seed(engine, levels, a, b, eps, window=None):
+            found, iterates = crossings(engine, levels, a, b, eps, window)
             if (round(1.0 / engine.cache.geometry.h) == solver.COARSE_J
                     and levels != (0.0,)):  # not s_hat, which sets the cap
                 found = {"floor": (a, a), "cap": (b, b),
@@ -1363,16 +1381,26 @@ class TestConvergenceStudy:
         return Rung(geometry, np.ones(math.prod(geometry.sample_shape)),
                     (s,), sigma)
 
-    def test_window_that_misses(self):
-        # a rung at 0.6 whose slope is far too steep: the Newton step
-        # barely moves it, so both ends of the window answer lam < 1 and
-        # _predict returns its lower end; the estimate then runs _predict
-        # on all of [S_FLOOR, d] and ends at the midpoint of its 4-ulp
-        # regula-falsi bracket, as the unseeded solve does
-        cfg = SolveConfig(A12, h=1 / 64, mode="point-estimate")
-        unseeded = solve_dimension(cfg).s_lo
-        missed = solve_dimension(cfg, rung=self.rung(0.6, 1e12)).s_lo
-        assert abs(missed - unseeded) <= 4 * math.ulp(unseeded)
+    @pytest.mark.parametrize("J", [64, 1024, 4096])
+    def test_window_that_misses(self, J):
+        # a rung on the 64-mesh at 0.6 whose slope is far too steep: the
+        # Newton step barely moves it, so both ends of the next window
+        # answer lam < 1 and _predict returns its lower end; _crossings
+        # then runs _predict on all of [S_FLOOR, d].  On the fine mesh
+        # (J = 64) the estimate ends at the midpoint of its 4-ulp
+        # regula-falsi bracket, as the unseeded solve does.  On the J // 4
+        # mesh the fallback finds its true crossing, so the fine mesh takes
+        # the unseeded solve's 4 probes and ends where it does (12 probes
+        # and 1 ulp off when that rung kept the window's edge)
+        cfg = SolveConfig(A12, h=1 / J, mode="point-estimate")
+        unseeded = solve_dimension(cfg)
+        missed = solve_dimension(cfg, rung=self.rung(0.6, 1e12))
+        if J == 64:
+            assert abs(missed.s_lo - unseeded.s_lo) <= \
+                4 * math.ulp(unseeded.s_lo)
+        else:
+            assert missed.s_lo == unseeded.s_lo
+            assert len(missed.probes) == len(unseeded.probes) == 4
 
     def test_study_probe_budget(self):
         # {1..10} over 25, 50 and 100 nodes: 13 probes on the 24-mesh, no
