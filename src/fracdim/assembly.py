@@ -52,8 +52,9 @@ build:
   columns (the images 1/(p + x) of the large primes all lie near 0): at
   h = 1/3000 the 1,290 entries of a point of primes<3000 fall on at most
   99 distinct columns.  The build labels each entry with its column's slot
-  among its point's distinct columns (_Slots, while it writes the block)
-  and keeps the slots' columns Mind and the points' row pointers.  A probe
+  among its point's distinct columns, a closed form in the point's first
+  columns (_Slots, while it writes the block), and keeps the slots' columns
+  Mind and the points' row pointers.  A probe
   sums each slot's weighted entries, in ascending letter order, into one
   merged value (scipy's csc_matvec over Gs, the weights formed a block at
   a time), and a product is one csr_matvec over the merged rows.  A row
@@ -65,7 +66,9 @@ kept |E|, so the merged values never take more memory than the weights
 they come from.  primes<3000 merges on every mesh of a solve, and 1..100
 on the meshes of table5 up to J = 799; {1, 2} (a point's one window
 already outnumbers its two letters), 1..100 from J = 1599 and every 2D mesh
-stay stacked.
+stay stacked.  The first block's own count guesses the form and every block
+counts its slots exactly, so a wrong guess costs one build in the other
+form, never more.
 
 Every term of a row is the product of a base value, a weight and a
 coefficient (two roundings), so its forward error is bounded by the chain
@@ -349,24 +352,21 @@ class _Slots:
     Letter e maps x to 1/(e + x), which falls as e rises, so with the
     letters sorted each point's first columns do not increase with the
     letter, f_0 >= f_1 >= ... (starts checks this), and its distinct
-    columns, ascending, are its slots.  The windows f_j .. f_j + K - 1
-    cover f_last .. f_0 + K - 1 but for the columns that a gap
-    f_{j-1} - f_j over K leaves between two windows; H_j of them lie above
-    f_j, so it takes slot D - (f_0 + K - f_j - H_j) of the point's D =
-    f_0 + K - f_last - H_last.  Such gaps part the first letters, whose
-    images lie far apart: H is summed up to window h, the last one below
-    such a gap in the block, and is H_h below it.  A label adds ptr[i], the
-    point's first slot, and Mind[label] is its column.
+    columns, ascending, are its slots.  Window j, f_j .. f_j + K - 1, adds
+    n_j = min(f_{j-1} - f_j, K) columns below all earlier ones (n_0 = K)
+    and leaves none out above f_j, so column f_j + r takes slot S_j + r,
+    S_j = D - (n_0 + ... + n_j) of the point's D = n_0 + n_1 + ... slots.
+    A label adds ptr[i], the point's first slot.  Mind[label], its column,
+    is label + f_j - S_j - ptr[i] along window j's n_j new columns, an
+    offset that moves only at a gap f_{j-1} - f_j over K.  Such gaps part
+    the first letters, whose images lie far apart: past the block's last
+    one, at window h, n_j = f_{j-1} - f_j and the offset stays window h's.
 
-    The rule: a cache merges exactly when its slots number at most
-    kept |E| (fits), so the merged values never outgrow the weights they
-    come from.  `label` says whether the build writes labels (else
-    columns); None lets the first block's own count decide.  Counting stops
-    once the rule fails.  While the build writes columns it counts only
-    the slots of each point's first `prefix` windows, a lower bound (the
-    fewest windows whose slots outnumber the first block's letters by a
-    tenth): where that does not show the rule to fail, the build runs
-    again, labelling."""
+    The rule: a cache merges exactly when its slots, m K + sum n_j per
+    block of m points, number at most kept |E| (fits), so the merged values
+    never outgrow the weights they come from.  `label` says whether the
+    build writes labels (else columns); None lets the first block's own
+    count decide.  Counting stops once the rule fails."""
 
     def __init__(self, kept: int, letters: int, K: int, idx: type,
                  label: bool | None):
@@ -382,58 +382,40 @@ class _Slots:
         if not self.fits:
             return first
         (m, E), K = first.shape, self.K
-        if self.label is False:
-            # the slots of a point's first windows are fewer than its own
-            # and suffice to show that the rule fails
-            gap = np.subtract(first[:, :self.prefix - 1],
-                              first[:, 1:self.prefix])
-            self.total += m * K + int(np.minimum(gap, K, out=gap).sum())
-            self.fits = self.total <= self.budget
-            return first
         gap = np.subtract(first[:, :-1], first[:, 1:])
-        self.fits = bool(gap.min() >= 0)
-        wide = np.flatnonzero(gap.max(axis=0) > K)
-        h = int(wide[-1]) + 1 if len(wide) else 0  # no hole from gap h on
-        holes = np.maximum(gap[:, :h] - K, 0)
-        top = first[:, 0] + K - holes.sum(axis=1, dtype=first.dtype)
-        D = top - first[:, -1]
-        count = int(D.sum())
+        n = np.minimum(gap, K)  # n_j at j - 1
+        count, lo = m * K + int(n.sum()), self.total
+        self.total += count
+        self.fits = bool(gap.min() >= 0) and self.total <= self.budget
         if self.label is None:
             self.label = count <= m * E
-        if not self.label:
-            # the fewest first windows with a tenth more slots than letters
-            part = m * K + np.cumsum(np.minimum(gap, K).sum(axis=0))
-            self.prefix = min(E, int(np.searchsorted(part, 1.1 * m * E)) + 2)
-        lo = self.total
-        self.total += count
-        self.fits = self.fits and self.total <= self.budget
         if not (self.label and self.fits):
             return first
         if self.Mind is None:
             self.Mind = np.empty(self.budget, dtype=first.dtype)
-        i = self.points
-        ptr = self.ptr[i:i + m + 1]
+        # the raw gaps: a gap of K keeps the offset, min(gap, K) hides that
+        wide = np.flatnonzero(gap.max(axis=0) > K)
+        h = int(wide[-1]) + 1 if len(wide) else 0
+        lead = np.empty((m, h + 1), dtype=first.dtype)  # n_0 .. n_h
+        lead[:, 0] = K
+        lead[:, 1:] = n[:, :h]
+        cum = np.cumsum(lead, axis=1, dtype=first.dtype)  # D - S_j, j <= h
+        D = cum[:, -1] + first[:, h] - first[:, -1]
+        ptr = self.ptr[self.points:self.points + m + 1]
+        self.points += m
         np.cumsum(D, out=ptr[1:])
         ptr[1:] += lo
-        shift = ptr[1:] - top
-        H = np.zeros((m, h + 1), dtype=first.dtype)
-        np.cumsum(holes, axis=1, out=H[:, 1:])
-        T = np.add(first, shift[:, None])
-        T[:, :h + 1] -= H[:, -1:] - H
-        # Mind in runs of consecutive columns, slot - shift + c: the slots
-        # below window h's own, then windows h .. 0, each the L_j lowest of
-        # its columns (L_0 = K) at c = H_h - H_j
-        L = np.empty((m, h + 2), dtype=first.dtype)
-        L[:, -1] = K
-        np.minimum(gap[:, :h][:, ::-1], K, out=L[:, 1:-1])
-        L[:, 0] = D - L[:, 1:].sum(axis=1)
-        c = np.zeros_like(L)
-        np.subtract(H[:, -1:], H[:, ::-1], out=c[:, 1:])
-        c -= shift[:, None]
+        top = np.subtract(ptr[1:, None], cum)  # labels of windows 0 .. h
+        shift = first[:, :h + 1] - top  # Mind[label] - label, window j
+        labels = np.subtract(first, shift[:, -1:])
+        labels[:, :h] = top[:, :h]
+        # Mind in runs of consecutive columns, windows h (and after) .. 0
+        runs = lead[:, ::-1].copy()
+        runs[:, 0] += D - cum[:, -1]
         np.add(np.arange(lo, self.total, dtype=first.dtype),
-               np.repeat(c.ravel(), L.ravel()), out=self.Mind[lo:self.total])
-        self.points += m
-        return T
+               np.repeat(shift[:, ::-1].ravel(), runs.ravel()),
+               out=self.Mind[lo:self.total])
+        return labels
 
 
 class OperatorCache:
@@ -447,7 +429,8 @@ class OperatorCache:
     then take only vectors symmetric in y; `symmetric` makes one.  A 1D
     cache whose slots fit the rule (_Slots) is merged: Gs then holds slot
     labels where it held columns, and `_merged` the slots' columns Mind and
-    the points' row pointers.
+    the points' row pointers.  The build runs at most twice: once more, in
+    the other form, where its first block guessed wrong.
     """
 
     def __init__(self, alphabet: Alphabet, geometry: TensorGrid):
@@ -471,7 +454,8 @@ class OperatorCache:
         """Gs and lg of the kept points, in blocks of about BLOCK_ROWS
         (point, letter) rows that cover every letter of their points.  A
         1D point holds at least K slots, so only K <= |E| may merge; the
-        first block guesses the form, and a wrong guess builds again."""
+        first block guesses the form, and a wrong guess, shown by the exact
+        count, builds once more in the other form."""
         E, width = len(self.alphabet.letters), self.n + 1
         K = width ** self.geometry.d
         kept, r0 = self.kept, self.N - self.kept

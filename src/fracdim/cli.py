@@ -19,8 +19,8 @@ from .assembly import PaddedRangeError
 from .maps import parse_alphabet
 from .solver import (CertificationError, InadmissibleMeshError,
                      MonotonicityError, OversizedMeshError, SolveConfig,
-                     check_spec_size, convergence_study, mesh_intervals,
-                     solve_dimension)
+                     check_spec_size, convergence_study, mebibytes,
+                     mesh_intervals, solve_dimension)
 from .spectral import PositivityError
 
 EXIT_OK = 0
@@ -355,7 +355,7 @@ def run(argv) -> int:
     except OversizedMeshError as exc:
         print(f"mesh too large: {exc}", file=sys.stderr)
         for k, v in exc.breakdown.items():
-            print(f"  {k:>12}: {v / 2**20:.1f} MiB", file=sys.stderr)
+            print(f"  {k:>12}: {mebibytes(v)} MiB", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except PaddedRangeError as exc:
         print(f"mesh too coarse: {exc}", file=sys.stderr)

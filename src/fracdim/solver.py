@@ -20,6 +20,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -64,14 +65,20 @@ class InadmissibleMeshError(RuntimeError):
                          f"{breakdown['overall']:.6g} ({msg})")
 
 
+def mebibytes(size: int) -> str:
+    """size bytes in MiB to six digits, as a float shows them, and past the
+    float range, where size / 2**20 overflows, as a Decimal."""
+    return f"{size / 2**20 if size < 2**1000 else Decimal(size) / 2**20:.6g}"
+
+
 class OversizedMeshError(RuntimeError):
     """The operator of a mesh needs more memory than is available."""
 
     def __init__(self, h: float, footprint: dict[str, int], available: int):
         self.breakdown = footprint
         super().__init__(f"h = {h:.6g} needs about "
-                         f"{footprint['total'] / 2**20:.0f} MiB for its "
-                         f"operator, more than the {available / 2**20:.0f} "
+                         f"{mebibytes(footprint['total'])} MiB for its "
+                         f"operator, more than the {mebibytes(available)} "
                          "MiB available")
 
 

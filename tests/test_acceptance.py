@@ -251,6 +251,19 @@ class TestCriterion4TwoDimensional:
                                         alpha=0.2, beta=0.2))
         assert b.s_lo <= value <= b.s_hi
 
+    def test_mirror_and_estimate_agree(self):
+        # relations that need no oracle: the unfolded (1,0),(2,1) and its
+        # mirror e2 -> -e2 have one dimension, so their certified brackets
+        # intersect; and on one mesh lambda_lo <= lambda <= lambda_hi, so
+        # the point estimate lies in the bracket
+        letters = [(1, 0), (2, 1)]
+        b, m = (solve_dimension(SolveConfig(make_alphabet_2d(L), h=1 / 300,
+                                            alpha=0.2, beta=0.2))
+                for L in (letters, [(e1, -e2) for e1, e2 in letters]))
+        assert max(b.s_lo, m.s_lo) <= min(b.s_hi, m.s_hi)
+        s = point_estimate(make_alphabet_2d(letters), 1 / 300)
+        assert b.s_lo <= s <= b.s_hi
+
 
 class TestCriterion5NineLetterAnomaly:
     """The 9-letter 2D set's published 1/50 row sits ~2.5e-5 above the

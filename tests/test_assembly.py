@@ -346,6 +346,20 @@ def stacked_columns(cache) -> np.ndarray:
     return cols.reshape(cache.kept, -1)
 
 
+def build_passes(alphabet, grid):
+    """An OperatorCache and the passes its build made over the blocks:
+    one per slot counter (None when stacked) that _block took in turn."""
+    block, taken = OperatorCache._block, []
+
+    def spy(self, img, cols, base, slots=None):
+        taken.append(slots)
+        block(self, img, cols, base, slots)
+
+    with mock.patch.object(OperatorCache, "_block", spy):
+        cache = OperatorCache(alphabet, grid)
+    return cache, 1 + sum(a is not b for a, b in zip(taken, taken[1:]))
+
+
 def written_merged(cache, s: float) -> np.ndarray:
     """The merged values written the direct way: the stacked entries times
     their letter weights exp(s lg), formed as the cache forms them, summed
@@ -381,20 +395,51 @@ class TestMergedRows:
             assert (slots <= cache.kept * len(alphabet.letters)) == merged
 
     @staticmethod
-    def check_slots(cache):
-        """Each point's row holds its distinct columns, ascending, and each
-        entry's label is its column's slot there, counted by np.unique over
-        (point, column) keys."""
-        P, (Mind, ptr) = cache._Gs, cache._merged
-        width = cache.Ncoef + 1
-        keys = (np.arange(cache.kept)[:, None] * width
-                + stacked_columns(cache)).ravel()
+    def slot_oracle(cols):
+        """Of the columns cols (points, entries): each point's distinct
+        columns, ascending (Mind), its first slot (ptr) and each entry's
+        label, its column's slot there, counted by np.unique over (point,
+        column) keys."""
+        width = int(cols.max()) + 1
+        keys = (np.arange(len(cols))[:, None] * width + cols).ravel()
         distinct = np.unique(keys)
-        assert np.array_equal(Mind, distinct % width)
-        assert np.array_equal(ptr, np.searchsorted(
-            distinct, np.arange(cache.kept + 1) * width))
-        assert np.array_equal(P.indices, np.searchsorted(distinct, keys))
-        assert P.shape == (len(keys) // (cache.n + 1), len(Mind))
+        return (distinct % width,
+                np.searchsorted(distinct, np.arange(len(cols) + 1) * width),
+                np.searchsorted(distinct, keys))
+
+    @classmethod
+    def check_slots(cls, cache):
+        """Each point's row holds its distinct columns, ascending, and each
+        entry's label is its column's slot there (slot_oracle)."""
+        P, (Mind, ptr) = cache._Gs, cache._merged
+        want = cls.slot_oracle(stacked_columns(cache))
+        for got, oracle in zip((Mind, ptr, P.indices), want):
+            assert np.array_equal(got, oracle)
+        assert P.shape == (len(P.indices) // (cache.n + 1), len(Mind))
+
+    def test_hand_built_block(self):
+        # gaps 0, K - 1, K and K + 1 between a point's first columns, in
+        # both orders: only a gap over K leaves columns out, and Mind runs
+        # over the windows after the block's last such gap.  A point whose
+        # first columns rise (letters out of order) fails the rule, and
+        # the block keeps its columns
+        K, E = 3, 11
+        gaps = np.array([[0, 0, 0, 0, 2, 0, 3, 0, 4, 0],
+                         [4, 0, 3, 0, 2, 0, 0, 0, 0, 0]])
+        first = 40 - np.cumsum(np.insert(gaps, 0, 0, axis=1), axis=1,
+                               dtype=np.int32)
+        slots = assembly._Slots(2, E, K, np.int32, None)
+        labels = slots.starts(first)
+        Mind, ptr, want = self.slot_oracle(
+            (first[..., None] + np.arange(K)).reshape(2, -1))
+        assert slots.label and slots.fits and slots.total == len(Mind) == 22
+        assert np.array_equal(slots.Mind[:slots.total], Mind)
+        assert np.array_equal(slots.ptr, ptr)
+        assert np.array_equal((labels[..., None] + np.arange(K)).ravel(),
+                              want)
+        first[1, 2:4] = first[1, 3:1:-1]
+        slots = assembly._Slots(2, E, K, np.int32, True)
+        assert slots.starts(first) is first and not slots.fits
 
     def test_slots(self):
         # no slot takes more than |E| entries (one per letter)
@@ -410,11 +455,13 @@ class TestMergedRows:
            block=st.integers(1, 4000))
     def test_drawn_alphabets(self, letters, J, n, block):
         # drawn sorted letters, meshes and build blocks: the rule holds,
-        # a merged cache's slots are right, and the blocks change no bit
+        # a merged cache's slots are right, the blocks change no bit, and
+        # no build runs more than twice
         alphabet, grid = make_alphabet_1d(letters), make_geometry(1, J, n)
-        want = OperatorCache(alphabet, grid)
+        want, passes = build_passes(alphabet, grid)
         with mock.patch.object(assembly, "BLOCK_ROWS", block):
-            got = OperatorCache(alphabet, grid)
+            got, more = build_passes(alphabet, grid)
+        assert max(passes, more) <= 2
         cols = np.sort(stacked_columns(want), axis=1)
         slots = want.kept + int((np.diff(cols, axis=1) != 0).sum())
         merged = slots <= want.kept * len(letters)
@@ -484,40 +531,38 @@ class TestMergedRows:
         # one point per block: 1..10 at J = 12 has 11 slots at its first
         # point, more than |E| = 10, but 160 in all, within kept |E| = 180.
         # The first block guesses the stacked form, and the build runs
-        # again merged, to the structure one block builds
+        # once more, merged, to the structure one block builds
         want = merged_cache("1..10", 12)
         monkeypatch.setattr(assembly, "BLOCK_ROWS", 1)
-        got = merged_cache("1..10", 12)
+        got, passes = build_passes(parse_alphabet("1..10"),
+                                   make_geometry(1, 12, 2))
+        assert passes == 2 and got._merged is not None
         for a, b in [(got._Gs.data, want._Gs.data),
                      (got._Gs.indices, want._Gs.indices),
                      (got._merged[0], want._merged[0]),
                      (got._merged[1], want._merged[1]), (got._lg, want._lg)]:
             assert a.tobytes() == b.tobytes()
 
-    def test_unproved_bound_builds_twice_more(self):
-        # where the first windows' slots do not show the rule to fail, the
-        # build runs again labelling, and once more writing columns when
-        # the exact count fails it; forced here by counting one window per
-        # point on a mesh that stays stacked
+    def test_overflowing_guess_builds_again(self, monkeypatch):
+        # 1..100 at J = 1599 stays stacked; forced to guess merged, the
+        # build stops where the slots outgrow kept |E| and runs once more,
+        # to the stacked structure bit for bit
         alphabet, grid = parse_alphabet("1..100"), make_geometry(1, 1599, 2)
         want = OperatorCache(alphabet, grid)
-        starts, passes = assembly._Slots.starts, []
+        init = assembly._Slots.__init__
 
-        def one_window(slots, first):
-            out = starts(slots, first)
-            if slots.label is False:
-                slots.prefix = 1
-            if slots not in passes:
-                passes.append(slots)
-            return out
+        def labelling(self, kept, letters, K, idx, label):
+            init(self, kept, letters, K, idx, True if label is None else label)
 
-        with mock.patch.object(assembly._Slots, "starts", one_window):
-            got = OperatorCache(alphabet, grid)
-        assert [p.label for p in passes] == [False, True]
+        monkeypatch.setattr(assembly._Slots, "__init__", labelling)
+        got, passes = build_passes(alphabet, grid)
+        assert passes == 2
         assert want._merged is None and got._merged is None
         for a, b in [(got._Gs.data, want._Gs.data), (got._lg, want._lg),
-                     (got._Gs.indices, want._Gs.indices)]:
+                     (got._Gs.indices, want._Gs.indices),
+                     (got._Gs.indptr, want._Gs.indptr)]:
             assert a.tobytes() == b.tobytes()
+        assert got._Gs.shape == want._Gs.shape
 
     def test_unsorted_letters_stay_stacked(self):
         # the labels rest on first columns that do not rise with the

@@ -130,6 +130,20 @@ class TestEstimate:
             EXIT_INADMISSIBLE
         assert "inadmissible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphabet, h", [("(1,0),(2,0)", "1e-200"),
+                                             ("1,2", "1e-308")])
+    def test_oversized_mesh_refused_briefly(self, alphabet, h, monkeypatch,
+                                            capsys):
+        # footprints past the float range are refused (exit 2) in short
+        # figures: the 2D one raised OverflowError, the 1D one printed
+        # each size in 300 digits
+        monkeypatch.setattr(solver, "_mem_available", lambda: 2**30)
+        assert run(["estimate", "--alphabet", alphabet, "--h", h]) == \
+            EXIT_INADMISSIBLE
+        err = capsys.readouterr().err
+        assert "mesh too large" in err and "1024 MiB available" in err
+        assert all(len(line) < 200 for line in err.splitlines())
+
     @pytest.mark.parametrize("argv", [
         ["estimate", "--alphabet", "(2,0),(3,0)", "--h", "1/1", "--unsafe-h"],
         ["converge", "--alphabet", "(2..3,0..0)", "--h-list", "1/1",

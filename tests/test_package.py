@@ -70,3 +70,28 @@ def test_a_solve_imports_no_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_definition_is_used():
+    # every module-level function or class and every method but a dunder
+    # is named somewhere in the package outside its own definition: code
+    # that nothing calls is code to delete (an import is not a use)
+    defs, uses = [], []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(path, item) for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and not item.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses.append((getattr(node, "id", None) or node.attr, path,
+                             node.lineno))
+    unused = [f"{path.name}:{node.name}" for path, node in defs
+              if not any(name == node.name and not (
+                  where == path and node.lineno <= line <= node.end_lineno)
+                  for name, where, line in uses)]
+    assert unused == []

@@ -731,7 +731,7 @@ class TestFootprint:
         err = capsys.readouterr().err
         assert "mesh too large" in err and "1024 MiB available" in err
         for part in fp:
-            assert f"{part:>12}: {fp[part] / 2**20:.1f} MiB" in err
+            assert f"{part:>12}: {fp[part] / 2**20:.6g} MiB" in err
 
     @pytest.mark.parametrize("spec", ["primes<50", "(1,0),(1,1),(1,-1),(2,0)",
                                       "(1,0),(1,1),(2,0)"],
