@@ -88,6 +88,21 @@ kept row's value, which is within the rounding bound of its exact value.
 Every vector stays full length, and any other alphabet keeps all rows
 through the same code.
 
+A pass that runs in blocks of whole points deals its blocks to one thread
+per core this process may use (_on_cores, os.sched_getaffinity), at most
+one per block, the caller's thread among them: a stacked product (each
+thread with its own slice of the cache's buffer, the mirror copy after the
+join), the taps of W1 on the last axis of an array of at least one product
+block, a merged probe (point i writes only its slots ptr_i .. ptr_i+1 - 1)
+and a build with no slot count (2D, or 1D with K > |E|; a labelled build
+keeps running totals and stays on one thread).  scipy's kernels and
+numpy's large loops release the interpreter lock, and each block runs the
+same kernel calls on the same operands as on one thread, so every value is
+bit for bit the serial one; a pass of one block starts no thread, so a
+solve's seed mesh starts none.  One core does not saturate the
+memory bandwidth: on certify-2d's fine mesh (J = 500) two threads took a
+product from 11.9 to 8.3 ms on a 2-core host (medians of 30).
+
 Gs and each W1 are CSR tuples in scipy's storage (a 2D Gs with one row of
 values per pass), and every product with one runs scipy's compiled kernels
 (csr_matvec, csr_matvecs, and csc_matvec for a merged probe), which this
@@ -105,6 +120,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -119,6 +135,8 @@ Array = np.ndarray
 BLOCK_ROWS = 2 ** 14
 # (point, letter) rows per block of a product
 PRODUCT_ROWS = 2 ** 16
+# threads a pass over blocks may run on: the cores this process may use
+CORES = len(os.sched_getaffinity(0))
 
 
 class PaddedRangeError(ValueError):
@@ -193,8 +211,52 @@ def kept_points(alphabet: Alphabet, shape: tuple[int, ...],
 def product_points(letters: int, kept: int) -> int:
     """Points per block of a product: whole points, of at most PRODUCT_ROWS
     (point, letter) rows unless one point has more letters, and at most the
-    kept points."""
-    return min(kept, max(1, PRODUCT_ROWS // letters))
+    kept points; where those make more than one block, a share of one per
+    core, so that the blocks of all threads (lanes) hold no more."""
+    step = min(kept, max(1, PRODUCT_ROWS // letters))
+    return step if step == kept else -(-step // CORES)
+
+
+def blocks_of(total: int, step: int) -> list[tuple[int, int]]:
+    """The [lo, hi) blocks of `step` items, the last one shorter, that
+    cover range(total)."""
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def lanes(blocks: int) -> int:
+    """Threads a pass over this many blocks runs on (_on_cores): one per
+    core, at most one per block."""
+    return max(1, min(CORES, blocks))
+
+
+def _on_cores(work, parts: list) -> None:
+    """work(part, t) for every part in parts, on T = lanes(len(parts))
+    threads, the caller's among them: thread t runs parts t, t + T, ... in
+    turn, and a single part runs on the caller's thread alone.  Every
+    thread is joined before this returns.  Where parts raised, the
+    exception of the lowest-numbered one is raised again, the one a serial
+    loop raises: the thread of that part ran its earlier ones without."""
+    T = lanes(len(parts))
+    failed = {}
+
+    def lane(t):
+        for k in range(t, len(parts), T):
+            try:
+                work(parts[k], t)
+            except Exception as exc:
+                failed[k] = exc
+                return
+
+    threads = [threading.Thread(target=lane, args=(t,)) for t in range(1, T)]
+    for thread in threads:
+        thread.start()
+    try:
+        lane(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 def operator_footprint(alphabet: Alphabet, shape: tuple[int, ...],
@@ -212,19 +274,22 @@ def rows_footprint(shape: tuple[int, ...], n: int, letters: int,
     OperatorCache's stacked Gs (K values, n+1 columns or slots and a row
     pointer per row, in the index dtype of its last row pointer) and lg, a
     probe's weights or merged values (at most kept |E| doubles) and one
-    product block (product_points |E| doubles), six sample vectors of the
-    power iteration, and one block of the build (at most 2K + 4(n+1)
-    doubles per row); on a 1D mesh that may merge (K <= |E|) also the
-    merged rows' columns, at most kept |E|, and row pointers."""
+    product block (product_points |E| doubles) per thread of a product,
+    six sample vectors of the power iteration, and one block of the build
+    (at most 2K + 4(n+1) doubles per row) per thread of the build (lanes);
+    on a 1D mesh that may merge (K <= |E|) also the merged rows' columns,
+    at most kept |E|, and row pointers."""
     N = math.prod(shape)
     rows = kept * letters
     K = (n + 1) ** len(shape)
     idx = np.dtype(index_dtype(rows * (n + 1))).itemsize
+    step, build = product_points(letters, kept), max(1, BLOCK_ROWS // letters)
     parts = {"Gs": rows * K * 8 + rows * (n + 1) * idx + (rows + 1) * idx,
              "lg": 8 * rows,
-             "probe": 8 * rows + 8 * letters * product_points(letters, kept),
+             "probe": 8 * rows + 8 * letters * step * lanes(-(-kept // step)),
              "vectors": 48 * N,
-             "block": 8 * BLOCK_ROWS * (2 * K + 4 * (n + 1))}
+             "block": 8 * BLOCK_ROWS * (2 * K + 4 * (n + 1))
+             * lanes(-(-kept // build))}
     if len(shape) == 1 and K <= letters:
         parts["merged"] = (rows + kept + 1) * idx
     return {**parts, "total": sum(parts.values())}
@@ -244,16 +309,24 @@ def coefficient_map(ks: KnotSequence) -> CSR:
 def coefficients_along(W1: CSR, u: Array, a: int) -> Array:
     """W1 (a coefficient_map) along array axis a of u, 0 or the last:
     csr_apply on axis 0, else W1's taps on slices, w_0 u_0 + w_1 u_1 + ...,
-    which is W1's row sum bit for bit and needs no copy of a strided
-    view."""
+    which is W1's row sum bit for bit and needs no copy of a strided view;
+    an array of at least one product block (PRODUCT_ROWS values) deals its
+    leading rows to the cores (_on_cores)."""
     if a == 0:
         return csr_apply(W1, u)
     # row c holds the taps of row 0 shifted by c, in W1's storage order
     nc, row0 = W1.shape[0], slice(0, W1.indptr[1])
     (w, j), *rest = zip(W1.data[row0], W1.indices[row0])
-    c = w * u[..., j:j + nc]
-    for w, j in rest:
-        c += w * u[..., j:j + nc]
+    c = np.empty(u.shape[:-1] + (nc,))
+
+    def taps(span, t):
+        part, out = u[span[0]:span[1]], c[span[0]:span[1]]
+        np.multiply(w, part[..., j:j + nc], out=out)
+        for wk, jk in rest:
+            out += wk * part[..., jk:jk + nc]
+
+    T = lanes(min(len(u), u.size // PRODUCT_ROWS))
+    _on_cores(taps, blocks_of(len(u), -(-len(u) // T)))
     return c
 
 
@@ -264,19 +337,21 @@ class TransferOperator:
     the letter `weights` exp(s lg) sum into one row per point, or, with no
     `weights`, one merged row per point whose values already hold them
     (see OperatorCache).  A merged product is one csr_matvec over G.  A
-    stacked one runs over blocks of whole points (product_points) through
-    the cache's one `buffer`: zeroed, then one pass of scipy's compiled CSR
-    kernel csr_matvec (the one csr_apply and scipy's own `G @ c` call) per
-    row of G's values, the n+1 passes of a 2D G in turn, on views of that
-    row's values and of G's n+1 columns per stacked row at the block's
-    offset, with G's leading row pointers (every row holds n+1 columns, so
-    they fit every block); pass ry reads c from ry nsx on, the splines ry
-    rows further up in y.  Then the letter einsum sums the block into its
-    slice of the output.  csr_matvec starts each row's sum from its value
-    in the buffer, so the passes add the row's K terms in the order of one
-    pass over its K columns, and blocks take them in the order of the whole
-    G @ c, which no product forms: a product is bit for bit the unblocked
-    one over the plain K-column rows, and no block copies any part of G.
+    stacked one runs over blocks of whole points (product_points), dealt
+    to the cores (_on_cores), each through its thread's row of the cache's
+    `buffer`: zeroed, then one pass of scipy's compiled CSR kernel
+    csr_matvec (the one csr_apply and scipy's own `G @ c` call) per row of
+    G's values, the n+1 passes of a 2D G in turn, on views of that row's
+    values and of G's n+1 columns per stacked row at the block's offset,
+    with G's leading row pointers (every row holds n+1 columns, so they
+    fit every block); pass ry reads c from ry nsx on, the splines ry rows
+    further up in y.  Then the letter einsum sums the block into its slice
+    of the output, which no other block writes.  csr_matvec starts each
+    row's sum from its value in the buffer, so the passes add the row's K
+    terms in the order of one pass over its K columns, and blocks take
+    them in the order of the whole G @ c, which no product forms: a
+    product is bit for bit the unblocked one over the plain K-column rows,
+    and no block copies any part of G.
     Sample and coefficient vectors run with the first axis fastest.  When G
     covers fewer than all N points, it holds the kept tail of a folded
     cache (see kept_points): a product refuses a vector that is not exactly
@@ -324,13 +399,14 @@ class TransferOperator:
             return out
         out = np.empty(N)
         E = w.shape[1]
-        width, step = int(G.indptr[1]), len(self.buffer) // E
+        width, step = int(G.indptr[1]), self.buffer.shape[1] // E
         # one row of values per pass; pass ry shifts the columns ry nsx up
         passes = G.data.reshape(-1, len(G.indices))
         nsx = self.W1s[0].shape[0]
-        for lo in range(0, kept, step):
-            hi = min(lo + step, kept)
-            y = self.buffer[:(hi - lo) * E]
+
+        def block(span, t):
+            lo, hi = span
+            y = self.buffer[t, :(hi - lo) * E]
             y.fill(0.0)
             a, b = lo * E * width, hi * E * width  # the block's entries
             for ry, data in enumerate(passes):
@@ -340,6 +416,8 @@ class TransferOperator:
                                         c[ry * nsx:], y)
             np.einsum("ij,ij->i", y.reshape(hi - lo, E), w[lo:hi],
                       out=out[r0 + lo:r0 + hi])
+
+        _on_cores(block, blocks_of(kept, step))
         if r0:
             Y = out.reshape(self._grid)
             Y[:half] = Y[::-1][:half]
@@ -430,7 +508,8 @@ class OperatorCache:
     cache whose slots fit the rule (_Slots) is merged: Gs then holds slot
     labels where it held columns, and `_merged` the slots' columns Mind and
     the points' row pointers.  The build runs at most twice: once more, in
-    the other form, where its first block guessed wrong.
+    the other form, where its first block guessed wrong.  The product
+    buffer holds one product block per thread of a product (lanes).
     """
 
     def __init__(self, alphabet: Alphabet, geometry: TensorGrid):
@@ -448,14 +527,16 @@ class OperatorCache:
         self._W1s = tuple(coefficient_map(ax) for ax in self.axes)
         self._build_G_structure()
         E = len(alphabet.letters)
-        self._buffer = np.empty(product_points(E, self.kept) * E)
+        step = product_points(E, self.kept)
+        self._buffer = np.empty((lanes(-(-self.kept // step)), step * E))
 
     def _build_G_structure(self) -> None:
         """Gs and lg of the kept points, in blocks of about BLOCK_ROWS
         (point, letter) rows that cover every letter of their points.  A
         1D point holds at least K slots, so only K <= |E| may merge; the
         first block guesses the form, and a wrong guess, shown by the exact
-        count, builds once more in the other form."""
+        count, builds once more in the other form.  A build that counts no
+        slots deals its blocks to the cores (_on_cores)."""
         E, width = len(self.alphabet.letters), self.n + 1
         K = width ** self.geometry.d
         kept, r0 = self.kept, self.N - self.kept
@@ -466,25 +547,32 @@ class OperatorCache:
         base = np.empty((K // width, kept, E, width))
         lg = np.empty((kept, E))
         mids = [ks.midpoints for ks in self.axes]
-        step = max(1, BLOCK_ROWS // E)
+        spans = blocks_of(kept, max(1, BLOCK_ROWS // E))
+
+        def fill(span, slots):
+            lo, hi = span
+            # flat sample index -> midpoint per axis, first axis fastest
+            if len(mids) == 1:
+                p = mids[0][r0 + lo:r0 + hi, None]
+            else:
+                at = np.unravel_index(np.arange(r0 + lo, r0 + hi),
+                                      self.geometry.sample_shape)
+                p = np.stack([m[i] for m, i in zip(mids, at[::-1])], axis=-1)
+            img, _ = self.alphabet.maps(p, lg[lo:hi])
+            self._block(img, cols[lo:hi], base[:, lo:hi], slots)
+
         label = None if self.geometry.d == 1 and K <= E else False
         while True:
-            slots = None if label is False else _Slots(kept, E, K, idx, label)
-            for lo in range(0, kept, step):
-                hi = min(lo + step, kept)
-                # flat sample index -> midpoint per axis, first axis fastest
-                if len(mids) == 1:
-                    p = mids[0][r0 + lo:r0 + hi, None]
-                else:
-                    at = np.unravel_index(np.arange(r0 + lo, r0 + hi),
-                                          self.geometry.sample_shape)
-                    p = np.stack([m[i] for m, i in zip(mids, at[::-1])],
-                                 axis=-1)
-                img, _ = self.alphabet.maps(p, lg[lo:hi])
-                self._block(img, cols[lo:hi], base[:, lo:hi], slots)
-                if slots is not None and slots.label and not slots.fits:
+            if label is False:  # no running count: the blocks are apart
+                slots = None
+                _on_cores(lambda span, t: fill(span, None), spans)
+                break
+            slots = _Slots(kept, E, K, idx, label)
+            for span in spans:
+                fill(span, slots)
+                if slots.label and not slots.fits:
                     break
-            if slots is None or slots.label == slots.fits:
+            if slots.label == slots.fits:
                 break
             label = slots.fits
         merged = slots is not None and slots.fits
@@ -548,20 +636,24 @@ class OperatorCache:
         stacked entries times their weights, summed in ascending letter
         order by scipy's csc_matvec over Gs (its transpose's product with
         w), the weights formed a product block at a time in the cache's
-        buffer."""
+        buffer, one row of it per thread (_on_cores)."""
         if self._merged is None:
             w = np.multiply(self._lg, s)
             return np.exp(w, out=w)
         P, E = self._Gs, self._lg.shape[1]
-        K, step = int(P.indptr[1]), len(self._buffer) // E
+        K, step = int(P.indptr[1]), self._buffer.shape[1] // E
         values = np.zeros(P.shape[1])
-        for lo in range(0, self.kept, step):
-            hi = min(lo + step, self.kept)
-            w = self._buffer[:(hi - lo) * E]
+
+        def block(span, t):
+            # point i's entries fall on its own slots ptr_i .. ptr_i+1 - 1
+            lo, hi = span
+            w = self._buffer[t, :(hi - lo) * E]
             np.exp(np.multiply(self._lg[lo:hi].ravel(), s, out=w), out=w)
             a, b = lo * E * K, hi * E * K  # the block's entries
             _sparsetools.csc_matvec(P.shape[1], len(w), P.indptr[:len(w) + 1],
                                     P.indices[a:b], P.data[a:b], w, values)
+
+        _on_cores(block, blocks_of(self.kept, step))
         return values
 
     def matrix(self, s: float) -> TransferOperator:

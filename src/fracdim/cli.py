@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import shutil
 import sys
@@ -22,6 +23,11 @@ from .solver import (CertificationError, InadmissibleMeshError,
                      check_spec_size, convergence_study, mebibytes,
                      mesh_intervals, solve_dimension)
 from .spectral import PositivityError
+
+# what the imports made lives as long as the process: frozen, it is left
+# out of every later collection, which otherwise walks numpy's and scipy's
+# module objects wherever the allocation count happens to trigger one
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_USAGE = 1

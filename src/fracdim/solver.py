@@ -234,6 +234,13 @@ class ProbeEngine:
         self.records: dict[float, dict] = {}
         self.warm = start
 
+    def _take_warm(self) -> np.ndarray | None:
+        """The warm start, through cache.symmetric, handed over: the engine
+        lets go of it, so that power_iteration's copy is the one that
+        lives."""
+        warm, self.warm = self.warm, None
+        return None if warm is None else self.cache.symmetric(warm)
+
     def probe(self, s: float, tol: float | None = None) -> dict:
         s = float(s)
         if s in self.records:
@@ -241,9 +248,8 @@ class ProbeEngine:
         m = self.cache.matrix(s)
         checked = self.err > 0.0
         decide = checked and tol is None
-        start = None if self.warm is None else self.cache.symmetric(self.warm)
         res = power_iteration(m, tol=self.tol if tol is None else tol,
-                              start=start,
+                              start=self._take_warm(),
                               decide_err=self.err if decide else None)
         self.warm = res.w
         cone = cone_membership(res.w, self.cache.geometry, self.profile.M)

@@ -97,6 +97,7 @@ def power_iteration(m, tol: float = POWER_TOL, max_iter: int = 100_000,
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     w = np.ones(N) if start is None else np.asarray(start, dtype=np.float64).copy()
+    start = None  # a start handed over is freed here
     if np.any(w <= 0):
         raise PositivityError("start vector must be strictly positive")
     w /= w.max()

@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from fracdim.assembly import OperatorCache
@@ -21,8 +23,8 @@ from fracdim.constants import (bramble_hilbert_constant, err_coefficient_1d,
                                multivariate_error_constant)
 from fracdim.maps import make_alphabet_1d, make_alphabet_2d
 from fracdim.quasi import make_quasi_interpolant
-from fracdim.solver import (SolveConfig, convergence_study, make_geometry,
-                            solve_dimension)
+from fracdim.solver import (InadmissibleMeshError, SolveConfig,
+                            convergence_study, make_geometry, solve_dimension)
 from fracdim.spectral import cone_membership, power_iteration, spectral_bracket
 from oracles import (ConvergedProbes, chebyshev_dimension_2d,
                      eval_quasi_interpolant, full_matrix, local_basis)
@@ -263,6 +265,28 @@ class TestCriterion4TwoDimensional:
         assert max(b.s_lo, m.s_lo) <= min(b.s_hi, m.s_hi)
         s = point_estimate(make_alphabet_2d(letters), 1 / 300)
         assert b.s_lo <= s <= b.s_hi
+
+    @settings(max_examples=12, deadline=None)
+    @given(letters=st.lists(st.tuples(st.integers(1, 3), st.integers(-2, 2)),
+                            min_size=2, max_size=4, unique=True))
+    def test_drawn_brackets_intersect(self, letters):
+        # any two certified brackets of one limit set intersect: a drawn
+        # alphabet at its coarsest admissible J and at 2J (at most 600),
+        # and an unfolded one and its mirror e2 -> -e2 at that J, whose
+        # fine meshes deal their blocks to the cores
+        def bracket(L, J):
+            return solve_dimension(SolveConfig(make_alphabet_2d(L), h=1 / J,
+                                               alpha=0.2, beta=0.2))
+
+        with pytest.raises(InadmissibleMeshError) as coarse:
+            bracket(letters, 2)
+        J = math.ceil(1 / Fraction(coarse.value.breakdown["overall"]))
+        brackets = [bracket(letters, J), bracket(letters, min(2 * J, 600))]
+        mirror = [(e1, -e2) for e1, e2 in letters]
+        if set(mirror) != set(letters):
+            brackets.append(bracket(mirror, J))
+        assert (max(b.s_lo for b in brackets)
+                <= min(b.s_hi for b in brackets))
 
 
 class TestCriterion5NineLetterAnomaly:

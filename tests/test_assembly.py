@@ -1,5 +1,7 @@
 """Collocation assembly against a from-scratch oracle built on scipy splines."""
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -803,13 +805,16 @@ class TestBlockedProduct:
         if block == "one-point":
             monkeypatch.setattr(assembly, "PRODUCT_ROWS", 1)
         elif block == "ragged":
-            # blocks of 13 points: the last one is shorter
-            monkeypatch.setattr(assembly, "PRODUCT_ROWS", 13 * E + 1)
+            # blocks of 13 points, one block of rows split among the
+            # threads: the last one is shorter
+            monkeypatch.setattr(assembly, "PRODUCT_ROWS",
+                                13 * E * assembly.CORES + 1)
         cache = OperatorCache(alphabet, grid)
         assert cache._merged is None
         points = {"default": product_points(E, cache.kept), "one-point": 1,
                   "ragged": 13}[block]
-        assert cache._buffer.size == points * E
+        assert cache._buffer.shape == (
+            assembly.lanes(-(-cache.kept // points)), points * E)
         if block == "ragged":  # the last block is shorter
             assert cache.kept % 13 != 0
         elif block == "default":  # only 1d-n2 is wider than one block
@@ -933,3 +938,148 @@ class TestProductMemory:
         E = len(alphabet.letters)
         block = 8 * E * product_points(E, cache.kept)
         assert peak - retained <= block + 2 * 8 * cache.N
+
+
+CORE_COUNTS = (1, 2, 3)  # 3 deals the blocks unevenly
+
+
+class TestCores:
+    """Every pass over blocks of whole points deals its blocks to one
+    thread per core (assembly._on_cores, assembly.CORES of them), each
+    computed by the same kernel calls as on one thread: at any core count
+    every result is bit for bit the serial one, the first failing block's
+    error is the one raised, and no thread outlives a call."""
+
+    @staticmethod
+    def at_cores(monkeypatch, fn):
+        """fn() at each of CORE_COUNTS, its results as bytes."""
+        got = []
+        for cores in CORE_COUNTS:
+            monkeypatch.setattr(assembly, "CORES", cores)
+            got.append([np.asarray(a).tobytes() for a in fn()])
+        return got
+
+    @pytest.mark.parametrize("text,d,J,n", [
+        ("1..100", 1, 1600, 2), ("1,2", 1, 64, 4), (SET_2D, 2, 25, 2),
+        ("(1,0),(2,1)", 2, 25, 2)],
+        ids=["1d-n2", "1d-n4", "folded-2d", "unfolded-2d"])
+    @pytest.mark.parametrize("block", ["one-point", "ragged"])
+    def test_products_and_coefficients(self, text, d, J, n, block,
+                                       monkeypatch):
+        alphabet, grid = parse_alphabet(text), make_geometry(d, J, n)
+        E = len(alphabet.letters)
+        monkeypatch.setattr(assembly, "PRODUCT_ROWS",
+                            1 if block == "one-point" else 13 * E + 1)
+        v = np.random.default_rng(J).uniform(0.5, 1.5, math.prod(
+            grid.sample_shape))
+
+        def products():
+            cache = OperatorCache(alphabet, grid)
+            assert cache._merged is None
+            op, u = cache.matrix(1.1), cache.symmetric(v)
+            threads = threading.active_count()
+            y = op @ u
+            assert threading.active_count() == threads
+            assert np.array_equal(y, unblocked_product(op, u))
+            return y, op.coefficients(u)
+
+        one, *more = self.at_cores(monkeypatch, products)
+        assert all(got == one for got in more)
+
+    @pytest.mark.parametrize("block", ["one-point", "ragged"])
+    def test_merged_probe_values(self, block, monkeypatch):
+        E = len(parse_alphabet(MERGED[0]).letters)
+        monkeypatch.setattr(assembly, "PRODUCT_ROWS",
+                            1 if block == "one-point" else 13 * E + 1)
+
+        def values():
+            cache = merged_cache()
+            got = [cache.evaluation_matrix(s) for s in (0.5, 0.9)]
+            for s, value in zip((0.5, 0.9), got):
+                assert np.array_equal(value, written_merged(cache, s))
+            return got
+
+        one, *more = self.at_cores(monkeypatch, values)
+        assert all(got == one for got in more)
+
+    @pytest.mark.parametrize("text,d,J", [
+        ("1,2", 1, 64), ("1..100", 1, 1599), (SET_2D, 2, 40),
+        ("(1,0),(2,1)", 2, 40)])
+    @pytest.mark.parametrize("block", ["one-row", "ragged"])
+    def test_built_structure(self, text, d, J, block, monkeypatch):
+        # 1..100 at J = 1599 counts its slots on one thread and stays
+        # stacked; the others deal their blocks to the cores
+        alphabet, grid = parse_alphabet(text), make_geometry(d, J, 2)
+        E = len(alphabet.letters)
+        monkeypatch.setattr(assembly, "BLOCK_ROWS",
+                            1 if block == "one-row" else 13 * E + 1)
+
+        def built():
+            cache = OperatorCache(alphabet, grid)
+            G = cache._Gs
+            return G.data, G.indices, G.indptr, cache._lg
+
+        one, *more = self.at_cores(monkeypatch, built)
+        assert all(got == one for got in more)
+
+    @pytest.mark.parametrize("text,J", [(SET_2D, 4), ("(1,0),(2,1)", 2)])
+    def test_padded_range_error_is_the_serial_one(self, text, J,
+                                                  monkeypatch):
+        # one point per block: SET_2D at J = 4 fails in blocks 0 (letter
+        # (1,0)), 30 and 40 ((1,-1)), (1,0),(2,1) at J = 2 first in block 32
+        alphabet, grid = parse_alphabet(text), make_geometry(2, J, 2)
+        monkeypatch.setattr(assembly, "BLOCK_ROWS", 1)
+        messages = []
+        for cores in CORE_COUNTS:
+            monkeypatch.setattr(assembly, "CORES", cores)
+            threads = threading.active_count()
+            with pytest.raises(assembly.PaddedRangeError) as err:
+                OperatorCache(alphabet, grid)
+            assert threading.active_count() == threads
+            messages.append(str(err.value))
+        assert messages == [messages[0]] * len(CORE_COUNTS)
+        assert "letter (1, 0) " in messages[0]
+
+    def test_more_threads_than_cores_switching_fast(self, monkeypatch):
+        # six threads on one point each, switching every microsecond: a
+        # lost or crossed write into the output or into a thread's row of
+        # the buffer would show in the product
+        monkeypatch.setattr(assembly, "PRODUCT_ROWS", 1)
+        monkeypatch.setattr(assembly, "CORES", 6)
+        cache = OperatorCache(parse_alphabet(SET_2D), make_geometry(2, 25, 2))
+        op = cache.matrix(1.1)
+        v = cache.symmetric(np.random.default_rng(9).uniform(0.5, 1.5,
+                                                             cache.N))
+        want = unblocked_product(op, v)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [op @ v for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(y, want) for y in got)
+
+    @pytest.mark.parametrize("cores", CORE_COUNTS)
+    def test_lowest_failing_part_raises(self, cores, monkeypatch):
+        monkeypatch.setattr(assembly, "CORES", cores)
+        ran = {}
+
+        def work(part, t):
+            ran[part] = t, threading.get_ident()
+            if part in (2, 4, 5):
+                raise ValueError(part)
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as err:
+            assembly._on_cores(work, list(range(7)))
+        assert err.value.args == (2,)
+        assert threading.active_count() == threads
+        # thread t of one per core runs parts t, t + cores, ... up to its
+        # first failure; the caller's thread is thread 0
+        assert ran[0] == (0, threading.get_ident())
+        lanes = {t: [k for k in sorted(ran) if ran[k][0] == t]
+                 for t in range(cores)}
+        assert lanes == {t: [k for k in range(t, 7, cores)
+                             if not any(f in (2, 4, 5)
+                                        for f in range(t, k, cores))]
+                         for t in range(cores)}

@@ -64,12 +64,28 @@ def test_a_solve_imports_no_scipy_sparse():
             " '--out', sys.argv[1]])\n"
             "print(sorted({'scipy.sparse', 'numpy.f2py', 'numpy.testing'}"
             " & set(sys.modules)))")
+    assert fresh_process(code, os.devnull) == "[]"
+
+
+def test_cli_import_loads_no_pools():
+    # assembly deals its blocks to threads through `threading`, which the
+    # interpreter loads anyway; concurrent.futures imports logging, 8-10
+    # ms of every invocation, and neither it nor multiprocessing may load
+    code = ("import sys, fracdim.cli\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))")
+    assert fresh_process(code) == "[]"
+
+
+def fresh_process(code: str, *args: str) -> str:
+    """The stripped stdout of `python -c code args` in a fresh process that
+    imports fracdim from this tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
 
 
 def test_every_definition_is_used():
