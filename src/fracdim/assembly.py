@@ -51,24 +51,22 @@ build:
 - Merged rows.  On a 1D mesh a wide alphabet's letters crowd onto a few
   columns (the images 1/(p + x) of the large primes all lie near 0): at
   h = 1/3000 the 1,290 entries of a point of primes<3000 fall on at most
-  99 distinct columns.  The build labels each entry with its column's slot
-  among its point's distinct columns, a closed form in the point's first
-  columns (_Slots, while it writes the block), and keeps the slots' columns
-  Mind and the points' row pointers.  A probe
-  sums each slot's weighted entries, in ascending letter order, into one
-  merged value (scipy's csc_matvec over Gs, the weights formed a block at
-  a time), and a product is one csr_matvec over the merged rows.  A row
-  sums a chain of at most |E| + its row length terms: 430 + 99 there, and
-  430 + 133 at degree 4.
+  99 distinct columns, its slots.  The build counts each point's slots
+  from its first columns as it writes a block; a merged cache then labels
+  each entry with its column's slot, a closed form in the same columns
+  (relabel), and keeps the slots' columns Mind and the points' row
+  pointers.  A probe sums each slot's weighted entries, in ascending
+  letter order, into one merged value (scipy's csc_matvec over Gs, the
+  weights formed a block at a time), and a product is one csr_matvec over
+  the merged rows.  A row sums a chain of at most |E| + its row length
+  terms: 430 + 99 there, and 430 + 133 at degree 4.
 
 The rule: a 1D cache is merged exactly when its slots number at most
 kept |E|, so the merged values never take more memory than the weights
 they come from.  primes<3000 merges on every mesh of a solve, and 1..100
 on the meshes of table5 up to J = 799; {1, 2} (a point's one window
 already outnumbers its two letters), 1..100 from J = 1599 and every 2D mesh
-stay stacked.  The first block's own count guesses the form and every block
-counts its slots exactly, so a wrong guess costs one build in the other
-form, never more.
+stay stacked.
 
 Every term of a row is the product of a base value, a weight and a
 coefficient (two roundings), so its forward error is bounded by the chain
@@ -94,8 +92,8 @@ one per block, the caller's thread among them: a stacked product (each
 thread with its own slice of the cache's buffer, the mirror copy after the
 join), the taps of W1 on the last axis of an array of at least one product
 block, a merged probe (point i writes only its slots ptr_i .. ptr_i+1 - 1)
-and a build with no slot count (2D, or 1D with K > |E|; a labelled build
-keeps running totals and stays on one thread).  scipy's kernels and
+and a build that counts no slots (2D, or 1D with K > |E|; a counting
+build measured slower on two threads and stays on one).  scipy's kernels and
 numpy's large loops release the interpreter lock, and each block runs the
 same kernel calls on the same operands as on one thread, so every value is
 bit for bit the serial one; a pass of one block starts no thread, so a
@@ -424,12 +422,15 @@ class TransferOperator:
         return out
 
 
-class _Slots:
-    """Slot labels of a 1D build's stacked entries, written block by block.
+def relabel(cols: Array, ptr: Array, Mind: Array) -> None:
+    """Rewrites the columns cols (m, |E|, K) of a block's 1D entries in place
+    as slot labels, each point's slots starting at ptr (m + 1 row pointers,
+    the last the next point's), and writes the slots' columns into
+    Mind[ptr[0]:ptr[m]].
 
     Letter e maps x to 1/(e + x), which falls as e rises, so with the
     letters sorted each point's first columns do not increase with the
-    letter, f_0 >= f_1 >= ... (starts checks this), and its distinct
+    letter, f_0 >= f_1 >= ... (the build checks this), and its distinct
     columns, ascending, are its slots.  Window j, f_j .. f_j + K - 1, adds
     n_j = min(f_{j-1} - f_j, K) columns below all earlier ones (n_0 = K)
     and leaves none out above f_j, so column f_j + r takes slot S_j + r,
@@ -438,62 +439,27 @@ class _Slots:
     is label + f_j - S_j - ptr[i] along window j's n_j new columns, an
     offset that moves only at a gap f_{j-1} - f_j over K.  Such gaps part
     the first letters, whose images lie far apart: past the block's last
-    one, at window h, n_j = f_{j-1} - f_j and the offset stays window h's.
-
-    The rule: a cache merges exactly when its slots, m K + sum n_j per
-    block of m points, number at most kept |E| (fits), so the merged values
-    never outgrow the weights they come from.  `label` says whether the
-    build writes labels (else columns); None lets the first block's own
-    count decide.  Counting stops once the rule fails."""
-
-    def __init__(self, kept: int, letters: int, K: int, idx: type,
-                 label: bool | None):
-        self.budget, self.K, self.label = kept * letters, K, label
-        self.total, self.points, self.fits = 0, 0, True
-        self.ptr = np.zeros(kept + 1, dtype=idx)
-        self.Mind = None
-
-    def starts(self, first: Array) -> Array:
-        """The labels of the block's first columns first (m, |E|), where
-        labelling and the rule holds, else first itself; counts the
-        block's slots."""
-        if not self.fits:
-            return first
-        (m, E), K = first.shape, self.K
-        gap = np.subtract(first[:, :-1], first[:, 1:])
-        n = np.minimum(gap, K)  # n_j at j - 1
-        count, lo = m * K + int(n.sum()), self.total
-        self.total += count
-        self.fits = bool(gap.min() >= 0) and self.total <= self.budget
-        if self.label is None:
-            self.label = count <= m * E
-        if not (self.label and self.fits):
-            return first
-        if self.Mind is None:
-            self.Mind = np.empty(self.budget, dtype=first.dtype)
-        # the raw gaps: a gap of K keeps the offset, min(gap, K) hides that
-        wide = np.flatnonzero(gap.max(axis=0) > K)
-        h = int(wide[-1]) + 1 if len(wide) else 0
-        lead = np.empty((m, h + 1), dtype=first.dtype)  # n_0 .. n_h
-        lead[:, 0] = K
-        lead[:, 1:] = n[:, :h]
-        cum = np.cumsum(lead, axis=1, dtype=first.dtype)  # D - S_j, j <= h
-        D = cum[:, -1] + first[:, h] - first[:, -1]
-        ptr = self.ptr[self.points:self.points + m + 1]
-        self.points += m
-        np.cumsum(D, out=ptr[1:])
-        ptr[1:] += lo
-        top = np.subtract(ptr[1:, None], cum)  # labels of windows 0 .. h
-        shift = first[:, :h + 1] - top  # Mind[label] - label, window j
-        labels = np.subtract(first, shift[:, -1:])
-        labels[:, :h] = top[:, :h]
-        # Mind in runs of consecutive columns, windows h (and after) .. 0
-        runs = lead[:, ::-1].copy()
-        runs[:, 0] += D - cum[:, -1]
-        np.add(np.arange(lo, self.total, dtype=first.dtype),
-               np.repeat(shift[:, ::-1].ravel(), runs.ravel()),
-               out=self.Mind[lo:self.total])
-        return labels
+    one, at window h, n_j = f_{j-1} - f_j and the offset stays window h's."""
+    first, (m, _, K) = cols[..., 0], cols.shape
+    gap = np.subtract(first[:, :-1], first[:, 1:])
+    # the raw gaps: a gap of K keeps the offset, min(gap, K) hides that
+    wide = np.flatnonzero(gap.max(axis=0) > K)
+    h = int(wide[-1]) + 1 if len(wide) else 0
+    lead = np.empty((m, h + 1), dtype=cols.dtype)  # n_0 .. n_h
+    lead[:, 0] = K
+    np.minimum(gap[:, :h], K, out=lead[:, 1:])
+    cum = np.cumsum(lead, axis=1, dtype=cols.dtype)  # D - S_j, j <= h
+    top = np.subtract(ptr[1:, None], cum)  # labels of windows 0 .. h
+    shift = first[:, :h + 1] - top  # Mind[label] - label, window j
+    # Mind in runs of consecutive columns, windows h (and after) .. 0
+    runs = lead[:, ::-1].copy()
+    runs[:, 0] += first[:, h] - first[:, -1]
+    np.add(np.arange(ptr[0], ptr[-1], dtype=cols.dtype),
+           np.repeat(shift[:, ::-1].ravel(), runs.ravel()),
+           out=Mind[ptr[0]:ptr[-1]])
+    labels = np.subtract(first, shift[:, -1:])
+    labels[:, :h] = top[:, :h]
+    np.add(labels[..., None], np.arange(K, dtype=cols.dtype), out=cols)
 
 
 class OperatorCache:
@@ -505,11 +471,10 @@ class OperatorCache:
     Gs and lg cover the last `kept` of the N collocation points: those with
     y >= 0 on a folded 2D mesh (kept_points), all N otherwise.  Products
     then take only vectors symmetric in y; `symmetric` makes one.  A 1D
-    cache whose slots fit the rule (_Slots) is merged: Gs then holds slot
-    labels where it held columns, and `_merged` the slots' columns Mind and
-    the points' row pointers.  The build runs at most twice: once more, in
-    the other form, where its first block guessed wrong.  The product
-    buffer holds one product block per thread of a product (lanes).
+    cache whose slots fit the rule is merged: Gs then holds slot labels
+    where it held columns (relabel), and `_merged` the slots' columns Mind
+    and the points' row pointers.  The product buffer holds one product
+    block per thread of a product (lanes).
     """
 
     def __init__(self, alphabet: Alphabet, geometry: TensorGrid):
@@ -532,11 +497,13 @@ class OperatorCache:
 
     def _build_G_structure(self) -> None:
         """Gs and lg of the kept points, in blocks of about BLOCK_ROWS
-        (point, letter) rows that cover every letter of their points.  A
-        1D point holds at least K slots, so only K <= |E| may merge; the
-        first block guesses the form, and a wrong guess, shown by the exact
-        count, builds once more in the other form.  A build that counts no
-        slots deals its blocks to the cores (_on_cores)."""
+        (point, letter) rows that cover every letter of their points, dealt
+        to the cores (_on_cores).  A 1D point holds at least K slots, so
+        only K <= |E| may merge: such a build counts each point's slots,
+        K + sum_j min(f_{j-1} - f_j, K), from its first columns f_j as it
+        writes a block, into the row pointers, and runs on one thread (it
+        measured slower on two).  Where the exact total fits the rule, one
+        more pass over the blocks relabels them (relabel)."""
         E, width = len(self.alphabet.letters), self.n + 1
         K = width ** self.geometry.d
         kept, r0 = self.kept, self.N - self.kept
@@ -548,8 +515,12 @@ class OperatorCache:
         lg = np.empty((kept, E))
         mids = [ks.midpoints for ks in self.axes]
         spans = blocks_of(kept, max(1, BLOCK_ROWS // E))
+        counting = self.geometry.d == 1 and K <= E
+        ptr = np.zeros(kept + 1, dtype=idx) if counting else None
+        rising = False  # some point's first columns rise: letters unsorted
 
-        def fill(span, slots):
+        def fill(span, t):
+            nonlocal rising
             lo, hi = span
             # flat sample index -> midpoint per axis, first axis fastest
             if len(mids) == 1:
@@ -559,39 +530,41 @@ class OperatorCache:
                                       self.geometry.sample_shape)
                 p = np.stack([m[i] for m, i in zip(mids, at[::-1])], axis=-1)
             img, _ = self.alphabet.maps(p, lg[lo:hi])
-            self._block(img, cols[lo:hi], base[:, lo:hi], slots)
+            self._block(img, cols[lo:hi], base[:, lo:hi])
+            if counting:
+                first = cols[lo:hi, :, 0]
+                gap = np.subtract(first[:, :-1], first[:, 1:])
+                rising |= bool(gap.min() < 0)
+                counts = ptr[lo + 1:hi + 1]
+                np.minimum(gap, K, out=gap).sum(axis=1, out=counts)
+                counts += K
 
-        label = None if self.geometry.d == 1 and K <= E else False
-        while True:
-            if label is False:  # no running count: the blocks are apart
-                slots = None
-                _on_cores(lambda span, t: fill(span, None), spans)
-                break
-            slots = _Slots(kept, E, K, idx, label)
+        if counting:
             for span in spans:
-                fill(span, slots)
-                if slots.label and not slots.fits:
-                    break
-            if slots.label == slots.fits:
-                break
-            label = slots.fits
-        merged = slots is not None and slots.fits
+                fill(span, 0)
+        else:
+            _on_cores(fill, spans)
+        merged = counting and not rising and \
+            int(np.cumsum(ptr, out=ptr)[-1]) <= kept * E
+        if merged:
+            Mind = np.empty(ptr[-1], dtype=idx)
+            for lo, hi in spans:
+                relabel(cols[lo:hi], ptr[lo:hi + 1], Mind)
         self._Gs = CSR(base.reshape(-1, cols.size) if K > width
                        else base.ravel(), cols.ravel(),
                        np.arange(0, cols.size + 1, width, dtype=idx),
-                       (kept * E, slots.total if merged else self.Ncoef))
-        self._merged = (slots.Mind[:slots.total], slots.ptr) if merged else None
+                       (kept * E, len(Mind) if merged else self.Ncoef))
+        self._merged = (Mind, ptr) if merged else None
         self._lg = lg
         self.nnz = base.size
 
-    def _block(self, img: Array, cols: Array, base: Array,
-               slots: _Slots | None = None) -> None:
-        """Columns, or slot labels (slots.starts), into cols (m, |E|, n+1)
-        and values into base (K // (n+1), m, |E|, n+1), of the tensor
-        splines nonzero at the images img (d, m, |E|): x-spline rx of the
-        window at column first + rx, and the product of y-spline ry and
-        x-spline rx at base[ry, ..., rx].  An image outside the partition
-        of unity (mesh too coarse) raises PaddedRangeError."""
+    def _block(self, img: Array, cols: Array, base: Array) -> None:
+        """Columns into cols (m, |E|, n+1) and values into base
+        (K // (n+1), m, |E|, n+1), of the tensor splines nonzero at the
+        images img (d, m, |E|): x-spline rx of the window at column
+        first + rx, and the product of y-spline ry and x-spline rx at
+        base[ry, ..., rx].  An image outside the partition of unity (mesh
+        too coarse) raises PaddedRangeError."""
         n = self.n
         # fold the axes in, last axis outer (ry outer, rx inner keeps the
         # columns ascending); interval ell holds splines ell-n .. ell
@@ -609,8 +582,6 @@ class OperatorCache:
                 col += first * ks.num_splines
             first = col
             terms.append(basis_terms(t, n))
-        if slots is not None:
-            first = slots.starts(first)
         *outer, inner = terms  # d is 1 or 2: the y splines are outer
         for rx, Bx in enumerate(inner):
             np.add(first, rx, out=cols[..., rx])

@@ -179,6 +179,51 @@ class TestCriterion3CertifiedBracket1D:
             widths[degree] = rec["s_hi"] - rec["s_lo"]
         assert widths["4"] < widths["2"] / 1000
 
+    @staticmethod
+    def check_relations(letters, J=None):
+        """Relations that any correct brackets of a 1D limit set keep: its
+        certified brackets at the coarsest admissible J (or this one) and
+        at 2J, at degree 2 and 4, intersect; adding the letter 10 max E
+        cannot lower the dimension, so s_lo(E) <= s_hi(E'), E' at its own
+        coarsest J; and the point estimate on the first mesh lies in that
+        mesh's bracket."""
+        def bracket(L, J, n=2):
+            return solve_dimension(SolveConfig(make_alphabet_1d(L), n=n,
+                                               h=1 / J))
+
+        def coarsest(L, n=2):
+            with pytest.raises(InadmissibleMeshError) as coarse:
+                bracket(L, 2, n)
+            return math.ceil(1 / Fraction(coarse.value.breakdown["overall"]))
+
+        brackets = []
+        for n in (2, 4):
+            Jn = J or coarsest(letters, n)
+            brackets += [bracket(letters, Jn, n), bracket(letters, 2 * Jn, n)]
+        assert (max(b.s_lo for b in brackets)
+                <= min(b.s_hi for b in brackets))
+        wider = letters + [10 * max(letters)]
+        assert brackets[0].s_lo <= bracket(wider, coarsest(wider)).s_hi
+        s = point_estimate(make_alphabet_1d(letters), brackets[0].h)
+        assert brackets[0].s_lo <= s <= brackets[0].s_hi
+
+    @settings(max_examples=40, deadline=None)
+    @given(letters=st.lists(st.integers(1, 400), min_size=3, max_size=40,
+                            unique=True))
+    def test_drawn_brackets_agree(self, letters):
+        # wide draws crowd onto shared columns, so most of their meshes
+        # take merged rows
+        self.check_relations(sorted(letters))
+
+    def test_merged_brackets_agree(self):
+        # primes<500 merges at 1/500, so its relabelled rows are checked
+        primes = [p for p in range(2, 500)
+                  if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        cache = OperatorCache(make_alphabet_1d(primes),
+                              make_geometry(1, 500, 2))
+        assert cache._merged is not None
+        self.check_relations(primes, 500)
+
 
 class TestCriterion4TwoDimensional:
     ALPHABET = [(1, 0), (1, 1), (1, -1), (2, 0)]

@@ -349,17 +349,17 @@ def stacked_columns(cache) -> np.ndarray:
 
 
 def build_passes(alphabet, grid):
-    """An OperatorCache and the passes its build made over the blocks:
-    one per slot counter (None when stacked) that _block took in turn."""
+    """An OperatorCache and the passes its build made over the points: the
+    points _block wrote, over the kept points."""
     block, taken = OperatorCache._block, []
 
-    def spy(self, img, cols, base, slots=None):
-        taken.append(slots)
-        block(self, img, cols, base, slots)
+    def spy(self, img, cols, base):
+        taken.append(len(cols))
+        block(self, img, cols, base)
 
     with mock.patch.object(OperatorCache, "_block", spy):
         cache = OperatorCache(alphabet, grid)
-    return cache, 1 + sum(a is not b for a, b in zip(taken, taken[1:]))
+    return cache, sum(taken) / cache.kept
 
 
 def written_merged(cache, s: float) -> np.ndarray:
@@ -421,27 +421,24 @@ class TestMergedRows:
 
     def test_hand_built_block(self):
         # gaps 0, K - 1, K and K + 1 between a point's first columns, in
-        # both orders: only a gap over K leaves columns out, and Mind runs
-        # over the windows after the block's last such gap.  A point whose
-        # first columns rise (letters out of order) fails the rule, and
-        # the block keeps its columns
-        K, E = 3, 11
+        # both orders: only a gap over K leaves columns out, a point's slots
+        # number K + sum min(gap, K) (the build's count), and Mind runs
+        # over the windows after the block's last gap over K
+        K = 3
         gaps = np.array([[0, 0, 0, 0, 2, 0, 3, 0, 4, 0],
                          [4, 0, 3, 0, 2, 0, 0, 0, 0, 0]])
         first = 40 - np.cumsum(np.insert(gaps, 0, 0, axis=1), axis=1,
                                dtype=np.int32)
-        slots = assembly._Slots(2, E, K, np.int32, None)
-        labels = slots.starts(first)
-        Mind, ptr, want = self.slot_oracle(
-            (first[..., None] + np.arange(K)).reshape(2, -1))
-        assert slots.label and slots.fits and slots.total == len(Mind) == 22
-        assert np.array_equal(slots.Mind[:slots.total], Mind)
-        assert np.array_equal(slots.ptr, ptr)
-        assert np.array_equal((labels[..., None] + np.arange(K)).ravel(),
-                              want)
-        first[1, 2:4] = first[1, 3:1:-1]
-        slots = assembly._Slots(2, E, K, np.int32, True)
-        assert slots.starts(first) is first and not slots.fits
+        cols = first[..., None] + np.arange(K, dtype=np.int32)
+        Mind, ptr, want = self.slot_oracle(cols.reshape(2, -1))
+        assert np.array_equal(np.diff(ptr),
+                              K + np.minimum(gaps, K).sum(axis=1))
+        got = np.full(len(Mind) + 2, -1, dtype=np.int32)
+        # a block after another point's slot, into its slice of Mind
+        assembly.relabel(cols, (ptr + 1).astype(np.int32), got)
+        assert len(Mind) == 22 and got[0] == got[-1] == -1
+        assert np.array_equal(got[1:-1], Mind)
+        assert np.array_equal(cols.ravel(), want + 1)
 
     def test_slots(self):
         # no slot takes more than |E| entries (one per letter)
@@ -458,12 +455,12 @@ class TestMergedRows:
     def test_drawn_alphabets(self, letters, J, n, block):
         # drawn sorted letters, meshes and build blocks: the rule holds,
         # a merged cache's slots are right, the blocks change no bit, and
-        # no build runs more than twice
+        # every build writes each block once
         alphabet, grid = make_alphabet_1d(letters), make_geometry(1, J, n)
         want, passes = build_passes(alphabet, grid)
         with mock.patch.object(assembly, "BLOCK_ROWS", block):
             got, more = build_passes(alphabet, grid)
-        assert max(passes, more) <= 2
+        assert passes == more == 1
         cols = np.sort(stacked_columns(want), axis=1)
         slots = want.kept + int((np.diff(cols, axis=1) != 0).sum())
         merged = slots <= want.kept * len(letters)
@@ -529,42 +526,21 @@ class TestMergedRows:
             assert op.weights is None and op.G.shape == (cache.kept,
                                                          cache.Ncoef)
 
-    def test_wrong_guess_builds_again(self, monkeypatch):
+    def test_crowded_first_point_merges_in_one_pass(self, monkeypatch):
         # one point per block: 1..10 at J = 12 has 11 slots at its first
         # point, more than |E| = 10, but 160 in all, within kept |E| = 180.
-        # The first block guesses the stacked form, and the build runs
-        # once more, merged, to the structure one block builds
+        # The exact total decides: one pass writes the merged structure
+        # one block builds, bit for bit
         want = merged_cache("1..10", 12)
         monkeypatch.setattr(assembly, "BLOCK_ROWS", 1)
         got, passes = build_passes(parse_alphabet("1..10"),
                                    make_geometry(1, 12, 2))
-        assert passes == 2 and got._merged is not None
+        assert passes == 1 and got._merged is not None
         for a, b in [(got._Gs.data, want._Gs.data),
                      (got._Gs.indices, want._Gs.indices),
                      (got._merged[0], want._merged[0]),
                      (got._merged[1], want._merged[1]), (got._lg, want._lg)]:
             assert a.tobytes() == b.tobytes()
-
-    def test_overflowing_guess_builds_again(self, monkeypatch):
-        # 1..100 at J = 1599 stays stacked; forced to guess merged, the
-        # build stops where the slots outgrow kept |E| and runs once more,
-        # to the stacked structure bit for bit
-        alphabet, grid = parse_alphabet("1..100"), make_geometry(1, 1599, 2)
-        want = OperatorCache(alphabet, grid)
-        init = assembly._Slots.__init__
-
-        def labelling(self, kept, letters, K, idx, label):
-            init(self, kept, letters, K, idx, True if label is None else label)
-
-        monkeypatch.setattr(assembly._Slots, "__init__", labelling)
-        got, passes = build_passes(alphabet, grid)
-        assert passes == 2
-        assert want._merged is None and got._merged is None
-        for a, b in [(got._Gs.data, want._Gs.data), (got._lg, want._lg),
-                     (got._Gs.indices, want._Gs.indices),
-                     (got._Gs.indptr, want._Gs.indptr)]:
-            assert a.tobytes() == b.tobytes()
-        assert got._Gs.shape == want._Gs.shape
 
     def test_unsorted_letters_stay_stacked(self):
         # the labels rest on first columns that do not rise with the
@@ -771,9 +747,10 @@ class TestBuildMemory:
             # and the weights are formed a block at a time in the buffer
             assert fp["probe"] == cache._lg.nbytes + cache._buffer.nbytes
             assert op.G.data.nbytes <= cache._lg.nbytes
-            # Mind is a view of kept |E| slots' room
+            # the term holds room for kept |E| slots; Mind takes its own
             Mind, ptr = cache._merged
-            assert fp["merged"] == Mind.base.nbytes + ptr.nbytes
+            assert Mind.nbytes + ptr.nbytes <= fp["merged"] == \
+                cache._lg.size * Mind.itemsize + ptr.nbytes
         assert fp["total"] == sum(v for k, v in fp.items() if k != "total")
 
     def test_index_dtype_follows_the_last_row_pointer(self):
