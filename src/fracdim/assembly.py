@@ -423,10 +423,9 @@ class TransferOperator:
 
 
 def relabel(cols: Array, ptr: Array, Mind: Array) -> None:
-    """Rewrites the columns cols (m, |E|, K) of a block's 1D entries in place
-    as slot labels, each point's slots starting at ptr (m + 1 row pointers,
-    the last the next point's), and writes the slots' columns into
-    Mind[ptr[0]:ptr[m]].
+    """Rewrites a block's 1D columns cols (m, |E|, K) in place as slot
+    labels, point i's slots from ptr[i] (m + 1 row pointers, the last the
+    next point's), and writes the slots' columns into Mind[ptr[0]:ptr[m]].
 
     Letter e maps x to 1/(e + x), which falls as e rises, so with the
     letters sorted each point's first columns do not increase with the
@@ -459,7 +458,8 @@ def relabel(cols: Array, ptr: Array, Mind: Array) -> None:
            out=Mind[ptr[0]:ptr[-1]])
     labels = np.subtract(first, shift[:, -1:])
     labels[:, :h] = top[:, :h]
-    np.add(labels[..., None], np.arange(K, dtype=cols.dtype), out=cols)
+    for r in range(K):  # as _block writes them: one pass per window column
+        np.add(labels, r, out=cols[..., r])
 
 
 class OperatorCache:
@@ -535,9 +535,8 @@ class OperatorCache:
                 first = cols[lo:hi, :, 0]
                 gap = np.subtract(first[:, :-1], first[:, 1:])
                 rising |= bool(gap.min() < 0)
-                counts = ptr[lo + 1:hi + 1]
-                np.minimum(gap, K, out=gap).sum(axis=1, out=counts)
-                counts += K
+                np.add(np.minimum(gap, K, out=gap).sum(axis=1), K,
+                       out=ptr[lo + 1:hi + 1])
 
         if counting:
             for span in spans:

@@ -192,9 +192,11 @@ class TestCriterion3CertifiedBracket1D:
                                                h=1 / J))
 
         def coarsest(L, n=2):
+            # 1/J below the bound: the resolution one, 1/max E, is strict
             with pytest.raises(InadmissibleMeshError) as coarse:
                 bracket(L, 2, n)
-            return math.ceil(1 / Fraction(coarse.value.breakdown["overall"]))
+            bound = Fraction(coarse.value.breakdown["overall"])
+            return math.floor(1 / bound) + 1
 
         brackets = []
         for n in (2, 4):
